@@ -16,7 +16,8 @@ from scipy import stats
 from . import finite_dpp
 from .errors import SizeGuardError, TheoremViolationError, ValidationError
 from .kernel_core import GroundSpace, Kernel, check_point
-from .numerics import QuadratureError, QuadratureSpec, integrate_radial
+from .numerics import (HermitianEig, QuadratureError, QuadratureSpec, hermitian_eig,
+                       integrate_radial)
 
 __all__ = [
     "MomentResult",
@@ -255,10 +256,12 @@ def _sphere_centers(resolution: int):
 def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
     """Discretize a continuous kernel to cell centers.
 
-    Entries are K(c_i, c_j) * cell_measure.  Spectrum leakage up to
-    1e-3 beyond [0, 1] is clamped and reported; worse leakage raises
-    with guidance, since it means the cells are too coarse for the
-    kernel (near-projection kernels are the usual culprit).
+    Entries are K(c_i, c_j) * cell_measure, real when the kernel is.
+    The matrix is decomposed once, and the resulting FiniteDpp carries
+    that decomposition.  Spectrum leakage up to 1e-3 beyond [0, 1] is
+    clamped and reported; worse leakage raises with guidance, since it
+    means the cells are too coarse for the kernel (near-projection
+    kernels are the usual culprit).
     """
     if resolution < 1:
         raise ValidationError("param-bound", "resolution must be >= 1")
@@ -280,7 +283,7 @@ def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
 
     gram = kernel.descriptor.get("gram")
     if gram is not None:
-        M = np.asarray(gram(centers), dtype=complex) * measure
+        M = np.asarray(gram(centers)) * measure
     else:
         pts = list(centers)
         M = np.empty((n, n), dtype=complex)
@@ -290,8 +293,9 @@ def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
                 M[j, i] = np.conj(M[i, j])
     M = 0.5 * (M + M.conj().T)
 
-    w = np.linalg.eigvalsh(M)
-    lo, hi = float(w.min()), float(w.max())
+    eig = hermitian_eig(M)
+    w = eig.eigenvalues
+    hi, lo = float(w[0]), float(w[-1])
     if hi > 1.0 + 1e-3 or lo < -1e-3:
         raise ValidationError(
             "spectrum",
@@ -301,12 +305,13 @@ def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
     clamped = int(np.sum(excess > 1e-12))
     report = ClampReport(n_clamped=clamped,
                          max_excess=float(excess.max()) if clamped else 0.0)
+    lam, V = np.clip(w, 0.0, 1.0), eig.eigenvectors
     if clamped:
-        wfull, V = np.linalg.eigh(M)
-        M = (V * np.clip(wfull, 0.0, 1.0)) @ V.conj().T
+        M = (V * lam) @ V.conj().T
         M = 0.5 * (M + M.conj().T)
-    return GridModel(dpp=finite_dpp.validate(M), centers=centers,
-                     cell_measure=measure, clamp_report=report, space=space)
+    dpp = finite_dpp.FiniteDpp(matrix=M, eig=HermitianEig(eigenvalues=lam, eigenvectors=V), n=n)
+    return GridModel(dpp=dpp, centers=centers, cell_measure=measure,
+                     clamp_report=report, space=space)
 
 
 def _nearest_site(centers: np.ndarray, u) -> int:

@@ -10,8 +10,9 @@ finite kernels) "matrix".  Families: "finite", "ginibre", "jinc",
 entries are [re, im] pairs, row-major.  Unknown keys anywhere are
 rejected.
 
-Exit codes: 0 success, 2 validation failure, 3 parse failure, 4 size
-guard, 5 internal theorem-violation dump.  All commands are
+Exit codes: 0 success, 2 validation failure (including quadrature that
+cannot converge), 3 parse failure, 4 size guard, 5 internal
+theorem-violation dump.  All commands are
 deterministic given (input file, flags, seed); numbers render with 12
 significant digits.
 """
@@ -30,7 +31,7 @@ import numpy as np
 from . import analysis, finite_dpp, model_zoo
 from .errors import ParseError, SizeGuardError, TheoremViolationError, ValidationError
 from .kernel_core import Kernel, repulsiveness_p
-from .numerics import QuadratureSpec
+from .numerics import QuadratureError, QuadratureSpec
 
 __all__ = ["main", "load_kernel_spec"]
 
@@ -278,6 +279,8 @@ def cmd_profile(args) -> int:
         raise ParseError("no models requested")
     if not 0.0 < args.beta <= 1.0:
         raise ValidationError("param-bound", "beta must lie in (0, 1]")
+    if args.r_points < 1:
+        raise ParseError(f"--r-points must be >= 1, got {args.r_points}")
     radii = np.linspace(args.r_min, args.r_max, args.r_points)
     origin = np.zeros(2)
     columns: dict[str, np.ndarray] = {}
@@ -451,6 +454,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 5
     except ValidationError as exc:
         print(f"validation-error[{exc.token}]: {exc}", file=sys.stderr)
+        return 2
+    except QuadratureError as exc:
+        print(f"validation-error[quadrature]: {exc}", file=sys.stderr)
         return 2
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeGuardError, ValidationError
-from .numerics import HermitianEig, hermitian_eig
+from .numerics import HermitianEig, _as_float_or_complex, hermitian_eig
 
 __all__ = [
     "FiniteDpp",
@@ -41,6 +41,8 @@ _LAW_MAX_SITES = 16
 _COUPLING_MAX_SITES = 12
 _SPECTRUM_SLACK = 1e-6
 _FLOW_DEFICIT = 1e-8
+_MINOR_BLOCK = 512   # principal minors per stacked det call in subset_law
+_SAMPLE_BLOCK = 64   # draws per batch of the spectral sampler
 
 
 @dataclass(frozen=True)
@@ -111,9 +113,9 @@ def validate(matrix) -> FiniteDpp:
     """Check Hermitian symmetry and the [0, 1] spectrum condition.
 
     Eigenvalues within 1e-6 of the [0, 1] boundary are clamped onto it;
-    anything further out is rejected.
+    anything further out is rejected.  A real symmetric matrix stays real.
     """
-    M = np.asarray(matrix, dtype=complex)
+    M = _as_float_or_complex(matrix)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValidationError("param-bound", "kernel matrix must be square")
     scale = 1.0 + float(np.max(np.abs(M))) if M.size else 1.0
@@ -160,7 +162,9 @@ def subset_law(dpp: FiniteDpp) -> SubsetLaw:
 
     Inclusion-exclusion over inclusion probabilities:
     P(X = S) = sum over A containing S of (-1)^|A \\ S| det K_A,
-    evaluated with an in-place superset Moebius transform.
+    evaluated with an in-place superset Moebius transform.  The principal
+    minors det K_A are taken in stacks of equal size, a few hundred per
+    det call.
     """
     n = dpp.n
     if n > _LAW_MAX_SITES:
@@ -168,9 +172,19 @@ def subset_law(dpp: FiniteDpp) -> SubsetLaw:
     size = 1 << n
     vals = np.empty(size)
     vals[0] = 1.0
-    for mask in range(1, size):
-        idx = _mask_indices(mask, n)
-        vals[mask] = float(np.real(np.linalg.det(dpp.matrix[np.ix_(idx, idx)])))
+    masks = np.arange(size, dtype=np.int32)
+    popcount = np.zeros(size, dtype=np.uint8)
+    for i in range(n):
+        popcount += (masks >> i & 1).astype(np.uint8)
+    shifts = np.arange(n, dtype=np.int32)
+    for r in range(1, n + 1):
+        of_size = masks[popcount == r]
+        for lo in range(0, of_size.size, _MINOR_BLOCK):
+            block = of_size[lo:lo + _MINOR_BLOCK]
+            # ascending site indices of each mask, one row per mask
+            idx = np.nonzero(block[:, None] >> shifts & 1)[1].reshape(-1, r)
+            minors = np.linalg.det(dpp.matrix[idx[:, :, None], idx[:, None, :]])
+            vals[block] = np.real(minors)
     t = vals.reshape((2,) * n)
     for axis in range(n):
         lo = [slice(None)] * n
@@ -365,47 +379,75 @@ def xi_law(table: CouplingTable, dpp: FiniteDpp, u: int) -> tuple[float, np.ndar
     return p, density
 
 
-def _sample_sequential(K: np.ndarray, rng: np.random.Generator) -> int:
-    A = np.array(K, dtype=complex, copy=True)
-    n = A.shape[0]
-    mask = 0
-    for i in range(n):
-        p = min(max(float(A[0, 0].real), 0.0), 1.0)
-        z = rng.random() < p
-        if z:
-            mask |= 1 << i
-        if i == n - 1:
-            break
-        denom = A[0, 0] - (0.0 if z else 1.0)
-        rest = A[1:, 1:]
-        if abs(denom) > 1e-12:
-            A = rest - np.outer(A[1:, 0], A[0, 1:]) / denom
-        else:
-            # the corresponding column is null to working precision
-            A = rest.copy()
-    return mask
+def _spectral_block(lam: np.ndarray, V: np.ndarray, n_draws: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Draw n_draws subsets at once; returns their site indicators, (n_draws, n).
+
+    The spectral algorithm of Hough, Krishnapur, Peres & Virag (2006):
+    keep eigenvector j with probability lam[j], then draw k points, one
+    per kept eigenvector.  Each point is picked with probability
+    proportional to the residual diagonal of the projection K_J onto the
+    kept eigenvectors, after removing the orthonormal directions E of
+    the points already picked; the next direction is the Gram-Schmidt
+    residual of the column K_J[:, x] of the picked site x.
+    """
+    n = V.shape[0]
+    kept = rng.random((n_draws, lam.size)) < lam
+    used = kept.any(axis=0)
+    kept, V = kept[:, used], V[:, used]
+    k = kept.sum(axis=1)
+    # most points first, so the draws still picking are always a leading slice
+    order = np.argsort(-k, kind="stable")
+    kept, k = kept[order], k[order]
+    resid = kept @ (np.abs(V) ** 2).T
+    k_max = int(k[0]) if n_draws else 0
+    E = np.zeros((n_draws, k_max, n), dtype=V.dtype)
+    picked = np.zeros((n_draws, n), dtype=bool)
+    active = np.count_nonzero(k[:, None] > np.arange(k_max), axis=0)
+    for m in range(k_max):
+        a = int(active[m])
+        rows = np.arange(a)
+        p = np.clip(resid[:a], 0.0, None)
+        cdf = np.cumsum(p, axis=1)
+        u = rng.random(a) * cdf[:, -1]
+        x = np.count_nonzero(cdf <= u[:, None], axis=1)
+        over = x == n
+        if over.any():  # u rounded up to the total: take the last site with mass
+            x[over] = n - 1 - np.argmax(p[over, ::-1] > 0.0, axis=1)
+        col = (kept[:a] * V[x].conj()) @ V.T  # K_J[:, x] per draw
+        e = col - np.matmul(E[rows, :m, x].conj()[:, None, :], E[:a, :m])[:, 0]
+        e /= np.sqrt(e[rows, x].real)[:, None]
+        E[:a, m] = e
+        resid[:a] -= np.abs(e) ** 2
+        resid[rows, x] = 0.0
+        picked[rows, x] = True
+    out = np.empty_like(picked)
+    out[order] = picked
+    return out
 
 
 def sample_exact(dpp: FiniteDpp, rng_seed: int) -> int:
-    """Draw one subset by sequential site-by-site sampling.
-
-    Each site is included with its conditional diagonal probability and
-    the kernel is updated by the Schur complement of the outcome.
-    """
-    rng = np.random.default_rng(rng_seed)
-    return _sample_sequential(dpp.matrix, rng)
+    """Draw one subset; the first draw of sample_exact_many with this seed."""
+    return int(sample_exact_many(dpp, rng_seed, 1)[0])
 
 
 def sample_exact_many(dpp: FiniteDpp, rng_seed: int, draws: int) -> np.ndarray:
     """Draw many subsets from one seeded stream; returns bitmasks.
 
-    Masks are int64 when they fit and Python ints (object dtype) for
-    wider site counts, as grid discretizations produce.
+    Uses the spectral sampler on the stored eigendecomposition, in
+    batches of up to 64 draws.  Masks are int64 when they fit and Python
+    ints (object dtype) for wider site counts, as grid discretizations
+    produce.
     """
     rng = np.random.default_rng(rng_seed)
     dtype = np.int64 if dpp.n <= 62 else object
-    return np.fromiter((_sample_sequential(dpp.matrix, rng) for _ in range(draws)),
-                       dtype=dtype, count=draws)
+    lam, V = dpp.eig.eigenvalues, dpp.eig.eigenvectors
+    masks: list[int] = []
+    for lo in range(0, draws, _SAMPLE_BLOCK):
+        picked = _spectral_block(lam, V, min(_SAMPLE_BLOCK, draws - lo), rng)
+        packed = np.packbits(picked, axis=1, bitorder="little")
+        masks.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return np.fromiter(masks, dtype=dtype, count=draws)
 
 
 def _table_arrays(table: CouplingTable):

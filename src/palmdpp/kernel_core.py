@@ -309,7 +309,8 @@ def repulsiveness_p(kernel: Kernel, u, spec: QuadratureSpec | None = None,
         sigma_prev = sphere_surface_measure(d - 1) if d >= 2 else 2.0
         integrand = lambda theta: (np.asarray(k0(np.cos(theta))) ** 2
                                    * np.sin(theta) ** (d - 1))
-        val, qerr = integrate.quad(lambda th: float(integrand(th)), 0.0, math.pi,
+        # k0 may return a 0-d or a 1-element array for a scalar angle
+        val, qerr = integrate.quad(lambda th: float(np.ravel(integrand(th))[0]), 0.0, math.pi,
                                    epsabs=1e-14, epsrel=(spec or QuadratureSpec()).relative_tolerance,
                                    limit=200)
         norm_sq = sigma_prev * val

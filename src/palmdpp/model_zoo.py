@@ -159,7 +159,7 @@ def jinc_kernel(d: int) -> Kernel:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         diff = pts[:, None, :] - pts[None, :, :]
         dist = np.sqrt(np.sum(diff ** 2, axis=-1))
-        return _radial(dist).astype(complex)
+        return _radial(dist)
 
     return Kernel(
         space=GroundSpace.euclidean(d),
@@ -368,7 +368,7 @@ def sphere_kernel(model: SphereModel,
     def gram(points, _k0=k0):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         t = np.clip(pts @ pts.T, -1.0, 1.0)
-        return np.asarray(_k0(t)).astype(complex)
+        return np.asarray(_k0(t), dtype=float)
 
     return Kernel(
         space=GroundSpace.sphere(model.d),

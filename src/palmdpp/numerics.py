@@ -174,9 +174,18 @@ def _check_hermitian(K: np.ndarray, tol: float) -> None:
             f"exceeds {tol:.1e} * (1 + max|K|)")
 
 
+def _as_float_or_complex(K) -> np.ndarray:
+    """K as a float64 array, or complex128 when it holds complex entries."""
+    K = np.asarray(K)
+    return K.astype(complex if np.iscomplexobj(K) else float, copy=False)
+
+
 def hermitian_eig(K) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    K = np.asarray(K, dtype=complex)
+    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+
+    A real symmetric input stays real, so its eigenvectors are real too.
+    """
+    K = _as_float_or_complex(K)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError("expected a square matrix")
     _check_hermitian(K, 1e-9)
@@ -265,7 +274,7 @@ def _fit_tail(starts: np.ndarray, W: np.ndarray, q: float):
     a = 1.0 - slope
     if a <= 1.0 + DIVERGENCE_MARGIN:
         raise QuadratureError(
-            f"tail mass decays like r^(-{a:.3f}); the integral does not "
+            f"tail mass decays like r^({-a:.3f}); the integral does not "
             "converge within the divergence margin")
     rho = q ** slope
     w_last_fit = math.exp(intercept + slope * x[-1])

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -29,3 +31,22 @@ def random_dpp_matrix(rng: np.random.Generator, n: int,
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return 0.5 * (z + z.conj().T)
+
+
+def assert_sampler_matches_kernel(dpp, masks) -> None:
+    """Per-site inclusion rates against K_ii, and the count mean and
+    variance against sum(lam) and sum(lam (1 - lam)), at 4.5 sigma."""
+    draws = masks.size
+    bits = np.array([[int(m) >> i & 1 for i in range(dpp.n)] for m in masks], dtype=float)
+    diag = np.real(np.diagonal(dpp.matrix))
+    site_sd = np.sqrt(np.maximum(diag * (1.0 - diag), 1e-12) / draws)
+    assert np.all(np.abs(bits.mean(axis=0) - diag) <= 4.5 * site_sd + 1e-12)
+    lam = dpp.eig.eigenvalues
+    q = lam * (1.0 - lam)
+    var = float(q.sum())
+    counts = bits.sum(axis=1)
+    assert abs(counts.mean() - lam.sum()) <= 4.5 * math.sqrt(var / draws) + 1e-12
+    # the count is a sum of independent Bernoulli(lam) variables
+    kappa4 = float(np.sum(q * (1.0 - 6.0 * q)))
+    var_sd = math.sqrt(max(kappa4 + 2.0 * var ** 2, 0.0) / draws)
+    assert abs(counts.var() - var) <= 4.5 * var_sd + 1e-12

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import integrate, special
 
 from palmdpp.analysis import (
@@ -18,9 +19,34 @@ from palmdpp.analysis import (
 from palmdpp.errors import SizeGuardError, ValidationError
 from palmdpp.finite_dpp import sample_exact_many
 from palmdpp.kernel_core import GroundSpace, Kernel
-from palmdpp.model_zoo import GinibreParams, ginibre_kernel, jinc_kernel, multiquadric
+from palmdpp.model_zoo import (GinibreParams, ginibre_kernel, jinc_kernel, multiquadric,
+                               sphere_kernel, sphere_model, thin_rescale)
+
+from conftest import assert_sampler_matches_kernel
 
 ORIGIN = np.zeros(2)
+
+
+def leaky_ginibre() -> Kernel:
+    """Ginibre scaled by 1 + 2e-4: its top grid eigenvalues leak past 1."""
+    base = ginibre_kernel(GinibreParams(1.0, 1.0))
+    bump = 1.0 + 2e-4
+    return Kernel(space=base.space,
+                  evaluate=lambda v, w, _e=base.evaluate: bump * _e(v, w),
+                  descriptor={**dict(base.descriptor),
+                              "gram": lambda pts, _g=base.descriptor["gram"]: bump * _g(pts)})
+
+
+def count_eig_calls(monkeypatch) -> list:
+    """Record every numpy/scipy eigh and eigvalsh call from here on."""
+    calls = []
+    for mod in (np.linalg, scipy.linalg):
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, _orig=getattr(mod, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 def poisson_style_kernel(rho: float) -> Kernel:
@@ -156,16 +182,47 @@ class TestGridDiscretize:
         assert "resolution" in str(err.value)
 
     def test_mild_leakage_is_clamped_and_reported(self):
-        base = ginibre_kernel(GinibreParams(1.0, 1.0))
-        bump = 1.0 + 2e-4
-        leaky = Kernel(space=base.space,
-                       evaluate=lambda v, w, _e=base.evaluate: bump * _e(v, w),
-                       descriptor={**dict(base.descriptor),
-                                   "gram": lambda pts, _g=base.descriptor["gram"]: bump * _g(pts)})
-        grid = grid_discretize(leaky, (-3.0, 3.0, -3.0, 3.0), 12)
+        grid = grid_discretize(leaky_ginibre(), (-3.0, 3.0, -3.0, 3.0), 12)
         assert grid.clamp_report
         assert grid.clamp_report.max_excess <= 1e-3
         assert grid.dpp.eig.eigenvalues.max() <= 1.0 + 1e-12
+        V = grid.dpp.eig.eigenvectors
+        rebuilt = (V * grid.dpp.eig.eigenvalues) @ V.conj().T
+        assert np.max(np.abs(rebuilt - grid.dpp.matrix)) < 1e-12
+
+    def test_one_eigendecomposition_per_grid_and_none_per_draw(self, monkeypatch):
+        calls = count_eig_calls(monkeypatch)
+        clean = grid_discretize(thin_rescale(jinc_kernel(2), 0.8, 0.8),
+                                (-3.0, 3.0, -3.0, 3.0), 10)
+        assert not clean.clamp_report and calls == ["eigh"]
+        sample_exact_many(clean.dpp, 3, 70)
+        assert calls == ["eigh"]
+        calls.clear()
+        clamped = grid_discretize(leaky_ginibre(), (-3.0, 3.0, -3.0, 3.0), 12)
+        assert clamped.clamp_report and calls == ["eigh"]
+
+    def test_real_kernels_give_real_matrices(self):
+        model = sphere_model(2, 0.1, [0.5, 0.3, 0.2])
+        _, mq = multiquadric(0.5, 1.0 / (4.0 * math.pi))
+        grids = [grid_discretize(jinc_kernel(2), (-2.0, 2.0, -2.0, 2.0), 8),
+                 grid_discretize(thin_rescale(jinc_kernel(2), 0.8, 0.8),
+                                 (-2.0, 2.0, -2.0, 2.0), 6),
+                 grid_discretize(jinc_kernel(1), (-2.0, 2.0), 8),
+                 grid_discretize(sphere_kernel(model), None, 3),
+                 grid_discretize(mq, None, 3)]
+        for grid in grids:
+            assert grid.dpp.matrix.dtype == np.float64
+            assert grid.dpp.eig.eigenvectors.dtype == np.float64
+        ginibre = grid_discretize(ginibre_kernel(GinibreParams(1.0, 1.0)),
+                                  (-2.0, 2.0, -2.0, 2.0), 6)
+        assert ginibre.dpp.matrix.dtype == np.complex128
+
+    def test_sampler_law_on_grid_wider_than_int64(self):
+        grid = grid_discretize(thin_rescale(jinc_kernel(2), 0.8, 0.8),
+                               (-3.0, 3.0, -3.0, 3.0), 10)
+        masks = sample_exact_many(grid.dpp, 5, 1000)
+        assert grid.dpp.n == 100 and masks.dtype == object
+        assert_sampler_matches_kernel(grid.dpp, masks)
 
     def test_sphere_full_surface(self):
         rho = 1.0 / (4.0 * math.pi)  # half the existence bound at delta = 0.5

@@ -117,6 +117,28 @@ class TestRepulsivenessCommand:
         assert abs(record["p_u_reference"] - 2.0 / 3.0) < 1e-9
         assert record["discrepancy"] == 1.0
 
+    def test_sphere_coefficients(self, tmp_path):
+        rho, beta = 0.08, [0.5, 0.3, 0.2]
+        doc = {"family": "sphere-coefficients",
+               "params": {"d": 2, "rho": rho, "beta_coeffs": beta, "tail_bound": 0.0}}
+        code, out, _ = run_cli(["repulsiveness", write_spec(tmp_path, "c.json", doc),
+                                "--anchor", "0,0.6,0.8"])
+        assert code == 0
+        (header, rows), _ = parse_blocks(out)
+        record = dict(zip(header, rows[0]))
+        want = 4.0 * math.pi * rho * sum(b ** 2 / (2 * l + 1) for l, b in enumerate(beta))
+        assert abs(record["p_u"] - want) < 1e-9
+        assert abs(record["p_u_reference"] - want) < 1e-9
+        assert record["discrepancy"] == 0.0
+
+    def test_unconvergeable_quadrature_exits_2(self, tmp_path):
+        code, out, err = run_cli(["repulsiveness",
+                                  write_spec(tmp_path, "j.json", {"family": "jinc"}),
+                                  "--truncation-radius", "1e-3"])
+        assert code == 2 and out == ""
+        assert err.startswith("validation-error[quadrature]:")
+        assert "r^(0.999)" in err and "--" not in err
+
     def test_zero_intensity_anchor(self, tmp_path):
         doc = {"family": "finite", "matrix": [[[0.0, 0], [0, 0]], [[0, 0], [0.5, 0]]]}
         code, _, err = run_cli(["repulsiveness", write_spec(tmp_path, "z.json", doc),
@@ -182,6 +204,11 @@ class TestProfileCommand:
     def test_beta_bound(self):
         code, _, err = run_cli(["profile", "--beta", "1.5"])
         assert code == 2
+
+    def test_no_points_is_a_parse_error(self):
+        for points in ("0", "-3"):
+            code, out, err = run_cli(["profile", "--r-points", points])
+            assert code == 3 and out == "" and "parse-error" in err
 
     def test_deterministic_rerun(self):
         args = ["profile", "--beta", "0.7", "--r-points", "50"]

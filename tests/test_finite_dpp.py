@@ -23,10 +23,35 @@ from palmdpp.finite_dpp import (
     xi_law,
 )
 
-from conftest import random_dpp_matrix
+from conftest import assert_sampler_matches_kernel, random_dpp_matrix
 
 DIAG = np.diag([0.3, 0.7])
 PROJ1 = np.array([[0.5, 0.5], [0.5, 0.5]])
+
+
+def real_kernel_with_extreme_eigenvalues(rng, n: int = 12) -> np.ndarray:
+    """Real orthogonal eigenvectors; three eigenvalues exactly 1, three exactly 0."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    lam = np.concatenate(([1.0] * 3, [0.0] * 3, rng.uniform(0.05, 0.95, n - 6)))
+    k = (q * lam) @ q.T
+    return 0.5 * (k + k.T)
+
+
+def reference_subset_law(dpp) -> np.ndarray:
+    """One det call per subset, then the superset Moebius transform."""
+    n = dpp.n
+    vals = np.empty(1 << n)
+    vals[0] = 1.0
+    for mask in range(1, 1 << n):
+        idx = [i for i in range(n) if mask >> i & 1]
+        vals[mask] = float(np.real(np.linalg.det(dpp.matrix[np.ix_(idx, idx)])))
+    t = vals.reshape((2,) * n)
+    for axis in range(n):
+        lo = [slice(None)] * n
+        hi = [slice(None)] * n
+        lo[axis], hi[axis] = 0, 1
+        t[tuple(lo)] -= t[tuple(hi)]
+    return np.clip(vals, 0.0, None)
 
 
 def rank2_kernel(n: int = 3) -> np.ndarray:
@@ -56,6 +81,10 @@ class TestValidate:
         dpp = validate(np.diag([1.0 + 5e-7, -5e-7]))
         lam = dpp.eig.eigenvalues
         assert lam.min() >= 0.0 and lam.max() <= 1.0
+
+    def test_keeps_real_input_real(self):
+        assert validate(DIAG).matrix.dtype == np.float64
+        assert validate(DIAG.astype(complex)).matrix.dtype == np.complex128
 
 
 class TestInclusionProb:
@@ -122,6 +151,13 @@ class TestSubsetLaw:
                 else:
                     want = law.prob(t | ubit) / kuu
                     assert abs(palm_law.prob(t) - want) < 1e-8
+
+    def test_batched_minors_match_one_by_one(self):
+        rng = np.random.default_rng(31)
+        for matrix in (random_dpp_matrix(rng, 9, force_one=True),
+                       real_kernel_with_extreme_eigenvalues(rng, 8)):
+            dpp = validate(matrix)
+            assert np.array_equal(subset_law(dpp).probs, reference_subset_law(dpp))
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
@@ -296,6 +332,30 @@ class TestSamplers:
     def test_single_draw_reproducible(self):
         dpp = validate(DIAG)
         assert sample_exact(dpp, 123) == sample_exact(dpp, 123)
+
+    def test_no_draws_gives_empty_array(self):
+        for n, dtype in ((3, np.int64), (70, object)):
+            masks = sample_exact_many(validate(0.5 * np.eye(n)), 1, 0)
+            assert masks.shape == (0,) and masks.dtype == dtype
+
+    def test_subset_law_of_projection_with_three_points(self):
+        # the third point is the first that depends on the Gram-Schmidt step
+        rng = np.random.default_rng(41)
+        dpp = validate(real_kernel_with_extreme_eigenvalues(rng, 6))
+        law = subset_law(dpp).probs
+        draws = 20000
+        freq = np.bincount(sample_exact_many(dpp, 42, draws), minlength=law.size) / draws
+        sigma = np.sqrt(np.maximum(law * (1.0 - law), 1e-12) / draws)
+        assert np.all(np.abs(freq - law) <= 4.5 * sigma + 1e-12)
+
+    def test_real_kernel_with_eigenvalues_zero_and_one(self):
+        rng = np.random.default_rng(21)
+        dpp = validate(real_kernel_with_extreme_eigenvalues(rng))
+        masks = sample_exact_many(dpp, 22, 4000)
+        assert masks.dtype == np.int64
+        counts = np.array([bin(int(m)).count("1") for m in masks])
+        assert counts.min() >= 3 and counts.max() <= 9
+        assert_sampler_matches_kernel(dpp, masks)
 
     def test_empirical_law_binomial_bounds(self):
         draws = 20000

@@ -19,7 +19,8 @@ from palmdpp.kernel_core import (
     repulsiveness_p,
     sphere_surface_measure,
 )
-from palmdpp.model_zoo import GinibreParams, finite_kernel, ginibre_kernel, jinc_kernel, multiquadric
+from palmdpp.model_zoo import (GinibreParams, finite_kernel, ginibre_kernel, jinc_kernel,
+                               multiquadric, sphere_kernel, sphere_model)
 
 from conftest import random_dpp_matrix
 
@@ -232,6 +233,16 @@ class TestRepulsiveness:
         f = np.array([v for _, v in report.density_profile])
         mass = np.trapezoid(2.0 * math.pi * np.sin(theta) * f, theta)
         assert abs(mass - 1.0) < 1e-3
+
+    def test_sphere_coefficient_series(self):
+        # p_u = 4 pi rho sum beta_l^2 / (2 l + 1) on S^2, at any anchor
+        for rho, beta in ((0.08, [0.5, 0.3, 0.2]), (0.05, [0.1, 0.2, 0.3, 0.4]),
+                          (0.0795, [1.0])):
+            want = 4.0 * math.pi * rho * sum(b ** 2 / (2 * l + 1) for l, b in enumerate(beta))
+            kernel = sphere_kernel(sphere_model(2, rho, beta))
+            for anchor in ([0.0, 0.0, 1.0], [0.6, 0.0, 0.8]):
+                report = repulsiveness_p(kernel, np.array(anchor))
+                assert abs(report.p_u - want) <= 1e-10 + report.quadrature_error
 
     def test_non_isotropic_rejected(self):
         k = Kernel(space=GroundSpace.euclidean(2),

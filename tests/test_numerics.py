@@ -143,6 +143,11 @@ class TestHermitianEig:
         with pytest.raises(ValueError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_real_input_stays_real(self):
+        rng = np.random.default_rng(2)
+        assert hermitian_eig(np.eye(3, dtype=int)).eigenvectors.dtype == np.float64
+        assert hermitian_eig(random_hermitian(rng, 4)).eigenvectors.dtype == np.complex128
+
 
 class TestPsdSqrt:
     def test_identity_and_diagonal(self):
