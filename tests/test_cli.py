@@ -137,7 +137,12 @@ class TestRepulsivenessCommand:
                                   "--truncation-radius", "1e-3"])
         assert code == 2 and out == ""
         assert err.startswith("validation-error[quadrature]:")
-        assert "r^(0.999)" in err and "--" not in err
+
+    def test_tail_exponent_printed_with_one_sign(self, tmp_path):
+        _, _, err = run_cli(["repulsiveness",
+                             write_spec(tmp_path, "j.json", {"family": "jinc"}),
+                             "--truncation-radius", "1e-3"])
+        assert "decays like r^(0.999)" in err and "--" not in err
 
     def test_zero_intensity_anchor(self, tmp_path):
         doc = {"family": "finite", "matrix": [[[0.0, 0], [0, 0]], [[0, 0], [0.5, 0]]]}
