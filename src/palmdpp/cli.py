@@ -61,6 +61,21 @@ def _emit_block(out, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> No
         out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _emit_text_rows(out, header: Sequence[str], first: np.ndarray, rest: np.ndarray) -> None:
+    """Write a block whose cells are already formatted: rows first[i],rest[i]."""
+    out.write(",".join(header) + "\n")
+    if first.size:
+        out.write("\n".join((first + "," + rest).tolist()) + "\n")
+
+
+def _mask_bits(masks: np.ndarray, n: int) -> np.ndarray:
+    """Site indicators, shape (len(masks), n), of int64 or Python-int bitmasks."""
+    width = (n + 7) // 8
+    raw = b"".join(int(m).to_bytes(width, "little") for m in masks)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(bool)
+
+
 def _require_number(params: dict, key: str, family: str) -> float:
     if key not in params:
         raise ParseError(f"family {family!r} needs params.{key}")
@@ -360,20 +375,21 @@ def cmd_sample(args) -> int:
         grid = analysis.grid_discretize(bundle.kernel, window, args.resolution)
         dpp, centers = grid.dpp, grid.centers
     masks = finite_dpp.sample_exact_many(dpp, args.seed, args.samples)
-    counts = [[i, int(bin(int(m)).count("1"))] for i, m in enumerate(masks)]
-    _emit_block(sys.stdout, ["sample", "count"], counts)
+    bits = _mask_bits(masks, dpp.n)
+    draw_text = np.array([_fmt(i) for i in range(len(masks))], dtype=object)
+    count_text = np.array([_fmt(c) for c in range(dpp.n + 1)], dtype=object)
+    _emit_text_rows(sys.stdout, ["sample", "count"], draw_text, count_text[bits.sum(axis=1)])
     if args.emit_points:
         sys.stdout.write("\n")
         if centers is None:
-            rows = [[i, v + 1] for i, m in enumerate(masks)
-                    for v in range(dpp.n) if int(m) >> v & 1]
-            _emit_block(sys.stdout, ["sample", "site"], rows)
+            header = ["sample", "site"]
+            site_text = [_fmt(v + 1) for v in range(dpp.n)]
         else:
-            dim = centers.shape[1]
-            header = ["sample"] + ["x", "y", "z"][:dim]
-            rows = [[i, *centers[v]] for i, m in enumerate(masks)
-                    for v in range(dpp.n) if int(m) >> v & 1]
-            _emit_block(sys.stdout, header, rows)
+            header = ["sample"] + ["x", "y", "z"][:centers.shape[1]]
+            site_text = [",".join(_fmt(x) for x in c) for c in centers]
+        draw, site = np.nonzero(bits)
+        _emit_text_rows(sys.stdout, header, draw_text[draw],
+                        np.array(site_text, dtype=object)[site])
     return 0
 
 

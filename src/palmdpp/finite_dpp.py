@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_flow
 
 from .errors import SizeGuardError, ValidationError
 from .numerics import HermitianEig, _as_float_or_complex, hermitian_eig
@@ -41,6 +43,8 @@ _LAW_MAX_SITES = 16
 _COUPLING_MAX_SITES = 12
 _SPECTRUM_SLACK = 1e-6
 _FLOW_DEFICIT = 1e-8
+_FLOW_UNITS = 2 ** 30  # integer units of residual source mass per max-flow round
+_FLOW_NOISE = 1e-15    # flow below this is float noise: not routed, not tabled
 _MINOR_BLOCK = 512   # principal minors per stacked det call in subset_law
 _SAMPLE_BLOCK = 64   # draws per batch of the spectral sampler
 
@@ -96,17 +100,18 @@ class CouplingTable:
     anchor: int
     n: int
 
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs as an (m, 2) int64 array of (S, T) and their masses, in table order."""
+        pairs = np.array(list(self.joint), dtype=np.int64).reshape(-1, 2)
+        return pairs, np.fromiter(self.joint.values(), dtype=float, count=len(self.joint))
+
     def row_marginal(self) -> np.ndarray:
-        out = np.zeros(2 ** self.n)
-        for (s, _), w in self.joint.items():
-            out[s] += w
-        return out
+        pairs, w = self._arrays()
+        return np.bincount(pairs[:, 0], weights=w, minlength=2 ** self.n)
 
     def col_marginal(self) -> np.ndarray:
-        out = np.zeros(2 ** self.n)
-        for (_, t), w in self.joint.items():
-            out[t] += w
-        return out
+        pairs, w = self._arrays()
+        return np.bincount(pairs[:, 1], weights=w, minlength=2 ** self.n)
 
 
 def validate(matrix) -> FiniteDpp:
@@ -255,64 +260,22 @@ def palm_eigenvector(dpp: FiniteDpp, u: int) -> DilationPair:
     return DilationPair(projection=Q, anchor_vector=psi, reduced=reduced)
 
 
-class _Dinic:
-    """Max-flow with float capacities on a small residual graph."""
-
-    def __init__(self, n_nodes: int):
-        self.adj: list[list[list]] = [[] for _ in range(n_nodes)]
-
-    def add_edge(self, u: int, v: int, cap: float) -> None:
-        self.adj[u].append([v, cap, len(self.adj[v])])
-        self.adj[v].append([u, 0.0, len(self.adj[u]) - 1])
-
-    def _levels(self, s: int, t: int) -> list[int] | None:
-        level = [-1] * len(self.adj)
-        level[s] = 0
-        queue = [s]
-        for u in queue:
-            for v, cap, _ in self.adj[u]:
-                if cap > 1e-15 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level if level[t] >= 0 else None
-
-    def _push(self, u: int, t: int, f: float, level, it) -> float:
-        if u == t:
-            return f
-        while it[u] < len(self.adj[u]):
-            e = self.adj[u][it[u]]
-            v, cap, rev = e
-            if cap > 1e-15 and level[v] == level[u] + 1:
-                got = self._push(v, t, min(f, cap), level, it)
-                if got > 1e-15:
-                    e[1] -= got
-                    self.adj[v][rev][1] += got
-                    return got
-            it[u] += 1
-        return 0.0
-
-    def max_flow(self, s: int, t: int) -> float:
-        total = 0.0
-        while True:
-            level = self._levels(s, t)
-            if level is None:
-                return total
-            it = [0] * len(self.adj)
-            while True:
-                pushed = self._push(s, t, float("inf"), level, it)
-                if pushed <= 1e-15:
-                    break
-                total += pushed
-
-
 def coupling_feasible(law_x: SubsetLaw, law_xu: SubsetLaw,
                       u: int) -> tuple[float, CouplingTable | None]:
     """Search for a coupling of X and X^u removing at most one point.
 
     Runs max-flow on the bipartite graph of subset pairs (S, T) with
     T subset S and |S \\ T| <= 1 (and u never in T), source capacities
-    law_x, sink capacities law_xu.  A saturating flow (value 1 within
+    law_x, sink capacities law_xu, and pair capacities 2, more than any
+    flow of value at most 1 can use.  A saturating flow (value 1 within
     1e-8) is decomposed into a CouplingTable.
+
+    scipy's max-flow takes integer capacities, so the flow is found in
+    rounds.  Each round solves the residual network of the float flow
+    found so far, with its capacities scaled so that the residual source
+    mass is 2**30 units and floored, and adds the round's flow back.  A
+    round leaves about 2e-6 of its residual to flooring, so three rounds
+    reach the float noise of the laws.
     """
     if law_x.n != law_xu.n:
         raise ValidationError("param-bound", "laws live on different site counts")
@@ -323,39 +286,54 @@ def coupling_feasible(law_x: SubsetLaw, law_xu: SubsetLaw,
     if not 1 <= u <= n:
         raise ValidationError("param-bound", f"site {u} outside 1..{n}")
     ubit = 1 << (u - 1)
-    mass_on_u = float(law_xu.probs[(np.arange(1 << n) & ubit) > 0].sum())
+    masks = np.arange(1 << n)
+    mass_on_u = float(law_xu.probs[(masks & ubit) > 0].sum())
     if mass_on_u > 1e-10:
         raise ValidationError(
             "param-bound",
             f"the Palm-side law puts mass {mass_on_u:.3e} on subsets containing site {u}")
 
-    s_masks = [m for m in range(1 << n) if law_x.probs[m] > 0.0]
-    t_masks = [m for m in range(1 << n) if law_xu.probs[m] > 0.0 and not m & ubit]
-    s_node = {m: 2 + i for i, m in enumerate(s_masks)}
-    t_node = {m: 2 + len(s_masks) + i for i, m in enumerate(t_masks)}
+    s_masks = np.flatnonzero(law_x.probs > 0.0)
+    t_ok = (law_xu.probs > 0.0) & (masks & ubit == 0)
+    t_masks = np.flatnonzero(t_ok)
+    ns, nt = s_masks.size, t_masks.size
+    # candidate T for each S: S less site v + 1 (column v) or S itself (column n);
+    # t_ok keeps u out of T, so an S holding u can only lose u
+    bits = 1 << np.arange(n)
+    cand = np.concatenate([s_masks[:, None] ^ bits, s_masks[:, None]], axis=1)
+    keep = np.concatenate([(s_masks[:, None] & bits) > 0, np.ones((ns, 1), dtype=bool)], axis=1)
+    pair_s, col = np.nonzero(keep & t_ok[cand])
+    pair_t = np.searchsorted(t_masks, cand[pair_s, col])
 
-    net = _Dinic(2 + len(s_masks) + len(t_masks))
-    for m in s_masks:
-        net.add_edge(0, s_node[m], float(law_x.probs[m]))
-    for m in t_masks:
-        net.add_edge(t_node[m], 1, float(law_xu.probs[m]))
-    pair_edges: list[tuple[int, int, int]] = []  # (S, T, edge index at S node)
-    for s in s_masks:
-        targets = [s ^ ubit] if s & ubit else [s] + [s ^ (1 << v) for v in _mask_indices(s, n)]
-        for t in targets:
-            if t in t_node:
-                pair_edges.append((s, t, len(net.adj[s_node[s]])))
-                net.add_edge(s_node[s], t_node[t], 2.0)
-
-    flow = net.max_flow(0, 1)
+    s_node, t_node = 2 + pair_s, 2 + ns + pair_t
+    # edges: source -> S, S -> T, T -> S (the residual of a pair's flow), T -> sink
+    edge_from = np.concatenate([np.zeros(ns, dtype=np.int64), s_node, t_node,
+                                2 + ns + np.arange(nt)])
+    edge_to = np.concatenate([2 + np.arange(ns), t_node, s_node, np.ones(nt, dtype=np.int64)])
+    p_x, p_xu = law_x.probs[s_masks], law_xu.probs[t_masks]
+    f = np.zeros(pair_s.size)
+    while True:
+        src = np.clip(p_x - np.bincount(pair_s, weights=f, minlength=ns), 0.0, None)
+        snk = np.clip(p_xu - np.bincount(pair_t, weights=f, minlength=nt), 0.0, None)
+        residual = float(src.sum())
+        if min(residual, snk.sum()) <= _FLOW_NOISE:
+            break  # the rest is float noise: no flow exceeds either side's residual
+        # no edge of a flow of value `residual` needs more than `residual`,
+        # which keeps scipy's int32 sums from overflowing
+        scale = _FLOW_UNITS / residual
+        cap = np.concatenate([src, 2.0 - f, f, snk]) * scale
+        cap = np.floor(np.minimum(cap, _FLOW_UNITS)).astype(np.int32)
+        graph = csr_array((cap, (edge_from, edge_to)), shape=(2 + ns + nt,) * 2)
+        result = maximum_flow(graph, 0, 1)
+        f += result.flow[s_node, t_node] / scale
+        if 2 * result.flow_value < _FLOW_UNITS:
+            break  # saturated: another round could only recover this one's flooring loss
+    flow = float(f.sum())
     if flow < 1.0 - _FLOW_DEFICIT:
         return flow, None
-    joint: dict[tuple[int, int], float] = {}
-    for s, t, ei in pair_edges:
-        v, _, rev = net.adj[s_node[s]][ei]
-        pushed = net.adj[v][rev][1]  # reverse capacity accumulates the flow
-        if pushed > 1e-15:
-            joint[(s, t)] = pushed
+    kept = f > _FLOW_NOISE
+    joint = dict(zip(zip(s_masks[pair_s[kept]].tolist(), t_masks[pair_t[kept]].tolist()),
+                     f[kept].tolist()))
     return flow, CouplingTable(joint=joint, anchor=u, n=n)
 
 
@@ -450,19 +428,20 @@ def sample_exact_many(dpp: FiniteDpp, rng_seed: int, draws: int) -> np.ndarray:
     return np.fromiter(masks, dtype=dtype, count=draws)
 
 
-def _table_arrays(table: CouplingTable):
-    pairs = sorted(table.joint.items())
-    weights = np.array([w for _, w in pairs])
-    weights = weights / weights.sum()
-    return pairs, weights
+def _table_arrays(table: CouplingTable) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs sorted by (S, T), and their masses normalized to sum to 1."""
+    pairs, w = table._arrays()
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    w = w[order]
+    return pairs[order], w / w.sum()
 
 
 def sample_coupled(table: CouplingTable, rng_seed: int) -> tuple[int, int]:
     """Draw one (S, T) pair from the joint coupling law."""
     rng = np.random.default_rng(rng_seed)
     pairs, weights = _table_arrays(table)
-    k = int(rng.choice(len(pairs), p=weights))
-    return pairs[k][0]
+    s, t = pairs[rng.choice(len(pairs), p=weights)].tolist()
+    return s, t
 
 
 def sample_coupled_many(table: CouplingTable, rng_seed: int,
@@ -470,7 +449,5 @@ def sample_coupled_many(table: CouplingTable, rng_seed: int,
     """Draw many (S, T) pairs; returns (S array, T array) of bitmasks."""
     rng = np.random.default_rng(rng_seed)
     pairs, weights = _table_arrays(table)
-    ks = rng.choice(len(pairs), p=weights, size=draws)
-    s = np.array([pairs[k][0][0] for k in ks], dtype=np.int64)
-    t = np.array([pairs[k][0][1] for k in ks], dtype=np.int64)
-    return s, t
+    drawn = pairs[rng.choice(len(pairs), p=weights, size=draws)]
+    return drawn[:, 0], drawn[:, 1]

@@ -345,7 +345,7 @@ def _series_k0(model: SphereModel) -> Callable[[np.ndarray], np.ndarray]:
     def k0(t, _m=model, _lam=lam_geg):
         t = np.clip(np.atleast_1d(np.asarray(t, dtype=float)), -1.0, 1.0)
         table = gegenbauer_ratio_table(_m.l_max, _lam, t)
-        return _m.rho * np.tensordot(_m.beta_coeffs, table, axes=(0, 0))
+        return _m.rho * (_m.beta_coeffs @ table.reshape(table.shape[0], -1)).reshape(t.shape)
 
     return k0
 

@@ -7,8 +7,12 @@ import math
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
+import pytest
 
-from palmdpp.cli import main
+from palmdpp import analysis, finite_dpp
+from palmdpp.cli import load_kernel_spec, main
+
+from conftest import random_dpp_matrix
 
 
 def run_cli(argv):
@@ -33,6 +37,33 @@ def parse_blocks(text):
         rows = [[float(tok) for tok in line.split(",")] for line in lines[1:]]
         blocks.append((header, rows))
     return blocks
+
+
+def reference_sample_output(masks, n, centers=None) -> str:
+    """`sample --emit-points` stdout with one format call per cell, looping
+    over every draw and every site."""
+    def fmt(x):
+        return format(float(x), ".12g")
+
+    def block(header, rows):
+        return ",".join(header) + "\n" + "".join(
+            ",".join(fmt(v) for v in row) + "\n" for row in rows)
+
+    text = block(["sample", "count"],
+                 [[i, int(bin(int(m)).count("1"))] for i, m in enumerate(masks)])
+    if centers is None:
+        header = ["sample", "site"]
+        rows = [[i, v + 1] for i, m in enumerate(masks) for v in range(n) if int(m) >> v & 1]
+    else:
+        header = ["sample"] + ["x", "y", "z"][:centers.shape[1]]
+        rows = [[i, *centers[v]] for i, m in enumerate(masks)
+                for v in range(n) if int(m) >> v & 1]
+    return text + "\n" + block(header, rows)
+
+
+def matrix_spec(K):
+    return {"family": "finite",
+            "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in K]}
 
 
 DIAG_SPEC = {"family": "finite",
@@ -274,6 +305,33 @@ class TestSampleCommand:
         want = 36.0 / math.pi
         sem = counts.std(ddof=1) / math.sqrt(len(counts))
         assert abs(counts.mean() - want) <= 3.0 * sem
+
+    @pytest.mark.parametrize("matrix,samples", [
+        (random_dpp_matrix(np.random.default_rng(3), 12), 300),
+        (np.zeros((3, 3)), 5),
+        (np.eye(2), 0),
+    ], ids=["random-12", "always-empty", "no-draws"])
+    def test_finite_points_match_reference(self, tmp_path, matrix, samples):
+        spec = write_spec(tmp_path, "f.json", matrix_spec(matrix))
+        code, out, _ = run_cli(["sample", spec, "--samples", str(samples), "--seed", "4",
+                                "--emit-points"])
+        dpp = load_kernel_spec(spec).dpp
+        masks = finite_dpp.sample_exact_many(dpp, 4, samples)
+        assert code == 0 and out == reference_sample_output(masks, dpp.n)
+
+    @pytest.mark.parametrize("doc,window", [
+        ({"family": "ginibre", "params": {"alpha": 1.0, "beta": 1.0}}, (-2.5, 2.5, -2.5, 2.5)),
+        ({"family": "sinc", "params": {}}, (-4.0, 4.0)),
+    ], ids=["ginibre-81-cells", "sinc-9-cells"])
+    def test_grid_points_match_reference(self, tmp_path, doc, window):
+        spec = write_spec(tmp_path, "g.json", doc)
+        code, out, _ = run_cli(["sample", spec, "--samples", "40", "--seed", "2",
+                                "--window=" + ",".join(map(str, window)), "--resolution", "9",
+                                "--emit-points"])
+        grid = analysis.grid_discretize(load_kernel_spec(spec).kernel, window, 9)
+        masks = finite_dpp.sample_exact_many(grid.dpp, 2, 40)
+        assert code == 0
+        assert out == reference_sample_output(masks, grid.dpp.n, grid.centers)
 
     def test_window_required_for_continuous(self, tmp_path):
         doc = {"family": "ginibre", "params": {"alpha": 1.0, "beta": 1.0}}

@@ -8,6 +8,7 @@ import pytest
 
 from palmdpp.errors import SizeGuardError, ValidationError
 from palmdpp.finite_dpp import (
+    SubsetLaw,
     coupling_feasible,
     dilate,
     inclusion_prob,
@@ -23,7 +24,7 @@ from palmdpp.finite_dpp import (
     xi_law,
 )
 
-from conftest import assert_sampler_matches_kernel, random_dpp_matrix
+from conftest import assert_sampler_matches_kernel, random_dpp_matrix, random_unitary
 
 DIAG = np.diag([0.3, 0.7])
 PROJ1 = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -52,6 +53,38 @@ def reference_subset_law(dpp) -> np.ndarray:
         lo[axis], hi[axis] = 0, 1
         t[tuple(lo)] -= t[tuple(hi)]
     return np.clip(vals, 0.0, None)
+
+
+def reference_coupled_draws(table, rng_seed: int, draws: int):
+    """Sorted (pair, mass) items and one comprehension entry per draw."""
+    rng = np.random.default_rng(rng_seed)
+    pairs = sorted(table.joint.items())
+    weights = np.array([w for _, w in pairs])
+    weights = weights / weights.sum()
+    ks = rng.choice(len(pairs), p=weights, size=draws)
+    s = np.array([pairs[k][0][0] for k in ks], dtype=np.int64)
+    t = np.array([pairs[k][0][1] for k in ks], dtype=np.int64)
+    return s, t
+
+
+def reference_marginals(table):
+    """Row and column marginals, one addition per pair."""
+    rows, cols = np.zeros(2 ** table.n), np.zeros(2 ** table.n)
+    for (s, t), w in table.joint.items():
+        rows[s] += w
+        cols[t] += w
+    return rows, cols
+
+
+def spectral_class_kernel(seed: int, ones: int, zeros: int, n: int = 12) -> np.ndarray:
+    """Haar eigenvectors with `ones` eigenvalues 1, `zeros` eigenvalues 0, the
+    rest in (0.05, 0.95)."""
+    rng = np.random.default_rng(seed)
+    lam = np.concatenate([np.ones(ones), np.zeros(zeros),
+                          rng.uniform(0.05, 0.95, n - ones - zeros)])
+    q = random_unitary(rng, n)
+    k = (q * lam) @ q.conj().T
+    return 0.5 * (k + k.conj().T)
 
 
 def rank2_kernel(n: int = 3) -> np.ndarray:
@@ -306,6 +339,50 @@ class TestCoupling:
         assert abs(p - 0.3) < 1e-8
         assert np.allclose(density, [1.0, 0.0], atol=1e-8)
 
+    @pytest.mark.parametrize("ones,zeros", [(0, 0), (2, 0), (5, 7)],
+                             ids=["below-one", "some-one", "projection"])
+    def test_twelve_sites(self, ones, zeros):
+        dpp = validate(spectral_class_kernel(31 + ones, ones, zeros))
+        u = int(np.argmax(np.real(np.diagonal(dpp.matrix)))) + 1
+        law_x = subset_law(dpp)
+        law_xu = subset_law(palm_matrix(dpp, u))
+        flow, table = coupling_feasible(law_x, law_xu, u)
+        assert flow >= 1.0 - 1e-8
+        ubit = 1 << (u - 1)
+        s, t = np.array(list(table.joint), dtype=np.int64).T
+        assert np.all(t & s == t) and not np.any(t & ubit)
+        assert max(bin(int(d)).count("1") for d in s ^ t) <= 1
+        assert np.max(np.abs(table.row_marginal() - law_x.probs)) <= 1e-12
+        assert np.max(np.abs(table.col_marginal() - law_xu.probs)) <= 1e-12
+        p, density = xi_law(table, dpp, u)
+        row = np.abs(dpp.matrix[u - 1, :]) ** 2
+        assert abs(p - row.sum() / dpp.matrix[u - 1, u - 1].real) <= 1e-12
+        assert np.max(np.abs(density - row / row.sum())) <= 1e-12
+
+    def test_infeasible_returns_flow_and_no_table(self):
+        # X is always empty, X^u holds site 2 half the time: only half the mass can move
+        law_x = SubsetLaw(probs=np.array([1.0, 0.0, 0.0, 0.0]), n=2)
+        law_xu = SubsetLaw(probs=np.array([0.5, 0.0, 0.5, 0.0]), n=2)
+        flow, table = coupling_feasible(law_x, law_xu, 1)
+        assert table is None and abs(flow - 0.5) <= 1e-12
+
+    @pytest.mark.parametrize("deficit,feasible", [(1e-6, False), (3e-9, True)])
+    def test_flow_deficit_threshold(self, deficit, feasible):
+        law_x = SubsetLaw(probs=np.array([1.0, 0.0, 0.0, 0.0]), n=2)
+        law_xu = SubsetLaw(probs=np.array([1.0 - deficit, 0.0, deficit, 0.0]), n=2)
+        flow, table = coupling_feasible(law_x, law_xu, 1)
+        assert abs(flow - (1.0 - deficit)) <= 1e-12
+        assert (table is not None) == feasible
+        if feasible:
+            assert set(table.joint) == {(0, 0)}
+
+    def test_marginals_match_per_pair_sums(self):
+        dpp = validate(spectral_class_kernel(33, 2, 0, n=8))
+        _, table = coupling_feasible(subset_law(dpp), subset_law(palm_matrix(dpp, 3)), 3)
+        rows, cols = reference_marginals(table)
+        assert np.array_equal(table.row_marginal(), rows)
+        assert np.array_equal(table.col_marginal(), cols)
+
     def test_palm_mass_at_anchor_rejected(self):
         law = subset_law(validate(DIAG))
         with pytest.raises(ValidationError):
@@ -384,6 +461,15 @@ class TestSamplers:
                 p = law.prob(mask)
                 sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / draws)
                 assert abs(np.mean(arr == mask) - p) <= 3.0 * sigma + 1e-12
+
+    def test_coupled_draws_match_reference(self):
+        for matrix, u in ((rank2_kernel(), 1), (spectral_class_kernel(34, 1, 0, n=8), 2)):
+            dpp = validate(matrix)
+            _, table = coupling_feasible(subset_law(dpp), subset_law(palm_matrix(dpp, u)), u)
+            s, t = sample_coupled_many(table, 6, 5000)
+            s_ref, t_ref = reference_coupled_draws(table, 6, 5000)
+            assert s.dtype == t.dtype == np.int64
+            assert np.array_equal(s, s_ref) and np.array_equal(t, t_ref)
 
     def test_projection_coupling_draws(self):
         dpp = validate(PROJ1)
