@@ -15,7 +15,8 @@ from scipy import stats
 
 from . import finite_dpp
 from .errors import SizeGuardError, TheoremViolationError, ValidationError
-from .kernel_core import GroundSpace, Kernel, check_point
+from .kernel_core import (GroundSpace, Kernel, _radial_abs_sq, _tail_scale_and_radius,
+                          check_point)
 from .numerics import (HermitianEig, QuadratureError, QuadratureSpec, hermitian_eig,
                        integrate_radial)
 
@@ -35,6 +36,7 @@ __all__ = [
 
 _GRID_MAX_SITES = 4096
 _MIN_EXPECTED_PER_BIN = 20.0
+_MOMENT_POWER_RADIUS = 1000.0  # default truncation radius of moments for power tails, in scales
 
 
 @dataclass(frozen=True)
@@ -146,21 +148,14 @@ def _displacement_radial_mass(kernel: Kernel, u):
                               "displacement analysis covers isotropic kernels on the plane")
     if not kernel.descriptor.get("isotropic_modulus", False):
         raise ValidationError("param-bound", "kernel must declare an isotropic modulus")
-    radial = kernel.descriptor.get("radial_abs_sq")
-    if radial is None:
-        base = np.asarray(u, dtype=float)
-        e1 = np.array([1.0, 0.0])
-
-        def radial(r, _u=base, _e=e1, _k=kernel):
-            r = np.atleast_1d(np.asarray(r, dtype=float))
-            return np.array([abs(_k.evaluate(_u, _u + ri * _e)) ** 2 for ri in r])
-
+    radial = _radial_abs_sq(kernel, u)
     norm_sq = kernel.descriptor.get("norm_sq")
     norm_rel_err = 0.0
     if norm_sq is None:
-        spec = QuadratureSpec(scheme="gauss-legendre",
-                              truncation_radius=_default_radius(kernel))
-        res = integrate_radial(lambda r: 2.0 * math.pi * np.asarray(r) * radial(r), spec)
+        scale, radius = _tail_scale_and_radius(kernel, _MOMENT_POWER_RADIUS)
+        spec = QuadratureSpec(scheme="gauss-legendre", truncation_radius=radius)
+        res = integrate_radial(lambda r: 2.0 * math.pi * np.asarray(r) * radial(r), spec,
+                               length_scale=scale)
         norm_sq = res.value
         if norm_sq <= 0:
             raise ValidationError("anchor", "the kernel row has no mass; p_u vanishes")
@@ -171,14 +166,6 @@ def _displacement_radial_mass(kernel: Kernel, u):
         return 2.0 * math.pi * r * _radial(r) / _n
 
     return mass, float(norm_sq), float(norm_rel_err)
-
-
-def _default_radius(kernel: Kernel) -> float:
-    tail = kernel.descriptor.get("tail", {})
-    scale = float(tail.get("scale", 1.0))
-    if tail.get("kind") == "gaussian":
-        return 12.0 * scale + 10.0
-    return 1000.0 * scale
 
 
 def moment_quadrature(kernel: Kernel, u, order: float,
@@ -192,19 +179,17 @@ def moment_quadrature(kernel: Kernel, u, order: float,
     if order <= -2:
         raise ValueError("moments exist only for k > -2")
     mass, _, norm_rel_err = _displacement_radial_mass(kernel, u)
+    scale, radius = _tail_scale_and_radius(kernel, _MOMENT_POWER_RADIUS)
     qspec = spec or QuadratureSpec(scheme="gauss-legendre")
     if qspec.truncation_radius is None:
-        qspec = replace(qspec, truncation_radius=_default_radius(kernel))
+        qspec = replace(qspec, truncation_radius=radius)
 
+    # quadrature nodes are interior points, so r > 0 here
     def integrand(r, _m=mass, _k=order):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        pos = r > 0
-        out[pos] = r[pos] ** _k * _m(r[pos])
-        return out
+        return r ** _k * _m(r)
 
     try:
-        res = integrate_radial(integrand, qspec)
+        res = integrate_radial(integrand, qspec, length_scale=scale)
     except QuadratureError:
         return MomentResult(k=order, closed_form=math.nan, quadrature=math.nan,
                             abs_error=math.nan, tail_estimate=math.nan, divergent=True)

@@ -345,13 +345,14 @@ def xi_law(table: CouplingTable, dpp: FiniteDpp, u: int) -> tuple[float, np.ndar
     removed point sits at site v.
     """
     _site_index(dpp, u)
-    p = 0.0
-    density = np.zeros(dpp.n)
-    for (s, t), w in table.joint.items():
-        diff = s ^ t
-        if diff:
-            p += w
-            density[diff.bit_length() - 1] += w
+    pairs, w = table._arrays()
+    diff = pairs[:, 0] ^ pairs[:, 1]
+    moved = diff != 0
+    w = w[moved]
+    # frexp's exponent is the bit length; bincount and cumsum add in table order
+    removed = np.frexp(diff[moved])[1] - 1
+    density = np.bincount(removed, weights=w, minlength=dpp.n).astype(float, copy=False)
+    p = float(np.cumsum(w)[-1]) if w.size else 0.0
     if p > 0.0:
         density /= p
     return p, density

@@ -19,7 +19,8 @@ this module:
 * "k0": vectorized t -> K0(t) for isotropic sphere kernels.
 * "matrix": the kernel matrix for finite spaces.
 * "tail": {"kind": "gaussian"|"power", "scale": s} decay of the radial
-  mass of |K(u, .)|^2, used to pick a default truncation radius.
+  mass of |K(u, .)|^2, used to pick a default truncation radius; s is
+  also the length scale that sizes the quadrature panels.
 * "gram": vectorized batch evaluator points -> matrix (optional).
 * "norm_sq"/"p_u": exact values declared by a model family (optional;
   repulsiveness_p never uses them, they serve profile normalization and
@@ -234,11 +235,17 @@ def _radial_abs_sq(kernel: Kernel, u) -> Callable[[np.ndarray], np.ndarray]:
     return from_eval
 
 
-def _default_truncation(kernel: Kernel) -> float:
+def _tail_scale_and_radius(kernel: Kernel, power_multiple: float) -> tuple[float, float]:
+    """The length scale s of the declared tail, and a default truncation radius.
+
+    The radius is 12 s + 10 for a Gaussian tail and power_multiple * s
+    for a power tail; s is 1 when the kernel declares no tail.
+    """
     tail = kernel.descriptor.get("tail", {})
+    scale = float(tail.get("scale", 1.0))
     if tail.get("kind") == "gaussian":
-        return 12.0 * float(tail.get("scale", 1.0)) + 10.0
-    return _DEFAULT_POWER_RADIUS * float(tail.get("scale", 1.0))
+        return scale, 12.0 * scale + 10.0
+    return scale, power_multiple * scale
 
 
 def _with_radius(spec: QuadratureSpec, radius: float) -> QuadratureSpec:
@@ -289,9 +296,9 @@ def repulsiveness_p(kernel: Kernel, u, spec: QuadratureSpec | None = None,
         rfn = _radial_abs_sq(kernel, u)
         surf = (lambda r: 2.0 * np.ones_like(np.asarray(r, dtype=float))) if d == 1 \
             else (lambda r: 2.0 * math.pi * np.asarray(r, dtype=float))
-        qspec = _with_radius(spec or QuadratureSpec(scheme="gauss-legendre"),
-                             _default_truncation(kernel))
-        res = integrate_radial(lambda r: surf(r) * rfn(r), qspec)
+        scale, radius = _tail_scale_and_radius(kernel, _DEFAULT_POWER_RADIUS)
+        qspec = _with_radius(spec or QuadratureSpec(scheme="gauss-legendre"), radius)
+        res = integrate_radial(lambda r: surf(r) * rfn(r), qspec, length_scale=scale)
         norm_sq = res.value
         p = norm_sq / ku
         err = res.error / ku

@@ -117,23 +117,21 @@ def ginibre_kernel(params: GinibreParams) -> Kernel:
 
 def _sinc_radial(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)
-    out = np.empty_like(r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray(np.sin(r) / (math.pi * r))
     small = np.abs(r) < 1e-6
-    rs = r[small]
-    out[small] = (1.0 - rs ** 2 / 6.0) / math.pi
-    rl = r[~small]
-    out[~small] = np.sin(rl) / (math.pi * rl)
+    if small.any():
+        out[small] = (1.0 - r[small] ** 2 / 6.0) / math.pi
     return out
 
 
 def _jinc_radial(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)
-    out = np.empty_like(r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray(special.j1(2.0 * r) / (math.pi * r))
     small = np.abs(r) < 1e-6
-    rs = r[small]
-    out[small] = (1.0 - rs ** 2 / 2.0) / math.pi
-    rl = r[~small]
-    out[~small] = special.j1(2.0 * rl) / (math.pi * rl)
+    if small.any():
+        out[small] = (1.0 - r[small] ** 2 / 2.0) / math.pi
     return out
 
 

@@ -21,6 +21,7 @@ from palmdpp.finite_dpp import sample_exact_many
 from palmdpp.kernel_core import GroundSpace, Kernel
 from palmdpp.model_zoo import (GinibreParams, ginibre_kernel, jinc_kernel, multiquadric,
                                sphere_kernel, sphere_model, thin_rescale)
+from palmdpp.numerics import QuadratureSpec
 
 from conftest import assert_sampler_matches_kernel
 
@@ -124,6 +125,54 @@ class TestMomentQuadrature:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             moment_quadrature(jinc_kernel(2), ORIGIN, -2.5)
+
+    @pytest.mark.parametrize("rho", [0.05, 1.0 / math.pi, 1.0])
+    def test_ginibre_within_abs_error(self, rho):
+        # the error budget covers rounding, so no slack is needed
+        alpha = math.pi * rho
+        kernel = ginibre_kernel(GinibreParams(alpha, 1.0 / alpha))
+        for k in np.arange(-1.5, 4.0 + 1e-9, 0.25):
+            res = moment_quadrature(kernel, ORIGIN, float(k))
+            assert abs(res.quadrature - ginibre_moment(float(k), rho)) <= res.abs_error
+
+    def test_jinc_within_abs_error(self):
+        for k in np.linspace(-1.5, 0.9, 17):
+            res = moment_quadrature(jinc_kernel(2), ORIGIN, float(k))
+            assert abs(res.quadrature - jinc_moment_closed(float(k))) <= res.abs_error
+
+    @staticmethod
+    def counted_jinc(beta: float):
+        """Thinned jinc whose radial profile records how many radii it gets."""
+        base = thin_rescale(jinc_kernel(2), 1.0, beta)
+        radial = base.descriptor["radial_abs_sq"]
+        calls = []
+
+        def counted(r):
+            calls.append(np.size(r))
+            return radial(r)
+
+        return Kernel(base.space, base.evaluate,
+                      {**base.descriptor, "radial_abs_sq": counted}), calls
+
+    @pytest.mark.parametrize("beta", [1.0, 0.25])
+    def test_integrand_evaluations_at_default_radius(self, beta):
+        # the default radius and the panels are both measured in the length scale
+        kernel, calls = self.counted_jinc(beta)
+        res = moment_quadrature(kernel, ORIGIN, 0.5)
+        # |Z_u - u| scales with sqrt(beta) under thinning
+        want = beta ** 0.25 * jinc_moment_closed(0.5)
+        assert abs(res.quadrature - want) <= res.abs_error
+        assert 500_000 <= sum(calls) <= 600_000
+
+    def test_integrand_evaluations_grow_like_inverse_length_at_fixed_radius(self):
+        spec = QuadratureSpec(scheme="gauss-legendre", truncation_radius=200.0)
+        counts = []
+        for beta in (1.0, 0.25, 0.04):  # length scales 1, 1/2, 1/5
+            kernel, calls = self.counted_jinc(beta)
+            moment_quadrature(kernel, ORIGIN, 0.5, spec=spec)
+            counts.append(sum(calls))
+        assert 1.9 <= counts[1] / counts[0] <= 2.0
+        assert 4.7 <= counts[2] / counts[0] <= 5.0
 
 
 class TestRadialProfile:

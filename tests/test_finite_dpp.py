@@ -76,6 +76,19 @@ def reference_marginals(table):
     return rows, cols
 
 
+def reference_xi_law(table, n):
+    """(p, density) of the removed point, one addition per pair in table order."""
+    p, density = 0.0, np.zeros(n)
+    for (s, t), w in table.joint.items():
+        diff = s ^ t
+        if diff:
+            p += w
+            density[diff.bit_length() - 1] += w
+    if p > 0.0:
+        density /= p
+    return p, density
+
+
 def spectral_class_kernel(seed: int, ones: int, zeros: int, n: int = 12) -> np.ndarray:
     """Haar eigenvectors with `ones` eigenvalues 1, `zeros` eigenvalues 0, the
     rest in (0.05, 0.95)."""
@@ -382,6 +395,23 @@ class TestCoupling:
         rows, cols = reference_marginals(table)
         assert np.array_equal(table.row_marginal(), rows)
         assert np.array_equal(table.col_marginal(), cols)
+
+    @pytest.mark.parametrize("ones,zeros", [(0, 0), (2, 0), (5, 7)],
+                             ids=["below-one", "some-one", "projection"])
+    def test_xi_law_matches_per_pair_loop(self, ones, zeros):
+        dpp = validate(spectral_class_kernel(35 + ones, ones, zeros))
+        u = int(np.argmax(np.real(np.diagonal(dpp.matrix)))) + 1
+        _, table = coupling_feasible(subset_law(dpp), subset_law(palm_matrix(dpp, u)), u)
+        p, density = xi_law(table, dpp, u)
+        p_ref, density_ref = reference_xi_law(table, dpp.n)
+        assert p == p_ref and np.array_equal(density, density_ref)
+
+    def test_xi_law_without_removals(self):
+        dpp = validate(np.diag([0.0, 0.7]))
+        law = subset_law(dpp)
+        _, table = coupling_feasible(law, law, 1)
+        p, density = xi_law(table, dpp, 1)
+        assert p == 0.0 and density.dtype == float and not density.any()
 
     def test_palm_mass_at_anchor_rejected(self):
         law = subset_law(validate(DIAG))

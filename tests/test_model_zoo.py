@@ -13,6 +13,8 @@ from palmdpp.finite_dpp import sample_exact_many
 from palmdpp.kernel_core import repulsiveness_p
 from palmdpp.model_zoo import (
     GinibreParams,
+    _jinc_radial,
+    _sinc_radial,
     fourier_ball_kernel_value,
     ginibre_kernel,
     jinc_kernel,
@@ -63,6 +65,17 @@ class TestGinibre:
                 assert abs(g[i, j] - k.evaluate(pts[i], pts[j])) < 1e-14
 
 
+def masked_radial(r, far, small):
+    """Radial profile by the branch-per-mask evaluation: far(r) away from
+    the origin, the series small(r) for |r| < 1e-6."""
+    r = np.asarray(r, dtype=float)
+    out = np.empty_like(r)
+    near = np.abs(r) < 1e-6
+    out[near] = small(r[near])
+    out[~near] = far(r[~near])
+    return out
+
+
 class TestJinc:
     def test_diagonal_is_one_over_pi(self):
         for d in (1, 2):
@@ -82,6 +95,23 @@ class TestJinc:
     def test_unsupported_dimension(self):
         with pytest.raises(ValidationError):
             jinc_kernel(3)
+
+    @pytest.mark.parametrize("radial,far,small", [
+        (_jinc_radial, lambda r: special.j1(2.0 * r) / (math.pi * r),
+         lambda r: (1.0 - r ** 2 / 2.0) / math.pi),
+        (_sinc_radial, lambda r: np.sin(r) / (math.pi * r),
+         lambda r: (1.0 - r ** 2 / 6.0) / math.pi),
+    ], ids=["jinc", "sinc"])
+    def test_radial_matches_masked_reference(self, radial, far, small):
+        rng = np.random.default_rng(34)
+        points = np.concatenate(([0.0, 1e-7, -1e-7, 5e-7, 1e-6], rng.uniform(-40.0, 40.0, 500)))
+        for r in (points, points.reshape(5, 101), np.abs(points)):
+            want = masked_radial(r, far, small)
+            got = radial(r)
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert radial(0.0) == 1.0 / math.pi
+        assert radial(np.float64(1e-7)) == small(1e-7)
+        assert radial(2.5) == far(2.5)
 
     def test_fourier_ball_matches_closed_forms(self):
         for d in (1, 2):
@@ -140,6 +170,15 @@ class TestThinRescale:
         k = thin_rescale(jinc_kernel(2), 0.5, 0.8)
         report = repulsiveness_p(k, ORIGIN)
         assert abs(report.p_u - 0.4) <= 1e-6 + report.quadrature_error
+
+    @pytest.mark.parametrize("d", [1, 2], ids=["sinc", "jinc"])
+    @pytest.mark.parametrize("beta", [0.02, 0.1, 0.6, 1.0])
+    def test_thinned_p_u_within_reported_error(self, d, beta):
+        # panels follow the thinned length scale sqrt(beta) (d = 2) or beta (d = 1)
+        k = thin_rescale(jinc_kernel(d), 1.0, beta)
+        report = repulsiveness_p(k, np.zeros(d))
+        assert abs(report.p_u - beta) <= report.quadrature_error
+        assert report.quadrature_error <= 3e-7 * beta
 
     def test_thinned_jinc_displacement_density(self):
         # f_u(v) = J1(2|v-u|/sqrt(beta))^2 / (pi |v-u|^2): the beta = 1 case

@@ -213,6 +213,33 @@ class TestIntegrateRadial:
         with pytest.raises(ValueError):
             integrate_radial(lambda r: math.exp(-r), QuadratureSpec())
 
+    def test_error_includes_rounding(self):
+        # both rules agree to the last bit on this smooth integrand; the
+        # budget still carries 16 eps of the integral
+        f = lambda r: 2.0 * np.asarray(r) * np.exp(-np.asarray(r) ** 2)
+        res = integrate_radial(f, QuadratureSpec(scheme="gauss-legendre",
+                                                 truncation_radius=12.0))
+        eps = np.finfo(float).eps
+        assert 16.0 * eps * res.value <= res.error <= 64.0 * eps
+        assert abs(res.value - 1.0) <= res.error
+
+    @pytest.mark.parametrize("length_scale", [0.05, 0.3, 1.0, 4.0])
+    def test_panels_follow_length_scale(self, length_scale):
+        # |J1(2r/s)|^2 / r integrates to 1/2 for every length scale s
+        def mass(r, _s=length_scale):
+            return special.j1(2.0 * r / _s) ** 2 / r
+
+        res = integrate_radial(mass, QuadratureSpec(scheme="gauss-legendre",
+                                                    truncation_radius=400.0 * length_scale),
+                               length_scale=length_scale)
+        assert abs(res.value - 0.5) <= res.error <= 1e-6
+
+    def test_length_scale_must_be_positive(self):
+        with pytest.raises(ValueError):
+            integrate_radial(lambda r: np.exp(-np.asarray(r)),
+                             QuadratureSpec(scheme="gauss-legendre", truncation_radius=1.0),
+                             length_scale=0.0)
+
     def test_spec_invariants(self):
         with pytest.raises(ValueError):
             QuadratureSpec(relative_tolerance=0.0)
