@@ -142,17 +142,18 @@ def ginibre_moment(k: float, rho: float) -> float:
 
 
 def _displacement_radial_mass(kernel: Kernel, u):
-    """Radial mass of f_u for an isotropic planar kernel, and its norm error."""
+    """Radial mass of f_u for an isotropic planar kernel, its norm error,
+    and the kernel's length scale and default moment radius."""
     if kernel.space.kind != "euclidean" or kernel.space.size != 2:
         raise ValidationError("param-bound",
                               "displacement analysis covers isotropic kernels on the plane")
     if not kernel.descriptor.get("isotropic_modulus", False):
         raise ValidationError("param-bound", "kernel must declare an isotropic modulus")
     radial = _radial_abs_sq(kernel, u)
+    scale, radius = _tail_scale_and_radius(kernel, _MOMENT_POWER_RADIUS)
     norm_sq = kernel.descriptor.get("norm_sq")
     norm_rel_err = 0.0
     if norm_sq is None:
-        scale, radius = _tail_scale_and_radius(kernel, _MOMENT_POWER_RADIUS)
         spec = QuadratureSpec(scheme="gauss-legendre", truncation_radius=radius)
         res = integrate_radial(lambda r: 2.0 * math.pi * np.asarray(r) * radial(r), spec,
                                length_scale=scale)
@@ -165,7 +166,7 @@ def _displacement_radial_mass(kernel: Kernel, u):
         r = np.asarray(r, dtype=float)
         return 2.0 * math.pi * r * _radial(r) / _n
 
-    return mass, float(norm_sq), float(norm_rel_err)
+    return mass, float(norm_rel_err), scale, radius
 
 
 def moment_quadrature(kernel: Kernel, u, order: float,
@@ -178,8 +179,7 @@ def moment_quadrature(kernel: Kernel, u, order: float,
     """
     if order <= -2:
         raise ValueError("moments exist only for k > -2")
-    mass, _, norm_rel_err = _displacement_radial_mass(kernel, u)
-    scale, radius = _tail_scale_and_radius(kernel, _MOMENT_POWER_RADIUS)
+    mass, norm_rel_err, scale, radius = _displacement_radial_mass(kernel, u)
     qspec = spec or QuadratureSpec(scheme="gauss-legendre")
     if qspec.truncation_radius is None:
         qspec = replace(qspec, truncation_radius=radius)
@@ -202,7 +202,7 @@ def moment_quadrature(kernel: Kernel, u, order: float,
 
 def radial_profile(kernel: Kernel, u, radii) -> RadialProfile:
     """Density of |Z_u - u| on a radius grid: 2 pi r f_u(r) on the plane."""
-    mass, _, _ = _displacement_radial_mass(kernel, u)
+    mass = _displacement_radial_mass(kernel, u)[0]
     radii = np.asarray(radii, dtype=float)
     return RadialProfile(model=str(kernel.descriptor.get("family", "kernel")),
                          radii=radii, density=mass(radii))

@@ -351,6 +351,7 @@ def xi_law(table: CouplingTable, dpp: FiniteDpp, u: int) -> tuple[float, np.ndar
     w = w[moved]
     # frexp's exponent is the bit length; bincount and cumsum add in table order
     removed = np.frexp(diff[moved])[1] - 1
+    # with no removals bincount returns integer zeros, hence the astype
     density = np.bincount(removed, weights=w, minlength=dpp.n).astype(float, copy=False)
     p = float(np.cumsum(w)[-1]) if w.size else 0.0
     if p > 0.0:

@@ -238,13 +238,15 @@ def _radial_abs_sq(kernel: Kernel, u) -> Callable[[np.ndarray], np.ndarray]:
 def _tail_scale_and_radius(kernel: Kernel, power_multiple: float) -> tuple[float, float]:
     """The length scale s of the declared tail, and a default truncation radius.
 
-    The radius is 12 s + 10 for a Gaussian tail and power_multiple * s
-    for a power tail; s is 1 when the kernel declares no tail.
+    The radius is power_multiple * s for a power tail, and 12 s + 10 for
+    a Gaussian tail, capped at 40 s: exp(-r^2 / s^2) underflows to zero
+    beyond 27.3 s, so a larger radius only adds panels of zeros.  s is 1
+    when the kernel declares no tail.
     """
     tail = kernel.descriptor.get("tail", {})
     scale = float(tail.get("scale", 1.0))
     if tail.get("kind") == "gaussian":
-        return scale, 12.0 * scale + 10.0
+        return scale, min(12.0 * scale + 10.0, 40.0 * scale)
     return scale, power_multiple * scale
 
 

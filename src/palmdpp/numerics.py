@@ -43,6 +43,9 @@ _ADAPTIVE_CHUNK = 4.0
 # 4/s, to about 3e-16 on a panel 6 s wide (about 3e-11 at 8 s).
 _GL_PANEL = 6.0
 _GL_GRADED = 2.0  # extent of the graded cells at the origin, halved 100 times
+# An interval gets at most this many panels, so memory and time stay bounded
+# when it spans many length scales (a large explicit radius on a small s).
+_GL_MAX_PANELS = 1 << 15
 # Each node value carries a few ulps of rounding, and so does their sum;
 # this multiple of eps * sum |w_i f(x_i)| is charged to every interval.
 _GL_ROUNDING = 16.0 * np.finfo(float).eps
@@ -238,6 +241,18 @@ def _gl_on_edges(f, edges: np.ndarray, nodes, weights) -> tuple[float, float]:
     return float(w @ vals), float(w @ np.abs(vals))
 
 
+def _panel_edges(a: float, b: float, panel: float) -> np.ndarray:
+    """Panels `panel` wide over [a, b], or, where that would take more than
+    _GL_MAX_PANELS, that many panels growing geometrically away from a,
+    where a decaying mass sits; the 32- vs 20-node error shows the cost."""
+    n = max(1, math.ceil((b - a) / panel))
+    if n <= _GL_MAX_PANELS:
+        return np.linspace(a, b, n + 1)
+    edges = a - panel + np.geomspace(panel, b - a + panel, _GL_MAX_PANELS + 1)
+    edges[0], edges[-1] = a, b
+    return edges
+
+
 def _gl_edges(a: float, b: float, length_scale: float) -> np.ndarray:
     panel = _GL_PANEL * length_scale
     if a == 0.0:
@@ -246,11 +261,8 @@ def _gl_edges(a: float, b: float, length_scale: float) -> np.ndarray:
         graded = first * 2.0 ** -np.arange(100, -1, -1, dtype=float)
         if first >= b:
             return np.concatenate(([0.0], graded))
-        n = max(1, math.ceil((b - first) / panel))
-        rest = np.linspace(first, b, n + 1)[1:]
-        return np.concatenate(([0.0], graded, rest))
-    n = max(1, math.ceil((b - a) / panel))
-    return np.linspace(a, b, n + 1)
+        return np.concatenate(([0.0], graded, _panel_edges(first, b, panel)[1:]))
+    return _panel_edges(a, b, panel)
 
 
 def _integrate_interval(f, a: float, b: float, spec: QuadratureSpec, length_scale: float):
@@ -296,13 +308,15 @@ def _fit_tail(starts: np.ndarray, W: np.ndarray, q: float):
 
 
 def integrate_radial(f: Callable[[float], float], spec: QuadratureSpec,
-                     length_scale: float = 1.0) -> RadialIntegral:
+                     length_scale: float) -> RadialIntegral:
     """Integrate a nonnegative radial mass function over (0, inf).
 
     The Gauss-Legendre scheme lays panels 6 * length_scale wide, after
-    graded cells toward the origin that span 2 * length_scale; pass the
-    length scale on which the integrand varies (a kernel's declared
-    tail scale).  The adaptive scheme ignores it.
+    graded cells toward the origin that span 2 * length_scale; an
+    interval that would need more than 2**15 such panels gets 2**15
+    panels growing geometrically from its left end.  Pass the length
+    scale on which the integrand varies (a kernel's declared tail
+    scale).  The adaptive scheme ignores it.
 
     The core region [0, R] (R = spec.truncation_radius) and a ladder of
     geometric windows [R, R*q^m] are integrated by quadrature; the mass

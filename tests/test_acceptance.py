@@ -271,7 +271,7 @@ def test_criterion_9_figure_profiles():
     assert abs(gin_total - 1.0) <= 1e-3
     from palmdpp.numerics import QuadratureSpec, integrate_radial
     full = integrate_radial(jinc_density, QuadratureSpec(
-        scheme="gauss-legendre", truncation_radius=10.0))
+        scheme="gauss-legendre", truncation_radius=10.0), length_scale=1.0)
     core, _ = integrate.quad(lambda x: float(jinc_density(np.array([x]))[0]),
                              0.0, 10.0, limit=400)
     tail_beyond_grid = full.value - core

@@ -126,7 +126,7 @@ class TestMomentQuadrature:
         with pytest.raises(ValueError):
             moment_quadrature(jinc_kernel(2), ORIGIN, -2.5)
 
-    @pytest.mark.parametrize("rho", [0.05, 1.0 / math.pi, 1.0])
+    @pytest.mark.parametrize("rho", [0.05, 1.0 / math.pi, 1.0, 1e8])
     def test_ginibre_within_abs_error(self, rho):
         # the error budget covers rounding, so no slack is needed
         alpha = math.pi * rho

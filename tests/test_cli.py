@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from palmdpp import analysis, finite_dpp
+from palmdpp import analysis, finite_dpp, numerics
 from palmdpp.cli import load_kernel_spec, main
 
 from conftest import random_dpp_matrix
@@ -26,6 +26,19 @@ def write_spec(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def count_gl_nodes(monkeypatch):
+    """Count the Gauss-Legendre nodes at which integrands are evaluated."""
+    nodes = [0]
+    gl_on_edges = numerics._gl_on_edges
+
+    def counted(f, edges, rule_nodes, weights):
+        nodes[0] += (len(edges) - 1) * len(rule_nodes)
+        return gl_on_edges(f, edges, rule_nodes, weights)
+
+    monkeypatch.setattr(numerics, "_gl_on_edges", counted)
+    return nodes
 
 
 def parse_blocks(text):
@@ -175,6 +188,23 @@ class TestRepulsivenessCommand:
                              "--truncation-radius", "1e-3"])
         assert "decays like r^(0.999)" in err and "--" not in err
 
+    @pytest.mark.parametrize("extra,max_nodes", [
+        ([], 40_000),
+        # seven intervals of at most 2**15 panels after the 101 graded cells
+        (["--truncation-radius", "100"], 7 * (2 ** 15 + 101) * (32 + 20)),
+    ], ids=["default-radius", "radius-1e8-scales"])
+    def test_tiny_ginibre_scale(self, tmp_path, monkeypatch, extra, max_nodes):
+        # length scale sqrt(beta) = 1e-6; p_u = alpha * beta
+        doc = {"family": "ginibre", "params": {"alpha": 1.0, "beta": 1e-12}}
+        nodes = count_gl_nodes(monkeypatch)
+        code, out, _ = run_cli(["repulsiveness", write_spec(tmp_path, "g.json", doc)] + extra)
+        assert code == 0
+        (header, rows), _ = parse_blocks(out)
+        record = dict(zip(header, rows[0]))
+        # values are printed to 12 significant digits
+        assert abs(record["p_u"] - 1e-12) <= record["quadrature_error"] + 1e-23
+        assert nodes[0] <= max_nodes
+
     def test_zero_intensity_anchor(self, tmp_path):
         doc = {"family": "finite", "matrix": [[[0.0, 0], [0, 0]], [[0, 0], [0.5, 0]]]}
         code, _, err = run_cli(["repulsiveness", write_spec(tmp_path, "z.json", doc),
@@ -272,6 +302,24 @@ class TestMomentsCommand:
         record = dict(zip(header, rows[0]))
         assert abs(record["closed_form"] - 1.0) < 1e-12
         assert abs(record["quadrature"] - 1.0) < 1e-6
+
+    def test_ginibre_cost_does_not_grow_with_intensity(self, monkeypatch):
+        # the length scale 1/sqrt(pi rho) shrinks as rho grows, and the Gaussian
+        # default radius shrinks with it
+        counts = {}
+        for rho in (1.0, 1e8, 1e12):
+            nodes = count_gl_nodes(monkeypatch)
+            code, out, _ = run_cli(["moments", "--model", "ginibre", "--k=-1.5,0.5,2,4",
+                                    "--rho", repr(rho)])
+            assert code == 0
+            (header, rows), = parse_blocks(out)
+            for row in rows:
+                record = dict(zip(header, row))
+                # values are printed to 12 significant digits
+                assert (abs(record["quadrature"] - record["closed_form"])
+                        <= record["abs_error"] + 1e-11 * record["closed_form"])
+            counts[rho] = nodes[0]
+        assert counts[1e8] == counts[1e12] <= 1.5 * counts[1.0]
 
     def test_rejects_low_order(self):
         code, _, _ = run_cli(["moments", "--model", "jinc", "--k", "-2.5"])

@@ -171,13 +171,14 @@ class TestPsdSqrt:
 class TestIntegrateRadial:
     def test_exponential(self):
         res = integrate_radial(lambda r: math.exp(-r),
-                               QuadratureSpec(truncation_radius=40.0))
+                               QuadratureSpec(truncation_radius=40.0), length_scale=1.0)
         assert abs(res.value - 1.0) < 1e-10
 
     def test_rayleigh(self):
         res = integrate_radial(
             lambda r: 2.0 * np.asarray(r) * np.exp(-np.asarray(r) ** 2),
-            QuadratureSpec(scheme="gauss-legendre", truncation_radius=12.0))
+            QuadratureSpec(scheme="gauss-legendre", truncation_radius=12.0),
+            length_scale=1.0)
         assert abs(res.value - 1.0) < 1e-12
         assert res.tail == 0.0
 
@@ -191,7 +192,8 @@ class TestIntegrateRadial:
             return out
 
         res = integrate_radial(mass, QuadratureSpec(scheme="gauss-legendre",
-                                                    truncation_radius=400.0))
+                                                    truncation_radius=400.0),
+                               length_scale=1.0)
         assert abs(res.value - 1.0) <= max(1e-6, res.error)
         assert 1.8 < res.tail_exponent < 2.2
 
@@ -200,25 +202,28 @@ class TestIntegrateRadial:
         # f with known closed form: f(r) = 1.5 * (1 + r)^(-2.5), total mass 1
         f = lambda r: 1.5 * (1.0 + np.asarray(r, dtype=float)) ** (-2.5)
         res = integrate_radial(f, QuadratureSpec(scheme="gauss-legendre",
-                                                 truncation_radius=50.0))
+                                                 truncation_radius=50.0),
+                               length_scale=1.0)
         assert abs(res.value - 1.0) <= max(1e-6, res.error)
 
     def test_divergent_tail_raises(self):
         with pytest.raises(QuadratureError):
             integrate_radial(lambda r: 1.0 / (1.0 + np.asarray(r, dtype=float)),
                              QuadratureSpec(scheme="gauss-legendre",
-                                            truncation_radius=50.0))
+                                            truncation_radius=50.0),
+                             length_scale=1.0)
 
     def test_radius_required(self):
         with pytest.raises(ValueError):
-            integrate_radial(lambda r: math.exp(-r), QuadratureSpec())
+            integrate_radial(lambda r: math.exp(-r), QuadratureSpec(), length_scale=1.0)
 
     def test_error_includes_rounding(self):
         # both rules agree to the last bit on this smooth integrand; the
         # budget still carries 16 eps of the integral
         f = lambda r: 2.0 * np.asarray(r) * np.exp(-np.asarray(r) ** 2)
         res = integrate_radial(f, QuadratureSpec(scheme="gauss-legendre",
-                                                 truncation_radius=12.0))
+                                                 truncation_radius=12.0),
+                               length_scale=1.0)
         eps = np.finfo(float).eps
         assert 16.0 * eps * res.value <= res.error <= 64.0 * eps
         assert abs(res.value - 1.0) <= res.error
@@ -232,6 +237,32 @@ class TestIntegrateRadial:
         res = integrate_radial(mass, QuadratureSpec(scheme="gauss-legendre",
                                                     truncation_radius=400.0 * length_scale),
                                length_scale=length_scale)
+        assert abs(res.value - 0.5) <= res.error <= 1e-6
+
+    def test_panel_count_is_capped(self):
+        # a radius of 1e8 length scales: each interval gets at most 2**15
+        # panels, growing away from its left end, so the mass near the
+        # origin stays resolved
+        s, sizes = 1e-6, []
+
+        def mass(r):
+            r = np.asarray(r)
+            sizes.append(r.size)
+            return 2.0 * r * np.exp(-(r / s) ** 2) / s ** 2
+
+        res = integrate_radial(mass, QuadratureSpec(scheme="gauss-legendre",
+                                                    truncation_radius=100.0),
+                               length_scale=s)
+        assert abs(res.value - 1.0) <= res.error
+        assert max(sizes) <= (2 ** 15 + 101) * 32
+
+    def test_capped_panels_report_their_error(self):
+        # |J1(2r)|^2 / r out to 6.4e7: the far panels are wider than 6, and
+        # the error budget still covers the miss
+        res = integrate_radial(lambda r: special.j1(2.0 * r) ** 2 / r,
+                               QuadratureSpec(scheme="gauss-legendre",
+                                              truncation_radius=1e6),
+                               length_scale=1.0)
         assert abs(res.value - 0.5) <= res.error <= 1e-6
 
     def test_length_scale_must_be_positive(self):
