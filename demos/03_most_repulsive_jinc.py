@@ -4,7 +4,8 @@
 The kernel whose Fourier transform is a centred ball indicator achieves
 p_u = 1: the Palm process almost surely removes a point.  Unlike the
 Ginibre case, the displacement is heavy-tailed: moments of order >= 1
-diverge, which the quadrature detects from the fitted tail exponent.
+diverge, which the quadrature reads off the kernel's declared tail, the
+Hankel expansion of |J1(2r) / (pi r)|^2 ~ r^-3.
 """
 import numpy as np
 

@@ -29,6 +29,7 @@ from .finite_dpp import (
     sample_coupled_many,
     sample_exact,
     sample_exact_many,
+    sample_indicators,
     subset_law,
     validate,
     xi_law,
@@ -65,6 +66,7 @@ from .numerics import (
     QuadratureError,
     QuadratureSpec,
     RadialIntegral,
+    Tail,
     bessel_j1,
     gamma_fn,
     gegenbauer,

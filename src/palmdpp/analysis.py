@@ -1,24 +1,23 @@
 """Quantitative repulsiveness analysis.
 
-Moments of the displaced point (closed forms and quadrature with tail
-continuation), radial density profiles of the displacement distance,
+Moments of the displaced point (closed forms, and quadrature against the
+kernel's declared tail), radial density profiles of the displacement distance,
 grid discretization of continuous kernels into finite DPPs, and Monte
 Carlo validation of the coupling law on discretized models.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
 from . import finite_dpp
 from .errors import SizeGuardError, TheoremViolationError, ValidationError
-from .kernel_core import (GroundSpace, Kernel, _radial_abs_sq, _tail_scale_and_radius,
+from .kernel_core import (GroundSpace, Kernel, _declared_tail, _radial_abs_sq, _with_radius,
                           check_point)
-from .numerics import (HermitianEig, QuadratureError, QuadratureSpec, hermitian_eig,
-                       integrate_radial)
+from .numerics import HermitianEig, QuadratureSpec, hermitian_eig, integrate_radial
 
 __all__ = [
     "MomentResult",
@@ -36,7 +35,6 @@ __all__ = [
 
 _GRID_MAX_SITES = 4096
 _MIN_EXPECTED_PER_BIN = 20.0
-_MOMENT_POWER_RADIUS = 1000.0  # default truncation radius of moments for power tails, in scales
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,7 @@ class MomentResult:
 
     closed_form is +inf for divergent moments with a known closed-form
     divergence and nan when no closed form was attached; quadrature is
-    nan when the tail fit flagged divergence.
+    nan when the declared tail's exponent makes the moment diverge.
     """
 
     k: float
@@ -141,58 +139,44 @@ def ginibre_moment(k: float, rho: float) -> float:
     return math.gamma(1.0 + k / 2.0) / (math.pi * rho) ** (k / 2.0)
 
 
-def _displacement_radial_mass(kernel: Kernel, u):
-    """Radial mass of f_u for an isotropic planar kernel, its norm error,
-    and the kernel's length scale and default moment radius."""
+def _displacement_radial(kernel: Kernel, u):
+    """r -> |K(u, u + r e)|^2 for an isotropic planar kernel, and the
+    squared row norm with its relative error."""
     if kernel.space.kind != "euclidean" or kernel.space.size != 2:
         raise ValidationError("param-bound",
                               "displacement analysis covers isotropic kernels on the plane")
     if not kernel.descriptor.get("isotropic_modulus", False):
         raise ValidationError("param-bound", "kernel must declare an isotropic modulus")
     radial = _radial_abs_sq(kernel, u)
-    scale, radius = _tail_scale_and_radius(kernel, _MOMENT_POWER_RADIUS)
     norm_sq = kernel.descriptor.get("norm_sq")
-    norm_rel_err = 0.0
-    if norm_sq is None:
-        spec = QuadratureSpec(scheme="gauss-legendre", truncation_radius=radius)
-        res = integrate_radial(lambda r: 2.0 * math.pi * np.asarray(r) * radial(r), spec,
-                               length_scale=scale)
-        norm_sq = res.value
-        if norm_sq <= 0:
-            raise ValidationError("anchor", "the kernel row has no mass; p_u vanishes")
-        norm_rel_err = res.error / norm_sq
-
-    def mass(r, _radial=radial, _n=norm_sq):
-        r = np.asarray(r, dtype=float)
-        return 2.0 * math.pi * r * _radial(r) / _n
-
-    return mass, float(norm_rel_err), scale, radius
+    if norm_sq is not None:
+        return radial, norm_sq, 0.0
+    tail = _declared_tail(kernel).rescaled(2.0 * math.pi)
+    res = integrate_radial(lambda r: 2.0 * math.pi * radial(r), 1.0, tail,
+                           _with_radius(None, tail))
+    if res.value <= 0:
+        raise ValidationError("anchor", "the kernel row has no mass; p_u vanishes")
+    return radial, res.value, res.error / res.value
 
 
 def moment_quadrature(kernel: Kernel, u, order: float,
                       spec: QuadratureSpec | None = None) -> MomentResult:
-    """Quadrature moment of the displacement distance with tail budget.
+    """Quadrature moment of the displacement distance with its error budget.
 
-    Integrates r^order against the radial mass of f_u; a fitted tail
-    exponent implying divergence yields a result flagged divergent
-    instead of a number.
+    Integrates r^(order + 1) against 2 pi |K(u, .)|^2 / norm_sq and the
+    kernel's declared tail.  A moment whose declared tail exponent makes
+    it diverge (jinc at order >= 1) is flagged divergent instead of a
+    number.
     """
     if order <= -2:
         raise ValueError("moments exist only for k > -2")
-    mass, norm_rel_err, scale, radius = _displacement_radial_mass(kernel, u)
-    qspec = spec or QuadratureSpec(scheme="gauss-legendre")
-    if qspec.truncation_radius is None:
-        qspec = replace(qspec, truncation_radius=radius)
-
-    # quadrature nodes are interior points, so r > 0 here
-    def integrand(r, _m=mass, _k=order):
-        return r ** _k * _m(r)
-
-    try:
-        res = integrate_radial(integrand, qspec, length_scale=scale)
-    except QuadratureError:
+    radial, norm_sq, norm_rel_err = _displacement_radial(kernel, u)
+    tail = _declared_tail(kernel).rescaled(2.0 * math.pi / norm_sq)
+    if not tail.converges(order + 1.0):
         return MomentResult(k=order, closed_form=math.nan, quadrature=math.nan,
                             abs_error=math.nan, tail_estimate=math.nan, divergent=True)
+    res = integrate_radial(lambda r: (2.0 * math.pi / norm_sq) * radial(r), order + 1.0,
+                           tail, _with_radius(spec, tail))
     norm_contrib = norm_rel_err * abs(res.value)
     return MomentResult(k=order, closed_form=math.nan, quadrature=res.value,
                         abs_error=res.error + norm_contrib,
@@ -202,10 +186,10 @@ def moment_quadrature(kernel: Kernel, u, order: float,
 
 def radial_profile(kernel: Kernel, u, radii) -> RadialProfile:
     """Density of |Z_u - u| on a radius grid: 2 pi r f_u(r) on the plane."""
-    mass = _displacement_radial_mass(kernel, u)[0]
+    radial, norm_sq, _ = _displacement_radial(kernel, u)
     radii = np.asarray(radii, dtype=float)
     return RadialProfile(model=str(kernel.descriptor.get("family", "kernel")),
-                         radii=radii, density=mass(radii))
+                         radii=radii, density=2.0 * math.pi * radii * radial(radii) / norm_sq)
 
 
 def _euclidean_centers(window, resolution: int, d: int):

@@ -11,8 +11,8 @@ entries are [re, im] pairs, row-major.  Unknown keys anywhere are
 rejected.
 
 Exit codes: 0 success, 2 validation failure (including quadrature that
-cannot converge), 3 parse failure, 4 size guard, 5 internal
-theorem-violation dump.  All commands are
+cannot converge, and values beyond double precision), 3 parse failure,
+4 size guard, 5 internal theorem-violation dump.  All commands are
 deterministic given (input file, flags, seed); numbers render with 12
 significant digits.
 """
@@ -66,14 +66,6 @@ def _emit_text_rows(out, header: Sequence[str], first: np.ndarray, rest: np.ndar
     out.write(",".join(header) + "\n")
     if first.size:
         out.write("\n".join((first + "," + rest).tolist()) + "\n")
-
-
-def _mask_bits(masks: np.ndarray, n: int) -> np.ndarray:
-    """Site indicators, shape (len(masks), n), of int64 or Python-int bitmasks."""
-    width = (n + 7) // 8
-    raw = b"".join(int(m).to_bytes(width, "little") for m in masks)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(bool)
 
 
 def _require_number(params: dict, key: str, family: str) -> float:
@@ -214,8 +206,11 @@ def _parse_anchor(bundle: ModelBundle, text: str | None):
 def _quad_spec(args) -> QuadratureSpec | None:
     if args.rel_tol is None and args.truncation_radius is None:
         return None
-    return QuadratureSpec(scheme="gauss-legendre",
-                          relative_tolerance=args.rel_tol or 1e-10,
+    for flag, value in (("--rel-tol", args.rel_tol),
+                        ("--truncation-radius", args.truncation_radius)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ParseError(f"{flag} must be a finite number > 0, got {value!r}")
+    return QuadratureSpec(relative_tolerance=args.rel_tol or 1e-10,
                           truncation_radius=args.truncation_radius)
 
 
@@ -240,6 +235,8 @@ def cmd_repulsiveness(args) -> int:
     bundle = load_kernel_spec(args.spec)
     anchor = _parse_anchor(bundle, args.anchor)
     coords = None
+    if args.profile_points is not None and args.profile_points < 1:
+        raise ParseError(f"--profile-points must be >= 1, got {args.profile_points}")
     if args.profile_points and bundle.kernel.space.kind != "finite":
         upper = args.profile_max or 10.0
         if bundle.kernel.space.kind == "sphere":
@@ -320,6 +317,8 @@ def cmd_moments(args) -> int:
         raise ParseError(f"cannot parse moment orders {args.k!r}") from exc
     if not ks:
         raise ParseError("no moment orders given")
+    if not all(math.isfinite(k) for k in ks):
+        raise ParseError(f"moment orders must be finite numbers, got {args.k!r}")
     if any(k <= -2 for k in ks):
         raise ValidationError("param-bound", "moments exist only for k > -2")
     if args.model == "jinc":
@@ -374,9 +373,8 @@ def cmd_sample(args) -> int:
             window = None
         grid = analysis.grid_discretize(bundle.kernel, window, args.resolution)
         dpp, centers = grid.dpp, grid.centers
-    masks = finite_dpp.sample_exact_many(dpp, args.seed, args.samples)
-    bits = _mask_bits(masks, dpp.n)
-    draw_text = np.array([_fmt(i) for i in range(len(masks))], dtype=object)
+    bits = finite_dpp.sample_indicators(dpp, args.seed, args.samples)
+    draw_text = np.array([_fmt(i) for i in range(len(bits))], dtype=object)
     count_text = np.array([_fmt(c) for c in range(dpp.n + 1)], dtype=object)
     _emit_text_rows(sys.stdout, ["sample", "count"], draw_text, count_text[bits.sum(axis=1)])
     if args.emit_points:
@@ -473,6 +471,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except QuadratureError as exc:
         print(f"validation-error[quadrature]: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"validation-error[overflow]: a value leaves double precision: {exc}",
+              file=sys.stderr)
         return 2
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "xi_law",
     "sample_exact",
     "sample_exact_many",
+    "sample_indicators",
     "sample_coupled",
     "sample_coupled_many",
 ]
@@ -411,23 +412,30 @@ def sample_exact(dpp: FiniteDpp, rng_seed: int) -> int:
     return int(sample_exact_many(dpp, rng_seed, 1)[0])
 
 
-def sample_exact_many(dpp: FiniteDpp, rng_seed: int, draws: int) -> np.ndarray:
-    """Draw many subsets from one seeded stream; returns bitmasks.
+def sample_indicators(dpp: FiniteDpp, rng_seed: int, draws: int) -> np.ndarray:
+    """Draw many subsets from one seeded stream; returns their site
+    indicators, a boolean array of shape (draws, n).
 
     Uses the spectral sampler on the stored eigendecomposition, in
-    batches of up to 64 draws.  Masks are int64 when they fit and Python
-    ints (object dtype) for wider site counts, as grid discretizations
-    produce.
+    batches of up to 64 draws.
     """
     rng = np.random.default_rng(rng_seed)
-    dtype = np.int64 if dpp.n <= 62 else object
     lam, V = dpp.eig.eigenvalues, dpp.eig.eigenvectors
-    masks: list[int] = []
-    for lo in range(0, draws, _SAMPLE_BLOCK):
-        picked = _spectral_block(lam, V, min(_SAMPLE_BLOCK, draws - lo), rng)
-        packed = np.packbits(picked, axis=1, bitorder="little")
-        masks.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
-    return np.fromiter(masks, dtype=dtype, count=draws)
+    blocks = [_spectral_block(lam, V, min(_SAMPLE_BLOCK, draws - lo), rng)
+              for lo in range(0, draws, _SAMPLE_BLOCK)]
+    return np.concatenate(blocks) if blocks else np.zeros((0, dpp.n), dtype=bool)
+
+
+def sample_exact_many(dpp: FiniteDpp, rng_seed: int, draws: int) -> np.ndarray:
+    """The draws of sample_indicators as bitmasks over bit (site - 1).
+
+    Masks are int64 when they fit and Python ints (object dtype) for
+    wider site counts, as grid discretizations produce.
+    """
+    packed = np.packbits(sample_indicators(dpp, rng_seed, draws), axis=1, bitorder="little")
+    dtype = np.int64 if dpp.n <= 62 else object
+    return np.fromiter((int.from_bytes(row.tobytes(), "little") for row in packed),
+                       dtype=dtype, count=draws)
 
 
 def _table_arrays(table: CouplingTable) -> tuple[np.ndarray, np.ndarray]:

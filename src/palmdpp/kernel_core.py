@@ -18,9 +18,13 @@ this module:
 * "radial_abs_sq": vectorized r -> |K(u, u + r e)|^2 for such kernels.
 * "k0": vectorized t -> K0(t) for isotropic sphere kernels.
 * "matrix": the kernel matrix for finite spaces.
-* "tail": {"kind": "gaussian"|"power", "scale": s} decay of the radial
-  mass of |K(u, .)|^2, used to pick a default truncation radius; s is
-  also the length scale that sizes the quadrature panels.
+* "tail": a numerics.Tail declaring how r -> |K(u, u + r e)|^2 behaves
+  for large r: a Gaussian, or Hankel-type powers of r times sin/cos with
+  a remainder bound.  Radial quadrature integrates beyond its truncation
+  radius from these terms, reads divergence off their exponent, and sizes
+  its panels by the tail's length scale.  Required for Euclidean
+  repulsiveness and moments; a kernel without one gets QuadratureError,
+  never a guessed tail.
 * "gram": vectorized batch evaluator points -> matrix (optional).
 * "norm_sq"/"p_u": exact values declared by a model family (optional;
   repulsiveness_p never uses them, they serve profile normalization and
@@ -29,14 +33,14 @@ this module:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 from scipy import integrate
 
 from .errors import ValidationError
-from .numerics import QuadratureSpec, integrate_radial
+from .numerics import QuadratureError, QuadratureSpec, Tail, integrate_radial
 
 __all__ = [
     "GroundSpace",
@@ -54,7 +58,6 @@ __all__ = [
 
 _DIAG_EPS = 1e-12
 _P_BOUND_SLACK = 1e-6
-_DEFAULT_POWER_RADIUS = 400.0
 
 
 def sphere_surface_measure(d: int) -> float:
@@ -235,28 +238,34 @@ def _radial_abs_sq(kernel: Kernel, u) -> Callable[[np.ndarray], np.ndarray]:
     return from_eval
 
 
-def _tail_scale_and_radius(kernel: Kernel, power_multiple: float) -> tuple[float, float]:
-    """The length scale s of the declared tail, and a default truncation radius.
-
-    The radius is power_multiple * s for a power tail, and 12 s + 10 for
-    a Gaussian tail, capped at 40 s: exp(-r^2 / s^2) underflows to zero
-    beyond 27.3 s, so a larger radius only adds panels of zeros.  s is 1
-    when the kernel declares no tail.
-    """
-    tail = kernel.descriptor.get("tail", {})
-    scale = float(tail.get("scale", 1.0))
-    if tail.get("kind") == "gaussian":
-        return scale, min(12.0 * scale + 10.0, 40.0 * scale)
-    return scale, power_multiple * scale
+def _declared_tail(kernel: Kernel) -> Tail:
+    tail = kernel.descriptor.get("tail")
+    if tail is None:
+        raise QuadratureError("the kernel declares no tail; radial quadrature needs its "
+                              "large-r behaviour")
+    return tail
 
 
-def _with_radius(spec: QuadratureSpec, radius: float) -> QuadratureSpec:
+def _with_radius(spec: QuadratureSpec | None, tail: Tail) -> QuadratureSpec:
+    """spec, with the tail's default truncation radius unless one is set."""
+    spec = spec or QuadratureSpec()
     if spec.truncation_radius is not None:
         return spec
-    return QuadratureSpec(scheme=spec.scheme,
-                          relative_tolerance=spec.relative_tolerance,
-                          max_subdivisions=spec.max_subdivisions,
-                          truncation_radius=radius)
+    return replace(spec, truncation_radius=tail.default_radius())
+
+
+def _profile_end(spec: QuadratureSpec | None, tail: Tail) -> float:
+    """Upper end of the default f_u profile: the truncation radius, at most 10.
+
+    Without an explicit radius, the radius is that of an earlier default
+    rule, 40 s for a Gaussian tail and 400 s for a power tail, so the
+    printed coordinates stay put while the quadrature's own radius is
+    chosen from the declared terms.
+    """
+    radius = spec.truncation_radius if spec is not None else None
+    if radius is None:
+        radius = (40.0 if tail.kind == "gaussian" else 400.0) * tail.scale
+    return min(radius, 10.0)
 
 
 def repulsiveness_p(kernel: Kernel, u, spec: QuadratureSpec | None = None,
@@ -264,9 +273,9 @@ def repulsiveness_p(kernel: Kernel, u, spec: QuadratureSpec | None = None,
     """Coupling probability p_u = int |K(u, v)|^2 dnu(v) / K(u, u).
 
     Finite spaces use the exact matrix sum; Euclidean kernels declaring
-    an isotropic modulus reduce to a 1-D radial integral with tail
-    continuation; isotropic sphere kernels reduce to a 1-D integral in
-    the polar angle.  The report carries the displacement density
+    an isotropic modulus reduce to a 1-D radial integral, r^(d-1) against
+    the declared tail; isotropic sphere kernels reduce to a 1-D integral
+    in the polar angle.  The report carries the displacement density
     profile f_u = |K(u, .)|^2 / norm_sq on profile_coords (or a default
     grid).
     """
@@ -296,16 +305,15 @@ def repulsiveness_p(kernel: Kernel, u, spec: QuadratureSpec | None = None,
         if d not in (1, 2):
             raise ValidationError("param-bound", "Euclidean quadrature supports d in {1, 2}")
         rfn = _radial_abs_sq(kernel, u)
-        surf = (lambda r: 2.0 * np.ones_like(np.asarray(r, dtype=float))) if d == 1 \
-            else (lambda r: 2.0 * math.pi * np.asarray(r, dtype=float))
-        scale, radius = _tail_scale_and_radius(kernel, _DEFAULT_POWER_RADIUS)
-        qspec = _with_radius(spec or QuadratureSpec(scheme="gauss-legendre"), radius)
-        res = integrate_radial(lambda r: surf(r) * rfn(r), qspec, length_scale=scale)
+        surf = 2.0 if d == 1 else 2.0 * math.pi  # measure of the unit sphere in R^d
+        tail = _declared_tail(kernel)
+        qspec = _with_radius(spec, tail)
+        res = integrate_radial(lambda r: surf * rfn(r), d - 1.0, tail.rescaled(surf), qspec)
         norm_sq = res.value
         p = norm_sq / ku
         err = res.error / ku
         coords = (np.asarray(profile_coords, dtype=float) if profile_coords is not None
-                  else np.linspace(0.0, min(qspec.truncation_radius, 10.0), 64))
+                  else np.linspace(0.0, _profile_end(spec, tail), 64))
         dens = rfn(coords) / norm_sq if norm_sq > 0 else np.zeros_like(coords)
         profile = list(zip(coords.tolist(), dens.tolist()))
     else:

@@ -18,7 +18,7 @@ from scipy import integrate, special
 from .errors import ValidationError
 from .finite_dpp import FiniteDpp, validate
 from .kernel_core import GroundSpace, Kernel, sphere_surface_measure
-from .numerics import gegenbauer_ratio_table
+from .numerics import Tail, gegenbauer_ratio_table
 
 __all__ = [
     "GinibreParams",
@@ -108,11 +108,47 @@ def ginibre_kernel(params: GinibreParams) -> Kernel:
             "norm_sq": alpha ** 2 * beta / math.pi,
             "p_u": alpha * beta,
             "projection": abs(alpha - 1.0) < 1e-15 and abs(beta - 1.0) < 1e-15,
-            "tail": {"kind": "gaussian", "scale": math.sqrt(beta)},
+            "tail": Tail("gaussian", math.sqrt(beta), amplitude=(alpha / math.pi) ** 2),
             "radial_abs_sq": radial_abs_sq,
             "gram": gram,
         },
     )
+
+
+# |sin r / (pi r)|^2 = (1 - cos 2r) / (2 pi^2 r^2) exactly
+_SINC_TAIL = Tail("power", 1.0, order=2.0, frequency=2.0, smooth=(0.5 / math.pi ** 2,),
+                  sine=(0.0,), cosine=(-0.5 / math.pi ** 2,), bound=(0.0,))
+_HANKEL_TERMS = 4  # terms kept of each of P(1, x) and Q(1, x)
+
+
+def _jinc_tail() -> Tail:
+    """|J1(2r) / (pi r)|^2 from Hankel's expansion of J1 (DLMF 10.17.3).
+
+    With x = 2r and w = x - 3 pi / 4, J1(x) = sqrt(2 / (pi x)) (P cos w -
+    Q sin w), so J1(x)^2 = (P^2 + Q^2 - (P^2 - Q^2) sin 2x - 2 P Q cos 2x)
+    / (pi x).  P and Q are cut after _HANKEL_TERMS terms each; for real x
+    > 0 the remainder of each is bounded by its first omitted term (DLMF
+    10.17(iii)), which bounds the error of the square by 2 (|P| + |Q|) e
+    + e^2, with e the sum of the two omitted terms.
+    """
+    n = 2 * _HANKEL_TERMS
+    size = 2 * n + 3  # every product below has degree <= 2 n + 2 in y = 1/x
+    k = np.arange(size)
+    # a_k(1) = prod_{j <= k} (4 - (2j - 1)^2) / (k! 8^k)
+    a = np.cumprod(np.append(1.0, (4.0 - (2 * k[1:] - 1.0) ** 2) / (8.0 * k[1:])))
+    kept = np.where(k < n, (-1.0) ** (k // 2) * a, 0.0)
+    P = np.where(k % 2 == 0, kept, 0.0)
+    Q = np.where(k % 2 == 1, kept, 0.0)
+    e = np.where((k == n) | (k == n + 1), np.abs(a), 0.0)
+    mul = lambda x, y: np.convolve(x, y)[:size]  # product of polynomials in y
+    series = [mul(P, P) + mul(Q, Q), -(mul(P, P) - mul(Q, Q)), -2.0 * mul(P, Q),
+              2.0 * mul(np.abs(P) + np.abs(Q), e) + mul(e, e)]
+    # y^j = 2^-j r^-j; the main part carries 1 / (2 pi^3 r^3), the bound 1 / (pi^3 r^3)
+    halves = 0.5 ** k / math.pi ** 3
+    smooth, sine, cosine, bound = (tuple((c * halves * f).tolist())
+                                   for c, f in zip(series, (0.5, 0.5, 0.5, 1.0)))
+    return Tail("power", 1.0, order=3.0, frequency=4.0, smooth=smooth, sine=sine,
+                cosine=cosine, bound=bound)
 
 
 def _sinc_radial(r: np.ndarray) -> np.ndarray:
@@ -170,7 +206,7 @@ def jinc_kernel(d: int) -> Kernel:
             "norm_sq": 1.0 / math.pi,
             "p_u": 1.0,
             "projection": True,
-            "tail": {"kind": "power", "scale": 1.0},
+            "tail": _SINC_TAIL if d == 1 else _jinc_tail(),
             "radial_abs_sq": radial_abs_sq,
             "gram": gram,
         },
@@ -237,9 +273,7 @@ def thin_rescale(kernel: Kernel, alpha: float, beta: float) -> Kernel:
     if "p_u" in desc:
         new_desc["p_u"] = alpha * beta * desc["p_u"]
     if "tail" in desc:
-        tail = dict(desc["tail"])
-        tail["scale"] = float(tail.get("scale", 1.0)) * c
-        new_desc["tail"] = tail
+        new_desc["tail"] = desc["tail"].rescaled(alpha ** 2, c)
     if "radial_abs_sq" in desc:
         old_radial = desc["radial_abs_sq"]
         new_desc["radial_abs_sq"] = (

@@ -4,6 +4,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import settings
+
+# Property tests draw the same examples on every run (derandomize, no
+# example database), a bounded number of them, with no per-example
+# deadline, so tier-1 stays reproducible and about as fast as before.
+settings.register_profile("palmdpp", derandomize=True, database=None, max_examples=30,
+                          deadline=None)
+settings.load_profile("palmdpp")
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -270,8 +270,10 @@ def test_criterion_9_figure_profiles():
     gin_total = integrate.simpson(gin, x=r)  # Gaussian tail beyond 10 is ~e-100
     assert abs(gin_total - 1.0) <= 1e-3
     from palmdpp.numerics import QuadratureSpec, integrate_radial
-    full = integrate_radial(jinc_density, QuadratureSpec(
-        scheme="gauss-legendre", truncation_radius=10.0), length_scale=1.0)
+    # jinc_density(x) = x * 2 pi^2 |K(x)|^2: weight r, the kernel's tail times 2 pi^2
+    full = integrate_radial(lambda x: jinc_density(x) / x, 1.0,
+                            jinc_kernel(2).descriptor["tail"].rescaled(2.0 * math.pi ** 2),
+                            QuadratureSpec(truncation_radius=10.0))
     core, _ = integrate.quad(lambda x: float(jinc_density(np.array([x]))[0]),
                              0.0, 10.0, limit=400)
     tail_beyond_grid = full.value - core

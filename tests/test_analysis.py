@@ -131,12 +131,14 @@ class TestMomentQuadrature:
         # the error budget covers rounding, so no slack is needed
         alpha = math.pi * rho
         kernel = ginibre_kernel(GinibreParams(alpha, 1.0 / alpha))
-        for k in np.arange(-1.5, 4.0 + 1e-9, 0.25):
+        # k over (-2, 4], with the orders next to the origin singularity
+        for k in np.append(np.arange(-1.75, 4.0 + 1e-9, 0.25), [-1.99, -1.95, -1.9]):
             res = moment_quadrature(kernel, ORIGIN, float(k))
             assert abs(res.quadrature - ginibre_moment(float(k), rho)) <= res.abs_error
 
     def test_jinc_within_abs_error(self):
-        for k in np.linspace(-1.5, 0.9, 17):
+        # k over (-2, 1): next to the origin singularity and to the divergence at 1
+        for k in np.append(np.linspace(-1.95, 0.9, 20), [-1.99, -1.9, 0.95, 0.99]):
             res = moment_quadrature(jinc_kernel(2), ORIGIN, float(k))
             assert abs(res.quadrature - jinc_moment_closed(float(k))) <= res.abs_error
 
@@ -162,10 +164,10 @@ class TestMomentQuadrature:
         # |Z_u - u| scales with sqrt(beta) under thinning
         want = beta ** 0.25 * jinc_moment_closed(0.5)
         assert abs(res.quadrature - want) <= res.abs_error
-        assert 500_000 <= sum(calls) <= 600_000
+        assert sum(calls) <= 10_000
 
     def test_integrand_evaluations_grow_like_inverse_length_at_fixed_radius(self):
-        spec = QuadratureSpec(scheme="gauss-legendre", truncation_radius=200.0)
+        spec = QuadratureSpec(truncation_radius=200.0)
         counts = []
         for beta in (1.0, 0.25, 0.04):  # length scales 1, 1/2, 1/5
             kernel, calls = self.counted_jinc(beta)

@@ -52,6 +52,13 @@ def parse_blocks(text):
     return blocks
 
 
+def assert_indicators_match_masks(bits, masks) -> None:
+    """The indicator rows of one seeded stream are the bits of its masks."""
+    assert bits.dtype == bool and bits.shape[0] == len(masks)
+    assert [sum(1 << int(v) for v in np.flatnonzero(row)) for row in bits] \
+        == [int(m) for m in masks]
+
+
 def reference_sample_output(masks, n, centers=None) -> str:
     """`sample --emit-points` stdout with one format call per cell, looping
     over every draw and every site."""
@@ -182,11 +189,17 @@ class TestRepulsivenessCommand:
         assert code == 2 and out == ""
         assert err.startswith("validation-error[quadrature]:")
 
+    def test_profile_points_below_one_is_a_parse_error(self, tmp_path):
+        code, out, err = run_cli(["repulsiveness",
+                                  write_spec(tmp_path, "j.json", {"family": "jinc"}),
+                                  "--profile-points=-3"])
+        assert (code, out) == (3, "") and err.startswith("parse-error")
+
     def test_tail_exponent_printed_with_one_sign(self, tmp_path):
         _, _, err = run_cli(["repulsiveness",
                              write_spec(tmp_path, "j.json", {"family": "jinc"}),
                              "--truncation-radius", "1e-3"])
-        assert "decays like r^(0.999)" in err and "--" not in err
+        assert "declared tail r^(-3) is not asymptotic" in err and "--" not in err
 
     @pytest.mark.parametrize("extra,max_nodes", [
         ([], 40_000),
@@ -284,6 +297,20 @@ class TestProfileCommand:
 
 
 class TestMomentsCommand:
+    @pytest.mark.parametrize("argv,code,token", [
+        (["--model", "jinc", "--k=nan"], 3, "parse-error"),
+        (["--model", "ginibre", "--k=inf"], 3, "parse-error"),
+        (["--model", "jinc", "--k=0.5", "--truncation-radius=-1"], 3, "parse-error"),
+        (["--model", "ginibre", "--k=1", "--rel-tol=nan"], 3, "parse-error"),
+        (["--model", "ginibre", "--k=1", "--rho=1e300"], 2, "validation-error[overflow]"),
+        (["--model", "jinc", "--k=0.5", "--truncation-radius=2"], 2,
+         "validation-error[quadrature]"),
+    ], ids=["nan-order", "inf-order", "negative-radius", "nan-tolerance", "huge-rho",
+            "radius-before-asymptotics"])
+    def test_bad_values_exit_with_a_token(self, argv, code, token):
+        got, out, err = run_cli(["moments"] + argv)
+        assert (got, out) == (code, "") and err.startswith(token)
+
     def test_jinc_table(self):
         code, out, _ = run_cli(["moments", "--model", "jinc", "--k", "0,1"])
         assert code == 0
@@ -366,6 +393,7 @@ class TestSampleCommand:
         dpp = load_kernel_spec(spec).dpp
         masks = finite_dpp.sample_exact_many(dpp, 4, samples)
         assert code == 0 and out == reference_sample_output(masks, dpp.n)
+        assert_indicators_match_masks(finite_dpp.sample_indicators(dpp, 4, samples), masks)
 
     @pytest.mark.parametrize("doc,window", [
         ({"family": "ginibre", "params": {"alpha": 1.0, "beta": 1.0}}, (-2.5, 2.5, -2.5, 2.5)),
@@ -380,6 +408,7 @@ class TestSampleCommand:
         masks = finite_dpp.sample_exact_many(grid.dpp, 2, 40)
         assert code == 0
         assert out == reference_sample_output(masks, grid.dpp.n, grid.centers)
+        assert_indicators_match_masks(finite_dpp.sample_indicators(grid.dpp, 2, 40), masks)
 
     def test_window_required_for_continuous(self, tmp_path):
         doc = {"family": "ginibre", "params": {"alpha": 1.0, "beta": 1.0}}

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from palmdpp.analysis import moment_quadrature
 from palmdpp.errors import ValidationError
 from palmdpp.kernel_core import (
     GroundSpace,
@@ -21,6 +22,8 @@ from palmdpp.kernel_core import (
 )
 from palmdpp.model_zoo import (GinibreParams, finite_kernel, ginibre_kernel, jinc_kernel,
                                multiquadric, sphere_kernel, sphere_model)
+
+from palmdpp.numerics import QuadratureError
 
 from conftest import random_dpp_matrix
 
@@ -198,6 +201,15 @@ class TestHermitianSpotCheck:
 
 
 class TestRepulsiveness:
+    def test_euclidean_kernel_without_a_tail_is_refused(self):
+        base = jinc_kernel(2)
+        bare = Kernel(base.space, base.evaluate,
+                      {k: v for k, v in base.descriptor.items() if k != "tail"})
+        with pytest.raises(QuadratureError, match="declares no tail"):
+            repulsiveness_p(bare, np.zeros(2))
+        with pytest.raises(QuadratureError, match="declares no tail"):
+            moment_quadrature(bare, np.zeros(2), 0.5)
+
     def test_finite_diagonal(self, diag_kernel):
         report = repulsiveness_p(diag_kernel, 1, spec=None)
         assert abs(report.p_u - 0.3) < 1e-12
