@@ -1,9 +1,9 @@
 """Quantitative repulsiveness analysis.
 
 Moments of the displaced point (closed forms, and quadrature against the
-kernel's declared tail), radial density profiles of the displacement distance,
-grid discretization of continuous kernels into finite DPPs, and Monte
-Carlo validation of the coupling law on discretized models.
+kernel's declared tail), radial density profiles of the displacement
+distance, grid discretization of continuous kernels into finite DPPs,
+and Monte Carlo validation of the coupling law on discretized models.
 """
 from __future__ import annotations
 

@@ -151,6 +151,9 @@ def _jinc_tail() -> Tail:
                 cosine=cosine, bound=bound)
 
 
+_JINC_TAIL = _jinc_tail()
+
+
 def _sinc_radial(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -206,7 +209,7 @@ def jinc_kernel(d: int) -> Kernel:
             "norm_sq": 1.0 / math.pi,
             "p_u": 1.0,
             "projection": True,
-            "tail": _SINC_TAIL if d == 1 else _jinc_tail(),
+            "tail": _SINC_TAIL if d == 1 else _JINC_TAIL,
             "radial_abs_sq": radial_abs_sq,
             "gram": gram,
         },

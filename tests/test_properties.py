@@ -17,10 +17,9 @@ from hypothesis import strategies as st
 
 from palmdpp.analysis import ginibre_moment, jinc_moment_closed, moment_quadrature
 from palmdpp.cli import main
-from palmdpp.kernel_core import repulsiveness_p
+from palmdpp.kernel_core import repulsiveness_p, sphere_surface_measure
 from palmdpp.model_zoo import (GinibreParams, ginibre_kernel, jinc_kernel, sphere_kernel,
                                sphere_model, sphere_multiplicity, sphere_p, thin_rescale)
-from palmdpp.kernel_core import sphere_surface_measure
 
 betas = st.floats(min_value=0.01, max_value=1.0)
 jinc_orders = st.floats(min_value=-1.99, max_value=0.99)
