@@ -1,7 +1,7 @@
 """Golden corpus of CLI value columns.
 
-The printed values of `repulsiveness`, `moments` and `profile` on a fixed
-set of inputs must not move.  The error columns (`quadrature_error`,
+The printed values of `validate`, `repulsiveness`, `couple`, `moments`,
+`profile` and `sample` on a fixed set of inputs must not move.  The error columns (`quadrature_error`,
 `abs_error`, `tail_estimate`) are left out: they describe the quadrature,
 not the answer.  Regenerate the corpus, only when a value is meant to
 change, with
@@ -24,8 +24,47 @@ from palmdpp.cli import main
 GOLDEN = Path(__file__).with_name("golden_cli_values.json")
 ERROR_COLUMNS = {"quadrature_error", "abs_error", "tail_estimate"}
 
+# a 4-site complex Hermitian kernel, eigenvalues 0.159, 0.281, 0.624 and 0.736
+FINITE = {"family": "finite", "matrix": [
+    [[0.5, 0], [0.1, 0.05], [0, 0], [0.2, 0]],
+    [[0.1, -0.05], [0.4, 0], [0, 0.15], [0.05, 0]],
+    [[0, 0], [0, -0.15], [0.6, 0], [0.1, 0]],
+    [[0.2, 0], [0.05, 0], [0.1, 0], [0.3, 0]]]}
+GINIBRE = {"family": "ginibre", "params": {"alpha": 0.6, "beta": 1.3}}
+THINNED_JINC = {"family": "jinc", "params": {"alpha": 0.7, "beta": 0.3}}
+SINC = {"family": "sinc", "params": {"alpha": 0.8, "beta": 0.7}}
+MULTIQUADRIC = {"family": "sphere-multiquadric", "params": {"delta": 0.5, "rho": 0.1}}
+SPHERE_COEFFICIENTS = {"family": "sphere-coefficients",
+                       "params": {"d": 2, "rho": 0.1, "beta_coeffs": [0.5, 0.3, 0.2]}}
+
 # (name, spec document or None, argv with "{spec}" for the spec path)
 CASES = [
+    ("validate-finite", FINITE, ["validate", "{spec}"]),
+    ("validate-ginibre", GINIBRE, ["validate", "{spec}"]),
+    ("validate-jinc", THINNED_JINC, ["validate", "{spec}"]),
+    ("validate-sinc", SINC, ["validate", "{spec}"]),
+    ("validate-multiquadric", MULTIQUADRIC, ["validate", "{spec}"]),
+    ("validate-sphere-coefficients", SPHERE_COEFFICIENTS, ["validate", "{spec}"]),
+    ("couple-finite", FINITE,
+     ["couple", "{spec}", "--anchor=2", "--seed=11", "--samples=400"]),
+    ("repulsiveness-finite", FINITE, ["repulsiveness", "{spec}", "--anchor=3"]),
+    ("repulsiveness-sphere-coefficients", SPHERE_COEFFICIENTS,
+     ["repulsiveness", "{spec}", "--anchor=0.6,0,0.8", "--profile-points=9"]),
+    ("sample-finite", FINITE,
+     ["sample", "{spec}", "--samples=6", "--seed=5", "--emit-points"]),
+    ("sample-ginibre", GINIBRE,
+     ["sample", "{spec}", "--samples=3", "--seed=7", "--window=-2,2,-2,2",
+      "--resolution=6", "--emit-points"]),
+    ("sample-thinned-jinc", THINNED_JINC,
+     ["sample", "{spec}", "--samples=3", "--seed=8", "--window=-3,3,-3,3",
+      "--resolution=6", "--emit-points"]),
+    ("sample-sinc", SINC,
+     ["sample", "{spec}", "--samples=4", "--seed=9", "--window=-6,6",
+      "--resolution=12", "--emit-points"]),
+    ("sample-multiquadric", MULTIQUADRIC,
+     ["sample", "{spec}", "--samples=6", "--seed=10", "--resolution=4", "--emit-points"]),
+    ("sample-sphere-coefficients", SPHERE_COEFFICIENTS,
+     ["sample", "{spec}", "--samples=3", "--seed=12", "--resolution=4", "--emit-points"]),
     ("repulsiveness-jinc", {"family": "jinc"},
      ["repulsiveness", "{spec}", "--anchor=0.3,-0.7"]),
     ("repulsiveness-sinc", {"family": "sinc", "params": {"alpha": 0.8, "beta": 0.7}},
