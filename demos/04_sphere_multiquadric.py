@@ -18,10 +18,10 @@ for delta in (0.1, 0.5, 0.9):
     rho = 1.0 / (4.0 * math.pi * (1.0 - delta))  # maximal existing intensity
     model, kernel = multiquadric(delta, rho)
     series = sphere_p(model)
-    k0 = kernel.descriptor["k0"]
+    k0 = kernel.k0
     val, _ = integrate.quad(lambda t: float(k0(t)) ** 2, -1.0, 1.0, epsrel=1e-13)
     oracle = 2.0 * math.pi * val / float(k0(1.0))
-    reference = kernel.descriptor["p_u_reported"]
+    reference = kernel.reference["p_u_reported"]
     print(f"delta={delta}: expected points = {rho * 4 * math.pi:.4f}")
     print(f"  p_u series     {series.value:.12f} (tail bound {series.tail_bound:.1e})")
     print(f"  p_u quadrature {oracle:.12f}")

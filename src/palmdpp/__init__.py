@@ -25,9 +25,7 @@ from .finite_dpp import (
     p_u_finite,
     palm_eigenvector,
     palm_matrix,
-    sample_coupled,
     sample_coupled_many,
-    sample_exact,
     sample_exact_many,
     sample_indicators,
     subset_law,
@@ -51,7 +49,6 @@ from .model_zoo import (
     SphereModel,
     SpherePResult,
     finite_kernel,
-    fourier_ball_kernel_value,
     ginibre_kernel,
     jinc_kernel,
     multiquadric,
@@ -67,12 +64,8 @@ from .numerics import (
     QuadratureSpec,
     RadialIntegral,
     Tail,
-    bessel_j1,
-    gamma_fn,
-    gegenbauer,
     hermitian_eig,
     integrate_radial,
-    psd_sqrt,
 )
 
 __version__ = "0.1.0"

@@ -15,8 +15,7 @@ from scipy import stats
 
 from . import finite_dpp
 from .errors import SizeGuardError, TheoremViolationError, ValidationError
-from .kernel_core import (GroundSpace, Kernel, _declared_tail, _radial_abs_sq, _with_radius,
-                          check_point)
+from .kernel_core import GroundSpace, Kernel, _declared_tail, _with_radius, check_point
 from .numerics import HermitianEig, QuadratureSpec, hermitian_eig, integrate_radial
 
 __all__ = [
@@ -58,7 +57,6 @@ class MomentResult:
 class RadialProfile:
     """Probability density of the displacement distance |Z_u - u| on a grid."""
 
-    model: str
     radii: np.ndarray
     density: np.ndarray
 
@@ -145,10 +143,10 @@ def _displacement_radial(kernel: Kernel, u):
     if kernel.space.kind != "euclidean" or kernel.space.size != 2:
         raise ValidationError("param-bound",
                               "displacement analysis covers isotropic kernels on the plane")
-    if not kernel.descriptor.get("isotropic_modulus", False):
+    radial = kernel.radial_abs_sq
+    if radial is None:
         raise ValidationError("param-bound", "kernel must declare an isotropic modulus")
-    radial = _radial_abs_sq(kernel, u)
-    norm_sq = kernel.descriptor.get("norm_sq")
+    norm_sq = kernel.reference.get("norm_sq")
     if norm_sq is not None:
         return radial, norm_sq, 0.0
     tail = _declared_tail(kernel).rescaled(2.0 * math.pi)
@@ -188,8 +186,7 @@ def radial_profile(kernel: Kernel, u, radii) -> RadialProfile:
     """Density of |Z_u - u| on a radius grid: 2 pi r f_u(r) on the plane."""
     radial, norm_sq, _ = _displacement_radial(kernel, u)
     radii = np.asarray(radii, dtype=float)
-    return RadialProfile(model=str(kernel.descriptor.get("family", "kernel")),
-                         radii=radii, density=2.0 * math.pi * radii * radial(radii) / norm_sq)
+    return RadialProfile(radii=radii, density=2.0 * math.pi * radii * radial(radii) / norm_sq)
 
 
 def _euclidean_centers(window, resolution: int, d: int):
@@ -250,16 +247,7 @@ def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
     if n > _GRID_MAX_SITES:
         raise SizeGuardError(f"grid has {n} cells; the bound is {_GRID_MAX_SITES}")
 
-    gram = kernel.descriptor.get("gram")
-    if gram is not None:
-        M = np.asarray(gram(centers)) * measure
-    else:
-        pts = list(centers)
-        M = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(i, n):
-                M[i, j] = kernel.evaluate(pts[i], pts[j]) * measure
-                M[j, i] = np.conj(M[i, j])
+    M = kernel.gram(centers, centers) * measure
     M = 0.5 * (M + M.conj().T)
 
     eig = hermitian_eig(M)

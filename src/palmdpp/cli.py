@@ -19,6 +19,7 @@ significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -42,13 +43,12 @@ _REFERENCE_TOLERANCE = 1e-6
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """A loaded kernel spec: the kernel plus family-specific extras."""
+    """A loaded kernel spec; dpp is the validated matrix of a finite spec."""
 
     family: str
     kernel: Kernel
     params: dict
     dpp: finite_dpp.FiniteDpp | None = None
-    sphere_model: model_zoo.SphereModel | None = None
 
 
 def _fmt(x: Any) -> str:
@@ -151,9 +151,8 @@ def load_kernel_spec(path: str | Path) -> ModelBundle:
         _check_param_keys(params, {"delta", "rho"}, family)
         delta = _require_number(params, "delta", family)
         rho = _require_number(params, "rho", family)
-        model, kernel = model_zoo.multiquadric(delta, rho)
-        return ModelBundle(family=family, kernel=kernel,
-                           params={"delta": delta, "rho": rho}, sphere_model=model)
+        _, kernel = model_zoo.multiquadric(delta, rho)
+        return ModelBundle(family=family, kernel=kernel, params={"delta": delta, "rho": rho})
     # sphere-coefficients
     _check_param_keys(params, {"d", "rho", "beta_coeffs", "tail_bound"}, family)
     d = int(_require_number(params, "d", family))
@@ -169,7 +168,7 @@ def load_kernel_spec(path: str | Path) -> ModelBundle:
     model = model_zoo.sphere_model(d, rho, [float(c) for c in coeffs],
                                    tail_bound=float(tail))
     return ModelBundle(family=family, kernel=model_zoo.sphere_kernel(model),
-                       params={"d": d, "rho": rho}, sphere_model=model)
+                       params={"d": d, "rho": rho})
 
 
 def _parse_anchor(bundle: ModelBundle, text: str | None):
@@ -217,11 +216,8 @@ def _quad_spec(args) -> QuadratureSpec | None:
 def _reference_p(bundle: ModelBundle, anchor) -> float:
     if bundle.family == "finite":
         return finite_dpp.p_u_finite(bundle.dpp, int(anchor))
-    if bundle.family == "sphere-multiquadric":
-        return float(bundle.kernel.descriptor["p_u_reported"])
-    if bundle.family == "sphere-coefficients":
-        return model_zoo.sphere_p(bundle.sphere_model).value
-    return float(bundle.kernel.descriptor["p_u"])
+    reference = bundle.kernel.reference
+    return float(reference.get("p_u_reported", reference["p_u"]))
 
 
 def cmd_validate(args) -> int:
@@ -391,7 +387,9 @@ def cmd_sample(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="palmdpp",
         description="Reduced Palm distributions and coupling-based repulsiveness "

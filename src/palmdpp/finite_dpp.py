@@ -33,10 +33,8 @@ __all__ = [
     "palm_eigenvector",
     "coupling_feasible",
     "xi_law",
-    "sample_exact",
     "sample_exact_many",
     "sample_indicators",
-    "sample_coupled",
     "sample_coupled_many",
 ]
 
@@ -407,11 +405,6 @@ def _spectral_block(lam: np.ndarray, V: np.ndarray, n_draws: int,
     return out
 
 
-def sample_exact(dpp: FiniteDpp, rng_seed: int) -> int:
-    """Draw one subset; the first draw of sample_exact_many with this seed."""
-    return int(sample_exact_many(dpp, rng_seed, 1)[0])
-
-
 def sample_indicators(dpp: FiniteDpp, rng_seed: int, draws: int) -> np.ndarray:
     """Draw many subsets from one seeded stream; returns their site
     indicators, a boolean array of shape (draws, n).
@@ -444,14 +437,6 @@ def _table_arrays(table: CouplingTable) -> tuple[np.ndarray, np.ndarray]:
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
     w = w[order]
     return pairs[order], w / w.sum()
-
-
-def sample_coupled(table: CouplingTable, rng_seed: int) -> tuple[int, int]:
-    """Draw one (S, T) pair from the joint coupling law."""
-    rng = np.random.default_rng(rng_seed)
-    pairs, weights = _table_arrays(table)
-    s, t = pairs[rng.choice(len(pairs), p=weights)].tolist()
-    return s, t
 
 
 def sample_coupled_many(table: CouplingTable, rng_seed: int,

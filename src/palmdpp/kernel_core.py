@@ -1,8 +1,8 @@
 """Ground spaces, the kernel abstraction, the reduced Palm transform, and
 the repulsiveness functionals built on them.
 
-A kernel is an evaluable Hermitian function K(u, v) over one of three
-concrete ground spaces:
+A kernel is a Hermitian function K(u, v) over one of three concrete
+ground spaces:
 
 * finite sites {1, ..., n} with counting measure (sites are 1-based
   throughout the public API),
@@ -10,25 +10,24 @@ concrete ground spaces:
 * the unit sphere S^d in R^(d+1) with surface measure (points are unit
   length-(d+1) arrays).
 
-Kernels carry a descriptor dict of model metadata.  Keys understood by
-this module:
+Kernel is a frozen record of six fields:
 
-* "isotropic_modulus": |K(u, v)| depends only on the separation of u and
-  v; required for Euclidean repulsiveness quadrature.
-* "radial_abs_sq": vectorized r -> |K(u, u + r e)|^2 for such kernels.
-* "k0": vectorized t -> K0(t) for isotropic sphere kernels.
-* "matrix": the kernel matrix for finite spaces.
-* "tail": a numerics.Tail declaring how r -> |K(u, u + r e)|^2 behaves
-  for large r: a Gaussian, or Hankel-type powers of r times sin/cos with
-  a remainder bound.  Radial quadrature integrates beyond its truncation
-  radius from these terms, reads divergence off their exponent, and sizes
-  its panels by the tail's length scale.  Required for Euclidean
-  repulsiveness and moments; a kernel without one gets QuadratureError,
-  never a guessed tail.
-* "gram": vectorized batch evaluator points -> matrix (optional).
-* "norm_sq"/"p_u": exact values declared by a model family (optional;
-  repulsiveness_p never uses them, they serve profile normalization and
-  cross-checks).
+* space: the GroundSpace.
+* gram(X, Y): the matrix [K(x_i, y_j)] for two point arrays, 1-based
+  sites of shape (m,) on finite spaces, points of shape (m, d) or
+  (m, d + 1) otherwise; evaluate and diagonal call it on one point each.
+* radial_abs_sq: vectorized r -> |K(u, u + r e)|^2, set exactly when
+  |K(u, v)| depends only on |u - v|; Euclidean quadrature needs it.
+* k0: vectorized t -> K0(t) with K(v, w) = K0(v . w), set exactly for
+  isotropic sphere kernels; sphere quadrature needs it.
+* tail: a numerics.Tail declaring how radial_abs_sq behaves for large r,
+  a Gaussian or Hankel-type powers of r times sin/cos with a remainder
+  bound.  Radial quadrature integrates beyond its truncation radius from
+  these terms, reads divergence off their exponent and sizes its panels
+  by their length scale; without a tail it raises QuadratureError.
+* reference: exact values declared by the family ("p_u", "norm_sq", and
+  "p_u_reported" for a closed form carried but not adopted), for profile
+  normalization and cross-checks; repulsiveness_p never reads them.
 """
 from __future__ import annotations
 
@@ -124,11 +123,19 @@ def check_point(space: GroundSpace, point: Any) -> Any:
 
 @dataclass(frozen=True)
 class Kernel:
-    """An evaluable Hermitian kernel with model metadata."""
+    """A Hermitian kernel given by its batched Gram function, with the
+    closed-form facts its family declares (see the module notes)."""
 
     space: GroundSpace
-    evaluate: Callable[[Any, Any], complex]
-    descriptor: Mapping[str, Any] = field(default_factory=dict)
+    gram: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    radial_abs_sq: Callable[[np.ndarray], np.ndarray] | None = None
+    k0: Callable[[np.ndarray], np.ndarray] | None = None
+    tail: Tail | None = None
+    reference: Mapping[str, float] = field(default_factory=dict)
+
+    def evaluate(self, u, v) -> complex:
+        """K(u, v) for two single points."""
+        return complex(self.gram(np.asarray([u]), np.asarray([v]))[0, 0])
 
     def diagonal(self, u) -> float:
         """Intensity rho(u) = K(u, u); the diagonal is real."""
@@ -155,13 +162,8 @@ def joint_intensity(kernel: Kernel, points: Sequence[Any]) -> float:
     """n-point joint intensity det{K(u_i, u_j)} for up to 12 points."""
     if not 1 <= len(points) <= 12:
         raise ValidationError("param-bound", "joint_intensity takes 1..12 points")
-    pts = [check_point(kernel.space, p) for p in points]
-    m = len(pts)
-    G = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            G[i, j] = kernel.evaluate(pts[i], pts[j])
-    det = np.linalg.det(G)
+    pts = np.asarray([check_point(kernel.space, p) for p in points])
+    det = complex(np.linalg.det(kernel.gram(pts, pts)))
     if abs(det.imag) > 1e-9 * (1.0 + abs(det.real)):
         raise ValidationError("non-hermitian",
                               f"Gram determinant has imaginary part {det.imag:.3e}")
@@ -194,17 +196,11 @@ def palm_kernel(kernel: Kernel, u) -> Kernel:
     """Reduced Palm kernel K^u(v, w) = K(v,w) - K(v,u) K(u,w) / K(u,u)."""
     u = check_point(kernel.space, u)
     ku = _require_intensity(kernel, u)
-    base = kernel.evaluate
 
-    def palm_eval(v, w, _base=base, _u=u, _ku=ku):
-        return _base(v, w) - _base(v, _u) * _base(_u, w) / _ku
+    def gram(X, Y, _base=kernel.gram, _u=np.asarray([u]), _ku=ku):
+        return _base(X, Y) - _base(X, _u) @ _base(_u, Y) / _ku
 
-    descriptor = {
-        "family": f"palm({kernel.descriptor.get('family', 'kernel')})",
-        "anchor": u,
-        "params": dict(kernel.descriptor.get("params", {})),
-    }
-    return Kernel(space=kernel.space, evaluate=palm_eval, descriptor=descriptor)
+    return Kernel(space=kernel.space, gram=gram)
 
 
 def displacement_intensity(kernel: Kernel, u, v) -> float:
@@ -223,27 +219,11 @@ def palm_intensity_dominated(kernel: Kernel, u, v) -> tuple[float, float]:
     return rho, max(rho_u, 0.0)
 
 
-def _radial_abs_sq(kernel: Kernel, u) -> Callable[[np.ndarray], np.ndarray]:
-    fn = kernel.descriptor.get("radial_abs_sq")
-    if fn is not None:
-        return fn
-    d = kernel.space.size
-    base = np.zeros(d)
-    base[0] = 1.0
-
-    def from_eval(r, _u=np.asarray(u, dtype=float)):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        return np.array([abs(kernel.evaluate(_u, _u + ri * base)) ** 2 for ri in r])
-
-    return from_eval
-
-
 def _declared_tail(kernel: Kernel) -> Tail:
-    tail = kernel.descriptor.get("tail")
-    if tail is None:
+    if kernel.tail is None:
         raise QuadratureError("the kernel declares no tail; radial quadrature needs its "
                               "large-r behaviour")
-    return tail
+    return kernel.tail
 
 
 def _with_radius(spec: QuadratureSpec | None, tail: Tail) -> QuadratureSpec:
@@ -272,8 +252,8 @@ def repulsiveness_p(kernel: Kernel, u, spec: QuadratureSpec | None = None,
                     profile_coords: Sequence[float] | None = None) -> RepulsivenessReport:
     """Coupling probability p_u = int |K(u, v)|^2 dnu(v) / K(u, u).
 
-    Finite spaces use the exact matrix sum; Euclidean kernels declaring
-    an isotropic modulus reduce to a 1-D radial integral, r^(d-1) against
+    Finite spaces use the exact sum over the kernel row; Euclidean kernels
+    declaring radial_abs_sq reduce to a 1-D radial integral, r^(d-1) against
     the declared tail; isotropic sphere kernels reduce to a 1-D integral
     in the polar angle.  The report carries the displacement density
     profile f_u = |K(u, .)|^2 / norm_sq on profile_coords (or a default
@@ -284,11 +264,7 @@ def repulsiveness_p(kernel: Kernel, u, spec: QuadratureSpec | None = None,
     ku = _require_intensity(kernel, u)
 
     if space.kind == "finite":
-        matrix = kernel.descriptor.get("matrix")
-        if matrix is None:
-            matrix = np.array([[kernel.evaluate(i, j) for j in range(1, space.size + 1)]
-                               for i in range(1, space.size + 1)])
-        row = np.abs(np.asarray(matrix)[u - 1, :]) ** 2
+        row = np.abs(kernel.gram(np.asarray([u]), np.arange(1, space.size + 1))[0]) ** 2
         norm_sq = float(row.sum())
         p = norm_sq / ku
         err = 0.0
@@ -296,7 +272,8 @@ def repulsiveness_p(kernel: Kernel, u, spec: QuadratureSpec | None = None,
         profile = [(int(v), float(row[int(v) - 1] / norm_sq) if norm_sq > 0 else 0.0)
                    for v in coords]
     elif space.kind == "euclidean":
-        if not kernel.descriptor.get("isotropic_modulus", False):
+        rfn = kernel.radial_abs_sq
+        if rfn is None:
             raise ValidationError(
                 "param-bound",
                 "repulsiveness quadrature needs a kernel with isotropic modulus; "
@@ -304,7 +281,6 @@ def repulsiveness_p(kernel: Kernel, u, spec: QuadratureSpec | None = None,
         d = space.size
         if d not in (1, 2):
             raise ValidationError("param-bound", "Euclidean quadrature supports d in {1, 2}")
-        rfn = _radial_abs_sq(kernel, u)
         surf = 2.0 if d == 1 else 2.0 * math.pi  # measure of the unit sphere in R^d
         tail = _declared_tail(kernel)
         qspec = _with_radius(spec, tail)
@@ -317,7 +293,7 @@ def repulsiveness_p(kernel: Kernel, u, spec: QuadratureSpec | None = None,
         dens = rfn(coords) / norm_sq if norm_sq > 0 else np.zeros_like(coords)
         profile = list(zip(coords.tolist(), dens.tolist()))
     else:
-        k0 = kernel.descriptor.get("k0")
+        k0 = kernel.k0
         if k0 is None:
             raise ValidationError("param-bound",
                                   "sphere repulsiveness needs an isotropic kernel with a "

@@ -9,11 +9,11 @@ including the multiquadric family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import ValidationError
 from .finite_dpp import FiniteDpp, validate
@@ -27,7 +27,6 @@ __all__ = [
     "finite_kernel",
     "ginibre_kernel",
     "jinc_kernel",
-    "fourier_ball_kernel_value",
     "thin_rescale",
     "sphere_multiplicity",
     "sphere_model",
@@ -58,19 +57,11 @@ def finite_kernel(dpp: FiniteDpp | np.ndarray) -> Kernel:
     """Wrap a validated kernel matrix as a Kernel on finite sites 1..n."""
     if not isinstance(dpp, FiniteDpp):
         dpp = validate(dpp)
-    M = dpp.matrix
 
-    def eval_sites(u, v, _M=M):
-        return complex(_M[int(u) - 1, int(v) - 1])
+    def gram(X, Y, _M=dpp.matrix):
+        return _M[np.ix_(np.asarray(X, dtype=int) - 1, np.asarray(Y, dtype=int) - 1)]
 
-    return Kernel(space=GroundSpace.finite(dpp.n), evaluate=eval_sites,
-                  descriptor={"family": "finite", "params": {"n": dpp.n},
-                              "matrix": M, "dpp": dpp})
-
-
-def _as_complex(p) -> complex:
-    a = np.asarray(p, dtype=float)
-    return complex(a[0], a[1])
+    return Kernel(space=GroundSpace.finite(dpp.n), gram=gram)
 
 
 def ginibre_kernel(params: GinibreParams) -> Kernel:
@@ -81,37 +72,22 @@ def ginibre_kernel(params: GinibreParams) -> Kernel:
     """
     alpha, beta = params.alpha, params.beta
 
-    def eval_pts(v, w, _a=alpha, _b=beta):
-        zv, zw = _as_complex(v), _as_complex(w)
-        return (_a / math.pi) * np.exp(zv * zw.conjugate() / _b
-                                       - (abs(zv) ** 2 + abs(zw) ** 2) / (2.0 * _b))
-
     def radial_abs_sq(r, _a=alpha, _b=beta):
         r = np.asarray(r, dtype=float)
         return (_a / math.pi) ** 2 * np.exp(-r ** 2 / _b)
 
-    def gram(points, _a=alpha, _b=beta):
-        pts = np.asarray(points, dtype=float)
-        z = pts[:, 0] + 1j * pts[:, 1]
-        zz = z[:, None] * z.conj()[None, :]
-        sq = np.abs(z) ** 2
-        return (_a / math.pi) * np.exp(zz / _b - (sq[:, None] + sq[None, :]) / (2.0 * _b))
+    def gram(X, Y, _a=alpha, _b=beta):
+        zx, zy = X[:, 0] + 1j * X[:, 1], Y[:, 0] + 1j * Y[:, 1]
+        zz = zx[:, None] * zy.conj()[None, :]
+        sq = np.abs(zx)[:, None] ** 2 + np.abs(zy)[None, :] ** 2
+        return (_a / math.pi) * np.exp(zz / _b - sq / (2.0 * _b))
 
     return Kernel(
         space=GroundSpace.euclidean(2),
-        evaluate=eval_pts,
-        descriptor={
-            "family": "ginibre",
-            "params": {"alpha": alpha, "beta": beta},
-            "isotropic_modulus": True,
-            "intensity": alpha / math.pi,
-            "norm_sq": alpha ** 2 * beta / math.pi,
-            "p_u": alpha * beta,
-            "projection": abs(alpha - 1.0) < 1e-15 and abs(beta - 1.0) < 1e-15,
-            "tail": Tail("gaussian", math.sqrt(beta), amplitude=(alpha / math.pi) ** 2),
-            "radial_abs_sq": radial_abs_sq,
-            "gram": gram,
-        },
+        gram=gram,
+        radial_abs_sq=radial_abs_sq,
+        tail=Tail("gaussian", math.sqrt(beta), amplitude=(alpha / math.pi) ** 2),
+        reference={"norm_sq": alpha ** 2 * beta / math.pi, "p_u": alpha * beta},
     )
 
 
@@ -185,62 +161,19 @@ def jinc_kernel(d: int) -> Kernel:
         raise ValidationError("param-bound", "closed forms cover d in {1, 2} only")
     radial = _sinc_radial if d == 1 else _jinc_radial
 
-    def eval_pts(v, w, _radial=radial):
-        dist = float(np.linalg.norm(np.asarray(v, dtype=float) - np.asarray(w, dtype=float)))
-        return complex(_radial(np.array([dist]))[0])
-
     def radial_abs_sq(r, _radial=radial):
         return _radial(np.asarray(r, dtype=float)) ** 2
 
-    def gram(points, _radial=radial):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.sum(diff ** 2, axis=-1))
-        return _radial(dist)
+    def gram(X, Y, _radial=radial):
+        return _radial(np.sqrt(np.sum((X[:, None, :] - Y[None, :, :]) ** 2, axis=-1)))
 
     return Kernel(
         space=GroundSpace.euclidean(d),
-        evaluate=eval_pts,
-        descriptor={
-            "family": "jinc" if d == 2 else "sinc",
-            "params": {"d": d},
-            "isotropic_modulus": True,
-            "intensity": 1.0 / math.pi,
-            "norm_sq": 1.0 / math.pi,
-            "p_u": 1.0,
-            "projection": True,
-            "tail": _SINC_TAIL if d == 1 else _JINC_TAIL,
-            "radial_abs_sq": radial_abs_sq,
-            "gram": gram,
-        },
+        gram=gram,
+        radial_abs_sq=radial_abs_sq,
+        tail=_SINC_TAIL if d == 1 else _JINC_TAIL,
+        reference={"norm_sq": 1.0 / math.pi, "p_u": 1.0},
     )
-
-
-def fourier_ball_kernel_value(d: int, r: float) -> float:
-    """Fourier-ball kernel value at separation r for general dimension.
-
-    Evaluates the inverse transform of the ball indicator of volume
-    1/pi by one-dimensional quadrature; slow, intended for validating
-    the closed forms and for occasional general-d use.
-    """
-    if d < 1:
-        raise ValidationError("param-bound", "dimension must be >= 1")
-    radius = (d * math.gamma(d / 2.0) / (2.0 * math.pi ** (1.0 + d / 2.0))) ** (1.0 / d)
-    if d == 1:
-        if abs(r) < 1e-12:
-            return 2.0 * radius
-        return math.sin(2.0 * math.pi * radius * r) / (math.pi * r)
-    nu = d / 2.0 - 1.0
-    norm = (2.0 * math.pi) ** (d / 2.0)
-    limit0 = 1.0 / (2.0 ** nu * math.gamma(nu + 1.0))
-
-    def integrand(t: float) -> float:
-        z = 2.0 * math.pi * r * t
-        osc = limit0 if z < 1e-10 else special.jv(nu, z) / z ** nu
-        return norm * t ** (d - 1) * osc
-
-    val, _ = integrate.quad(integrand, 0.0, radius, epsabs=1e-14, epsrel=1e-12, limit=200)
-    return val
 
 
 def thin_rescale(kernel: Kernel, alpha: float, beta: float) -> Kernel:
@@ -257,37 +190,18 @@ def thin_rescale(kernel: Kernel, alpha: float, beta: float) -> Kernel:
         raise ValidationError("param-bound", "alpha must lie in (0, 1/beta]")
     d = kernel.space.size
     c = beta ** (1.0 / d)
-    base = kernel.evaluate
 
-    def eval_pts(v, w, _base=base, _a=alpha, _c=c):
-        return _a * _base(np.asarray(v, dtype=float) / _c, np.asarray(w, dtype=float) / _c)
+    def gram(X, Y, _g=kernel.gram, _a=alpha, _c=c):
+        return _a * _g(X / _c, Y / _c)
 
-    desc = dict(kernel.descriptor)
-    new_desc = {
-        "family": f"thinned({desc.get('family', 'kernel')})",
-        "params": {**desc.get("params", {}), "alpha": alpha, "beta": beta},
-        "isotropic_modulus": desc.get("isotropic_modulus", False),
-        "projection": bool(desc.get("projection", False)) and abs(alpha * beta - 1.0) < 1e-15,
-    }
-    if "intensity" in desc:
-        new_desc["intensity"] = alpha * desc["intensity"]
-    if "norm_sq" in desc:
-        new_desc["norm_sq"] = alpha ** 2 * beta * desc["norm_sq"]
-    if "p_u" in desc:
-        new_desc["p_u"] = alpha * beta * desc["p_u"]
-    if "tail" in desc:
-        new_desc["tail"] = desc["tail"].rescaled(alpha ** 2, c)
-    if "radial_abs_sq" in desc:
-        old_radial = desc["radial_abs_sq"]
-        new_desc["radial_abs_sq"] = (
-            lambda r, _f=old_radial, _a=alpha, _c=c:
-            _a ** 2 * _f(np.asarray(r, dtype=float) / _c))
-    if "gram" in desc:
-        old_gram = desc["gram"]
-        new_desc["gram"] = (
-            lambda points, _g=old_gram, _a=alpha, _c=c:
-            _a * _g(np.asarray(points, dtype=float) / _c))
-    return Kernel(space=kernel.space, evaluate=eval_pts, descriptor=new_desc)
+    radial_abs_sq = kernel.radial_abs_sq
+    if radial_abs_sq is not None:
+        radial_abs_sq = (lambda r, _f=radial_abs_sq, _a=alpha, _c=c:
+                         _a ** 2 * _f(np.asarray(r, dtype=float) / _c))
+    scale = {"p_u": alpha * beta, "norm_sq": alpha ** 2 * beta}
+    return Kernel(space=kernel.space, gram=gram, radial_abs_sq=radial_abs_sq,
+                  tail=kernel.tail and kernel.tail.rescaled(alpha ** 2, c),
+                  reference={key: scale[key] * v for key, v in kernel.reference.items()})
 
 
 def sphere_multiplicity(ell: int, d: int) -> int:
@@ -390,34 +304,17 @@ def sphere_kernel(model: SphereModel,
     """Kernel K(v, w) = K0(v . w) from a sphere model.
 
     K0 defaults to the Gegenbauer series of the model; a closed form can
-    be supplied instead (the multiquadric constructor does).
+    be supplied instead (the multiquadric constructor does).  The
+    reference p_u is the model's eigen-series value.
     """
     if k0 is None:
         k0 = _series_k0(model)
 
-    def eval_pts(v, w, _k0=k0):
-        t = float(np.clip(np.dot(np.asarray(v, dtype=float), np.asarray(w, dtype=float)),
-                          -1.0, 1.0))
-        return complex(np.atleast_1d(_k0(t))[0])
+    def gram(X, Y, _k0=k0):
+        return np.asarray(_k0(np.clip(X @ Y.T, -1.0, 1.0)), dtype=float)
 
-    def gram(points, _k0=k0):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        t = np.clip(pts @ pts.T, -1.0, 1.0)
-        return np.asarray(_k0(t), dtype=float)
-
-    return Kernel(
-        space=GroundSpace.sphere(model.d),
-        evaluate=eval_pts,
-        descriptor={
-            "family": "sphere",
-            "params": {"d": model.d, "rho": model.rho},
-            "isotropic_modulus": True,
-            "intensity": model.rho,
-            "k0": k0,
-            "model": model,
-            "gram": gram,
-        },
-    )
+    return Kernel(space=GroundSpace.sphere(model.d), gram=gram, k0=k0,
+                  reference={"p_u": sphere_p(model).value})
 
 
 def multiquadric(delta: float, rho: float) -> tuple[SphereModel, Kernel]:
@@ -446,13 +343,11 @@ def multiquadric(delta: float, rho: float) -> tuple[SphereModel, Kernel]:
         return _rho * (1.0 - _delta) / np.sqrt(1.0 + _delta ** 2 - 2.0 * _delta * t)
 
     kernel = sphere_kernel(model, k0=k0)
-    kernel.descriptor["family"] = "sphere-multiquadric"
-    kernel.descriptor["params"] = {"delta": delta, "rho": rho}
     # a commonly reported closed form for this family drops the 1/(2l+1)
     # multiplicity factor and disagrees with the eigen-series; carried as
     # a flagged reference value, not adopted
-    kernel.descriptor["p_u_reported"] = 4.0 * math.pi * rho * (1.0 - delta) / (1.0 + delta)
-    return model, kernel
+    reported = 4.0 * math.pi * rho * (1.0 - delta) / (1.0 + delta)
+    return model, replace(kernel, reference={**kernel.reference, "p_u_reported": reported})
 
 
 def sphere_p(model: SphereModel) -> SpherePResult:

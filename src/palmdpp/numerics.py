@@ -1,8 +1,8 @@
 """Shared numerical kernels.
 
-Special functions (Gamma, Bessel J1, Gegenbauer polynomials), Hermitian
-eigendecomposition and PSD matrix square roots, and quadrature of radial
-integrals on (0, inf) against a declared asymptotic tail.
+Normalized Gegenbauer polynomials, Hermitian eigendecomposition, and
+quadrature of radial integrals on (0, inf) against a declared asymptotic
+tail.
 
 integrate_radial computes int_0^inf r^a g(r) dr for a smooth g whose
 large-r behaviour is a declared Tail: a Gaussian, or an expansion in
@@ -33,12 +33,8 @@ __all__ = [
     "HermitianEig",
     "RadialIntegral",
     "Tail",
-    "gamma_fn",
-    "bessel_j1",
-    "gegenbauer",
     "gegenbauer_ratio_table",
     "hermitian_eig",
-    "psd_sqrt",
     "integrate_radial",
 ]
 
@@ -199,55 +195,14 @@ class Tail:
                               f"{_ORIGIN_CELL + _GL_PANEL * _RADIUS_CANDIDATES:g} length scales")
 
 
-def gamma_fn(x: float) -> float:
-    """Gamma function for real non-pole arguments."""
-    if x <= 0 and x == math.floor(x):
-        raise ValueError(f"gamma function pole at nonpositive integer x={x}")
-    return math.gamma(x)
-
-
-def bessel_j1(x):
-    """Bessel function of the first kind, order one (scalar or array)."""
-    return special.j1(x)
-
-
-def gegenbauer(ell: int, lam: float, t):
-    """Gegenbauer polynomial C_ell^(lam)(t) by the three-term recurrence.
-
-    lam == 0 is the circle limit: the returned values follow the
-    Chebyshev convention, so gegenbauer(ell, 0, t) == cos(ell*arccos t)
-    and ratios to the value at t = 1 behave continuously in lam.
-    """
-    if ell < 0:
-        raise ValueError("degree must be >= 0")
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1 + 1e-12):
-        raise ValueError("argument t must lie in [-1, 1]")
-    ones = np.ones_like(t)
-    if ell == 0:
-        return ones if ones.ndim else 1.0
-    if lam == 0.0:
-        prev, cur = ones, t
-        for _ in range(2, ell + 1):
-            prev, cur = cur, 2.0 * t * cur - prev
-    else:
-        prev, cur = ones, 2.0 * lam * t
-        for l in range(2, ell + 1):
-            prev, cur = cur, (2.0 * t * (l + lam - 1.0) * cur
-                              - (l + 2.0 * lam - 2.0) * prev) / l
-    return cur if cur.ndim else float(cur)
-
-
 def gegenbauer_ratio_table(l_max: int, lam: float, t) -> np.ndarray:
     """Normalized Gegenbauer values R_ell(t) = C_ell(t)/C_ell(1).
 
     Returns an array of shape (l_max+1,) + shape(t).  The normalized
     recurrence R_ell = (2t(ell+lam-1) R_{ell-1} - (ell-1) R_{ell-2})
     / (ell + 2 lam - 1) is stable (|R_ell| <= 1) and degenerates to the
-    Chebyshev recurrence in the lam -> 0 limit, which matches the circle
-    convention above.
+    Chebyshev recurrence in the lam -> 0 limit: on the circle R_ell(t) =
+    cos(ell arccos t).
     """
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
@@ -288,22 +243,6 @@ def hermitian_eig(K) -> HermitianEig:
     _check_hermitian(K, 1e-9)
     w, V = np.linalg.eigh(K)
     return HermitianEig(eigenvalues=w[::-1].copy(), eigenvectors=V[:, ::-1].copy())
-
-
-def psd_sqrt(K) -> np.ndarray:
-    """Hermitian PSD square root S with S @ S == K.
-
-    Eigenvalues in [-1e-6, 0) are treated as float noise and clamped to
-    zero; anything below -1e-6 is rejected as materially negative.
-    """
-    eig = hermitian_eig(K)
-    lam_min = float(eig.eigenvalues.min()) if eig.eigenvalues.size else 0.0
-    if lam_min < -1e-6:
-        raise ValueError(f"matrix has a materially negative eigenvalue {lam_min:.3e}")
-    lam = np.clip(eig.eigenvalues, 0.0, None)
-    V = eig.eigenvectors
-    S = (V * np.sqrt(lam)) @ V.conj().T
-    return 0.5 * (S + S.conj().T)
 
 
 def _gl_on_edges(f, edges: np.ndarray, nodes, weights) -> tuple[float, float]:
@@ -423,14 +362,15 @@ def integrate_radial(g: Callable[[np.ndarray], np.ndarray], power: float, tail: 
       (power > -1), so an integrable singularity at 0 costs nothing;
     * [2 s, R] is covered by Gauss-Legendre panels 6 s wide; an interval
       that would need more than 2**15 of them gets 2**15 panels growing
-      geometrically from its left end;
+      geometrically from its left end, unless the tail oscillates;
     * [R, inf) comes from the tail: Gaussian by the incomplete Gamma
       function, powers of r in closed form, sin/cos terms by QAWF, and
       the integrated remainder bound goes to the error.
 
     Raises QuadratureError when the declared exponent makes the integral
-    diverge, and when a power tail is not asymptotic at R (its terms do
-    not decrease there).
+    diverge, when a power tail is not asymptotic at R (its terms do not
+    decrease there), and when an oscillating tail would need the growing
+    panels, which alias its sin/cos terms.
     """
     if spec.truncation_radius is None:
         raise ValueError("QuadratureSpec.truncation_radius is required here")
@@ -447,6 +387,10 @@ def integrate_radial(g: Callable[[np.ndarray], np.ndarray], power: float, tail: 
             f"truncation radius {R:g}: its terms do not decrease there")
     s = tail.scale
     cell = min(_ORIGIN_CELL * s, R)
+    if tail.frequency > 0 and math.ceil((R - cell) / (_GL_PANEL * s)) > _GL_MAX_PANELS:
+        raise QuadratureError(
+            f"the truncation radius {R:g} needs more than {_GL_MAX_PANELS} panels of "
+            f"{_GL_PANEL * s:g}; wider panels cannot resolve the declared oscillation")
     origin, origin_err = _jacobi_cell(g, power, cell)
     core, core_err = _integrate_interval(lambda r: r ** power * g(r), cell, R, s)
     beyond, beyond_err = _tail_beyond(tail, power, R)

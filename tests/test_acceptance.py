@@ -137,7 +137,7 @@ def test_criterion_6_sphere_multiquadric(tmp_path):
         rho = 1.0 / (4.0 * math.pi * (1.0 - delta))
         model, kernel = multiquadric(delta, rho)
         series = model_zoo.sphere_p(model).value
-        k0 = kernel.descriptor["k0"]
+        k0 = kernel.k0
         val, _ = integrate.quad(lambda t: float(k0(t)) ** 2, -1.0, 1.0,
                                 epsabs=1e-14, epsrel=1e-13, limit=400)
         oracle = 2.0 * math.pi * val / float(k0(1.0))
@@ -146,7 +146,7 @@ def test_criterion_6_sphere_multiquadric(tmp_path):
         assert abs(series - reported_form) > 1e-6  # the documented inconsistency
 
         grid = np.linspace(-1.0, 1.0, 1000)
-        series_k0 = model_zoo.sphere_kernel(model).descriptor["k0"]
+        series_k0 = model_zoo.sphere_kernel(model).k0
         assert np.max(np.abs(np.asarray(series_k0(grid)) - np.asarray(k0(grid)))) <= 1e-8
 
         spec = tmp_path / f"mq_{delta}.json"
@@ -272,7 +272,7 @@ def test_criterion_9_figure_profiles():
     from palmdpp.numerics import QuadratureSpec, integrate_radial
     # jinc_density(x) = x * 2 pi^2 |K(x)|^2: weight r, the kernel's tail times 2 pi^2
     full = integrate_radial(lambda x: jinc_density(x) / x, 1.0,
-                            jinc_kernel(2).descriptor["tail"].rescaled(2.0 * math.pi ** 2),
+                            jinc_kernel(2).tail.rescaled(2.0 * math.pi ** 2),
                             QuadratureSpec(truncation_radius=10.0))
     core, _ = integrate.quad(lambda x: float(jinc_density(np.array([x]))[0]),
                              0.0, 10.0, limit=400)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from palmdpp.analysis import (
 )
 from palmdpp.errors import SizeGuardError, ValidationError
 from palmdpp.finite_dpp import sample_exact_many
-from palmdpp.kernel_core import GroundSpace, Kernel
+from palmdpp.kernel_core import GroundSpace, Kernel, palm_kernel
 from palmdpp.model_zoo import (GinibreParams, ginibre_kernel, jinc_kernel, multiquadric,
                                sphere_kernel, sphere_model, thin_rescale)
 from palmdpp.numerics import QuadratureSpec
@@ -32,10 +33,7 @@ def leaky_ginibre() -> Kernel:
     """Ginibre scaled by 1 + 2e-4: its top grid eigenvalues leak past 1."""
     base = ginibre_kernel(GinibreParams(1.0, 1.0))
     bump = 1.0 + 2e-4
-    return Kernel(space=base.space,
-                  evaluate=lambda v, w, _e=base.evaluate: bump * _e(v, w),
-                  descriptor={**dict(base.descriptor),
-                              "gram": lambda pts, _g=base.descriptor["gram"]: bump * _g(pts)})
+    return replace(base, gram=lambda X, Y, _g=base.gram: bump * _g(X, Y))
 
 
 def count_eig_calls(monkeypatch) -> list:
@@ -53,14 +51,10 @@ def count_eig_calls(monkeypatch) -> list:
 def poisson_style_kernel(rho: float) -> Kernel:
     """Continuous diagonal kernel: K(v, w) = rho when v == w, else 0."""
 
-    def eval_pts(v, w, _r=rho):
-        return complex(_r) if np.array_equal(v, w) else 0.0j
+    def gram(X, Y, _r=rho):
+        return _r * np.all(X[:, None, :] == Y[None, :, :], axis=-1).astype(complex)
 
-    def gram(points, _r=rho):
-        return _r * np.eye(np.atleast_2d(points).shape[0], dtype=complex)
-
-    return Kernel(space=GroundSpace.euclidean(2), evaluate=eval_pts,
-                  descriptor={"family": "poisson-style", "gram": gram})
+    return Kernel(space=GroundSpace.euclidean(2), gram=gram)
 
 
 class TestClosedFormMoments:
@@ -146,15 +140,14 @@ class TestMomentQuadrature:
     def counted_jinc(beta: float):
         """Thinned jinc whose radial profile records how many radii it gets."""
         base = thin_rescale(jinc_kernel(2), 1.0, beta)
-        radial = base.descriptor["radial_abs_sq"]
+        radial = base.radial_abs_sq
         calls = []
 
         def counted(r):
             calls.append(np.size(r))
             return radial(r)
 
-        return Kernel(base.space, base.evaluate,
-                      {**base.descriptor, "radial_abs_sq": counted}), calls
+        return replace(base, radial_abs_sq=counted), calls
 
     @pytest.mark.parametrize("beta", [1.0, 0.25])
     def test_integrand_evaluations_at_default_radius(self, beta):
@@ -294,6 +287,17 @@ class TestGridDiscretize:
         with pytest.raises(SizeGuardError):
             grid_discretize(ginibre_kernel(GinibreParams(1.0, 1.0)),
                             (-3.0, 3.0, -3.0, 3.0), 65)
+
+    def test_palm_kernel_grid_is_the_schur_complement(self):
+        # entry by entry, K(c_i, c_j) - K(c_i, u) K(u, c_j) / K(u, u) per cell
+        base = ginibre_kernel(GinibreParams(0.5, 1.2))
+        u = np.array([0.3, -0.2])
+        grid = grid_discretize(palm_kernel(base, u), (-2.0, 2.0, -2.0, 2.0), 6)
+        assert not grid.clamp_report
+        c, ku = grid.centers, base.evaluate(u, u)
+        want = np.array([[base.evaluate(v, w) - base.evaluate(v, u) * base.evaluate(u, w) / ku
+                          for w in c] for v in c]) * grid.cell_measure
+        assert np.max(np.abs(grid.dpp.matrix - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_1d_window(self):
         grid = grid_discretize(jinc_kernel(1), (-2.0, 2.0), 8)

@@ -195,6 +195,13 @@ class TestRepulsivenessCommand:
                                   "--profile-points=-3"])
         assert (code, out) == (3, "") and err.startswith("parse-error")
 
+    def test_radius_beyond_uncapped_panels_exits_2(self, tmp_path):
+        # 1e6 length scales would need wider panels than sin 2r allows
+        doc = {"family": "sinc"}
+        code, out, err = run_cli(["repulsiveness", write_spec(tmp_path, "s.json", doc),
+                                  "--truncation-radius", "1e6"])
+        assert (code, out) == (2, "") and err.startswith("validation-error[quadrature]:")
+
     def test_tail_exponent_printed_with_one_sign(self, tmp_path):
         _, _, err = run_cli(["repulsiveness",
                              write_spec(tmp_path, "j.json", {"family": "jinc"}),
@@ -414,6 +421,20 @@ class TestSampleCommand:
         doc = {"family": "ginibre", "params": {"alpha": 1.0, "beta": 1.0}}
         code, _, err = run_cli(["sample", write_spec(tmp_path, "g.json", doc)])
         assert code == 3
+
+
+class TestRepeatedCalls:
+    def test_second_call_prints_the_same(self, tmp_path):
+        argv = ["repulsiveness", write_spec(tmp_path, "j.json", {"family": "jinc"}),
+                "--profile-points=5"]
+        first = run_cli(argv)
+        assert first[0] == 0 and run_cli(argv) == first
+
+    def test_parse_error_after_a_successful_call(self, tmp_path):
+        spec = write_spec(tmp_path, "j.json", {"family": "jinc"})
+        assert run_cli(["validate", spec])[0] == 0
+        code, out, err = run_cli(["repulsiveness", spec, "--profile-points=0"])
+        assert (code, out) == (3, "") and err.startswith("parse-error")
 
 
 class TestCsvContract:

@@ -15,9 +15,7 @@ from palmdpp.finite_dpp import (
     p_u_finite,
     palm_eigenvector,
     palm_matrix,
-    sample_coupled,
     sample_coupled_many,
-    sample_exact,
     sample_exact_many,
     subset_law,
     validate,
@@ -438,7 +436,8 @@ class TestSamplers:
 
     def test_single_draw_reproducible(self):
         dpp = validate(DIAG)
-        assert sample_exact(dpp, 123) == sample_exact(dpp, 123)
+        one = sample_exact_many(dpp, 123, 1)
+        assert one.shape == (1,) and one[0] == sample_exact_many(dpp, 123, 1)[0]
 
     def test_no_draws_gives_empty_array(self):
         for n, dtype in ((3, np.int64), (70, object)):
@@ -513,6 +512,7 @@ class TestSamplers:
         dpp = validate(DIAG)
         _, table = coupling_feasible(subset_law(dpp),
                                      subset_law(palm_matrix(dpp, 1)), 1)
-        s, t = sample_coupled(table, 55)
-        assert t & s == t and bin(s ^ t).count("1") <= 1
-        assert sample_coupled(table, 55) == (s, t)
+        (s,), (t,) = sample_coupled_many(table, 55, 1)
+        assert t & s == t and bin(int(s ^ t)).count("1") <= 1
+        (s2,), (t2,) = sample_coupled_many(table, 55, 1)
+        assert (s2, t2) == (s, t)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -203,8 +204,7 @@ class TestHermitianSpotCheck:
 class TestRepulsiveness:
     def test_euclidean_kernel_without_a_tail_is_refused(self):
         base = jinc_kernel(2)
-        bare = Kernel(base.space, base.evaluate,
-                      {k: v for k, v in base.descriptor.items() if k != "tail"})
+        bare = replace(base, tail=None)
         with pytest.raises(QuadratureError, match="declares no tail"):
             repulsiveness_p(bare, np.zeros(2))
         with pytest.raises(QuadratureError, match="declares no tail"):
@@ -258,8 +258,7 @@ class TestRepulsiveness:
 
     def test_non_isotropic_rejected(self):
         k = Kernel(space=GroundSpace.euclidean(2),
-                   evaluate=lambda v, w: complex(math.exp(-np.sum((np.asarray(v) - np.asarray(w)) ** 2))),
-                   descriptor={"family": "anisotropic-test"})
+                   gram=lambda X, Y: np.exp(-np.sum((X[:, None, :] - Y[None, :, :]) ** 2, axis=-1)))
         with pytest.raises(ValidationError):
             repulsiveness_p(k, ORIGIN)
 

@@ -15,7 +15,6 @@ from palmdpp.model_zoo import (
     GinibreParams,
     _jinc_radial,
     _sinc_radial,
-    fourier_ball_kernel_value,
     ginibre_kernel,
     jinc_kernel,
     multiquadric,
@@ -28,6 +27,31 @@ from palmdpp.model_zoo import (
 
 ORIGIN = np.zeros(2)
 J1_FIRST_ZERO = 3.831705970207512
+
+
+def fourier_ball_kernel_value(d: int, r: float) -> float:
+    """Fourier-ball kernel value at separation r for general dimension.
+
+    Evaluates the inverse transform of the ball indicator of volume
+    1/pi by one-dimensional quadrature; a slow oracle for the closed
+    forms.
+    """
+    radius = (d * math.gamma(d / 2.0) / (2.0 * math.pi ** (1.0 + d / 2.0))) ** (1.0 / d)
+    if d == 1:
+        if abs(r) < 1e-12:
+            return 2.0 * radius
+        return math.sin(2.0 * math.pi * radius * r) / (math.pi * r)
+    nu = d / 2.0 - 1.0
+    norm = (2.0 * math.pi) ** (d / 2.0)
+    limit0 = 1.0 / (2.0 ** nu * math.gamma(nu + 1.0))
+
+    def integrand(t: float) -> float:
+        z = 2.0 * math.pi * r * t
+        osc = limit0 if z < 1e-10 else special.jv(nu, z) / z ** nu
+        return norm * t ** (d - 1) * osc
+
+    val, _ = integrate.quad(integrand, 0.0, radius, epsabs=1e-14, epsrel=1e-12, limit=200)
+    return val
 
 
 class TestGinibre:
@@ -57,12 +81,20 @@ class TestGinibre:
         assert abs(report.norm_sq - k.diagonal(ORIGIN)) <= 1e-8
 
     def test_gram_matches_eval(self):
-        k = ginibre_kernel(GinibreParams(0.8, 1.2))
-        pts = np.array([[0.0, 0.0], [0.5, -0.3], [1.1, 0.9]])
-        g = k.descriptor["gram"](pts)
-        for i in range(3):
-            for j in range(3):
-                assert abs(g[i, j] - k.evaluate(pts[i], pts[j])) < 1e-14
+        # both against the closed form, on two different point sets
+        alpha, beta = 0.8, 1.2
+        k = ginibre_kernel(GinibreParams(alpha, beta))
+        xs = np.array([[0.0, 0.0], [0.5, -0.3], [1.1, 0.9]])
+        ys = np.array([[-0.7, 0.2], [0.5, -0.3]])
+        g = k.gram(xs, ys)
+        assert g.shape == (3, 2)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                zx, zy = complex(*x), complex(*y)
+                want = (alpha / math.pi) * np.exp(
+                    zx * zy.conjugate() / beta - (abs(zx) ** 2 + abs(zy) ** 2) / (2.0 * beta))
+                assert abs(g[i, j] - want) < 1e-15
+                assert abs(k.evaluate(x, y) - want) < 1e-15
 
 
 def masked_radial(r, far, small):
@@ -130,7 +162,7 @@ class TestJinc:
         # raw truncated p_u (no tail continuation): the deficit 1 - p(R)
         # halves when R doubles, consistent with r^-2 tail mass
         k = jinc_kernel(2)
-        rfn = k.descriptor["radial_abs_sq"]
+        rfn = k.radial_abs_sq
         deficits = []
         for radius in (50.0, 100.0, 200.0):
             val, _ = integrate.quad(
@@ -185,8 +217,8 @@ class TestThinRescale:
         # reduces to the planar displacement density, and it integrates to 1
         beta = 0.6
         k = thin_rescale(jinc_kernel(2), 1.0, beta)
-        norm = k.descriptor["norm_sq"]
-        rfn = k.descriptor["radial_abs_sq"]
+        norm = k.reference["norm_sq"]
+        rfn = k.radial_abs_sq
         for r in (0.3, 1.1, 2.7):
             want = special.j1(2.0 * r / math.sqrt(beta)) ** 2 / (math.pi * r ** 2)
             assert abs(rfn(np.array([r]))[0] / norm - want) < 1e-12
@@ -231,7 +263,7 @@ class TestSphereModels:
     def test_multiquadric_closed_form_values(self):
         delta, rho = 0.5, 1.0 / (2.0 * math.pi)
         _, kernel = multiquadric(delta, rho)
-        k0 = kernel.descriptor["k0"]
+        k0 = kernel.k0
         assert abs(float(k0(1.0)) - rho) < 1e-15
         assert abs(float(k0(-1.0)) - rho * (1.0 - delta) / (1.0 + delta)) < 1e-15
 
@@ -248,8 +280,8 @@ class TestSphereModels:
             model, kernel = multiquadric(delta, rho)
             series = sphere_kernel(model)
             t = np.linspace(-1.0, 1.0, 1000)
-            closed = np.asarray(kernel.descriptor["k0"](t))
-            approx = np.asarray(series.descriptor["k0"](t))
+            closed = np.asarray(kernel.k0(t))
+            approx = np.asarray(series.k0(t))
             assert np.max(np.abs(closed - approx)) < 1e-8
 
     def test_sphere_p_series_and_quadrature(self):
@@ -260,13 +292,13 @@ class TestSphereModels:
         # Legendre orthogonality relation
         want = 4.0 * math.pi * rho * (1.0 - delta) ** 2 * math.atanh(delta) / delta
         assert abs(result.value - want) < 1e-10
-        k0 = kernel.descriptor["k0"]
+        k0 = kernel.k0
         quad, _ = integrate.quad(lambda t: float(k0(t)) ** 2, -1.0, 1.0,
                                  epsabs=1e-14, epsrel=1e-12)
         oracle = 2.0 * math.pi * quad / float(k0(1.0))
         assert abs(result.value - oracle) < 1e-8
         # the reported closed form disagrees; it is carried as a flagged reference
-        reported = kernel.descriptor["p_u_reported"]
+        reported = kernel.reference["p_u_reported"]
         assert abs(reported - 2.0 / 3.0) < 1e-12
         assert abs(result.value - reported) > 1e-3
 

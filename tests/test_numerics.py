@@ -1,4 +1,4 @@
-"""Special functions, factorizations, and radial quadrature."""
+"""Gegenbauer ratios, Hermitian eigendecomposition, and radial quadrature."""
 from __future__ import annotations
 
 import math
@@ -13,93 +13,42 @@ from palmdpp.numerics import (
     QuadratureSpec,
     Tail,
     _gauss_jacobi,
-    bessel_j1,
-    gamma_fn,
-    gegenbauer,
     gegenbauer_ratio_table,
     hermitian_eig,
     integrate_radial,
-    psd_sqrt,
 )
 
 from conftest import random_hermitian
 
-J1_FIRST_ZERO = 3.831705970207512  # bracketed root of the series oracle below
-
-
-def j1_series(x: float, terms: int = 40) -> float:
-    """Ascending-series oracle: sum (-1)^m (x/2)^(2m+1) / (m! (m+1)!)."""
-    total, half = 0.0, x / 2.0
-    for m in range(terms):
-        total += (-1) ** m * half ** (2 * m + 1) / (math.factorial(m) * math.factorial(m + 1))
-    return total
-
-
-class TestGamma:
-    def test_known_values(self):
-        assert gamma_fn(1.0) == 1.0
-        assert abs(gamma_fn(0.5) - math.sqrt(math.pi)) < 1e-15
-        assert gamma_fn(5.0) == 24.0
-
-    def test_poles_rejected(self):
-        for x in (0.0, -1.0, -2.0, -7.0):
-            with pytest.raises(ValueError):
-                gamma_fn(x)
-
-    def test_negative_non_integer(self):
-        # reflection formula oracle: Gamma(-0.5) = -2 sqrt(pi)
-        assert abs(gamma_fn(-0.5) + 2.0 * math.sqrt(math.pi)) < 1e-12
-
-    def test_functional_equation(self):
-        rng = np.random.default_rng(3)
-        for x in rng.uniform(0.1, 20.0, size=200):
-            lhs, rhs = gamma_fn(x + 1.0), x * gamma_fn(x)
-            assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
-
-
-class TestBesselJ1:
-    def test_zero(self):
-        assert bessel_j1(0.0) == 0.0
-
-    def test_first_positive_zero(self):
-        assert abs(bessel_j1(J1_FIRST_ZERO)) < 1e-12
-
-    def test_against_series_oracle(self):
-        for x in np.linspace(-10.0, 10.0, 81):
-            assert abs(bessel_j1(x) - j1_series(float(x))) < 1e-12
-
-    def test_value_at_one(self):
-        assert abs(bessel_j1(1.0) - 0.4400505857449335) < 1e-13
-
-    def test_amplitude_bound(self):
-        x = np.linspace(-200.0, 200.0, 40001)
-        assert np.max(np.abs(bessel_j1(x))) <= 1.0 / math.sqrt(2.0)
-
-
 class TestGegenbauer:
     def test_degree_zero_and_one(self):
-        assert gegenbauer(0, 0.7, 0.2) == 1.0
-        assert abs(gegenbauer(1, 0.5, 0.3) - 0.3) < 1e-15
+        t = np.linspace(-1.0, 1.0, 5)
+        table = gegenbauer_ratio_table(1, 0.7, t)
+        assert np.all(table[0] == 1.0) and np.all(table[1] == t)
+        assert gegenbauer_ratio_table(0, 0.7, t).shape == (1, 5)
 
     def test_legendre_closed_forms(self):
-        # lam = 1/2 are the Legendre polynomials
-        for t in np.linspace(-1.0, 1.0, 21):
-            assert abs(gegenbauer(2, 0.5, t) - (3 * t ** 2 - 1) / 2) < 1e-12
-            assert abs(gegenbauer(3, 0.5, t) - (5 * t ** 3 - 3 * t) / 2) < 1e-12
-        assert abs(gegenbauer(2, 0.5, 0.5) - (-0.125)) < 1e-15
+        # lam = 1/2 are the Legendre polynomials, and P_ell(1) = 1
+        t = np.linspace(-1.0, 1.0, 21)
+        table = gegenbauer_ratio_table(3, 0.5, t)
+        assert np.max(np.abs(table[2] - (3 * t ** 2 - 1) / 2)) < 1e-12
+        assert np.max(np.abs(table[3] - (5 * t ** 3 - 3 * t) / 2)) < 1e-12
+        assert abs(gegenbauer_ratio_table(2, 0.5, 0.5)[2, 0] - (-0.125)) < 1e-15
 
     def test_chebyshev_limit_convention(self):
+        # on the circle (lam = 0) the ratios are cos(ell arccos t)
+        t = np.linspace(-1.0, 1.0, 11)
+        table = gegenbauer_ratio_table(7, 0.0, t)
         for ell in range(8):
-            for t in np.linspace(-1.0, 1.0, 11):
-                want = math.cos(ell * math.acos(t))
-                assert abs(gegenbauer(ell, 0.0, t) - want) < 1e-10
+            assert np.max(np.abs(table[ell] - np.cos(ell * np.arccos(t)))) < 1e-10
 
     def test_matches_scipy_for_generic_lambda(self):
+        t = np.array([-0.9, -0.2, 0.4, 1.0])
         for lam in (0.5, 1.0, 1.7):
+            table = gegenbauer_ratio_table(5, lam, t)
             for ell in range(6):
-                for t in (-0.9, -0.2, 0.4, 1.0):
-                    want = special.eval_gegenbauer(ell, lam, t)
-                    assert abs(gegenbauer(ell, lam, t) - want) < 1e-10 * (1 + abs(want))
+                want = special.eval_gegenbauer(ell, lam, t) / special.eval_gegenbauer(ell, lam, 1.0)
+                assert np.max(np.abs(table[ell] - want)) < 1e-10
 
     def test_ratio_table_is_normalized(self):
         t = np.linspace(-1.0, 1.0, 7)
@@ -152,27 +101,8 @@ class TestHermitianEig:
         assert hermitian_eig(random_hermitian(rng, 4)).eigenvectors.dtype == np.complex128
 
 
-class TestPsdSqrt:
-    def test_identity_and_diagonal(self):
-        assert np.allclose(psd_sqrt(np.eye(3)), np.eye(3))
-        assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-
-    def test_random_psd_rebuild(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            k = a @ a.conj().T
-            s = psd_sqrt(k)
-            assert np.max(np.abs(s - s.conj().T)) < 1e-12
-            assert np.max(np.abs(s @ s - k)) <= 1e-8 * (1 + np.max(np.abs(k)))
-
-    def test_rejects_materially_negative(self):
-        with pytest.raises(ValueError):
-            psd_sqrt(np.diag([1.0, -1e-3]))
-
-
 # |J1(2r) / (pi r)|^2, the declared tail of the planar jinc kernel
-JINC_TAIL = jinc_kernel(2).descriptor["tail"]
+JINC_TAIL = jinc_kernel(2).tail
 
 
 def binomial_tail(p: float, terms: int, c: float = 1.0) -> Tail:
@@ -266,11 +196,14 @@ class TestIntegrateRadial:
         assert max(sizes) <= (2 ** 15 + 101) * 32
 
     def test_capped_panels_report_their_error(self):
-        # |J1(2r)|^2 / r out to 1e6: the far panels are wider than 6, and
-        # the error budget still covers the miss
-        res = integrate_radial(lambda r: special.j1(2.0 * r) ** 2 / r ** 2, 1.0,
-                               JINC_TAIL.rescaled(math.pi ** 2),
-                               QuadratureSpec(truncation_radius=1e6))
+        # |J1(2r)|^2 / r out to 1e6 would need panels wider than 6, where the
+        # 32- and 20-node rules alias the oscillation alike and the budget
+        # misses; an oscillating tail refuses them, and 2**15 panels still run
+        tail = JINC_TAIL.rescaled(math.pi ** 2)
+        g = lambda r: special.j1(2.0 * r) ** 2 / r ** 2
+        with pytest.raises(QuadratureError, match="panels"):
+            integrate_radial(g, 1.0, tail, QuadratureSpec(truncation_radius=1e6))
+        res = integrate_radial(g, 1.0, tail, QuadratureSpec(truncation_radius=2.0 + 6.0 * 2 ** 15))
         assert abs(res.value - 0.5) <= res.error <= 1e-6
 
     def test_length_scale_must_be_positive(self):
@@ -298,7 +231,7 @@ class TestDeclaredTails:
         assert abs(exact - main) <= powers @ np.array(t.bound) + 1e-14 * r ** -t.order
 
     def test_sinc_tail_is_exact(self):
-        t = jinc_kernel(1).descriptor["tail"]
+        t = jinc_kernel(1).tail
         r = np.linspace(0.5, 30.0, 60)
         main = r ** -t.order * (t.smooth[0] + t.cosine[0] * np.cos(t.frequency * r))
         assert np.all(np.abs(main - (np.sin(r) / (math.pi * r)) ** 2) <= 1e-15 * r ** -2.0)
@@ -319,7 +252,7 @@ class TestDeclaredTails:
         # an exact tail needs one panel past the origin cell; jinc needs
         # its remainder bound below 1e-12 of the leading term
         assert Tail("gaussian", 0.5, amplitude=1.0).default_radius() == 4.0
-        assert jinc_kernel(1).descriptor["tail"].default_radius() == 8.0
+        assert jinc_kernel(1).tail.default_radius() == 8.0
         assert JINC_TAIL.default_radius() == 26.0
         assert JINC_TAIL.rescaled(1.0, 0.1).default_radius() == pytest.approx(2.6)
 

@@ -1,5 +1,5 @@
-"""Property tests: closed forms over random parameters, and the CLI's exit
-contract over random valid and invalid inputs.
+"""Property tests: closed forms over random parameters, the kernel Gram
+contract, and the CLI's exit contract over random valid and invalid inputs.
 
 The hypothesis profile in conftest.py derandomizes the examples and bounds
 their number, so these run the same way every time.
@@ -17,9 +17,12 @@ from hypothesis import strategies as st
 
 from palmdpp.analysis import ginibre_moment, jinc_moment_closed, moment_quadrature
 from palmdpp.cli import main
-from palmdpp.kernel_core import repulsiveness_p, sphere_surface_measure
-from palmdpp.model_zoo import (GinibreParams, ginibre_kernel, jinc_kernel, sphere_kernel,
-                               sphere_model, sphere_multiplicity, sphere_p, thin_rescale)
+from palmdpp.kernel_core import palm_kernel, repulsiveness_p, sphere_surface_measure
+from palmdpp.model_zoo import (GinibreParams, finite_kernel, ginibre_kernel, jinc_kernel,
+                               multiquadric, sphere_kernel, sphere_model, sphere_multiplicity,
+                               sphere_p, thin_rescale)
+
+from conftest import random_dpp_matrix
 
 betas = st.floats(min_value=0.01, max_value=1.0)
 jinc_orders = st.floats(min_value=-1.99, max_value=0.99)
@@ -73,6 +76,61 @@ def test_sphere_quadrature_agrees_with_series(model):
     report = repulsiveness_p(sphere_kernel(model), north)
     series = sphere_p(model).value
     assert abs(report.p_u - series) <= report.quadrature_error + 1e-9 * series
+
+
+# ------------------------------------------------------------ Gram contract
+
+FAMILIES = ["finite", "ginibre", "sinc", "jinc", "multiquadric", "sphere-coefficients"]
+
+
+def random_kernel_and_points(family: str, rng: np.random.Generator):
+    """A kernel of the family with drawn parameters, and a point sampler."""
+    if family == "finite":
+        n = int(rng.integers(2, 7))
+        return (finite_kernel(random_dpp_matrix(rng, n)),
+                lambda m: rng.integers(1, n + 1, size=m))
+    if family in ("ginibre", "sinc", "jinc"):
+        beta = rng.uniform(0.1, 1.0)
+        alpha = rng.uniform(0.1, 1.0) / beta
+        kernel = (ginibre_kernel(GinibreParams(alpha, beta)) if family == "ginibre" else
+                  thin_rescale(jinc_kernel(1 if family == "sinc" else 2), alpha, beta))
+        d = kernel.space.size
+        return kernel, lambda m: rng.uniform(-3.0, 3.0, size=(m, d))
+    if family == "multiquadric":
+        delta = rng.uniform(0.05, 0.95)
+        _, kernel = multiquadric(delta, rng.uniform(0.1, 1.0) / (4.0 * math.pi * (1.0 - delta)))
+    else:
+        kernel = sphere_kernel(sphere_model(2, 0.1, [0.5, 0.3, 0.2]))
+
+    def sphere_points(m):
+        x = rng.normal(size=(m, 3))
+        return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+    return kernel, sphere_points
+
+
+@given(family=st.sampled_from(FAMILIES), palm=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       m=st.integers(1, 4), k=st.integers(1, 4))
+def test_gram_contract(family, palm, seed, m, k):
+    # gram(X, Y) is the conjugate transpose of gram(Y, X), evaluate reads
+    # its entries, and the diagonal is real, for every family and its Palm
+    # kernel; all up to rounding, which Ginibre's exponent (up to |z|^2 / beta
+    # = 180 here) amplifies
+    rng = np.random.default_rng(seed)
+    kernel, points = random_kernel_and_points(family, rng)
+    if palm:
+        kernel = palm_kernel(kernel, points(1)[0])
+    X, Y = points(m), points(k)
+    G = kernel.gram(X, Y)
+    tol = 1e-13 * (1.0 + np.abs(G))
+    assert G.shape == (m, k)
+    assert np.all(np.abs(G - kernel.gram(Y, X).conj().T) <= tol)
+    for i in range(m):
+        for j in range(k):
+            assert abs(kernel.evaluate(X[i], Y[j]) - G[i, j]) <= tol[i, j]
+        diag = kernel.evaluate(X[i], X[i])
+        assert abs(diag.imag) <= 1e-13 * (1.0 + abs(diag))
+        assert kernel.diagonal(X[i]) == diag.real
 
 
 # ------------------------------------------------------------ CLI contract
