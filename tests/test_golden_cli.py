@@ -36,6 +36,15 @@ SINC = {"family": "sinc", "params": {"alpha": 0.8, "beta": 0.7}}
 MULTIQUADRIC = {"family": "sphere-multiquadric", "params": {"delta": 0.5, "rho": 0.1}}
 SPHERE_COEFFICIENTS = {"family": "sphere-coefficients",
                        "params": {"d": 2, "rho": 0.1, "beta_coeffs": [0.5, 0.3, 0.2]}}
+# Q diag(1 + 5e-7, 0.7, 0.4, 0.2) Q with Q = I - J/2: validate clamps the top eigenvalue
+CLAMPED_ROWS = [[0.575000125, -0.275000125, -0.125000125, -0.025000125],
+                [-0.275000125, 0.575000125, 0.025000125, 0.125000125],
+                [-0.125000125, 0.025000125, 0.575000125, 0.275000125],
+                [-0.025000125, 0.125000125, 0.275000125, 0.575000125]]
+FINITE_CLAMPED = {"family": "finite", "matrix": [[[x, 0] for x in row] for row in CLAMPED_ROWS]}
+# at resolution 5 its grid clamps one eigenvalue, by 6.0e-4
+MULTIQUADRIC_CLAMPED = {"family": "sphere-multiquadric",
+                        "params": {"delta": 0.5, "rho": 0.15915494309189535}}
 
 # (name, spec document or None, argv with "{spec}" for the spec path)
 CASES = [
@@ -83,6 +92,12 @@ CASES = [
     ("moments-ginibre-rho", None,
      ["moments", "--model", "ginibre", "--rho=0.05", "--k=-1.25,1,4"]),
     ("profile", None, ["profile", "--beta=0.5", "--r-max=6", "--r-points=31"]),
+    ("sample-multiquadric-clamped", MULTIQUADRIC_CLAMPED,
+     ["sample", "{spec}", "--samples=5", "--seed=13", "--resolution=5", "--emit-points"]),
+    ("sample-finite-clamped", FINITE_CLAMPED,
+     ["sample", "{spec}", "--samples=6", "--seed=14", "--emit-points"]),
+    ("couple-finite-clamped", FINITE_CLAMPED,
+     ["couple", "{spec}", "--anchor=2", "--seed=15", "--samples=400"]),
 ]
 
 
