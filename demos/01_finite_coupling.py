@@ -11,9 +11,8 @@ import math
 import numpy as np
 
 from palmdpp import (
-    coupling_feasible,
+    couple,
     p_u_finite,
-    palm_matrix,
     sample_coupled_many,
     subset_law,
     validate,
@@ -26,13 +25,12 @@ dpp = validate(1.0 / n + np.outer(t, t))
 u = 1
 
 law_x = subset_law(dpp)
-law_xu = subset_law(palm_matrix(dpp, u))
 print("law of X (mask: probability):")
 for mask in range(1 << n):
     if law_x.prob(mask) > 1e-12:
         print(f"  {mask:03b}: {law_x.prob(mask):.6f}")
 
-flow, table = coupling_feasible(law_x, law_xu, u)
+flow, table = couple(dpp, u)
 print(f"\ncoupling max-flow: {flow:.12f}  (1 means the coupling exists)")
 
 p, density = xi_law(table, dpp, u)

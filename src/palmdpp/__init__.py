@@ -19,6 +19,7 @@ from .finite_dpp import (
     DilationPair,
     FiniteDpp,
     SubsetLaw,
+    couple,
     coupling_feasible,
     dilate,
     inclusion_prob,
@@ -41,6 +42,7 @@ from .kernel_core import (
     pair_correlation,
     palm_intensity_dominated,
     palm_kernel,
+    radial_integral,
     repulsiveness_p,
     sphere_surface_measure,
 )

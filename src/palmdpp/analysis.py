@@ -14,14 +14,13 @@ import numpy as np
 from scipy import stats
 
 from . import finite_dpp
-from .errors import SizeGuardError, TheoremViolationError, ValidationError
-from .kernel_core import GroundSpace, Kernel, _declared_tail, _with_radius, check_point
-from .numerics import HermitianEig, QuadratureSpec, hermitian_eig, integrate_radial
+from .errors import SizeGuardError, ValidationError
+from .kernel_core import GroundSpace, Kernel, check_point, radial_integral
+from .numerics import QuadratureSpec
 
 __all__ = [
     "MomentResult",
     "RadialProfile",
-    "ClampReport",
     "GridModel",
     "CouplingValidation",
     "jinc_moment_closed",
@@ -38,15 +37,13 @@ _MIN_EXPECTED_PER_BIN = 20.0
 
 @dataclass(frozen=True)
 class MomentResult:
-    """A displacement moment: closed form vs quadrature with error budget.
+    """A displacement moment by quadrature, with its error budget.
 
-    closed_form is +inf for divergent moments with a known closed-form
-    divergence and nan when no closed form was attached; quadrature is
-    nan when the declared tail's exponent makes the moment diverge.
+    quadrature is nan when the declared tail's exponent makes the moment
+    diverge.
     """
 
     k: float
-    closed_form: float
     quadrature: float
     abs_error: float
     tail_estimate: float
@@ -62,28 +59,17 @@ class RadialProfile:
 
 
 @dataclass(frozen=True)
-class ClampReport:
-    """Eigenvalues nudged back into [0, 1] during discretization."""
-
-    n_clamped: int
-    max_excess: float
-
-    def __bool__(self) -> bool:
-        return self.n_clamped > 0
-
-
-@dataclass(frozen=True)
 class GridModel:
     """A continuous kernel discretized to cell centers.
 
     The kernel matrix entries are K(c_i, c_j) * cell_measure, so sampled
-    point counts estimate the intensity integral over the window.
+    point counts estimate the intensity integral over the window;
+    dpp.clamp_report records the eigenvalues clamped onto [0, 1].
     """
 
     dpp: finite_dpp.FiniteDpp
     centers: np.ndarray
     cell_measure: float
-    clamp_report: ClampReport
     space: GroundSpace
 
     @property
@@ -149,9 +135,7 @@ def _displacement_radial(kernel: Kernel, u):
     norm_sq = kernel.reference.get("norm_sq")
     if norm_sq is not None:
         return radial, norm_sq, 0.0
-    tail = _declared_tail(kernel).rescaled(2.0 * math.pi)
-    res = integrate_radial(lambda r: 2.0 * math.pi * radial(r), 1.0, tail,
-                           _with_radius(None, tail))
+    res = radial_integral(kernel, 1.0, 2.0 * math.pi)
     if res.value <= 0:
         raise ValidationError("anchor", "the kernel row has no mass; p_u vanishes")
     return radial, res.value, res.error / res.value
@@ -168,15 +152,13 @@ def moment_quadrature(kernel: Kernel, u, order: float,
     """
     if order <= -2:
         raise ValueError("moments exist only for k > -2")
-    radial, norm_sq, norm_rel_err = _displacement_radial(kernel, u)
-    tail = _declared_tail(kernel).rescaled(2.0 * math.pi / norm_sq)
-    if not tail.converges(order + 1.0):
-        return MomentResult(k=order, closed_form=math.nan, quadrature=math.nan,
-                            abs_error=math.nan, tail_estimate=math.nan, divergent=True)
-    res = integrate_radial(lambda r: (2.0 * math.pi / norm_sq) * radial(r), order + 1.0,
-                           tail, _with_radius(spec, tail))
+    _, norm_sq, norm_rel_err = _displacement_radial(kernel, u)
+    if kernel.tail is not None and not kernel.tail.converges(order + 1.0):
+        return MomentResult(k=order, quadrature=math.nan, abs_error=math.nan,
+                            tail_estimate=math.nan, divergent=True)
+    res = radial_integral(kernel, order + 1.0, 2.0 * math.pi / norm_sq, spec)
     norm_contrib = norm_rel_err * abs(res.value)
-    return MomentResult(k=order, closed_form=math.nan, quadrature=res.value,
+    return MomentResult(k=order, quadrature=res.value,
                         abs_error=res.error + norm_contrib,
                         tail_estimate=res.tail_error + norm_contrib,
                         divergent=False)
@@ -223,11 +205,10 @@ def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
     """Discretize a continuous kernel to cell centers.
 
     Entries are K(c_i, c_j) * cell_measure, real when the kernel is.
-    The matrix is decomposed once, and the resulting FiniteDpp carries
-    that decomposition.  Spectrum leakage up to 1e-3 beyond [0, 1] is
-    clamped and reported; worse leakage raises with guidance, since it
-    means the cells are too coarse for the kernel (near-projection
-    kernels are the usual culprit).
+    finite_dpp.validate decomposes the matrix once, with a slack of 1e-3:
+    leakage up to 1e-3 beyond [0, 1] is clamped and reported in
+    dpp.clamp_report; worse leakage means the cells are too coarse for the
+    kernel (near-projection kernels are the usual culprit).
     """
     if resolution < 1:
         raise ValidationError("param-bound", "resolution must be >= 1")
@@ -247,28 +228,14 @@ def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
     if n > _GRID_MAX_SITES:
         raise SizeGuardError(f"grid has {n} cells; the bound is {_GRID_MAX_SITES}")
 
-    M = kernel.gram(centers, centers) * measure
-    M = 0.5 * (M + M.conj().T)
-
-    eig = hermitian_eig(M)
-    w = eig.eigenvalues
-    hi, lo = float(w[0]), float(w[-1])
-    if hi > 1.0 + 1e-3 or lo < -1e-3:
-        raise ValidationError(
-            "spectrum",
-            f"discretized spectrum [{lo:.6g}, {hi:.6g}] escapes [0, 1] by more than "
-            "1e-3; shrink the cells (raise the resolution) or shrink the window")
-    excess = np.maximum(w - 1.0, 0.0) + np.maximum(-w, 0.0)
-    clamped = int(np.sum(excess > 1e-12))
-    report = ClampReport(n_clamped=clamped,
-                         max_excess=float(excess.max()) if clamped else 0.0)
-    lam, V = np.clip(w, 0.0, 1.0), eig.eigenvectors
-    if clamped:
-        M = (V * lam) @ V.conj().T
-        M = 0.5 * (M + M.conj().T)
-    dpp = finite_dpp.FiniteDpp(matrix=M, eig=HermitianEig(eigenvalues=lam, eigenvectors=V), n=n)
-    return GridModel(dpp=dpp, centers=centers, cell_measure=measure,
-                     clamp_report=report, space=space)
+    try:  # the Gram matrix goes in unnamed, so validate can free it before eigh
+        dpp = finite_dpp.validate(kernel.gram(centers, centers) * measure, slack=1e-3)
+    except ValidationError as exc:
+        if exc.token == "spectrum":
+            raise ValidationError("spectrum", f"{exc} on the grid; the cells are too coarse: "
+                                  "raise the resolution or shrink the window") from exc
+        raise
+    return GridModel(dpp=dpp, centers=centers, cell_measure=measure, space=space)
 
 
 def _nearest_site(centers: np.ndarray, u) -> int:
@@ -287,19 +254,8 @@ def mc_validate_coupling(kernel: Kernel, u, window, resolution: int,
     """
     u = check_point(kernel.space, u)
     grid = grid_discretize(kernel, window, resolution)
-    n = grid.dpp.n
-    if n > finite_dpp._COUPLING_MAX_SITES:
-        raise SizeGuardError(
-            f"coupling validation needs n <= {finite_dpp._COUPLING_MAX_SITES} cells, got {n}")
     site = _nearest_site(grid.centers, u)
-    law_x = finite_dpp.subset_law(grid.dpp)
-    palm = finite_dpp.palm_matrix(grid.dpp, site)
-    law_xu = finite_dpp.subset_law(palm)
-    flow, table = finite_dpp.coupling_feasible(law_x, law_xu, site)
-    if table is None:
-        raise TheoremViolationError(
-            f"coupling infeasible at flow {flow:.12f} for a valid kernel",
-            dump={"matrix": grid.dpp.matrix, "site": site, "flow": flow})
+    flow, table = finite_dpp.couple(grid.dpp, site)
     p_exact, density = finite_dpp.xi_law(table, grid.dpp, site)
 
     s_masks, t_masks = finite_dpp.sample_coupled_many(table, rng_seed, samples)
@@ -312,7 +268,7 @@ def mc_validate_coupling(kernel: Kernel, u, window, resolution: int,
         z = 0.0 if p_hat == p_exact else math.inf
 
     removed = np.log2(diff[nonempty]).astype(int)  # single-bit masks
-    observed_all = np.bincount(removed, minlength=n).astype(float)
+    observed_all = np.bincount(removed, minlength=grid.dpp.n).astype(float)
     n_cond = float(observed_all.sum())
     expected_all = n_cond * density
 

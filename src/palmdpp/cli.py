@@ -68,11 +68,15 @@ def _emit_text_rows(out, header: Sequence[str], first: np.ndarray, rest: np.ndar
         out.write("\n".join((first + "," + rest).tolist()) + "\n")
 
 
+def _is_number(v: Any) -> bool:  # a finite JSON number; true and false are not
+    return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+
+
 def _require_number(params: dict, key: str, family: str) -> float:
     if key not in params:
         raise ParseError(f"family {family!r} needs params.{key}")
     v = params[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+    if not _is_number(v):
         raise ParseError(f"params.{key} must be a finite number, got {v!r}")
     return float(v)
 
@@ -92,9 +96,7 @@ def _parse_matrix(raw: Any) -> np.ndarray:
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f"matrix row {i} must have {n} entries (square matrix)")
         for j, entry in enumerate(row):
-            if (not isinstance(entry, list) or len(entry) != 2
-                    or any(isinstance(e, bool) or not isinstance(e, (int, float))
-                           or not math.isfinite(e) for e in entry)):
+            if not isinstance(entry, list) or len(entry) != 2 or not all(map(_is_number, entry)):
                 raise ParseError(
                     f"matrix entry ({i},{j}) must be a finite [re, im] pair, got {entry!r}")
             M[i, j] = complex(entry[0], entry[1])
@@ -155,20 +157,20 @@ def load_kernel_spec(path: str | Path) -> ModelBundle:
         return ModelBundle(family=family, kernel=kernel, params={"delta": delta, "rho": rho})
     # sphere-coefficients
     _check_param_keys(params, {"d", "rho", "beta_coeffs", "tail_bound"}, family)
-    d = int(_require_number(params, "d", family))
+    d = _require_number(params, "d", family)
+    if not d.is_integer():
+        raise ParseError(f"params.d must be an integer, got {params['d']!r}")
     rho = _require_number(params, "rho", family)
     coeffs = params.get("beta_coeffs")
-    if (not isinstance(coeffs, list) or not coeffs
-            or any(isinstance(c, bool) or not isinstance(c, (int, float))
-                   or not math.isfinite(c) for c in coeffs)):
+    if not isinstance(coeffs, list) or not coeffs or not all(map(_is_number, coeffs)):
         raise ParseError("params.beta_coeffs must be a nonempty list of finite numbers")
     tail = params.get("tail_bound", 0.0)
-    if isinstance(tail, bool) or not isinstance(tail, (int, float)) or not math.isfinite(tail):
+    if not _is_number(tail):
         raise ParseError("params.tail_bound must be a finite number")
-    model = model_zoo.sphere_model(d, rho, [float(c) for c in coeffs],
+    model = model_zoo.sphere_model(int(d), rho, [float(c) for c in coeffs],
                                    tail_bound=float(tail))
     return ModelBundle(family=family, kernel=model_zoo.sphere_kernel(model),
-                       params={"d": d, "rho": rho})
+                       params={"d": int(d), "rho": rho})
 
 
 def _parse_anchor(bundle: ModelBundle, text: str | None):
@@ -257,13 +259,7 @@ def cmd_couple(args) -> int:
                               "coupling tables are exact-law objects; use a finite kernel spec")
     dpp = bundle.dpp
     site = int(_parse_anchor(bundle, args.anchor))
-    law_x = finite_dpp.subset_law(dpp)
-    law_xu = finite_dpp.subset_law(finite_dpp.palm_matrix(dpp, site))
-    flow, table = finite_dpp.coupling_feasible(law_x, law_xu, site)
-    if table is None:
-        raise TheoremViolationError(
-            f"coupling infeasible at flow {flow:.12f} for a validated kernel",
-            dump={"matrix": dpp.matrix.tolist(), "site": site, "flow": flow})
+    flow, table = finite_dpp.couple(dpp, site)
     p_exact, density = finite_dpp.xi_law(table, dpp, site)
     s_masks, t_masks = finite_dpp.sample_coupled_many(table, args.seed, args.samples)
     diff = s_masks ^ t_masks

@@ -1,9 +1,9 @@
 """Exact machinery on finite ground spaces.
 
-Subset laws by inclusion-exclusion over principal minors, the Palm
-matrix, the dilation of a kernel matrix to a projection on twice the
-space, constructive coupling verification by max-flow feasibility, and
-exact / coupled samplers.
+The spectrum gate, subset laws by inclusion-exclusion over principal
+minors, the Palm matrix, the dilation of a kernel matrix to a projection
+on twice the space, the coupling of X with its Palm process by max-flow
+feasibility, and exact / coupled samplers.
 
 Sites are numbered 1..n in the public API; subsets are bitmasks where
 bit (site - 1) marks membership.
@@ -16,10 +16,11 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_flow
 
-from .errors import SizeGuardError, ValidationError
-from .numerics import HermitianEig, _as_float_or_complex, hermitian_eig
+from .errors import SizeGuardError, TheoremViolationError, ValidationError
+from .numerics import HermitianEig, hermitian_eig
 
 __all__ = [
+    "ClampReport",
     "FiniteDpp",
     "SubsetLaw",
     "DilationPair",
@@ -32,6 +33,7 @@ __all__ = [
     "dilate",
     "palm_eigenvector",
     "coupling_feasible",
+    "couple",
     "xi_law",
     "sample_exact_many",
     "sample_indicators",
@@ -40,7 +42,6 @@ __all__ = [
 
 _LAW_MAX_SITES = 16
 _COUPLING_MAX_SITES = 12
-_SPECTRUM_SLACK = 1e-6
 _FLOW_DEFICIT = 1e-8
 _FLOW_UNITS = 2 ** 30  # integer units of residual source mass per max-flow round
 _FLOW_NOISE = 1e-15    # flow below this is float noise: not routed, not tabled
@@ -49,16 +50,29 @@ _SAMPLE_BLOCK = 64   # draws per batch of the spectral sampler
 
 
 @dataclass(frozen=True)
+class ClampReport:
+    """Eigenvalues that validate moved onto [0, 1], and the largest move."""
+
+    n_clamped: int
+    max_excess: float
+
+    def __bool__(self) -> bool:
+        return self.n_clamped > 0
+
+
+@dataclass(frozen=True)
 class FiniteDpp:
     """A validated n x n Hermitian kernel matrix with spectrum in [0, 1].
 
     matrix and eig are kept consistent: if validation clamped any
-    eigenvalue, matrix is the clamped spectral rebuild.
+    eigenvalue, matrix is the clamped spectral rebuild, and clamp_report
+    says how many moved and how far.
     """
 
     matrix: np.ndarray
     eig: HermitianEig
     n: int
+    clamp_report: ClampReport
 
 
 @dataclass(frozen=True)
@@ -91,61 +105,72 @@ class DilationPair:
     reduced: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingTable:
-    """Joint law of (X, X^u) supported on pairs T subset S, |S \\ T| <= 1."""
+    """Joint law of (X, X^u) supported on pairs T subset S, |S \\ T| <= 1.
 
-    joint: dict[tuple[int, int], float]
+    joint is the (m, 2) int64 array of (S, T) bitmask pairs and mass their
+    probabilities, both in the order the max-flow solver found them.
+    """
+
+    joint: np.ndarray
+    mass: np.ndarray
     anchor: int
     n: int
 
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pairs as an (m, 2) int64 array of (S, T) and their masses, in table order."""
-        pairs = np.array(list(self.joint), dtype=np.int64).reshape(-1, 2)
-        return pairs, np.fromiter(self.joint.values(), dtype=float, count=len(self.joint))
-
     def row_marginal(self) -> np.ndarray:
-        pairs, w = self._arrays()
-        return np.bincount(pairs[:, 0], weights=w, minlength=2 ** self.n)
+        return np.bincount(self.joint[:, 0], weights=self.mass, minlength=2 ** self.n)
 
     def col_marginal(self) -> np.ndarray:
-        pairs, w = self._arrays()
-        return np.bincount(pairs[:, 1], weights=w, minlength=2 ** self.n)
+        return np.bincount(self.joint[:, 1], weights=self.mass, minlength=2 ** self.n)
 
 
-def validate(matrix) -> FiniteDpp:
+def validate(matrix, slack: float = 1e-6) -> FiniteDpp:
     """Check Hermitian symmetry and the [0, 1] spectrum condition.
 
-    Eigenvalues within 1e-6 of the [0, 1] boundary are clamped onto it;
+    The matrix is symmetrized and decomposed once.  Eigenvalues within
+    `slack` of the [0, 1] boundary are clamped onto it, the matrix is
+    rebuilt from the clamped spectrum, and clamp_report records them;
     anything further out is rejected.  A real symmetric matrix stays real.
     """
-    M = _as_float_or_complex(matrix)
+    M = np.asarray(matrix, dtype=complex if np.iscomplexobj(matrix) else float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValidationError("param-bound", "kernel matrix must be square")
     scale = 1.0 + float(np.max(np.abs(M))) if M.size else 1.0
     if float(np.max(np.abs(M - M.conj().T))) > 1e-10 * scale:
         raise ValidationError("non-hermitian", "kernel matrix is not Hermitian")
+    del matrix  # frees the caller's unsymmetrized array before eigh, unless it holds it
     M = 0.5 * (M + M.conj().T)
     eig = hermitian_eig(M)
     lam = eig.eigenvalues
-    if lam.size and (lam.min() < -_SPECTRUM_SLACK or lam.max() > 1.0 + _SPECTRUM_SLACK):
-        raise ValidationError(
-            "spectrum",
-            f"eigenvalues must lie in [0, 1]; found range "
-            f"[{lam.min():.6g}, {lam.max():.6g}]")
+    if lam.size and (lam.min() < -slack or lam.max() > 1.0 + slack):
+        raise ValidationError("spectrum", "eigenvalues must lie in [0, 1]; found range "
+                              f"[{lam.min():.6g}, {lam.max():.6g}]")
     clamped = np.clip(lam, 0.0, 1.0)
-    if lam.size and float(np.max(np.abs(clamped - lam))) > 1e-12:
+    excess = np.abs(clamped - lam)
+    n_clamped = int(np.count_nonzero(excess > 1e-12))
+    if n_clamped:
         V = eig.eigenvectors
         M = (V * clamped) @ V.conj().T
         M = 0.5 * (M + M.conj().T)
     eig = HermitianEig(eigenvalues=clamped, eigenvectors=eig.eigenvectors)
-    return FiniteDpp(matrix=M, eig=eig, n=M.shape[0])
+    report = ClampReport(n_clamped, float(excess.max()) if n_clamped else 0.0)
+    return FiniteDpp(matrix=M, eig=eig, n=M.shape[0], clamp_report=report)
 
 
 def _site_index(dpp: FiniteDpp, u: int) -> int:
     if not 1 <= u <= dpp.n:
         raise ValidationError("param-bound", f"site {u} outside 1..{dpp.n}")
     return u - 1
+
+
+def _anchor(dpp: FiniteDpp, u: int) -> tuple[int, float]:
+    """The index of site u and K(u, u), which must not vanish there."""
+    i = _site_index(dpp, u)
+    kuu = float(np.real(dpp.matrix[i, i]))
+    if kuu <= 1e-12:
+        raise ValidationError("anchor", f"kernel diagonal vanishes at site {u}")
+    return i, kuu
 
 
 def _mask_indices(mask: int, n: int) -> list[int]:
@@ -208,10 +233,7 @@ def subset_law(dpp: FiniteDpp) -> SubsetLaw:
 
 def palm_matrix(dpp: FiniteDpp, u: int) -> FiniteDpp:
     """Reduced Palm kernel matrix K - K[:,u] K[u,:] / K[u,u] at site u."""
-    i = _site_index(dpp, u)
-    kuu = float(np.real(dpp.matrix[i, i]))
-    if kuu <= 1e-12:
-        raise ValidationError("anchor", f"kernel diagonal vanishes at site {u}")
+    i, kuu = _anchor(dpp, u)
     col = dpp.matrix[:, i]
     P = dpp.matrix - np.outer(col, col.conj()) / kuu
     return validate(P)
@@ -219,10 +241,7 @@ def palm_matrix(dpp: FiniteDpp, u: int) -> FiniteDpp:
 
 def p_u_finite(dpp: FiniteDpp, u: int) -> float:
     """Coupling probability p_u = sum_v |K[u,v]|^2 / K[u,u] = (K^2)_uu / K_uu."""
-    i = _site_index(dpp, u)
-    kuu = float(np.real(dpp.matrix[i, i]))
-    if kuu <= 1e-12:
-        raise ValidationError("anchor", f"kernel diagonal vanishes at site {u}")
+    i, kuu = _anchor(dpp, u)
     p = float(np.sum(np.abs(dpp.matrix[i, :]) ** 2)) / kuu
     return min(max(p, 0.0), 1.0)
 
@@ -249,10 +268,7 @@ def palm_eigenvector(dpp: FiniteDpp, u: int) -> DilationPair:
     rank-one projector from the dilation leaves the Palm matrix in the
     upper-left block.
     """
-    i = _site_index(dpp, u)
-    kuu = float(np.real(dpp.matrix[i, i]))
-    if kuu <= 1e-12:
-        raise ValidationError("anchor", f"kernel diagonal vanishes at site {u}")
+    i, kuu = _anchor(dpp, u)
     Q = dilate(dpp)
     psi = Q[:, i].copy() / np.sqrt(kuu)
     reduced = Q - np.outer(psi, psi.conj())
@@ -279,9 +295,6 @@ def coupling_feasible(law_x: SubsetLaw, law_xu: SubsetLaw,
     if law_x.n != law_xu.n:
         raise ValidationError("param-bound", "laws live on different site counts")
     n = law_x.n
-    if n > _COUPLING_MAX_SITES:
-        raise SizeGuardError(
-            f"coupling verification is bounded at n <= {_COUPLING_MAX_SITES} (got {n})")
     if not 1 <= u <= n:
         raise ValidationError("param-bound", f"site {u} outside 1..{n}")
     ubit = 1 << (u - 1)
@@ -331,9 +344,26 @@ def coupling_feasible(law_x: SubsetLaw, law_xu: SubsetLaw,
     if flow < 1.0 - _FLOW_DEFICIT:
         return flow, None
     kept = f > _FLOW_NOISE
-    joint = dict(zip(zip(s_masks[pair_s[kept]].tolist(), t_masks[pair_t[kept]].tolist()),
-                     f[kept].tolist()))
-    return flow, CouplingTable(joint=joint, anchor=u, n=n)
+    joint = np.stack([s_masks[pair_s[kept]], t_masks[pair_t[kept]]], axis=1)
+    return flow, CouplingTable(joint=joint, mass=f[kept], anchor=u, n=n)
+
+
+def couple(dpp: FiniteDpp, u: int) -> tuple[float, CouplingTable]:
+    """(max-flow value, table) of a coupling of X and X^u, the Palm process at
+    site u, in which X^u is X less at most one point.  Raises SizeGuardError
+    beyond 12 sites, before any law is computed, and TheoremViolationError
+    when the flow does not saturate."""
+    if dpp.n > _COUPLING_MAX_SITES:
+        raise SizeGuardError(
+            f"coupling verification is bounded at n <= {_COUPLING_MAX_SITES} (got {dpp.n})")
+    law_x = subset_law(dpp)
+    law_xu = subset_law(palm_matrix(dpp, u))
+    flow, table = coupling_feasible(law_x, law_xu, u)
+    if table is None:
+        raise TheoremViolationError(
+            f"coupling infeasible at flow {flow:.12f} for a validated kernel",
+            dump={"matrix": dpp.matrix.tolist(), "site": u, "flow": flow})
+    return flow, table
 
 
 def xi_law(table: CouplingTable, dpp: FiniteDpp, u: int) -> tuple[float, np.ndarray]:
@@ -344,10 +374,9 @@ def xi_law(table: CouplingTable, dpp: FiniteDpp, u: int) -> tuple[float, np.ndar
     removed point sits at site v.
     """
     _site_index(dpp, u)
-    pairs, w = table._arrays()
-    diff = pairs[:, 0] ^ pairs[:, 1]
+    diff = table.joint[:, 0] ^ table.joint[:, 1]
     moved = diff != 0
-    w = w[moved]
+    w = table.mass[moved]
     # frexp's exponent is the bit length; bincount and cumsum add in table order
     removed = np.frexp(diff[moved])[1] - 1
     # with no removals bincount returns integer zeros, hence the astype
@@ -431,18 +460,11 @@ def sample_exact_many(dpp: FiniteDpp, rng_seed: int, draws: int) -> np.ndarray:
                        dtype=dtype, count=draws)
 
 
-def _table_arrays(table: CouplingTable) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs sorted by (S, T), and their masses normalized to sum to 1."""
-    pairs, w = table._arrays()
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    w = w[order]
-    return pairs[order], w / w.sum()
-
-
 def sample_coupled_many(table: CouplingTable, rng_seed: int,
                         draws: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw many (S, T) pairs; returns (S array, T array) of bitmasks."""
     rng = np.random.default_rng(rng_seed)
-    pairs, weights = _table_arrays(table)
-    drawn = pairs[rng.choice(len(pairs), p=weights, size=draws)]
+    order = np.lexsort((table.joint[:, 1], table.joint[:, 0]))  # pairs sorted by (S, T)
+    pairs, w = table.joint[order], table.mass[order]
+    drawn = pairs[rng.choice(len(pairs), p=w / w.sum(), size=draws)]
     return drawn[:, 0], drawn[:, 1]

@@ -39,7 +39,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import ValidationError
-from .numerics import QuadratureError, QuadratureSpec, Tail, integrate_radial
+from .numerics import QuadratureError, QuadratureSpec, RadialIntegral, Tail, integrate_radial
 
 __all__ = [
     "GroundSpace",
@@ -52,6 +52,7 @@ __all__ = [
     "palm_kernel",
     "displacement_intensity",
     "palm_intensity_dominated",
+    "radial_integral",
     "repulsiveness_p",
 ]
 
@@ -176,6 +177,7 @@ def joint_intensity(kernel: Kernel, points: Sequence[Any]) -> float:
 
 def pair_correlation(kernel: Kernel, u, v) -> float:
     """Pair correlation g(u, v) = 1 - |r(u, v)|^2, with the 0/0 = 0 rule."""
+    u, v = check_point(kernel.space, u), check_point(kernel.space, v)
     ku = kernel.diagonal(u)
     kv = kernel.diagonal(v)
     if ku <= 0.0 or kv <= 0.0:
@@ -205,33 +207,33 @@ def palm_kernel(kernel: Kernel, u) -> Kernel:
 
 def displacement_intensity(kernel: Kernel, u, v) -> float:
     """Intensity rho_u(v) = |K(u, v)|^2 / K(u, u) of the removed point."""
-    u = check_point(kernel.space, u)
+    u, v = check_point(kernel.space, u), check_point(kernel.space, v)
     ku = _require_intensity(kernel, u)
     return abs(kernel.evaluate(u, v)) ** 2 / ku
 
 
 def palm_intensity_dominated(kernel: Kernel, u, v) -> tuple[float, float]:
     """(rho(v), rho^u(v)); the Palm intensity never exceeds the original."""
-    u = check_point(kernel.space, u)
+    u, v = check_point(kernel.space, u), check_point(kernel.space, v)
     ku = _require_intensity(kernel, u)
     rho = kernel.diagonal(v)
     rho_u = rho - abs(kernel.evaluate(v, u)) ** 2 / ku
     return rho, max(rho_u, 0.0)
 
 
-def _declared_tail(kernel: Kernel) -> Tail:
+def radial_integral(kernel: Kernel, power: float, factor: float,
+                    spec: QuadratureSpec | None = None) -> RadialIntegral:
+    """int_0^inf r^power * factor * radial_abs_sq(r) dr against the declared
+    tail, truncated at spec's radius or else the tail's default radius.
+    Raises QuadratureError when the kernel declares no tail."""
     if kernel.tail is None:
         raise QuadratureError("the kernel declares no tail; radial quadrature needs its "
                               "large-r behaviour")
-    return kernel.tail
-
-
-def _with_radius(spec: QuadratureSpec | None, tail: Tail) -> QuadratureSpec:
-    """spec, with the tail's default truncation radius unless one is set."""
     spec = spec or QuadratureSpec()
-    if spec.truncation_radius is not None:
-        return spec
-    return replace(spec, truncation_radius=tail.default_radius())
+    if spec.truncation_radius is None:
+        spec = replace(spec, truncation_radius=kernel.tail.default_radius())
+    rfn = kernel.radial_abs_sq
+    return integrate_radial(lambda r: factor * rfn(r), power, kernel.tail.rescaled(factor), spec)
 
 
 def _profile_end(spec: QuadratureSpec | None, tail: Tail) -> float:
@@ -282,14 +284,12 @@ def repulsiveness_p(kernel: Kernel, u, spec: QuadratureSpec | None = None,
         if d not in (1, 2):
             raise ValidationError("param-bound", "Euclidean quadrature supports d in {1, 2}")
         surf = 2.0 if d == 1 else 2.0 * math.pi  # measure of the unit sphere in R^d
-        tail = _declared_tail(kernel)
-        qspec = _with_radius(spec, tail)
-        res = integrate_radial(lambda r: surf * rfn(r), d - 1.0, tail.rescaled(surf), qspec)
+        res = radial_integral(kernel, d - 1.0, surf, spec)
         norm_sq = res.value
         p = norm_sq / ku
         err = res.error / ku
         coords = (np.asarray(profile_coords, dtype=float) if profile_coords is not None
-                  else np.linspace(0.0, _profile_end(spec, tail), 64))
+                  else np.linspace(0.0, _profile_end(spec, kernel.tail), 64))
         dens = rfn(coords) / norm_sq if norm_sq > 0 else np.zeros_like(coords)
         profile = list(zip(coords.tolist(), dens.tolist()))
     else:

@@ -217,30 +217,12 @@ def gegenbauer_ratio_table(l_max: int, lam: float, t) -> np.ndarray:
     return out
 
 
-def _check_hermitian(K: np.ndarray, tol: float) -> None:
-    scale = 1.0 + float(np.max(np.abs(K))) if K.size else 1.0
-    resid = float(np.max(np.abs(K - K.conj().T))) if K.size else 0.0
-    if resid > tol * scale:
-        raise ValueError(
-            f"matrix is not Hermitian: max |K - K*| = {resid:.3e} "
-            f"exceeds {tol:.1e} * (1 + max|K|)")
-
-
-def _as_float_or_complex(K) -> np.ndarray:
-    """K as a float64 array, or complex128 when it holds complex entries."""
-    K = np.asarray(K)
-    return K.astype(complex if np.iscomplexobj(K) else float, copy=False)
-
-
 def hermitian_eig(K) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
+    finite_dpp.validate checks and symmetrizes K first; this does not.
     A real symmetric input stays real, so its eigenvectors are real too.
     """
-    K = _as_float_or_complex(K)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise ValueError("expected a square matrix")
-    _check_hermitian(K, 1e-9)
     w, V = np.linalg.eigh(K)
     return HermitianEig(eigenvalues=w[::-1].copy(), eigenvectors=V[:, ::-1].copy())
 

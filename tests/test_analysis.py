@@ -227,8 +227,8 @@ class TestGridDiscretize:
 
     def test_mild_leakage_is_clamped_and_reported(self):
         grid = grid_discretize(leaky_ginibre(), (-3.0, 3.0, -3.0, 3.0), 12)
-        assert grid.clamp_report
-        assert grid.clamp_report.max_excess <= 1e-3
+        assert grid.dpp.clamp_report
+        assert grid.dpp.clamp_report.max_excess <= 1e-3
         assert grid.dpp.eig.eigenvalues.max() <= 1.0 + 1e-12
         V = grid.dpp.eig.eigenvectors
         rebuilt = (V * grid.dpp.eig.eigenvalues) @ V.conj().T
@@ -238,12 +238,12 @@ class TestGridDiscretize:
         calls = count_eig_calls(monkeypatch)
         clean = grid_discretize(thin_rescale(jinc_kernel(2), 0.8, 0.8),
                                 (-3.0, 3.0, -3.0, 3.0), 10)
-        assert not clean.clamp_report and calls == ["eigh"]
+        assert not clean.dpp.clamp_report and calls == ["eigh"]
         sample_exact_many(clean.dpp, 3, 70)
         assert calls == ["eigh"]
         calls.clear()
         clamped = grid_discretize(leaky_ginibre(), (-3.0, 3.0, -3.0, 3.0), 12)
-        assert clamped.clamp_report and calls == ["eigh"]
+        assert clamped.dpp.clamp_report and calls == ["eigh"]
 
     def test_real_kernels_give_real_matrices(self):
         model = sphere_model(2, 0.1, [0.5, 0.3, 0.2])
@@ -293,7 +293,7 @@ class TestGridDiscretize:
         base = ginibre_kernel(GinibreParams(0.5, 1.2))
         u = np.array([0.3, -0.2])
         grid = grid_discretize(palm_kernel(base, u), (-2.0, 2.0, -2.0, 2.0), 6)
-        assert not grid.clamp_report
+        assert not grid.dpp.clamp_report
         c, ku = grid.centers, base.evaluate(u, u)
         want = np.array([[base.evaluate(v, w) - base.evaluate(v, u) * base.evaluate(u, w) / ku
                           for w in c] for v in c]) * grid.cell_measure

@@ -138,6 +138,15 @@ class TestValidateCommand:
         code, _, err = run_cli(["validate", write_spec(tmp_path, "f.json", doc)])
         assert code == 3
 
+    def test_sphere_dimension_must_be_an_integer(self, tmp_path):
+        doc = {"family": "sphere-coefficients",
+               "params": {"d": 2.7, "rho": 0.1, "beta_coeffs": [0.5, 0.3, 0.2]}}
+        code, out, err = run_cli(["validate", write_spec(tmp_path, "d.json", doc)])
+        assert code == 3 and out == "" and "params.d must be an integer" in err
+        doc["params"]["d"] = 2.0
+        code, out, _ = run_cli(["validate", write_spec(tmp_path, "d2.json", doc)])
+        assert code == 0 and '"d": 2,' in out
+
 
 class TestRepulsivenessCommand:
     def test_scaled_ginibre(self, tmp_path):
@@ -267,6 +276,13 @@ class TestCoupleCommand:
         doc = {"family": "finite", "matrix": matrix}
         code, _, err = run_cli(["couple", write_spec(tmp_path, "big.json", doc)])
         assert code == 4 and "size-guard" in err
+
+    def test_unsaturated_flow_is_a_theorem_violation(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(finite_dpp, "coupling_feasible", lambda *args: (0.5, None))
+        code, out, err = run_cli(["couple", write_spec(tmp_path, "d.json", DIAG_SPEC),
+                                  "--anchor", "2"])
+        assert code == 5 and out == ""
+        assert "theorem-violation" in err and "flow: 0.5" in err and "site: 2" in err
 
 
 class TestProfileCommand:

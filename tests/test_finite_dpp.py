@@ -9,6 +9,7 @@ import pytest
 from palmdpp.errors import SizeGuardError, ValidationError
 from palmdpp.finite_dpp import (
     SubsetLaw,
+    couple,
     coupling_feasible,
     dilate,
     inclusion_prob,
@@ -26,6 +27,12 @@ from conftest import assert_sampler_matches_kernel, random_dpp_matrix, random_un
 
 DIAG = np.diag([0.3, 0.7])
 PROJ1 = np.array([[0.5, 0.5], [0.5, 0.5]])
+
+
+def boundary_kernel(top: float) -> np.ndarray:
+    """Q diag(top, 0.7, 0.4, 0.2) Q with the symmetric orthogonal Q = I - J/2."""
+    q = np.eye(4) - 0.5
+    return (q * [top, 0.7, 0.4, 0.2]) @ q
 
 
 def real_kernel_with_extreme_eigenvalues(rng, n: int = 12) -> np.ndarray:
@@ -53,10 +60,15 @@ def reference_subset_law(dpp) -> np.ndarray:
     return np.clip(vals, 0.0, None)
 
 
+def table_items(table):
+    """The table's ((S, T), mass) items, in table order."""
+    return [((s, t), w) for (s, t), w in zip(table.joint.tolist(), table.mass.tolist())]
+
+
 def reference_coupled_draws(table, rng_seed: int, draws: int):
     """Sorted (pair, mass) items and one comprehension entry per draw."""
     rng = np.random.default_rng(rng_seed)
-    pairs = sorted(table.joint.items())
+    pairs = sorted(table_items(table))
     weights = np.array([w for _, w in pairs])
     weights = weights / weights.sum()
     ks = rng.choice(len(pairs), p=weights, size=draws)
@@ -68,7 +80,7 @@ def reference_coupled_draws(table, rng_seed: int, draws: int):
 def reference_marginals(table):
     """Row and column marginals, one addition per pair."""
     rows, cols = np.zeros(2 ** table.n), np.zeros(2 ** table.n)
-    for (s, t), w in table.joint.items():
+    for (s, t), w in table_items(table):
         rows[s] += w
         cols[t] += w
     return rows, cols
@@ -77,7 +89,7 @@ def reference_marginals(table):
 def reference_xi_law(table, n):
     """(p, density) of the removed point, one addition per pair in table order."""
     p, density = 0.0, np.zeros(n)
-    for (s, t), w in table.joint.items():
+    for (s, t), w in table_items(table):
         diff = s ^ t
         if diff:
             p += w
@@ -125,6 +137,18 @@ class TestValidate:
         dpp = validate(np.diag([1.0 + 5e-7, -5e-7]))
         lam = dpp.eig.eigenvalues
         assert lam.min() >= 0.0 and lam.max() <= 1.0
+
+    def test_reports_the_clamped_eigenvalue(self):
+        dpp = validate(boundary_kernel(1.0 + 5e-7))
+        assert dpp.clamp_report.n_clamped == 1
+        assert abs(dpp.clamp_report.max_excess - 5e-7) < 1e-12
+        assert not validate(boundary_kernel(1.0)).clamp_report
+
+    def test_slack_bounds_the_clamp(self):
+        with pytest.raises(ValidationError) as err:
+            validate(boundary_kernel(1.0 + 2e-6))
+        assert err.value.token == "spectrum"
+        assert validate(boundary_kernel(1.0 + 2e-6), slack=1e-3).clamp_report.n_clamped == 1
 
     def test_keeps_real_input_real(self):
         assert validate(DIAG).matrix.dtype == np.float64
@@ -294,14 +318,13 @@ class TestCoupling:
         law = subset_law(validate(np.diag([0.0, 0.7])))
         flow, table = coupling_feasible(law, law, 1)
         assert flow >= 1.0 - 1e-8
-        assert all(s == t for (s, t) in table.joint)
+        assert np.array_equal(table.joint[:, 0], table.joint[:, 1])
 
     def test_rank_one_projection(self):
         dpp = validate(PROJ1)
-        flow, table = coupling_feasible(subset_law(dpp),
-                                        subset_law(palm_matrix(dpp, 1)), 1)
+        flow, table = couple(dpp, 1)
         assert flow >= 1.0 - 1e-8
-        assert set(table.joint) == {(0b01, 0), (0b10, 0)}
+        assert sorted(table.joint.tolist()) == [[0b01, 0], [0b10, 0]]
         p, density = xi_law(table, dpp, 1)
         assert abs(p - 1.0) < 1e-8
         assert np.allclose(density, [0.5, 0.5], atol=1e-8)
@@ -320,7 +343,7 @@ class TestCoupling:
             flow, table = coupling_feasible(law_x, law_xu, u)
             assert flow >= 1.0 - 1e-8
             ubit = 1 << (u - 1)
-            for (s, t) in table.joint:
+            for s, t in table.joint.tolist():
                 assert t & s == t and bin(s ^ t).count("1") <= 1 and not t & ubit
             assert np.max(np.abs(table.row_marginal() - law_x.probs)) <= 1e-8
             assert np.max(np.abs(table.col_marginal() - law_xu.probs)) <= 1e-8
@@ -334,8 +357,7 @@ class TestCoupling:
             if not sites:
                 continue
             u = int(rng.choice(sites))
-            flow, table = coupling_feasible(subset_law(dpp),
-                                            subset_law(palm_matrix(dpp, u)), u)
+            flow, table = couple(dpp, u)
             assert flow >= 1.0 - 1e-8
             p, density = xi_law(table, dpp, u)
             assert abs(p - p_u_finite(dpp, u)) <= 1e-8
@@ -344,8 +366,7 @@ class TestCoupling:
 
     def test_diagonal_example(self):
         dpp = validate(DIAG)
-        flow, table = coupling_feasible(subset_law(dpp),
-                                        subset_law(palm_matrix(dpp, 1)), 1)
+        flow, table = couple(dpp, 1)
         p, density = xi_law(table, dpp, 1)
         assert abs(p - 0.3) < 1e-8
         assert np.allclose(density, [1.0, 0.0], atol=1e-8)
@@ -360,7 +381,7 @@ class TestCoupling:
         flow, table = coupling_feasible(law_x, law_xu, u)
         assert flow >= 1.0 - 1e-8
         ubit = 1 << (u - 1)
-        s, t = np.array(list(table.joint), dtype=np.int64).T
+        s, t = table.joint.T
         assert np.all(t & s == t) and not np.any(t & ubit)
         assert max(bin(int(d)).count("1") for d in s ^ t) <= 1
         assert np.max(np.abs(table.row_marginal() - law_x.probs)) <= 1e-12
@@ -385,11 +406,11 @@ class TestCoupling:
         assert abs(flow - (1.0 - deficit)) <= 1e-12
         assert (table is not None) == feasible
         if feasible:
-            assert set(table.joint) == {(0, 0)}
+            assert table.joint.tolist() == [[0, 0]]
 
     def test_marginals_match_per_pair_sums(self):
         dpp = validate(spectral_class_kernel(33, 2, 0, n=8))
-        _, table = coupling_feasible(subset_law(dpp), subset_law(palm_matrix(dpp, 3)), 3)
+        _, table = couple(dpp, 3)
         rows, cols = reference_marginals(table)
         assert np.array_equal(table.row_marginal(), rows)
         assert np.array_equal(table.col_marginal(), cols)
@@ -399,7 +420,7 @@ class TestCoupling:
     def test_xi_law_matches_per_pair_loop(self, ones, zeros):
         dpp = validate(spectral_class_kernel(35 + ones, ones, zeros))
         u = int(np.argmax(np.real(np.diagonal(dpp.matrix)))) + 1
-        _, table = coupling_feasible(subset_law(dpp), subset_law(palm_matrix(dpp, u)), u)
+        _, table = couple(dpp, u)
         p, density = xi_law(table, dpp, u)
         p_ref, density_ref = reference_xi_law(table, dpp.n)
         assert p == p_ref and np.array_equal(density, density_ref)
@@ -416,11 +437,13 @@ class TestCoupling:
         with pytest.raises(ValidationError):
             coupling_feasible(law, law, 1)  # law has mass on subsets with site 1
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
         big = validate(np.diag([0.5] * 13))
-        law = subset_law(big)
+        dets = []
+        monkeypatch.setattr(np.linalg, "det", lambda *a: dets.append(a))
         with pytest.raises(SizeGuardError):
-            coupling_feasible(law, law, 13)
+            couple(big, 13)
+        assert dets == []  # raised before any law was computed
 
 
 class TestSamplers:
@@ -480,7 +503,7 @@ class TestSamplers:
         dpp = validate(rank2_kernel())
         law_x = subset_law(dpp)
         law_xu = subset_law(palm_matrix(dpp, 1))
-        _, table = coupling_feasible(law_x, law_xu, 1)
+        _, table = couple(dpp, 1)
         draws = 20000
         s, t = sample_coupled_many(table, 5, draws)
         assert np.all(t & s == t)
@@ -494,7 +517,7 @@ class TestSamplers:
     def test_coupled_draws_match_reference(self):
         for matrix, u in ((rank2_kernel(), 1), (spectral_class_kernel(34, 1, 0, n=8), 2)):
             dpp = validate(matrix)
-            _, table = coupling_feasible(subset_law(dpp), subset_law(palm_matrix(dpp, u)), u)
+            _, table = couple(dpp, u)
             s, t = sample_coupled_many(table, 6, 5000)
             s_ref, t_ref = reference_coupled_draws(table, 6, 5000)
             assert s.dtype == t.dtype == np.int64
@@ -502,16 +525,14 @@ class TestSamplers:
 
     def test_projection_coupling_draws(self):
         dpp = validate(PROJ1)
-        _, table = coupling_feasible(subset_law(dpp),
-                                     subset_law(palm_matrix(dpp, 1)), 1)
+        _, table = couple(dpp, 1)
         s, t = sample_coupled_many(table, 8, 500)
         assert np.all(t == 0)
         assert np.all(np.array([bin(int(m)).count("1") for m in s]) == 1)
 
     def test_single_coupled_draw(self):
         dpp = validate(DIAG)
-        _, table = coupling_feasible(subset_law(dpp),
-                                     subset_law(palm_matrix(dpp, 1)), 1)
+        _, table = couple(dpp, 1)
         (s,), (t,) = sample_coupled_many(table, 55, 1)
         assert t & s == t and bin(int(s ^ t)).count("1") <= 1
         (s2,), (t2,) = sample_coupled_many(table, 55, 1)

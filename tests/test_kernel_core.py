@@ -64,6 +64,15 @@ class TestSpacesAndPoints:
         with pytest.raises(ValueError):
             GroundSpace("lattice", 2)
 
+    @pytest.mark.parametrize("fn", [pair_correlation, displacement_intensity,
+                                    palm_intensity_dominated])
+    @pytest.mark.parametrize("u,v", [(0, 1), (3, 1), (1, 0), (1, 3)])
+    def test_pair_functions_reject_sites_outside(self, diag_kernel, fn, u, v):
+        # site 0 must not read site n by negative indexing, nor n + 1 run off the end
+        with pytest.raises(ValidationError) as err:
+            fn(diag_kernel, u, v)
+        assert err.value.token == "param-bound"
+
 
 class TestJointIntensity:
     def test_single_point_is_diagonal(self, ginibre):
