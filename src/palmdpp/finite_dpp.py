@@ -1,9 +1,10 @@
 """Exact machinery on finite ground spaces.
 
-The spectrum gate, subset laws by inclusion-exclusion over principal
-minors, the Palm matrix, the dilation of a kernel matrix to a projection
-on twice the space, the coupling of X with its Palm process by max-flow
-feasibility, and exact / coupled samplers.
+The spectrum gate, subset laws by conditioning on one site at a time,
+the Palm matrix, the dilation of a kernel matrix to a projection on twice
+the space, the coupling of X with its Palm process by max-flow
+feasibility (the pairs that lose the anchor routed before the solve),
+and exact / coupled samplers.
 
 Sites are numbered 1..n in the public API; subsets are bitmasks where
 bit (site - 1) marks membership.
@@ -44,8 +45,8 @@ _LAW_MAX_SITES = 16
 _COUPLING_MAX_SITES = 12
 _FLOW_DEFICIT = 1e-8
 _FLOW_UNITS = 2 ** 30  # integer units of residual source mass per max-flow round
-_FLOW_NOISE = 1e-15    # flow below this is float noise: not routed, not tabled
-_MINOR_BLOCK = 512   # principal minors per stacked det call in subset_law
+_FLOW_NOISE = 1e-15    # residual mass below this is float noise: no further round
+_PIVOT_FLOOR = 1e-14  # a conditioning factor this small is rounding of zero
 _SAMPLE_BLOCK = 64   # draws per batch of the spectral sampler
 
 
@@ -134,16 +135,16 @@ def validate(matrix, slack: float = 1e-6) -> FiniteDpp:
     anything further out is rejected.  A real symmetric matrix stays real.
     """
     M = np.asarray(matrix, dtype=complex if np.iscomplexobj(matrix) else float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValidationError("param-bound", "kernel matrix must be square")
-    scale = 1.0 + float(np.max(np.abs(M))) if M.size else 1.0
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
+        raise ValidationError("param-bound", "kernel matrix must be square and nonempty")
+    scale = 1.0 + float(np.max(np.abs(M)))
     if float(np.max(np.abs(M - M.conj().T))) > 1e-10 * scale:
         raise ValidationError("non-hermitian", "kernel matrix is not Hermitian")
     del matrix  # frees the caller's unsymmetrized array before eigh, unless it holds it
     M = 0.5 * (M + M.conj().T)
     eig = hermitian_eig(M)
     lam = eig.eigenvalues
-    if lam.size and (lam.min() < -slack or lam.max() > 1.0 + slack):
+    if lam.min() < -slack or lam.max() > 1.0 + slack:
         raise ValidationError("spectrum", "eigenvalues must lie in [0, 1]; found range "
                               f"[{lam.min():.6g}, {lam.max():.6g}]")
     clamped = np.clip(lam, 0.0, 1.0)
@@ -186,41 +187,40 @@ def inclusion_prob(dpp: FiniteDpp, subset_mask: int) -> float:
     return min(max(det, 0.0), 1.0)
 
 
-def subset_law(dpp: FiniteDpp) -> SubsetLaw:
-    """Exact law P(X = S) for every subset S.
+def _conditioned(rest: np.ndarray, cr: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """rest + cr / factor for each kernel of the stack, and the zero kernel
+    where the factor is at rounding level."""
+    live = factor > _PIVOT_FLOOR
+    inv = np.divide(1.0, factor, out=np.zeros_like(factor), where=live)
+    return np.where(live[:, None, None], rest + cr * inv[:, None, None], 0.0)
 
-    Inclusion-exclusion over inclusion probabilities:
-    P(X = S) = sum over A containing S of (-1)^|A \\ S| det K_A,
-    evaluated with an in-place superset Moebius transform.  The principal
-    minors det K_A are taken in stacks of equal size, a few hundred per
-    det call.
+
+def subset_law(dpp: FiniteDpp) -> SubsetLaw:
+    """Exact law P(X = S) for every subset S, by conditioning on one site at a time.
+
+    Given what X does on the sites before it, site k is in X with
+    probability d = K[k, k] of the conditional kernel K.  Given k in X, the
+    kernel of the later sites is the Schur complement K - c r / d; given k
+    not in X, it is K + c r / (1 - d), with c and r the rest of column and
+    row k.  Level k holds 2**k conditional kernels of order n - k and the
+    probability of the path to each; the branch at site k sets bit k - 1
+    of the path's index, so after the last site the path probabilities are
+    the subset law by bitmask.  A branch whose factor d or 1 - d is at
+    rounding level gets the zero kernel, so no inf or NaN reaches the
+    branches below it.
     """
     n = dpp.n
     if n > _LAW_MAX_SITES:
         raise SizeGuardError(f"subset laws are bounded at n <= {_LAW_MAX_SITES} (got {n})")
-    size = 1 << n
-    vals = np.empty(size)
-    vals[0] = 1.0
-    masks = np.arange(size, dtype=np.int32)
-    popcount = np.zeros(size, dtype=np.uint8)
-    for i in range(n):
-        popcount += (masks >> i & 1).astype(np.uint8)
-    shifts = np.arange(n, dtype=np.int32)
-    for r in range(1, n + 1):
-        of_size = masks[popcount == r]
-        for lo in range(0, of_size.size, _MINOR_BLOCK):
-            block = of_size[lo:lo + _MINOR_BLOCK]
-            # ascending site indices of each mask, one row per mask
-            idx = np.nonzero(block[:, None] >> shifts & 1)[1].reshape(-1, r)
-            minors = np.linalg.det(dpp.matrix[idx[:, :, None], idx[:, None, :]])
-            vals[block] = np.real(minors)
-    t = vals.reshape((2,) * n)
-    for axis in range(n):
-        lo = [slice(None)] * n
-        hi = [slice(None)] * n
-        lo[axis], hi[axis] = 0, 1
-        t[tuple(lo)] -= t[tuple(hi)]
-    probs = vals  # transformed in place
+    K = dpp.matrix[None]
+    probs = np.ones(1)
+    for _ in range(n):
+        d = K[:, 0, 0].real
+        rest, cr = K[:, 1:, 1:], K[:, 1:, :1] * K[:, :1, 1:]
+        K = np.concatenate([_conditioned(rest, cr, 1.0 - d), _conditioned(rest, -cr, d)])
+        probs = np.concatenate([probs * (1.0 - d), probs * d])
+    if not np.all(np.isfinite(probs)):
+        raise ValidationError("spectrum", "subset law has a non-finite value")
     if probs.min() < -1e-8:
         raise ValidationError("spectrum",
                               f"subset law has a materially negative value {probs.min():.3e}")
@@ -279,18 +279,25 @@ def coupling_feasible(law_x: SubsetLaw, law_xu: SubsetLaw,
                       u: int) -> tuple[float, CouplingTable | None]:
     """Search for a coupling of X and X^u removing at most one point.
 
-    Runs max-flow on the bipartite graph of subset pairs (S, T) with
-    T subset S and |S \\ T| <= 1 (and u never in T), source capacities
-    law_x, sink capacities law_xu, and pair capacities 2, more than any
-    flow of value at most 1 can use.  A saturating flow (value 1 within
-    1e-8) is decomposed into a CouplingTable.
+    A coupling is a flow on the bipartite graph of subset pairs (S, T) with
+    T subset S, |S \\ T| <= 1 and u never in T, from source capacities
+    law_x to sink capacities law_xu.  It exists when the maximum flow has
+    value 1 (within 1e-8); the flow is then returned as a CouplingTable.
 
-    scipy's max-flow takes integer capacities, so the flow is found in
-    rounds.  Each round solves the residual network of the float flow
-    found so far, with its capacities scaled so that the residual source
-    mass is 2**30 units and floored, and adds the round's flow back.  A
-    round leaves about 2e-6 of its residual to flooring, so three rounds
-    reach the float noise of the laws.
+    An S holding u has one pair, (S, S \\ {u}), and a saturating flow sends
+    all of P(X = S) along it.  Those pairs are routed first, up to the sink
+    capacity of S \\ {u}, and what a sink cannot take is lost flow; there is
+    always a maximum flow that routes them so.  The rest of the flow is a
+    maximum flow on the subsets without u, against the sink capacities the
+    routed pairs left.
+
+    scipy's max-flow takes integer capacities, so that flow is found in
+    rounds on one graph.  Each round writes the capacities of the residual
+    network of the float flow found so far, scaled so that the residual
+    source mass is 2**30 units and floored, and adds the round's flow back.
+    A round leaves about 2e-6 of its residual to flooring, so three rounds
+    reach the float noise of the laws.  The table holds every solver pair
+    with positive flow, then every routed pair with positive mass.
     """
     if law_x.n != law_xu.n:
         raise ValidationError("param-bound", "laws live on different site counts")
@@ -298,32 +305,44 @@ def coupling_feasible(law_x: SubsetLaw, law_xu: SubsetLaw,
     if not 1 <= u <= n:
         raise ValidationError("param-bound", f"site {u} outside 1..{n}")
     ubit = 1 << (u - 1)
-    masks = np.arange(1 << n)
-    mass_on_u = float(law_xu.probs[(masks & ubit) > 0].sum())
+    holds_u = (np.arange(1 << n) & ubit) > 0
+    mass_on_u = float(law_xu.probs[holds_u].sum())
     if mass_on_u > 1e-10:
         raise ValidationError(
             "param-bound",
             f"the Palm-side law puts mass {mass_on_u:.3e} on subsets containing site {u}")
 
-    s_masks = np.flatnonzero(law_x.probs > 0.0)
-    t_ok = (law_xu.probs > 0.0) & (masks & ubit == 0)
-    t_masks = np.flatnonzero(t_ok)
+    sink = np.where(holds_u, 0.0, law_xu.probs)
+    routed_s = np.flatnonzero(holds_u & (law_x.probs > 0.0))
+    routed_t = routed_s ^ ubit
+    routed = np.minimum(law_x.probs[routed_s], sink[routed_t])
+    sink[routed_t] -= routed
+
+    s_masks = np.flatnonzero(~holds_u & (law_x.probs > 0.0))
+    t_masks = np.flatnonzero(sink > 0.0)
     ns, nt = s_masks.size, t_masks.size
-    # candidate T for each S: S less site v + 1 (column v) or S itself (column n);
-    # t_ok keeps u out of T, so an S holding u can only lose u
+    t_index = np.full(1 << n, -1)
+    t_index[t_masks] = np.arange(nt)
+    # candidate T for each S: S less site v + 1 (column v) or S itself (column n)
     bits = 1 << np.arange(n)
-    cand = np.concatenate([s_masks[:, None] ^ bits, s_masks[:, None]], axis=1)
+    cand = t_index[np.concatenate([s_masks[:, None] ^ bits, s_masks[:, None]], axis=1)]
     keep = np.concatenate([(s_masks[:, None] & bits) > 0, np.ones((ns, 1), dtype=bool)], axis=1)
-    pair_s, col = np.nonzero(keep & t_ok[cand])
-    pair_t = np.searchsorted(t_masks, cand[pair_s, col])
+    pair_s, col = np.nonzero(keep & (cand >= 0))
+    pair_t = cand[pair_s, col]
 
     s_node, t_node = 2 + pair_s, 2 + ns + pair_t
     # edges: source -> S, S -> T, T -> S (the residual of a pair's flow), T -> sink
     edge_from = np.concatenate([np.zeros(ns, dtype=np.int64), s_node, t_node,
                                 2 + ns + np.arange(nt)])
     edge_to = np.concatenate([2 + np.arange(ns), t_node, s_node, np.ones(nt, dtype=np.int64)])
-    p_x, p_xu = law_x.probs[s_masks], law_xu.probs[t_masks]
+    n_nodes = 2 + ns + nt
+    # each edge's number, from 1, as its data: after the CSR sort, data - 1 maps slots to edges
+    graph = csr_array((np.arange(1, edge_from.size + 1, dtype=np.int32), (edge_from, edge_to)),
+                      shape=(n_nodes, n_nodes))
+    order = graph.data - 1
+    p_x, p_xu = law_x.probs[s_masks], sink[t_masks]
     f = np.zeros(pair_s.size)
+    at = None  # each pair's position in the solver's flow array, the same every round
     while True:
         src = np.clip(p_x - np.bincount(pair_s, weights=f, minlength=ns), 0.0, None)
         snk = np.clip(p_xu - np.bincount(pair_t, weights=f, minlength=nt), 0.0, None)
@@ -334,18 +353,25 @@ def coupling_feasible(law_x: SubsetLaw, law_xu: SubsetLaw,
         # which keeps scipy's int32 sums from overflowing
         scale = _FLOW_UNITS / residual
         cap = np.concatenate([src, 2.0 - f, f, snk]) * scale
-        cap = np.floor(np.minimum(cap, _FLOW_UNITS)).astype(np.int32)
-        graph = csr_array((cap, (edge_from, edge_to)), shape=(2 + ns + nt,) * 2)
+        graph.data[:] = np.floor(np.minimum(cap[order], _FLOW_UNITS))
         result = maximum_flow(graph, 0, 1)
-        f += result.flow[s_node, t_node] / scale
+        if at is None:
+            flow_rows = np.repeat(np.arange(n_nodes), np.diff(result.flow.indptr))
+            keys = flow_rows * n_nodes + result.flow.indices
+            by_key = np.argsort(keys, kind="stable")  # linear when already sorted
+            at = by_key[np.searchsorted(keys, s_node * n_nodes + t_node, sorter=by_key)]
+        f += result.flow.data[at] / scale
         if 2 * result.flow_value < _FLOW_UNITS:
             break  # saturated: another round could only recover this one's flooring loss
-    flow = float(f.sum())
+    flow = float(routed.sum() + f.sum())
     if flow < 1.0 - _FLOW_DEFICIT:
         return flow, None
-    kept = f > _FLOW_NOISE
-    joint = np.stack([s_masks[pair_s[kept]], t_masks[pair_t[kept]]], axis=1)
-    return flow, CouplingTable(joint=joint, mass=f[kept], anchor=u, n=n)
+    kept, routed_kept = f > 0.0, routed > 0.0
+    joint = np.concatenate([
+        np.stack([s_masks[pair_s[kept]], t_masks[pair_t[kept]]], axis=1),
+        np.stack([routed_s[routed_kept], routed_t[routed_kept]], axis=1)])
+    return flow, CouplingTable(joint=joint, mass=np.concatenate([f[kept], routed[routed_kept]]),
+                               anchor=u, n=n)
 
 
 def couple(dpp: FiniteDpp, u: int) -> tuple[float, CouplingTable]:
@@ -371,9 +397,13 @@ def xi_law(table: CouplingTable, dpp: FiniteDpp, u: int) -> tuple[float, np.ndar
 
     Returns (p, density) where p is the mass of pairs differing in one
     site and density[v-1] is the conditional probability that the
-    removed point sits at site v.
+    removed point sits at site v.  u must be the table's anchor.
     """
     _site_index(dpp, u)
+    if u != table.anchor:
+        raise ValidationError("param-bound",
+                              f"the table couples X with its Palm process at site {table.anchor}, "
+                              f"not at site {u}")
     diff = table.joint[:, 0] ^ table.joint[:, 1]
     moved = diff != 0
     w = table.mass[moved]

@@ -41,6 +41,19 @@ def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     return 0.5 * (z + z.conj().T)
 
 
+def complement_determinant_law(dpp) -> np.ndarray:
+    """P(X = S) = |det(K - I_{S^c})| for every subset S, by bitmask."""
+    n = dpp.n
+    masks = np.arange(1 << n)
+    out = (masks[:, None] >> np.arange(n) & 1) == 0  # sites outside S
+    law = np.empty(1 << n)
+    for lo in range(0, 1 << n, 4096):
+        block = out[lo:lo + 4096]
+        shifted = dpp.matrix - block[:, :, None] * np.eye(n)
+        law[lo:lo + 4096] = np.abs(np.linalg.det(shifted))
+    return law
+
+
 def assert_sampler_matches_kernel(dpp, masks) -> None:
     """Per-site inclusion rates against K_ii, and the count mean and
     variance against sum(lam) and sum(lam (1 - lam)), at 4.5 sigma."""

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from palmdpp import finite_dpp
 from palmdpp.errors import SizeGuardError, ValidationError
 from palmdpp.finite_dpp import (
     SubsetLaw,
@@ -23,7 +24,8 @@ from palmdpp.finite_dpp import (
     xi_law,
 )
 
-from conftest import assert_sampler_matches_kernel, random_dpp_matrix, random_unitary
+from conftest import (assert_sampler_matches_kernel, complement_determinant_law,
+                      random_dpp_matrix, random_unitary)
 
 DIAG = np.diag([0.3, 0.7])
 PROJ1 = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -41,23 +43,6 @@ def real_kernel_with_extreme_eigenvalues(rng, n: int = 12) -> np.ndarray:
     lam = np.concatenate(([1.0] * 3, [0.0] * 3, rng.uniform(0.05, 0.95, n - 6)))
     k = (q * lam) @ q.T
     return 0.5 * (k + k.T)
-
-
-def reference_subset_law(dpp) -> np.ndarray:
-    """One det call per subset, then the superset Moebius transform."""
-    n = dpp.n
-    vals = np.empty(1 << n)
-    vals[0] = 1.0
-    for mask in range(1, 1 << n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        vals[mask] = float(np.real(np.linalg.det(dpp.matrix[np.ix_(idx, idx)])))
-    t = vals.reshape((2,) * n)
-    for axis in range(n):
-        lo = [slice(None)] * n
-        hi = [slice(None)] * n
-        lo[axis], hi[axis] = 0, 1
-        t[tuple(lo)] -= t[tuple(hi)]
-    return np.clip(vals, 0.0, None)
 
 
 def table_items(table):
@@ -99,15 +84,26 @@ def reference_xi_law(table, n):
     return p, density
 
 
-def spectral_class_kernel(seed: int, ones: int, zeros: int, n: int = 12) -> np.ndarray:
+def spectral_class_kernel(seed, ones: int, zeros: int, n: int = 12) -> np.ndarray:
     """Haar eigenvectors with `ones` eigenvalues 1, `zeros` eigenvalues 0, the
-    rest in (0.05, 0.95)."""
+    rest in (0.05, 0.95); seed is an int or a Generator to draw from."""
     rng = np.random.default_rng(seed)
     lam = np.concatenate([np.ones(ones), np.zeros(zeros),
                           rng.uniform(0.05, 0.95, n - ones - zeros)])
     q = random_unitary(rng, n)
     k = (q * lam) @ q.conj().T
     return 0.5 * (k + k.conj().T)
+
+
+def benchmark_pool(seed: int):
+    """The twelve 12-site kernels and anchors that the finite-exact benchmark
+    draws from `seed`, four of each of three spectral classes."""
+    rng = np.random.default_rng([seed, 1])
+    for ones, zeros in ((0, 0), (1, 0), (3, 9), (0, 0), (2, 0), (5, 7),
+                        (0, 0), (3, 0), (7, 5), (0, 0), (4, 0), (9, 3)):
+        k = spectral_class_kernel(rng, ones, zeros)
+        u = int(rng.choice(np.flatnonzero(np.real(np.diag(k)) >= 0.05))) + 1
+        yield k, u
 
 
 def rank2_kernel(n: int = 3) -> np.ndarray:
@@ -127,6 +123,11 @@ class TestValidate:
         with pytest.raises(ValidationError) as err:
             validate(np.diag([1.5]))
         assert err.value.token == "spectrum"
+
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(ValidationError) as err:
+            validate(np.zeros((0, 0)))
+        assert err.value.token == "param-bound"
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError) as err:
@@ -220,12 +221,20 @@ class TestSubsetLaw:
                     want = law.prob(t | ubit) / kuu
                     assert abs(palm_law.prob(t) - want) < 1e-8
 
-    def test_batched_minors_match_one_by_one(self):
+    def test_matches_complement_determinants(self):
         rng = np.random.default_rng(31)
-        for matrix in (random_dpp_matrix(rng, 9, force_one=True),
-                       real_kernel_with_extreme_eigenvalues(rng, 8)):
+        q, _ = np.linalg.qr(rng.normal(size=(16, 16)))
+        matrices = [random_dpp_matrix(rng, 9), random_dpp_matrix(rng, 7),
+                    random_dpp_matrix(rng, 9, force_one=True),
+                    random_dpp_matrix(rng, 6, force_one=True),
+                    real_kernel_with_extreme_eigenvalues(rng, 8),
+                    real_kernel_with_extreme_eigenvalues(rng, 12),
+                    q[:, :3] @ q[:, :3].T,  # rank-3 projection on 16 sites
+                    np.diag([0.0, 1.0, 0.3, 1.0, 0.0, 0.6])]
+        for matrix in matrices:
             dpp = validate(matrix)
-            assert np.array_equal(subset_law(dpp).probs, reference_subset_law(dpp))
+            law = subset_law(dpp).probs
+            assert np.max(np.abs(law - complement_determinant_law(dpp))) <= 1e-14
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
@@ -439,11 +448,36 @@ class TestCoupling:
 
     def test_size_guard(self, monkeypatch):
         big = validate(np.diag([0.5] * 13))
-        dets = []
-        monkeypatch.setattr(np.linalg, "det", lambda *a: dets.append(a))
+        laws = []
+        monkeypatch.setattr(finite_dpp, "subset_law", lambda *a: laws.append(a))
         with pytest.raises(SizeGuardError):
             couple(big, 13)
-        assert dets == []  # raised before any law was computed
+        assert laws == []  # raised before any law was computed
+
+    def test_routed_pairs_overfill_a_sink(self):
+        # X always holds the anchor, site 1; X^u is empty only half the time,
+        # so S = {1} can route only half its mass to S less the anchor
+        law_x = SubsetLaw(probs=np.array([0.0, 1.0, 0.0, 0.0]), n=2)
+        law_xu = SubsetLaw(probs=np.array([0.5, 0.0, 0.5, 0.0]), n=2)
+        flow, table = coupling_feasible(law_x, law_xu, 1)
+        assert table is None and abs(flow - 0.5) <= 1e-12
+
+    def test_xi_law_refuses_another_site(self):
+        dpp = validate(DIAG)
+        _, table = couple(dpp, 1)
+        with pytest.raises(ValidationError) as exc:
+            xi_law(table, dpp, 2)
+        assert exc.value.token == "param-bound"
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7])
+    def test_benchmark_pool_matches_kernel_formulas(self, seed):
+        for matrix, u in benchmark_pool(seed):
+            dpp = validate(matrix)
+            _, table = couple(dpp, u)
+            p, density = xi_law(table, dpp, u)
+            row = np.abs(dpp.matrix[u - 1, :]) ** 2
+            assert abs(p - row.sum() / dpp.matrix[u - 1, u - 1].real) <= 1e-14
+            assert np.max(np.abs(density - row / row.sum())) <= 1e-14
 
 
 class TestSamplers:

@@ -1,5 +1,6 @@
-"""Property tests: closed forms over random parameters, the kernel Gram
-contract, and the CLI's exit contract over random valid and invalid inputs.
+"""Property tests: closed forms over random parameters, exact finite laws
+and couplings, the kernel Gram contract, and the CLI's exit contract over
+random valid and invalid inputs.
 
 The hypothesis profile in conftest.py derandomizes the examples and bounds
 their number, so these run the same way every time.
@@ -17,12 +18,13 @@ from hypothesis import strategies as st
 
 from palmdpp.analysis import ginibre_moment, jinc_moment_closed, moment_quadrature
 from palmdpp.cli import main
+from palmdpp.finite_dpp import couple, palm_matrix, subset_law, validate, xi_law
 from palmdpp.kernel_core import palm_kernel, repulsiveness_p, sphere_surface_measure
 from palmdpp.model_zoo import (GinibreParams, finite_kernel, ginibre_kernel, jinc_kernel,
                                multiquadric, sphere_kernel, sphere_model, sphere_multiplicity,
                                sphere_p, thin_rescale)
 
-from conftest import random_dpp_matrix
+from conftest import complement_determinant_law, random_dpp_matrix, random_unitary
 
 betas = st.floats(min_value=0.01, max_value=1.0)
 jinc_orders = st.floats(min_value=-1.99, max_value=0.99)
@@ -76,6 +78,46 @@ def test_sphere_quadrature_agrees_with_series(model):
     report = repulsiveness_p(sphere_kernel(model), north)
     series = sphere_p(model).value
     assert abs(report.p_u - series) <= report.quadrature_error + 1e-9 * series
+
+
+# ------------------------------------------------------ exact finite laws
+
+
+@st.composite
+def finite_dpps(draw, max_sites: int = 8):
+    """A validated kernel on up to max_sites sites, complex or real, whose
+    eigenvalues are often exactly 0 or 1."""
+    n = draw(st.integers(1, max_sites))
+    lam = draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                        min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q = random_unitary(rng, n) if draw(st.booleans()) else np.linalg.qr(rng.normal(size=(n, n)))[0]
+    k = (q * lam) @ q.conj().T
+    return validate(0.5 * (k + k.conj().T))
+
+
+@given(dpp=finite_dpps())
+def test_subset_law_matches_complement_determinants(dpp):
+    law = subset_law(dpp).probs
+    assert np.max(np.abs(law - complement_determinant_law(dpp))) <= 1e-14
+
+
+@given(dpp=finite_dpps(), pick=st.integers(0, 7))
+def test_couple_support_marginals_and_removed_point(dpp, pick):
+    diag = np.real(np.diagonal(dpp.matrix))
+    sites = np.flatnonzero(diag >= 0.05)
+    assume(sites.size > 0)
+    u = int(sites[pick % sites.size]) + 1
+    _, table = couple(dpp, u)
+    s, t = table.joint.T
+    assert np.all(t & s == t) and not np.any(t >> (u - 1) & 1)
+    assert max(bin(int(d)).count("1") for d in s ^ t) <= 1
+    assert np.max(np.abs(table.row_marginal() - subset_law(dpp).probs)) <= 1e-12
+    assert np.max(np.abs(table.col_marginal() - subset_law(palm_matrix(dpp, u)).probs)) <= 1e-12
+    p, density = xi_law(table, dpp, u)
+    row = np.abs(dpp.matrix[u - 1, :]) ** 2
+    assert abs(p - row.sum() / diag[u - 1]) <= 1e-12
+    assert np.max(np.abs(density - row / row.sum())) <= 1e-12
 
 
 # ------------------------------------------------------------ Gram contract
