@@ -64,6 +64,10 @@ CASES = [
     ("sample-ginibre", GINIBRE,
      ["sample", "{spec}", "--samples=3", "--seed=7", "--window=-2,2,-2,2",
       "--resolution=6", "--emit-points"]),
+    # 100 draws on 36 cells: more than one batch of the spectral sampler
+    ("sample-ginibre-many", GINIBRE,
+     ["sample", "{spec}", "--samples=100", "--seed=16", "--window=-2,2,-2,2",
+      "--resolution=6", "--emit-points"]),
     ("sample-thinned-jinc", THINNED_JINC,
      ["sample", "{spec}", "--samples=3", "--seed=8", "--window=-3,3,-3,3",
       "--resolution=6", "--emit-points"]),
