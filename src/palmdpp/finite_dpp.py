@@ -3,8 +3,9 @@
 The spectrum gate, subset laws by conditioning on one site at a time,
 the Palm matrix, the dilation of a kernel matrix to a projection on twice
 the space, the coupling of X with its Palm process by max-flow
-feasibility (the pairs that lose the anchor routed before the solve),
-and exact / coupled samplers.
+feasibility on up to 16 sites (the pairs that lose the anchor routed
+before the solve, the rest started from a greedy flow), and exact /
+coupled samplers.
 
 Sites are numbered 1..n in the public API; subsets are bitmasks where
 bit (site - 1) marks membership.
@@ -42,12 +43,13 @@ __all__ = [
 ]
 
 _LAW_MAX_SITES = 16
-_COUPLING_MAX_SITES = 12
+_COUPLING_MAX_SITES = 16
 _FLOW_DEFICIT = 1e-8
 _FLOW_UNITS = 2 ** 30  # integer units of residual source mass per max-flow round
 _FLOW_NOISE = 1e-15    # residual mass below this is float noise: no further round
 _PIVOT_FLOOR = 1e-14  # a conditioning factor this small is rounding of zero
-_SAMPLE_BLOCK = 64   # draws per batch of the spectral sampler
+_SAMPLE_BLOCK = 64   # fewest draws per batch of the spectral sampler
+_SAMPLE_ENTRIES = 2 ** 16  # direction-stack entries per batch: 1 MiB of complex at n x n per draw
 
 
 @dataclass(frozen=True)
@@ -291,13 +293,16 @@ def coupling_feasible(law_x: SubsetLaw, law_xu: SubsetLaw,
     maximum flow on the subsets without u, against the sink capacities the
     routed pairs left.
 
-    scipy's max-flow takes integer capacities, so that flow is found in
+    That flow starts from a greedy one: each pair (S, S) takes what both
+    of its ends have left, then, site by site, each pair (S, S less v).
+    scipy's max-flow takes integer capacities, so the rest is found in
     rounds on one graph.  Each round writes the capacities of the residual
-    network of the float flow found so far, scaled so that the residual
+    network of the float flow found so far (2 - f forward, f backward, so
+    a round can undo the greedy start), scaled so that the residual
     source mass is 2**30 units and floored, and adds the round's flow back.
-    A round leaves about 2e-6 of its residual to flooring, so three rounds
-    reach the float noise of the laws.  The table holds every solver pair
-    with positive flow, then every routed pair with positive mass.
+    A round leaves about 2e-6 of its residual to flooring, so two or three
+    rounds reach the float noise of the laws.  The table holds every solver
+    pair with positive flow, then every routed pair with positive mass.
     """
     if law_x.n != law_xu.n:
         raise ValidationError("param-bound", "laws live on different site counts")
@@ -341,7 +346,16 @@ def coupling_feasible(law_x: SubsetLaw, law_xu: SubsetLaw,
                       shape=(n_nodes, n_nodes))
     order = graph.data - 1
     p_x, p_xu = law_x.probs[s_masks], sink[t_masks]
+    # greedy start: the pairs (S, S) first, then the pairs (S, S less site v) for
+    # each v; within one column every S and every T is distinct
     f = np.zeros(pair_s.size)
+    src, snk = p_x.copy(), p_xu.copy()
+    for c in (n, *range(n)):
+        idx = np.flatnonzero(col == c)
+        s, t = pair_s[idx], pair_t[idx]
+        f[idx] = g = np.minimum(src[s], snk[t])
+        src[s] -= g
+        snk[t] -= g
     at = None  # each pair's position in the solver's flow array, the same every round
     while True:
         src = np.clip(p_x - np.bincount(pair_s, weights=f, minlength=ns), 0.0, None)
@@ -377,7 +391,7 @@ def coupling_feasible(law_x: SubsetLaw, law_xu: SubsetLaw,
 def couple(dpp: FiniteDpp, u: int) -> tuple[float, CouplingTable]:
     """(max-flow value, table) of a coupling of X and X^u, the Palm process at
     site u, in which X^u is X less at most one point.  Raises SizeGuardError
-    beyond 12 sites, before any law is computed, and TheoremViolationError
+    beyond 16 sites, before any law is computed, and TheoremViolationError
     when the flow does not saturate."""
     if dpp.n > _COUPLING_MAX_SITES:
         raise SizeGuardError(
@@ -469,12 +483,15 @@ def sample_indicators(dpp: FiniteDpp, rng_seed: int, draws: int) -> np.ndarray:
     indicators, a boolean array of shape (draws, n).
 
     Uses the spectral sampler on the stored eigendecomposition, in
-    batches of up to 64 draws.
+    batches of up to max(64, 2**16 // n**2) draws, which bounds each
+    batch's stack of directions to about 1 MiB: spaces of 32 sites or
+    more take 64 draws a batch.
     """
     rng = np.random.default_rng(rng_seed)
     lam, V = dpp.eig.eigenvalues, dpp.eig.eigenvectors
-    blocks = [_spectral_block(lam, V, min(_SAMPLE_BLOCK, draws - lo), rng)
-              for lo in range(0, draws, _SAMPLE_BLOCK)]
+    block = max(_SAMPLE_BLOCK, _SAMPLE_ENTRIES // dpp.n ** 2)
+    blocks = [_spectral_block(lam, V, min(block, draws - lo), rng)
+              for lo in range(0, draws, block)]
     return np.concatenate(blocks) if blocks else np.zeros((0, dpp.n), dtype=bool)
 
 

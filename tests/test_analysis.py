@@ -306,14 +306,22 @@ class TestGridDiscretize:
 
 
 class TestMcValidateCoupling:
-    def test_discretized_ginibre(self):
+    @staticmethod
+    def assert_ginibre_passes(resolution):
         k = ginibre_kernel(GinibreParams(1.0, 1.0))
-        report = mc_validate_coupling(k, ORIGIN, (-1.0, 1.0, -1.0, 1.0), 3,
+        report = mc_validate_coupling(k, ORIGIN, (-1.0, 1.0, -1.0, 1.0), resolution,
                                       samples=20000, rng_seed=11)
         assert report.flow >= 1.0 - 1e-8
         assert abs(report.z_score) <= 3.0
         assert report.chi2_pvalue >= 0.01
         assert np.all(report.expected[:-1] >= 20.0)
+
+    def test_discretized_ginibre(self):
+        self.assert_ginibre_passes(3)
+
+    def test_discretized_ginibre_sixteen_cells(self):
+        # a 4 x 4 grid: the largest square grid the coupling guard admits
+        self.assert_ginibre_passes(4)
 
     def test_diagonal_kernel_displaces_only_anchor(self):
         report = mc_validate_coupling(poisson_style_kernel(0.9),
@@ -328,4 +336,4 @@ class TestMcValidateCoupling:
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
             mc_validate_coupling(ginibre_kernel(GinibreParams(1.0, 1.0)), ORIGIN,
-                                 (-1.0, 1.0, -1.0, 1.0), 4, samples=100, rng_seed=1)
+                                 (-1.0, 1.0, -1.0, 1.0), 5, samples=100, rng_seed=1)

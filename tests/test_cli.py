@@ -271,7 +271,7 @@ class TestCoupleCommand:
         assert code == 2
 
     def test_size_guard(self, tmp_path):
-        n = 13
+        n = 17
         matrix = [[[0.5 if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
         doc = {"family": "finite", "matrix": matrix}
         code, _, err = run_cli(["couple", write_spec(tmp_path, "big.json", doc)])

@@ -380,10 +380,10 @@ class TestCoupling:
         assert abs(p - 0.3) < 1e-8
         assert np.allclose(density, [1.0, 0.0], atol=1e-8)
 
-    @pytest.mark.parametrize("ones,zeros", [(0, 0), (2, 0), (5, 7)],
-                             ids=["below-one", "some-one", "projection"])
-    def test_twelve_sites(self, ones, zeros):
-        dpp = validate(spectral_class_kernel(31 + ones, ones, zeros))
+    @staticmethod
+    def assert_exact_coupling(dpp, formula_tol):
+        """Couple at the site of largest K_uu: support rule, both marginals
+        within 1e-12, and p_u, f_u within formula_tol of the kernel formulas."""
         u = int(np.argmax(np.real(np.diagonal(dpp.matrix)))) + 1
         law_x = subset_law(dpp)
         law_xu = subset_law(palm_matrix(dpp, u))
@@ -397,8 +397,20 @@ class TestCoupling:
         assert np.max(np.abs(table.col_marginal() - law_xu.probs)) <= 1e-12
         p, density = xi_law(table, dpp, u)
         row = np.abs(dpp.matrix[u - 1, :]) ** 2
-        assert abs(p - row.sum() / dpp.matrix[u - 1, u - 1].real) <= 1e-12
-        assert np.max(np.abs(density - row / row.sum())) <= 1e-12
+        assert abs(p - row.sum() / dpp.matrix[u - 1, u - 1].real) <= formula_tol
+        assert np.max(np.abs(density - row / row.sum())) <= formula_tol
+
+    @pytest.mark.parametrize("ones,zeros", [(0, 0), (2, 0), (5, 7)],
+                             ids=["below-one", "some-one", "projection"])
+    def test_twelve_sites(self, ones, zeros):
+        self.assert_exact_coupling(validate(spectral_class_kernel(31 + ones, ones, zeros)), 1e-12)
+
+    @pytest.mark.parametrize("ones,zeros", [(0, 0), (2, 0), (7, 9)],
+                             ids=["below-one", "some-one", "projection"])
+    def test_sixteen_sites(self, ones, zeros):
+        # the largest space the coupling guard admits
+        dpp = validate(spectral_class_kernel(61 + ones, ones, zeros, n=16))
+        self.assert_exact_coupling(dpp, 1e-14)
 
     def test_infeasible_returns_flow_and_no_table(self):
         # X is always empty, X^u holds site 2 half the time: only half the mass can move
@@ -406,6 +418,16 @@ class TestCoupling:
         law_xu = SubsetLaw(probs=np.array([0.5, 0.0, 0.5, 0.0]), n=2)
         flow, table = coupling_feasible(law_x, law_xu, 1)
         assert table is None and abs(flow - 0.5) <= 1e-12
+
+    def test_solver_undoes_the_greedy_start(self):
+        # X is {1} or {1, 2}, X^u (anchor 3) is {1} or empty, each with mass 1/2.
+        # The greedy start sends {1} -> {1} and leaves {1, 2} no outlet, so the
+        # solver must push that flow back: {1, 2} -> {1} and {1} -> empty
+        law_x = SubsetLaw(probs=np.array([0.0, 0.5, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0]), n=3)
+        law_xu = SubsetLaw(probs=np.array([0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]), n=3)
+        flow, table = coupling_feasible(law_x, law_xu, 3)
+        assert flow == 1.0
+        assert sorted(table_items(table)) == [((0b001, 0b000), 0.5), ((0b011, 0b001), 0.5)]
 
     @pytest.mark.parametrize("deficit,feasible", [(1e-6, False), (3e-9, True)])
     def test_flow_deficit_threshold(self, deficit, feasible):
@@ -447,11 +469,11 @@ class TestCoupling:
             coupling_feasible(law, law, 1)  # law has mass on subsets with site 1
 
     def test_size_guard(self, monkeypatch):
-        big = validate(np.diag([0.5] * 13))
+        big = validate(np.diag([0.5] * 17))
         laws = []
         monkeypatch.setattr(finite_dpp, "subset_law", lambda *a: laws.append(a))
         with pytest.raises(SizeGuardError):
-            couple(big, 13)
+            couple(big, 17)
         assert laws == []  # raised before any law was computed
 
     def test_routed_pairs_overfill_a_sink(self):
