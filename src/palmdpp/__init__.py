@@ -34,6 +34,7 @@ from .finite_dpp import (
     xi_law,
 )
 from .kernel_core import (
+    GridFactor,
     GroundSpace,
     Kernel,
     RepulsivenessReport,

@@ -64,7 +64,8 @@ class GridModel:
 
     The kernel matrix entries are K(c_i, c_j) * cell_measure, so sampled
     point counts estimate the intensity integral over the window;
-    dpp.clamp_report records the eigenvalues clamped onto [0, 1].
+    dpp.clamp_report records the eigenvalues clamped onto [0, 1] and, for
+    a factored kernel, the trace its factor dropped.
     """
 
     dpp: finite_dpp.FiniteDpp
@@ -74,7 +75,8 @@ class GridModel:
 
     @property
     def expected_count(self) -> float:
-        return float(np.real(np.trace(self.dpp.matrix)))
+        """Expected number of points, the sum of the kept eigenvalues."""
+        return float(np.sum(self.dpp.eig.eigenvalues))
 
 
 @dataclass(frozen=True)
@@ -181,9 +183,12 @@ def _euclidean_centers(window, resolution: int, d: int):
         lo, hi = w[2 * i], w[2 * i + 1]
         if not hi > lo:
             raise ValidationError("param-bound", "window bounds must be increasing")
-        step = (hi - lo) / resolution
-        axes.append(lo + step * (np.arange(resolution) + 0.5))
-        measure *= step
+        # a window beyond double precision gives non-finite cells, which the
+        # check on the grid's matrix reports as an overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = (hi - lo) / resolution
+            axes.append(lo + step * (np.arange(resolution) + 0.5))
+            measure *= step
     grids = np.meshgrid(*axes, indexing="ij")
     centers = np.stack([g.ravel() for g in grids], axis=-1)
     return centers, measure
@@ -201,14 +206,32 @@ def _sphere_centers(resolution: int):
     return centers, measure
 
 
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(a)):
+        raise OverflowError(f"the grid's {what} has entries beyond double precision; "
+                            "shrink the window")
+    return a
+
+
+def _grid_gram(kernel: Kernel, centers: np.ndarray, measure: float) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(kernel.gram(centers, centers) * measure, "kernel matrix")
+
+
 def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
     """Discretize a continuous kernel to cell centers.
 
-    Entries are K(c_i, c_j) * cell_measure, real when the kernel is.
-    finite_dpp.validate decomposes the matrix once, with a slack of 1e-3:
-    leakage up to 1e-3 beyond [0, 1] is clamped and reported in
-    dpp.clamp_report; worse leakage means the cells are too coarse for the
-    kernel (near-projection kernels are the usual culprit).
+    The grid matrix has entries K(c_i, c_j) * cell_measure, real when the
+    kernel is.  When the kernel declares a grid factor and it returns one
+    (an (n, m) phi with m < n, the Ginibre series), finite_dpp.validate_factor
+    takes the m eigenpairs from phi and the n x n matrix is never formed;
+    dpp.clamp_report.dropped_trace is the factor's certified dropped trace.
+    Otherwise (no factor declared, m >= n, or a derived kernel)
+    finite_dpp.validate decomposes the Gram matrix once.  Both share a
+    slack of 1e-3: leakage up to 1e-3 beyond [0, 1] is clamped and reported
+    in dpp.clamp_report; worse leakage means the cells are too coarse for
+    the kernel (near-projection kernels are the usual culprit).  A matrix
+    or factor with entries beyond double precision raises OverflowError.
     """
     if resolution < 1:
         raise ValidationError("param-bound", "resolution must be >= 1")
@@ -228,8 +251,13 @@ def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
     if n > _GRID_MAX_SITES:
         raise SizeGuardError(f"grid has {n} cells; the bound is {_GRID_MAX_SITES}")
 
-    try:  # the Gram matrix goes in unnamed, so validate can free it before eigh
-        dpp = finite_dpp.validate(kernel.gram(centers, centers) * measure, slack=1e-3)
+    factor = kernel.grid_factor(centers, measure) if kernel.grid_factor else None
+    try:
+        if factor is not None:
+            dpp = finite_dpp.validate_factor(_finite(factor.phi, "series factor"),
+                                             factor.dropped_trace, slack=1e-3)
+        else:  # the Gram matrix goes in unnamed, so validate can free it before eigh
+            dpp = finite_dpp.validate(_grid_gram(kernel, centers, measure), slack=1e-3)
     except ValidationError as exc:
         if exc.token == "spectrum":
             raise ValidationError("spectrum", f"{exc} on the grid; the cells are too coarse: "

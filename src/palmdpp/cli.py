@@ -11,10 +11,13 @@ entries are [re, im] pairs, row-major.  Unknown keys anywhere are
 rejected.
 
 Exit codes: 0 success, 2 validation failure (including quadrature that
-cannot converge, and values beyond double precision), 3 parse failure,
-4 size guard, 5 internal theorem-violation dump.  All commands are
-deterministic given (input file, flags, seed); numbers render with 12
-significant digits.
+cannot converge, non-finite anchor coordinates, and values beyond double
+precision, such as a grid window whose kernel matrix overflows), 3 parse
+failure (including a flag value argparse cannot convert: --samples is an
+integer >= 1 for couple and >= 0 for sample, where 0 draws print the
+header alone), 4 size guard, 5 internal theorem-violation dump.  All
+commands are deterministic given (input file, flags, seed); numbers
+render with 12 significant digits.
 """
 from __future__ import annotations
 
@@ -204,6 +207,21 @@ def _parse_anchor(bundle: ModelBundle, text: str | None):
     return vals / norm
 
 
+def _int_at_least(minimum: int):
+    """argparse converter for a count flag: an integer >= minimum."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+
+    return convert
+
+
 def _quad_spec(args) -> QuadratureSpec | None:
     if args.rel_tol is None and args.truncation_radius is None:
         return None
@@ -233,8 +251,6 @@ def cmd_repulsiveness(args) -> int:
     bundle = load_kernel_spec(args.spec)
     anchor = _parse_anchor(bundle, args.anchor)
     coords = None
-    if args.profile_points is not None and args.profile_points < 1:
-        raise ParseError(f"--profile-points must be >= 1, got {args.profile_points}")
     if args.profile_points and bundle.kernel.space.kind != "finite":
         upper = args.profile_max or 10.0
         if bundle.kernel.space.kind == "sphere":
@@ -283,8 +299,6 @@ def cmd_profile(args) -> int:
         raise ParseError("no models requested")
     if not 0.0 < args.beta <= 1.0:
         raise ValidationError("param-bound", "beta must lie in (0, 1]")
-    if args.r_points < 1:
-        raise ParseError(f"--r-points must be >= 1, got {args.r_points}")
     radii = np.linspace(args.r_min, args.r_max, args.r_points)
     origin = np.zeros(2)
     columns: dict[str, np.ndarray] = {}
@@ -386,11 +400,14 @@ def cmd_sample(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process on first use."""
-    parser = argparse.ArgumentParser(
+    # a flag value that does not convert raises ArgumentError, which main
+    # reports as a parse failure (exit 3)
+    make_parser = functools.partial(argparse.ArgumentParser, exit_on_error=False)
+    parser = make_parser(
         prog="palmdpp",
         description="Reduced Palm distributions and coupling-based repulsiveness "
                     "measures for determinantal point processes.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=make_parser)
 
     def add_quad_flags(p):
         p.add_argument("--rel-tol", type=float, default=None,
@@ -406,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--anchor", default=None,
                    help="site index | 'x,y' | 'x,y,z' (normalized)")
-    p.add_argument("--profile-points", type=int, default=None)
+    p.add_argument("--profile-points", type=_int_at_least(1), default=None)
     p.add_argument("--profile-max", type=float, default=None)
     add_quad_flags(p)
     p.set_defaults(func=cmd_repulsiveness)
@@ -415,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--anchor", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=_int_at_least(1), default=10000)
     p.set_defaults(func=cmd_couple)
 
     p = sub.add_parser("profile", help="radial displacement densities (Figure-1 data)")
@@ -423,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--r-min", type=float, default=0.0)
     p.add_argument("--r-max", type=float, default=10.0)
-    p.add_argument("--r-points", type=int, default=201)
+    p.add_argument("--r-points", type=_int_at_least(1), default=201)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("moments", help="displacement moments: closed form vs quadrature")
@@ -436,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw subsets from a kernel (grid-discretized if continuous)")
     p.add_argument("spec")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_int_at_least(0), default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--window", default=None, help="'xmin,xmax[,ymin,ymax]'")
     p.add_argument("--resolution", type=int, default=None)
@@ -446,7 +463,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        print(f"parse-error: {exc}", file=sys.stderr)
+        return 3
     try:
         return args.func(args)
     except ParseError as exc:

@@ -12,14 +12,14 @@ bit (site - 1) marks membership.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_flow
 
 from .errors import SizeGuardError, TheoremViolationError, ValidationError
-from .numerics import HermitianEig, hermitian_eig
+from .numerics import HermitianEig, factor_eig, hermitian_eig
 
 __all__ = [
     "ClampReport",
@@ -28,6 +28,7 @@ __all__ = [
     "DilationPair",
     "CouplingTable",
     "validate",
+    "validate_factor",
     "inclusion_prob",
     "subset_law",
     "palm_matrix",
@@ -54,10 +55,12 @@ _SAMPLE_ENTRIES = 2 ** 16  # direction-stack entries per batch: 1 MiB of complex
 
 @dataclass(frozen=True)
 class ClampReport:
-    """Eigenvalues that validate moved onto [0, 1], and the largest move."""
+    """Eigenvalues that validation moved onto [0, 1], the largest move, and
+    the trace a factored kernel left out (0 for a dense matrix)."""
 
     n_clamped: int
     max_excess: float
+    dropped_trace: float = 0.0
 
     def __bool__(self) -> bool:
         return self.n_clamped > 0
@@ -67,15 +70,26 @@ class ClampReport:
 class FiniteDpp:
     """A validated n x n Hermitian kernel matrix with spectrum in [0, 1].
 
-    matrix and eig are kept consistent: if validation clamped any
-    eigenvalue, matrix is the clamped spectral rebuild, and clamp_report
-    says how many moved and how far.
+    eig holds every eigenpair of a dense matrix, or the m < n eigenpairs
+    of a factored one (the rest of its spectrum is 0).  matrix is the
+    validated matrix when validation kept it as given; when it clamped an
+    eigenvalue, or the kernel came as a factor, matrix is the spectral
+    rebuild V diag(lam) V*, built on first access.  clamp_report says how
+    many eigenvalues moved, how far, and what trace a factor dropped.
     """
 
-    matrix: np.ndarray
     eig: HermitianEig
     n: int
     clamp_report: ClampReport
+    _matrix: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            V = self.eig.eigenvectors
+            M = (V * self.eig.eigenvalues) @ V.conj().T
+            object.__setattr__(self, "_matrix", 0.5 * (M + M.conj().T))
+        return self._matrix
 
 
 @dataclass(frozen=True)
@@ -144,7 +158,28 @@ def validate(matrix, slack: float = 1e-6) -> FiniteDpp:
         raise ValidationError("non-hermitian", "kernel matrix is not Hermitian")
     del matrix  # frees the caller's unsymmetrized array before eigh, unless it holds it
     M = 0.5 * (M + M.conj().T)
-    eig = hermitian_eig(M)
+    return _gate(hermitian_eig(M), slack, M)
+
+
+def validate_factor(phi: np.ndarray, dropped_trace: float, slack: float = 1e-6) -> FiniteDpp:
+    """validate for the kernel matrix phi phi* of an (n, m) factor, m < n,
+    without forming it.
+
+    The m eigenpairs come from a thin SVD of phi and pass the same
+    spectrum guard and clamp as validate's.  dropped_trace is the trace
+    the factor leaves out of the kernel it stands for, as its declarer
+    certifies it; clamp_report records it.
+    """
+    return _gate(factor_eig(phi), slack, None, dropped_trace)
+
+
+def _gate(eig: HermitianEig, slack: float, matrix: np.ndarray | None,
+          dropped_trace: float = 0.0) -> FiniteDpp:
+    """The spectrum guard and clamp shared by validate and validate_factor.
+
+    matrix, when given, is kept unless an eigenvalue was clamped; without
+    it, FiniteDpp.matrix is the spectral rebuild.
+    """
     lam = eig.eigenvalues
     if lam.min() < -slack or lam.max() > 1.0 + slack:
         raise ValidationError("spectrum", "eigenvalues must lie in [0, 1]; found range "
@@ -152,13 +187,10 @@ def validate(matrix, slack: float = 1e-6) -> FiniteDpp:
     clamped = np.clip(lam, 0.0, 1.0)
     excess = np.abs(clamped - lam)
     n_clamped = int(np.count_nonzero(excess > 1e-12))
-    if n_clamped:
-        V = eig.eigenvectors
-        M = (V * clamped) @ V.conj().T
-        M = 0.5 * (M + M.conj().T)
-    eig = HermitianEig(eigenvalues=clamped, eigenvectors=eig.eigenvectors)
-    report = ClampReport(n_clamped, float(excess.max()) if n_clamped else 0.0)
-    return FiniteDpp(matrix=M, eig=eig, n=M.shape[0], clamp_report=report)
+    report = ClampReport(n_clamped, float(excess.max()) if n_clamped else 0.0, dropped_trace)
+    return FiniteDpp(eig=HermitianEig(eigenvalues=clamped, eigenvectors=eig.eigenvectors),
+                     n=eig.eigenvectors.shape[0], clamp_report=report,
+                     _matrix=None if n_clamped else matrix)
 
 
 def _site_index(dpp: FiniteDpp, u: int) -> int:
@@ -444,7 +476,9 @@ def _spectral_block(lam: np.ndarray, V: np.ndarray, n_draws: int,
     residual of the column K_J[:, x] of the picked site x.
     """
     n = V.shape[0]
-    kept = rng.random((n_draws, lam.size)) < lam
+    # one coin per site, so a factored kernel's m < n eigenvalues draw the
+    # coins a dense decomposition would, its zero eigenvalues never kept
+    kept = rng.random((n_draws, n))[:, :lam.size] < lam
     used = kept.any(axis=0)
     kept, V = kept[:, used], V[:, used]
     k = kept.sum(axis=1)

@@ -10,7 +10,7 @@ ground spaces:
 * the unit sphere S^d in R^(d+1) with surface measure (points are unit
   length-(d+1) arrays).
 
-Kernel is a frozen record of six fields:
+Kernel is a frozen record of seven fields:
 
 * space: the GroundSpace.
 * gram(X, Y): the matrix [K(x_i, y_j)] for two point arrays, 1-based
@@ -28,12 +28,19 @@ Kernel is a frozen record of six fields:
 * reference: exact values declared by the family ("p_u", "norm_sq", and
   "p_u_reported" for a closed form carried but not adopted), for profile
   normalization and cross-checks; repulsiveness_p never reads them.
+* grid_factor: (centers, cell_measure) -> GridFactor or None, set by a
+  family whose kernel is a series: an (n, m) phi with phi phi* the grid
+  matrix [K(c_i, c_j) * cell_measure] but for a PSD remainder of
+  certified trace dropped_trace.  It returns a factor only when m < n,
+  and None otherwise; grid discretization then decomposes phi and never
+  forms the n x n matrix.  Derived kernels (palm_kernel, thin_rescale)
+  declare none.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import integrate
@@ -42,6 +49,7 @@ from .errors import ValidationError
 from .numerics import QuadratureError, QuadratureSpec, RadialIntegral, Tail, integrate_radial
 
 __all__ = [
+    "GridFactor",
     "GroundSpace",
     "Kernel",
     "RepulsivenessReport",
@@ -108,6 +116,8 @@ def check_point(space: GroundSpace, point: Any) -> Any:
                                   f"site {site} outside 1..{space.size}")
         return site
     p = np.asarray(point, dtype=float)
+    if not np.all(np.isfinite(p)):
+        raise ValidationError("param-bound", f"point coordinates must be finite, got {p.tolist()}")
     if space.kind == "euclidean":
         if p.shape != (space.size,):
             raise ValidationError("param-bound",
@@ -122,6 +132,13 @@ def check_point(space: GroundSpace, point: Any) -> Any:
     return p
 
 
+class GridFactor(NamedTuple):
+    """A thin factor of a kernel's grid matrix, and the trace it leaves out."""
+
+    phi: np.ndarray  # (n, m), m < n
+    dropped_trace: float
+
+
 @dataclass(frozen=True)
 class Kernel:
     """A Hermitian kernel given by its batched Gram function, with the
@@ -133,6 +150,7 @@ class Kernel:
     k0: Callable[[np.ndarray], np.ndarray] | None = None
     tail: Tail | None = None
     reference: Mapping[str, float] = field(default_factory=dict)
+    grid_factor: Callable[[np.ndarray, float], GridFactor | None] | None = None
 
     def evaluate(self, u, v) -> complex:
         """K(u, v) for two single points."""

@@ -17,7 +17,7 @@ from scipy import special
 
 from .errors import ValidationError
 from .finite_dpp import FiniteDpp, validate
-from .kernel_core import GroundSpace, Kernel, sphere_surface_measure
+from .kernel_core import GridFactor, GroundSpace, Kernel, sphere_surface_measure
 from .numerics import Tail, gegenbauer_ratio_table
 
 __all__ = [
@@ -64,11 +64,50 @@ def finite_kernel(dpp: FiniteDpp | np.ndarray) -> Kernel:
     return Kernel(space=GroundSpace.finite(dpp.n), gram=gram)
 
 
+# the Ginibre grid factor keeps the series until each cell's dropped share
+# of its diagonal, P(Poisson(|z|^2 / beta) >= m), is at most this
+_SERIES_TAIL = 1e-13
+
+
+def _ginibre_grid_factor(alpha: float, beta: float):
+    """The grid factor of the Ginibre series
+    K(v, w) = (alpha/pi) e^(-(|v|^2 + |w|^2)/(2 beta)) sum_k (v conj(w)/beta)^k / k!.
+
+    Cut at m terms, phi[i, k] = sqrt(alpha cell/pi) e^(-|z_i|^2/(2 beta))
+    (z_i/sqrt(beta))^k / sqrt(k!), so |phi[i, k]|^2 is alpha cell/pi times
+    the Poisson(mu_i) mass at k, mu_i = |z_i|^2/beta; each entry comes from
+    its logarithm, so far cells do not underflow.  Cell i drops (alpha
+    cell/pi) P(Poisson(mu_i) >= m) of its diagonal, and dropped_trace is
+    their sum.  m is the least count below n with P(Poisson(max mu) >= m)
+    <= 1e-13; without one (a large window, or mu beyond double precision)
+    there is no factor.
+    """
+
+    def grid_factor(centers: np.ndarray, measure: float, _a=alpha, _b=beta) -> GridFactor | None:
+        n = centers.shape[0]
+        z = centers[:, 0] + 1j * centers[:, 1]
+        with np.errstate(over="ignore"):
+            mu = np.abs(z) ** 2 / _b
+        short = special.gammainc(np.arange(1, n), mu.max()) <= _SERIES_TAIL
+        if not short.any():
+            return None
+        m = 1 + int(np.argmax(short))
+        k = np.arange(m)
+        log_pmf = special.xlogy(k, mu[:, None]) - mu[:, None] - special.gammaln(k + 1.0)
+        phi = math.sqrt(_a * measure / math.pi) * np.exp(0.5 * log_pmf
+                                                         + 1j * k * np.angle(z)[:, None])
+        dropped = float(_a * measure / math.pi * np.sum(special.gammainc(m, mu)))
+        return GridFactor(phi, dropped)
+
+    return grid_factor
+
+
 def ginibre_kernel(params: GinibreParams) -> Kernel:
     """Scaled Ginibre kernel on the plane (complex coordinates).
 
     K(v, w) = (alpha/pi) exp(v conj(w)/beta - (|v|^2 + |w|^2)/(2 beta));
     alpha = beta = 1 is the standard Ginibre kernel with intensity 1/pi.
+    It declares its series as a grid factor (_ginibre_grid_factor).
     """
     alpha, beta = params.alpha, params.beta
 
@@ -88,6 +127,7 @@ def ginibre_kernel(params: GinibreParams) -> Kernel:
         radial_abs_sq=radial_abs_sq,
         tail=Tail("gaussian", math.sqrt(beta), amplitude=(alpha / math.pi) ** 2),
         reference={"norm_sq": alpha ** 2 * beta / math.pi, "p_u": alpha * beta},
+        grid_factor=_ginibre_grid_factor(alpha, beta),
     )
 
 

@@ -1,8 +1,8 @@
 """Shared numerical kernels.
 
-Normalized Gegenbauer polynomials, Hermitian eigendecomposition, and
-quadrature of radial integrals on (0, inf) against a declared asymptotic
-tail.
+Normalized Gegenbauer polynomials, Hermitian eigendecomposition (of a
+matrix, or of phi phi* from a thin factor phi), and quadrature of radial
+integrals on (0, inf) against a declared asymptotic tail.
 
 integrate_radial computes int_0^inf r^a g(r) dr for a smooth g whose
 large-r behaviour is a declared Tail: a Gaussian, or an expansion in
@@ -34,6 +34,7 @@ __all__ = [
     "RadialIntegral",
     "Tail",
     "gegenbauer_ratio_table",
+    "factor_eig",
     "hermitian_eig",
     "integrate_radial",
 ]
@@ -225,6 +226,15 @@ def hermitian_eig(K) -> HermitianEig:
     """
     w, V = np.linalg.eigh(K)
     return HermitianEig(eigenvalues=w[::-1].copy(), eigenvectors=V[:, ::-1].copy())
+
+
+def factor_eig(phi) -> HermitianEig:
+    """Eigendecomposition of phi phi* from a thin SVD of the (n, m) factor
+    phi, m < n, without forming phi phi*: the m eigenpairs of its range,
+    eigenvalues descending; the rest of the spectrum is 0.
+    """
+    U, s, _ = np.linalg.svd(phi, full_matrices=False)
+    return HermitianEig(eigenvalues=s ** 2, eigenvectors=U)
 
 
 def _gl_on_edges(f, edges: np.ndarray, nodes, weights) -> tuple[float, float]:

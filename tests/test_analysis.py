@@ -18,8 +18,9 @@ from palmdpp.analysis import (
     radial_profile,
 )
 from palmdpp.errors import SizeGuardError, ValidationError
-from palmdpp.finite_dpp import sample_exact_many
-from palmdpp.kernel_core import GroundSpace, Kernel, palm_kernel
+from palmdpp import model_zoo
+from palmdpp.finite_dpp import sample_exact_many, sample_indicators
+from palmdpp.kernel_core import GridFactor, GroundSpace, Kernel, palm_kernel
 from palmdpp.model_zoo import (GinibreParams, ginibre_kernel, jinc_kernel, multiquadric,
                                sphere_kernel, sphere_model, thin_rescale)
 from palmdpp.numerics import QuadratureSpec
@@ -30,17 +31,33 @@ ORIGIN = np.zeros(2)
 
 
 def leaky_ginibre() -> Kernel:
-    """Ginibre scaled by 1 + 2e-4: its top grid eigenvalues leak past 1."""
+    """Ginibre scaled by 1 + 2e-4: its top grid eigenvalues leak past 1.
+
+    The Gram matrix and the series factor are scaled alike, so the leak
+    reaches whichever route the grid takes.
+    """
     base = ginibre_kernel(GinibreParams(1.0, 1.0))
     bump = 1.0 + 2e-4
-    return replace(base, gram=lambda X, Y, _g=base.gram: bump * _g(X, Y))
+
+    def grid_factor(centers, measure, _f=base.grid_factor):
+        factor = _f(centers, measure)
+        return factor and GridFactor(math.sqrt(bump) * factor.phi, bump * factor.dropped_trace)
+
+    return replace(base, gram=lambda X, Y, _g=base.gram: bump * _g(X, Y), grid_factor=grid_factor)
+
+
+def dense_route(kernel: Kernel) -> Kernel:
+    """The kernel without its grid factor: grids decompose the Gram matrix."""
+    return replace(kernel, grid_factor=None)
 
 
 def count_eig_calls(monkeypatch) -> list:
-    """Record every numpy/scipy eigh and eigvalsh call from here on."""
+    """Record every numpy/scipy eigh and eigvalsh call, and every numpy SVD
+    (the decomposition of a grid factor), from here on."""
     calls = []
-    for mod in (np.linalg, scipy.linalg):
-        for name in ("eigh", "eigvalsh"):
+    for mod, names in ((np.linalg, ("eigh", "eigvalsh", "svd")),
+                       (scipy.linalg, ("eigh", "eigvalsh"))):
+        for name in names:
             def counted(*args, _orig=getattr(mod, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _orig(*args, **kwargs)
@@ -243,7 +260,10 @@ class TestGridDiscretize:
         assert calls == ["eigh"]
         calls.clear()
         clamped = grid_discretize(leaky_ginibre(), (-3.0, 3.0, -3.0, 3.0), 12)
-        assert clamped.dpp.clamp_report and calls == ["eigh"]
+        assert clamped.dpp.clamp_report and calls == ["svd"]
+        calls.clear()
+        dense = grid_discretize(dense_route(leaky_ginibre()), (-3.0, 3.0, -3.0, 3.0), 12)
+        assert dense.dpp.clamp_report and calls == ["eigh"]
 
     def test_real_kernels_give_real_matrices(self):
         model = sphere_model(2, 0.1, [0.5, 0.3, 0.2])
@@ -303,6 +323,90 @@ class TestGridDiscretize:
         grid = grid_discretize(jinc_kernel(1), (-2.0, 2.0), 8)
         assert grid.dpp.n == 8
         assert abs(grid.expected_count - 4.0 / math.pi) < 1e-12
+
+
+class TestGridFactor:
+    """Ginibre grids from the declared series factor, against the dense route."""
+
+    def test_eigenvalues_match_the_full_eigh_at_32x32(self):
+        kernel = ginibre_kernel(GinibreParams(1.0, 1.0))
+        grid = grid_discretize(kernel, (-4.0, 4.0, -4.0, 4.0), 32)
+        lam = grid.dpp.eig.eigenvalues
+        assert lam.size < grid.dpp.n == 1024
+        gram = kernel.gram(grid.centers, grid.centers) * grid.cell_measure
+        full = np.linalg.eigvalsh(gram)[::-1]
+        assert np.max(np.abs(lam - full[:lam.size])) <= 1e-12
+        assert np.max(np.abs(full[lam.size:])) <= 1e-12
+        assert grid.dpp.clamp_report.dropped_trace <= 1e-12
+
+    def test_short_series_reports_what_it_drops(self, monkeypatch):
+        monkeypatch.setattr(model_zoo, "_SERIES_TAIL", 1e-3)
+        kernel = ginibre_kernel(GinibreParams(1.0, 1.0))
+        grid = grid_discretize(kernel, (-3.0, 3.0, -3.0, 3.0), 12)
+        delta = grid.dpp.clamp_report.dropped_trace
+        lam = grid.dpp.eig.eigenvalues
+        gram = kernel.gram(grid.centers, grid.centers) * grid.cell_measure
+        lost = float(np.trace(gram).real) - float(lam.sum())
+        assert delta > 1e-4  # the series was cut short
+        assert lost <= delta * (1.0 + 1e-12) + 1e-13
+        assert lost >= delta * (1.0 - 1e-12) - 1e-13  # the dropped terms are all of the loss
+        # the dropped terms are PSD of trace delta, so no eigenvalue moves further
+        full = np.linalg.eigvalsh(gram)[::-1]
+        gap = full - np.append(lam, np.zeros(full.size - lam.size))
+        assert gap.min() >= -1e-13 and gap.max() <= delta + 1e-13
+
+    def test_row_norms_and_tails_make_the_diagonal_far_out(self):
+        alpha, beta, measure = 0.8, 1.0, 0.01
+        rng = np.random.default_rng(4)
+        r, theta = rng.uniform(29.5, 30.5, 2000), rng.uniform(0.0, 2.0 * math.pi, 2000)
+        centers = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+        factor = ginibre_kernel(GinibreParams(alpha, beta)).grid_factor(centers, measure)
+        m = factor.phi.shape[1]
+        diag = alpha * measure / math.pi
+        tails = diag * special.gammainc(m, r ** 2 / beta)
+        rows = np.sum(np.abs(factor.phi) ** 2, axis=1) + tails
+        assert m < centers.shape[0]
+        assert np.max(np.abs(rows / diag - 1.0)) <= 1e-12
+        assert abs(factor.dropped_trace - tails.sum()) <= 1e-12 * tails.sum()
+        assert tails.max() <= 1e-13 * diag
+
+    def test_factor_only_below_the_cell_count(self):
+        kernel = ginibre_kernel(GinibreParams(1.0, 1.0))
+        coarse = grid_discretize(kernel, (-2.5, 2.5, -2.5, 2.5), 5)
+        assert coarse.dpp.eig.eigenvalues.size == coarse.dpp.n == 25
+        assert coarse.dpp.clamp_report.dropped_trace == 0.0
+        assert kernel.grid_factor(coarse.centers, coarse.cell_measure) is None
+
+    @pytest.mark.parametrize("params,half,resolution", [
+        ((0.6, 1.3), 2.0, 6), ((1.0, 1.0), 3.0, 12), ((1.0, 1.0), 3.5, 16),
+        ((0.9, 1.05), 4.0, 20)])
+    def test_sample_stream_matches_the_dense_route(self, params, half, resolution):
+        kernel = ginibre_kernel(GinibreParams(*params))
+        window = (-half, half, -half, half)
+        grid = grid_discretize(kernel, window, resolution)
+        dense = grid_discretize(dense_route(kernel), window, resolution)
+        assert grid.dpp.eig.eigenvalues.size < grid.dpp.n == dense.dpp.eig.eigenvalues.size
+        for seed in range(20):
+            assert np.array_equal(sample_indicators(grid.dpp, seed, 100),
+                                  sample_indicators(dense.dpp, seed, 100))
+
+    def test_matrix_is_built_on_access(self):
+        grid = grid_discretize(ginibre_kernel(GinibreParams(1.0, 1.0)),
+                               (-3.0, 3.0, -3.0, 3.0), 12)
+        V, lam = grid.dpp.eig.eigenvectors, grid.dpp.eig.eigenvalues
+        assert V.shape == (144, lam.size)
+        M = grid.dpp.matrix
+        assert M.shape == (144, 144) and M is grid.dpp.matrix
+        assert np.max(np.abs(M - (V * lam) @ V.conj().T)) <= 1e-14
+
+    def test_overflowing_factor_is_an_overflow(self):
+        kernel = ginibre_kernel(GinibreParams(1.0, 1.0))
+        broken = replace(kernel, grid_factor=lambda c, m: GridFactor(
+            np.full((c.shape[0], 2), np.inf + 0j), 0.0))
+        with pytest.raises(OverflowError):
+            grid_discretize(broken, (-1.0, 1.0, -1.0, 1.0), 3)
+        with pytest.raises(OverflowError):
+            grid_discretize(kernel, (0.0, 1e308, 0.0, 1e308), 3)
 
 
 class TestMcValidateCoupling:

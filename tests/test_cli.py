@@ -86,6 +86,7 @@ def matrix_spec(K):
             "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in K]}
 
 
+GINIBRE_SPEC = {"family": "ginibre", "params": {"alpha": 1.0, "beta": 1.0}}
 DIAG_SPEC = {"family": "finite",
              "matrix": [[[0.3, 0], [0, 0]], [[0, 0], [0.7, 0]]]}
 
@@ -149,6 +150,12 @@ class TestValidateCommand:
 
 
 class TestRepulsivenessCommand:
+    @pytest.mark.parametrize("anchor", ["nan,0", "0,inf"])
+    def test_non_finite_anchor_rejected(self, tmp_path, anchor):
+        code, out, err = run_cli(["repulsiveness", write_spec(tmp_path, "g.json", GINIBRE_SPEC),
+                                  f"--anchor={anchor}"])
+        assert code == 2 and out == "" and "validation-error[param-bound]" in err
+
     def test_scaled_ginibre(self, tmp_path):
         doc = {"family": "ginibre", "params": {"alpha": 0.5, "beta": 1.5}}
         code, out, _ = run_cli(["repulsiveness", write_spec(tmp_path, "g.json", doc)])
@@ -276,6 +283,12 @@ class TestCoupleCommand:
         doc = {"family": "finite", "matrix": matrix}
         code, _, err = run_cli(["couple", write_spec(tmp_path, "big.json", doc)])
         assert code == 4 and "size-guard" in err
+
+    @pytest.mark.parametrize("samples", ["-1", "0", "x"])
+    def test_samples_below_one_is_a_parse_error(self, tmp_path, samples):
+        code, out, err = run_cli(["couple", write_spec(tmp_path, "d.json", DIAG_SPEC),
+                                  "--anchor", "2", "--samples", samples])
+        assert code == 3 and out == "" and "parse-error" in err and "--samples" in err
 
     def test_unsaturated_flow_is_a_theorem_violation(self, tmp_path, monkeypatch):
         monkeypatch.setattr(finite_dpp, "coupling_feasible", lambda *args: (0.5, None))
@@ -432,6 +445,31 @@ class TestSampleCommand:
         assert code == 0
         assert out == reference_sample_output(masks, grid.dpp.n, grid.centers)
         assert_indicators_match_masks(finite_dpp.sample_indicators(grid.dpp, 2, 40), masks)
+
+    def test_negative_samples_is_a_parse_error(self, tmp_path):
+        code, out, err = run_cli(["sample", write_spec(tmp_path, "d.json", DIAG_SPEC),
+                                  "--samples", "-3"])
+        assert code == 3 and out == "" and "parse-error" in err and "--samples" in err
+
+    def test_overflowing_grid_is_an_overflow(self, tmp_path):
+        code, out, err = run_cli(["sample", write_spec(tmp_path, "g.json", GINIBRE_SPEC),
+                                  "--window", "0,1e308,0,1e308", "--resolution", "3"])
+        assert code == 2 and out == "" and "validation-error[overflow]" in err
+
+    def test_ginibre_64x64_grid(self, tmp_path):
+        # 4,096 cells from the series factor, never the 4,096 x 4,096 matrix
+        spec = write_spec(tmp_path, "g.json", GINIBRE_SPEC)
+        code, out, _ = run_cli(["sample", spec, "--samples", "100", "--seed", "3",
+                                "--window=-4,4,-4,4", "--resolution", "64"])
+        assert code == 0
+        (header, rows), = parse_blocks(out)
+        counts = np.array([row[1] for row in rows])
+        grid = analysis.grid_discretize(load_kernel_spec(spec).kernel, (-4.0, 4.0, -4.0, 4.0), 64)
+        lam = grid.dpp.eig.eigenvalues
+        trace = 64.0 / math.pi  # the window's area times the intensity 1/pi
+        assert len(counts) == 100 and abs(lam.sum() - trace) <= 1e-12
+        sigma = math.sqrt(float(np.sum(lam * (1.0 - lam))) / 100)
+        assert abs(counts.mean() - trace) <= 4.0 * sigma
 
     def test_window_required_for_continuous(self, tmp_path):
         doc = {"family": "ginibre", "params": {"alpha": 1.0, "beta": 1.0}}

@@ -11,13 +11,16 @@ import io
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from palmdpp.analysis import ginibre_moment, jinc_moment_closed, moment_quadrature
+from palmdpp.analysis import ginibre_moment, grid_discretize, jinc_moment_closed, moment_quadrature
 from palmdpp.cli import main
+from palmdpp.errors import ValidationError
 from palmdpp.finite_dpp import couple, palm_matrix, subset_law, validate, xi_law
 from palmdpp.kernel_core import palm_kernel, repulsiveness_p, sphere_surface_measure
 from palmdpp.model_zoo import (GinibreParams, finite_kernel, ginibre_kernel, jinc_kernel,
@@ -210,6 +213,31 @@ def spec_documents(draw):
         doc["matrix"] = [[[draw(st.floats(min_value=-1.0, max_value=1.0)), 0.0]
                           for _ in range(n)] for _ in range(n)]
     return doc
+
+
+@given(beta=st.floats(min_value=0.5, max_value=3.0), share=st.floats(min_value=0.1, max_value=1.0),
+       half=st.floats(min_value=0.3, max_value=4.0),
+       center=st.tuples(st.floats(min_value=-1.5, max_value=1.5),
+                        st.floats(min_value=-1.5, max_value=1.5)),
+       resolution=st.integers(1, 12))
+def test_ginibre_factor_route_matches_the_dense_route(beta, share, half, center, resolution):
+    # alpha * beta = share <= 1; both routes pass the same spectrum gate, and
+    # agree within the factor's certified dropped trace
+    kernel = ginibre_kernel(GinibreParams(share / beta, beta))
+    window = (center[0] - half, center[0] + half, center[1] - half, center[1] + half)
+    try:
+        dense = grid_discretize(replace(kernel, grid_factor=None), window, resolution)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as err:
+            grid_discretize(kernel, window, resolution)
+        assert err.value.token == exc.token
+        return
+    grid = grid_discretize(kernel, window, resolution)
+    tol = 1e-12 + grid.dpp.clamp_report.dropped_trace
+    lam, want = grid.dpp.eig.eigenvalues, dense.dpp.eig.eigenvalues
+    assert np.max(np.abs(lam - want[:lam.size])) <= tol
+    assert np.all(want[lam.size:] <= tol)
+    assert abs(grid.expected_count - dense.expected_count) <= tol
 
 
 def run(argv):
