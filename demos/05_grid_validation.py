@@ -15,14 +15,13 @@ from palmdpp import (
     ginibre_kernel,
     grid_discretize,
     mc_validate_coupling,
-    sample_exact_many,
+    sample_indicators,
 )
 
 kernel = ginibre_kernel(GinibreParams(1.0, 1.0))
 
 grid = grid_discretize(kernel, (-3.0, 3.0, -3.0, 3.0), 12)
-masks = sample_exact_many(grid.dpp, rng_seed=7, draws=1000)
-counts = np.array([bin(int(m)).count("1") for m in masks])
+counts = sample_indicators(grid.dpp, rng_seed=7, draws=1000).sum(axis=1)
 print(f"grid 12x12 on [-3,3]^2: expected count {grid.expected_count:.4f} "
       f"(= 36/pi = {36 / math.pi:.4f})")
 print(f"1000 sampled realizations: mean count {counts.mean():.4f} "

@@ -27,7 +27,6 @@ from .finite_dpp import (
     palm_eigenvector,
     palm_matrix,
     sample_coupled_many,
-    sample_exact_many,
     sample_indicators,
     subset_law,
     validate,

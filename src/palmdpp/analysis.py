@@ -136,6 +136,9 @@ def _displacement_radial(kernel: Kernel, u):
         raise ValidationError("param-bound", "kernel must declare an isotropic modulus")
     norm_sq = kernel.reference.get("norm_sq")
     if norm_sq is not None:
+        if not (norm_sq > 0 and math.isfinite(2.0 * math.pi / norm_sq)):
+            raise OverflowError(f"the kernel's declared squared row norm is {norm_sq!r}, "
+                                "so 2 pi / norm_sq is not finite")
         return radial, norm_sq, 0.0
     res = radial_integral(kernel, 1.0, 2.0 * math.pi)
     if res.value <= 0:
@@ -170,7 +173,10 @@ def radial_profile(kernel: Kernel, u, radii) -> RadialProfile:
     """Density of |Z_u - u| on a radius grid: 2 pi r f_u(r) on the plane."""
     radial, norm_sq, _ = _displacement_radial(kernel, u)
     radii = np.asarray(radii, dtype=float)
-    return RadialProfile(radii=radii, density=2.0 * math.pi * radii * radial(radii) / norm_sq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        density = 2.0 * math.pi * radii * radial(radii) / norm_sq
+    return RadialProfile(radii=radii, density=_finite(density, "the displacement density",
+                                                      "shrink the radii"))
 
 
 def _euclidean_centers(window, resolution: int, d: int):
@@ -206,16 +212,15 @@ def _sphere_centers(resolution: int):
     return centers, measure
 
 
-def _finite(a: np.ndarray, what: str) -> np.ndarray:
+def _finite(a: np.ndarray, what: str, remedy: str = "shrink the window") -> np.ndarray:
     if not np.all(np.isfinite(a)):
-        raise OverflowError(f"the grid's {what} has entries beyond double precision; "
-                            "shrink the window")
+        raise OverflowError(f"{what} has entries beyond double precision; {remedy}")
     return a
 
 
 def _grid_gram(kernel: Kernel, centers: np.ndarray, measure: float) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(kernel.gram(centers, centers) * measure, "kernel matrix")
+        return _finite(kernel.gram(centers, centers) * measure, "the grid's kernel matrix")
 
 
 def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
@@ -236,25 +241,25 @@ def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
     if resolution < 1:
         raise ValidationError("param-bound", "resolution must be >= 1")
     space = kernel.space
-    if space.kind == "euclidean":
-        centers, measure = _euclidean_centers(window, resolution, space.size)
-    elif space.kind == "sphere":
+    if space.kind == "sphere":
         if space.size != 2:
             raise ValidationError("param-bound", "sphere discretization covers S^2")
         if window is not None:
             raise ValidationError("param-bound",
                                   "sphere discretization covers the full sphere; pass window=None")
-        centers, measure = _sphere_centers(resolution)
-    else:
+    elif space.kind != "euclidean":
         raise ValidationError("param-bound", "finite kernels are already discrete")
-    n = centers.shape[0]
+    # the bound comes before the cell centers, so a huge resolution allocates nothing
+    n = resolution ** space.size if space.kind == "euclidean" else 2 * resolution ** 2
     if n > _GRID_MAX_SITES:
         raise SizeGuardError(f"grid has {n} cells; the bound is {_GRID_MAX_SITES}")
+    centers, measure = (_euclidean_centers(window, resolution, space.size)
+                        if space.kind == "euclidean" else _sphere_centers(resolution))
 
     factor = kernel.grid_factor(centers, measure) if kernel.grid_factor else None
     try:
         if factor is not None:
-            dpp = finite_dpp.validate_factor(_finite(factor.phi, "series factor"),
+            dpp = finite_dpp.validate_factor(_finite(factor.phi, "the grid's series factor"),
                                              factor.dropped_trace, slack=1e-3)
         else:  # the Gram matrix goes in unnamed, so validate can free it before eigh
             dpp = finite_dpp.validate(_grid_gram(kernel, centers, measure), slack=1e-3)

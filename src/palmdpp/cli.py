@@ -11,13 +11,18 @@ entries are [re, im] pairs, row-major.  Unknown keys anywhere are
 rejected.
 
 Exit codes: 0 success, 2 validation failure (including quadrature that
-cannot converge, non-finite anchor coordinates, and values beyond double
-precision, such as a grid window whose kernel matrix overflows), 3 parse
-failure (including a flag value argparse cannot convert: --samples is an
-integer >= 1 for couple and >= 0 for sample, where 0 draws print the
-header alone), 4 size guard, 5 internal theorem-violation dump.  All
-commands are deterministic given (input file, flags, seed); numbers
-render with 12 significant digits.
+cannot converge, non-finite anchor coordinates, values beyond double
+precision, and the model bounds --beta in (0, 1] for profile, moment
+orders --k > -2 and --rho > 0), 3 parse failure, 4 size guard, 5 internal
+theorem-violation dump.  Flag values are checked once, as argparse
+converts them: a value that does not convert, like a usage error (a
+missing spec, an unknown flag), exits 3.  Counts are integers, >= 0 for
+--seed and sample --samples (0 draws print the header alone), >= 1 for
+the rest; --beta and --rho are finite numbers, --rel-tol,
+--truncation-radius and --profile-max finite and > 0, the radii --r-min
+and --r-max finite and >= 0 (in either order); --k and --window are
+comma lists of finite numbers.  All commands are deterministic given
+(input file, flags, seed); numbers render with 12 significant digits.
 """
 from __future__ import annotations
 
@@ -222,15 +227,27 @@ def _int_at_least(minimum: int):
     return convert
 
 
-def _quad_spec(args) -> QuadratureSpec | None:
-    if args.rel_tol is None and args.truncation_radius is None:
-        return None
-    for flag, value in (("--rel-tol", args.rel_tol),
-                        ("--truncation-radius", args.truncation_radius)):
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise ParseError(f"{flag} must be a finite number > 0, got {value!r}")
-    return QuadratureSpec(relative_tolerance=args.rel_tol or 1e-10,
-                          truncation_radius=args.truncation_radius)
+def _float_above(bound: float = -math.inf, *, inclusive: bool = False):
+    """argparse converter for a real flag: a finite float > bound, or >= bound
+    when inclusive."""
+    wanted = "a finite number" + ("" if bound == -math.inf else
+                                  f" {'>=' if inclusive else '>'} {bound:g}")
+
+    def convert(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and (value >= bound if inclusive else value > bound)):
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+        return value
+
+    return convert
+
+
+def _finite_floats(text: str) -> list[float]:
+    """argparse converter for a comma list of finite floats."""
+    return list(map(_float_above(), text.split(",")))
 
 
 def _reference_p(bundle: ModelBundle, anchor) -> float:
@@ -252,11 +269,10 @@ def cmd_repulsiveness(args) -> int:
     anchor = _parse_anchor(bundle, args.anchor)
     coords = None
     if args.profile_points and bundle.kernel.space.kind != "finite":
-        upper = args.profile_max or 10.0
-        if bundle.kernel.space.kind == "sphere":
-            upper = math.pi
+        upper = math.pi if bundle.kernel.space.kind == "sphere" else args.profile_max
         coords = np.linspace(0.0, upper, args.profile_points)
-    report = repulsiveness_p(bundle.kernel, anchor, spec=_quad_spec(args),
+    report = repulsiveness_p(bundle.kernel, anchor,
+                             spec=QuadratureSpec(args.rel_tol, args.truncation_radius),
                              profile_coords=coords)
     reference = _reference_p(bundle, anchor)
     flag = 1 if abs(report.p_u - reference) > _REFERENCE_TOLERANCE else 0
@@ -317,30 +333,21 @@ def cmd_profile(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    try:
-        ks = [float(tok) for tok in args.k.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ParseError(f"cannot parse moment orders {args.k!r}") from exc
-    if not ks:
-        raise ParseError("no moment orders given")
-    if not all(math.isfinite(k) for k in ks):
-        raise ParseError(f"moment orders must be finite numbers, got {args.k!r}")
-    if any(k <= -2 for k in ks):
+    if any(k <= -2 for k in args.k):
         raise ValidationError("param-bound", "moments exist only for k > -2")
     if args.model == "jinc":
         kernel = model_zoo.jinc_kernel(2)
         closed = analysis.jinc_moment_closed
     else:
-        rho = args.rho if args.rho is not None else 1.0 / math.pi
-        if rho <= 0:
+        if args.rho <= 0:
             raise ValidationError("param-bound", "rho must be > 0")
-        alpha = math.pi * rho
+        alpha = math.pi * args.rho
         kernel = model_zoo.ginibre_kernel(model_zoo.GinibreParams(alpha, 1.0 / alpha))
-        closed = lambda k: analysis.ginibre_moment(k, rho)
+        closed = lambda k: analysis.ginibre_moment(k, args.rho)
     origin = np.zeros(2)
-    spec = _quad_spec(args)
+    spec = QuadratureSpec(args.rel_tol, args.truncation_radius)
     rows = []
-    for k in ks:
+    for k in args.k:
         res = analysis.moment_quadrature(kernel, origin, k, spec=spec)
         rows.append([k, closed(k), res.quadrature, res.abs_error,
                      res.tail_estimate, 1 if res.divergent else 0])
@@ -348,18 +355,6 @@ def cmd_moments(args) -> int:
                 ["k", "closed_form", "quadrature", "abs_error", "tail_estimate", "divergent"],
                 rows)
     return 0
-
-
-def _parse_window(text: str | None, d: int):
-    if text is None:
-        return None
-    try:
-        vals = tuple(float(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise ParseError(f"cannot parse window {text!r}") from exc
-    if len(vals) != 2 * d:
-        raise ParseError(f"window needs {2 * d} numbers, got {len(vals)}")
-    return vals
 
 
 def cmd_sample(args) -> int:
@@ -372,7 +367,9 @@ def cmd_sample(args) -> int:
         if space.kind == "euclidean":
             if args.window is None or args.resolution is None:
                 raise ParseError("continuous kernels need --window and --resolution")
-            window = _parse_window(args.window, space.size)
+            window = args.window
+            if len(window) != 2 * space.size:
+                raise ParseError(f"window needs {2 * space.size} numbers, got {len(window)}")
         else:
             if args.resolution is None:
                 raise ParseError("sphere kernels need --resolution")
@@ -397,22 +394,28 @@ def cmd_sample(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors raise ParseError (exit 3) instead of printing usage and exiting 2."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process on first use."""
-    # a flag value that does not convert raises ArgumentError, which main
-    # reports as a parse failure (exit 3)
-    make_parser = functools.partial(argparse.ArgumentParser, exit_on_error=False)
-    parser = make_parser(
+    parser = _ArgumentParser(
         prog="palmdpp",
         description="Reduced Palm distributions and coupling-based repulsiveness "
                     "measures for determinantal point processes.")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=make_parser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
+    positive = _float_above(0.0)
+    radius = _float_above(0.0, inclusive=True)
 
     def add_quad_flags(p):
-        p.add_argument("--rel-tol", type=float, default=None,
+        p.add_argument("--rel-tol", type=positive, default=QuadratureSpec.relative_tolerance,
                        help="relative quadrature tolerance")
-        p.add_argument("--truncation-radius", type=float, default=None,
+        p.add_argument("--truncation-radius", type=positive, default=None,
                        help="radius of the exactly integrated core region")
 
     p = sub.add_parser("validate", help="check a kernel spec file")
@@ -424,29 +427,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anchor", default=None,
                    help="site index | 'x,y' | 'x,y,z' (normalized)")
     p.add_argument("--profile-points", type=_int_at_least(1), default=None)
-    p.add_argument("--profile-max", type=float, default=None)
+    p.add_argument("--profile-max", type=positive, default=10.0)
     add_quad_flags(p)
     p.set_defaults(func=cmd_repulsiveness)
 
     p = sub.add_parser("couple", help="exact coupling table diagnostics (finite kernels)")
     p.add_argument("spec")
     p.add_argument("--anchor", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--samples", type=_int_at_least(1), default=10000)
     p.set_defaults(func=cmd_couple)
 
     p = sub.add_parser("profile", help="radial displacement densities (Figure-1 data)")
     p.add_argument("--models", default="ginibre,jinc")
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--r-min", type=float, default=0.0)
-    p.add_argument("--r-max", type=float, default=10.0)
+    p.add_argument("--beta", type=_float_above(), default=1.0)
+    p.add_argument("--r-min", type=radius, default=0.0)
+    p.add_argument("--r-max", type=radius, default=10.0)
     p.add_argument("--r-points", type=_int_at_least(1), default=201)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("moments", help="displacement moments: closed form vs quadrature")
     p.add_argument("--model", choices=("ginibre", "jinc"), required=True)
-    p.add_argument("--k", required=True, help="comma-separated moment orders")
-    p.add_argument("--rho", type=float, default=None,
+    p.add_argument("--k", type=_finite_floats, required=True,
+                   help="comma-separated moment orders")
+    p.add_argument("--rho", type=_float_above(), default=1.0 / math.pi,
                    help="intensity for the ginibre model (default 1/pi)")
     add_quad_flags(p)
     p.set_defaults(func=cmd_moments)
@@ -454,9 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw subsets from a kernel (grid-discretized if continuous)")
     p.add_argument("spec")
     p.add_argument("--samples", type=_int_at_least(0), default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--window", default=None, help="'xmin,xmax[,ymin,ymax]'")
-    p.add_argument("--resolution", type=int, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--window", type=_finite_floats, default=None,
+                   help="'xmin,xmax[,ymin,ymax]'")
+    p.add_argument("--resolution", type=_int_at_least(1), default=None)
     p.add_argument("--emit-points", action="store_true")
     p.set_defaults(func=cmd_sample)
     return parser
@@ -465,10 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except argparse.ArgumentError as exc:
-        print(f"parse-error: {exc}", file=sys.stderr)
-        return 3
-    try:
         return args.func(args)
     except ParseError as exc:
         print(f"parse-error: {exc}", file=sys.stderr)

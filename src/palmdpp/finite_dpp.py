@@ -38,7 +38,6 @@ __all__ = [
     "coupling_feasible",
     "couple",
     "xi_law",
-    "sample_exact_many",
     "sample_indicators",
     "sample_coupled_many",
 ]
@@ -527,18 +526,6 @@ def sample_indicators(dpp: FiniteDpp, rng_seed: int, draws: int) -> np.ndarray:
     blocks = [_spectral_block(lam, V, min(block, draws - lo), rng)
               for lo in range(0, draws, block)]
     return np.concatenate(blocks) if blocks else np.zeros((0, dpp.n), dtype=bool)
-
-
-def sample_exact_many(dpp: FiniteDpp, rng_seed: int, draws: int) -> np.ndarray:
-    """The draws of sample_indicators as bitmasks over bit (site - 1).
-
-    Masks are int64 when they fit and Python ints (object dtype) for
-    wider site counts, as grid discretizations produce.
-    """
-    packed = np.packbits(sample_indicators(dpp, rng_seed, draws), axis=1, bitorder="little")
-    dtype = np.int64 if dpp.n <= 62 else object
-    return np.fromiter((int.from_bytes(row.tobytes(), "little") for row in packed),
-                       dtype=dtype, count=draws)
 
 
 def sample_coupled_many(table: CouplingTable, rng_seed: int,

@@ -309,6 +309,8 @@ def repulsiveness_p(kernel: Kernel, u, spec: QuadratureSpec | None = None,
         coords = (np.asarray(profile_coords, dtype=float) if profile_coords is not None
                   else np.linspace(0.0, _profile_end(spec, kernel.tail), 64))
         dens = rfn(coords) / norm_sq if norm_sq > 0 else np.zeros_like(coords)
+        if not np.all(np.isfinite(dens)):  # jinc's J1(2r) is nan once 2r overflows
+            raise OverflowError("the f_u profile is not finite; end it at a smaller radius")
         profile = list(zip(coords.tolist(), dens.tolist()))
     else:
         k0 = kernel.k0

@@ -113,7 +113,8 @@ def ginibre_kernel(params: GinibreParams) -> Kernel:
 
     def radial_abs_sq(r, _a=alpha, _b=beta):
         r = np.asarray(r, dtype=float)
-        return (_a / math.pi) ** 2 * np.exp(-r ** 2 / _b)
+        with np.errstate(over="ignore"):  # r^2 past double precision gives exp(-inf) = 0
+            return (_a / math.pi) ** 2 * np.exp(-r ** 2 / _b)
 
     def gram(X, Y, _a=alpha, _b=beta):
         zx, zy = X[:, 0] + 1j * X[:, 1], Y[:, 0] + 1j * Y[:, 1]
@@ -172,7 +173,7 @@ _JINC_TAIL = _jinc_tail()
 
 def _sinc_radial(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.asarray(np.sin(r) / (math.pi * r))
     small = np.abs(r) < 1e-6
     if small.any():
@@ -182,7 +183,7 @@ def _sinc_radial(r: np.ndarray) -> np.ndarray:
 
 def _jinc_radial(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.asarray(special.j1(2.0 * r) / (math.pi * r))
     small = np.abs(r) < 1e-6
     if small.any():

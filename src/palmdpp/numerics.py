@@ -362,7 +362,7 @@ def integrate_radial(g: Callable[[np.ndarray], np.ndarray], power: float, tail: 
     Raises QuadratureError when the declared exponent makes the integral
     diverge, when a power tail is not asymptotic at R (its terms do not
     decrease there), and when an oscillating tail would need the growing
-    panels, which alias its sin/cos terms.
+    panels, which alias its sin/cos terms; OverflowError when it is not finite.
     """
     if spec.truncation_radius is None:
         raise ValueError("QuadratureSpec.truncation_radius is required here")
@@ -384,8 +384,11 @@ def integrate_radial(g: Callable[[np.ndarray], np.ndarray], power: float, tail: 
             f"the truncation radius {R:g} needs more than {_GL_MAX_PANELS} panels of "
             f"{_GL_PANEL * s:g}; wider panels cannot resolve the declared oscillation")
     origin, origin_err = _jacobi_cell(g, power, cell)
-    core, core_err = _integrate_interval(lambda r: r ** power * g(r), cell, R, s)
+    with np.errstate(over="ignore", invalid="ignore"):  # panels near a huge R; checked below
+        core, core_err = _integrate_interval(lambda r: r ** power * g(r), cell, R, s)
     beyond, beyond_err = _tail_beyond(tail, power, R)
+    if not math.isfinite(origin + core + beyond + origin_err + core_err + beyond_err):
+        raise OverflowError(f"the radial integral to the truncation radius {R:g} is not finite")
     return RadialIntegral(value=origin + core + beyond,
                           error=origin_err + core_err + beyond_err,
                           tail=beyond, tail_error=beyond_err)

@@ -54,11 +54,16 @@ def complement_determinant_law(dpp) -> np.ndarray:
     return law
 
 
-def assert_sampler_matches_kernel(dpp, masks) -> None:
+def masks_of(bits: np.ndarray) -> np.ndarray:
+    """Site indicators of shape (draws, n <= 62) as int64 bitmasks over bit (site - 1)."""
+    return bits @ (1 << np.arange(bits.shape[1]))
+
+
+def assert_sampler_matches_kernel(dpp, indicators) -> None:
     """Per-site inclusion rates against K_ii, and the count mean and
     variance against sum(lam) and sum(lam (1 - lam)), at 4.5 sigma."""
-    draws = masks.size
-    bits = np.array([[int(m) >> i & 1 for i in range(dpp.n)] for m in masks], dtype=float)
+    draws = indicators.shape[0]
+    bits = indicators.astype(float)
     diag = np.real(np.diagonal(dpp.matrix))
     site_sd = np.sqrt(np.maximum(diag * (1.0 - diag), 1e-12) / draws)
     assert np.all(np.abs(bits.mean(axis=0) - diag) <= 4.5 * site_sd + 1e-12)

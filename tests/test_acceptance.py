@@ -204,7 +204,7 @@ def test_criterion_8_sampler_statistics():
     for matrix, seed in fixed:
         dpp = finite_dpp.validate(matrix)
         law = finite_dpp.subset_law(dpp)
-        masks = finite_dpp.sample_exact_many(dpp, seed, draws)
+        masks = finite_dpp.sample_indicators(dpp, seed, draws) @ (1 << np.arange(dpp.n))
         freq = np.bincount(masks, minlength=1 << dpp.n) / draws
         for mask in range(1 << dpp.n):
             p = law.prob(mask)

@@ -18,8 +18,8 @@ from palmdpp.analysis import (
     radial_profile,
 )
 from palmdpp.errors import SizeGuardError, ValidationError
-from palmdpp import model_zoo
-from palmdpp.finite_dpp import sample_exact_many, sample_indicators
+from palmdpp import analysis, model_zoo
+from palmdpp.finite_dpp import sample_indicators
 from palmdpp.kernel_core import GridFactor, GroundSpace, Kernel, palm_kernel
 from palmdpp.model_zoo import (GinibreParams, ginibre_kernel, jinc_kernel, multiquadric,
                                sphere_kernel, sphere_model, thin_rescale)
@@ -210,6 +210,23 @@ class TestRadialProfile:
             assert np.all(prof.density >= 0.0)
             assert np.trapezoid(prof.density, radii) <= 1.0 + 1e-3
 
+    def test_radii_beyond_double_precision_are_an_overflow(self):
+        # 2 pi r overflows before it meets radial(r) = 0
+        for kernel in (ginibre_kernel(GinibreParams(1.0, 1.0)), jinc_kernel(2)):
+            with pytest.raises(OverflowError):
+                radial_profile(kernel, ORIGIN, [0.0, 5e307, 1e308])
+
+    @pytest.mark.parametrize("rho", [1e-170, 1e-200])
+    def test_underflowing_norm_is_an_overflow(self, rho):
+        # the declared norm (pi rho)^2 / (pi rho) / pi rounds to 0
+        alpha = math.pi * rho
+        kernel = ginibre_kernel(GinibreParams(alpha, 1.0 / alpha))
+        assert kernel.reference["norm_sq"] == 0.0
+        with pytest.raises(OverflowError):
+            moment_quadrature(kernel, ORIGIN, 1.0)
+        with pytest.raises(OverflowError):
+            radial_profile(kernel, ORIGIN, [0.0, 1.0])
+
 
 class TestGridDiscretize:
     def test_constant_diagonal_kernel(self):
@@ -230,8 +247,7 @@ class TestGridDiscretize:
         k = ginibre_kernel(GinibreParams(1.0, 1.0))
         grid = grid_discretize(k, (-3.0, 3.0, -3.0, 3.0), 12)
         draws = 1500
-        masks = sample_exact_many(grid.dpp, 17, draws)
-        counts = np.array([bin(int(m)).count("1") for m in masks], dtype=float)
+        counts = sample_indicators(grid.dpp, 17, draws).sum(axis=1)
         lam = grid.dpp.eig.eigenvalues
         sigma = math.sqrt(float(np.sum(lam * (1.0 - lam))) / draws)
         assert abs(counts.mean() - grid.expected_count) <= 3.0 * sigma
@@ -256,7 +272,7 @@ class TestGridDiscretize:
         clean = grid_discretize(thin_rescale(jinc_kernel(2), 0.8, 0.8),
                                 (-3.0, 3.0, -3.0, 3.0), 10)
         assert not clean.dpp.clamp_report and calls == ["eigh"]
-        sample_exact_many(clean.dpp, 3, 70)
+        sample_indicators(clean.dpp, 3, 70)
         assert calls == ["eigh"]
         calls.clear()
         clamped = grid_discretize(leaky_ginibre(), (-3.0, 3.0, -3.0, 3.0), 12)
@@ -284,9 +300,9 @@ class TestGridDiscretize:
     def test_sampler_law_on_grid_wider_than_int64(self):
         grid = grid_discretize(thin_rescale(jinc_kernel(2), 0.8, 0.8),
                                (-3.0, 3.0, -3.0, 3.0), 10)
-        masks = sample_exact_many(grid.dpp, 5, 1000)
-        assert grid.dpp.n == 100 and masks.dtype == object
-        assert_sampler_matches_kernel(grid.dpp, masks)
+        bits = sample_indicators(grid.dpp, 5, 1000)
+        assert grid.dpp.n == 100 and bits.shape == (1000, 100)
+        assert_sampler_matches_kernel(grid.dpp, bits)
 
     def test_sphere_full_surface(self):
         rho = 1.0 / (4.0 * math.pi)  # half the existence bound at delta = 0.5
@@ -307,6 +323,19 @@ class TestGridDiscretize:
         with pytest.raises(SizeGuardError):
             grid_discretize(ginibre_kernel(GinibreParams(1.0, 1.0)),
                             (-3.0, 3.0, -3.0, 3.0), 65)
+
+    def test_size_guard_comes_before_the_cell_centers(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("cell centers built for a grid over the bound")
+
+        monkeypatch.setattr(analysis, "_euclidean_centers", refuse)
+        monkeypatch.setattr(analysis, "_sphere_centers", refuse)
+        _, sphere = multiquadric(0.5, 1.0 / (4.0 * math.pi))
+        for kernel, window, resolution in ((jinc_kernel(1), (-1.0, 1.0), 4097),
+                                           (jinc_kernel(2), (-1.0, 1.0, -1.0, 1.0), 10 ** 6),
+                                           (sphere, None, 46)):
+            with pytest.raises(SizeGuardError):
+                grid_discretize(kernel, window, resolution)
 
     def test_palm_kernel_grid_is_the_schur_complement(self):
         # entry by entry, K(c_i, c_j) - K(c_i, u) K(u, c_j) / K(u, u) per cell

@@ -4,11 +4,17 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import palmdpp
 from palmdpp import analysis, finite_dpp, numerics
 from palmdpp.cli import load_kernel_spec, main
 
@@ -52,14 +58,7 @@ def parse_blocks(text):
     return blocks
 
 
-def assert_indicators_match_masks(bits, masks) -> None:
-    """The indicator rows of one seeded stream are the bits of its masks."""
-    assert bits.dtype == bool and bits.shape[0] == len(masks)
-    assert [sum(1 << int(v) for v in np.flatnonzero(row)) for row in bits] \
-        == [int(m) for m in masks]
-
-
-def reference_sample_output(masks, n, centers=None) -> str:
+def reference_sample_output(bits, centers=None) -> str:
     """`sample --emit-points` stdout with one format call per cell, looping
     over every draw and every site."""
     def fmt(x):
@@ -69,15 +68,14 @@ def reference_sample_output(masks, n, centers=None) -> str:
         return ",".join(header) + "\n" + "".join(
             ",".join(fmt(v) for v in row) + "\n" for row in rows)
 
-    text = block(["sample", "count"],
-                 [[i, int(bin(int(m)).count("1"))] for i, m in enumerate(masks)])
+    draws, n = bits.shape
+    text = block(["sample", "count"], [[i, sum(map(int, bits[i]))] for i in range(draws)])
     if centers is None:
         header = ["sample", "site"]
-        rows = [[i, v + 1] for i, m in enumerate(masks) for v in range(n) if int(m) >> v & 1]
+        rows = [[i, v + 1] for i in range(draws) for v in range(n) if bits[i, v]]
     else:
         header = ["sample"] + ["x", "y", "z"][:centers.shape[1]]
-        rows = [[i, *centers[v]] for i, m in enumerate(masks)
-                for v in range(n) if int(m) >> v & 1]
+        rows = [[i, *centers[v]] for i in range(draws) for v in range(n) if bits[i, v]]
     return text + "\n" + block(header, rows)
 
 
@@ -96,6 +94,48 @@ def rank2_spec():
     t = [1 / math.sqrt(2), -1 / math.sqrt(2), 0.0]
     matrix = [[[1 / n + t[i] * t[j], 0.0] for j in range(n)] for i in range(n)]
     return {"family": "finite", "matrix": matrix}
+
+
+# "G" stands for the alpha = beta = 1 Ginibre spec, "J" for jinc and "D" for a finite spec
+@pytest.mark.parametrize("argv,code,token", [
+    (["repulsiveness", "G", "--profile-points", "3", "--profile-max", "nan"], 3, "parse-error"),
+    (["repulsiveness", "G", "--profile-points", "3", "--profile-max", "0"], 3, "parse-error"),
+    (["repulsiveness", "J", "--profile-points", "4", "--profile-max", "1e308"], 2,
+     "validation-error[overflow]"),
+    (["profile", "--r-max", "inf"], 3, "parse-error"),
+    (["profile", "--r-max", "1e308", "--r-points", "3"], 2, "validation-error[overflow]"),
+    (["profile", "--r-min=-1", "--r-max", "0", "--r-points", "3"], 3, "parse-error"),
+    (["profile", "--beta", "1.5"], 2, "validation-error[param-bound]"),
+    (["profile", "--beta", "nan"], 3, "parse-error"),
+    (["couple", "D", "--seed=-1"], 3, "parse-error"),
+    (["sample", "D", "--seed=-1"], 3, "parse-error"),
+    (["sample"], 3, "parse-error"),
+    (["sample", "G", "--bad", "1"], 3, "parse-error"),
+    ([], 3, "parse-error"),
+    (["sample", "G", "--window=-1,1,-1,1", "--resolution", "0"], 3, "parse-error"),
+    (["sample", "G", "--window=nan,1,-1,1", "--resolution", "3"], 3, "parse-error"),
+    (["sample", "G", "--window=-1,1", "--resolution", "3"], 3, "parse-error"),
+    (["sample", "G", "--window=1,-1,-1,1", "--resolution", "3"], 2,
+     "validation-error[param-bound]"),
+], ids=["nan-profile-max", "zero-profile-max", "jinc-profile-past-doubles", "inf-radius", "radius-overflows-density",
+        "negative-radius", "beta-above-one", "nan-beta", "couple-negative-seed",
+        "sample-negative-seed", "missing-spec", "unknown-flag", "missing-command",
+        "zero-resolution", "nan-window", "short-window", "decreasing-window"])
+def test_bad_flag_values_exit_with_a_token(tmp_path, argv, code, token):
+    specs = {"G": write_spec(tmp_path, "g.json", GINIBRE_SPEC),
+             "J": write_spec(tmp_path, "j.json", {"family": "jinc"}),
+             "D": write_spec(tmp_path, "d.json", DIAG_SPEC)}
+    got, out, err = run_cli([specs.get(a, a) for a in argv])
+    assert (got, out) == (code, "") and err.startswith(token)
+    assert "usage:" not in err
+
+
+def test_usage_error_of_the_module_is_a_parse_error():
+    env = dict(os.environ, PYTHONPATH=str(Path(palmdpp.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "palmdpp", "sample"], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.splitlines() == ["parse-error: the following arguments are required: spec"]
 
 
 class TestValidateCommand:
@@ -211,6 +251,14 @@ class TestRepulsivenessCommand:
                                   "--profile-points=-3"])
         assert (code, out) == (3, "") and err.startswith("parse-error")
 
+    def test_profile_max_ends_the_profile(self, tmp_path):
+        spec = write_spec(tmp_path, "g.json", GINIBRE_SPEC)
+        for argv, end in (([], 10.0), (["--profile-max", "0.5"], 0.5),
+                          (["--profile-max", "1e308"], 1e308)):
+            code, out, err = run_cli(["repulsiveness", spec, "--profile-points", "3"] + argv)
+            _, (_, rows) = parse_blocks(out)
+            assert (code, err) == (0, "") and [row[0] for row in rows] == [0.0, end / 2, end]
+
     def test_radius_beyond_uncapped_panels_exits_2(self, tmp_path):
         # 1e6 length scales would need wider panels than sin 2r allows
         doc = {"family": "sinc"}
@@ -325,6 +373,15 @@ class TestProfileCommand:
             code, out, err = run_cli(["profile", "--r-points", points])
             assert code == 3 and out == "" and "parse-error" in err
 
+    def test_r_min_above_r_max_gives_descending_radii(self):
+        code, out, _ = run_cli(["profile", "--r-min", "2", "--r-max", "1", "--r-points", "3"])
+        assert code == 0
+        (header, rows), = parse_blocks(out)
+        assert [row[0] for row in rows] == [2.0, 1.5, 1.0]
+        _, ascending, _ = run_cli(["profile", "--r-min", "1", "--r-max", "2", "--r-points", "3"])
+        (_, up), = parse_blocks(ascending)
+        assert rows == up[::-1]
+
     def test_deterministic_rerun(self):
         args = ["profile", "--beta", "0.7", "--r-points", "50"]
         _, out1, _ = run_cli(args)
@@ -341,8 +398,19 @@ class TestMomentsCommand:
         (["--model", "ginibre", "--k=1", "--rho=1e300"], 2, "validation-error[overflow]"),
         (["--model", "jinc", "--k=0.5", "--truncation-radius=2"], 2,
          "validation-error[quadrature]"),
+        (["--model", "ginibre", "--k", "1", "--rho", "1e-170"], 2, "validation-error[overflow]"),
+        (["--model", "ginibre", "--k", "1", "--rho", "1e-200"], 2, "validation-error[overflow]"),
+        (["--model", "ginibre", "--k", "1", "--rho", "nan"], 3, "parse-error"),
+        (["--model", "ginibre", "--k=1", "--rho=-1"], 2, "validation-error[param-bound]"),
+        (["--model", "jinc", "--k=1,"], 3, "parse-error"),
+        (["--model", "ginibre", "--k=0", "--truncation-radius=1e308"], 2,
+         "validation-error[overflow]"),
+        (["--model", "ginibre", "--k=3", "--rho=0.01", "--truncation-radius=1e154"], 2,
+         "validation-error[overflow]"),
     ], ids=["nan-order", "inf-order", "negative-radius", "nan-tolerance", "huge-rho",
-            "radius-before-asymptotics"])
+            "radius-before-asymptotics", "rho-1e-170-norm-underflows",
+            "rho-1e-200-norm-underflows", "nan-rho", "negative-rho", "empty-order",
+            "radius-beyond-double-precision", "panels-beyond-double-precision"])
     def test_bad_values_exit_with_a_token(self, argv, code, token):
         got, out, err = run_cli(["moments"] + argv)
         assert (got, out) == (code, "") and err.startswith(token)
@@ -427,9 +495,8 @@ class TestSampleCommand:
         code, out, _ = run_cli(["sample", spec, "--samples", str(samples), "--seed", "4",
                                 "--emit-points"])
         dpp = load_kernel_spec(spec).dpp
-        masks = finite_dpp.sample_exact_many(dpp, 4, samples)
-        assert code == 0 and out == reference_sample_output(masks, dpp.n)
-        assert_indicators_match_masks(finite_dpp.sample_indicators(dpp, 4, samples), masks)
+        bits = finite_dpp.sample_indicators(dpp, 4, samples)
+        assert code == 0 and out == reference_sample_output(bits)
 
     @pytest.mark.parametrize("doc,window", [
         ({"family": "ginibre", "params": {"alpha": 1.0, "beta": 1.0}}, (-2.5, 2.5, -2.5, 2.5)),
@@ -441,10 +508,8 @@ class TestSampleCommand:
                                 "--window=" + ",".join(map(str, window)), "--resolution", "9",
                                 "--emit-points"])
         grid = analysis.grid_discretize(load_kernel_spec(spec).kernel, window, 9)
-        masks = finite_dpp.sample_exact_many(grid.dpp, 2, 40)
-        assert code == 0
-        assert out == reference_sample_output(masks, grid.dpp.n, grid.centers)
-        assert_indicators_match_masks(finite_dpp.sample_indicators(grid.dpp, 2, 40), masks)
+        bits = finite_dpp.sample_indicators(grid.dpp, 2, 40)
+        assert code == 0 and out == reference_sample_output(bits, grid.centers)
 
     def test_negative_samples_is_a_parse_error(self, tmp_path):
         code, out, err = run_cli(["sample", write_spec(tmp_path, "d.json", DIAG_SPEC),
@@ -455,6 +520,14 @@ class TestSampleCommand:
         code, out, err = run_cli(["sample", write_spec(tmp_path, "g.json", GINIBRE_SPEC),
                                   "--window", "0,1e308,0,1e308", "--resolution", "3"])
         assert code == 2 and out == "" and "validation-error[overflow]" in err
+
+    def test_huge_resolution_is_guarded_before_allocating(self, tmp_path):
+        # 10^12 cells; the centers alone would take terabytes
+        spec = write_spec(tmp_path, "g.json", GINIBRE_SPEC)
+        started = time.perf_counter()
+        code, out, err = run_cli(["sample", spec, "--window=-1,1,-1,1", "--resolution", "1000000"])
+        assert (code, out) == (4, "") and err.startswith("size-guard")
+        assert time.perf_counter() - started < 0.5
 
     def test_ginibre_64x64_grid(self, tmp_path):
         # 4,096 cells from the series factor, never the 4,096 x 4,096 matrix

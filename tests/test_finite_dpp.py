@@ -18,13 +18,13 @@ from palmdpp.finite_dpp import (
     palm_eigenvector,
     palm_matrix,
     sample_coupled_many,
-    sample_exact_many,
+    sample_indicators,
     subset_law,
     validate,
     xi_law,
 )
 
-from conftest import (assert_sampler_matches_kernel, complement_determinant_law,
+from conftest import (assert_sampler_matches_kernel, complement_determinant_law, masks_of,
                       random_dpp_matrix, random_unitary)
 
 DIAG = np.diag([0.3, 0.7])
@@ -505,23 +505,21 @@ class TestCoupling:
 class TestSamplers:
     def test_identity_kernel_always_full(self):
         dpp = validate(np.eye(3))
-        masks = sample_exact_many(dpp, 7, 50)
-        assert np.all(masks == 0b111)
+        assert np.all(sample_indicators(dpp, 7, 50))
 
     def test_zero_kernel_always_empty(self):
         dpp = validate(np.zeros((3, 3)))
-        masks = sample_exact_many(dpp, 7, 50)
-        assert np.all(masks == 0)
+        assert not np.any(sample_indicators(dpp, 7, 50))
 
     def test_single_draw_reproducible(self):
         dpp = validate(DIAG)
-        one = sample_exact_many(dpp, 123, 1)
-        assert one.shape == (1,) and one[0] == sample_exact_many(dpp, 123, 1)[0]
+        one = sample_indicators(dpp, 123, 1)
+        assert one.shape == (1, 2) and np.array_equal(one, sample_indicators(dpp, 123, 1))
 
     def test_no_draws_gives_empty_array(self):
-        for n, dtype in ((3, np.int64), (70, object)):
-            masks = sample_exact_many(validate(0.5 * np.eye(n)), 1, 0)
-            assert masks.shape == (0,) and masks.dtype == dtype
+        for n in (3, 70):
+            bits = sample_indicators(validate(0.5 * np.eye(n)), 1, 0)
+            assert bits.shape == (0, n) and bits.dtype == bool
 
     def test_subset_law_of_projection_with_three_points(self):
         # the third point is the first that depends on the Gram-Schmidt step
@@ -529,25 +527,24 @@ class TestSamplers:
         dpp = validate(real_kernel_with_extreme_eigenvalues(rng, 6))
         law = subset_law(dpp).probs
         draws = 20000
-        freq = np.bincount(sample_exact_many(dpp, 42, draws), minlength=law.size) / draws
+        freq = np.bincount(masks_of(sample_indicators(dpp, 42, draws)), minlength=law.size) / draws
         sigma = np.sqrt(np.maximum(law * (1.0 - law), 1e-12) / draws)
         assert np.all(np.abs(freq - law) <= 4.5 * sigma + 1e-12)
 
     def test_real_kernel_with_eigenvalues_zero_and_one(self):
         rng = np.random.default_rng(21)
         dpp = validate(real_kernel_with_extreme_eigenvalues(rng))
-        masks = sample_exact_many(dpp, 22, 4000)
-        assert masks.dtype == np.int64
-        counts = np.array([bin(int(m)).count("1") for m in masks])
+        bits = sample_indicators(dpp, 22, 4000)
+        counts = bits.sum(axis=1)
         assert counts.min() >= 3 and counts.max() <= 9
-        assert_sampler_matches_kernel(dpp, masks)
+        assert_sampler_matches_kernel(dpp, bits)
 
     def test_empirical_law_binomial_bounds(self):
         draws = 20000
         for matrix, seed in ((DIAG, 1), (PROJ1, 2), (rank2_kernel(), 3)):
             dpp = validate(matrix)
             law = subset_law(dpp)
-            masks = sample_exact_many(dpp, seed, draws)
+            masks = masks_of(sample_indicators(dpp, seed, draws))
             counts = np.bincount(masks, minlength=1 << dpp.n)
             for mask in range(1 << dpp.n):
                 p = law.prob(mask)

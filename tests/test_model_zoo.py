@@ -9,7 +9,7 @@ from scipy import integrate, special
 
 from palmdpp.analysis import grid_discretize
 from palmdpp.errors import ValidationError
-from palmdpp.finite_dpp import sample_exact_many
+from palmdpp.finite_dpp import sample_indicators
 from palmdpp.kernel_core import repulsiveness_p
 from palmdpp.model_zoo import (
     GinibreParams,
@@ -234,8 +234,7 @@ class TestThinRescale:
         k = ginibre_kernel(GinibreParams(1.0, 1.0))
         grid = grid_discretize(k, (-3.0, 3.0, -3.0, 3.0), 10)
         draws = 400
-        masks = sample_exact_many(grid.dpp, 99, draws)
-        counts = np.array([bin(int(m)).count("1") for m in masks], dtype=float)
+        counts = sample_indicators(grid.dpp, 99, draws).sum(axis=1)
         rng = np.random.default_rng(100)
         thinned = rng.binomial(counts.astype(int), alpha * beta)
         area_rescaled = beta * 36.0

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from palmdpp.analysis import ginibre_moment, grid_discretize, jinc_moment_closed, moment_quadrature
@@ -277,5 +277,69 @@ def test_moments_exits_with_a_documented_code(model, ks, rho, radius):
     argv += [f"--rho={rho}"] if rho is not None else []
     argv += [f"--truncation-radius={radius}"] if radius is not None else []
     code, out, err = run(argv)
+    assert code in (0, 2, 3, 4, 5)
+    assert (code == 0) == (err == "")
+
+
+# flags of each subcommand with values it accepts; each example passes a flag
+# one of these, a value from BAD_VALUES, or leaves it out
+CLI_FLAGS = {
+    "validate": {},
+    "repulsiveness": {"--anchor": ["1", "0,0", "0.5,-1", "0,0,1"],
+                      "--profile-points": ["1", "4"], "--profile-max": ["0.5", "3"],
+                      "--rel-tol": ["1e-6"], "--truncation-radius": ["5", "30"]},
+    "couple": {"--anchor": ["1", "2"], "--seed": ["0", "7"], "--samples": ["1", "50"]},
+    "profile": {"--models": ["ginibre", "jinc", "ginibre,jinc"], "--beta": ["0.5", "1"],
+                "--r-min": ["0", "0.5"], "--r-max": ["2", "5"], "--r-points": ["1", "5"]},
+    "moments": {"--model": ["ginibre", "jinc"], "--k": ["0.5", "-1,2"], "--rho": ["0.05", "1"],
+                "--rel-tol": ["1e-6"], "--truncation-radius": ["5", "30"]},
+    "sample": {"--samples": ["0", "5"], "--seed": ["0", "3"],
+               "--window": ["-1,1,-1,1", "-2,2"], "--resolution": ["1", "3", "100"]},
+}
+BAD_VALUES = ["nan", "inf", "0", "-1", "1e308", "x", ""]
+CLI_SPECS = {
+    "finite": {"family": "finite", "matrix": [[[0.3, 0], [0, 0]], [[0, 0], [0.7, 0]]]},
+    "ginibre": {"family": "ginibre", "params": {"alpha": 1.0, "beta": 1.0}},
+    "jinc": {"family": "jinc"},
+    "sinc": {"family": "sinc", "params": {"alpha": 0.8}},
+    "multiquadric": {"family": "sphere-multiquadric", "params": {"delta": 0.5, "rho": 0.1}},
+}
+
+
+@pytest.fixture(scope="module")
+def cli_spec_paths(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("cli-specs")
+    paths = {"missing": str(directory / "missing.json")}
+    for name, doc in CLI_SPECS.items():
+        paths[name] = str(directory / f"{name}.json")
+        (directory / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    return paths
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv for one of the six subcommands: a spec or none, each flag left
+    out, valid or bad, and sometimes an unknown flag; spec names stand for
+    the paths in cli_spec_paths."""
+    command = draw(st.sampled_from(sorted(CLI_FLAGS)))
+    argv = [command]
+    if command in ("validate", "repulsiveness", "couple", "sample") and draw(st.integers(0, 7)):
+        argv.append(draw(st.sampled_from(sorted(CLI_SPECS) + ["missing"])))
+    for flag, valid in CLI_FLAGS[command].items():
+        # one flag in six gets a bad value, so many examples get past parsing
+        kind = draw(st.sampled_from(["omit", "omit", "valid", "valid", "valid", "bad"]))
+        if kind != "omit":
+            argv.append(f"{flag}={draw(st.sampled_from(valid if kind == 'valid' else BAD_VALUES))}")
+    if command == "sample" and draw(st.booleans()):
+        argv.append("--emit-points")
+    if draw(st.integers(0, 7)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), "--bogus=1")
+    return argv
+
+
+@settings(max_examples=200)
+@given(argv=cli_argvs())
+def test_every_command_exits_with_a_documented_code(cli_spec_paths, argv):
+    code, out, err = run([cli_spec_paths.get(a, a) for a in argv])
     assert code in (0, 2, 3, 4, 5)
     assert (code == 0) == (err == "")
