@@ -28,6 +28,7 @@ from .finite_dpp import (
     palm_matrix,
     sample_coupled_many,
     sample_indicators,
+    sample_removals,
     subset_law,
     validate,
     xi_law,

@@ -15,7 +15,7 @@ from scipy import stats
 
 from . import finite_dpp
 from .errors import SizeGuardError, ValidationError
-from .kernel_core import GroundSpace, Kernel, check_point, radial_integral
+from .kernel_core import Kernel, check_point, radial_integral
 from .numerics import QuadratureSpec
 
 __all__ = [
@@ -71,7 +71,6 @@ class GridModel:
     dpp: finite_dpp.FiniteDpp
     centers: np.ndarray
     cell_measure: float
-    space: GroundSpace
 
     @property
     def expected_count(self) -> float:
@@ -97,6 +96,11 @@ class CouplingValidation:
     samples: int
 
 
+def _check_order(k: float) -> None:
+    if k <= -2:
+        raise ValidationError("param-bound", "moments exist only for k > -2")
+
+
 def jinc_moment_closed(k: float) -> float:
     """Closed-form moment E|Z_u - u|^k for the planar jinc displacement.
 
@@ -104,8 +108,7 @@ def jinc_moment_closed(k: float) -> float:
     (Gamma(2 - k/2) Gamma(1 - k/2)^2); the distribution is heavy-tailed
     and every moment of order >= 1 is infinite.
     """
-    if k <= -2:
-        raise ValueError("moments exist only for k > -2")
+    _check_order(k)
     if k >= 1:
         return math.inf
     return (math.gamma(1.0 + k / 2.0) * math.gamma(1.0 - k)
@@ -118,32 +121,26 @@ def ginibre_moment(k: float, rho: float) -> float:
     The squared distance is exponential, so the k-th moment is
     Gamma(1 + k/2) / (pi rho)^(k/2), finite for every k > -2.
     """
-    if k <= -2:
-        raise ValueError("moments exist only for k > -2")
+    _check_order(k)
     if rho <= 0:
         raise ValueError("intensity must be > 0")
     return math.gamma(1.0 + k / 2.0) / (math.pi * rho) ** (k / 2.0)
 
 
 def _displacement_radial(kernel: Kernel, u):
-    """r -> |K(u, u + r e)|^2 for an isotropic planar kernel, and the
-    squared row norm with its relative error."""
+    """r -> |K(u, u + r e)|^2 for an isotropic planar kernel, and its
+    declared squared row norm."""
     if kernel.space.kind != "euclidean" or kernel.space.size != 2:
         raise ValidationError("param-bound",
                               "displacement analysis covers isotropic kernels on the plane")
-    radial = kernel.radial_abs_sq
-    if radial is None:
-        raise ValidationError("param-bound", "kernel must declare an isotropic modulus")
-    norm_sq = kernel.reference.get("norm_sq")
-    if norm_sq is not None:
-        if not (norm_sq > 0 and math.isfinite(2.0 * math.pi / norm_sq)):
-            raise OverflowError(f"the kernel's declared squared row norm is {norm_sq!r}, "
-                                "so 2 pi / norm_sq is not finite")
-        return radial, norm_sq, 0.0
-    res = radial_integral(kernel, 1.0, 2.0 * math.pi)
-    if res.value <= 0:
-        raise ValidationError("anchor", "the kernel row has no mass; p_u vanishes")
-    return radial, res.value, res.error / res.value
+    radial, norm_sq = kernel.radial_abs_sq, kernel.reference.get("norm_sq")
+    if radial is None or norm_sq is None:
+        raise ValidationError("param-bound", "kernel must declare an isotropic modulus "
+                              "and its squared row norm (reference['norm_sq'])")
+    if not (norm_sq > 0 and math.isfinite(2.0 * math.pi / norm_sq)):
+        raise OverflowError(f"the kernel's declared squared row norm is {norm_sq!r}, "
+                            "so 2 pi / norm_sq is not finite")
+    return radial, norm_sq
 
 
 def moment_quadrature(kernel: Kernel, u, order: float,
@@ -155,23 +152,19 @@ def moment_quadrature(kernel: Kernel, u, order: float,
     it diverge (jinc at order >= 1) is flagged divergent instead of a
     number.
     """
-    if order <= -2:
-        raise ValueError("moments exist only for k > -2")
-    _, norm_sq, norm_rel_err = _displacement_radial(kernel, u)
+    _check_order(order)
+    _, norm_sq = _displacement_radial(kernel, u)
     if kernel.tail is not None and not kernel.tail.converges(order + 1.0):
         return MomentResult(k=order, quadrature=math.nan, abs_error=math.nan,
                             tail_estimate=math.nan, divergent=True)
     res = radial_integral(kernel, order + 1.0, 2.0 * math.pi / norm_sq, spec)
-    norm_contrib = norm_rel_err * abs(res.value)
-    return MomentResult(k=order, quadrature=res.value,
-                        abs_error=res.error + norm_contrib,
-                        tail_estimate=res.tail_error + norm_contrib,
-                        divergent=False)
+    return MomentResult(k=order, quadrature=res.value, abs_error=res.error,
+                        tail_estimate=res.tail_error, divergent=False)
 
 
 def radial_profile(kernel: Kernel, u, radii) -> RadialProfile:
     """Density of |Z_u - u| on a radius grid: 2 pi r f_u(r) on the plane."""
-    radial, norm_sq, _ = _displacement_radial(kernel, u)
+    radial, norm_sq = _displacement_radial(kernel, u)
     radii = np.asarray(radii, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         density = 2.0 * math.pi * radii * radial(radii) / norm_sq
@@ -268,7 +261,7 @@ def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
             raise ValidationError("spectrum", f"{exc} on the grid; the cells are too coarse: "
                                   "raise the resolution or shrink the window") from exc
         raise
-    return GridModel(dpp=dpp, centers=centers, cell_measure=measure, space=space)
+    return GridModel(dpp=dpp, centers=centers, cell_measure=measure)
 
 
 def _nearest_site(centers: np.ndarray, u) -> int:
@@ -291,17 +284,12 @@ def mc_validate_coupling(kernel: Kernel, u, window, resolution: int,
     flow, table = finite_dpp.couple(grid.dpp, site)
     p_exact, density = finite_dpp.xi_law(table, grid.dpp, site)
 
-    s_masks, t_masks = finite_dpp.sample_coupled_many(table, rng_seed, samples)
-    diff = s_masks ^ t_masks
-    nonempty = diff > 0
-    p_hat = float(np.mean(nonempty))
+    p_hat, observed_all = finite_dpp.sample_removals(table, rng_seed, samples)
     if 0.0 < p_exact < 1.0:
         z = (p_hat - p_exact) / math.sqrt(p_exact * (1.0 - p_exact) / samples)
     else:
         z = 0.0 if p_hat == p_exact else math.inf
 
-    removed = np.log2(diff[nonempty]).astype(int)  # single-bit masks
-    observed_all = np.bincount(removed, minlength=grid.dpp.n).astype(float)
     n_cond = float(observed_all.sum())
     expected_all = n_cond * density
 

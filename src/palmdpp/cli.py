@@ -21,8 +21,9 @@ missing spec, an unknown flag), exits 3.  Counts are integers, >= 0 for
 the rest; --beta and --rho are finite numbers, --rel-tol,
 --truncation-radius and --profile-max finite and > 0, the radii --r-min
 and --r-max finite and >= 0 (in either order); --k and --window are
-comma lists of finite numbers.  All commands are deterministic given
-(input file, flags, seed); numbers render with 12 significant digits.
+comma lists of finite numbers, --models a comma list of ginibre and
+jinc.  All commands are deterministic given (input file, flags, seed);
+numbers render with 12 significant digits.
 """
 from __future__ import annotations
 
@@ -250,6 +251,16 @@ def _finite_floats(text: str) -> list[float]:
     return list(map(_float_above(), text.split(",")))
 
 
+def _profile_models(text: str) -> set[str]:
+    """argparse converter for profile --models: a nonempty comma list of
+    'ginibre' and 'jinc', items stripped, repeats allowed."""
+    models = {m.strip() for m in text.split(",")} - {""}
+    if not models or not models <= {"ginibre", "jinc"}:
+        raise argparse.ArgumentTypeError(
+            f"profile models are a comma list of 'ginibre' and 'jinc', got {text!r}")
+    return models
+
+
 def _reference_p(bundle: ModelBundle, anchor) -> float:
     if bundle.family == "finite":
         return finite_dpp.p_u_finite(bundle.dpp, int(anchor))
@@ -293,10 +304,7 @@ def cmd_couple(args) -> int:
     site = int(_parse_anchor(bundle, args.anchor))
     flow, table = finite_dpp.couple(dpp, site)
     p_exact, density = finite_dpp.xi_law(table, dpp, site)
-    s_masks, t_masks = finite_dpp.sample_coupled_many(table, args.seed, args.samples)
-    diff = s_masks ^ t_masks
-    p_hat = float(np.mean(diff > 0))
-    removed = np.bincount(np.log2(diff[diff > 0]).astype(int), minlength=dpp.n).astype(float)
+    p_hat, removed = finite_dpp.sample_removals(table, args.seed, args.samples)
     removed_hat = removed / removed.sum() if removed.sum() > 0 else removed
     _emit_block(sys.stdout, ["max_flow", "p_u_exact", "p_u_empirical"],
                 [[flow, p_exact, p_hat]])
@@ -307,21 +315,15 @@ def cmd_couple(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    models = [m.strip() for m in args.models.split(",") if m.strip()]
-    for m in models:
-        if m not in ("ginibre", "jinc"):
-            raise ParseError(f"profile models are 'ginibre' and 'jinc', got {m!r}")
-    if not models:
-        raise ParseError("no models requested")
     if not 0.0 < args.beta <= 1.0:
         raise ValidationError("param-bound", "beta must lie in (0, 1]")
     radii = np.linspace(args.r_min, args.r_max, args.r_points)
     origin = np.zeros(2)
     columns: dict[str, np.ndarray] = {}
-    if "ginibre" in models:
+    if "ginibre" in args.models:
         kernel = model_zoo.ginibre_kernel(model_zoo.GinibreParams(1.0, args.beta))
         columns["density_ginibre"] = analysis.radial_profile(kernel, origin, radii).density
-    if "jinc" in models:
+    if "jinc" in args.models:
         kernel = model_zoo.jinc_kernel(2)
         if args.beta != 1.0:
             kernel = model_zoo.thin_rescale(kernel, 1.0, args.beta)
@@ -333,8 +335,6 @@ def cmd_profile(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    if any(k <= -2 for k in args.k):
-        raise ValidationError("param-bound", "moments exist only for k > -2")
     if args.model == "jinc":
         kernel = model_zoo.jinc_kernel(2)
         closed = analysis.jinc_moment_closed
@@ -439,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_couple)
 
     p = sub.add_parser("profile", help="radial displacement densities (Figure-1 data)")
-    p.add_argument("--models", default="ginibre,jinc")
+    p.add_argument("--models", type=_profile_models, default="ginibre,jinc")
     p.add_argument("--beta", type=_float_above(), default=1.0)
     p.add_argument("--r-min", type=radius, default=0.0)
     p.add_argument("--r-max", type=radius, default=10.0)

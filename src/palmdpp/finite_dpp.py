@@ -40,10 +40,10 @@ __all__ = [
     "xi_law",
     "sample_indicators",
     "sample_coupled_many",
+    "sample_removals",
 ]
 
 _LAW_MAX_SITES = 16
-_COUPLING_MAX_SITES = 16
 _FLOW_DEFICIT = 1e-8
 _FLOW_UNITS = 2 ** 30  # integer units of residual source mass per max-flow round
 _FLOW_NOISE = 1e-15    # residual mass below this is float noise: no further round
@@ -387,7 +387,6 @@ def coupling_feasible(law_x: SubsetLaw, law_xu: SubsetLaw,
         f[idx] = g = np.minimum(src[s], snk[t])
         src[s] -= g
         snk[t] -= g
-    at = None  # each pair's position in the solver's flow array, the same every round
     while True:
         src = np.clip(p_x - np.bincount(pair_s, weights=f, minlength=ns), 0.0, None)
         snk = np.clip(p_xu - np.bincount(pair_t, weights=f, minlength=nt), 0.0, None)
@@ -400,12 +399,7 @@ def coupling_feasible(law_x: SubsetLaw, law_xu: SubsetLaw,
         cap = np.concatenate([src, 2.0 - f, f, snk]) * scale
         graph.data[:] = np.floor(np.minimum(cap[order], _FLOW_UNITS))
         result = maximum_flow(graph, 0, 1)
-        if at is None:
-            flow_rows = np.repeat(np.arange(n_nodes), np.diff(result.flow.indptr))
-            keys = flow_rows * n_nodes + result.flow.indices
-            by_key = np.argsort(keys, kind="stable")  # linear when already sorted
-            at = by_key[np.searchsorted(keys, s_node * n_nodes + t_node, sorter=by_key)]
-        f += result.flow.data[at] / scale
+        f += result.flow[s_node, t_node] / scale
         if 2 * result.flow_value < _FLOW_UNITS:
             break  # saturated: another round could only recover this one's flooring loss
     flow = float(routed.sum() + f.sum())
@@ -422,11 +416,8 @@ def coupling_feasible(law_x: SubsetLaw, law_xu: SubsetLaw,
 def couple(dpp: FiniteDpp, u: int) -> tuple[float, CouplingTable]:
     """(max-flow value, table) of a coupling of X and X^u, the Palm process at
     site u, in which X^u is X less at most one point.  Raises SizeGuardError
-    beyond 16 sites, before any law is computed, and TheoremViolationError
-    when the flow does not saturate."""
-    if dpp.n > _COUPLING_MAX_SITES:
-        raise SizeGuardError(
-            f"coupling verification is bounded at n <= {_COUPLING_MAX_SITES} (got {dpp.n})")
+    beyond 16 sites, from subset_law's guard before any law is computed, and
+    TheoremViolationError when the flow does not saturate."""
     law_x = subset_law(dpp)
     law_xu = subset_law(palm_matrix(dpp, u))
     flow, table = coupling_feasible(law_x, law_xu, u)
@@ -536,3 +527,13 @@ def sample_coupled_many(table: CouplingTable, rng_seed: int,
     pairs, w = table.joint[order], table.mass[order]
     drawn = pairs[rng.choice(len(pairs), p=w / w.sum(), size=draws)]
     return drawn[:, 0], drawn[:, 1]
+
+
+def sample_removals(table: CouplingTable, rng_seed: int,
+                    draws: int) -> tuple[float, np.ndarray]:
+    """Tally sample_coupled_many's draws: (share of draws that remove a
+    point, float array of the removals at each site 1..n, indexed from 0)."""
+    s_masks, t_masks = sample_coupled_many(table, rng_seed, draws)
+    diff = s_masks ^ t_masks
+    removed = np.log2(diff[diff > 0]).astype(int)  # single-bit masks
+    return float(np.mean(diff > 0)), np.bincount(removed, minlength=table.n).astype(float)

@@ -8,6 +8,7 @@ including the multiquadric family.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
@@ -171,24 +172,19 @@ def _jinc_tail() -> Tail:
 _JINC_TAIL = _jinc_tail()
 
 
-def _sinc_radial(r: np.ndarray) -> np.ndarray:
+def _ball_radial(r: np.ndarray, wave: Callable, curvature: float) -> np.ndarray:
+    """wave(r) / (pi r), and its series (1 - r^2 / curvature) / pi below |r| = 1e-6."""
     r = np.asarray(r, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = np.asarray(np.sin(r) / (math.pi * r))
+        out = np.asarray(wave(r) / (math.pi * r))
     small = np.abs(r) < 1e-6
     if small.any():
-        out[small] = (1.0 - r[small] ** 2 / 6.0) / math.pi
+        out[small] = (1.0 - r[small] ** 2 / curvature) / math.pi
     return out
 
 
-def _jinc_radial(r: np.ndarray) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = np.asarray(special.j1(2.0 * r) / (math.pi * r))
-    small = np.abs(r) < 1e-6
-    if small.any():
-        out[small] = (1.0 - r[small] ** 2 / 2.0) / math.pi
-    return out
+_sinc_radial = functools.partial(_ball_radial, wave=np.sin, curvature=6.0)
+_jinc_radial = functools.partial(_ball_radial, wave=lambda r: special.j1(2.0 * r), curvature=2.0)
 
 
 def jinc_kernel(d: int) -> Kernel:
@@ -287,7 +283,7 @@ class SpherePResult(NamedTuple):
 
 
 def sphere_model(d: int, rho: float, beta_coeffs: Sequence[float],
-                 l_max: int | None = None, tail_bound: float = 0.0) -> SphereModel:
+                 tail_bound: float = 0.0) -> SphereModel:
     """Build and validate an isotropic sphere model.
 
     Checks coefficient positivity, total mass (including the declared
@@ -299,11 +295,7 @@ def sphere_model(d: int, rho: float, beta_coeffs: Sequence[float],
     if rho <= 0:
         raise ValidationError("param-bound", "intensity must be > 0")
     beta = np.asarray(beta_coeffs, dtype=float)
-    if l_max is None:
-        l_max = beta.size - 1
-    if beta.size != l_max + 1:
-        raise ValidationError("param-bound",
-                              f"expected {l_max + 1} coefficients, got {beta.size}")
+    l_max = beta.size - 1
     if np.any(beta < 0):
         raise ValidationError("param-bound", "coefficients must be nonnegative")
     if tail_bound < 0:
@@ -377,7 +369,7 @@ def multiquadric(delta: float, rho: float) -> tuple[SphereModel, Kernel]:
     ell = np.arange(l_max + 1)
     beta = (1.0 - delta) * delta ** ell.astype(float)
     tail = delta ** (l_max + 1)  # geometric remainder of the coefficient mass
-    model = sphere_model(2, rho, beta, l_max=l_max, tail_bound=tail)
+    model = sphere_model(2, rho, beta, tail_bound=tail)
 
     def k0(t, _rho=rho, _delta=delta):
         t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)

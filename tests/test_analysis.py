@@ -137,6 +137,29 @@ class TestMomentQuadrature:
         with pytest.raises(ValueError):
             moment_quadrature(jinc_kernel(2), ORIGIN, -2.5)
 
+    @pytest.mark.parametrize("moment", [
+        jinc_moment_closed,
+        lambda k: ginibre_moment(k, 1.0 / math.pi),
+        lambda k: moment_quadrature(jinc_kernel(2), ORIGIN, k),
+        lambda k: moment_quadrature(ginibre_kernel(GinibreParams(1.0, 1.0)), ORIGIN, k),
+    ], ids=["jinc-closed", "ginibre-closed", "jinc-quadrature", "ginibre-quadrature"])
+    @pytest.mark.parametrize("k", [-2.0, -2.5, -1e300])
+    def test_orders_at_or_below_minus_two_are_a_param_bound(self, moment, k):
+        with pytest.raises(ValidationError, match="moments exist only for k > -2") as exc:
+            moment(k)
+        assert exc.value.token == "param-bound" and isinstance(exc.value, ValueError)
+
+    def test_kernel_without_a_declared_norm_is_rejected(self):
+        # the displacement law needs the row norm the family declares
+        for kernel in (jinc_kernel(2), thin_rescale(jinc_kernel(2), 1.0, 0.5),
+                       ginibre_kernel(GinibreParams(1.0, 1.0))):
+            bare = replace(kernel, reference={"p_u": kernel.reference["p_u"]})
+            for call in (lambda: moment_quadrature(bare, ORIGIN, 0.5),
+                         lambda: radial_profile(bare, ORIGIN, [0.0, 1.0])):
+                with pytest.raises(ValidationError, match="norm") as exc:
+                    call()
+                assert exc.value.token == "param-bound"
+
     @pytest.mark.parametrize("rho", [0.05, 1.0 / math.pi, 1.0, 1e8])
     def test_ginibre_within_abs_error(self, rho):
         # the error budget covers rounding, so no slack is needed

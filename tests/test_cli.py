@@ -107,6 +107,8 @@ def rank2_spec():
     (["profile", "--r-min=-1", "--r-max", "0", "--r-points", "3"], 3, "parse-error"),
     (["profile", "--beta", "1.5"], 2, "validation-error[param-bound]"),
     (["profile", "--beta", "nan"], 3, "parse-error"),
+    (["profile", "--models", "ginibre,sinc"], 3, "parse-error"),
+    (["profile", "--models", " , "], 3, "parse-error"),
     (["couple", "D", "--seed=-1"], 3, "parse-error"),
     (["sample", "D", "--seed=-1"], 3, "parse-error"),
     (["sample"], 3, "parse-error"),
@@ -118,7 +120,8 @@ def rank2_spec():
     (["sample", "G", "--window=1,-1,-1,1", "--resolution", "3"], 2,
      "validation-error[param-bound]"),
 ], ids=["nan-profile-max", "zero-profile-max", "jinc-profile-past-doubles", "inf-radius", "radius-overflows-density",
-        "negative-radius", "beta-above-one", "nan-beta", "couple-negative-seed",
+        "negative-radius", "beta-above-one", "nan-beta", "unknown-model", "no-models",
+        "couple-negative-seed",
         "sample-negative-seed", "missing-spec", "unknown-flag", "missing-command",
         "zero-resolution", "nan-window", "short-window", "decreasing-window"])
 def test_bad_flag_values_exit_with_a_token(tmp_path, argv, code, token):
@@ -381,6 +384,14 @@ class TestProfileCommand:
         _, ascending, _ = run_cli(["profile", "--r-min", "1", "--r-max", "2", "--r-points", "3"])
         (_, up), = parse_blocks(ascending)
         assert rows == up[::-1]
+
+    def test_models_are_stripped_and_may_repeat(self):
+        _, want, _ = run_cli(["profile", "--r-points", "3"])
+        for models in ("jinc,ginibre", " jinc , ginibre,jinc ", "ginibre,,jinc"):
+            code, out, err = run_cli(["profile", "--models", models, "--r-points", "3"])
+            assert (code, out, err) == (0, want, "")  # columns: ginibre, then jinc
+        _, jinc, _ = run_cli(["profile", "--models", "jinc, jinc", "--r-points", "3"])
+        assert jinc.splitlines()[0] == "r,density_jinc"
 
     def test_deterministic_rerun(self):
         args = ["profile", "--beta", "0.7", "--r-points", "50"]

@@ -19,6 +19,7 @@ from palmdpp.finite_dpp import (
     palm_matrix,
     sample_coupled_many,
     sample_indicators,
+    sample_removals,
     subset_law,
     validate,
     xi_law,
@@ -469,12 +470,23 @@ class TestCoupling:
             coupling_feasible(law, law, 1)  # law has mass on subsets with site 1
 
     def test_size_guard(self, monkeypatch):
+        # subset_law's guard is its first statement: the first call raises, on
+        # the kernel itself, before any law or the Palm matrix is computed
         big = validate(np.diag([0.5] * 17))
-        laws = []
-        monkeypatch.setattr(finite_dpp, "subset_law", lambda *a: laws.append(a))
-        with pytest.raises(SizeGuardError):
+        seen = []
+
+        def spied(dpp, _law=finite_dpp.subset_law):
+            seen.append(dpp)
+            return _law(dpp)
+
+        def no_palm(*args):
+            raise AssertionError("the Palm matrix was computed")
+
+        monkeypatch.setattr(finite_dpp, "subset_law", spied)
+        monkeypatch.setattr(finite_dpp, "palm_matrix", no_palm)
+        with pytest.raises(SizeGuardError, match="n <= 16"):
             couple(big, 17)
-        assert laws == []  # raised before any law was computed
+        assert len(seen) == 1 and seen[0] is big
 
     def test_routed_pairs_overfill_a_sink(self):
         # X always holds the anchor, site 1; X^u is empty only half the time,
@@ -582,6 +594,17 @@ class TestSamplers:
         s, t = sample_coupled_many(table, 8, 500)
         assert np.all(t == 0)
         assert np.all(np.array([bin(int(m)).count("1") for m in s]) == 1)
+
+    @pytest.mark.parametrize("draws", [1, 5000])
+    def test_removal_tally_matches_the_coupled_draws(self, draws):
+        dpp = validate(spectral_class_kernel(12, 1, 0, n=8))
+        _, table = couple(dpp, 3)
+        s, t = sample_coupled_many(table, 9, draws)
+        diff = s ^ t
+        want = [np.count_nonzero(diff == 1 << v) for v in range(dpp.n)]
+        share, counts = sample_removals(table, 9, draws)
+        assert share == np.count_nonzero(diff) / draws
+        assert counts.shape == (dpp.n,) and counts.tolist() == want
 
     def test_single_coupled_draw(self):
         dpp = validate(DIAG)
