@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import finite_dpp
 from .errors import SizeGuardError, ValidationError
@@ -302,7 +302,7 @@ def mc_validate_coupling(kernel: Kernel, u, window, resolution: int,
     if observed.size >= 2:
         chi2 = float(np.sum((observed - expected) ** 2 / expected))
         dof = observed.size - 1
-        pvalue = float(stats.chi2.sf(chi2, dof))
+        pvalue = float(special.chdtrc(dof, chi2))
     else:
         chi2, dof, pvalue = 0.0, 0, 1.0
     return CouplingValidation(flow=flow, anchor_site=site, p_exact=p_exact,

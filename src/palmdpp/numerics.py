@@ -5,27 +5,26 @@ matrix, or of phi phi* from a thin factor phi), and quadrature of radial
 integrals on (0, inf) against a declared asymptotic tail.
 
 integrate_radial computes int_0^inf r^a g(r) dr for a smooth g whose
-large-r behaviour is a declared Tail: a Gaussian, or an expansion in
-negative powers of r, possibly times sin/cos of a fixed frequency, with a
-bound on its remainder.  Near the origin a Gauss-Jacobi rule carries the
-weight r^a; Gauss-Legendre panels in the tail's length scale cover the
-core up to the truncation radius; beyond it the declared terms are
-integrated in closed form (powers of r, or the incomplete Gamma function
-for a Gaussian) and by QUADPACK's Fourier-weight rule (QAWF) for the
-oscillating terms.  The error budget adds the 32- vs 20-node differences,
-a rounding term, QUADPACK's reported error, and the integral of the
-declared remainder bound.  Whether the integral converges is read off the
-declared exponent, never fitted.  Everything here is a pure function of
-its inputs and safe to call concurrently.
+large-r behaviour is a declared Tail, amplitude * H(r / s): a Gaussian, or
+an expansion in negative powers of t = r / s, possibly times sin/cos of a
+fixed frequency, with a bound on its remainder.  Near the origin a
+Gauss-Jacobi rule carries the weight r^a; Gauss-Legendre panels in s cover
+the core up to the truncation radius; beyond it the declared terms are
+integrated in t: powers in closed form, a Gaussian by the incomplete Gamma
+function, sin/cos terms by Gauss-Laguerre rules on a complex path.  The
+error budget adds the 32- vs 20-node differences, a rounding term, and the
+integral of the declared remainder bound.  Whether the integral converges
+is read off the declared exponent, never fitted.  Everything here is a
+pure function of its inputs and safe to call concurrently.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import integrate, linalg, special
+from scipy import linalg, special
 
 __all__ = [
     "QuadratureError",
@@ -58,8 +57,11 @@ _GL_NODES_LO, _GL_WEIGHTS_LO = np.polynomial.legendre.leggauss(20)
 # remainder bound is at most this fraction of the leading term.
 _TAIL_REMAINDER = 1e-12
 _RADIUS_CANDIDATES = 1000
-# QAWF's absolute tolerance, relative to the magnitude of the tail integral.
-_QAWF_TOLERANCE = 1e-14
+# Gauss-Laguerre rules for the sin/cos terms on t = T + i tau / w; t^e has its
+# branch point at tau = i w T, so they need w T >= 8 (3e-17 relative at 16).
+_LAGUERRE_HI = np.polynomial.laguerre.laggauss(32)
+_LAGUERRE_LO = np.polynomial.laguerre.laggauss(20)
+_PATH_START = 8.0
 
 
 class QuadratureError(RuntimeError):
@@ -73,8 +75,9 @@ class QuadratureSpec:
 
     relative_tolerance is QUADPACK's target on the sphere's polar-angle
     integral.  truncation_radius is where radial quadrature hands over to
-    the declared tail; integrate_radial needs it set (callers default it
-    to Tail.default_radius()).
+    the declared tail, at least 8 s / w out for an oscillating one;
+    integrate_radial needs it set (callers default it to
+    Tail.default_radius()).
     """
 
     relative_tolerance: float = 1e-10
@@ -102,10 +105,10 @@ class HermitianEig:
 class RadialIntegral(NamedTuple):
     """Result of integrate_radial.
 
-    value includes the tail beyond the truncation radius; error is the
-    full budget.  tail is the declared tail's integral beyond the radius,
-    and tail_error its share of the budget (QUADPACK's error, rounding
-    and the integrated remainder bound).
+    value includes the tail beyond the hand-over radius; error is the
+    full budget.  tail is the declared tail's integral beyond that radius,
+    and tail_error its share of the budget (the path rule's 32- vs 20-node
+    difference, rounding and the integrated remainder bound).
     """
 
     value: float
@@ -116,25 +119,25 @@ class RadialIntegral(NamedTuple):
 
 @dataclass(frozen=True)
 class Tail:
-    """Declared large-r behaviour of a radial function h(r).
+    """Declared large-r behaviour of a radial function h(r) = amplitude * H(r / scale).
 
     scale is the length scale s on which h varies; it sizes the
-    quadrature panels.
+    quadrature panels.  H is declared at unit scale, in t = r / s:
 
-    kind "gaussian": h(r) = amplitude * exp(-(r / s)^2) exactly.
+    kind "gaussian": H(t) = exp(-t^2) exactly.
 
-    kind "power": with w = frequency, for every r > 0,
+    kind "power": with w = frequency, for every t > 0,
 
-        h(r) = sum_j r^-(order + j) (smooth[j] + sine[j] sin(w r)
-                                     + cosine[j] cos(w r)) + E(r),
-        |E(r)| <= sum_j bound[j] r^-(order + j).
+        H(t) = sum_j t^-(order + j) (smooth[j] + sine[j] sin(w t)
+                                     + cosine[j] cos(w t)) + E(t),
+        |E(t)| <= sum_j bound[j] t^-(order + j).
 
     The four sequences hold one entry per power j = 0, 1, ...
     """
 
     kind: str
     scale: float
-    amplitude: float = 0.0
+    amplitude: float = 1.0
     order: float = 0.0
     frequency: float = 0.0
     smooth: tuple[float, ...] = ()
@@ -151,27 +154,22 @@ class Tail:
             raise ValueError("smooth, sine, cosine and bound need one entry per power")
         if any(b < 0 for b in self.bound):
             raise ValueError("remainder bounds must be >= 0")
+        if any(self.sine + self.cosine) and not self.frequency > 0:
+            raise ValueError("sin/cos terms need a frequency > 0")
 
     def rescaled(self, factor: float, dilation: float = 1.0) -> "Tail":
         """The tail of factor * h(r / dilation)."""
-        if self.kind == "gaussian":
-            return Tail("gaussian", self.scale * dilation, amplitude=factor * self.amplitude)
-        powers = dilation ** (self.order + np.arange(len(self.smooth)))
-        times = lambda seq: tuple((factor * powers * np.asarray(seq, dtype=float)).tolist())
-        return Tail("power", self.scale * dilation, order=self.order,
-                    frequency=self.frequency / dilation, smooth=times(self.smooth),
-                    sine=times(self.sine), cosine=times(self.cosine),
-                    bound=times(self.bound))
+        return replace(self, amplitude=factor * self.amplitude, scale=dilation * self.scale)
 
     def converges(self, power: float) -> bool:
         """Whether r^power h(r) is integrable at infinity."""
         return self.kind == "gaussian" or power - self.order < -1.0
 
     def _magnitudes(self, r: float) -> np.ndarray:
-        """The size at r of each power's terms and remainder bound,
-        relative to r^-order, for the powers that carry any."""
-        sizes = ((np.abs(self.smooth) + np.abs(self.sine) + np.abs(self.cosine)
-                  + np.asarray(self.bound)) * r ** -np.arange(len(self.smooth), dtype=float))
+        """The size at t = r / scale of each power's terms and remainder
+        bound, relative to t^-order, for the powers that carry any."""
+        powers = (r / self.scale) ** -np.arange(len(self.smooth), dtype=float)
+        sizes = powers * (np.abs([self.smooth, self.sine, self.cosine]).sum(axis=0) + self.bound)
         return sizes[sizes > 0]
 
     def asymptotic_at(self, r: float) -> bool:
@@ -185,13 +183,14 @@ class Tail:
         where the terms decrease and the remainder bound is at most 1e-12
         of the leading term: 8 s for an exact tail, 26 s for jinc.
         """
-        edges = self.scale * (_ORIGIN_CELL + _GL_PANEL * np.arange(1, _RADIUS_CANDIDATES + 1))
+        edges = _ORIGIN_CELL + _GL_PANEL * np.arange(1, _RADIUS_CANDIDATES + 1)
         if self.kind == "gaussian":
-            return float(edges[0])
-        for r in edges.tolist():
-            remainder = float(np.dot(self.bound, r ** -np.arange(len(self.bound), dtype=float)))
-            if self.asymptotic_at(r) and remainder <= _TAIL_REMAINDER * self._magnitudes(r)[0]:
-                return r
+            return self.scale * float(edges[0])
+        for t in edges.tolist():
+            remainder = float(np.dot(self.bound, t ** -np.arange(len(self.bound), dtype=float)))
+            if (self.asymptotic_at(self.scale * t)
+                    and remainder <= _TAIL_REMAINDER * self._magnitudes(self.scale * t)[0]):
+                return self.scale * t
         raise QuadratureError("the declared tail never becomes asymptotic within "
                               f"{_ORIGIN_CELL + _GL_PANEL * _RADIUS_CANDIDATES:g} length scales")
 
@@ -299,49 +298,45 @@ def _jacobi_cell(g, power: float, width: float) -> tuple[float, float]:
     return jac * hi, jac * (abs(hi - lo) + _GL_ROUNDING * hi_abs)
 
 
-def _fourier_tail(coefs: np.ndarray, lead: float, weight: str, frequency: float,
-                  radius: float, tolerance: float) -> tuple[float, float]:
-    """int_R^inf r^lead sum_j coefs[j] r^-j * sin|cos(frequency r) dr by QAWF."""
-    reversed_coefs = np.trim_zeros(coefs, "b")[::-1].tolist()
-
-    def amplitude(r: float) -> float:
-        y, acc = 1.0 / r, 0.0
-        for c in reversed_coefs:
-            acc = acc * y + c
-        return acc * r ** lead
-
-    res = integrate.quad(amplitude, radius, np.inf, weight=weight, wvar=frequency,
-                         epsabs=tolerance, full_output=1)
-    return res[0], res[1]
+def _path_tail(wave, exponents, frequency: float, start: float) -> tuple[float, float]:
+    """Re int_T^inf sum_j wave[j] t^e_j e^(i w t) dt, T = start, w = frequency,
+    and its error: on t = T + i tau / w it is (i / w) e^(i w T) times
+    int_0^inf sum_j wave[j] (T + i tau / w)^e_j e^-tau dtau, by 32- and
+    20-node Gauss-Laguerre rules, with their difference and rounding as error."""
+    sums = []
+    for nodes, weights in (_LAGUERRE_HI, _LAGUERRE_LO):
+        vals = (start + 1j * nodes[:, None] / frequency) ** exponents @ wave
+        sums.append((weights @ vals, weights @ np.abs(vals)))
+    (hi, hi_abs), (lo, _) = sums
+    value = (1j / frequency * np.exp(1j * frequency * start) * hi).real
+    return float(value), float(abs(hi - lo) + _GL_ROUNDING * hi_abs) / frequency
 
 
 def _tail_beyond(tail: Tail, power: float, radius: float) -> tuple[float, float]:
-    """int_R^inf r^power h(r) dr for the declared tail h, and its error."""
+    """int_R^inf r^power h(r) dr for the declared tail h, and its error:
+    A s^(power + 1) int_T^inf t^power H(t) dt with T = R / s."""
+    start = radius / tail.scale
     if tail.kind == "gaussian":
-        # substitute t = (r / s)^2: (A s^(a+1) / 2) Gamma((a+1)/2, R^2 / s^2)
+        # substitute u = t^2: Gamma((a+1)/2, T^2) / 2
         half = 0.5 * (power + 1.0)
-        value = (0.5 * tail.amplitude * tail.scale ** (power + 1.0) * special.gamma(half)
-                 * special.gammaincc(half, (radius / tail.scale) ** 2))
-        return float(value), _GL_ROUNDING * abs(float(value))
-    exponents = power - tail.order - np.arange(len(tail.smooth), dtype=float)
-    beyond = radius ** (exponents + 1.0) / -(exponents + 1.0)  # int_R^inf r^e dr
-    smooth = np.asarray(tail.smooth, dtype=float)
-    value = float(smooth @ beyond)
-    # power carries a rounding of eps |power| (it is often k + 1), which
-    # d/de log|int_R^inf r^e dr| = log R - 1 / (e + 1) amplifies near divergence
-    sensitivity = abs(math.log(radius)) + 1.0 / np.abs(exponents + 1.0)
-    error = (float(np.dot(tail.bound, beyond)) + _GL_ROUNDING * float(np.abs(smooth) @ beyond)
-             + _EPS * max(1.0, abs(power)) * float(np.abs(smooth * beyond) @ sensitivity))
-    tolerance = _QAWF_TOLERANCE * max(abs(value), float(np.abs(tail.sine) @ beyond),
-                                      float(np.abs(tail.cosine) @ beyond))
-    for weight, coefs in (("sin", tail.sine), ("cos", tail.cosine)):
-        coefs = np.asarray(coefs, dtype=float)
-        if np.any(coefs):
-            y, e = _fourier_tail(coefs, float(exponents[0]), weight, tail.frequency,
-                                 radius, tolerance)
-            value += y
-            error += e + _GL_ROUNDING * abs(y)
-    return value, error
+        value = 0.5 * float(special.gamma(half) * special.gammaincc(half, start ** 2))
+        error = _GL_ROUNDING * abs(value)
+    else:
+        exponents = power - tail.order - np.arange(len(tail.smooth), dtype=float)
+        beyond = start ** (exponents + 1.0) / -(exponents + 1.0)  # int_T^inf t^e dt
+        smooth = np.asarray(tail.smooth, dtype=float)
+        value = float(smooth @ beyond)
+        # power carries a rounding of eps |power| (it is often k + 1), which
+        # d/de log|int_R^inf r^e dr| = log R - 1 / (e + 1) amplifies near divergence
+        sensitivity = abs(math.log(radius)) + 1.0 / np.abs(exponents + 1.0)
+        error = (float(np.dot(tail.bound, beyond)) + _GL_ROUNDING * float(np.abs(smooth) @ beyond)
+                 + _EPS * max(1.0, abs(power)) * float(np.abs(smooth * beyond) @ sensitivity))
+        wave = np.asarray(tail.cosine, dtype=float) - 1j * np.asarray(tail.sine, dtype=float)
+        if np.any(wave):
+            y, e = _path_tail(wave, exponents, tail.frequency, start)
+            value, error = value + y, error + e
+    size = tail.amplitude * tail.scale ** (power + 1.0)
+    return size * value, size * error
 
 
 def integrate_radial(g: Callable[[np.ndarray], np.ndarray], power: float, tail: Tail,
@@ -355,9 +350,11 @@ def integrate_radial(g: Callable[[np.ndarray], np.ndarray], power: float, tail: 
     * [2 s, R] is covered by Gauss-Legendre panels 6 s wide; an interval
       that would need more than 2**15 of them gets 2**15 panels growing
       geometrically from its left end, unless the tail oscillates;
-    * [R, inf) comes from the tail: Gaussian by the incomplete Gamma
-      function, powers of r in closed form, sin/cos terms by QAWF, and
-      the integrated remainder bound goes to the error.
+    * [R, inf) comes from the tail in t = r / s: Gaussian by the incomplete
+      Gamma function, powers in closed form, sin/cos terms by Gauss-Laguerre
+      rules on t = T + i tau / w, which need w T >= 8 (so an oscillating tail,
+      once checked at R, hands over at max(R, 8 s / w)), and the integrated
+      remainder bound goes to the error.
 
     Raises QuadratureError when the declared exponent makes the integral
     diverge, when a power tail is not asymptotic at R (its terms do not
@@ -378,6 +375,8 @@ def integrate_radial(g: Callable[[np.ndarray], np.ndarray], power: float, tail: 
             f"the declared tail r^({-tail.order:g}) is not asymptotic at the "
             f"truncation radius {R:g}: its terms do not decrease there")
     s = tail.scale
+    if tail.frequency > 0:
+        R = max(R, _PATH_START * s / tail.frequency)
     cell = min(_ORIGIN_CELL * s, R)
     if tail.frequency > 0 and math.ceil((R - cell) / (_GL_PANEL * s)) > _GL_MAX_PANELS:
         raise QuadratureError(

@@ -141,6 +141,16 @@ def test_usage_error_of_the_module_is_a_parse_error():
     assert proc.stderr.splitlines() == ["parse-error: the following arguments are required: spec"]
 
 
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # the coupling check's chi-square tail comes from scipy.special, so the
+    # CLI does not pay for importing scipy.stats
+    env = dict(os.environ, PYTHONPATH=str(Path(palmdpp.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, palmdpp.cli; print('scipy.stats' in sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
 class TestValidateCommand:
     def test_valid_finite(self, tmp_path):
         code, out, _ = run_cli(["validate", write_spec(tmp_path, "d.json", DIAG_SPEC)])
@@ -247,6 +257,17 @@ class TestRepulsivenessCommand:
                                   "--truncation-radius", "1e-3"])
         assert code == 2 and out == ""
         assert err.startswith("validation-error[quadrature]:")
+
+    @pytest.mark.parametrize("family", ["sinc", "jinc"])
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 1e-300), (1.0, 1e-100), (1.0, 1e-40),
+                                            (1e150, 1e-150)])
+    def test_thinned_extremes(self, tmp_path, family, alpha, beta):
+        # thinning rescales only the declared tail's amplitude and length
+        # scale, so no coefficient underflows: p_u = alpha * beta at any scale
+        doc = {"family": family, "params": {"alpha": alpha, "beta": beta}}
+        code, out, err = run_cli(["repulsiveness", write_spec(tmp_path, "t.json", doc)])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].split(",")[0] == f"{alpha * beta:.12g}"
 
     def test_profile_points_below_one_is_a_parse_error(self, tmp_path):
         code, out, err = run_cli(["repulsiveness",

@@ -13,6 +13,7 @@ from palmdpp.numerics import (
     QuadratureSpec,
     Tail,
     _gauss_jacobi,
+    _tail_beyond,
     gegenbauer_ratio_table,
     hermitian_eig,
     integrate_radial,
@@ -235,12 +236,20 @@ class TestDeclaredTails:
 
     def test_rescaled_is_the_tail_of_the_rescaled_function(self):
         # thinning: alpha^2 h(r / c) for a power tail and a Gaussian
+        def declared(tail, r):  # amplitude * H(r / scale), and its remainder bound
+            t = r / tail.scale
+            powers = t ** -(tail.order + np.arange(len(tail.smooth)))
+            w = tail.frequency * t
+            main = powers @ (np.array(tail.smooth) + math.sin(w) * np.array(tail.sine)
+                             + math.cos(w) * np.array(tail.cosine))
+            return tail.amplitude * main, tail.amplitude * (powers @ np.array(tail.bound))
+
         t = JINC_TAIL.rescaled(0.49, 0.5)
-        r = 30.0
-        assert t.scale == 0.5 and t.frequency == 8.0
-        for j in (0, 1, 5):
-            assert math.isclose(t.smooth[j] * r ** -(3 + j),
-                                0.49 * JINC_TAIL.smooth[j] * (r / 0.5) ** -(3 + j))
+        for r in (2.6, 4.0, 7.5, 30.0):
+            main, bound = declared(t, r)
+            assert math.isclose(main, 0.49 * declared(JINC_TAIL, r / 0.5)[0], rel_tol=1e-14)
+            exact = 0.49 * (special.j1(4.0 * r) / (math.pi * 2.0 * r)) ** 2
+            assert abs(exact - main) <= bound + 1e-14 * 0.49 * (2.0 * r) ** -t.order
         g = Tail("gaussian", 2.0, amplitude=3.0).rescaled(0.25, 0.5)
         assert (g.scale, g.amplitude) == (1.0, 0.75)
 
@@ -275,3 +284,37 @@ class TestDeclaredTails:
                                QuadratureSpec(truncation_radius=8.0))
         exact = 0.5 * math.gamma(0.005)
         assert abs(res.value - exact) <= res.error <= 1e-11 * exact
+
+
+class TestPathRule:
+    """The sin/cos terms beyond T, on the path t = T + i tau / w, against
+    closed forms in the sine and cosine integrals."""
+
+    @pytest.mark.parametrize("start", [4.0, 8.0, 100.0])
+    def test_against_sine_and_cosine_integrals(self, start):
+        # int_T^inf cos(w t) / t^2 dt = cos(w T) / T - w (pi / 2 - Si(w T)) and
+        # int_T^inf sin(w t) / t^2 dt = sin(w T) / T - w Ci(w T); the cosine
+        # form loses about 3e-16 to cancellation
+        w, T = 2.0, start
+        si, ci = special.sici(w * T)
+        for sine, cosine, exact in ((0.0, 1.0, math.cos(w * T) / T - w * (math.pi / 2 - si)),
+                                    (1.0, 0.0, math.sin(w * T) / T - w * ci)):
+            tail = Tail("power", 1.0, order=2.0, frequency=w, smooth=(0.0,), sine=(sine,),
+                        cosine=(cosine,), bound=(0.0,))
+            value, error = _tail_beyond(tail, 0.0, T)
+            assert abs(value - exact) <= error + 1e-15
+            # 3 h(r / 0.5) beyond 0.5 T is 1.5 times the unit-scale integral beyond T
+            value, error = _tail_beyond(tail.rescaled(3.0, 0.5), 0.0, 0.5 * T)
+            assert abs(value - 1.5 * exact) <= error + 1.5e-15
+
+    @pytest.mark.parametrize("radius", [1e-3, 0.05, 0.5, 2.0, 8.0, 100.0])
+    def test_sinc_mass_at_every_radius(self, radius):
+        # int_0^inf (sin r / (pi r))^2 dr = 1 / (2 pi); below 8 s / w = 4 the
+        # hand-over to the declared tail moves out to 4
+        res = integrate_radial(lambda r: (np.sin(r) / (math.pi * r)) ** 2, 0.0,
+                               jinc_kernel(1).tail, QuadratureSpec(truncation_radius=radius))
+        assert abs(res.value - 0.5 / math.pi) <= res.error <= 1e-13
+
+    def test_tail_terms_need_a_frequency(self):
+        with pytest.raises(ValueError, match="frequency"):
+            Tail("power", 1.0, order=2.0, smooth=(0.0,), sine=(0.0,), cosine=(1.0,), bound=(0.0,))
