@@ -22,8 +22,10 @@ the rest; --beta and --rho are finite numbers, --rel-tol,
 --truncation-radius and --profile-max finite and > 0, the radii --r-min
 and --r-max finite and >= 0 (in either order); --k and --window are
 comma lists of finite numbers, --models a comma list of ginibre and
-jinc.  All commands are deterministic given (input file, flags, seed);
-numbers render with 12 significant digits.
+jinc.  --rel-tol steers only the sphere's polar quadrature, and
+--truncation-radius only Euclidean radial quadrature.  All commands are
+deterministic given (input file, flags, seed); numbers render with 12
+significant digits.
 """
 from __future__ import annotations
 
@@ -414,9 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_quad_flags(p):
         p.add_argument("--rel-tol", type=positive, default=QuadratureSpec.relative_tolerance,
-                       help="relative quadrature tolerance")
+                       help="relative tolerance of the sphere's polar quadrature")
         p.add_argument("--truncation-radius", type=positive, default=None,
-                       help="radius of the exactly integrated core region")
+                       help="where Euclidean radial quadrature hands over to the declared tail")
 
     p = sub.add_parser("validate", help="check a kernel spec file")
     p.add_argument("spec")

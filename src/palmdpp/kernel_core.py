@@ -43,10 +43,10 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ValidationError
-from .numerics import QuadratureError, QuadratureSpec, RadialIntegral, Tail, integrate_radial
+from .numerics import (QuadratureError, QuadratureSpec, RadialIntegral, Tail, integrate_polar,
+                       integrate_radial)
 
 __all__ = [
     "GridFactor",
@@ -273,11 +273,11 @@ def repulsiveness_p(kernel: Kernel, u, spec: QuadratureSpec | None = None,
     """Coupling probability p_u = int |K(u, v)|^2 dnu(v) / K(u, u).
 
     Finite spaces use the exact sum over the kernel row; Euclidean kernels
-    declaring radial_abs_sq reduce to a 1-D radial integral, r^(d-1) against
-    the declared tail; isotropic sphere kernels reduce to a 1-D integral
-    in the polar angle.  The report carries the displacement density
-    profile f_u = |K(u, .)|^2 / norm_sq on profile_coords (or a default
-    grid).
+    declaring radial_abs_sq reduce to a radial integral against the declared
+    tail (integrate_radial), isotropic sphere kernels to a polar one to spec's
+    relative tolerance (integrate_polar).  The report carries the
+    displacement density profile f_u = |K(u, .)|^2 / norm_sq on
+    profile_coords (or a default grid).
     """
     space = kernel.space
     u = check_point(space, u)
@@ -285,55 +285,43 @@ def repulsiveness_p(kernel: Kernel, u, spec: QuadratureSpec | None = None,
 
     if space.kind == "finite":
         row = np.abs(kernel.gram(np.asarray([u]), np.arange(1, space.size + 1))[0]) ** 2
-        norm_sq = float(row.sum())
-        p = norm_sq / ku
-        err = 0.0
+        norm_sq, norm_err = float(row.sum()), 0.0
         coords = profile_coords if profile_coords is not None else range(1, space.size + 1)
         profile = [(int(v), float(row[int(v) - 1] / norm_sq) if norm_sq > 0 else 0.0)
                    for v in coords]
-    elif space.kind == "euclidean":
-        rfn = kernel.radial_abs_sq
-        if rfn is None:
-            raise ValidationError(
-                "param-bound",
-                "repulsiveness quadrature needs a kernel with isotropic modulus; "
-                "this Euclidean kernel does not declare one")
+    else:
         d = space.size
-        if d not in (1, 2):
-            raise ValidationError("param-bound", "Euclidean quadrature supports d in {1, 2}")
-        surf = 2.0 if d == 1 else 2.0 * math.pi  # measure of the unit sphere in R^d
-        res = radial_integral(kernel, d - 1.0, surf, spec)
-        norm_sq = res.value
-        p = norm_sq / ku
-        err = res.error / ku
+        surface = sphere_surface_measure(d - 1)  # S^(d-1): shells in R^d, latitudes on S^d
+        if space.kind == "euclidean":
+            abs_sq = kernel.radial_abs_sq
+            if abs_sq is None:
+                raise ValidationError(
+                    "param-bound",
+                    "repulsiveness quadrature needs a kernel with isotropic modulus; "
+                    "this Euclidean kernel does not declare one")
+            if d not in (1, 2):
+                raise ValidationError("param-bound", "Euclidean quadrature supports d in {1, 2}")
+            norm_sq, norm_err = radial_integral(kernel, d - 1.0, surface, spec)[:2]
+            end = _profile_end(spec, kernel.tail)
+        else:
+            k0 = kernel.k0
+            if k0 is None:
+                raise ValidationError("param-bound",
+                                      "sphere repulsiveness needs an isotropic kernel with a "
+                                      "declared angular profile")
+            abs_sq = lambda theta: np.asarray(k0(np.cos(theta))) ** 2
+            norm_sq, norm_err = integrate_polar(
+                lambda theta: surface * abs_sq(theta) * np.sin(theta) ** (d - 1),
+                (spec or QuadratureSpec()).relative_tolerance)
+            end = math.pi
         coords = (np.asarray(profile_coords, dtype=float) if profile_coords is not None
-                  else np.linspace(0.0, _profile_end(spec, kernel.tail), 64))
-        dens = rfn(coords) / norm_sq if norm_sq > 0 else np.zeros_like(coords)
+                  else np.linspace(0.0, end, 64))
+        dens = abs_sq(coords) / norm_sq if norm_sq > 0 else np.zeros_like(coords)
         if not np.all(np.isfinite(dens)):  # jinc's J1(2r) is nan once 2r overflows
             raise OverflowError("the f_u profile is not finite; end it at a smaller radius")
         profile = list(zip(coords.tolist(), dens.tolist()))
-    else:
-        k0 = kernel.k0
-        if k0 is None:
-            raise ValidationError("param-bound",
-                                  "sphere repulsiveness needs an isotropic kernel with a "
-                                  "declared angular profile")
-        d = space.size
-        sigma_prev = sphere_surface_measure(d - 1) if d >= 2 else 2.0
-        integrand = lambda theta: (np.asarray(k0(np.cos(theta))) ** 2
-                                   * np.sin(theta) ** (d - 1))
-        # k0 may return a 0-d or a 1-element array for a scalar angle
-        val, qerr = integrate.quad(lambda th: float(np.ravel(integrand(th))[0]), 0.0, math.pi,
-                                   epsabs=1e-14, epsrel=(spec or QuadratureSpec()).relative_tolerance,
-                                   limit=200)
-        norm_sq = sigma_prev * val
-        p = norm_sq / ku
-        err = sigma_prev * qerr / ku
-        coords = (np.asarray(profile_coords, dtype=float) if profile_coords is not None
-                  else np.linspace(0.0, math.pi, 64))
-        dens = np.asarray(k0(np.cos(coords))) ** 2 / norm_sq if norm_sq > 0 else np.zeros_like(coords)
-        profile = list(zip(coords.tolist(), dens.tolist()))
 
+    p, err = norm_sq / ku, norm_err / ku
     if p > 1.0 + _P_BOUND_SLACK + err:
         raise ValidationError(
             "spectrum",

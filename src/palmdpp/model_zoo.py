@@ -321,13 +321,19 @@ def sphere_model(d: int, rho: float, beta_coeffs: Sequence[float],
                        tail_bound=tail_bound, eigenvalues=lam, multiplicities=mult)
 
 
+_TABLE_ENTRIES = 1 << 20  # the most Gegenbauer table entries _series_k0 holds at once
+
+
 def _series_k0(model: SphereModel) -> Callable[[np.ndarray], np.ndarray]:
     lam_geg = (model.d - 1) / 2.0
 
     def k0(t, _m=model, _lam=lam_geg):
         t = np.clip(np.atleast_1d(np.asarray(t, dtype=float)), -1.0, 1.0)
-        table = gegenbauer_ratio_table(_m.l_max, _lam, t)
-        return _m.rho * (_m.beta_coeffs @ table.reshape(table.shape[0], -1)).reshape(t.shape)
+        out, step = np.empty(t.size), max(1, _TABLE_ENTRIES // (_m.l_max + 1))
+        for i in range(0, t.size, step):
+            table = gegenbauer_ratio_table(_m.l_max, _lam, t.flat[i:i + step])
+            out[i:i + step] = _m.beta_coeffs @ table
+        return _m.rho * out.reshape(t.shape)
 
     return k0
 

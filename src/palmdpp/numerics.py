@@ -2,7 +2,7 @@
 
 Normalized Gegenbauer polynomials, Hermitian eigendecomposition (of a
 matrix, or of phi phi* from a thin factor phi), and quadrature of radial
-integrals on (0, inf) against a declared asymptotic tail.
+integrals on (0, inf) against a declared tail and of polar ones on [0, pi].
 
 integrate_radial computes int_0^inf r^a g(r) dr for a smooth g whose
 large-r behaviour is a declared Tail, amplitude * H(r / s): a Gaussian, or
@@ -35,6 +35,7 @@ __all__ = [
     "gegenbauer_ratio_table",
     "factor_eig",
     "hermitian_eig",
+    "integrate_polar",
     "integrate_radial",
 ]
 
@@ -73,11 +74,11 @@ class QuadratureError(RuntimeError):
 class QuadratureSpec:
     """Controls for quadrature.
 
-    relative_tolerance is QUADPACK's target on the sphere's polar-angle
-    integral.  truncation_radius is where radial quadrature hands over to
-    the declared tail, at least 8 s / w out for an oscillating one;
-    integrate_radial needs it set (callers default it to
-    Tail.default_radius()).
+    relative_tolerance is integrate_polar's target on the sphere's polar
+    angle integral; radial quadrature ignores it.  truncation_radius is
+    where radial quadrature hands over to the declared tail, at least
+    8 s / w out for an oscillating one; integrate_radial needs it set
+    (callers default it to Tail.default_radius()).
     """
 
     relative_tolerance: float = 1e-10
@@ -258,15 +259,23 @@ def _panel_edges(a: float, b: float, panel: float) -> np.ndarray:
     return edges
 
 
-def _integrate_interval(f, a: float, b: float, length_scale: float):
-    """Integral of f over [a, b] by Gauss-Legendre panels, plus its error:
+def _gl_pair(f, edges: np.ndarray) -> tuple[float, float]:
+    """Integral of f over the panels by the 32-node Gauss-Legendre rule, and its error:
     the 32- vs 20-node difference and _GL_ROUNDING * sum |w_i f(x_i)|."""
-    if b <= a:
-        return 0.0, 0.0
-    edges = _panel_edges(a, b, _GL_PANEL * length_scale)
     hi, hi_abs = _gl_on_edges(f, edges, _GL_NODES_HI, _GL_WEIGHTS_HI)
     lo, _ = _gl_on_edges(f, edges, _GL_NODES_LO, _GL_WEIGHTS_LO)
     return hi, abs(hi - lo) + _GL_ROUNDING * hi_abs
+
+
+def integrate_polar(g: Callable[[np.ndarray], np.ndarray], relative_tolerance: float):
+    """int_0^pi g(theta) dtheta for a smooth, vectorized g, and its error, by
+    _gl_pair on 2^j equal panels: the first j = 0, 1, ... whose error is at
+    most relative_tolerance * |value|, or else j = 15 (_GL_MAX_PANELS)."""
+    for level in range(_GL_MAX_PANELS.bit_length()):
+        value, error = _gl_pair(g, np.linspace(0.0, math.pi, (1 << level) + 1))
+        if error <= relative_tolerance * abs(value):
+            break
+    return value, error
 
 
 def _gauss_jacobi(n: int, power: float) -> tuple[np.ndarray, np.ndarray]:
@@ -384,7 +393,8 @@ def integrate_radial(g: Callable[[np.ndarray], np.ndarray], power: float, tail: 
             f"{_GL_PANEL * s:g}; wider panels cannot resolve the declared oscillation")
     origin, origin_err = _jacobi_cell(g, power, cell)
     with np.errstate(over="ignore", invalid="ignore"):  # panels near a huge R; checked below
-        core, core_err = _integrate_interval(lambda r: r ** power * g(r), cell, R, s)
+        edges = _panel_edges(cell, R, _GL_PANEL * s)
+        core, core_err = _gl_pair(lambda r: r ** power * g(r), edges) if R > cell else (0.0, 0.0)
     beyond, beyond_err = _tail_beyond(tail, power, R)
     if not math.isfinite(origin + core + beyond + origin_err + core_err + beyond_err):
         raise OverflowError(f"the radial integral to the truncation radius {R:g} is not finite")

@@ -141,12 +141,14 @@ def test_usage_error_of_the_module_is_a_parse_error():
     assert proc.stderr.splitlines() == ["parse-error: the following arguments are required: spec"]
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # the coupling check's chi-square tail comes from scipy.special, so the
-    # CLI does not pay for importing scipy.stats
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.integrate"])
+def test_cli_import_leaves_module_unloaded(module):
+    # the coupling check's chi-square tail comes from scipy.special and every
+    # integral from numerics' own rules, so the CLI does not pay for importing
+    # scipy.stats or scipy.integrate
     env = dict(os.environ, PYTHONPATH=str(Path(palmdpp.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c",
-                           "import sys, palmdpp.cli; print('scipy.stats' in sys.modules)"],
+                           f"import sys, palmdpp.cli; print({module!r} in sys.modules)"],
                           capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "False\n")
 
@@ -225,6 +227,23 @@ class TestRepulsivenessCommand:
         (header, rows), _ = parse_blocks(out)
         record = dict(zip(header, rows[0]))
         assert abs(record["p_u"] - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("rel_tol", [1e-4, 1e-8, 1e-12])
+    def test_rel_tol_is_the_polar_rule_target(self, tmp_path, rel_tol):
+        delta = 0.99
+        rho = 1.0 / (4.0 * math.pi * (1.0 - delta))
+        doc = {"family": "sphere-multiquadric", "params": {"delta": delta, "rho": rho}}
+        code, out, _ = run_cli(["repulsiveness", write_spec(tmp_path, "m.json", doc),
+                                f"--rel-tol={rel_tol}"])
+        assert code == 0
+        (header, rows), _ = parse_blocks(out)
+        record = dict(zip(header, rows[0]))
+        # the eigen-series 4 pi rho (1 - delta)^2 sum delta^(2 l) / (2 l + 1) in closed form
+        series = 4.0 * math.pi * rho * (1.0 - delta) ** 2 * math.atanh(delta) / delta
+        assert record["quadrature_error"] <= rel_tol * record["p_u"] + 1e-15
+        # p_u is printed to 12 significant digits
+        printed = 0.5 * 10.0 ** (math.floor(math.log10(series)) - 11)
+        assert abs(record["p_u"] - series) <= record["quadrature_error"] + 1e-15 + printed
 
     def test_multiquadric_discrepancy_flag(self, tmp_path):
         doc = {"family": "sphere-multiquadric",

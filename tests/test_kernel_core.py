@@ -22,7 +22,8 @@ from palmdpp.kernel_core import (
     sphere_surface_measure,
 )
 from palmdpp.model_zoo import (GinibreParams, finite_kernel, ginibre_kernel, jinc_kernel,
-                               multiquadric, sphere_kernel, sphere_model)
+                               multiquadric, sphere_kernel, sphere_model, sphere_multiplicity,
+                               sphere_p)
 
 from palmdpp.numerics import QuadratureError
 
@@ -275,3 +276,30 @@ class TestRepulsiveness:
         k = finite_kernel(np.diag([0.0, 0.5]))
         with pytest.raises(ValidationError):
             repulsiveness_p(k, 1)
+
+
+def assert_sphere_p_within_budget(model, kernel):
+    """p_u by the polar rule against the eigen-series, within the quadrature
+    error, the series' tail bound and a few ulps of p_u."""
+    north = np.eye(model.d + 1)[-1]
+    report = repulsiveness_p(kernel, north)
+    series = sphere_p(model)
+    budget = report.quadrature_error + series.tail_bound + 8.0 * np.finfo(float).eps * report.p_u
+    assert abs(report.p_u - series.value) <= budget
+
+
+class TestSphereErrorBudget:
+    """The sphere's p_u over the range of each family, at its existence bound."""
+
+    @pytest.mark.parametrize("delta", [0.05, 0.3, 0.5, 0.8, 0.9, 0.95, 0.99])
+    def test_multiquadric(self, delta):
+        assert_sphere_p_within_budget(*multiquadric(delta, 1.0 / (4.0 * math.pi * (1.0 - delta))))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("l_max", [2, 39, 200])
+    def test_coefficient_model(self, d, l_max):
+        beta = 1.0 / np.arange(1.0, l_max + 2.0) ** 2
+        beta /= beta.sum()
+        mult = np.array([sphere_multiplicity(ell, d) for ell in range(l_max + 1)], dtype=float)
+        model = sphere_model(d, float(np.min(mult / (sphere_surface_measure(d) * beta))), beta)
+        assert_sphere_p_within_budget(model, sphere_kernel(model))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from palmdpp.model_zoo import (
     sphere_p,
     thin_rescale,
 )
+from palmdpp.numerics import gegenbauer_ratio_table
 
 ORIGIN = np.zeros(2)
 J1_FIRST_ZERO = 3.831705970207512
@@ -332,3 +334,25 @@ class TestSphereModels:
             model, _ = multiquadric(delta, 1.0 / (4.0 * math.pi * (1.0 - delta)))
             lam = model.eigenvalues
             assert lam.min() >= 0.0 and lam.max() <= 1.0 + 1e-12
+
+    def test_series_evaluates_its_table_in_blocks(self):
+        # an unblocked (201, 392, 392) table alone would take about 250 MB
+        rng = np.random.default_rng(3)
+        model = sphere_model(2, 0.1, np.full(201, 1.0 / 201))
+        k0 = sphere_kernel(model).k0
+        angles = rng.uniform(-1.0, 1.0, (392, 392))
+        tracemalloc.start()
+        try:
+            k0(angles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+        # one block is the unblocked product; more blocks agree to rounding
+        for l_max, t, tol in ((2, angles, 0.0), (200, angles[:30].ravel(), 4.0)):
+            model = sphere_model(2, 0.1, np.full(l_max + 1, 1.0 / (l_max + 1)))
+            whole = model.rho * (model.beta_coeffs @ gegenbauer_ratio_table(l_max, 0.5, t.ravel()))
+            got = sphere_kernel(model).k0(t)
+            assert got.shape == t.shape
+            bound = tol * np.finfo(float).eps * model.rho * model.beta_coeffs.sum()
+            assert np.max(np.abs(got.ravel() - whole)) <= bound

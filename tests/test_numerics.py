@@ -1,4 +1,4 @@
-"""Gegenbauer ratios, Hermitian eigendecomposition, and radial quadrature."""
+"""Gegenbauer ratios, Hermitian eigendecomposition, and radial and polar quadrature."""
 from __future__ import annotations
 
 import math
@@ -16,6 +16,7 @@ from palmdpp.numerics import (
     _tail_beyond,
     gegenbauer_ratio_table,
     hermitian_eig,
+    integrate_polar,
     integrate_radial,
 )
 
@@ -212,6 +213,22 @@ class TestIntegrateRadial:
             QuadratureSpec(relative_tolerance=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(truncation_radius=-1.0)
+
+
+class TestIntegratePolar:
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
+    def test_meets_its_tolerance_on_a_peaked_integrand(self, tol):
+        # int_0^pi dtheta / (1 + q^2 - 2 q cos theta) = pi / (1 - q^2)
+        q = 0.99
+        value, error = integrate_polar(lambda th: 1.0 / (1.0 + q * q - 2.0 * q * np.cos(th)), tol)
+        assert error <= tol * value
+        assert abs(value - math.pi / (1.0 - q * q)) <= error
+
+    def test_unreachable_tolerance_stops_at_the_panel_cap(self):
+        sizes = []
+        value, error = integrate_polar(lambda th: sizes.append(th.size) or np.sin(th), 1e-300)
+        assert max(sizes) == 32 * 2 ** 15
+        assert abs(value - 2.0) <= error <= 1e-14
 
 
 class TestDeclaredTails:
