@@ -22,10 +22,11 @@ the rest; --beta and --rho are finite numbers, --rel-tol,
 --truncation-radius and --profile-max finite and > 0, the radii --r-min
 and --r-max finite and >= 0 (in either order); --k and --window are
 comma lists of finite numbers, --models a comma list of ginibre and
-jinc.  --rel-tol steers only the sphere's polar quadrature, and
---truncation-radius only Euclidean radial quadrature.  All commands are
-deterministic given (input file, flags, seed); numbers render with 12
-significant digits.
+jinc.  repulsiveness refuses --rel-tol (the sphere's polar quadrature)
+on a non-sphere spec and --truncation-radius (Euclidean radial
+quadrature) on a non-Euclidean one, exit 2 with param-bound.  All
+commands are deterministic given (input file, flags, seed); numbers
+render with 12 significant digits.
 """
 from __future__ import annotations
 
@@ -279,14 +280,20 @@ def cmd_validate(args) -> int:
 
 def cmd_repulsiveness(args) -> int:
     bundle = load_kernel_spec(args.spec)
+    kind = bundle.kernel.space.kind
+    for flag, value, reader in (("--rel-tol", args.rel_tol, "sphere"),
+                                ("--truncation-radius", args.truncation_radius, "euclidean")):
+        if value is not None and kind != reader:
+            raise ValidationError("param-bound", f"{flag} steers only {reader} quadrature; "
+                                  f"this spec's space is {kind}")
     anchor = _parse_anchor(bundle, args.anchor)
     coords = None
-    if args.profile_points and bundle.kernel.space.kind != "finite":
-        upper = math.pi if bundle.kernel.space.kind == "sphere" else args.profile_max
+    if args.profile_points and kind != "finite":
+        upper = math.pi if kind == "sphere" else args.profile_max
         coords = np.linspace(0.0, upper, args.profile_points)
-    report = repulsiveness_p(bundle.kernel, anchor,
-                             spec=QuadratureSpec(args.rel_tol, args.truncation_radius),
-                             profile_coords=coords)
+    spec = QuadratureSpec(args.rel_tol or QuadratureSpec.relative_tolerance,
+                          args.truncation_radius)
+    report = repulsiveness_p(bundle.kernel, anchor, spec=spec, profile_coords=coords)
     reference = _reference_p(bundle, anchor)
     flag = 1 if abs(report.p_u - reference) > _REFERENCE_TOLERANCE else 0
     _emit_block(sys.stdout,
@@ -347,7 +354,7 @@ def cmd_moments(args) -> int:
         kernel = model_zoo.ginibre_kernel(model_zoo.GinibreParams(alpha, 1.0 / alpha))
         closed = lambda k: analysis.ginibre_moment(k, args.rho)
     origin = np.zeros(2)
-    spec = QuadratureSpec(args.rel_tol, args.truncation_radius)
+    spec = QuadratureSpec(truncation_radius=args.truncation_radius)
     rows = []
     for k in args.k:
         res = analysis.moment_quadrature(kernel, origin, k, spec=spec)
@@ -414,12 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     positive = _float_above(0.0)
     radius = _float_above(0.0, inclusive=True)
 
-    def add_quad_flags(p):
-        p.add_argument("--rel-tol", type=positive, default=QuadratureSpec.relative_tolerance,
-                       help="relative tolerance of the sphere's polar quadrature")
-        p.add_argument("--truncation-radius", type=positive, default=None,
-                       help="where Euclidean radial quadrature hands over to the declared tail")
-
     p = sub.add_parser("validate", help="check a kernel spec file")
     p.add_argument("spec")
     p.set_defaults(func=cmd_validate)
@@ -430,7 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="site index | 'x,y' | 'x,y,z' (normalized)")
     p.add_argument("--profile-points", type=_int_at_least(1), default=None)
     p.add_argument("--profile-max", type=positive, default=10.0)
-    add_quad_flags(p)
+    p.add_argument("--rel-tol", type=positive, default=None,
+                   help="relative tolerance of the sphere's polar quadrature")
+    p.add_argument("--truncation-radius", type=positive, default=None,
+                   help="where Euclidean radial quadrature hands over to the declared tail")
     p.set_defaults(func=cmd_repulsiveness)
 
     p = sub.add_parser("couple", help="exact coupling table diagnostics (finite kernels)")
@@ -454,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated moment orders")
     p.add_argument("--rho", type=_float_above(), default=1.0 / math.pi,
                    help="intensity for the ginibre model (default 1/pi)")
-    add_quad_flags(p)
+    p.add_argument("--truncation-radius", type=positive, default=None,
+                   help="where radial quadrature hands over to the declared tail")
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("sample", help="draw subsets from a kernel (grid-discretized if continuous)")

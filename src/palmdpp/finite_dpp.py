@@ -535,5 +535,5 @@ def sample_removals(table: CouplingTable, rng_seed: int,
     point, float array of the removals at each site 1..n, indexed from 0)."""
     s_masks, t_masks = sample_coupled_many(table, rng_seed, draws)
     diff = s_masks ^ t_masks
-    removed = np.log2(diff[diff > 0]).astype(int)  # single-bit masks
+    removed = np.frexp(diff[diff > 0])[1] - 1  # single-bit masks
     return float(np.mean(diff > 0)), np.bincount(removed, minlength=table.n).astype(float)

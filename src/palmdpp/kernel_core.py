@@ -27,7 +27,8 @@ Kernel is a frozen record of seven fields:
   by their length scale; without a tail it raises QuadratureError.
 * reference: exact values declared by the family ("p_u", "norm_sq", and
   "p_u_reported" for a closed form carried but not adopted), for profile
-  normalization and cross-checks; repulsiveness_p never reads them.
+  normalization and cross-checks; repulsiveness_p never reads them.  The
+  multiquadric's "p_u" is 4 pi rho (1 - delta)^2 atanh(delta) / delta.
 * grid_factor: (centers, cell_measure) -> GridFactor or None, set by a
   family whose kernel is a series: an (n, m) phi with phi phi* the grid
   matrix [K(c_i, c_j) * cell_measure] but for a PSD remainder of

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -251,9 +251,7 @@ def sphere_multiplicity(ell: int, d: int) -> int:
         raise ValidationError("param-bound", "need ell >= 0 and d >= 1")
     if d == 1:
         return 1 if ell == 0 else 2
-    num = (2 * ell + d - 1) * math.factorial(ell + d - 2)
-    den = (d - 1) * math.factorial(ell) * math.factorial(d - 2)
-    return round(num / den)
+    return (2 * ell + d - 1) * math.comb(ell + d - 2, d - 2) // (d - 1)
 
 
 @dataclass(frozen=True)
@@ -338,22 +336,12 @@ def _series_k0(model: SphereModel) -> Callable[[np.ndarray], np.ndarray]:
     return k0
 
 
-def sphere_kernel(model: SphereModel,
-                  k0: Callable[[np.ndarray], np.ndarray] | None = None) -> Kernel:
-    """Kernel K(v, w) = K0(v . w) from a sphere model.
-
-    K0 defaults to the Gegenbauer series of the model; a closed form can
-    be supplied instead (the multiquadric constructor does).  The
-    reference p_u is the model's eigen-series value.
-    """
-    if k0 is None:
-        k0 = _series_k0(model)
-
-    def gram(X, Y, _k0=k0):
-        return np.asarray(_k0(np.clip(X @ Y.T, -1.0, 1.0)), dtype=float)
-
-    return Kernel(space=GroundSpace.sphere(model.d), gram=gram, k0=k0,
-                  reference={"p_u": sphere_p(model).value})
+def sphere_kernel(model: SphereModel) -> Kernel:
+    """Kernel K(v, w) = K0(v . w) with K0 the Gegenbauer series of a
+    sphere model; the reference p_u is the model's eigen-series value."""
+    k0 = _series_k0(model)
+    return Kernel(space=GroundSpace.sphere(model.d), gram=lambda X, Y, _k0=k0: _k0(X @ Y.T),
+                  k0=k0, reference={"p_u": sphere_p(model).value})
 
 
 def multiquadric(delta: float, rho: float) -> tuple[SphereModel, Kernel]:
@@ -361,8 +349,9 @@ def multiquadric(delta: float, rho: float) -> tuple[SphereModel, Kernel]:
 
     K0(t) = rho (1 - delta) / sqrt(1 + delta^2 - 2 delta t), which exists
     for 0 < rho <= 1 / (4 pi (1 - delta)).  The returned kernel carries
-    the closed form; the model holds the coefficient sequence
-    beta_ell = (1 - delta) delta^ell truncated below 1e-13 mass.
+    the closed form, and its reference p_u is the eigen-series' sum 4 pi
+    rho (1 - delta)^2 atanh(delta) / delta; the model holds the coefficient
+    sequence beta_ell = (1 - delta) delta^ell truncated below 1e-13 mass.
     """
     if not 0.0 < delta < 1.0:
         raise ValidationError("param-bound", "delta must lie in (0, 1)")
@@ -381,12 +370,13 @@ def multiquadric(delta: float, rho: float) -> tuple[SphereModel, Kernel]:
         t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
         return _rho * (1.0 - _delta) / np.sqrt(1.0 + _delta ** 2 - 2.0 * _delta * t)
 
-    kernel = sphere_kernel(model, k0=k0)
     # a commonly reported closed form for this family drops the 1/(2l+1)
     # multiplicity factor and disagrees with the eigen-series; carried as
     # a flagged reference value, not adopted
-    reported = 4.0 * math.pi * rho * (1.0 - delta) / (1.0 + delta)
-    return model, replace(kernel, reference={**kernel.reference, "p_u_reported": reported})
+    reference = {"p_u": 4.0 * math.pi * rho * (1.0 - delta) ** 2 * math.atanh(delta) / delta,
+                 "p_u_reported": 4.0 * math.pi * rho * (1.0 - delta) / (1.0 + delta)}
+    return model, Kernel(space=GroundSpace.sphere(2), gram=lambda X, Y, _k0=k0: _k0(X @ Y.T),
+                         k0=k0, reference=reference)
 
 
 def sphere_p(model: SphereModel) -> SpherePResult:

@@ -133,6 +133,47 @@ def test_bad_flag_values_exit_with_a_token(tmp_path, argv, code, token):
     assert "usage:" not in err
 
 
+QUADRATURE_SPECS = {
+    "ginibre": GINIBRE_SPEC, "jinc": {"family": "jinc"}, "sinc": {"family": "sinc"},
+    "finite": DIAG_SPEC,
+    "multiquadric": {"family": "sphere-multiquadric", "params": {"delta": 0.5, "rho": 0.1}},
+    "sphere-coefficients": {"family": "sphere-coefficients",
+                            "params": {"d": 2, "rho": 0.08, "beta_coeffs": [0.5, 0.3, 0.2]}},
+}
+REFUSED = "validation-error[param-bound]"
+
+
+# --rel-tol is read only by the sphere's polar rule, --truncation-radius only
+# by Euclidean radial quadrature; elsewhere repulsiveness refuses the flag
+QUADRATURE_FLAG_CASES = [
+    *[(["repulsiveness", f"{spec}.json", "--rel-tol=1e-6"], 2, REFUSED)
+      for spec in ("ginibre", "jinc", "sinc", "finite")],
+    *[(["repulsiveness", f"{spec}.json", "--truncation-radius=30"], 2, REFUSED)
+      for spec in ("multiquadric", "sphere-coefficients", "finite")],
+    *[(["repulsiveness", f"{spec}.json", "--rel-tol=1e-6"], 0, "")
+      for spec in ("multiquadric", "sphere-coefficients")],
+    *[(["repulsiveness", f"{spec}.json", "--truncation-radius=30"], 0, "")
+      for spec in ("ginibre", "jinc", "sinc")],
+    (["moments", "--model", "ginibre", "--k=1", "--rel-tol=1e-6"], 3, "parse-error"),
+    (["moments", "--model", "jinc", "--k=0.5", "--truncation-radius=30"], 0, ""),
+]
+
+
+@pytest.mark.parametrize("argv,code,token", QUADRATURE_FLAG_CASES, ids=[
+    "-".join([a.removesuffix(".json") for a in argv if not a.startswith("--")]
+             + [argv[-1].split("=")[0].lstrip("-")])
+    for argv, _, _ in QUADRATURE_FLAG_CASES])
+def test_quadrature_flags_only_where_a_rule_reads_them(tmp_path, argv, code, token):
+    specs = {f"{name}.json": write_spec(tmp_path, f"{name}.json", doc)
+             for name, doc in QUADRATURE_SPECS.items()}
+    got, out, err = run_cli([specs.get(a, a) for a in argv])
+    assert got == code and err.startswith(token)
+    if code == 0:
+        assert err == "" and out
+    else:
+        assert out == "" and argv[-1].split("=")[0] in err
+
+
 def test_usage_error_of_the_module_is_a_parse_error():
     env = dict(os.environ, PYTHONPATH=str(Path(palmdpp.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "palmdpp", "sample"], capture_output=True,

@@ -251,6 +251,14 @@ class TestSphereModels:
         assert [sphere_multiplicity(l, 2) for l in range(5)] == [1, 3, 5, 7, 9]
         assert [sphere_multiplicity(l, 1) for l in range(4)] == [1, 2, 2, 2]
         assert sphere_multiplicity(2, 3) == 9
+        # the harmonic polynomials of degree ell in d + 1 variables, exactly
+        # even past 2^53, where a float quotient of factorials rounds
+        for d in range(2, 12):
+            for ell in range(4001):
+                want = math.comb(ell + d, d) - math.comb(ell + d - 2, d)
+                assert sphere_multiplicity(ell, d) == want, (ell, d)
+        assert sphere_multiplicity(584, 8) == 9586135115158875
+        assert sphere_multiplicity(3520, 6) == 9038652108531409
 
     def test_multiquadric_eigenvalues(self):
         delta, rho = 0.5, 1.0 / (2.0 * math.pi)
@@ -267,6 +275,17 @@ class TestSphereModels:
         k0 = kernel.k0
         assert abs(float(k0(1.0)) - rho) < 1e-15
         assert abs(float(k0(-1.0)) - rho * (1.0 - delta) / (1.0 + delta)) < 1e-15
+
+    @pytest.mark.parametrize("delta", [0.05, 0.5, 0.9, 0.99, 0.999, 0.9999])
+    def test_multiquadric_reference_is_the_closed_form(self, delta):
+        rho = 1.0 / (4.0 * math.pi * (1.0 - delta))
+        model, kernel = multiquadric(delta, rho)
+        closed = 4.0 * math.pi * rho * (1.0 - delta) ** 2 * math.atanh(delta) / delta
+        eps = np.finfo(float).eps
+        assert abs(kernel.reference["p_u"] - closed) <= 4.0 * eps * closed
+        # the truncated series stays within its own remainder bound
+        series = sphere_p(model)
+        assert abs(series.value - closed) <= series.tail_bound + 8.0 * eps * closed
 
     def test_multiquadric_existence_bound(self):
         with pytest.raises(ValidationError) as err:

@@ -292,7 +292,7 @@ CLI_FLAGS = {
     "profile": {"--models": ["ginibre", "jinc", "ginibre,jinc"], "--beta": ["0.5", "1"],
                 "--r-min": ["0", "0.5"], "--r-max": ["2", "5"], "--r-points": ["1", "5"]},
     "moments": {"--model": ["ginibre", "jinc"], "--k": ["0.5", "-1,2"], "--rho": ["0.05", "1"],
-                "--rel-tol": ["1e-6"], "--truncation-radius": ["5", "30"]},
+                "--truncation-radius": ["5", "30"]},
     "sample": {"--samples": ["0", "5"], "--seed": ["0", "3"],
                "--window": ["-1,1,-1,1", "-2,2"], "--resolution": ["1", "3", "100"]},
 }
