@@ -16,7 +16,7 @@ from scipy import special
 from . import finite_dpp
 from .errors import SizeGuardError, ValidationError
 from .kernel_core import Kernel, check_point, radial_integral
-from .numerics import QuadratureSpec
+from .numerics import QuadratureSpec, circulant_eig
 
 __all__ = [
     "MomentResult",
@@ -216,20 +216,38 @@ def _grid_gram(kernel: Kernel, centers: np.ndarray, measure: float) -> np.ndarra
         return _finite(kernel.gram(centers, centers) * measure, "the grid's kernel matrix")
 
 
+def _sphere_table(k0, centers: np.ndarray, resolution: int, measure: float) -> np.ndarray:
+    # cell (i, a) is band i, longitude a, so K(c_ia, c_jb) = K0(c_i0 . c_j(b - a))
+    longitudes = 2 * resolution
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = k0(centers[::longitudes] @ centers.T) * measure
+    return _finite(table.reshape(resolution, resolution, longitudes), "the grid's kernel matrix")
+
+
 def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
     """Discretize a continuous kernel to cell centers.
 
     The grid matrix has entries K(c_i, c_j) * cell_measure, real when the
-    kernel is.  When the kernel declares a grid factor and it returns one
-    (an (n, m) phi with m < n, the Ginibre series), finite_dpp.validate_factor
-    takes the m eigenpairs from phi and the n x n matrix is never formed;
-    dpp.clamp_report.dropped_trace is the factor's certified dropped trace.
-    Otherwise (no factor declared, m >= n, or a derived kernel)
-    finite_dpp.validate decomposes the Gram matrix once.  Both share a
-    slack of 1e-3: leakage up to 1e-3 beyond [0, 1] is clamped and reported
-    in dpp.clamp_report; worse leakage means the cells are too coarse for
-    the kernel (near-projection kernels are the usual culprit).  A matrix
-    or factor with entries beyond double precision raises OverflowError.
+    kernel is.  It is decomposed by one of three routes, and only the first
+    forms it:
+    - dense: finite_dpp.validate decomposes the Gram matrix once, for a
+      kernel that declares neither a grid factor that returns one nor a
+      sphere k0 (derived kernels such as palm_kernel's declare neither);
+    - series factor: when the kernel declares a grid factor and it returns
+      one (an (n, m) phi with m < n, the Ginibre series),
+      finite_dpp.validate_factor takes the m eigenpairs from phi, and
+      dpp.clamp_report.dropped_trace is the factor's certified dropped trace;
+    - sphere blocks: a sphere kernel that declares k0 is isotropic, so on
+      the grid of resolution bands by 2 * resolution longitudes its matrix
+      is block-circulant in the longitude; numerics.circulant_eig
+      decomposes its resolution + 1 Fourier blocks from the
+      resolution x resolution x 2 * resolution table of K0 values, and
+      finite_dpp.validate_eig takes the eigenpairs.
+    All share a slack of 1e-3: leakage up to 1e-3 beyond [0, 1] is clamped
+    and reported in dpp.clamp_report; worse leakage means the cells are too
+    coarse for the kernel (near-projection kernels are the usual culprit).
+    A matrix, table or factor with entries beyond double precision raises
+    OverflowError.
     """
     if resolution < 1:
         raise ValidationError("param-bound", "resolution must be >= 1")
@@ -254,6 +272,9 @@ def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
         if factor is not None:
             dpp = finite_dpp.validate_factor(_finite(factor.phi, "the grid's series factor"),
                                              factor.dropped_trace, slack=1e-3)
+        elif space.kind == "sphere" and kernel.k0 is not None:
+            dpp = finite_dpp.validate_eig(
+                circulant_eig(_sphere_table(kernel.k0, centers, resolution, measure)), slack=1e-3)
         else:  # the Gram matrix goes in unnamed, so validate can free it before eigh
             dpp = finite_dpp.validate(_grid_gram(kernel, centers, measure), slack=1e-3)
     except ValidationError as exc:

@@ -22,11 +22,14 @@ the rest; --beta and --rho are finite numbers, --rel-tol,
 --truncation-radius and --profile-max finite and > 0, the radii --r-min
 and --r-max finite and >= 0 (in either order); --k and --window are
 comma lists of finite numbers, --models a comma list of ginibre and
-jinc.  repulsiveness refuses --rel-tol (the sphere's polar quadrature)
-on a non-sphere spec and --truncation-radius (Euclidean radial
-quadrature) on a non-Euclidean one, exit 2 with param-bound.  All
-commands are deterministic given (input file, flags, seed); numbers
-render with 12 significant digits.
+jinc.  A flag is refused, exit 2 with param-bound naming it, where
+nothing reads it: repulsiveness --rel-tol (the sphere's polar
+quadrature) on a non-sphere spec, --truncation-radius (Euclidean radial
+quadrature) and --profile-max (the end of a radial profile) on a
+non-Euclidean one, and --profile-points on a finite one; sample
+--window on a non-Euclidean spec and --resolution on a finite one;
+moments --rho with --model jinc.  All commands are deterministic given
+(input file, flags, seed); numbers render with 12 significant digits.
 """
 from __future__ import annotations
 
@@ -271,6 +274,15 @@ def _reference_p(bundle: ModelBundle, anchor) -> float:
     return float(reference.get("p_u_reported", reference["p_u"]))
 
 
+def _refuse_unread(kind: str, flags) -> None:
+    """Refuse every (flag, value, spaces that read it, what it does) that was
+    given on a spec whose space kind does not read it."""
+    for flag, value, readers, purpose in flags:
+        if value is not None and kind not in readers:
+            raise ValidationError("param-bound",
+                                  f"{flag} {purpose}; this spec's space is {kind}")
+
+
 def cmd_validate(args) -> int:
     bundle = load_kernel_spec(args.spec)
     n = bundle.dpp.n if bundle.dpp is not None else "-"
@@ -281,15 +293,18 @@ def cmd_validate(args) -> int:
 def cmd_repulsiveness(args) -> int:
     bundle = load_kernel_spec(args.spec)
     kind = bundle.kernel.space.kind
-    for flag, value, reader in (("--rel-tol", args.rel_tol, "sphere"),
-                                ("--truncation-radius", args.truncation_radius, "euclidean")):
-        if value is not None and kind != reader:
-            raise ValidationError("param-bound", f"{flag} steers only {reader} quadrature; "
-                                  f"this spec's space is {kind}")
+    _refuse_unread(kind, (
+        ("--rel-tol", args.rel_tol, ("sphere",), "steers only sphere quadrature"),
+        ("--truncation-radius", args.truncation_radius, ("euclidean",),
+         "steers only euclidean quadrature"),
+        ("--profile-max", args.profile_max, ("euclidean",),
+         "ends only a euclidean radial profile"),
+        ("--profile-points", args.profile_points, ("euclidean", "sphere"),
+         "sets only the profile of a continuous space")))
     anchor = _parse_anchor(bundle, args.anchor)
     coords = None
-    if args.profile_points and kind != "finite":
-        upper = math.pi if kind == "sphere" else args.profile_max
+    if args.profile_points:
+        upper = math.pi if kind == "sphere" else args.profile_max or 10.0
         coords = np.linspace(0.0, upper, args.profile_points)
     spec = QuadratureSpec(args.rel_tol or QuadratureSpec.relative_tolerance,
                           args.truncation_radius)
@@ -345,14 +360,18 @@ def cmd_profile(args) -> int:
 
 def cmd_moments(args) -> int:
     if args.model == "jinc":
+        if args.rho is not None:
+            raise ValidationError("param-bound", "--rho sets only the ginibre model's "
+                                  "intensity; the jinc model's is 1/pi")
         kernel = model_zoo.jinc_kernel(2)
         closed = analysis.jinc_moment_closed
     else:
-        if args.rho <= 0:
+        rho = 1.0 / math.pi if args.rho is None else args.rho
+        if rho <= 0:
             raise ValidationError("param-bound", "rho must be > 0")
-        alpha = math.pi * args.rho
+        alpha = math.pi * rho
         kernel = model_zoo.ginibre_kernel(model_zoo.GinibreParams(alpha, 1.0 / alpha))
-        closed = lambda k: analysis.ginibre_moment(k, args.rho)
+        closed = lambda k: analysis.ginibre_moment(k, rho)
     origin = np.zeros(2)
     spec = QuadratureSpec(truncation_radius=args.truncation_radius)
     rows = []
@@ -369,6 +388,10 @@ def cmd_moments(args) -> int:
 def cmd_sample(args) -> int:
     bundle = load_kernel_spec(args.spec)
     space = bundle.kernel.space
+    _refuse_unread(space.kind, (
+        ("--window", args.window, ("euclidean",), "bounds only a euclidean grid"),
+        ("--resolution", args.resolution, ("euclidean", "sphere"),
+         "sets only the grid of a continuous kernel")))
     if bundle.family == "finite":
         dpp = bundle.dpp
         centers = None
@@ -430,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anchor", default=None,
                    help="site index | 'x,y' | 'x,y,z' (normalized)")
     p.add_argument("--profile-points", type=_int_at_least(1), default=None)
-    p.add_argument("--profile-max", type=positive, default=10.0)
+    p.add_argument("--profile-max", type=positive, default=None,
+                   help="end of a euclidean profile (default 10)")
     p.add_argument("--rel-tol", type=positive, default=None,
                    help="relative tolerance of the sphere's polar quadrature")
     p.add_argument("--truncation-radius", type=positive, default=None,
@@ -456,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("ginibre", "jinc"), required=True)
     p.add_argument("--k", type=_finite_floats, required=True,
                    help="comma-separated moment orders")
-    p.add_argument("--rho", type=_float_above(), default=1.0 / math.pi,
+    p.add_argument("--rho", type=_float_above(), default=None,
                    help="intensity for the ginibre model (default 1/pi)")
     p.add_argument("--truncation-radius", type=positive, default=None,
                    help="where radial quadrature hands over to the declared tail")

@@ -28,6 +28,7 @@ __all__ = [
     "DilationPair",
     "CouplingTable",
     "validate",
+    "validate_eig",
     "validate_factor",
     "inclusion_prob",
     "subset_law",
@@ -157,7 +158,7 @@ def validate(matrix, slack: float = 1e-6) -> FiniteDpp:
         raise ValidationError("non-hermitian", "kernel matrix is not Hermitian")
     del matrix  # frees the caller's unsymmetrized array before eigh, unless it holds it
     M = 0.5 * (M + M.conj().T)
-    return _gate(hermitian_eig(M), slack, M)
+    return validate_eig(hermitian_eig(M), slack, matrix=M)
 
 
 def validate_factor(phi: np.ndarray, dropped_trace: float, slack: float = 1e-6) -> FiniteDpp:
@@ -169,15 +170,18 @@ def validate_factor(phi: np.ndarray, dropped_trace: float, slack: float = 1e-6) 
     the factor leaves out of the kernel it stands for, as its declarer
     certifies it; clamp_report records it.
     """
-    return _gate(factor_eig(phi), slack, None, dropped_trace)
+    return validate_eig(factor_eig(phi), slack, dropped_trace)
 
 
-def _gate(eig: HermitianEig, slack: float, matrix: np.ndarray | None,
-          dropped_trace: float = 0.0) -> FiniteDpp:
-    """The spectrum guard and clamp shared by validate and validate_factor.
+def validate_eig(eig: HermitianEig, slack: float = 1e-6, dropped_trace: float = 0.0,
+                 matrix: np.ndarray | None = None) -> FiniteDpp:
+    """The spectrum guard and clamp of validate, for a kernel given by its
+    eigenpairs (eigenvalues descending, orthonormal eigenvectors).
 
-    matrix, when given, is kept unless an eigenvalue was clamped; without
-    it, FiniteDpp.matrix is the spectral rebuild.
+    validate and validate_factor pass their eigenpairs through it.
+    dropped_trace is recorded in clamp_report as given.  matrix, the
+    matrix the eigenpairs decompose, is kept unless an eigenvalue was
+    clamped; without it, FiniteDpp.matrix is the spectral rebuild.
     """
     lam = eig.eigenvalues
     if lam.min() < -slack or lam.max() > 1.0 + slack:

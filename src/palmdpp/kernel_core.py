@@ -19,7 +19,10 @@ Kernel is a frozen record of seven fields:
 * radial_abs_sq: vectorized r -> |K(u, u + r e)|^2, set exactly when
   |K(u, v)| depends only on |u - v|; Euclidean quadrature needs it.
 * k0: vectorized t -> K0(t) with K(v, w) = K0(v . w), set exactly for
-  isotropic sphere kernels; sphere quadrature needs it.
+  isotropic sphere kernels; sphere quadrature needs it, and grid
+  discretization reads it to decompose a sphere grid's block-circulant
+  matrix from its Fourier blocks (kernels without it, such as
+  palm_kernel's, take the dense route).
 * tail: a numerics.Tail declaring how radial_abs_sq behaves for large r,
   a Gaussian or Hankel-type powers of r times sin/cos with a remainder
   bound.  Radial quadrature integrates beyond its truncation radius from

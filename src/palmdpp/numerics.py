@@ -1,7 +1,8 @@
 """Shared numerical kernels.
 
 Normalized Gegenbauer polynomials, Hermitian eigendecomposition (of a
-matrix, or of phi phi* from a thin factor phi), and quadrature of radial
+matrix, of phi phi* from a thin factor phi, or of a real block-circulant
+matrix by its Fourier blocks), and quadrature of radial
 integrals on (0, inf) against a declared tail and of polar ones on [0, pi].
 
 integrate_radial computes int_0^inf r^a g(r) dr for a smooth g whose
@@ -32,6 +33,7 @@ __all__ = [
     "HermitianEig",
     "RadialIntegral",
     "Tail",
+    "circulant_eig",
     "gegenbauer_ratio_table",
     "factor_eig",
     "hermitian_eig",
@@ -235,6 +237,43 @@ def factor_eig(phi) -> HermitianEig:
     """
     U, s, _ = np.linalg.svd(phi, full_matrices=False)
     return HermitianEig(eigenvalues=s ** 2, eigenvectors=U)
+
+
+def circulant_eig(table) -> HermitianEig:
+    """Eigendecomposition of the real block-circulant matrix M with
+    M[(i, a), (j, b)] = table[i, j, (b - a) mod N] at row i N + a, for an
+    (R, R, N) table even in its last axis and symmetric in i and j (the
+    rounding off either is dropped).
+
+    The real part of the DFT over the last axis gives the N // 2 + 1 real
+    symmetric R x R blocks B_k = sum_d table[:, :, d] cos(2 pi k d / N),
+    decomposed by one batched eigh.  It is taken as one product with a
+    cosine table, not by an FFT, whose plan state would stay resident.  An eigenvector x of B_k gives the eigenvectors
+    x (x) cos(2 pi k b / N) and, for 0 < k < N / 2, x (x) sin(2 pi k b / N),
+    those of modes k and N - k.  Eigenvalues come descending, exact ties in
+    a fixed order (a stable sort), and the columns are written straight into
+    one (R N, R N) array in that order.
+    """
+    R, N = table.shape[0], table.shape[2]
+    k = np.arange(N // 2 + 1)
+    phase = (2.0 * math.pi / N) * (np.outer(k, np.arange(N)) % N)
+    cos, sin = np.cos(phase), np.sin(phase)
+    B = np.moveaxis(table @ cos.T, 2, 0)
+    w, X = np.linalg.eigh(0.5 * (B + B.transpose(0, 2, 1)))
+    single = (k == 0) | (2 * k == N)
+    # one entry per eigenvector: its block, its column there (eigh's are
+    # ascending, so the last comes first), and whether it takes the sine
+    block = np.concatenate([np.repeat(k, R), np.repeat(k[~single], R)])
+    col = np.tile(np.arange(R - 1, -1, -1), block.size // R)
+    sine = np.arange(block.size) >= k.size * R
+    lam = w[block, col]
+    order = np.argsort(-lam, kind="stable")
+    block, col, sine = block[order], col[order], sine[order]
+    modes = np.where(sine[:, None], sin[block], cos[block])
+    modes *= np.where(single[block], math.sqrt(1.0 / N), math.sqrt(2.0 / N))[:, None]
+    V = np.empty((R * N, block.size))
+    np.multiply(X[block, :, col].T[:, None, :], modes.T[None, :, :], out=V.reshape(R, N, -1))
+    return HermitianEig(eigenvalues=lam[order], eigenvectors=V)
 
 
 def _gl_on_edges(f, edges: np.ndarray, nodes, weights) -> tuple[float, float]:

@@ -53,13 +53,14 @@ def dense_route(kernel: Kernel) -> Kernel:
 
 def count_eig_calls(monkeypatch) -> list:
     """Record every numpy/scipy eigh and eigvalsh call, and every numpy SVD
-    (the decomposition of a grid factor), from here on."""
+    (the decomposition of a grid factor), from here on, as (name, shape of
+    the decomposed array)."""
     calls = []
     for mod, names in ((np.linalg, ("eigh", "eigvalsh", "svd")),
                        (scipy.linalg, ("eigh", "eigvalsh"))):
         for name in names:
             def counted(*args, _orig=getattr(mod, name), _name=name, **kwargs):
-                calls.append(_name)
+                calls.append((_name, np.shape(args[0])))
                 return _orig(*args, **kwargs)
             monkeypatch.setattr(mod, name, counted)
     return calls
@@ -294,15 +295,15 @@ class TestGridDiscretize:
         calls = count_eig_calls(monkeypatch)
         clean = grid_discretize(thin_rescale(jinc_kernel(2), 0.8, 0.8),
                                 (-3.0, 3.0, -3.0, 3.0), 10)
-        assert not clean.dpp.clamp_report and calls == ["eigh"]
+        assert not clean.dpp.clamp_report and calls == [("eigh", (100, 100))]
         sample_indicators(clean.dpp, 3, 70)
-        assert calls == ["eigh"]
+        assert calls == [("eigh", (100, 100))]
         calls.clear()
         clamped = grid_discretize(leaky_ginibre(), (-3.0, 3.0, -3.0, 3.0), 12)
-        assert clamped.dpp.clamp_report and calls == ["svd"]
+        assert clamped.dpp.clamp_report and [name for name, _ in calls] == ["svd"]
         calls.clear()
         dense = grid_discretize(dense_route(leaky_ginibre()), (-3.0, 3.0, -3.0, 3.0), 12)
-        assert dense.dpp.clamp_report and calls == ["eigh"]
+        assert dense.dpp.clamp_report and calls == [("eigh", (144, 144))]
 
     def test_real_kernels_give_real_matrices(self):
         model = sphere_model(2, 0.1, [0.5, 0.3, 0.2])
@@ -369,6 +370,28 @@ class TestGridDiscretize:
         c, ku = grid.centers, base.evaluate(u, u)
         want = np.array([[base.evaluate(v, w) - base.evaluate(v, u) * base.evaluate(u, w) / ku
                           for w in c] for v in c]) * grid.cell_measure
+        assert np.max(np.abs(grid.dpp.matrix - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("resolution", [3, 10])
+    def test_sphere_grid_takes_one_batched_block_eigh(self, monkeypatch, resolution):
+        _, kernel = multiquadric(0.5, 0.1)
+        calls = count_eig_calls(monkeypatch)
+        grid = grid_discretize(kernel, None, resolution)
+        assert calls == [("eigh", (resolution + 1, resolution, resolution))]
+        assert grid.dpp._matrix is None and grid.dpp.n == 2 * resolution ** 2
+        sample_indicators(grid.dpp, 3, 70)
+        assert len(calls) == 1 and grid.dpp._matrix is None
+
+    def test_sphere_palm_kernel_takes_the_dense_route(self, monkeypatch):
+        # a derived kernel declares no k0, so its grid decomposes the Gram matrix
+        _, base = multiquadric(0.5, 0.1)
+        u = np.array([0.0, 0.6, 0.8])
+        calls = count_eig_calls(monkeypatch)
+        grid = grid_discretize(palm_kernel(base, u), None, 3)
+        assert calls == [("eigh", (18, 18))]
+        c, ku = grid.centers, base.evaluate(u, u)
+        want = np.array([[base.evaluate(v, w) - base.evaluate(v, u) * base.evaluate(u, w) / ku
+                          for w in c] for v in c]).real * grid.cell_measure
         assert np.max(np.abs(grid.dpp.matrix - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_1d_window(self):
@@ -459,6 +482,33 @@ class TestGridFactor:
             grid_discretize(broken, (-1.0, 1.0, -1.0, 1.0), 3)
         with pytest.raises(OverflowError):
             grid_discretize(kernel, (0.0, 1e308, 0.0, 1e308), 3)
+
+
+SPHERE_KERNELS = {
+    "multiquadric": lambda: multiquadric(0.5, 0.1)[1],
+    "sphere-coefficients": lambda: sphere_kernel(sphere_model(2, 0.1, [0.5, 0.3, 0.2])),
+}
+
+
+class TestSphereBlocks:
+    @pytest.mark.parametrize("resolution", [2, 3, 4, 5, 10, 11])
+    @pytest.mark.parametrize("family", sorted(SPHERE_KERNELS))
+    def test_block_spectrum_matches_the_dense_eigh(self, family, resolution):
+        # eigenvalues within 1e-13 of the Gram matrix's dense eigh, and
+        # V diag(lam) V^T within 1e-14 of it, relative to its largest entry
+        kernel = SPHERE_KERNELS[family]()
+        grid = grid_discretize(kernel, None, resolution)
+        gram = kernel.gram(grid.centers, grid.centers) * grid.cell_measure
+        lam, V = grid.dpp.eig.eigenvalues, grid.dpp.eig.eigenvectors
+        assert np.max(np.abs(lam - np.linalg.eigvalsh(gram)[::-1])) <= 1e-13
+        assert np.max(np.abs((V * lam) @ V.T - gram)) <= 1e-14 * np.max(np.abs(gram))
+        assert np.max(np.abs(V.T @ V - np.eye(grid.dpp.n))) <= 1e-13
+
+    def test_overflowing_table_is_an_overflow(self):
+        _, kernel = multiquadric(0.5, 0.1)
+        huge = replace(kernel, k0=lambda t, _k0=kernel.k0: 1e308 * _k0(t) * 1e10)
+        with pytest.raises(OverflowError, match="the grid's kernel matrix"):
+            grid_discretize(huge, None, 3)
 
 
 class TestMcValidateCoupling:

@@ -174,6 +174,51 @@ def test_quadrature_flags_only_where_a_rule_reads_them(tmp_path, argv, code, tok
         assert out == "" and argv[-1].split("=")[0] in err
 
 
+# a flag nothing reads on a spec's space is refused, naming the flag:
+# --profile-max ends only a Euclidean profile, --profile-points samples only a
+# continuous one, --window bounds only a Euclidean grid, --resolution sets only
+# a continuous grid, and --rho is only the Ginibre model's intensity
+GRID = ["--samples=2", "--resolution=2"]
+UNREAD_FLAG_CASES = [
+    *[(["repulsiveness", f"{spec}.json", "--profile-points=3", "--profile-max=2"], 2, REFUSED)
+      for spec in ("multiquadric", "sphere-coefficients")],
+    (["repulsiveness", "finite.json", "--profile-max=2"], 2, REFUSED),
+    (["repulsiveness", "finite.json", "--profile-points=3"], 2, REFUSED),
+    *[(["repulsiveness", f"{spec}.json", "--profile-points=3", "--profile-max=2"], 0, "")
+      for spec in ("ginibre", "jinc", "sinc")],
+    *[(["repulsiveness", f"{spec}.json", "--profile-points=3"], 0, "")
+      for spec in ("ginibre", "multiquadric", "sphere-coefficients")],
+    *[(["sample", f"{spec}.json", *GRID, "--window=-1,1,-1,1"], 2, REFUSED)
+      for spec in ("multiquadric", "sphere-coefficients")],
+    (["sample", "finite.json", "--samples=2", "--window=-1,1,-1,1"], 2, REFUSED),
+    (["sample", "finite.json", "--samples=2", "--resolution=2"], 2, REFUSED),
+    (["sample", "ginibre.json", *GRID, "--window=-1,1,-1,1"], 0, ""),
+    (["sample", "sinc.json", *GRID, "--window=-1,1"], 0, ""),
+    *[(["sample", f"{spec}.json", "--samples=2", "--resolution=2"], 0, "")
+      for spec in ("multiquadric", "sphere-coefficients")],
+    (["sample", "finite.json", "--samples=2"], 0, ""),
+    (["moments", "--model", "jinc", "--k=0.5", "--rho=0.05"], 2, REFUSED),
+    (["moments", "--model", "ginibre", "--k=0.5", "--rho=0.05"], 0, ""),
+    (["moments", "--model", "jinc", "--k=0.5"], 0, ""),
+]
+
+
+@pytest.mark.parametrize("argv,code,token", UNREAD_FLAG_CASES, ids=[
+    "-".join([a.removesuffix(".json") for a in argv if not a.startswith("--")]
+             + [argv[-1].split("=")[0].lstrip("-")])
+    + ("-refused" if code else "")
+    for argv, code, _ in UNREAD_FLAG_CASES])
+def test_flags_only_where_something_reads_them(tmp_path, argv, code, token):
+    specs = {f"{name}.json": write_spec(tmp_path, f"{name}.json", doc)
+             for name, doc in QUADRATURE_SPECS.items()}
+    got, out, err = run_cli([specs.get(a, a) for a in argv])
+    assert got == code and err.startswith(token)
+    if code == 0:
+        assert err == "" and out
+    else:
+        assert out == "" and argv[-1].split("=")[0] in err
+
+
 def test_usage_error_of_the_module_is_a_parse_error():
     env = dict(os.environ, PYTHONPATH=str(Path(palmdpp.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "palmdpp", "sample"], capture_output=True,
@@ -612,6 +657,14 @@ class TestSampleCommand:
         code, out, err = run_cli(["sample", write_spec(tmp_path, "g.json", GINIBRE_SPEC),
                                   "--window", "0,1e308,0,1e308", "--resolution", "3"])
         assert code == 2 and out == "" and "validation-error[overflow]" in err
+
+    def test_sphere_spectrum_guard_at_the_size_limit(self, tmp_path):
+        # 4,050 cells, top grid eigenvalue 1.00697: past the 1e-3 slack
+        doc = {"family": "sphere-multiquadric", "params": {"delta": 0.99, "rho": 7.9}}
+        code, out, err = run_cli(["sample", write_spec(tmp_path, "m.json", doc),
+                                  "--resolution", "45"])
+        assert (code, out) == (2, "") and err.startswith("validation-error[spectrum]")
+        assert "1.00697" in err and "raise the resolution" in err
 
     def test_huge_resolution_is_guarded_before_allocating(self, tmp_path):
         # 10^12 cells; the centers alone would take terabytes

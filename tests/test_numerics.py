@@ -14,6 +14,7 @@ from palmdpp.numerics import (
     Tail,
     _gauss_jacobi,
     _tail_beyond,
+    circulant_eig,
     gegenbauer_ratio_table,
     hermitian_eig,
     integrate_polar,
@@ -92,6 +93,21 @@ class TestHermitianEig:
             scale = 1.0 + np.max(np.abs(k))
             assert np.max(np.abs(rebuilt - k)) <= 1e-9 * scale
             assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 1e-9
+
+    @pytest.mark.parametrize("blocks,longitudes", [(1, 1), (1, 2), (3, 5), (3, 6), (4, 7)])
+    def test_circulant_eig_decomposes_the_block_circulant_matrix(self, blocks, longitudes):
+        rng = np.random.default_rng(blocks * longitudes)
+        table = rng.normal(size=(blocks, blocks, longitudes))
+        table += table.transpose(1, 0, 2)
+        table += table[:, :, -np.arange(longitudes) % longitudes]  # even in the offset
+        offset = (np.arange(longitudes)[None, :] - np.arange(longitudes)[:, None]) % longitudes
+        M = table[:, :, offset].transpose(0, 2, 1, 3).reshape(blocks * longitudes, -1)
+        eig = circulant_eig(table)
+        lam, V = eig.eigenvalues, eig.eigenvectors
+        assert np.all(np.diff(lam) <= 0) and V.dtype == np.float64
+        assert np.max(np.abs(lam - np.linalg.eigvalsh(M)[::-1])) <= 1e-12
+        assert np.max(np.abs((V * lam) @ V.T - M)) <= 1e-12
+        assert np.max(np.abs(V.T @ V - np.eye(M.shape[0]))) <= 1e-12
 
     def test_real_input_stays_real(self):
         rng = np.random.default_rng(2)

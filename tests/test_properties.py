@@ -29,6 +29,7 @@ from palmdpp.model_zoo import (GinibreParams, finite_kernel, ginibre_kernel, jin
 
 from conftest import complement_determinant_law, random_dpp_matrix, random_unitary
 
+EPS = float(np.finfo(float).eps)
 betas = st.floats(min_value=0.01, max_value=1.0)
 jinc_orders = st.floats(min_value=-1.99, max_value=0.99)
 
@@ -240,6 +241,33 @@ def test_ginibre_factor_route_matches_the_dense_route(beta, share, half, center,
     assert abs(grid.expected_count - dense.expected_count) <= tol
 
 
+@given(delta=st.floats(min_value=0.05, max_value=0.95),
+       share=st.floats(min_value=0.01, max_value=1.0), resolution=st.integers(1, 8))
+def test_sphere_block_route_matches_the_dense_route(delta, share, resolution):
+    # share of the existence bound 1 / (4 pi (1 - delta)); near it a coarse
+    # grid leaks past 1, and both routes must then refuse it alike
+    rho = share / (4.0 * math.pi * (1.0 - delta))
+    _, kernel = multiquadric(delta, rho)
+    try:
+        dense = grid_discretize(replace(kernel, k0=None), None, resolution)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as err:
+            grid_discretize(kernel, None, resolution)
+        assert err.value.token == exc.token
+        return
+    grid = grid_discretize(kernel, None, resolution)
+    # the Gram matrix rounds v . w at every pair of cells, the table at one
+    # longitude only; the few ulps between them are amplified by K0's slope
+    # at t = 1, rho delta / (1 - delta)^2, and reach every eigenvalue n-fold
+    noise = 16.0 * EPS * rho * delta / (1.0 - delta) ** 2 * grid.cell_measure
+    lam, V = grid.dpp.eig.eigenvalues, grid.dpp.eig.eigenvectors
+    assert np.max(np.abs(lam - dense.dpp.eig.eigenvalues)) <= 1e-13 + grid.dpp.n * noise
+    assert grid.dpp.clamp_report.n_clamped == dense.dpp.clamp_report.n_clamped
+    if not grid.dpp.clamp_report:
+        gram = dense.dpp.matrix
+        assert np.max(np.abs((V * lam) @ V.T - gram)) <= 1e-14 * np.max(np.abs(gram)) + noise
+
+
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -279,6 +307,8 @@ def test_moments_exits_with_a_documented_code(model, ks, rho, radius):
     code, out, err = run(argv)
     assert code in (0, 2, 3, 4, 5)
     assert (code == 0) == (err == "")
+    if model == "jinc" and rho is not None and code != 3:  # nothing reads --rho there
+        assert code == 2 and err.startswith("validation-error[param-bound]") and "--rho" in err
 
 
 # flags of each subcommand with values it accepts; each example passes a flag
