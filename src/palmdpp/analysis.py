@@ -16,7 +16,7 @@ from scipy import special
 from . import finite_dpp
 from .errors import SizeGuardError, ValidationError
 from .kernel_core import Kernel, check_point, radial_integral
-from .numerics import QuadratureSpec, circulant_eig
+from .numerics import QuadratureSpec, circulant_eig, factor_eig
 
 __all__ = [
     "MomentResult",
@@ -235,7 +235,8 @@ def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
       sphere k0 (derived kernels such as palm_kernel's declare neither);
     - series factor: when the kernel declares a grid factor and it returns
       one (an (n, m) phi with m < n, the Ginibre series),
-      finite_dpp.validate_factor takes the m eigenpairs from phi, and
+      numerics.factor_eig takes the m eigenpairs from phi,
+      finite_dpp.validate_eig checks them, and
       dpp.clamp_report.dropped_trace is the factor's certified dropped trace;
     - sphere blocks: a sphere kernel that declares k0 is isotropic, so on
       the grid of resolution bands by 2 * resolution longitudes its matrix
@@ -270,8 +271,9 @@ def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
     factor = kernel.grid_factor(centers, measure) if kernel.grid_factor else None
     try:
         if factor is not None:
-            dpp = finite_dpp.validate_factor(_finite(factor.phi, "the grid's series factor"),
-                                             factor.dropped_trace, slack=1e-3)
+            dpp = finite_dpp.validate_eig(
+                factor_eig(_finite(factor.phi, "the grid's series factor")), slack=1e-3,
+                dropped_trace=factor.dropped_trace)
         elif space.kind == "sphere" and kernel.k0 is not None:
             dpp = finite_dpp.validate_eig(
                 circulant_eig(_sphere_table(kernel.k0, centers, resolution, measure)), slack=1e-3)

@@ -26,7 +26,8 @@ jinc.  A flag is refused, exit 2 with param-bound naming it, where
 nothing reads it: repulsiveness --rel-tol (the sphere's polar
 quadrature) on a non-sphere spec, --truncation-radius (Euclidean radial
 quadrature) and --profile-max (the end of a radial profile) on a
-non-Euclidean one, and --profile-points on a finite one; sample
+non-Euclidean one, --profile-max without --profile-points, and
+--profile-points on a finite one; sample
 --window on a non-Euclidean spec and --resolution on a finite one;
 moments --rho with --model jinc.  All commands are deterministic given
 (input file, flags, seed); numbers render with 12 significant digits.
@@ -301,6 +302,9 @@ def cmd_repulsiveness(args) -> int:
          "ends only a euclidean radial profile"),
         ("--profile-points", args.profile_points, ("euclidean", "sphere"),
          "sets only the profile of a continuous space")))
+    if args.profile_max is not None and args.profile_points is None:
+        raise ValidationError(
+            "param-bound", "--profile-max ends only a radial profile; pass --profile-points too")
     anchor = _parse_anchor(bundle, args.anchor)
     coords = None
     if args.profile_points:

@@ -19,7 +19,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_flow
 
 from .errors import SizeGuardError, TheoremViolationError, ValidationError
-from .numerics import HermitianEig, factor_eig, hermitian_eig
+from .numerics import HermitianEig, hermitian_eig
 
 __all__ = [
     "ClampReport",
@@ -29,7 +29,6 @@ __all__ = [
     "CouplingTable",
     "validate",
     "validate_eig",
-    "validate_factor",
     "inclusion_prob",
     "subset_law",
     "palm_matrix",
@@ -161,24 +160,13 @@ def validate(matrix, slack: float = 1e-6) -> FiniteDpp:
     return validate_eig(hermitian_eig(M), slack, matrix=M)
 
 
-def validate_factor(phi: np.ndarray, dropped_trace: float, slack: float = 1e-6) -> FiniteDpp:
-    """validate for the kernel matrix phi phi* of an (n, m) factor, m < n,
-    without forming it.
-
-    The m eigenpairs come from a thin SVD of phi and pass the same
-    spectrum guard and clamp as validate's.  dropped_trace is the trace
-    the factor leaves out of the kernel it stands for, as its declarer
-    certifies it; clamp_report records it.
-    """
-    return validate_eig(factor_eig(phi), slack, dropped_trace)
-
-
 def validate_eig(eig: HermitianEig, slack: float = 1e-6, dropped_trace: float = 0.0,
                  matrix: np.ndarray | None = None) -> FiniteDpp:
     """The spectrum guard and clamp of validate, for a kernel given by its
     eigenpairs (eigenvalues descending, orthonormal eigenvectors).
 
-    validate and validate_factor pass their eigenpairs through it.
+    validate passes its eigenpairs through it, and grid discretization
+    passes those of a thin factor or of Fourier blocks.
     dropped_trace is recorded in clamp_report as given.  matrix, the
     matrix the eigenpairs decompose, is kept unless an eigenvalue was
     clamped; without it, FiniteDpp.matrix is the spectral rebuild.
@@ -511,9 +499,10 @@ def sample_indicators(dpp: FiniteDpp, rng_seed: int, draws: int) -> np.ndarray:
     indicators, a boolean array of shape (draws, n).
 
     Uses the spectral sampler on the stored eigendecomposition, in
-    batches of up to max(64, 2**16 // n**2) draws, which bounds each
-    batch's stack of directions to about 1 MiB: spaces of 32 sites or
-    more take 64 draws a batch.
+    batches of up to max(64, 2**16 // n**2) draws.  Below 32 sites that
+    keeps each batch's stack of directions near 1 MiB; from 32 sites on
+    a batch is 64 draws, and its stack holds 64 * k_max * n entries,
+    k_max the most eigenvectors a draw keeps.
     """
     rng = np.random.default_rng(rng_seed)
     lam, V = dpp.eig.eigenvalues, dpp.eig.eigenvectors

@@ -19,7 +19,7 @@ from scipy import special
 from .errors import ValidationError
 from .finite_dpp import FiniteDpp, validate
 from .kernel_core import GridFactor, GroundSpace, Kernel, sphere_surface_measure
-from .numerics import Tail, gegenbauer_ratio_table
+from .numerics import Tail, gegenbauer_series
 
 __all__ = [
     "GinibreParams",
@@ -277,7 +277,6 @@ class SpherePResult(NamedTuple):
 
     value: float
     tail_bound: float
-    warning: str | None
 
 
 def sphere_model(d: int, rho: float, beta_coeffs: Sequence[float],
@@ -299,8 +298,6 @@ def sphere_model(d: int, rho: float, beta_coeffs: Sequence[float],
     if tail_bound < 0:
         raise ValidationError("param-bound", "tail_bound must be >= 0")
     total = float(beta.sum())
-    if total > 1.0 + 1e-9:
-        raise ValidationError("param-bound", f"coefficients sum to {total:.12g} > 1")
     if abs(total + tail_bound - 1.0) > 1e-9:
         raise ValidationError(
             "param-bound",
@@ -319,29 +316,29 @@ def sphere_model(d: int, rho: float, beta_coeffs: Sequence[float],
                        tail_bound=tail_bound, eigenvalues=lam, multiplicities=mult)
 
 
-_TABLE_ENTRIES = 1 << 20  # the most Gegenbauer table entries _series_k0 holds at once
-
-
 def _series_k0(model: SphereModel) -> Callable[[np.ndarray], np.ndarray]:
     lam_geg = (model.d - 1) / 2.0
 
     def k0(t, _m=model, _lam=lam_geg):
         t = np.clip(np.atleast_1d(np.asarray(t, dtype=float)), -1.0, 1.0)
-        out, step = np.empty(t.size), max(1, _TABLE_ENTRIES // (_m.l_max + 1))
-        for i in range(0, t.size, step):
-            table = gegenbauer_ratio_table(_m.l_max, _lam, t.flat[i:i + step])
-            out[i:i + step] = _m.beta_coeffs @ table
-        return _m.rho * out.reshape(t.shape)
+        out = gegenbauer_series(_m.beta_coeffs, _lam, t)
+        out *= _m.rho
+        return out
 
     return k0
 
 
 def sphere_kernel(model: SphereModel) -> Kernel:
     """Kernel K(v, w) = K0(v . w) with K0 the Gegenbauer series of a
-    sphere model; the reference p_u is the model's eigen-series value."""
+    sphere model, cut at its last coefficient.  Its reference p_u is that
+    of the cut kernel, the eigen-series value over K0(1) / rho =
+    sum beta_ell, which is less than 1 when the model declares a tail; a
+    model with all of its mass in the tail has the zero kernel, and 0."""
     k0 = _series_k0(model)
+    total = float(model.beta_coeffs.sum())
+    p_u = sphere_p(model).value / total if total > 0.0 else 0.0
     return Kernel(space=GroundSpace.sphere(model.d), gram=lambda X, Y, _k0=k0: _k0(X @ Y.T),
-                  k0=k0, reference={"p_u": sphere_p(model).value})
+                  k0=k0, reference={"p_u": p_u})
 
 
 def multiquadric(delta: float, rho: float) -> tuple[SphereModel, Kernel]:
@@ -382,29 +379,12 @@ def multiquadric(delta: float, rho: float) -> tuple[SphereModel, Kernel]:
 def sphere_p(model: SphereModel) -> SpherePResult:
     """Series value p_u = rho sigma_d sum beta_ell^2 / m_ell.
 
-    The truncated remainder is bounded by the geometric continuation of
-    the trailing coefficients when they decay geometrically, and by the
-    square of the declared coefficient tail otherwise (with a warning,
-    since that generic bound is crude).
+    The dropped coefficients are >= 0 and sum to at most the declared
+    tail T, and m_ell never decreases, so the dropped terms add at most
+    rho sigma_d T^2 / m_{L+1}; all of T on degree L + 1 attains it.
     """
     sigma = sphere_surface_measure(model.d)
     value = float(model.rho * sigma * np.sum(model.beta_coeffs ** 2 / model.multiplicities))
-    warning = None
-    if model.tail_bound == 0.0:
-        tail = 0.0
-    else:
-        beta = model.beta_coeffs
-        tail = model.rho * sigma * model.tail_bound ** 2
-        if beta.size >= 6 and np.all(beta[-6:] > 0):
-            ratios = beta[-5:] / beta[-6:-1]
-            q = float(ratios[-1])
-            if q < 1.0 and np.max(np.abs(ratios - q)) <= 1e-9 * q:
-                m_next = sphere_multiplicity(model.l_max + 1, model.d)
-                tail = model.rho * sigma * (beta[-1] * q) ** 2 / ((1.0 - q ** 2) * m_next)
-            else:
-                warning = ("coefficient decay is not geometric; the tail bound "
-                           "is the generic square bound")
-        else:
-            warning = ("too few trailing coefficients to certify geometric decay; "
-                       "the tail bound is the generic square bound")
-    return SpherePResult(value=value, tail_bound=tail, warning=warning)
+    m_next = sphere_multiplicity(model.l_max + 1, model.d)
+    return SpherePResult(value=value,
+                         tail_bound=float(model.rho * sigma * model.tail_bound ** 2 / m_next))

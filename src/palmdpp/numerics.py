@@ -1,9 +1,10 @@
 """Shared numerical kernels.
 
-Normalized Gegenbauer polynomials, Hermitian eigendecomposition (of a
-matrix, of phi phi* from a thin factor phi, or of a real block-circulant
-matrix by its Fourier blocks), and quadrature of radial
-integrals on (0, inf) against a declared tail and of polar ones on [0, pi].
+Series in normalized Gegenbauer polynomials, Hermitian
+eigendecomposition (of a matrix, of phi phi* from a thin factor phi, or
+of a real block-circulant matrix by its Fourier blocks), and quadrature
+of radial integrals on (0, inf) against a declared tail and of polar
+ones on [0, pi].
 
 integrate_radial computes int_0^inf r^a g(r) dr for a smooth g whose
 large-r behaviour is a declared Tail, amplitude * H(r / s): a Gaussian, or
@@ -34,8 +35,8 @@ __all__ = [
     "RadialIntegral",
     "Tail",
     "circulant_eig",
-    "gegenbauer_ratio_table",
     "factor_eig",
+    "gegenbauer_series",
     "hermitian_eig",
     "integrate_polar",
     "integrate_radial",
@@ -198,25 +199,34 @@ class Tail:
                               f"{_ORIGIN_CELL + _GL_PANEL * _RADIUS_CANDIDATES:g} length scales")
 
 
-def gegenbauer_ratio_table(l_max: int, lam: float, t) -> np.ndarray:
-    """Normalized Gegenbauer values R_ell(t) = C_ell(t)/C_ell(1).
+def gegenbauer_series(coeffs, lam: float, t) -> np.ndarray:
+    """sum_ell coeffs[ell] R_ell(t) over the normalized Gegenbauer values
+    R_ell(t) = C_ell(t)/C_ell(1), in the shape of t.
 
-    Returns an array of shape (l_max+1,) + shape(t).  The normalized
-    recurrence R_ell = (2t(ell+lam-1) R_{ell-1} - (ell-1) R_{ell-2})
-    / (ell + 2 lam - 1) is stable (|R_ell| <= 1) and degenerates to the
-    Chebyshev recurrence in the lam -> 0 limit: on the circle R_ell(t) =
-    cos(ell arccos t).
+    R_ell comes from the normalized recurrence R_ell = (2t(ell+lam-1)
+    R_{ell-1} - (ell-1) R_{ell-2}) / (ell + 2 lam - 1), which is stable
+    (|R_ell| <= 1) and degenerates to the Chebyshev recurrence in the lam
+    -> 0 limit: on the circle R_ell(t) = cos(ell arccos t).  Each term is
+    added as its degree is reached, and the two live degrees are updated
+    in place, so the work holds four arrays of t's shape at any degree.
     """
-    if l_max < 0:
-        raise ValueError("l_max must be >= 0")
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty((l_max + 1,) + t.shape)
-    out[0] = 1.0
-    if l_max >= 1:
-        out[1] = t
-    for l in range(2, l_max + 1):
-        out[l] = (2.0 * t * (l + lam - 1.0) * out[l - 1]
-                  - (l - 1.0) * out[l - 2]) / (l + 2.0 * lam - 1.0)
+    c = np.asarray(coeffs, dtype=float)
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("coeffs must be a nonempty vector")
+    t = np.asarray(t, dtype=float)
+    out = np.full(t.shape, c[0])
+    if c.size == 1:
+        return out
+    prev, cur, tmp = np.ones(t.shape), t.copy(), np.empty(t.shape)
+    out += np.multiply(cur, c[1], out=tmp)
+    for l in range(2, c.size):
+        np.multiply(t, 2.0 * (l + lam - 1.0), out=tmp)  # rounds as 2t * (l+lam-1) would
+        tmp *= cur
+        prev *= l - 1.0
+        tmp -= prev
+        tmp /= l + 2.0 * lam - 1.0
+        prev, cur, tmp = cur, tmp, prev
+        out += np.multiply(cur, c[l], out=tmp)
     return out
 
 

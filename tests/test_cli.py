@@ -175,14 +175,16 @@ def test_quadrature_flags_only_where_a_rule_reads_them(tmp_path, argv, code, tok
 
 
 # a flag nothing reads on a spec's space is refused, naming the flag:
-# --profile-max ends only a Euclidean profile, --profile-points samples only a
-# continuous one, --window bounds only a Euclidean grid, --resolution sets only
-# a continuous grid, and --rho is only the Ginibre model's intensity
+# --profile-max ends only a Euclidean profile, so it also needs --profile-points,
+# --profile-points samples only a continuous one, --window bounds only a
+# Euclidean grid, --resolution sets only a continuous grid, and --rho is only
+# the Ginibre model's intensity
 GRID = ["--samples=2", "--resolution=2"]
 UNREAD_FLAG_CASES = [
     *[(["repulsiveness", f"{spec}.json", "--profile-points=3", "--profile-max=2"], 2, REFUSED)
       for spec in ("multiquadric", "sphere-coefficients")],
     (["repulsiveness", "finite.json", "--profile-max=2"], 2, REFUSED),
+    (["repulsiveness", "ginibre.json", "--profile-max=2"], 2, REFUSED),
     (["repulsiveness", "finite.json", "--profile-points=3"], 2, REFUSED),
     *[(["repulsiveness", f"{spec}.json", "--profile-points=3", "--profile-max=2"], 0, "")
       for spec in ("ginibre", "jinc", "sinc")],
@@ -342,16 +344,20 @@ class TestRepulsivenessCommand:
         assert abs(record["p_u_reference"] - 2.0 / 3.0) < 1e-9
         assert record["discrepancy"] == 1.0
 
-    def test_sphere_coefficients(self, tmp_path):
-        rho, beta = 0.08, [0.5, 0.3, 0.2]
+    # the kernel integrated is the series cut at its last coefficient, whose
+    # K0(1) is rho sum beta: p_u = rho sigma sum beta^2 / m / sum beta
+    @pytest.mark.parametrize("rho,beta,tail,want", [
+        (0.08, [0.5, 0.3, 0.2], 0.0, 0.08 * 4.0 * math.pi * (0.25 + 0.03 + 0.008)),
+        (0.05, [0.5, 0.3], 0.2, 0.219911485751),
+    ], ids=["whole", "truncated"])
+    def test_sphere_coefficients(self, tmp_path, rho, beta, tail, want):
         doc = {"family": "sphere-coefficients",
-               "params": {"d": 2, "rho": rho, "beta_coeffs": beta, "tail_bound": 0.0}}
+               "params": {"d": 2, "rho": rho, "beta_coeffs": beta, "tail_bound": tail}}
         code, out, _ = run_cli(["repulsiveness", write_spec(tmp_path, "c.json", doc),
                                 "--anchor", "0,0.6,0.8"])
         assert code == 0
         (header, rows), _ = parse_blocks(out)
         record = dict(zip(header, rows[0]))
-        want = 4.0 * math.pi * rho * sum(b ** 2 / (2 * l + 1) for l, b in enumerate(beta))
         assert abs(record["p_u"] - want) < 1e-9
         assert abs(record["p_u_reference"] - want) < 1e-9
         assert record["discrepancy"] == 0.0

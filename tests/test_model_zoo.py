@@ -11,7 +11,7 @@ from scipy import integrate, special
 from palmdpp.analysis import grid_discretize
 from palmdpp.errors import ValidationError
 from palmdpp.finite_dpp import sample_indicators
-from palmdpp.kernel_core import repulsiveness_p
+from palmdpp.kernel_core import repulsiveness_p, sphere_surface_measure
 from palmdpp.model_zoo import (
     GinibreParams,
     _jinc_radial,
@@ -25,7 +25,6 @@ from palmdpp.model_zoo import (
     sphere_p,
     thin_rescale,
 )
-from palmdpp.numerics import gegenbauer_ratio_table
 
 ORIGIN = np.zeros(2)
 J1_FIRST_ZERO = 3.831705970207512
@@ -338,15 +337,37 @@ class TestSphereModels:
         with pytest.raises(ValidationError):
             sphere_model(2, 1.0, [0.5, 0.4])  # mass unaccounted
         with pytest.raises(ValidationError) as err:
+            sphere_model(2, 0.01, [0.6, 0.5])  # mass beyond 1, even with no tail
+        assert err.value.token == "param-bound" and "1.1" in str(err.value)
+        with pytest.raises(ValidationError) as err:
             sphere_model(2, 10.0, [1.0])
         assert err.value.token == "existence-bound"
 
-    def test_sphere_p_warning_without_geometric_tail(self):
-        beta = np.array([0.4, 0.3, 0.2, 0.05])
-        model = sphere_model(2, 0.01, beta, tail_bound=0.05)
-        result = sphere_p(model)
-        assert result.warning is not None
-        assert result.tail_bound > 0.0
+    def test_sphere_p_tail_bound_is_attained(self):
+        # the dropped coefficients are >= 0 and sum to at most T, so they add
+        # at most rho sigma T^2 / m_{L+1}; all of T on degree L + 1 adds exactly that
+        beta = 0.2 * 0.5 ** np.arange(6)
+        tail = 1.0 - float(beta.sum())
+        assert abs(tail - 0.60625) < 1e-15
+        result = sphere_p(sphere_model(2, 0.05, beta, tail_bound=tail))
+        assert abs(result.tail_bound - 0.05 * 4.0 * math.pi * tail ** 2 / 13) < 1e-17
+        assert abs(result.tail_bound - 0.0177640) < 5e-8
+        whole = sphere_p(sphere_model(2, 0.05, np.append(beta, tail)))
+        assert whole.tail_bound == 0.0
+        assert abs(whole.value - result.value - result.tail_bound) < 1e-15
+        # any other split of T over higher degrees adds less
+        split = sphere_p(sphere_model(2, 0.05, np.append(beta, [0.0, tail / 2, tail / 2])))
+        assert 0.0 < split.value - result.value < result.tail_bound
+
+    def test_sphere_kernel_reference_is_the_cut_kernels(self):
+        # K0(1) = rho sum beta, so the cut kernel's p_u divides the series by sum beta
+        model = sphere_model(2, 0.05, [0.5, 0.3], tail_bound=0.2)
+        kernel = sphere_kernel(model)
+        assert abs(kernel.reference["p_u"] - sphere_p(model).value / 0.8) < 1e-15
+        assert abs(kernel.reference["p_u"] - 0.219911485751) < 1e-12
+        # with all of the mass in the tail the kernel is zero
+        kernel = sphere_kernel(sphere_model(2, 0.05, [0.0], tail_bound=1.0))
+        assert kernel.reference["p_u"] == 0.0 and np.all(kernel.k0(np.linspace(-1, 1, 5)) == 0.0)
 
     def test_zoo_eigenvalues_in_unit_interval(self):
         for delta in (0.1, 0.5, 0.9):
@@ -354,24 +375,36 @@ class TestSphereModels:
             lam = model.eigenvalues
             assert lam.min() >= 0.0 and lam.max() <= 1.0 + 1e-12
 
-    def test_series_evaluates_its_table_in_blocks(self):
-        # an unblocked (201, 392, 392) table alone would take about 250 MB
+    def test_series_memory_stays_a_few_arrays_of_the_input(self):
+        # a (201, 392, 392) table of every degree would take about 250 MB;
+        # the recurrence holds a few arrays of the angles' 1.2 MB
         rng = np.random.default_rng(3)
-        model = sphere_model(2, 0.1, np.full(201, 1.0 / 201))
-        k0 = sphere_kernel(model).k0
-        angles = rng.uniform(-1.0, 1.0, (392, 392))
-        tracemalloc.start()
-        try:
-            k0(angles)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2 ** 20
-        # one block is the unblocked product; more blocks agree to rounding
-        for l_max, t, tol in ((2, angles, 0.0), (200, angles[:30].ravel(), 4.0)):
-            model = sphere_model(2, 0.1, np.full(l_max + 1, 1.0 / (l_max + 1)))
-            whole = model.rho * (model.beta_coeffs @ gegenbauer_ratio_table(l_max, 0.5, t.ravel()))
-            got = sphere_kernel(model).k0(t)
+        for l_max, t, limit in ((200, rng.uniform(-1.0, 1.0, (392, 392)), 10),
+                                (4000, rng.uniform(-1.0, 1.0, 15680), 2)):
+            k0 = sphere_kernel(sphere_model(2, 0.1, np.full(l_max + 1, 1.0 / (l_max + 1)))).k0
+            tracemalloc.start()
+            try:
+                got = k0(t)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
             assert got.shape == t.shape
-            bound = tol * np.finfo(float).eps * model.rho * model.beta_coeffs.sum()
-            assert np.max(np.abs(got.ravel() - whole)) <= bound
+            assert peak < limit * 2 ** 20
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("l_max", [2, 39, 200, 1000])
+    def test_series_matches_scipy_gegenbauer(self, d, l_max):
+        rng = np.random.default_rng(l_max + d)
+        beta = rng.uniform(0.0, 1.0, l_max + 1)
+        beta /= beta.sum()
+        mult = np.array([sphere_multiplicity(l, d) for l in range(l_max + 1)], dtype=float)
+        rho = 0.9 * float(np.min(mult / (sphere_surface_measure(d) * beta)))
+        t = np.concatenate([rng.uniform(-1.0, 1.0, 200), [-1.0, 0.0, 1.0]])
+        ell = np.arange(l_max + 1)[:, None]
+        if d == 1:
+            ratios = np.cos(ell * np.arccos(t))
+        else:
+            lam = (d - 1) / 2.0
+            ratios = special.eval_gegenbauer(ell, lam, t) / special.eval_gegenbauer(ell, lam, 1.0)
+        got = sphere_kernel(sphere_model(d, rho, beta)).k0(t)
+        assert np.max(np.abs(got - rho * (beta @ ratios))) <= 1e-13 * rho * beta.sum()

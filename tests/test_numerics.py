@@ -15,7 +15,7 @@ from palmdpp.numerics import (
     _gauss_jacobi,
     _tail_beyond,
     circulant_eig,
-    gegenbauer_ratio_table,
+    gegenbauer_series,
     hermitian_eig,
     integrate_polar,
     integrate_radial,
@@ -23,49 +23,59 @@ from palmdpp.numerics import (
 
 from conftest import random_hermitian
 
+def ratio(ell, lam, t):
+    """R_ell(t), asked of gegenbauer_series through the unit vector of degree ell."""
+    return gegenbauer_series(np.eye(ell + 1)[ell], lam, t)
+
+
 class TestGegenbauer:
     def test_degree_zero_and_one(self):
         t = np.linspace(-1.0, 1.0, 5)
-        table = gegenbauer_ratio_table(1, 0.7, t)
-        assert np.all(table[0] == 1.0) and np.all(table[1] == t)
-        assert gegenbauer_ratio_table(0, 0.7, t).shape == (1, 5)
+        assert np.all(ratio(0, 0.7, t) == 1.0) and np.all(ratio(1, 0.7, t) == t)
+        assert gegenbauer_series([1.0], 0.7, t).shape == (5,)
 
     def test_legendre_closed_forms(self):
         # lam = 1/2 are the Legendre polynomials, and P_ell(1) = 1
         t = np.linspace(-1.0, 1.0, 21)
-        table = gegenbauer_ratio_table(3, 0.5, t)
-        assert np.max(np.abs(table[2] - (3 * t ** 2 - 1) / 2)) < 1e-12
-        assert np.max(np.abs(table[3] - (5 * t ** 3 - 3 * t) / 2)) < 1e-12
-        assert abs(gegenbauer_ratio_table(2, 0.5, 0.5)[2, 0] - (-0.125)) < 1e-15
+        assert np.max(np.abs(ratio(2, 0.5, t) - (3 * t ** 2 - 1) / 2)) < 1e-12
+        assert np.max(np.abs(ratio(3, 0.5, t) - (5 * t ** 3 - 3 * t) / 2)) < 1e-12
+        assert abs(ratio(2, 0.5, 0.5) - (-0.125)) < 1e-15
 
     def test_chebyshev_limit_convention(self):
         # on the circle (lam = 0) the ratios are cos(ell arccos t)
         t = np.linspace(-1.0, 1.0, 11)
-        table = gegenbauer_ratio_table(7, 0.0, t)
         for ell in range(8):
-            assert np.max(np.abs(table[ell] - np.cos(ell * np.arccos(t)))) < 1e-10
+            assert np.max(np.abs(ratio(ell, 0.0, t) - np.cos(ell * np.arccos(t)))) < 1e-10
 
     def test_matches_scipy_for_generic_lambda(self):
         t = np.array([-0.9, -0.2, 0.4, 1.0])
         for lam in (0.5, 1.0, 1.7):
-            table = gegenbauer_ratio_table(5, lam, t)
             for ell in range(6):
                 want = special.eval_gegenbauer(ell, lam, t) / special.eval_gegenbauer(ell, lam, 1.0)
-                assert np.max(np.abs(table[ell] - want)) < 1e-10
+                assert np.max(np.abs(ratio(ell, lam, t) - want)) < 1e-10
 
-    def test_ratio_table_is_normalized(self):
+    def test_ratios_are_normalized(self):
         t = np.linspace(-1.0, 1.0, 7)
         for lam in (0.0, 0.5, 1.5):
-            table = gegenbauer_ratio_table(10, lam, t)
-            ones = gegenbauer_ratio_table(10, lam, np.array([1.0]))
-            assert np.allclose(ones, 1.0, atol=1e-12)
-            assert np.max(np.abs(table)) <= 1.0 + 1e-12
+            for ell in range(11):
+                assert np.allclose(ratio(ell, lam, np.array([1.0])), 1.0, atol=1e-12)
+                assert np.max(np.abs(ratio(ell, lam, t))) <= 1.0 + 1e-12
 
-    def test_ratio_table_matches_legendre(self):
+    def test_ratios_match_legendre(self):
         t = np.linspace(-1.0, 1.0, 11)
-        table = gegenbauer_ratio_table(6, 0.5, t)
         for ell in range(7):
-            assert np.allclose(table[ell], special.eval_legendre(ell, t), atol=1e-12)
+            assert np.allclose(ratio(ell, 0.5, t), special.eval_legendre(ell, t), atol=1e-12)
+
+    def test_series_is_the_coefficient_sum(self):
+        # a coefficient vector sums its unit vectors' ratios, in the shape of t
+        t = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        c = np.array([0.5, -0.25, 0.125, 2.0, 0.0, 1.0])
+        got = gegenbauer_series(c, 1.5, t)
+        assert got.shape == t.shape
+        want = sum(c[ell] * ratio(ell, 1.5, t) for ell in range(c.size))
+        assert np.max(np.abs(got - want)) < 1e-14
+        with pytest.raises(ValueError):
+            gegenbauer_series([], 0.5, t)
 
 
 class TestHermitianEig:
