@@ -43,6 +43,7 @@ from .kernel_core import (
     pair_correlation,
     palm_intensity_dominated,
     palm_kernel,
+    profile_coordinates,
     radial_integral,
     repulsiveness_p,
     sphere_surface_measure,

@@ -97,8 +97,8 @@ class CouplingValidation:
 
 
 def _check_order(k: float) -> None:
-    if k <= -2:
-        raise ValidationError("param-bound", "moments exist only for k > -2")
+    if not (math.isfinite(k) and k > -2):
+        raise ValidationError("param-bound", "moments exist only for k > -2 and finite k")
 
 
 def jinc_moment_closed(k: float) -> float:

@@ -26,8 +26,7 @@ jinc.  A flag is refused, exit 2 with param-bound naming it, where
 nothing reads it: repulsiveness --rel-tol (the sphere's polar
 quadrature) on a non-sphere spec, --truncation-radius (Euclidean radial
 quadrature) and --profile-max (the end of a radial profile) on a
-non-Euclidean one, --profile-max without --profile-points, and
---profile-points on a finite one; sample
+non-Euclidean one, and --profile-points on a finite one; sample
 --window on a non-Euclidean spec and --resolution on a finite one;
 moments --rho with --model jinc.  All commands are deterministic given
 (input file, flags, seed); numbers render with 12 significant digits.
@@ -47,7 +46,7 @@ import numpy as np
 
 from . import analysis, finite_dpp, model_zoo
 from .errors import ParseError, SizeGuardError, TheoremViolationError, ValidationError
-from .kernel_core import Kernel, repulsiveness_p
+from .kernel_core import Kernel, profile_coordinates, repulsiveness_p
 from .numerics import QuadratureError, QuadratureSpec
 
 __all__ = ["main", "load_kernel_spec"]
@@ -293,8 +292,7 @@ def cmd_validate(args) -> int:
 
 def cmd_repulsiveness(args) -> int:
     bundle = load_kernel_spec(args.spec)
-    kind = bundle.kernel.space.kind
-    _refuse_unread(kind, (
+    _refuse_unread(bundle.kernel.space.kind, (
         ("--rel-tol", args.rel_tol, ("sphere",), "steers only sphere quadrature"),
         ("--truncation-radius", args.truncation_radius, ("euclidean",),
          "steers only euclidean quadrature"),
@@ -302,14 +300,8 @@ def cmd_repulsiveness(args) -> int:
          "ends only a euclidean radial profile"),
         ("--profile-points", args.profile_points, ("euclidean", "sphere"),
          "sets only the profile of a continuous space")))
-    if args.profile_max is not None and args.profile_points is None:
-        raise ValidationError(
-            "param-bound", "--profile-max ends only a radial profile; pass --profile-points too")
     anchor = _parse_anchor(bundle, args.anchor)
-    coords = None
-    if args.profile_points:
-        upper = math.pi if kind == "sphere" else args.profile_max or 10.0
-        coords = np.linspace(0.0, upper, args.profile_points)
+    coords = profile_coordinates(bundle.kernel, args.profile_points, args.profile_max)
     spec = QuadratureSpec(args.rel_tol or QuadratureSpec.relative_tolerance,
                           args.truncation_radius)
     report = repulsiveness_p(bundle.kernel, anchor, spec=spec, profile_coords=coords)
@@ -458,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="site index | 'x,y' | 'x,y,z' (normalized)")
     p.add_argument("--profile-points", type=_int_at_least(1), default=None)
     p.add_argument("--profile-max", type=positive, default=None,
-                   help="end of a euclidean profile (default 10)")
+                   help="end of a euclidean profile (default: 40 length scales of a "
+                        "gaussian tail or 400 of a power tail, at most 10)")
     p.add_argument("--rel-tol", type=positive, default=None,
                    help="relative tolerance of the sphere's polar quadrature")
     p.add_argument("--truncation-radius", type=positive, default=None,

@@ -504,6 +504,8 @@ def sample_indicators(dpp: FiniteDpp, rng_seed: int, draws: int) -> np.ndarray:
     a batch is 64 draws, and its stack holds 64 * k_max * n entries,
     k_max the most eigenvectors a draw keeps.
     """
+    if draws < 0:
+        raise ValidationError("param-bound", f"draws must be >= 0, got {draws}")
     rng = np.random.default_rng(rng_seed)
     lam, V = dpp.eig.eigenvalues, dpp.eig.eigenvectors
     block = max(_SAMPLE_BLOCK, _SAMPLE_ENTRIES // dpp.n ** 2)
@@ -524,8 +526,10 @@ def sample_coupled_many(table: CouplingTable, rng_seed: int,
 
 def sample_removals(table: CouplingTable, rng_seed: int,
                     draws: int) -> tuple[float, np.ndarray]:
-    """Tally sample_coupled_many's draws: (share of draws that remove a
-    point, float array of the removals at each site 1..n, indexed from 0)."""
+    """Tally sample_coupled_many's draws, at least one: (share of draws that
+    remove a point, float array of the removals at each site 1..n, from 0)."""
+    if draws < 1:
+        raise ValidationError("param-bound", f"draws must be >= 1, got {draws}")
     s_masks, t_masks = sample_coupled_many(table, rng_seed, draws)
     diff = s_masks ^ t_masks
     removed = np.frexp(diff[diff > 0])[1] - 1  # single-bit masks

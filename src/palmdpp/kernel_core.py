@@ -43,7 +43,7 @@ Kernel is a frozen record of seven fields:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -64,6 +64,7 @@ __all__ = [
     "palm_kernel",
     "displacement_intensity",
     "palm_intensity_dominated",
+    "profile_coordinates",
     "radial_integral",
     "repulsiveness_p",
 ]
@@ -246,30 +247,33 @@ def palm_intensity_dominated(kernel: Kernel, u, v) -> tuple[float, float]:
 def radial_integral(kernel: Kernel, power: float, factor: float,
                     spec: QuadratureSpec | None = None) -> RadialIntegral:
     """int_0^inf r^power * factor * radial_abs_sq(r) dr against the declared
-    tail, truncated at spec's radius or else the tail's default radius.
-    Raises QuadratureError when the kernel declares no tail."""
+    tail, by integrate_radial under spec.  Raises QuadratureError when the
+    kernel declares no tail."""
     if kernel.tail is None:
         raise QuadratureError("the kernel declares no tail; radial quadrature needs its "
                               "large-r behaviour")
-    spec = spec or QuadratureSpec()
-    if spec.truncation_radius is None:
-        spec = replace(spec, truncation_radius=kernel.tail.default_radius())
     rfn = kernel.radial_abs_sq
-    return integrate_radial(lambda r: factor * rfn(r), power, kernel.tail.rescaled(factor), spec)
+    return integrate_radial(lambda r: factor * rfn(r), power, kernel.tail.rescaled(factor),
+                            spec or QuadratureSpec())
 
 
-def _profile_end(spec: QuadratureSpec | None, tail: Tail) -> float:
-    """Upper end of the default f_u profile: the truncation radius, at most 10.
-
-    Without an explicit radius, the radius is that of an earlier default
-    rule, 40 s for a Gaussian tail and 400 s for a power tail, so the
-    printed coordinates stay put while the quadrature's own radius is
-    chosen from the declared terms.
-    """
-    radius = spec.truncation_radius if spec is not None else None
-    if radius is None:
-        radius = (40.0 if tail.kind == "gaussian" else 400.0) * tail.scale
-    return min(radius, 10.0)
+def profile_coordinates(kernel: Kernel, points: int | None = None,
+                        end: float | None = None) -> np.ndarray:
+    """Where repulsiveness_p reports f_u by default: the sites 1..n of a
+    finite space, else `points` (default 64) angles from 0 to pi on the
+    sphere, or radii from 0 to `end` on R^d, by default min(40 s, 10) for a
+    Gaussian tail and min(400 s, 10) for a power one, s its length scale.
+    A finite space reads neither argument, and the sphere reads no `end`."""
+    space, tail = kernel.space, kernel.tail
+    if space.kind == "finite":
+        return np.arange(1, space.size + 1)
+    if space.kind == "sphere":
+        end = math.pi
+    elif end is None:
+        if tail is None:
+            raise QuadratureError("the kernel declares no tail, so its profile needs an end")
+        end = min((40.0 if tail.kind == "gaussian" else 400.0) * tail.scale, 10.0)
+    return np.linspace(0.0, end, 64 if points is None else points)
 
 
 def repulsiveness_p(kernel: Kernel, u, spec: QuadratureSpec | None = None,
@@ -278,10 +282,11 @@ def repulsiveness_p(kernel: Kernel, u, spec: QuadratureSpec | None = None,
 
     Finite spaces use the exact sum over the kernel row; Euclidean kernels
     declaring radial_abs_sq reduce to a radial integral against the declared
-    tail (integrate_radial), isotropic sphere kernels to a polar one to spec's
-    relative tolerance (integrate_polar).  The report carries the
-    displacement density profile f_u = |K(u, .)|^2 / norm_sq on
-    profile_coords (or a default grid).
+    tail (integrate_radial, which truncates at spec's radius or else picks
+    one), isotropic sphere kernels to a polar one to spec's relative
+    tolerance (integrate_polar).  The report carries the displacement
+    density profile f_u = |K(u, .)|^2 / norm_sq on profile_coords, by default
+    profile_coordinates(kernel); a site outside 1..n raises param-bound.
     """
     space = kernel.space
     u = check_point(space, u)
@@ -290,9 +295,7 @@ def repulsiveness_p(kernel: Kernel, u, spec: QuadratureSpec | None = None,
     if space.kind == "finite":
         row = np.abs(kernel.gram(np.asarray([u]), np.arange(1, space.size + 1))[0]) ** 2
         norm_sq, norm_err = float(row.sum()), 0.0
-        coords = profile_coords if profile_coords is not None else range(1, space.size + 1)
-        profile = [(int(v), float(row[int(v) - 1] / norm_sq) if norm_sq > 0 else 0.0)
-                   for v in coords]
+        abs_sq = lambda sites: row[sites - 1]
     else:
         d = space.size
         surface = sphere_surface_measure(d - 1)  # S^(d-1): shells in R^d, latitudes on S^d
@@ -306,7 +309,6 @@ def repulsiveness_p(kernel: Kernel, u, spec: QuadratureSpec | None = None,
             if d not in (1, 2):
                 raise ValidationError("param-bound", "Euclidean quadrature supports d in {1, 2}")
             norm_sq, norm_err = radial_integral(kernel, d - 1.0, surface, spec)[:2]
-            end = _profile_end(spec, kernel.tail)
         else:
             k0 = kernel.k0
             if k0 is None:
@@ -317,13 +319,13 @@ def repulsiveness_p(kernel: Kernel, u, spec: QuadratureSpec | None = None,
             norm_sq, norm_err = integrate_polar(
                 lambda theta: surface * abs_sq(theta) * np.sin(theta) ** (d - 1),
                 (spec or QuadratureSpec()).relative_tolerance)
-            end = math.pi
-        coords = (np.asarray(profile_coords, dtype=float) if profile_coords is not None
-                  else np.linspace(0.0, end, 64))
-        dens = abs_sq(coords) / norm_sq if norm_sq > 0 else np.zeros_like(coords)
-        if not np.all(np.isfinite(dens)):  # jinc's J1(2r) is nan once 2r overflows
-            raise OverflowError("the f_u profile is not finite; end it at a smaller radius")
-        profile = list(zip(coords.tolist(), dens.tolist()))
+    coords = profile_coordinates(kernel) if profile_coords is None else profile_coords
+    coords = (np.array([check_point(space, v) for v in coords], dtype=int)
+              if space.kind == "finite" else np.asarray(coords, dtype=float))
+    dens = abs_sq(coords) / norm_sq if norm_sq > 0 else np.zeros(coords.shape)
+    if not np.all(np.isfinite(dens)):  # jinc's J1(2r) is nan once 2r overflows
+        raise OverflowError("the f_u profile is not finite; end it at a smaller radius")
+    profile = list(zip(coords.tolist(), dens.tolist()))
 
     p, err = norm_sq / ku, norm_err / ku
     if p > 1.0 + _P_BOUND_SLACK + err:

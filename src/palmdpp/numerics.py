@@ -80,8 +80,8 @@ class QuadratureSpec:
     relative_tolerance is integrate_polar's target on the sphere's polar
     angle integral; radial quadrature ignores it.  truncation_radius is
     where radial quadrature hands over to the declared tail, at least
-    8 s / w out for an oscillating one; integrate_radial needs it set
-    (callers default it to Tail.default_radius()).
+    8 s / w out for an oscillating one; left None, integrate_radial takes
+    the tail's Tail.default_radius().
     """
 
     relative_tolerance: float = 1e-10
@@ -401,7 +401,7 @@ def integrate_radial(g: Callable[[np.ndarray], np.ndarray], power: float, tail: 
                      spec: QuadratureSpec) -> RadialIntegral:
     """int_0^inf r^power g(r) dr for a smooth, vectorized g declared by `tail`.
 
-    With s = tail.scale and R = spec.truncation_radius (required):
+    With s = tail.scale and R = spec.truncation_radius or else tail.default_radius():
 
     * [0, min(2 s, R)] is one Gauss-Jacobi cell for the weight r^power
       (power > -1), so an integrable singularity at 0 costs nothing;
@@ -416,18 +416,17 @@ def integrate_radial(g: Callable[[np.ndarray], np.ndarray], power: float, tail: 
 
     Raises QuadratureError when the declared exponent makes the integral
     diverge, when a power tail is not asymptotic at R (its terms do not
-    decrease there), and when an oscillating tail would need the growing
-    panels, which alias its sin/cos terms; OverflowError when it is not finite.
+    decrease there, or, with R left None, at any radius default_radius
+    tries), and when an oscillating tail would need the growing panels,
+    which alias its sin/cos terms; OverflowError when it is not finite.
     """
-    if spec.truncation_radius is None:
-        raise ValueError("QuadratureSpec.truncation_radius is required here")
+    R = float(spec.truncation_radius or tail.default_radius())
     if not power > -1.0:
         raise ValueError("the weight r^power needs power > -1")
     if not tail.converges(power):
         raise QuadratureError(
             f"the integrand decays like r^({power - tail.order:g}) by its declared "
             "tail; the integral diverges")
-    R = float(spec.truncation_radius)
     if not tail.asymptotic_at(R):
         raise QuadratureError(
             f"the declared tail r^({-tail.order:g}) is not asymptotic at the "

@@ -1,12 +1,19 @@
-"""The public names each palmdpp module exports."""
+"""The public names each palmdpp module exports, and the inputs its entry
+points refuse."""
 from __future__ import annotations
 
 import importlib
+import math
 import pkgutil
 
+import numpy as np
 import pytest
 
 import palmdpp
+from palmdpp import analysis, finite_dpp, model_zoo
+from palmdpp.errors import ValidationError
+from palmdpp.kernel_core import GroundSpace, Kernel, palm_kernel, repulsiveness_p
+from palmdpp.numerics import Tail
 
 MODULES = [f"palmdpp.{info.name}" for info in pkgutil.iter_modules(palmdpp.__path__)
            if info.name != "__main__"]
@@ -20,3 +27,73 @@ def test_every_exported_name_resolves(name):
     exported = module.__all__
     assert len(set(exported)) == len(exported)
     assert [attr for attr in exported if not hasattr(module, attr)] == []
+
+
+def _finite2():
+    return model_zoo.finite_kernel(np.diag([0.3, 0.7]))
+
+
+def _sphere():
+    return model_zoo.multiquadric(0.5, 0.1)[1]
+
+
+def _ginibre():
+    return model_zoo.ginibre_kernel(model_zoo.GinibreParams(1.0, 1.0))
+
+
+def _law(n):
+    return finite_dpp.subset_law(finite_dpp.validate(np.diag([0.5] * n)))
+
+
+def _r3_kernel():
+    # isotropic in R^3, which radial quadrature does not cover
+    return Kernel(space=GroundSpace.euclidean(3),
+                  gram=lambda X, Y: np.exp(-np.sum((X[:, None] - Y[None]) ** 2, axis=-1)),
+                  radial_abs_sq=lambda r: np.exp(-2.0 * np.asarray(r) ** 2),
+                  tail=Tail("gaussian", 2 ** -0.5))
+
+
+SQUARE = (-1.0, 1.0, -1.0, 1.0)
+NORTH = np.array([0.0, 0.0, 1.0])
+# each call, and a phrase of the refusal it must meet
+REFUSED_CALLS = {
+    "mc-validate-no-samples": ("draws", lambda: analysis.mc_validate_coupling(
+        _ginibre(), np.zeros(2), SQUARE, 3, samples=0, rng_seed=0)),
+    "removals-no-draws": ("draws", lambda: finite_dpp.sample_removals(
+        finite_dpp.couple(finite_dpp.validate(np.diag([0.3, 0.7])), 1)[1], 0, 0)),
+    "indicators-negative-draws": ("draws", lambda: finite_dpp.sample_indicators(
+        finite_dpp.validate(np.diag([0.3, 0.7])), 0, -1)),
+    "profile-site-0": ("site 0", lambda: repulsiveness_p(_finite2(), 1,
+                                                         profile_coords=[0, 1, 2])),
+    "profile-site-3": ("site 3", lambda: repulsiveness_p(_finite2(), 1, profile_coords=[3])),
+    "moment-nan-order": ("finite k", lambda: analysis.moment_quadrature(
+        _ginibre(), np.zeros(2), math.nan)),
+    "jinc-moment-inf-order": ("finite k", lambda: analysis.jinc_moment_closed(math.inf)),
+    "ginibre-moment-nan-order": ("finite k", lambda: analysis.ginibre_moment(math.nan, 1.0)),
+    "grid-resolution-0": ("resolution", lambda: analysis.grid_discretize(_ginibre(), SQUARE, 0)),
+    "grid-s3": ("S^2", lambda: analysis.grid_discretize(
+        model_zoo.sphere_kernel(model_zoo.sphere_model(3, 0.05, [0.6, 0.4])), None, 2)),
+    "grid-sphere-window": ("full sphere", lambda: analysis.grid_discretize(_sphere(), SQUARE, 2)),
+    "grid-finite": ("already discrete", lambda: analysis.grid_discretize(_finite2(), None, 2)),
+    "repulsiveness-r3": ("d in {1, 2}", lambda: repulsiveness_p(_r3_kernel(), np.zeros(3))),
+    "repulsiveness-sphere-palm": ("angular profile", lambda: repulsiveness_p(
+        palm_kernel(_sphere(), NORTH), np.array([1.0, 0.0, 0.0]))),
+    "coupling-site-counts": ("site counts", lambda: finite_dpp.coupling_feasible(
+        _law(2), _law(3), 1)),
+    "coupling-site-0": ("site 0", lambda: finite_dpp.coupling_feasible(_law(2), _law(2), 0)),
+    "multiquadric-delta-1": ("delta", lambda: model_zoo.multiquadric(1.0, 0.05)),
+    "sphere-model-d-0": ("dimension", lambda: model_zoo.sphere_model(0, 0.1, [0.5])),
+    "sphere-model-rho-0": ("intensity", lambda: model_zoo.sphere_model(2, 0.0, [0.5])),
+    "sphere-model-negative-tail": ("tail_bound", lambda: model_zoo.sphere_model(
+        2, 0.1, [0.5], tail_bound=-0.1)),
+    "thin-sphere": ("Euclidean", lambda: model_zoo.thin_rescale(_sphere(), 1.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("phrase,call", REFUSED_CALLS.values(), ids=REFUSED_CALLS)
+def test_entry_points_refuse_what_they_cannot_serve(phrase, call):
+    # counts, sites, orders and kernels outside what a function serves are
+    # refused up front, never answered with nan, a wrapped index or a crash
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert exc.value.token == "param-bound" and phrase in str(exc.value)

@@ -96,7 +96,8 @@ def rank2_spec():
     return {"family": "finite", "matrix": matrix}
 
 
-# "G" stands for the alpha = beta = 1 Ginibre spec, "J" for jinc and "D" for a finite spec
+# "G" stands for the alpha = beta = 1 Ginibre spec, "J" for jinc, "D" for a finite
+# spec and "S" for a sphere one
 @pytest.mark.parametrize("argv,code,token", [
     (["repulsiveness", "G", "--profile-points", "3", "--profile-max", "nan"], 3, "parse-error"),
     (["repulsiveness", "G", "--profile-points", "3", "--profile-max", "0"], 3, "parse-error"),
@@ -119,15 +120,18 @@ def rank2_spec():
     (["sample", "G", "--window=-1,1", "--resolution", "3"], 3, "parse-error"),
     (["sample", "G", "--window=1,-1,-1,1", "--resolution", "3"], 2,
      "validation-error[param-bound]"),
+    (["sample", "S"], 3, "parse-error"),
 ], ids=["nan-profile-max", "zero-profile-max", "jinc-profile-past-doubles", "inf-radius", "radius-overflows-density",
         "negative-radius", "beta-above-one", "nan-beta", "unknown-model", "no-models",
         "couple-negative-seed",
         "sample-negative-seed", "missing-spec", "unknown-flag", "missing-command",
-        "zero-resolution", "nan-window", "short-window", "decreasing-window"])
+        "zero-resolution", "nan-window", "short-window", "decreasing-window",
+        "sphere-without-resolution"])
 def test_bad_flag_values_exit_with_a_token(tmp_path, argv, code, token):
     specs = {"G": write_spec(tmp_path, "g.json", GINIBRE_SPEC),
              "J": write_spec(tmp_path, "j.json", {"family": "jinc"}),
-             "D": write_spec(tmp_path, "d.json", DIAG_SPEC)}
+             "D": write_spec(tmp_path, "d.json", DIAG_SPEC),
+             "S": write_spec(tmp_path, "s.json", QUADRATURE_SPECS["multiquadric"])}
     got, out, err = run_cli([specs.get(a, a) for a in argv])
     assert (got, out) == (code, "") and err.startswith(token)
     assert "usage:" not in err
@@ -175,19 +179,18 @@ def test_quadrature_flags_only_where_a_rule_reads_them(tmp_path, argv, code, tok
 
 
 # a flag nothing reads on a spec's space is refused, naming the flag:
-# --profile-max ends only a Euclidean profile, so it also needs --profile-points,
-# --profile-points samples only a continuous one, --window bounds only a
-# Euclidean grid, --resolution sets only a continuous grid, and --rho is only
-# the Ginibre model's intensity
+# --profile-max ends only a Euclidean profile, --profile-points samples only a
+# continuous one, --window bounds only a Euclidean grid, --resolution sets only
+# a continuous grid, and --rho is only the Ginibre model's intensity
 GRID = ["--samples=2", "--resolution=2"]
 UNREAD_FLAG_CASES = [
     *[(["repulsiveness", f"{spec}.json", "--profile-points=3", "--profile-max=2"], 2, REFUSED)
       for spec in ("multiquadric", "sphere-coefficients")],
     (["repulsiveness", "finite.json", "--profile-max=2"], 2, REFUSED),
-    (["repulsiveness", "ginibre.json", "--profile-max=2"], 2, REFUSED),
     (["repulsiveness", "finite.json", "--profile-points=3"], 2, REFUSED),
     *[(["repulsiveness", f"{spec}.json", "--profile-points=3", "--profile-max=2"], 0, "")
       for spec in ("ginibre", "jinc", "sinc")],
+    (["repulsiveness", "ginibre.json", "--profile-max=2"], 0, ""),
     *[(["repulsiveness", f"{spec}.json", "--profile-points=3"], 0, "")
       for spec in ("ginibre", "multiquadric", "sphere-coefficients")],
     *[(["sample", f"{spec}.json", *GRID, "--window=-1,1,-1,1"], 2, REFUSED)
@@ -229,6 +232,20 @@ def test_usage_error_of_the_module_is_a_parse_error():
     assert proc.stderr.splitlines() == ["parse-error: the following arguments are required: spec"]
 
 
+@pytest.mark.parametrize("argv,code,stream,start", [
+    (["palmdpp", "validate", "G"], 0, "stdout", "ok: family=ginibre"),
+    (["palmdpp.cli", "validate", "G"], 0, "stdout", "ok: family=ginibre"),
+    (["palmdpp", "frobnicate", "G"], 3, "stderr", "parse-error: argument command"),
+], ids=["package", "cli-module", "unknown-command"])
+def test_module_entry_points(tmp_path, argv, code, stream, start):
+    env = dict(os.environ, PYTHONPATH=str(Path(palmdpp.__file__).parents[1]))
+    spec = write_spec(tmp_path, "g.json", GINIBRE_SPEC)
+    proc = subprocess.run([sys.executable, "-m"] + [spec if a == "G" else a for a in argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == code and getattr(proc, stream).startswith(start)
+    assert (proc.stderr if code == 0 else proc.stdout) == ""
+
+
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.integrate"])
 def test_cli_import_leaves_module_unloaded(module):
     # the coupling check's chi-square tail comes from scipy.special and every
@@ -267,20 +284,29 @@ class TestValidateCommand:
         code, _, err = run_cli(["validate", write_spec(tmp_path, "m.json", doc)])
         assert code == 2 and "[existence-bound]" in err
 
-    def test_parse_failures(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json", encoding="utf-8")
-        code, _, err = run_cli(["validate", str(bad)])
-        assert code == 3 and "parse-error" in err
-        doc = {"family": "ginibre", "params": {"alpha": 1.0, "beta": 1.0}, "zzz": 1}
-        code, _, err = run_cli(["validate", write_spec(tmp_path, "k.json", doc)])
-        assert code == 3 and "zzz" in err
-        doc = {"family": "finite", "matrix": [[0.5]]}
-        code, _, err = run_cli(["validate", write_spec(tmp_path, "p.json", doc)])
-        assert code == 3  # entries must be [re, im] pairs
-        doc = {"family": "nope"}
-        code, _, err = run_cli(["validate", write_spec(tmp_path, "f.json", doc)])
-        assert code == 3
+    @pytest.mark.parametrize("doc,phrase", [
+        ("{not json", "line 1 column 2"),
+        ({"family": "ginibre", "params": {"alpha": 1.0, "beta": 1.0}, "zzz": 1}, "zzz"),
+        ({"family": "finite", "matrix": [[0.5]]}, "[re, im] pair"),
+        ({"family": "nope"}, "family must be one of"),
+        ({"family": "ginibre", "params": {"alpha": 1.0}}, "needs params.beta"),
+        ({"family": "finite", "matrix": "I"}, "nonempty list of rows"),
+        ({"family": "finite", "matrix": [[[0.3, 0], [0, 0]], [[0, 0]]]}, "row 1 must have 2"),
+        ([GINIBRE_SPEC], "must hold a JSON object"),
+        ({"family": "ginibre", "params": [1.0, 1.0]}, "params must be an object"),
+        ({"family": "finite"}, "needs a matrix"),
+        ({"family": "sphere-coefficients",
+          "params": {"d": 2, "rho": 0.1, "beta_coeffs": [0.5, "0.5"]}}, "beta_coeffs"),
+        ({"family": "sphere-coefficients",
+          "params": {"d": 2, "rho": 0.1, "beta_coeffs": [1.0], "tail_bound": "0"}}, "tail_bound"),
+    ], ids=["not-json", "unknown-key", "real-entry", "unknown-family", "missing-param",
+            "matrix-not-a-list", "ragged-row", "top-level-array", "params-not-an-object",
+            "finite-without-matrix", "non-numeric-coefficient", "non-numeric-tail-bound"])
+    def test_parse_failures(self, tmp_path, doc, phrase):
+        path = tmp_path / "bad.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(["validate", str(path)])
+        assert (code, out) == (3, "") and err.startswith("parse-error") and phrase in err
 
     def test_sphere_dimension_must_be_an_integer(self, tmp_path):
         doc = {"family": "sphere-coefficients",
@@ -298,6 +324,18 @@ class TestRepulsivenessCommand:
         code, out, err = run_cli(["repulsiveness", write_spec(tmp_path, "g.json", GINIBRE_SPEC),
                                   f"--anchor={anchor}"])
         assert code == 2 and out == "" and "validation-error[param-bound]" in err
+
+    @pytest.mark.parametrize("doc,anchor,phrase", [
+        (DIAG_SPEC, "1.5", "site indices"),
+        (GINIBRE_SPEC, "0,x", "cannot parse anchor"),
+        (GINIBRE_SPEC, "0,0,1", "needs 2 coordinates"),
+        (QUADRATURE_SPECS["multiquadric"], "0,1", "needs 3 coordinates"),
+        (QUADRATURE_SPECS["multiquadric"], "0,0,0", "zero vector"),
+    ], ids=["fractional-site", "unparsable", "euclidean-length", "sphere-length", "sphere-zero"])
+    def test_unparsable_anchor_is_a_parse_error(self, tmp_path, doc, anchor, phrase):
+        code, out, err = run_cli(["repulsiveness", write_spec(tmp_path, "s.json", doc),
+                                  f"--anchor={anchor}"])
+        assert (code, out) == (3, "") and err.startswith("parse-error") and phrase in err
 
     def test_scaled_ginibre(self, tmp_path):
         doc = {"family": "ginibre", "params": {"alpha": 0.5, "beta": 1.5}}
@@ -393,6 +431,18 @@ class TestRepulsivenessCommand:
             code, out, err = run_cli(["repulsiveness", spec, "--profile-points", "3"] + argv)
             _, (_, rows) = parse_blocks(out)
             assert (code, err) == (0, "") and [row[0] for row in rows] == [0.0, end / 2, end]
+
+    @pytest.mark.parametrize("argv", [[], ["--profile-points", "64"],
+                                      ["--truncation-radius", "3"], ["--profile-max", "4"]],
+                             ids=["no-flags", "default-points", "radius", "profile-max"])
+    def test_default_profile_ends_at_forty_length_scales(self, tmp_path, argv):
+        # length scale sqrt(beta) = 0.1: the profile ends at 40 s = 4 whatever
+        # the quadrature's truncation radius, and --profile-max 4 says the same
+        doc = {"family": "ginibre", "params": {"alpha": 1, "beta": 0.01}}
+        code, out, err = run_cli(["repulsiveness", write_spec(tmp_path, "g.json", doc)] + argv)
+        _, (_, rows) = parse_blocks(out)
+        assert (code, err) == (0, "")
+        assert [row[0] for row in rows] == [float(f"{r:.12g}") for r in np.linspace(0.0, 4.0, 64)]
 
     def test_radius_beyond_uncapped_panels_exits_2(self, tmp_path):
         # 1e6 length scales would need wider panels than sin 2r allows

@@ -533,6 +533,22 @@ class TestSamplers:
             bits = sample_indicators(validate(0.5 * np.eye(n)), 1, 0)
             assert bits.shape == (0, n) and bits.dtype == bool
 
+    def test_pick_rounded_up_to_the_total_takes_the_last_site_with_mass(self):
+        # the coins are 0, so both eigenvectors of eigenvalue 0.5 are kept, and
+        # each pick's uniform is 1.0, as if u * total rounded up to the total:
+        # no cdf entry exceeds it, and the pick falls back to the last site
+        # whose residual mass is positive, never to site 3, which has none
+        class RoundedUp:
+            coins_drawn = False
+
+            def random(self, size):
+                coins, self.coins_drawn = not self.coins_drawn, True
+                return np.zeros(size) if coins else np.ones(size)
+
+        eig = validate(np.diag([0.5, 0.5, 0.0])).eig
+        bits = finite_dpp._spectral_block(eig.eigenvalues, eig.eigenvectors, 4, RoundedUp())
+        assert bits.tolist() == [[True, True, False]] * 4
+
     def test_subset_law_of_projection_with_three_points(self):
         # the third point is the first that depends on the Gram-Schmidt step
         rng = np.random.default_rng(41)

@@ -18,14 +18,15 @@ from palmdpp.kernel_core import (
     pair_correlation,
     palm_intensity_dominated,
     palm_kernel,
+    profile_coordinates,
     repulsiveness_p,
     sphere_surface_measure,
 )
 from palmdpp.model_zoo import (GinibreParams, finite_kernel, ginibre_kernel, jinc_kernel,
                                multiquadric, sphere_kernel, sphere_model, sphere_multiplicity,
-                               sphere_p)
+                               sphere_p, thin_rescale)
 
-from palmdpp.numerics import QuadratureError
+from palmdpp.numerics import QuadratureError, Tail
 
 from conftest import random_dpp_matrix
 
@@ -219,6 +220,28 @@ class TestRepulsiveness:
             repulsiveness_p(bare, np.zeros(2))
         with pytest.raises(QuadratureError, match="declares no tail"):
             moment_quadrature(bare, np.zeros(2), 0.5)
+        with pytest.raises(QuadratureError, match="declares no tail"):
+            profile_coordinates(bare)
+        assert profile_coordinates(bare, 3, 2.0).tolist() == [0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("kernel,args,want", [
+        (finite_kernel(np.diag([0.3, 0.7, 0.1])), (), [1, 2, 3]),
+        (multiquadric(0.5, 0.1)[1], (), np.linspace(0.0, math.pi, 64)),
+        (multiquadric(0.5, 0.1)[1], (3, 2.0), [0.0, math.pi / 2, math.pi]),
+        (ginibre_kernel(GinibreParams(1.0, 0.01)), (), np.linspace(0.0, 4.0, 64)),  # 40 s
+        (ginibre_kernel(GinibreParams(1.0, 1.0)), (), np.linspace(0.0, 10.0, 64)),
+        (jinc_kernel(2), (), np.linspace(0.0, 10.0, 64)),
+        (jinc_kernel(2), (3, 2.0), [0.0, 1.0, 2.0]),
+        (thin_rescale(jinc_kernel(2), 1.0, 1e-4), (), np.linspace(0.0, 4.0, 64)),  # 400 s
+    ], ids=["finite", "sphere", "sphere-points", "ginibre-small-scale", "ginibre", "jinc",
+            "jinc-points-and-end", "jinc-small-scale"])
+    def test_profile_coordinates(self, kernel, args, want):
+        # repulsiveness_p reports f_u where profile_coordinates lays it out by default
+        assert np.array_equal(profile_coordinates(kernel, *args), want)
+        space = kernel.space
+        anchor = {"finite": 1, "sphere": np.eye(space.size + 1)[-1]}.get(space.kind, ORIGIN)
+        report = repulsiveness_p(kernel, anchor)
+        assert [c for c, _ in report.density_profile] == profile_coordinates(kernel).tolist()
 
     def test_finite_diagonal(self, diag_kernel):
         report = repulsiveness_p(diag_kernel, 1, spec=None)
@@ -265,6 +288,15 @@ class TestRepulsiveness:
             for anchor in ([0.0, 0.0, 1.0], [0.6, 0.0, 0.8]):
                 report = repulsiveness_p(kernel, np.array(anchor))
                 assert abs(report.p_u - want) <= 1e-10 + report.quadrature_error
+
+    def test_modulus_above_the_bound_is_a_spectrum_violation(self):
+        # |K(u, v)|^2 = exp(-|u - v|^2) with K(u, u) = 1 gives p_u = pi > 1
+        k = Kernel(space=GroundSpace.euclidean(2),
+                   gram=lambda X, Y: np.exp(-0.5 * np.sum((X[:, None] - Y[None]) ** 2, axis=-1)),
+                   radial_abs_sq=lambda r: np.exp(-np.asarray(r) ** 2), tail=Tail("gaussian", 1.0))
+        with pytest.raises(ValidationError, match="exceeds 1") as exc:
+            repulsiveness_p(k, ORIGIN)
+        assert exc.value.token == "spectrum"
 
     def test_non_isotropic_rejected(self):
         k = Kernel(space=GroundSpace.euclidean(2),

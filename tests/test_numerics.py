@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from palmdpp.model_zoo import jinc_kernel
+from palmdpp.model_zoo import GinibreParams, ginibre_kernel, jinc_kernel
 from palmdpp.numerics import (
     QuadratureError,
     QuadratureSpec,
@@ -180,10 +180,14 @@ class TestIntegrateRadial:
             integrate_radial(lambda r: 1.0 / (1.0 + r), 0.0, binomial_tail(1.0, 4),
                              QuadratureSpec(truncation_radius=50.0))
 
-    def test_radius_required(self):
-        with pytest.raises(ValueError):
-            integrate_radial(lambda r: np.exp(-r ** 2), 0.0, Tail("gaussian", 1.0, amplitude=1.0),
-                             QuadratureSpec())
+    @pytest.mark.parametrize("kernel", [ginibre_kernel(GinibreParams(1.0, 0.25)), jinc_kernel(2)],
+                             ids=["ginibre", "jinc"])
+    def test_default_radius_is_the_tails(self, kernel):
+        # a spec without a radius truncates at the tail's default, bit for bit
+        g, tail = kernel.radial_abs_sq, kernel.tail
+        explicit = QuadratureSpec(truncation_radius=tail.default_radius())
+        assert (integrate_radial(g, 1.0, tail, QuadratureSpec())
+                == integrate_radial(g, 1.0, tail, explicit))
 
     def test_error_includes_rounding(self):
         # both rules agree to the last bit on this smooth integrand; the
@@ -233,6 +237,17 @@ class TestIntegrateRadial:
     def test_length_scale_must_be_positive(self):
         with pytest.raises(ValueError):
             Tail("gaussian", 0.0, amplitude=1.0)
+
+    @pytest.mark.parametrize("fields,match", [
+        ({"kind": "lorentz"}, "unknown tail kind"),
+        ({"kind": "power", "smooth": (1.0, 0.5), "sine": (0.0,), "cosine": (0.0,),
+          "bound": (0.0,)}, "one entry per power"),
+        ({"kind": "power", "smooth": (1.0,), "sine": (0.0,), "cosine": (0.0,),
+          "bound": (-1e-3,)}, "bounds must be >= 0"),
+    ], ids=["unknown-kind", "ragged-terms", "negative-bound"])
+    def test_malformed_tail_is_refused(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            Tail(scale=1.0, order=2.0, **fields)
 
     def test_spec_invariants(self):
         with pytest.raises(ValueError):
