@@ -16,7 +16,7 @@ from scipy import special
 from . import finite_dpp
 from .errors import SizeGuardError, ValidationError
 from .kernel_core import Kernel, check_point, radial_integral
-from .numerics import QuadratureSpec, circulant_eig, factor_eig
+from .numerics import QuadratureSpec, circulant_eig, factor_eig, reflection_eig
 
 __all__ = [
     "MomentResult",
@@ -224,15 +224,23 @@ def _sphere_table(k0, centers: np.ndarray, resolution: int, measure: float) -> n
     return _finite(table.reshape(resolution, resolution, longitudes), "the grid's kernel matrix")
 
 
+def _euclidean_table(radial, centers: np.ndarray, resolution: int, measure: float) -> np.ndarray:
+    # cells are in C order, so cell i_1 ... i_d lies i_k steps from cell 0 along each axis
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = radial(np.sqrt(np.sum((centers - centers[0]) ** 2, axis=1))) * measure
+    return _finite(table.reshape((resolution,) * centers.shape[1]), "the grid's kernel matrix")
+
+
 def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
     """Discretize a continuous kernel to cell centers.
 
     The grid matrix has entries K(c_i, c_j) * cell_measure, real when the
-    kernel is.  It is decomposed by one of three routes, and only the first
+    kernel is.  It is decomposed by one of four routes, and only the first
     forms it:
     - dense: finite_dpp.validate decomposes the Gram matrix once, for a
-      kernel that declares neither a grid factor that returns one nor a
-      sphere k0 (derived kernels such as palm_kernel's declare neither);
+      kernel that declares no grid factor that returns one, no sphere k0
+      and no Euclidean radial (derived kernels such as palm_kernel's declare
+      none of them);
     - series factor: when the kernel declares a grid factor and it returns
       one (an (n, m) phi with m < n, the Ginibre series),
       numerics.factor_eig takes the m eigenpairs from phi,
@@ -243,7 +251,13 @@ def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
       is block-circulant in the longitude; numerics.circulant_eig
       decomposes its resolution + 1 Fourier blocks from the
       resolution x resolution x 2 * resolution table of K0 values, and
-      finite_dpp.validate_eig takes the eigenpairs.
+      finite_dpp.validate_eig takes the eigenpairs;
+    - reflection blocks: a Euclidean kernel that declares radial is
+      stationary, K(v, w) = k(|v - w|), so its matrix on the uniform grid
+      commutes with reversing the cells along each axis;
+      numerics.reflection_eig decomposes its 2^d even/odd blocks from the
+      resolution^d table of k at every index difference, times the cell
+      measure, and finite_dpp.validate_eig takes the eigenpairs.
     All share a slack of 1e-3: leakage up to 1e-3 beyond [0, 1] is clamped
     and reported in dpp.clamp_report; worse leakage means the cells are too
     coarse for the kernel (near-projection kernels are the usual culprit).
@@ -277,6 +291,9 @@ def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
         elif space.kind == "sphere" and kernel.k0 is not None:
             dpp = finite_dpp.validate_eig(
                 circulant_eig(_sphere_table(kernel.k0, centers, resolution, measure)), slack=1e-3)
+        elif space.kind == "euclidean" and kernel.radial is not None:
+            dpp = finite_dpp.validate_eig(reflection_eig(
+                _euclidean_table(kernel.radial, centers, resolution, measure)), slack=1e-3)
         else:  # the Gram matrix goes in unnamed, so validate can free it before eigh
             dpp = finite_dpp.validate(_grid_gram(kernel, centers, measure), slack=1e-3)
     except ValidationError as exc:
@@ -302,6 +319,8 @@ def mc_validate_coupling(kernel: Kernel, u, window, resolution: int,
     with bins merged below 20 expected counts).
     """
     u = check_point(kernel.space, u)
+    if samples < 1:
+        raise ValidationError("param-bound", f"draws must be >= 1, got {samples}")
     grid = grid_discretize(kernel, window, resolution)
     site = _nearest_site(grid.centers, u)
     flow, table = finite_dpp.couple(grid.dpp, site)

@@ -166,13 +166,13 @@ def validate_eig(eig: HermitianEig, slack: float = 1e-6, dropped_trace: float = 
     eigenpairs (eigenvalues descending, orthonormal eigenvectors).
 
     validate passes its eigenpairs through it, and grid discretization
-    passes those of a thin factor or of Fourier blocks.
+    passes those of a thin factor, of Fourier blocks or of reflection blocks.
     dropped_trace is recorded in clamp_report as given.  matrix, the
     matrix the eigenpairs decompose, is kept unless an eigenvalue was
     clamped; without it, FiniteDpp.matrix is the spectral rebuild.
     """
     lam = eig.eigenvalues
-    if lam.min() < -slack or lam.max() > 1.0 + slack:
+    if not (lam.min() >= -slack and lam.max() <= 1.0 + slack):  # nan is refused too
         raise ValidationError("spectrum", "eigenvalues must lie in [0, 1]; found range "
                               f"[{lam.min():.6g}, {lam.max():.6g}]")
     clamped = np.clip(lam, 0.0, 1.0)
@@ -516,7 +516,9 @@ def sample_indicators(dpp: FiniteDpp, rng_seed: int, draws: int) -> np.ndarray:
 
 def sample_coupled_many(table: CouplingTable, rng_seed: int,
                         draws: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw many (S, T) pairs; returns (S array, T array) of bitmasks."""
+    """Draw many (S, T) pairs, at least one; returns (S array, T array) of bitmasks."""
+    if draws < 1:
+        raise ValidationError("param-bound", f"draws must be >= 1, got {draws}")
     rng = np.random.default_rng(rng_seed)
     order = np.lexsort((table.joint[:, 1], table.joint[:, 0]))  # pairs sorted by (S, T)
     pairs, w = table.joint[order], table.mass[order]
@@ -528,8 +530,6 @@ def sample_removals(table: CouplingTable, rng_seed: int,
                     draws: int) -> tuple[float, np.ndarray]:
     """Tally sample_coupled_many's draws, at least one: (share of draws that
     remove a point, float array of the removals at each site 1..n, from 0)."""
-    if draws < 1:
-        raise ValidationError("param-bound", f"draws must be >= 1, got {draws}")
     s_masks, t_masks = sample_coupled_many(table, rng_seed, draws)
     diff = s_masks ^ t_masks
     removed = np.frexp(diff[diff > 0])[1] - 1  # single-bit masks

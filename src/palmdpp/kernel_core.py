@@ -10,12 +10,18 @@ ground spaces:
 * the unit sphere S^d in R^(d+1) with surface measure (points are unit
   length-(d+1) arrays).
 
-Kernel is a frozen record of seven fields:
+Kernel is a frozen record of eight fields:
 
 * space: the GroundSpace.
 * gram(X, Y): the matrix [K(x_i, y_j)] for two point arrays, 1-based
   sites of shape (m,) on finite spaces, points of shape (m, d) or
   (m, d + 1) otherwise; evaluate and diagonal call it on one point each.
+* radial: vectorized r -> k(r), real, set exactly for stationary isotropic
+  Euclidean kernels, K(v, w) = k(|v - w|) (sinc, jinc and their thinned
+  forms; gram keeps its own closure).  Grid discretization reads it to
+  decompose a grid's matrix from its reflection blocks, from k at the
+  R^d index differences; kernels without it, such as palm_kernel's, take
+  the dense route.
 * radial_abs_sq: vectorized r -> |K(u, u + r e)|^2, set exactly when
   |K(u, v)| depends only on |u - v|; Euclidean quadrature needs it.
 * k0: vectorized t -> K0(t) with K(v, w) = K0(v . w), set exactly for
@@ -151,6 +157,7 @@ class Kernel:
 
     space: GroundSpace
     gram: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    radial: Callable[[np.ndarray], np.ndarray] | None = None
     radial_abs_sq: Callable[[np.ndarray], np.ndarray] | None = None
     k0: Callable[[np.ndarray], np.ndarray] | None = None
     tail: Tail | None = None
@@ -263,7 +270,12 @@ def profile_coordinates(kernel: Kernel, points: int | None = None,
     finite space, else `points` (default 64) angles from 0 to pi on the
     sphere, or radii from 0 to `end` on R^d, by default min(40 s, 10) for a
     Gaussian tail and min(400 s, 10) for a power one, s its length scale.
-    A finite space reads neither argument, and the sphere reads no `end`."""
+    A finite space reads neither argument, and the sphere reads no `end`;
+    a count below 1 or an end that is not finite and > 0 is refused."""
+    if points is not None and points < 1:
+        raise ValidationError("param-bound", f"the profile needs >= 1 points, got {points}")
+    if end is not None and not (math.isfinite(end) and end > 0):
+        raise ValidationError("param-bound", f"the profile's end must be finite and > 0, got {end}")
     space, tail = kernel.space, kernel.tail
     if space.kind == "finite":
         return np.arange(1, space.size + 1)

@@ -207,6 +207,7 @@ def jinc_kernel(d: int) -> Kernel:
     return Kernel(
         space=GroundSpace.euclidean(d),
         gram=gram,
+        radial=radial,
         radial_abs_sq=radial_abs_sq,
         tail=_SINC_TAIL if d == 1 else _JINC_TAIL,
         reference={"norm_sq": 1.0 / math.pi, "p_u": 1.0},
@@ -217,7 +218,8 @@ def thin_rescale(kernel: Kernel, alpha: float, beta: float) -> Kernel:
     """Independent thinning with retention alpha*beta, then rescaling.
 
     Produces the kernel alpha * K(v / beta^(1/d), w / beta^(1/d)); the
-    intensity scales by alpha and p_u by alpha*beta.
+    intensity scales by alpha and p_u by alpha*beta.  A stationary kernel
+    stays one, with radial alpha * k(r / beta^(1/d)).
     """
     if kernel.space.kind != "euclidean":
         raise ValidationError("param-bound", "thinning transform is for Euclidean kernels")
@@ -231,12 +233,15 @@ def thin_rescale(kernel: Kernel, alpha: float, beta: float) -> Kernel:
     def gram(X, Y, _g=kernel.gram, _a=alpha, _c=c):
         return _a * _g(X / _c, Y / _c)
 
+    radial = kernel.radial
+    if radial is not None:
+        radial = lambda r, _k=radial, _a=alpha, _c=c: _a * _k(np.asarray(r, dtype=float) / _c)
     radial_abs_sq = kernel.radial_abs_sq
     if radial_abs_sq is not None:
         radial_abs_sq = (lambda r, _f=radial_abs_sq, _a=alpha, _c=c:
                          _a ** 2 * _f(np.asarray(r, dtype=float) / _c))
     scale = {"p_u": alpha * beta, "norm_sq": alpha ** 2 * beta}
-    return Kernel(space=kernel.space, gram=gram, radial_abs_sq=radial_abs_sq,
+    return Kernel(space=kernel.space, gram=gram, radial=radial, radial_abs_sq=radial_abs_sq,
                   tail=kernel.tail and kernel.tail.rescaled(alpha ** 2, c),
                   reference={key: scale[key] * v for key, v in kernel.reference.items()})
 

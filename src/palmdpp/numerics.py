@@ -1,8 +1,9 @@
 """Shared numerical kernels.
 
 Series in normalized Gegenbauer polynomials, Hermitian
-eigendecomposition (of a matrix, of phi phi* from a thin factor phi, or
-of a real block-circulant matrix by its Fourier blocks), and quadrature
+eigendecomposition (of a matrix, of phi phi* from a thin factor phi, of
+a real block-circulant matrix by its Fourier blocks, or of a stationary
+grid matrix by its reflection blocks), and quadrature
 of radial integrals on (0, inf) against a declared tail and of polar
 ones on [0, pi].
 
@@ -40,6 +41,7 @@ __all__ = [
     "hermitian_eig",
     "integrate_polar",
     "integrate_radial",
+    "reflection_eig",
 ]
 
 # Quadrature geometry, in the tail's length scale s: a Gauss-Jacobi cell
@@ -283,6 +285,90 @@ def circulant_eig(table) -> HermitianEig:
     modes *= np.where(single[block], math.sqrt(1.0 / N), math.sqrt(2.0 / N))[:, None]
     V = np.empty((R * N, block.size))
     np.multiply(X[block, :, col].T[:, None, :], modes.T[None, :, :], out=V.reshape(R, N, -1))
+    return HermitianEig(eigenvalues=lam[order], eigenvectors=V)
+
+
+def _reflection_blocks(table) -> tuple[np.ndarray, np.ndarray]:
+    """reflection_eig's (2^d, c^d, c^d) blocks, padded, and the (2^d, c^d)
+    mask of their dropped indices."""
+    d, R = table.ndim, table.shape[0]
+    c = (R + 1) // 2
+    p = np.arange(c)
+    near, far = np.abs(p[:, None] - p), np.abs(p[:, None] + p - (R - 1))
+    middle = 2 * p == R - 1
+    s_even, s_odd = np.where(middle, math.sqrt(0.5), 1.0), np.where(middle, 0.0, 1.0)
+    # block b is odd along axis k when bit k of b is set; B is laid out
+    # (block, p_1, q_1, ..., p_d, q_d), and kept[b] is 0 where an index is dropped
+    B, kept = table[None], np.ones((1, 1))
+    for axis in range(1, 2 * d, 2):
+        t_near, t_far = np.take(B, near, axis=axis), np.take(B, far, axis=axis)
+        trail = (1,) * (t_near.ndim - axis - 2)
+        B = np.concatenate([(t_near + t_far) * np.outer(s_even, s_even).reshape(c, c, *trail),
+                            (t_near - t_far) * np.outer(s_odd, s_odd).reshape(c, c, *trail)])
+        kept = np.concatenate([np.kron(kept, s_even), np.kron(kept, s_odd)])
+    m = c ** d
+    B = B.transpose(0, *range(1, 2 * d, 2), *range(2, 2 * d + 1, 2)).reshape(2 ** d, m, m)
+    dropped = kept == 0.0
+    if dropped.any():
+        reach = float(np.abs(B).sum(axis=-1).max())
+        diag = np.arange(m)
+        B[:, diag, diag] = np.where(dropped, -2.0 * reach if reach > 0.0 else -1.0,
+                                    B[:, diag, diag])
+    return B, dropped
+
+
+def reflection_eig(table) -> HermitianEig:
+    """Eigendecomposition of the real symmetric R^d x R^d matrix M with
+    M[i, j] = table[|i_1 - j_1|, ..., |i_d - j_d|] for multi-indices i, j in
+    {0, ..., R - 1}^d, rows in C order, from the (R,) * d table (a stationary
+    kernel even in each axis on a uniform grid).
+
+    M commutes with reversing any axis, i_k -> R - 1 - i_k, so it splits into
+    2^d blocks on the vectors even or odd under each reversal (Cantoni &
+    Butler 1976).  Along one axis, for p, q < c = ceil(R / 2), the even block
+    is t(|p - q|) + t(|p + q - R + 1|) and the odd one their difference.
+    When R is odd the middle index is its own mirror: its even basis vector
+    is the unit vector there (a 1/sqrt 2 on its row and column) and its odd
+    one vanishes, so that row and column of the odd block are dropped.  The
+    blocks are padded to c^d and decomposed by one batched eigh.  A dropped
+    index gets the diagonal -2 g, with g the largest absolute row sum of the
+    blocks (-1 when they vanish): below every eigenvalue of its block by
+    Gershgorin's theorem, so its eigenpair comes first there and is
+    discarded, yet within twice the blocks' norm, so eigh's rounding stays
+    at their scale.  Eigenvalues come descending, exact ties in a fixed
+    order (a stable sort), and the block eigenvectors are unfolded into one
+    (R^d, R^d) array in that order.
+    """
+    d, R = table.ndim, table.shape[0]
+    c = (R + 1) // 2
+    n, m = R ** d, c ** d
+    B, dropped = _reflection_blocks(table)
+    w, X = np.linalg.eigh(B)
+    del B  # freed before V is built: 32 MiB of the peak at 64 x 64 cells
+    # one entry per kept eigenvector: its block and its column there (eigh's
+    # are ascending, so the last comes first)
+    skip = dropped.sum(axis=1)
+    block = np.repeat(np.arange(2 ** d), m - skip)
+    col = np.concatenate([np.arange(m - 1, k - 1, -1) for k in skip])
+    lam = w[block, col]
+    order = np.argsort(-lam, kind="stable")
+    block, col = block[order], col[order]
+    # row i of M takes the block row of its folded index, times one weight
+    # per axis: 1/sqrt 2, negated above the middle of an odd axis; the
+    # middle itself 1 on an even axis and 0 on an odd one
+    i = np.arange(R)
+    fold = np.minimum(i, R - 1 - i)
+    w_even = np.where(i == R - 1 - i, 1.0, math.sqrt(0.5))
+    w_odd = np.where(i == R - 1 - i, 0.0, np.where(i < R - 1 - i, 1.0, -1.0) * math.sqrt(0.5))
+    folded = np.zeros(1, dtype=int)
+    for _ in range(d):
+        folded = (folded[:, None] * c + fold).ravel()
+    V = X[block, folded[:, None], col]  # V[i, j] = X[block[j], folded[i], col[j]], one gather
+    del X
+    grid = V.reshape((R,) * d + (n,))
+    for k in range(d):
+        weight = np.where((block >> k & 1)[:, None] == 1, w_odd, w_even).T
+        grid *= weight.reshape((1,) * k + (R,) + (1,) * (d - 1 - k) + (n,))
     return HermitianEig(eigenvalues=lam[order], eigenvectors=V)
 
 

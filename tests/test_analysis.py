@@ -292,12 +292,13 @@ class TestGridDiscretize:
         assert np.max(np.abs(rebuilt - grid.dpp.matrix)) < 1e-12
 
     def test_one_eigendecomposition_per_grid_and_none_per_draw(self, monkeypatch):
+        # a 10 x 10 jinc grid: one batched eigh of its four 25 x 25 reflection blocks
         calls = count_eig_calls(monkeypatch)
         clean = grid_discretize(thin_rescale(jinc_kernel(2), 0.8, 0.8),
                                 (-3.0, 3.0, -3.0, 3.0), 10)
-        assert not clean.dpp.clamp_report and calls == [("eigh", (100, 100))]
+        assert not clean.dpp.clamp_report and calls == [("eigh", (4, 25, 25))]
         sample_indicators(clean.dpp, 3, 70)
-        assert calls == [("eigh", (100, 100))]
+        assert calls == [("eigh", (4, 25, 25))]
         calls.clear()
         clamped = grid_discretize(leaky_ginibre(), (-3.0, 3.0, -3.0, 3.0), 12)
         assert clamped.dpp.clamp_report and [name for name, _ in calls] == ["svd"]
@@ -382,13 +383,15 @@ class TestGridDiscretize:
         sample_indicators(grid.dpp, 3, 70)
         assert len(calls) == 1 and grid.dpp._matrix is None
 
-    def test_sphere_palm_kernel_takes_the_dense_route(self, monkeypatch):
-        # a derived kernel declares no k0, so its grid decomposes the Gram matrix
-        _, base = multiquadric(0.5, 0.1)
-        u = np.array([0.0, 0.6, 0.8])
+    @pytest.mark.parametrize("base,u,window,resolution", [
+        (multiquadric(0.5, 0.1)[1], np.array([0.0, 0.6, 0.8]), None, 3),
+        (thin_rescale(jinc_kernel(2), 0.8, 0.8), np.array([0.3, -0.2]), (-2.0, 2.0, -2.0, 2.0), 6),
+    ], ids=["sphere", "jinc"])
+    def test_palm_kernel_takes_the_dense_route(self, monkeypatch, base, u, window, resolution):
+        # a derived kernel declares no k0 and no radial, so its grid decomposes the Gram matrix
         calls = count_eig_calls(monkeypatch)
-        grid = grid_discretize(palm_kernel(base, u), None, 3)
-        assert calls == [("eigh", (18, 18))]
+        grid = grid_discretize(palm_kernel(base, u), window, resolution)
+        assert calls == [("eigh", (grid.dpp.n, grid.dpp.n))]
         c, ku = grid.centers, base.evaluate(u, u)
         want = np.array([[base.evaluate(v, w) - base.evaluate(v, u) * base.evaluate(u, w) / ku
                           for w in c] for v in c]).real * grid.cell_measure
@@ -484,6 +487,60 @@ class TestGridFactor:
             grid_discretize(kernel, (0.0, 1e308, 0.0, 1e308), 3)
 
 
+# (d, first cell center, step per axis): centred and off-centre windows, equal and unequal steps
+REFLECTION_GRIDS = [(1, (-2.0,), (0.4,)), (1, (0.3,), (0.55,)),
+                    (2, (-1.5, -1.5), (0.3, 0.3)), (2, (-1.1, 0.7), (0.45, 0.6))]
+
+
+def reflection_window(lower, steps, resolution):
+    return tuple(x for lo, h in zip(lower, steps) for x in (lo, lo + h * resolution))
+
+
+class TestReflectionBlocks:
+    @pytest.mark.parametrize("resolution", [1, 2, 3, 4, 5, 10, 11])
+    @pytest.mark.parametrize("d,lower,steps", REFLECTION_GRIDS)
+    def test_block_spectrum_matches_the_dense_eigh(self, d, lower, steps, resolution):
+        # eigenvalues within 1e-13 of the Gram matrix's dense eigh, and
+        # V diag(lam) V^T within 1e-14 of it, relative to its norm lam[0]
+        kernel = thin_rescale(jinc_kernel(d), 0.9, 0.8)
+        grid = grid_discretize(kernel, reflection_window(lower, steps, resolution), resolution)
+        gram = kernel.gram(grid.centers, grid.centers) * grid.cell_measure
+        lam, V = grid.dpp.eig.eigenvalues, grid.dpp.eig.eigenvectors
+        assert not grid.dpp.clamp_report and grid.dpp._matrix is None
+        assert np.max(np.abs(lam - np.linalg.eigvalsh(gram)[::-1])) <= 1e-13
+        assert np.max(np.abs((V * lam) @ V.T - gram)) <= 1e-14 * lam[0]
+        assert np.max(np.abs(V.T @ V - np.eye(grid.dpp.n))) <= 1e-13
+
+    @pytest.mark.parametrize("d,resolution,block", [(1, 12, 6), (1, 13, 7), (2, 10, 25),
+                                                    (2, 11, 36)])
+    def test_grid_takes_one_batched_block_eigh(self, monkeypatch, d, resolution, block):
+        # 2^d blocks of ceil(R / 2)^d; an odd R pads the odd blocks to that size
+        calls = count_eig_calls(monkeypatch)
+        grid = grid_discretize(jinc_kernel(d), (-2.0, 2.0) * d, resolution)
+        assert calls == [("eigh", (2 ** d, block, block))]
+        assert grid.dpp.eig.eigenvalues.size == grid.dpp.n == resolution ** d
+
+    def test_blocks_beyond_double_precision_are_refused_like_the_dense_route(self):
+        # every entry 1e307: the blocks' row sums overflow, so the odd blocks'
+        # eigenvalues are nan, and the spectrum gate refuses them as it
+        # refuses the dense route's 9e307
+        flat = Kernel(space=GroundSpace.euclidean(2),
+                      gram=lambda X, Y: np.full((len(X), len(Y)), 1e307),
+                      radial=lambda r: np.full(np.shape(r), 1e307))
+        for kernel in (flat, replace(flat, radial=None)):
+            with pytest.raises(ValidationError) as err:
+                grid_discretize(kernel, (0.0, 3.0, 0.0, 3.0), 3)
+            assert err.value.token == "spectrum"
+
+    def test_overflowing_table_is_an_overflow(self):
+        kernel = jinc_kernel(2)
+        huge = replace(kernel, radial=lambda r, _k=kernel.radial: 1e308 * _k(r) * 1e10)
+        with pytest.raises(OverflowError, match="the grid's kernel matrix"):
+            grid_discretize(huge, (-1.0, 1.0, -1.0, 1.0), 3)
+        with pytest.raises(OverflowError):
+            grid_discretize(kernel, (0.0, 1e308, 0.0, 1e308), 3)
+
+
 SPHERE_KERNELS = {
     "multiquadric": lambda: multiquadric(0.5, 0.1)[1],
     "sphere-coefficients": lambda: sphere_kernel(sphere_model(2, 0.1, [0.5, 0.3, 0.2])),
@@ -543,3 +600,14 @@ class TestMcValidateCoupling:
         with pytest.raises(SizeGuardError):
             mc_validate_coupling(ginibre_kernel(GinibreParams(1.0, 1.0)), ORIGIN,
                                  (-1.0, 1.0, -1.0, 1.0), 5, samples=100, rng_seed=1)
+
+    def test_sample_count_is_refused_before_the_grid(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("grid discretized for a refused sample count")
+
+        monkeypatch.setattr(analysis, "grid_discretize", refuse)
+        for samples in (0, -5):
+            with pytest.raises(ValidationError) as err:
+                mc_validate_coupling(ginibre_kernel(GinibreParams(1.0, 1.0)), ORIGIN,
+                                     (-1.0, 1.0, -1.0, 1.0), 3, samples=samples, rng_seed=1)
+            assert err.value.token == "param-bound" and "draws" in str(err.value)

@@ -12,7 +12,8 @@ import pytest
 import palmdpp
 from palmdpp import analysis, finite_dpp, model_zoo
 from palmdpp.errors import ValidationError
-from palmdpp.kernel_core import GroundSpace, Kernel, palm_kernel, repulsiveness_p
+from palmdpp.kernel_core import (GroundSpace, Kernel, palm_kernel, profile_coordinates,
+                                 repulsiveness_p)
 from palmdpp.numerics import Tail
 
 MODULES = [f"palmdpp.{info.name}" for info in pkgutil.iter_modules(palmdpp.__path__)
@@ -63,6 +64,16 @@ REFUSED_CALLS = {
         finite_dpp.couple(finite_dpp.validate(np.diag([0.3, 0.7])), 1)[1], 0, 0)),
     "indicators-negative-draws": ("draws", lambda: finite_dpp.sample_indicators(
         finite_dpp.validate(np.diag([0.3, 0.7])), 0, -1)),
+    "coupled-no-draws": ("draws", lambda: finite_dpp.sample_coupled_many(
+        finite_dpp.couple(finite_dpp.validate(np.diag([0.3, 0.7])), 1)[1], 0, 0)),
+    "coupled-negative-draws": ("draws", lambda: finite_dpp.sample_coupled_many(
+        finite_dpp.couple(finite_dpp.validate(np.diag([0.3, 0.7])), 1)[1], 0, -1)),
+    "profile-no-points": ("points", lambda: profile_coordinates(_ginibre(), 0)),
+    "profile-negative-points": ("points", lambda: profile_coordinates(_sphere(), -1)),
+    "profile-negative-end": ("end", lambda: profile_coordinates(model_zoo.jinc_kernel(2), 3, -5.0)),
+    "profile-zero-end": ("end", lambda: profile_coordinates(_ginibre(), 3, 0.0)),
+    "profile-nan-end": ("end", lambda: profile_coordinates(_ginibre(), None, math.nan)),
+    "profile-inf-end": ("end", lambda: profile_coordinates(_ginibre(), 3, math.inf)),
     "profile-site-0": ("site 0", lambda: repulsiveness_p(_finite2(), 1,
                                                          profile_coords=[0, 1, 2])),
     "profile-site-3": ("site 3", lambda: repulsiveness_p(_finite2(), 1, profile_coords=[3])),

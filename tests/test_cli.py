@@ -722,6 +722,14 @@ class TestSampleCommand:
         assert (code, out) == (2, "") and err.startswith("validation-error[spectrum]")
         assert "1.00697" in err and "raise the resolution" in err
 
+    def test_coarse_jinc_grid_exits_spectrum(self, tmp_path):
+        # 2 x 2 cells, 4 / pi on the diagonal: eigenvalues 1.04109 to 1.4213
+        doc = {"family": "jinc"}
+        code, out, err = run_cli(["sample", write_spec(tmp_path, "j.json", doc),
+                                  "--window=-2,2,-2,2", "--resolution", "2"])
+        assert (code, out) == (2, "") and err.startswith("validation-error[spectrum]")
+        assert "[1.04109, 1.4213]" in err and "raise the resolution" in err
+
     def test_huge_resolution_is_guarded_before_allocating(self, tmp_path):
         # 10^12 cells; the centers alone would take terabytes
         spec = write_spec(tmp_path, "g.json", GINIBRE_SPEC)

@@ -19,6 +19,7 @@ from palmdpp.numerics import (
     hermitian_eig,
     integrate_polar,
     integrate_radial,
+    reflection_eig,
 )
 
 from conftest import random_hermitian
@@ -115,6 +116,20 @@ class TestHermitianEig:
         eig = circulant_eig(table)
         lam, V = eig.eigenvalues, eig.eigenvectors
         assert np.all(np.diff(lam) <= 0) and V.dtype == np.float64
+        assert np.max(np.abs(lam - np.linalg.eigvalsh(M)[::-1])) <= 1e-12
+        assert np.max(np.abs((V * lam) @ V.T - M)) <= 1e-12
+        assert np.max(np.abs(V.T @ V - np.eye(M.shape[0]))) <= 1e-12
+
+    @pytest.mark.parametrize("d,size", [(1, 1), (1, 2), (1, 5), (1, 8), (2, 1), (2, 2), (2, 3),
+                                        (2, 6), (2, 7)])
+    def test_reflection_eig_decomposes_the_stationary_matrix(self, d, size):
+        rng = np.random.default_rng(10 * d + size)
+        table = rng.normal(size=(size,) * d)
+        index = np.indices((size,) * d).reshape(d, -1)  # the multi-index of each row, C order
+        M = table[tuple(np.abs(index[:, :, None] - index[:, None, :]))]
+        eig = reflection_eig(table)
+        lam, V = eig.eigenvalues, eig.eigenvectors
+        assert np.all(np.diff(lam) <= 0) and V.dtype == np.float64 and V.shape == M.shape
         assert np.max(np.abs(lam - np.linalg.eigvalsh(M)[::-1])) <= 1e-12
         assert np.max(np.abs((V * lam) @ V.T - M)) <= 1e-12
         assert np.max(np.abs(V.T @ V - np.eye(M.shape[0]))) <= 1e-12

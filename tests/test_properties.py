@@ -268,6 +268,34 @@ def test_sphere_block_route_matches_the_dense_route(delta, share, resolution):
         assert np.max(np.abs((V * lam) @ V.T - gram)) <= 1e-14 * np.max(np.abs(gram)) + noise
 
 
+@given(d=st.sampled_from([1, 2]), beta=st.floats(min_value=0.2, max_value=1.0),
+       share=st.floats(min_value=0.01, max_value=1.0),
+       steps=st.tuples(st.floats(min_value=0.1, max_value=1.5),
+                       st.floats(min_value=0.1, max_value=1.5)),
+       lower=st.tuples(st.floats(min_value=-6.0, max_value=3.0),
+                       st.floats(min_value=-6.0, max_value=3.0)),
+       resolution=st.integers(1, 12))
+def test_reflection_route_matches_the_dense_route(d, beta, share, steps, lower, resolution):
+    # alpha * beta = share <= 1; coarse cells leak past 1, and both routes
+    # must then clamp or refuse alike
+    kernel = thin_rescale(jinc_kernel(d), share / beta, beta)
+    window = tuple(x for lo, h in zip(lower[:d], steps[:d]) for x in (lo, lo + h * resolution))
+    try:
+        dense = grid_discretize(replace(kernel, radial=None), window, resolution)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as err:
+            grid_discretize(kernel, window, resolution)
+        assert err.value.token == exc.token
+        return
+    grid = grid_discretize(kernel, window, resolution)
+    lam, V = grid.dpp.eig.eigenvalues, grid.dpp.eig.eigenvectors
+    assert np.max(np.abs(lam - dense.dpp.eig.eigenvalues)) <= 1e-13
+    assert grid.dpp.clamp_report.n_clamped == dense.dpp.clamp_report.n_clamped
+    if not grid.dpp.clamp_report:  # within 1e-14 of the matrix's norm, its top eigenvalue
+        gram = dense.dpp.matrix
+        assert np.max(np.abs((V * lam) @ V.T - gram)) <= 1e-14 * lam[0]
+
+
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
