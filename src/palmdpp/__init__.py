@@ -22,7 +22,6 @@ from .finite_dpp import (
     couple,
     coupling_feasible,
     dilate,
-    inclusion_prob,
     p_u_finite,
     palm_eigenvector,
     palm_matrix,
@@ -38,10 +37,6 @@ from .kernel_core import (
     GroundSpace,
     Kernel,
     RepulsivenessReport,
-    displacement_intensity,
-    joint_intensity,
-    pair_correlation,
-    palm_intensity_dominated,
     palm_kernel,
     profile_coordinates,
     radial_integral,

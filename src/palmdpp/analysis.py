@@ -122,8 +122,8 @@ def ginibre_moment(k: float, rho: float) -> float:
     Gamma(1 + k/2) / (pi rho)^(k/2), finite for every k > -2.
     """
     _check_order(k)
-    if rho <= 0:
-        raise ValueError("intensity must be > 0")
+    if not 0 < rho < math.inf:
+        raise ValidationError("param-bound", "intensity must be finite and > 0")
     return math.gamma(1.0 + k / 2.0) / (math.pi * rho) ** (k / 2.0)
 
 
@@ -166,6 +166,8 @@ def radial_profile(kernel: Kernel, u, radii) -> RadialProfile:
     """Density of |Z_u - u| on a radius grid: 2 pi r f_u(r) on the plane."""
     radial, norm_sq = _displacement_radial(kernel, u)
     radii = np.asarray(radii, dtype=float)
+    if not np.all((radii >= 0) & (radii < np.inf)):
+        raise ValidationError("param-bound", "radii must be finite and >= 0")
     with np.errstate(over="ignore", invalid="ignore"):
         density = 2.0 * math.pi * radii * radial(radii) / norm_sq
     return RadialProfile(radii=radii, density=_finite(density, "the displacement density",

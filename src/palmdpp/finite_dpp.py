@@ -29,7 +29,6 @@ __all__ = [
     "CouplingTable",
     "validate",
     "validate_eig",
-    "inclusion_prob",
     "subset_law",
     "palm_matrix",
     "p_u_finite",
@@ -101,10 +100,6 @@ class SubsetLaw:
     def prob(self, mask: int) -> float:
         return float(self.probs[mask])
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.probs.sum())
-
 
 @dataclass(frozen=True)
 class DilationPair:
@@ -153,6 +148,8 @@ def validate(matrix, slack: float = 1e-6) -> FiniteDpp:
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
         raise ValidationError("param-bound", "kernel matrix must be square and nonempty")
     scale = 1.0 + float(np.max(np.abs(M)))
+    if not np.isfinite(scale):  # inf or nan exactly when some entry is
+        raise ValidationError("param-bound", "kernel matrix entries must be finite")
     if float(np.max(np.abs(M - M.conj().T))) > 1e-10 * scale:
         raise ValidationError("non-hermitian", "kernel matrix is not Hermitian")
     del matrix  # frees the caller's unsymmetrized array before eigh, unless it holds it
@@ -197,19 +194,6 @@ def _anchor(dpp: FiniteDpp, u: int) -> tuple[int, float]:
     if kuu <= 1e-12:
         raise ValidationError("anchor", f"kernel diagonal vanishes at site {u}")
     return i, kuu
-
-
-def _mask_indices(mask: int, n: int) -> list[int]:
-    return [i for i in range(n) if mask >> i & 1]
-
-
-def inclusion_prob(dpp: FiniteDpp, subset_mask: int) -> float:
-    """P(A subset X) = det K_A for the sites marked in subset_mask."""
-    if subset_mask <= 0 or subset_mask >= 1 << dpp.n:
-        raise ValidationError("param-bound", "subset mask must be nonempty and within range")
-    idx = _mask_indices(subset_mask, dpp.n)
-    det = float(np.real(np.linalg.det(dpp.matrix[np.ix_(idx, idx)])))
-    return min(max(det, 0.0), 1.0)
 
 
 def _conditioned(rest: np.ndarray, cr: np.ndarray, factor: np.ndarray) -> np.ndarray:
@@ -425,8 +409,11 @@ def xi_law(table: CouplingTable, dpp: FiniteDpp, u: int) -> tuple[float, np.ndar
 
     Returns (p, density) where p is the mass of pairs differing in one
     site and density[v-1] is the conditional probability that the
-    removed point sits at site v.  u must be the table's anchor.
+    removed point sits at site v.  u must be the table's anchor, and dpp
+    must have the table's site count.
     """
+    if dpp.n != table.n:
+        raise ValidationError("param-bound", "table and kernel live on different site counts")
     _site_index(dpp, u)
     if u != table.anchor:
         raise ValidationError("param-bound",

@@ -65,11 +65,7 @@ __all__ = [
     "RepulsivenessReport",
     "sphere_surface_measure",
     "check_point",
-    "joint_intensity",
-    "pair_correlation",
     "palm_kernel",
-    "displacement_intensity",
-    "palm_intensity_dominated",
     "profile_coordinates",
     "radial_integral",
     "repulsiveness_p",
@@ -108,14 +104,6 @@ class GroundSpace:
     @staticmethod
     def sphere(d: int) -> "GroundSpace":
         return GroundSpace("sphere", d)
-
-    @property
-    def total_measure(self) -> float:
-        if self.kind == "finite":
-            return float(self.size)
-        if self.kind == "sphere":
-            return sphere_surface_measure(self.size)
-        return math.inf
 
 
 def check_point(space: GroundSpace, point: Any) -> Any:
@@ -189,33 +177,6 @@ class RepulsivenessReport:
     density_profile: list[tuple[float, float]]
 
 
-def joint_intensity(kernel: Kernel, points: Sequence[Any]) -> float:
-    """n-point joint intensity det{K(u_i, u_j)} for up to 12 points."""
-    if not 1 <= len(points) <= 12:
-        raise ValidationError("param-bound", "joint_intensity takes 1..12 points")
-    pts = np.asarray([check_point(kernel.space, p) for p in points])
-    det = complex(np.linalg.det(kernel.gram(pts, pts)))
-    if abs(det.imag) > 1e-9 * (1.0 + abs(det.real)):
-        raise ValidationError("non-hermitian",
-                              f"Gram determinant has imaginary part {det.imag:.3e}")
-    val = det.real
-    if val < -1e-10:
-        raise ValidationError("spectrum",
-                              f"joint intensity {val:.3e} is materially negative")
-    return max(val, 0.0)
-
-
-def pair_correlation(kernel: Kernel, u, v) -> float:
-    """Pair correlation g(u, v) = 1 - |r(u, v)|^2, with the 0/0 = 0 rule."""
-    u, v = check_point(kernel.space, u), check_point(kernel.space, v)
-    ku = kernel.diagonal(u)
-    kv = kernel.diagonal(v)
-    if ku <= 0.0 or kv <= 0.0:
-        return 0.0
-    r2 = abs(kernel.evaluate(u, v)) ** 2 / (ku * kv)
-    return min(max(1.0 - r2, 0.0), 1.0 + 1e-10)
-
-
 def _require_intensity(kernel: Kernel, u) -> float:
     ku = kernel.diagonal(u)
     if ku <= _DIAG_EPS:
@@ -233,22 +194,6 @@ def palm_kernel(kernel: Kernel, u) -> Kernel:
         return _base(X, Y) - _base(X, _u) @ _base(_u, Y) / _ku
 
     return Kernel(space=kernel.space, gram=gram)
-
-
-def displacement_intensity(kernel: Kernel, u, v) -> float:
-    """Intensity rho_u(v) = |K(u, v)|^2 / K(u, u) of the removed point."""
-    u, v = check_point(kernel.space, u), check_point(kernel.space, v)
-    ku = _require_intensity(kernel, u)
-    return abs(kernel.evaluate(u, v)) ** 2 / ku
-
-
-def palm_intensity_dominated(kernel: Kernel, u, v) -> tuple[float, float]:
-    """(rho(v), rho^u(v)); the Palm intensity never exceeds the original."""
-    u, v = check_point(kernel.space, u), check_point(kernel.space, v)
-    ku = _require_intensity(kernel, u)
-    rho = kernel.diagonal(v)
-    rho_u = rho - abs(kernel.evaluate(v, u)) ** 2 / ku
-    return rho, max(rho_u, 0.0)
 
 
 def radial_integral(kernel: Kernel, power: float, factor: float,

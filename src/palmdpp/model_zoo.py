@@ -294,16 +294,16 @@ def sphere_model(d: int, rho: float, beta_coeffs: Sequence[float],
     """
     if d < 1:
         raise ValidationError("param-bound", "sphere dimension must be >= 1")
-    if rho <= 0:
+    if not rho > 0:
         raise ValidationError("param-bound", "intensity must be > 0")
     beta = np.asarray(beta_coeffs, dtype=float)
     l_max = beta.size - 1
-    if np.any(beta < 0):
+    if not np.all(beta >= 0):
         raise ValidationError("param-bound", "coefficients must be nonnegative")
-    if tail_bound < 0:
+    if not tail_bound >= 0:
         raise ValidationError("param-bound", "tail_bound must be >= 0")
     total = float(beta.sum())
-    if abs(total + tail_bound - 1.0) > 1e-9:
+    if not abs(total + tail_bound - 1.0) <= 1e-9:
         raise ValidationError(
             "param-bound",
             f"coefficients plus declared tail account for {total + tail_bound:.12g}, not 1")

@@ -98,6 +98,21 @@ REFUSED_CALLS = {
     "sphere-model-negative-tail": ("tail_bound", lambda: model_zoo.sphere_model(
         2, 0.1, [0.5], tail_bound=-0.1)),
     "thin-sphere": ("Euclidean", lambda: model_zoo.thin_rescale(_sphere(), 1.0, 0.5)),
+    "xi-law-site-counts": ("site counts", lambda: finite_dpp.xi_law(
+        finite_dpp.couple(finite_dpp.validate(np.diag([0.3, 0.7])), 1)[1],
+        finite_dpp.validate(np.diag([0.3, 0.7, 0.5])), 1)),
+    "validate-inf-entry": ("finite", lambda: finite_dpp.validate([[math.inf, 0.0], [0.0, 0.5]])),
+    "validate-nan-entry": ("finite", lambda: finite_dpp.validate([[math.nan, 0.0], [0.0, 0.5]])),
+    "sphere-model-nan-rho": ("intensity", lambda: model_zoo.sphere_model(2, math.nan, [1.0])),
+    "sphere-model-nan-coefficient": ("nonnegative", lambda: model_zoo.sphere_model(
+        2, 0.01, [math.nan])),
+    "sphere-model-nan-tail": ("tail_bound", lambda: model_zoo.sphere_model(
+        2, 0.01, [1.0], tail_bound=math.nan)),
+    "ginibre-moment-nan-intensity": ("intensity", lambda: analysis.ginibre_moment(1.0, math.nan)),
+    "radial-profile-negative-radius": ("radii", lambda: analysis.radial_profile(
+        _ginibre(), np.zeros(2), [-1.0])),
+    "radial-profile-nan-radius": ("radii", lambda: analysis.radial_profile(
+        model_zoo.jinc_kernel(2), np.zeros(2), [math.nan])),
 }
 
 

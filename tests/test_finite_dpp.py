@@ -13,7 +13,6 @@ from palmdpp.finite_dpp import (
     couple,
     coupling_feasible,
     dilate,
-    inclusion_prob,
     p_u_finite,
     palm_eigenvector,
     palm_matrix,
@@ -157,21 +156,6 @@ class TestValidate:
         assert validate(DIAG.astype(complex)).matrix.dtype == np.complex128
 
 
-class TestInclusionProb:
-    def test_singleton(self):
-        assert abs(inclusion_prob(validate(DIAG), 0b01) - 0.3) < 1e-15
-
-    def test_independent_pair(self):
-        assert abs(inclusion_prob(validate(DIAG), 0b11) - 0.21) < 1e-15
-
-    def test_rank_one_cannot_hold_two(self):
-        assert inclusion_prob(validate(PROJ1), 0b11) == 0.0
-
-    def test_empty_mask_rejected(self):
-        with pytest.raises(ValidationError):
-            inclusion_prob(validate(DIAG), 0)
-
-
 class TestSubsetLaw:
     def test_independent_diagonal(self):
         law = subset_law(validate(DIAG))
@@ -195,12 +179,13 @@ class TestSubsetLaw:
             n = int(rng.integers(2, 8))
             dpp = validate(random_dpp_matrix(rng, n))
             law = subset_law(dpp)
-            assert abs(law.total_mass - 1.0) < 1e-9
-            # P(A subset X) recovered by summing the law over supersets
+            assert abs(law.probs.sum() - 1.0) < 1e-9
+            # P(A subset X) = det K_A recovered by summing the law over supersets
             for _ in range(3):
                 a = int(rng.integers(1, 1 << n))
                 total = sum(law.prob(s) for s in range(1 << n) if s & a == a)
-                assert abs(total - inclusion_prob(dpp, a)) < 1e-8
+                idx = [i for i in range(n) if a >> i & 1]
+                assert abs(total - np.linalg.det(dpp.matrix[np.ix_(idx, idx)]).real) < 1e-8
 
     def test_palm_law_is_conditional_law(self):
         # the law of the Palm matrix is the conditional law given u in X

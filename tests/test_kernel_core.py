@@ -13,10 +13,6 @@ from palmdpp.kernel_core import (
     GroundSpace,
     Kernel,
     check_point,
-    displacement_intensity,
-    joint_intensity,
-    pair_correlation,
-    palm_intensity_dominated,
     palm_kernel,
     profile_coordinates,
     repulsiveness_p,
@@ -48,7 +44,6 @@ class TestSpacesAndPoints:
     def test_sphere_measure(self):
         assert abs(sphere_surface_measure(2) - 4.0 * math.pi) < 1e-14
         assert abs(sphere_surface_measure(1) - 2.0 * math.pi) < 1e-14
-        assert abs(GroundSpace.sphere(2).total_measure - 4.0 * math.pi) < 1e-14
 
     def test_point_validation(self):
         space = GroundSpace.finite(3)
@@ -65,52 +60,6 @@ class TestSpacesAndPoints:
     def test_bad_space(self):
         with pytest.raises(ValueError):
             GroundSpace("lattice", 2)
-
-    @pytest.mark.parametrize("fn", [pair_correlation, displacement_intensity,
-                                    palm_intensity_dominated])
-    @pytest.mark.parametrize("u,v", [(0, 1), (3, 1), (1, 0), (1, 3)])
-    def test_pair_functions_reject_sites_outside(self, diag_kernel, fn, u, v):
-        # site 0 must not read site n by negative indexing, nor n + 1 run off the end
-        with pytest.raises(ValidationError) as err:
-            fn(diag_kernel, u, v)
-        assert err.value.token == "param-bound"
-
-
-class TestJointIntensity:
-    def test_single_point_is_diagonal(self, ginibre):
-        assert abs(joint_intensity(ginibre, [ORIGIN]) - 1.0 / math.pi) < 1e-15
-
-    def test_repeated_points_vanish(self, ginibre):
-        assert joint_intensity(ginibre, [E1, E1]) == 0.0
-
-    def test_standard_ginibre_pair(self, ginibre):
-        # 2x2 determinant expands to (1 - e^-1) / pi^2
-        want = (1.0 - math.exp(-1.0)) / math.pi ** 2
-        assert abs(joint_intensity(ginibre, [ORIGIN, E1]) - want) < 1e-15
-
-    def test_bounded_by_diagonal_product(self, ginibre):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            pts = [rng.normal(size=2) for _ in range(int(rng.integers(2, 5)))]
-            det = joint_intensity(ginibre, pts)
-            prod = float(np.prod([ginibre.diagonal(p) for p in pts]))
-            assert det <= prod + 1e-9
-
-
-class TestPairCorrelation:
-    def test_same_point(self, ginibre):
-        assert pair_correlation(ginibre, ORIGIN, ORIGIN) == 0.0
-
-    def test_diagonal_kernel_is_poisson_like(self, diag_kernel):
-        assert pair_correlation(diag_kernel, 1, 2) == 1.0
-
-    def test_standard_ginibre_unit_separation(self, ginibre):
-        want = 1.0 - math.exp(-1.0)
-        assert abs(pair_correlation(ginibre, ORIGIN, E1) - want) < 1e-15
-
-    def test_zero_intensity_convention(self):
-        k = finite_kernel(np.diag([0.0, 1.0]))
-        assert pair_correlation(k, 1, 2) == 0.0
 
 
 class TestPalmKernel:
@@ -140,58 +89,6 @@ class TestPalmKernel:
         k = finite_kernel(np.diag([0.0, 1.0]))
         with pytest.raises(ValidationError):
             palm_kernel(k, 1)
-
-
-class TestDisplacementIntensity:
-    def test_at_anchor(self, ginibre):
-        assert abs(displacement_intensity(ginibre, ORIGIN, ORIGIN) - 1.0 / math.pi) < 1e-15
-
-    def test_diagonal_kernel_vanishes_off_anchor(self, diag_kernel):
-        assert displacement_intensity(diag_kernel, 1, 2) == 0.0
-
-    def test_ginibre_is_complex_gaussian(self, ginibre):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            u, v = rng.normal(size=2), rng.normal(size=2)
-            want = math.exp(-float(np.sum((u - v) ** 2))) / math.pi
-            assert abs(displacement_intensity(ginibre, u, v) - want) < 1e-13
-
-    def test_pair_correlation_identity(self, ginibre, diag_kernel):
-        # rho_u(v) = rho(v) (1 - g(u, v)) everywhere
-        rng = np.random.default_rng(10)
-        for _ in range(100):
-            u, v = rng.normal(size=2), rng.normal(size=2)
-            lhs = displacement_intensity(ginibre, u, v)
-            rhs = ginibre.diagonal(v) * (1.0 - pair_correlation(ginibre, u, v))
-            assert abs(lhs - rhs) < 1e-10
-        for u in (1, 2):
-            for v in (1, 2):
-                lhs = displacement_intensity(diag_kernel, u, v)
-                rhs = diag_kernel.diagonal(v) * (1.0 - pair_correlation(diag_kernel, u, v))
-                assert abs(lhs - rhs) < 1e-12
-
-
-class TestPalmDomination:
-    def test_at_anchor(self, ginibre):
-        rho, rho_u = palm_intensity_dominated(ginibre, ORIGIN, ORIGIN)
-        assert abs(rho - 1.0 / math.pi) < 1e-15
-        assert abs(rho_u) < 1e-15
-
-    def test_diagonal_kernel_equal_off_anchor(self, diag_kernel):
-        rho, rho_u = palm_intensity_dominated(diag_kernel, 1, 2)
-        assert rho == rho_u == 0.7
-
-    def test_ginibre_unit_separation(self, ginibre):
-        rho, rho_u = palm_intensity_dominated(ginibre, ORIGIN, E1)
-        assert abs(rho - 1.0 / math.pi) < 1e-15
-        assert abs(rho_u - (1.0 - math.exp(-1.0)) / math.pi) < 1e-14
-
-    def test_domination_everywhere(self, ginibre):
-        rng = np.random.default_rng(12)
-        for _ in range(200):
-            u, v = rng.normal(size=2), rng.normal(size=2)
-            rho, rho_u = palm_intensity_dominated(ginibre, u, v)
-            assert rho_u <= rho + 1e-10
 
 
 class TestHermitianSpotCheck:
