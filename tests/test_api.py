@@ -109,10 +109,18 @@ REFUSED_CALLS = {
     "sphere-model-nan-tail": ("tail_bound", lambda: model_zoo.sphere_model(
         2, 0.01, [1.0], tail_bound=math.nan)),
     "ginibre-moment-nan-intensity": ("intensity", lambda: analysis.ginibre_moment(1.0, math.nan)),
+    "xi-law-fewer-sites": ("site counts", lambda: finite_dpp.xi_law(
+        finite_dpp.couple(finite_dpp.validate(np.diag([0.3, 0.7, 0.5])), 1)[1],
+        finite_dpp.validate(np.diag([0.3, 0.7])), 1)),
+    "ginibre-moment-zero-intensity": ("intensity", lambda: analysis.ginibre_moment(1.0, 0.0)),
+    "ginibre-moment-inf-intensity": ("intensity", lambda: analysis.ginibre_moment(
+        -1.0, math.inf)),
     "radial-profile-negative-radius": ("radii", lambda: analysis.radial_profile(
         _ginibre(), np.zeros(2), [-1.0])),
     "radial-profile-nan-radius": ("radii", lambda: analysis.radial_profile(
         model_zoo.jinc_kernel(2), np.zeros(2), [math.nan])),
+    "radial-profile-inf-radius": ("radii", lambda: analysis.radial_profile(
+        _ginibre(), np.zeros(2), [0.5, math.inf])),
 }
 
 

@@ -187,6 +187,24 @@ class TestSubsetLaw:
                 idx = [i for i in range(n) if a >> i & 1]
                 assert abs(total - np.linalg.det(dpp.matrix[np.ix_(idx, idx)]).real) < 1e-8
 
+    @pytest.mark.parametrize("name", ["diag", "rank-one", "boundary", "extreme"])
+    def test_every_inclusion_is_a_principal_minor(self, name):
+        # P(A subset X) = det K_A for every mask A, also where a conditioning
+        # pivot sits at 0 or 1
+        matrix = {"diag": DIAG, "rank-one": PROJ1, "boundary": boundary_kernel(1.0),
+                  "extreme": real_kernel_with_extreme_eigenvalues(
+                      np.random.default_rng(22), 8)}[name]
+        dpp = validate(matrix)
+        n = dpp.n
+        # summing over supersets one bit at a time turns P(X = S) into P(S subset X)
+        incl = subset_law(dpp).probs.copy()
+        for i in range(n):
+            view = incl.reshape(-1, 2, 1 << i)
+            view[:, 0, :] += view[:, 1, :]
+        for a in range(1, 1 << n):
+            idx = [i for i in range(n) if a >> i & 1]
+            assert abs(incl[a] - np.linalg.det(dpp.matrix[np.ix_(idx, idx)]).real) < 1e-9
+
     def test_palm_law_is_conditional_law(self):
         # the law of the Palm matrix is the conditional law given u in X
         rng = np.random.default_rng(22)

@@ -9,6 +9,7 @@ import pytest
 
 from palmdpp.analysis import moment_quadrature
 from palmdpp.errors import ValidationError
+from palmdpp.finite_dpp import palm_matrix, validate
 from palmdpp.kernel_core import (
     GroundSpace,
     Kernel,
@@ -45,6 +46,11 @@ class TestSpacesAndPoints:
         assert abs(sphere_surface_measure(2) - 4.0 * math.pi) < 1e-14
         assert abs(sphere_surface_measure(1) - 2.0 * math.pi) < 1e-14
 
+    @pytest.mark.parametrize("d,want", [(3, 2.0 * math.pi ** 2), (4, 8.0 * math.pi ** 2 / 3.0),
+                                        (5, math.pi ** 3)])
+    def test_sphere_measure_higher_dimensions(self, d, want):
+        assert abs(sphere_surface_measure(d) - want) < 1e-13
+
     def test_point_validation(self):
         space = GroundSpace.finite(3)
         assert check_point(space, 2) == 2
@@ -60,6 +66,14 @@ class TestSpacesAndPoints:
     def test_bad_space(self):
         with pytest.raises(ValueError):
             GroundSpace("lattice", 2)
+
+    @pytest.mark.parametrize("site", [0, 3, -1])
+    @pytest.mark.parametrize("fn", [palm_kernel, repulsiveness_p])
+    def test_anchors_outside_the_sites_rejected(self, diag_kernel, fn, site):
+        # site 0 must not read site n by negative indexing, nor n + 1 run off the end
+        with pytest.raises(ValidationError) as err:
+            fn(diag_kernel, site)
+        assert err.value.token == "param-bound"
 
 
 class TestPalmKernel:
@@ -89,6 +103,68 @@ class TestPalmKernel:
         k = finite_kernel(np.diag([0.0, 1.0]))
         with pytest.raises(ValidationError):
             palm_kernel(k, 1)
+
+
+class TestPalmIntensity:
+    """rho^u(v) = K^u(v, v), the intensity of the reduced Palm process."""
+
+    def test_vanishes_at_anchor(self, ginibre):
+        assert abs(ginibre.diagonal(ORIGIN) - 1.0 / math.pi) < 1e-15
+        assert abs(palm_kernel(ginibre, ORIGIN).diagonal(ORIGIN)) < 1e-15
+
+    def test_diagonal_kernel_unchanged_off_anchor(self, diag_kernel):
+        palm = palm_kernel(diag_kernel, 1)
+        assert palm.diagonal(2) == 0.7
+        assert palm.diagonal(1) == 0.0
+
+    def test_dominated_everywhere(self, ginibre):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            u, v = rng.normal(size=2), rng.normal(size=2)
+            rho_u = palm_kernel(ginibre, u).diagonal(v)
+            assert -1e-15 <= rho_u <= ginibre.diagonal(v) + 1e-15
+
+    def test_removed_intensity_is_complex_gaussian(self, ginibre):
+        # rho(v) - rho^u(v) = |K(u, v)|^2 / K(u, u), for Ginibre e^(-|u - v|^2) / pi
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            u, v = rng.normal(size=2), rng.normal(size=2)
+            want = math.exp(-float(np.sum((u - v) ** 2))) / math.pi
+            got = ginibre.diagonal(v) - palm_kernel(ginibre, u).diagonal(v)
+            assert abs(got - want) < 1e-13
+
+    def test_standard_ginibre_pair_joint_intensity(self, ginibre):
+        # the 2x2 determinant expands to (1 - e^-1) / pi^2
+        pts = np.array([ORIGIN, E1])
+        want = (1.0 - math.exp(-1.0)) / math.pi ** 2
+        assert abs(np.linalg.det(ginibre.gram(pts, pts)).real - want) < 1e-15
+
+    def test_joint_intensity_factorises_through_palm(self, ginibre):
+        # rho_2(u, v) = rho(u) rho^u(v): the Palm kernel is the Schur complement
+        rng = np.random.default_rng(10)
+        for _ in range(50):
+            u, v = rng.normal(size=2), rng.normal(size=2)
+            pts = np.array([u, v])
+            joint = np.linalg.det(ginibre.gram(pts, pts)).real
+            assert abs(joint - ginibre.diagonal(u) * palm_kernel(ginibre, u).diagonal(v)) < 1e-14
+
+    def test_joint_intensity_bounded_by_diagonal_product(self, ginibre):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            pts = rng.normal(size=(int(rng.integers(2, 5)), 2))
+            det = np.linalg.det(ginibre.gram(pts, pts)).real
+            prod = float(np.prod([ginibre.diagonal(p) for p in pts]))
+            assert -1e-12 <= det <= prod + 1e-12
+
+    def test_matches_finite_palm_matrix(self):
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            n = int(rng.integers(2, 7))
+            dpp = validate(random_dpp_matrix(rng, n))
+            u = int(rng.integers(1, n + 1))
+            sites = np.arange(1, n + 1)
+            got = palm_kernel(finite_kernel(dpp), u).gram(sites, sites)
+            assert np.allclose(got, palm_matrix(dpp, u).matrix, atol=1e-12)
 
 
 class TestHermitianSpotCheck:
