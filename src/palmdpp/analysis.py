@@ -14,7 +14,7 @@ import numpy as np
 from scipy import special
 
 from . import finite_dpp
-from .errors import SizeGuardError, ValidationError
+from .errors import SizeGuardError, ValidationError, check_count
 from .kernel_core import Kernel, check_point, radial_integral
 from .numerics import QuadratureSpec, circulant_eig, factor_eig, reflection_eig
 
@@ -266,8 +266,7 @@ def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
     A matrix, table or factor with entries beyond double precision raises
     OverflowError.
     """
-    if resolution < 1:
-        raise ValidationError("param-bound", "resolution must be >= 1")
+    resolution = check_count("resolution", resolution, 1)
     space = kernel.space
     if space.kind == "sphere":
         if space.size != 2:
@@ -321,8 +320,7 @@ def mc_validate_coupling(kernel: Kernel, u, window, resolution: int,
     with bins merged below 20 expected counts).
     """
     u = check_point(kernel.space, u)
-    if samples < 1:
-        raise ValidationError("param-bound", f"draws must be >= 1, got {samples}")
+    samples = check_count("draws", samples, 1)
     grid = grid_discretize(kernel, window, resolution)
     site = _nearest_site(grid.centers, u)
     flow, table = finite_dpp.couple(grid.dpp, site)

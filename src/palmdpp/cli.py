@@ -159,9 +159,8 @@ def load_kernel_spec(path: str | Path) -> ModelBundle:
         _check_param_keys(params, {"alpha", "beta"}, family)
         alpha = _require_number(params, "alpha", family) if "alpha" in params else 1.0
         beta = _require_number(params, "beta", family) if "beta" in params else 1.0
-        kernel = model_zoo.jinc_kernel(2 if family == "jinc" else 1)
-        if alpha != 1.0 or beta != 1.0:
-            kernel = model_zoo.thin_rescale(kernel, alpha, beta)
+        kernel = model_zoo.thin_rescale(model_zoo.jinc_kernel(2 if family == "jinc" else 1),
+                                        alpha, beta)
         return ModelBundle(family=family, kernel=kernel,
                            params={"alpha": alpha, "beta": beta})
     if family == "sphere-multiquadric":
@@ -344,9 +343,7 @@ def cmd_profile(args) -> int:
         kernel = model_zoo.ginibre_kernel(model_zoo.GinibreParams(1.0, args.beta))
         columns["density_ginibre"] = analysis.radial_profile(kernel, origin, radii).density
     if "jinc" in args.models:
-        kernel = model_zoo.jinc_kernel(2)
-        if args.beta != 1.0:
-            kernel = model_zoo.thin_rescale(kernel, 1.0, args.beta)
+        kernel = model_zoo.thin_rescale(model_zoo.jinc_kernel(2), 1.0, args.beta)
         columns["density_jinc"] = analysis.radial_profile(kernel, origin, radii).density
     header = ["r"] + list(columns)
     rows = [[r] + [columns[c][i] for c in columns] for i, r in enumerate(radii)]

@@ -1,11 +1,19 @@
-"""Exception types shared across the library and mapped to CLI exit codes."""
+"""Exception types shared across the library and mapped to CLI exit codes,
+and the input gates of every module: sites, counts, resolutions and
+dimensions are integers (Python or numpy; 2.0 and "2" are refused with
+param-bound), and a Palm anchor needs K(u, u) > 1e-12."""
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = [
     "ValidationError",
     "ParseError",
     "SizeGuardError",
     "TheoremViolationError",
+    "check_anchor",
+    "check_count",
+    "check_site",
 ]
 
 
@@ -40,3 +48,26 @@ class TheoremViolationError(RuntimeError):
     def __init__(self, message: str, dump: dict | None = None):
         super().__init__(message)
         self.dump = dump or {}
+
+
+def check_count(what: str, value, minimum: int) -> int:
+    """value as an int: a count, resolution or dimension, an integer >= minimum."""
+    if not (isinstance(value, (int, np.integer)) and value >= minimum):
+        raise ValidationError("param-bound",
+                              f"{what} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def check_site(u, n: int) -> int:
+    """u as an int: a site, an integer in 1..n."""
+    if not (isinstance(u, (int, np.integer)) and 1 <= u <= n):
+        raise ValidationError("param-bound", f"site {u!r} is not one of the integers 1..{n}")
+    return int(u)
+
+
+def check_anchor(kuu: float, u) -> float:
+    """kuu = K(u, u), unless it vanishes (or is nan): X^u needs K(u, u) > 0."""
+    if not kuu > 1e-12:
+        raise ValidationError("anchor", f"kernel intensity vanishes at the anchor {u} "
+                              f"(K(u,u) = {kuu:.3e})")
+    return kuu

@@ -7,8 +7,9 @@ feasibility on up to 16 sites (the pairs that lose the anchor routed
 before the solve, the rest started from a greedy flow), and exact /
 coupled samplers.
 
-Sites are numbered 1..n in the public API; subsets are bitmasks where
-bit (site - 1) marks membership.
+Sites are the integers 1..n in the public API, and draw counts are
+integers too (errors.check_site, errors.check_count); subsets are
+bitmasks where bit (site - 1) marks membership.
 """
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_flow
 
-from .errors import SizeGuardError, TheoremViolationError, ValidationError
+from .errors import (SizeGuardError, TheoremViolationError, ValidationError, check_anchor,
+                     check_count, check_site)
 from .numerics import HermitianEig, hermitian_eig
 
 __all__ = [
@@ -181,19 +183,10 @@ def validate_eig(eig: HermitianEig, slack: float = 1e-6, dropped_trace: float = 
                      _matrix=None if n_clamped else matrix)
 
 
-def _site_index(dpp: FiniteDpp, u: int) -> int:
-    if not 1 <= u <= dpp.n:
-        raise ValidationError("param-bound", f"site {u} outside 1..{dpp.n}")
-    return u - 1
-
-
 def _anchor(dpp: FiniteDpp, u: int) -> tuple[int, float]:
     """The index of site u and K(u, u), which must not vanish there."""
-    i = _site_index(dpp, u)
-    kuu = float(np.real(dpp.matrix[i, i]))
-    if kuu <= 1e-12:
-        raise ValidationError("anchor", f"kernel diagonal vanishes at site {u}")
-    return i, kuu
+    i = check_site(u, dpp.n) - 1
+    return i, check_anchor(float(np.real(dpp.matrix[i, i])), u)
 
 
 def _conditioned(rest: np.ndarray, cr: np.ndarray, factor: np.ndarray) -> np.ndarray:
@@ -314,8 +307,7 @@ def coupling_feasible(law_x: SubsetLaw, law_xu: SubsetLaw,
     if law_x.n != law_xu.n:
         raise ValidationError("param-bound", "laws live on different site counts")
     n = law_x.n
-    if not 1 <= u <= n:
-        raise ValidationError("param-bound", f"site {u} outside 1..{n}")
+    u = check_site(u, n)
     ubit = 1 << (u - 1)
     holds_u = (np.arange(1 << n) & ubit) > 0
     mass_on_u = float(law_xu.probs[holds_u].sum())
@@ -414,8 +406,7 @@ def xi_law(table: CouplingTable, dpp: FiniteDpp, u: int) -> tuple[float, np.ndar
     """
     if dpp.n != table.n:
         raise ValidationError("param-bound", "table and kernel live on different site counts")
-    _site_index(dpp, u)
-    if u != table.anchor:
+    if check_site(u, dpp.n) != table.anchor:
         raise ValidationError("param-bound",
                               f"the table couples X with its Palm process at site {table.anchor}, "
                               f"not at site {u}")
@@ -491,8 +482,7 @@ def sample_indicators(dpp: FiniteDpp, rng_seed: int, draws: int) -> np.ndarray:
     a batch is 64 draws, and its stack holds 64 * k_max * n entries,
     k_max the most eigenvectors a draw keeps.
     """
-    if draws < 0:
-        raise ValidationError("param-bound", f"draws must be >= 0, got {draws}")
+    draws = check_count("draws", draws, 0)
     rng = np.random.default_rng(rng_seed)
     lam, V = dpp.eig.eigenvalues, dpp.eig.eigenvectors
     block = max(_SAMPLE_BLOCK, _SAMPLE_ENTRIES // dpp.n ** 2)
@@ -504,8 +494,7 @@ def sample_indicators(dpp: FiniteDpp, rng_seed: int, draws: int) -> np.ndarray:
 def sample_coupled_many(table: CouplingTable, rng_seed: int,
                         draws: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw many (S, T) pairs, at least one; returns (S array, T array) of bitmasks."""
-    if draws < 1:
-        raise ValidationError("param-bound", f"draws must be >= 1, got {draws}")
+    draws = check_count("draws", draws, 1)
     rng = np.random.default_rng(rng_seed)
     order = np.lexsort((table.joint[:, 1], table.joint[:, 0]))  # pairs sorted by (S, T)
     pairs, w = table.joint[order], table.mass[order]

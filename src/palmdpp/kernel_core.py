@@ -2,10 +2,10 @@
 the repulsiveness functionals built on them.
 
 A kernel is a Hermitian function K(u, v) over one of three concrete
-ground spaces:
+ground spaces, sized by an integer n or d (errors.check_count):
 
 * finite sites {1, ..., n} with counting measure (sites are 1-based
-  throughout the public API),
+  integers throughout the public API),
 * Euclidean space R^d with Lebesgue measure (points are length-d arrays),
 * the unit sphere S^d in R^(d+1) with surface measure (points are unit
   length-(d+1) arrays).
@@ -54,7 +54,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_anchor, check_count, check_site
 from .numerics import (QuadratureError, QuadratureSpec, RadialIntegral, Tail, integrate_polar,
                        integrate_radial)
 
@@ -71,7 +71,6 @@ __all__ = [
     "repulsiveness_p",
 ]
 
-_DIAG_EPS = 1e-12
 _P_BOUND_SLACK = 1e-6
 
 
@@ -90,30 +89,13 @@ class GroundSpace:
     def __post_init__(self) -> None:
         if self.kind not in ("finite", "euclidean", "sphere"):
             raise ValueError(f"unknown ground space kind {self.kind!r}")
-        if self.size < 1:
-            raise ValueError("size/dimension must be >= 1")
-
-    @staticmethod
-    def finite(n: int) -> "GroundSpace":
-        return GroundSpace("finite", n)
-
-    @staticmethod
-    def euclidean(d: int) -> "GroundSpace":
-        return GroundSpace("euclidean", d)
-
-    @staticmethod
-    def sphere(d: int) -> "GroundSpace":
-        return GroundSpace("sphere", d)
+        check_count("size/dimension", self.size, 1)
 
 
 def check_point(space: GroundSpace, point: Any) -> Any:
     """Validate a point against its space and return a canonical form."""
     if space.kind == "finite":
-        site = int(point)
-        if not 1 <= site <= space.size:
-            raise ValidationError("param-bound",
-                                  f"site {site} outside 1..{space.size}")
-        return site
+        return check_site(point, space.size)
     p = np.asarray(point, dtype=float)
     if not np.all(np.isfinite(p)):
         raise ValidationError("param-bound", f"point coordinates must be finite, got {p.tolist()}")
@@ -177,18 +159,10 @@ class RepulsivenessReport:
     density_profile: list[tuple[float, float]]
 
 
-def _require_intensity(kernel: Kernel, u) -> float:
-    ku = kernel.diagonal(u)
-    if ku <= _DIAG_EPS:
-        raise ValidationError("anchor",
-                              f"kernel intensity vanishes at the anchor (K(u,u) = {ku:.3e})")
-    return ku
-
-
 def palm_kernel(kernel: Kernel, u) -> Kernel:
     """Reduced Palm kernel K^u(v, w) = K(v,w) - K(v,u) K(u,w) / K(u,u)."""
     u = check_point(kernel.space, u)
-    ku = _require_intensity(kernel, u)
+    ku = check_anchor(kernel.diagonal(u), u)
 
     def gram(X, Y, _base=kernel.gram, _u=np.asarray([u]), _ku=ku):
         return _base(X, Y) - _base(X, _u) @ _base(_u, Y) / _ku
@@ -216,9 +190,9 @@ def profile_coordinates(kernel: Kernel, points: int | None = None,
     sphere, or radii from 0 to `end` on R^d, by default min(40 s, 10) for a
     Gaussian tail and min(400 s, 10) for a power one, s its length scale.
     A finite space reads neither argument, and the sphere reads no `end`;
-    a count below 1 or an end that is not finite and > 0 is refused."""
-    if points is not None and points < 1:
-        raise ValidationError("param-bound", f"the profile needs >= 1 points, got {points}")
+    a count that is not an integer >= 1, or an end that is not finite and
+    > 0, is refused."""
+    points = 64 if points is None else check_count("points", points, 1)
     if end is not None and not (math.isfinite(end) and end > 0):
         raise ValidationError("param-bound", f"the profile's end must be finite and > 0, got {end}")
     space, tail = kernel.space, kernel.tail
@@ -230,7 +204,7 @@ def profile_coordinates(kernel: Kernel, points: int | None = None,
         if tail is None:
             raise QuadratureError("the kernel declares no tail, so its profile needs an end")
         end = min((40.0 if tail.kind == "gaussian" else 400.0) * tail.scale, 10.0)
-    return np.linspace(0.0, end, 64 if points is None else points)
+    return np.linspace(0.0, end, points)
 
 
 def repulsiveness_p(kernel: Kernel, u, spec: QuadratureSpec | None = None,
@@ -247,7 +221,7 @@ def repulsiveness_p(kernel: Kernel, u, spec: QuadratureSpec | None = None,
     """
     space = kernel.space
     u = check_point(space, u)
-    ku = _require_intensity(kernel, u)
+    ku = check_anchor(kernel.diagonal(u), u)
 
     if space.kind == "finite":
         row = np.abs(kernel.gram(np.asarray([u]), np.arange(1, space.size + 1))[0]) ** 2

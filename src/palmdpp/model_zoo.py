@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy import special
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 from .finite_dpp import FiniteDpp, validate
 from .kernel_core import GridFactor, GroundSpace, Kernel, sphere_surface_measure
 from .numerics import Tail, gegenbauer_series
@@ -62,7 +62,7 @@ def finite_kernel(dpp: FiniteDpp | np.ndarray) -> Kernel:
     def gram(X, Y, _M=dpp.matrix):
         return _M[np.ix_(np.asarray(X, dtype=int) - 1, np.asarray(Y, dtype=int) - 1)]
 
-    return Kernel(space=GroundSpace.finite(dpp.n), gram=gram)
+    return Kernel(space=GroundSpace("finite", dpp.n), gram=gram)
 
 
 # the Ginibre grid factor keeps the series until each cell's dropped share
@@ -124,7 +124,7 @@ def ginibre_kernel(params: GinibreParams) -> Kernel:
         return (_a / math.pi) * np.exp(zz / _b - sq / (2.0 * _b))
 
     return Kernel(
-        space=GroundSpace.euclidean(2),
+        space=GroundSpace("euclidean", 2),
         gram=gram,
         radial_abs_sq=radial_abs_sq,
         tail=Tail("gaussian", math.sqrt(beta), amplitude=(alpha / math.pi) ** 2),
@@ -205,7 +205,7 @@ def jinc_kernel(d: int) -> Kernel:
         return _radial(np.sqrt(np.sum((X[:, None, :] - Y[None, :, :]) ** 2, axis=-1)))
 
     return Kernel(
-        space=GroundSpace.euclidean(d),
+        space=GroundSpace("euclidean", d),
         gram=gram,
         radial=radial,
         radial_abs_sq=radial_abs_sq,
@@ -252,8 +252,10 @@ def sphere_multiplicity(ell: int, d: int) -> int:
     On the circle the degree-0 space is the constants (dimension 1) and
     every higher degree has dimension 2.
     """
-    if ell < 0 or d < 1:
-        raise ValidationError("param-bound", "need ell >= 0 and d >= 1")
+    return _multiplicity(check_count("degree ell", ell, 0), check_count("sphere dimension", d, 1))
+
+
+def _multiplicity(ell: int, d: int) -> int:
     if d == 1:
         return 1 if ell == 0 else 2
     return (2 * ell + d - 1) * math.comb(ell + d - 2, d - 2) // (d - 1)
@@ -292,8 +294,7 @@ def sphere_model(d: int, rho: float, beta_coeffs: Sequence[float],
     tail), and the existence condition that every derived eigenvalue
     rho * sigma_d * beta_ell / m_ell lies in [0, 1].
     """
-    if d < 1:
-        raise ValidationError("param-bound", "sphere dimension must be >= 1")
+    d = check_count("sphere dimension", d, 1)
     if not rho > 0:
         raise ValidationError("param-bound", "intensity must be > 0")
     beta = np.asarray(beta_coeffs, dtype=float)
@@ -308,7 +309,7 @@ def sphere_model(d: int, rho: float, beta_coeffs: Sequence[float],
             "param-bound",
             f"coefficients plus declared tail account for {total + tail_bound:.12g}, not 1")
     sigma = sphere_surface_measure(d)
-    mult = np.array([sphere_multiplicity(l, d) for l in range(l_max + 1)], dtype=float)
+    mult = np.array([_multiplicity(l, d) for l in range(l_max + 1)], dtype=float)
     lam = rho * sigma * beta / mult
     if np.any(lam > 1.0 + 1e-9):
         worst = int(np.argmax(lam))
@@ -342,7 +343,7 @@ def sphere_kernel(model: SphereModel) -> Kernel:
     k0 = _series_k0(model)
     total = float(model.beta_coeffs.sum())
     p_u = sphere_p(model).value / total if total > 0.0 else 0.0
-    return Kernel(space=GroundSpace.sphere(model.d), gram=lambda X, Y, _k0=k0: _k0(X @ Y.T),
+    return Kernel(space=GroundSpace("sphere", model.d), gram=lambda X, Y, _k0=k0: _k0(X @ Y.T),
                   k0=k0, reference={"p_u": p_u})
 
 
@@ -377,7 +378,7 @@ def multiquadric(delta: float, rho: float) -> tuple[SphereModel, Kernel]:
     # a flagged reference value, not adopted
     reference = {"p_u": 4.0 * math.pi * rho * (1.0 - delta) ** 2 * math.atanh(delta) / delta,
                  "p_u_reported": 4.0 * math.pi * rho * (1.0 - delta) / (1.0 + delta)}
-    return model, Kernel(space=GroundSpace.sphere(2), gram=lambda X, Y, _k0=k0: _k0(X @ Y.T),
+    return model, Kernel(space=GroundSpace("sphere", 2), gram=lambda X, Y, _k0=k0: _k0(X @ Y.T),
                          k0=k0, reference=reference)
 
 
@@ -390,6 +391,6 @@ def sphere_p(model: SphereModel) -> SpherePResult:
     """
     sigma = sphere_surface_measure(model.d)
     value = float(model.rho * sigma * np.sum(model.beta_coeffs ** 2 / model.multiplicities))
-    m_next = sphere_multiplicity(model.l_max + 1, model.d)
+    m_next = _multiplicity(model.l_max + 1, model.d)
     return SpherePResult(value=value,
                          tail_bound=float(model.rho * sigma * model.tail_bound ** 2 / m_next))

@@ -72,7 +72,7 @@ def poisson_style_kernel(rho: float) -> Kernel:
     def gram(X, Y, _r=rho):
         return _r * np.all(X[:, None, :] == Y[None, :, :], axis=-1).astype(complex)
 
-    return Kernel(space=GroundSpace.euclidean(2), gram=gram)
+    return Kernel(space=GroundSpace("euclidean", 2), gram=gram)
 
 
 class TestClosedFormMoments:
@@ -524,7 +524,7 @@ class TestReflectionBlocks:
         # every entry 1e307: the blocks' row sums overflow, so the odd blocks'
         # eigenvalues are nan, and the spectrum gate refuses them as it
         # refuses the dense route's 9e307
-        flat = Kernel(space=GroundSpace.euclidean(2),
+        flat = Kernel(space=GroundSpace("euclidean", 2),
                       gram=lambda X, Y: np.full((len(X), len(Y)), 1e307),
                       radial=lambda r: np.full(np.shape(r), 1e307))
         for kernel in (flat, replace(flat, radial=None)):

@@ -48,7 +48,7 @@ def _law(n):
 
 def _r3_kernel():
     # isotropic in R^3, which radial quadrature does not cover
-    return Kernel(space=GroundSpace.euclidean(3),
+    return Kernel(space=GroundSpace("euclidean", 3),
                   gram=lambda X, Y: np.exp(-np.sum((X[:, None] - Y[None]) ** 2, axis=-1)),
                   radial_abs_sq=lambda r: np.exp(-2.0 * np.asarray(r) ** 2),
                   tail=Tail("gaussian", 2 ** -0.5))
@@ -121,6 +121,36 @@ REFUSED_CALLS = {
         model_zoo.jinc_kernel(2), np.zeros(2), [math.nan])),
     "radial-profile-inf-radius": ("radii", lambda: analysis.radial_profile(
         _ginibre(), np.zeros(2), [0.5, math.inf])),
+    "repulsiveness-site-1.9": ("not one of the integers", lambda: repulsiveness_p(
+        _finite2(), 1.9)),
+    "palm-kernel-site-2.5": ("not one of the integers", lambda: palm_kernel(_finite2(), 2.5)),
+    "palm-matrix-site-1.5": ("not one of the integers", lambda: finite_dpp.palm_matrix(
+        finite_dpp.validate(np.diag([0.3, 0.7])), 1.5)),
+    "p-u-finite-site-2.0": ("not one of the integers", lambda: finite_dpp.p_u_finite(
+        finite_dpp.validate(np.diag([0.3, 0.7])), 2.0)),
+    "couple-site-2.0": ("not one of the integers", lambda: finite_dpp.couple(
+        finite_dpp.validate(np.diag([0.3, 0.7])), 2.0)),
+    "xi-law-site-1.0": ("not one of the integers", lambda: finite_dpp.xi_law(
+        finite_dpp.couple(finite_dpp.validate(np.diag([0.3, 0.7])), 1)[1],
+        finite_dpp.validate(np.diag([0.3, 0.7])), 1.0)),
+    "coupling-site-1.5": ("not one of the integers", lambda: finite_dpp.coupling_feasible(
+        _law(2), _law(2), 1.5)),
+    "grid-resolution-2.5": ("resolution must be an integer", lambda: analysis.grid_discretize(
+        _ginibre(), SQUARE, 2.5)),
+    "mc-validate-resolution-2.5": ("resolution must be an integer",
+                                   lambda: analysis.mc_validate_coupling(
+                                       _ginibre(), np.zeros(2), SQUARE, 2.5, samples=10,
+                                       rng_seed=0)),
+    "indicators-draws-2.5": ("draws must be an integer", lambda: finite_dpp.sample_indicators(
+        finite_dpp.validate(np.diag([0.3, 0.7])), 0, 2.5)),
+    "coupled-draws-2.5": ("draws must be an integer", lambda: finite_dpp.sample_coupled_many(
+        finite_dpp.couple(finite_dpp.validate(np.diag([0.3, 0.7])), 1)[1], 0, 2.5)),
+    "profile-points-2.5": ("points must be an integer", lambda: profile_coordinates(
+        _ginibre(), 2.5)),
+    "sphere-model-d-2.5": ("dimension must be an integer", lambda: model_zoo.sphere_model(
+        2.5, 0.05, [0.6, 0.4])),
+    "ground-space-size-2.5": ("size/dimension must be an integer", lambda: GroundSpace(
+        "finite", 2.5)),
 }
 
 
@@ -131,3 +161,20 @@ def test_entry_points_refuse_what_they_cannot_serve(phrase, call):
     with pytest.raises(ValidationError) as exc:
         call()
     assert exc.value.token == "param-bound" and phrase in str(exc.value)
+
+
+def test_numpy_integer_sites_and_counts_accepted():
+    # the gates take any integer type, so numpy integers from arrays and
+    # index arithmetic pass like Python ints
+    dpp = finite_dpp.validate(np.diag([0.3, 0.7]))
+    site = np.int64(2)
+    assert repulsiveness_p(model_zoo.finite_kernel(dpp), site).anchor == 2
+    assert finite_dpp.p_u_finite(dpp, np.int32(2)) == pytest.approx(0.7)
+    table = finite_dpp.couple(dpp, site)[1]
+    assert finite_dpp.xi_law(table, dpp, site)[0] == pytest.approx(0.7)
+    assert finite_dpp.sample_indicators(dpp, 0, np.int64(3)).shape == (3, 2)
+    assert finite_dpp.sample_coupled_many(table, 0, np.uint8(4))[0].shape == (4,)
+    assert analysis.grid_discretize(_ginibre(), SQUARE, np.int64(3)).dpp.n == 9
+    assert profile_coordinates(_ginibre(), np.int16(5)).size == 5
+    assert model_zoo.sphere_model(np.int64(2), 0.05, [0.6, 0.4]).d == 2
+    assert GroundSpace("sphere", np.int64(2)).size == 2

@@ -255,7 +255,7 @@ def test_cli_import_leaves_module_unloaded(module):
     proc = subprocess.run([sys.executable, "-c",
                            f"import sys, palmdpp.cli; print({module!r} in sys.modules)"],
                           capture_output=True, text=True, env=env, timeout=60)
-    assert (proc.returncode, proc.stdout) == (0, "False\n")
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 class TestValidateCommand:

@@ -52,15 +52,15 @@ class TestSpacesAndPoints:
         assert abs(sphere_surface_measure(d) - want) < 1e-13
 
     def test_point_validation(self):
-        space = GroundSpace.finite(3)
+        space = GroundSpace("finite", 3)
         assert check_point(space, 2) == 2
         with pytest.raises(ValidationError):
             check_point(space, 0)
         with pytest.raises(ValidationError):
             check_point(space, 4)
         with pytest.raises(ValidationError):
-            check_point(GroundSpace.sphere(2), np.array([1.0, 1.0, 0.0]))
-        ok = check_point(GroundSpace.sphere(2), np.array([0.0, 0.0, 1.0]))
+            check_point(GroundSpace("sphere", 2), np.array([1.0, 1.0, 0.0]))
+        ok = check_point(GroundSpace("sphere", 2), np.array([0.0, 0.0, 1.0]))
         assert ok.shape == (3,)
 
     def test_bad_space(self):
@@ -264,7 +264,7 @@ class TestRepulsiveness:
 
     def test_modulus_above_the_bound_is_a_spectrum_violation(self):
         # |K(u, v)|^2 = exp(-|u - v|^2) with K(u, u) = 1 gives p_u = pi > 1
-        k = Kernel(space=GroundSpace.euclidean(2),
+        k = Kernel(space=GroundSpace("euclidean", 2),
                    gram=lambda X, Y: np.exp(-0.5 * np.sum((X[:, None] - Y[None]) ** 2, axis=-1)),
                    radial_abs_sq=lambda r: np.exp(-np.asarray(r) ** 2), tail=Tail("gaussian", 1.0))
         with pytest.raises(ValidationError, match="exceeds 1") as exc:
@@ -272,7 +272,7 @@ class TestRepulsiveness:
         assert exc.value.token == "spectrum"
 
     def test_non_isotropic_rejected(self):
-        k = Kernel(space=GroundSpace.euclidean(2),
+        k = Kernel(space=GroundSpace("euclidean", 2),
                    gram=lambda X, Y: np.exp(-np.sum((X[:, None, :] - Y[None, :, :]) ** 2, axis=-1)))
         with pytest.raises(ValidationError):
             repulsiveness_p(k, ORIGIN)
