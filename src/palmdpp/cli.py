@@ -80,7 +80,7 @@ def _emit_text_rows(out, header: Sequence[str], first: np.ndarray, rest: np.ndar
     """Write a block whose cells are already formatted: rows first[i],rest[i]."""
     out.write(",".join(header) + "\n")
     if first.size:
-        out.write("\n".join((first + "," + rest).tolist()) + "\n")
+        out.write("\n".join(map(",".join, zip(first.tolist(), rest.tolist()))) + "\n")
 
 
 def _is_number(v: Any) -> bool:  # a finite JSON number; true and false are not

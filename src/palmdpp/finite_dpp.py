@@ -1,11 +1,11 @@
 """Exact machinery on finite ground spaces.
 
 The spectrum gate, subset laws by conditioning on one site at a time,
-the Palm matrix, the dilation of a kernel matrix to a projection on twice
-the space, the coupling of X with its Palm process by max-flow
-feasibility on up to 16 sites (the pairs that lose the anchor routed
-before the solve, the rest started from a greedy flow), and exact /
-coupled samplers.
+the Palm matrix, the dilation of a kernel matrix to a projection on
+twice the space, the coupling of X with its Palm process by max-flow
+feasibility on up to 16 sites (the Palm law read off the law of X, the
+pairs that lose the anchor routed before the solve, the rest started
+from a greedy flow), and exact / coupled samplers.
 
 Sites are the integers 1..n in the public API, and draw counts are
 integers too (errors.check_site, errors.check_count); subsets are
@@ -46,7 +46,7 @@ __all__ = [
 
 _LAW_MAX_SITES = 16
 _FLOW_DEFICIT = 1e-8
-_FLOW_UNITS = 2 ** 30  # integer units of residual source mass per max-flow round
+_FLOW_UNITS = 2 ** 30 - 1  # largest capacity of a max-flow round: twice it fits in int32
 _FLOW_NOISE = 1e-15    # residual mass below this is float noise: no further round
 _PIVOT_FLOOR = 1e-14  # a conditioning factor this small is rounding of zero
 _SAMPLE_BLOCK = 64   # fewest draws per batch of the spectral sampler
@@ -298,11 +298,17 @@ def coupling_feasible(law_x: SubsetLaw, law_xu: SubsetLaw,
     scipy's max-flow takes integer capacities, so the rest is found in
     rounds on one graph.  Each round writes the capacities of the residual
     network of the float flow found so far (2 - f forward, f backward, so
-    a round can undo the greedy start), scaled so that the residual
-    source mass is 2**30 units and floored, and adds the round's flow back.
-    A round leaves about 2e-6 of its residual to flooring, so two or three
-    rounds reach the float noise of the laws.  The table holds every solver
-    pair with positive flow, then every routed pair with positive mass.
+    a round can undo the greedy start), scaled so that the largest
+    residual source or sink capacity is 2**30 - 1 units, capped there and
+    floored, and adds the round's flow back.  scipy holds an edge's
+    residual, its capacity plus the reverse edge's, in int32, and two
+    capped capacities sum to at most 2**31 - 2.  Flooring leaves each edge
+    less than a unit, so a second round usually reaches the float noise
+    of the laws.  A residual at float noise, or a round that routes no
+    more than float noise, ends the loop; a capped edge can leave a
+    feasible round short of its residual, and the next round goes on.
+    The table holds every solver pair with positive flow, then every
+    routed pair with positive mass.
     """
     if law_x.n != law_xu.n:
         raise ValidationError("param-bound", "laws live on different site counts")
@@ -358,18 +364,15 @@ def coupling_feasible(law_x: SubsetLaw, law_xu: SubsetLaw,
     while True:
         src = np.clip(p_x - np.bincount(pair_s, weights=f, minlength=ns), 0.0, None)
         snk = np.clip(p_xu - np.bincount(pair_t, weights=f, minlength=nt), 0.0, None)
-        residual = float(src.sum())
-        if min(residual, snk.sum()) <= _FLOW_NOISE:
+        if min(src.sum(), snk.sum()) <= _FLOW_NOISE:
             break  # the rest is float noise: no flow exceeds either side's residual
-        # no edge of a flow of value `residual` needs more than `residual`,
-        # which keeps scipy's int32 sums from overflowing
-        scale = _FLOW_UNITS / residual
+        scale = _FLOW_UNITS / max(src.max(), snk.max())
         cap = np.concatenate([src, 2.0 - f, f, snk]) * scale
         graph.data[:] = np.floor(np.minimum(cap[order], _FLOW_UNITS))
         result = maximum_flow(graph, 0, 1)
         f += result.flow[s_node, t_node] / scale
-        if 2 * result.flow_value < _FLOW_UNITS:
-            break  # saturated: another round could only recover this one's flooring loss
+        if result.flow_value <= _FLOW_NOISE * scale:
+            break  # the rest cannot be routed, or only as float noise
     flow = float(routed.sum() + f.sum())
     if flow < 1.0 - _FLOW_DEFICIT:
         return flow, None
@@ -383,12 +386,22 @@ def coupling_feasible(law_x: SubsetLaw, law_xu: SubsetLaw,
 
 def couple(dpp: FiniteDpp, u: int) -> tuple[float, CouplingTable]:
     """(max-flow value, table) of a coupling of X and X^u, the Palm process at
-    site u, in which X^u is X less at most one point.  Raises SizeGuardError
-    beyond 16 sites, from subset_law's guard before any law is computed, and
-    TheoremViolationError when the flow does not saturate."""
+    site u, in which X^u is X less at most one point.
+
+    The law of X^u is a slice of the law of X: P(X^u = T) = P(X = T + {u}) / K(u, u)
+    for T without u, with K(u, u) the law's own mass on the subsets holding u.
+    Raises SizeGuardError beyond 16 sites, from subset_law's guard before
+    any other work; ValidationError for a bad site (param-bound) or a
+    vanishing K(u, u) (anchor); and TheoremViolationError when the flow does
+    not saturate."""
     law_x = subset_law(dpp)
-    law_xu = subset_law(palm_matrix(dpp, u))
-    flow, table = coupling_feasible(law_x, law_xu, u)
+    u = check_site(u, dpp.n)
+    holds_u = (np.arange(1 << dpp.n) & (1 << (u - 1))) > 0
+    on_u = law_x.probs[holds_u]
+    kuu = check_anchor(float(on_u.sum()), u)
+    probs = np.zeros_like(law_x.probs)
+    probs[~holds_u] = on_u / kuu  # T and T + u rank alike among their halves
+    flow, table = coupling_feasible(law_x, SubsetLaw(probs=probs, n=dpp.n), u)
     if table is None:
         raise TheoremViolationError(
             f"coupling infeasible at flow {flow:.12f} for a validated kernel",

@@ -88,7 +88,7 @@ class GroundSpace:
 
     def __post_init__(self) -> None:
         if self.kind not in ("finite", "euclidean", "sphere"):
-            raise ValueError(f"unknown ground space kind {self.kind!r}")
+            raise ValidationError("param-bound", f"unknown ground space kind {self.kind!r}")
         check_count("size/dimension", self.size, 1)
 
 

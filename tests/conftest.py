@@ -4,7 +4,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import settings
+
+from palmdpp import finite_dpp
 
 # Property tests draw the same examples on every run (derandomize, no
 # example database), a bounded number of them, with no per-example
@@ -76,3 +79,17 @@ def assert_sampler_matches_kernel(dpp, indicators) -> None:
     kappa4 = float(np.sum(q * (1.0 - 6.0 * q)))
     var_sd = math.sqrt(max(kappa4 + 2.0 * var ** 2, 0.0) / draws)
     assert abs(counts.var() - var) <= 4.5 * var_sd + 1e-12
+
+
+def palm_law_of_couple(dpp, u: int) -> np.ndarray:
+    """The law of X^u, by bitmask, that couple hands to coupling_feasible."""
+    seen = []
+
+    def spied(law_x, law_xu, site, _feasible=finite_dpp.coupling_feasible):
+        seen.append(law_xu.probs)
+        return _feasible(law_x, law_xu, site)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(finite_dpp, "coupling_feasible", spied)
+        finite_dpp.couple(dpp, u)
+    return seen[0]

@@ -130,6 +130,10 @@ REFUSED_CALLS = {
         finite_dpp.validate(np.diag([0.3, 0.7])), 2.0)),
     "couple-site-2.0": ("not one of the integers", lambda: finite_dpp.couple(
         finite_dpp.validate(np.diag([0.3, 0.7])), 2.0)),
+    "couple-site-0": ("not one of the integers", lambda: finite_dpp.couple(
+        finite_dpp.validate(np.diag([0.3, 0.7])), 0)),
+    "couple-site-3": ("not one of the integers", lambda: finite_dpp.couple(
+        finite_dpp.validate(np.diag([0.3, 0.7])), 3)),
     "xi-law-site-1.0": ("not one of the integers", lambda: finite_dpp.xi_law(
         finite_dpp.couple(finite_dpp.validate(np.diag([0.3, 0.7])), 1)[1],
         finite_dpp.validate(np.diag([0.3, 0.7])), 1.0)),

@@ -482,6 +482,11 @@ class TestRepulsivenessCommand:
 
 
 class TestCoupleCommand:
+    def test_zero_intensity_anchor(self, tmp_path):
+        doc = {"family": "finite", "matrix": [[[0.0, 0], [0, 0]], [[0, 0], [0.5, 0]]]}
+        code, _, err = run_cli(["couple", write_spec(tmp_path, "z.json", doc), "--anchor", "1"])
+        assert code == 2 and "[anchor]" in err
+
     def test_diagonal(self, tmp_path):
         code, out, _ = run_cli(["couple", write_spec(tmp_path, "d.json", DIAG_SPEC),
                                 "--anchor", "2", "--seed", "4", "--samples", "4000"])

@@ -1,6 +1,7 @@
 """Exact laws, dilation identities, coupling feasibility, and samplers."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from palmdpp.finite_dpp import (
 )
 
 from conftest import (assert_sampler_matches_kernel, complement_determinant_law, masks_of,
-                      random_dpp_matrix, random_unitary)
+                      palm_law_of_couple, random_dpp_matrix, random_unitary)
 
 DIAG = np.diag([0.3, 0.7])
 PROJ1 = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -104,6 +105,19 @@ def benchmark_pool(seed: int):
         k = spectral_class_kernel(rng, ones, zeros)
         u = int(rng.choice(np.flatnonzero(np.real(np.diag(k)) >= 0.05))) + 1
         yield k, u
+
+
+@pytest.fixture
+def flow_rounds(monkeypatch):
+    """The largest capacity written for each maximum_flow call, in call order."""
+    caps = []
+
+    def spied(graph, source, sink, _solve=finite_dpp.maximum_flow):
+        caps.append(int(graph.data.max()))
+        return _solve(graph, source, sink)
+
+    monkeypatch.setattr(finite_dpp, "maximum_flow", spied)
+    return caps
 
 
 def rank2_kernel(n: int = 3) -> np.ndarray:
@@ -411,10 +425,38 @@ class TestCoupling:
 
     @pytest.mark.parametrize("ones,zeros", [(0, 0), (2, 0), (7, 9)],
                              ids=["below-one", "some-one", "projection"])
-    def test_sixteen_sites(self, ones, zeros):
-        # the largest space the coupling guard admits
+    def test_sixteen_sites(self, ones, zeros, flow_rounds):
+        # the largest space the coupling guard admits, in two max-flow rounds
         dpp = validate(spectral_class_kernel(61 + ones, ones, zeros, n=16))
         self.assert_exact_coupling(dpp, 1e-14)
+        assert 1 <= len(flow_rounds) <= 2 and max(flow_rounds) <= 2 ** 30 - 1
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7])
+    def test_pool_max_flow_rounds(self, seed, flow_rounds):
+        # every capacity leaves int32 headroom for capacity plus reverse flow.  Two
+        # rounds reach the float noise, except where the second leaves a residual
+        # just above it: seed 3's eighth kernel routes its last 1.6e-15 in a third
+        rounds = []
+        for matrix, u in benchmark_pool(seed):
+            before = len(flow_rounds)
+            couple(validate(matrix), u)
+            rounds.append(len(flow_rounds) - before)
+        assert max(flow_rounds) <= 2 ** 30 - 1
+        assert max(rounds) <= 3 and sum(rounds) <= 2 * len(rounds) + 1
+
+    def test_vanishing_anchor_refused(self):
+        with pytest.raises(ValidationError) as exc:
+            couple(validate(np.diag([0.0, 0.5])), 1)
+        assert exc.value.token == "anchor"
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7])
+    def test_palm_law_is_a_slice_of_the_law_of_x(self, seed):
+        # P(X^u = T) = P(X = T + {u}) / K(u, u) against the law of the Palm matrix,
+        # on the pool's first kernel of each class: below-one, some-one, projection
+        for matrix, u in itertools.islice(benchmark_pool(seed), 3):
+            dpp = validate(matrix)
+            want = subset_law(palm_matrix(dpp, u)).probs
+            assert np.max(np.abs(palm_law_of_couple(dpp, u) - want)) <= 1e-15
 
     def test_infeasible_returns_flow_and_no_table(self):
         # X is always empty, X^u holds site 2 half the time: only half the mass can move
@@ -474,7 +516,8 @@ class TestCoupling:
 
     def test_size_guard(self, monkeypatch):
         # subset_law's guard is its first statement: the first call raises, on
-        # the kernel itself, before any law or the Palm matrix is computed
+        # the kernel itself, before any law or the Palm matrix is computed, and
+        # before the site is checked
         big = validate(np.diag([0.5] * 17))
         seen = []
 
@@ -487,9 +530,11 @@ class TestCoupling:
 
         monkeypatch.setattr(finite_dpp, "subset_law", spied)
         monkeypatch.setattr(finite_dpp, "palm_matrix", no_palm)
-        with pytest.raises(SizeGuardError, match="n <= 16"):
-            couple(big, 17)
-        assert len(seen) == 1 and seen[0] is big
+        for site in (17, 0, 18, 1.5):
+            seen.clear()
+            with pytest.raises(SizeGuardError, match="n <= 16"):
+                couple(big, site)
+            assert len(seen) == 1 and seen[0] is big
 
     def test_routed_pairs_overfill_a_sink(self):
         # X always holds the anchor, site 1; X^u is empty only half the time,

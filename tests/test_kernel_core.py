@@ -64,8 +64,9 @@ class TestSpacesAndPoints:
         assert ok.shape == (3,)
 
     def test_bad_space(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             GroundSpace("lattice", 2)
+        assert err.value.token == "param-bound"
 
     @pytest.mark.parametrize("site", [0, 3, -1])
     @pytest.mark.parametrize("fn", [palm_kernel, repulsiveness_p])

@@ -27,7 +27,8 @@ from palmdpp.model_zoo import (GinibreParams, finite_kernel, ginibre_kernel, jin
                                multiquadric, sphere_kernel, sphere_model, sphere_multiplicity,
                                sphere_p, thin_rescale)
 
-from conftest import complement_determinant_law, random_dpp_matrix, random_unitary
+from conftest import (complement_determinant_law, palm_law_of_couple, random_dpp_matrix,
+                      random_unitary)
 
 EPS = float(np.finfo(float).eps)
 betas = st.floats(min_value=0.01, max_value=1.0)
@@ -88,11 +89,12 @@ def test_sphere_quadrature_agrees_with_series(model):
 
 
 @st.composite
-def finite_dpps(draw, max_sites: int = 8):
+def finite_dpps(draw, max_sites: int = 8, projection: bool = False):
     """A validated kernel on up to max_sites sites, complex or real, whose
-    eigenvalues are often exactly 0 or 1."""
+    eigenvalues are often exactly 0 or 1, and always so with projection."""
     n = draw(st.integers(1, max_sites))
-    lam = draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    ends = st.sampled_from([0.0, 1.0])
+    lam = draw(st.lists(ends if projection else st.one_of(ends, st.floats(0.0, 1.0)),
                         min_size=n, max_size=n))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     q = random_unitary(rng, n) if draw(st.booleans()) else np.linalg.qr(rng.normal(size=(n, n)))[0]
@@ -122,6 +124,16 @@ def test_couple_support_marginals_and_removed_point(dpp, pick):
     row = np.abs(dpp.matrix[u - 1, :]) ** 2
     assert abs(p - row.sum() / diag[u - 1]) <= 1e-12
     assert np.max(np.abs(density - row / row.sum())) <= 1e-12
+
+
+@given(dpp=finite_dpps(projection=True), pick=st.integers(0, 7))
+def test_couple_reads_the_palm_law_off_the_law_of_x(dpp, pick):
+    diag = np.real(np.diagonal(dpp.matrix))
+    sites = np.flatnonzero(diag >= 1e-3)
+    assume(sites.size > 0)
+    u = int(sites[pick % sites.size]) + 1
+    want = subset_law(palm_matrix(dpp, u)).probs
+    assert np.max(np.abs(palm_law_of_couple(dpp, u) - want)) <= 1e-14
 
 
 # ------------------------------------------------------------ Gram contract
