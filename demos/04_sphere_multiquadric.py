@@ -6,7 +6,7 @@ geometric Gegenbauer coefficients.  Two independent routes to p_u agree
 to machine precision: the eigen-series rho sigma_d sum beta_ell^2/m_ell
 and the surface quadrature 2 pi int K0(t)^2 dt / K0(1).  A third closed
 form often reported for this family disagrees with both; the library
-carries it as a flagged reference value rather than adopting it.
+carries it as the kernel's p_u_reported, flagged rather than adopted.
 """
 import math
 
@@ -21,7 +21,7 @@ for delta in (0.1, 0.5, 0.9):
     k0 = kernel.k0
     val, _ = integrate.quad(lambda t: float(k0(t)) ** 2, -1.0, 1.0, epsrel=1e-13)
     oracle = 2.0 * math.pi * val / float(k0(1.0))
-    reference = kernel.reference["p_u_reported"]
+    reference = kernel.p_u_reported
     print(f"delta={delta}: expected points = {rho * 4 * math.pi:.4f}")
     print(f"  p_u series     {series.value:.12f} (tail bound {series.tail_bound:.1e})")
     print(f"  p_u quadrature {oracle:.12f}")

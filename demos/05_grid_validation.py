@@ -2,8 +2,8 @@
 """Monte Carlo validation of the coupling on a discretized Ginibre model.
 
 Discretizes the standard Ginibre kernel to a small cell grid, builds the
-exact subset laws of the process and its Palm process, verifies the
-coupling exists (max-flow saturates), then samples the coupling and
+exact subset law of the process and reads its Palm law off it, verifies
+the coupling exists (max-flow saturates), then samples the coupling and
 compares the empirical removal statistics against the kernel formulas.
 """
 import math

@@ -133,10 +133,10 @@ def _displacement_radial(kernel: Kernel, u):
     if kernel.space.kind != "euclidean" or kernel.space.size != 2:
         raise ValidationError("param-bound",
                               "displacement analysis covers isotropic kernels on the plane")
-    radial, norm_sq = kernel.radial_abs_sq, kernel.reference.get("norm_sq")
+    radial, norm_sq = kernel.radial_abs_sq, kernel.norm_sq
     if radial is None or norm_sq is None:
         raise ValidationError("param-bound", "kernel must declare an isotropic modulus "
-                              "and its squared row norm (reference['norm_sq'])")
+                              "and its squared row norm (norm_sq)")
     if not (norm_sq > 0 and math.isfinite(2.0 * math.pi / norm_sq)):
         raise OverflowError(f"the kernel's declared squared row norm is {norm_sq!r}, "
                             "so 2 pi / norm_sq is not finite")

@@ -269,8 +269,8 @@ def _profile_models(text: str) -> set[str]:
 def _reference_p(bundle: ModelBundle, anchor) -> float:
     if bundle.family == "finite":
         return finite_dpp.p_u_finite(bundle.dpp, int(anchor))
-    reference = bundle.kernel.reference
-    return float(reference.get("p_u_reported", reference["p_u"]))
+    kernel = bundle.kernel
+    return float(kernel.p_u if kernel.p_u_reported is None else kernel.p_u_reported)
 
 
 def _refuse_unread(kind: str, flags) -> None:

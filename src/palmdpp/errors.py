@@ -1,7 +1,7 @@
 """Exception types shared across the library and mapped to CLI exit codes,
 and the input gates of every module: sites, counts, resolutions and
-dimensions are integers (Python or numpy; 2.0 and "2" are refused with
-param-bound), and a Palm anchor needs K(u, u) > 1e-12."""
+dimensions are integers (Python or numpy; 2.0, "2" and True are refused
+with param-bound), and a Palm anchor needs K(u, u) > 1e-12."""
 from __future__ import annotations
 
 import numpy as np
@@ -50,9 +50,14 @@ class TheoremViolationError(RuntimeError):
         self.dump = dump or {}
 
 
+def _is_integer(value) -> bool:
+    """An int or numpy integer, but not a bool, which Python counts as an int."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_count(what: str, value, minimum: int) -> int:
     """value as an int: a count, resolution or dimension, an integer >= minimum."""
-    if not (isinstance(value, (int, np.integer)) and value >= minimum):
+    if not (_is_integer(value) and value >= minimum):
         raise ValidationError("param-bound",
                               f"{what} must be an integer >= {minimum}, got {value!r}")
     return int(value)
@@ -60,7 +65,7 @@ def check_count(what: str, value, minimum: int) -> int:
 
 def check_site(u, n: int) -> int:
     """u as an int: a site, an integer in 1..n."""
-    if not (isinstance(u, (int, np.integer)) and 1 <= u <= n):
+    if not (_is_integer(u) and 1 <= u <= n):
         raise ValidationError("param-bound", f"site {u!r} is not one of the integers 1..{n}")
     return int(u)
 

@@ -131,12 +131,6 @@ class CouplingTable:
     anchor: int
     n: int
 
-    def row_marginal(self) -> np.ndarray:
-        return np.bincount(self.joint[:, 0], weights=self.mass, minlength=2 ** self.n)
-
-    def col_marginal(self) -> np.ndarray:
-        return np.bincount(self.joint[:, 1], weights=self.mass, minlength=2 ** self.n)
-
 
 def validate(matrix, slack: float = 1e-6) -> FiniteDpp:
     """Check Hermitian symmetry and the [0, 1] spectrum condition.

@@ -10,7 +10,7 @@ ground spaces, sized by an integer n or d (errors.check_count):
 * the unit sphere S^d in R^(d+1) with surface measure (points are unit
   length-(d+1) arrays).
 
-Kernel is a frozen record of eight fields:
+Kernel is a frozen record of ten fields:
 
 * space: the GroundSpace.
 * gram(X, Y): the matrix [K(x_i, y_j)] for two point arrays, 1-based
@@ -34,10 +34,11 @@ Kernel is a frozen record of eight fields:
   bound.  Radial quadrature integrates beyond its truncation radius from
   these terms, reads divergence off their exponent and sizes its panels
   by their length scale; without a tail it raises QuadratureError.
-* reference: exact values declared by the family ("p_u", "norm_sq", and
-  "p_u_reported" for a closed form carried but not adopted), for profile
-  normalization and cross-checks; repulsiveness_p never reads them.  The
-  multiquadric's "p_u" is 4 pi rho (1 - delta)^2 atanh(delta) / delta.
+* p_u, norm_sq, p_u_reported: exact values declared by the family, or
+  None: p_u and the squared row norm int |K(u, v)|^2 dnu(v), and a closed
+  form carried but not adopted, for profile normalization and
+  cross-checks; repulsiveness_p never reads them.  The multiquadric's p_u
+  is 4 pi rho (1 - delta)^2 atanh(delta) / delta.
 * grid_factor: (centers, cell_measure) -> GridFactor or None, set by a
   family whose kernel is a series: an (n, m) phi with phi phi* the grid
   matrix [K(c_i, c_j) * cell_measure] but for a PSD remainder of
@@ -49,8 +50,8 @@ Kernel is a frozen record of eight fields:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -131,7 +132,9 @@ class Kernel:
     radial_abs_sq: Callable[[np.ndarray], np.ndarray] | None = None
     k0: Callable[[np.ndarray], np.ndarray] | None = None
     tail: Tail | None = None
-    reference: Mapping[str, float] = field(default_factory=dict)
+    p_u: float | None = None
+    norm_sq: float | None = None
+    p_u_reported: float | None = None
     grid_factor: Callable[[np.ndarray, float], GridFactor | None] | None = None
 
     def evaluate(self, u, v) -> complex:
@@ -163,9 +166,10 @@ def palm_kernel(kernel: Kernel, u) -> Kernel:
     """Reduced Palm kernel K^u(v, w) = K(v,w) - K(v,u) K(u,w) / K(u,u)."""
     u = check_point(kernel.space, u)
     ku = check_anchor(kernel.diagonal(u), u)
+    U = np.asarray([u])
 
-    def gram(X, Y, _base=kernel.gram, _u=np.asarray([u]), _ku=ku):
-        return _base(X, Y) - _base(X, _u) @ _base(_u, Y) / _ku
+    def gram(X, Y):
+        return kernel.gram(X, Y) - kernel.gram(X, U) @ kernel.gram(U, Y) / ku
 
     return Kernel(space=kernel.space, gram=gram)
 

@@ -29,7 +29,6 @@ __all__ = [
     "ginibre_kernel",
     "jinc_kernel",
     "thin_rescale",
-    "sphere_multiplicity",
     "sphere_model",
     "sphere_kernel",
     "multiquadric",
@@ -58,9 +57,10 @@ def finite_kernel(dpp: FiniteDpp | np.ndarray) -> Kernel:
     """Wrap a validated kernel matrix as a Kernel on finite sites 1..n."""
     if not isinstance(dpp, FiniteDpp):
         dpp = validate(dpp)
+    M = dpp.matrix
 
-    def gram(X, Y, _M=dpp.matrix):
-        return _M[np.ix_(np.asarray(X, dtype=int) - 1, np.asarray(Y, dtype=int) - 1)]
+    def gram(X, Y):
+        return M[np.ix_(np.asarray(X, dtype=int) - 1, np.asarray(Y, dtype=int) - 1)]
 
     return Kernel(space=GroundSpace("finite", dpp.n), gram=gram)
 
@@ -84,20 +84,20 @@ def _ginibre_grid_factor(alpha: float, beta: float):
     there is no factor.
     """
 
-    def grid_factor(centers: np.ndarray, measure: float, _a=alpha, _b=beta) -> GridFactor | None:
+    def grid_factor(centers: np.ndarray, measure: float) -> GridFactor | None:
         n = centers.shape[0]
         z = centers[:, 0] + 1j * centers[:, 1]
         with np.errstate(over="ignore"):
-            mu = np.abs(z) ** 2 / _b
+            mu = np.abs(z) ** 2 / beta
         short = special.gammainc(np.arange(1, n), mu.max()) <= _SERIES_TAIL
         if not short.any():
             return None
         m = 1 + int(np.argmax(short))
         k = np.arange(m)
         log_pmf = special.xlogy(k, mu[:, None]) - mu[:, None] - special.gammaln(k + 1.0)
-        phi = math.sqrt(_a * measure / math.pi) * np.exp(0.5 * log_pmf
-                                                         + 1j * k * np.angle(z)[:, None])
-        dropped = float(_a * measure / math.pi * np.sum(special.gammainc(m, mu)))
+        phi = math.sqrt(alpha * measure / math.pi) * np.exp(0.5 * log_pmf
+                                                            + 1j * k * np.angle(z)[:, None])
+        dropped = float(alpha * measure / math.pi * np.sum(special.gammainc(m, mu)))
         return GridFactor(phi, dropped)
 
     return grid_factor
@@ -112,23 +112,24 @@ def ginibre_kernel(params: GinibreParams) -> Kernel:
     """
     alpha, beta = params.alpha, params.beta
 
-    def radial_abs_sq(r, _a=alpha, _b=beta):
+    def radial_abs_sq(r):
         r = np.asarray(r, dtype=float)
         with np.errstate(over="ignore"):  # r^2 past double precision gives exp(-inf) = 0
-            return (_a / math.pi) ** 2 * np.exp(-r ** 2 / _b)
+            return (alpha / math.pi) ** 2 * np.exp(-r ** 2 / beta)
 
-    def gram(X, Y, _a=alpha, _b=beta):
+    def gram(X, Y):
         zx, zy = X[:, 0] + 1j * X[:, 1], Y[:, 0] + 1j * Y[:, 1]
         zz = zx[:, None] * zy.conj()[None, :]
         sq = np.abs(zx)[:, None] ** 2 + np.abs(zy)[None, :] ** 2
-        return (_a / math.pi) * np.exp(zz / _b - sq / (2.0 * _b))
+        return (alpha / math.pi) * np.exp(zz / beta - sq / (2.0 * beta))
 
     return Kernel(
         space=GroundSpace("euclidean", 2),
         gram=gram,
         radial_abs_sq=radial_abs_sq,
         tail=Tail("gaussian", math.sqrt(beta), amplitude=(alpha / math.pi) ** 2),
-        reference={"norm_sq": alpha ** 2 * beta / math.pi, "p_u": alpha * beta},
+        p_u=alpha * beta,
+        norm_sq=alpha ** 2 * beta / math.pi,
         grid_factor=_ginibre_grid_factor(alpha, beta),
     )
 
@@ -198,11 +199,11 @@ def jinc_kernel(d: int) -> Kernel:
         raise ValidationError("param-bound", "closed forms cover d in {1, 2} only")
     radial = _sinc_radial if d == 1 else _jinc_radial
 
-    def radial_abs_sq(r, _radial=radial):
-        return _radial(np.asarray(r, dtype=float)) ** 2
+    def radial_abs_sq(r):
+        return radial(np.asarray(r, dtype=float)) ** 2
 
-    def gram(X, Y, _radial=radial):
-        return _radial(np.sqrt(np.sum((X[:, None, :] - Y[None, :, :]) ** 2, axis=-1)))
+    def gram(X, Y):
+        return radial(np.sqrt(np.sum((X[:, None, :] - Y[None, :, :]) ** 2, axis=-1)))
 
     return Kernel(
         space=GroundSpace("euclidean", d),
@@ -210,7 +211,8 @@ def jinc_kernel(d: int) -> Kernel:
         radial=radial,
         radial_abs_sq=radial_abs_sq,
         tail=_SINC_TAIL if d == 1 else _JINC_TAIL,
-        reference={"norm_sq": 1.0 / math.pi, "p_u": 1.0},
+        p_u=1.0,
+        norm_sq=1.0 / math.pi,
     )
 
 
@@ -218,8 +220,9 @@ def thin_rescale(kernel: Kernel, alpha: float, beta: float) -> Kernel:
     """Independent thinning with retention alpha*beta, then rescaling.
 
     Produces the kernel alpha * K(v / beta^(1/d), w / beta^(1/d)); the
-    intensity scales by alpha and p_u by alpha*beta.  A stationary kernel
-    stays one, with radial alpha * k(r / beta^(1/d)).
+    intensity scales by alpha, p_u by alpha*beta and norm_sq by
+    alpha^2*beta.  A stationary kernel stays one, with radial
+    alpha * k(r / beta^(1/d)).
     """
     if kernel.space.kind != "euclidean":
         raise ValidationError("param-bound", "thinning transform is for Euclidean kernels")
@@ -230,32 +233,25 @@ def thin_rescale(kernel: Kernel, alpha: float, beta: float) -> Kernel:
     d = kernel.space.size
     c = beta ** (1.0 / d)
 
-    def gram(X, Y, _g=kernel.gram, _a=alpha, _c=c):
-        return _a * _g(X / _c, Y / _c)
+    def gram(X, Y):
+        return alpha * kernel.gram(X / c, Y / c)
 
-    radial = kernel.radial
-    if radial is not None:
-        radial = lambda r, _k=radial, _a=alpha, _c=c: _a * _k(np.asarray(r, dtype=float) / _c)
-    radial_abs_sq = kernel.radial_abs_sq
-    if radial_abs_sq is not None:
-        radial_abs_sq = (lambda r, _f=radial_abs_sq, _a=alpha, _c=c:
-                         _a ** 2 * _f(np.asarray(r, dtype=float) / _c))
-    scale = {"p_u": alpha * beta, "norm_sq": alpha ** 2 * beta}
+    radial = kernel.radial and (lambda r: alpha * kernel.radial(np.asarray(r, dtype=float) / c))
+    radial_abs_sq = kernel.radial_abs_sq and (
+        lambda r: alpha ** 2 * kernel.radial_abs_sq(np.asarray(r, dtype=float) / c))
+    scaled = lambda factor, value: None if value is None else factor * value
     return Kernel(space=kernel.space, gram=gram, radial=radial, radial_abs_sq=radial_abs_sq,
                   tail=kernel.tail and kernel.tail.rescaled(alpha ** 2, c),
-                  reference={key: scale[key] * v for key, v in kernel.reference.items()})
+                  p_u=scaled(alpha * beta, kernel.p_u),
+                  norm_sq=scaled(alpha ** 2 * beta, kernel.norm_sq))
 
 
-def sphere_multiplicity(ell: int, d: int) -> int:
-    """Dimension of the degree-ell spherical harmonic space on S^d.
+def _multiplicity(ell: int, d: int) -> int:
+    """Dimension of the degree-ell spherical harmonic space on S^d, exactly.
 
     On the circle the degree-0 space is the constants (dimension 1) and
     every higher degree has dimension 2.
     """
-    return _multiplicity(check_count("degree ell", ell, 0), check_count("sphere dimension", d, 1))
-
-
-def _multiplicity(ell: int, d: int) -> int:
     if d == 1:
         return 1 if ell == 0 else 2
     return (2 * ell + d - 1) * math.comb(ell + d - 2, d - 2) // (d - 1)
@@ -325,10 +321,10 @@ def sphere_model(d: int, rho: float, beta_coeffs: Sequence[float],
 def _series_k0(model: SphereModel) -> Callable[[np.ndarray], np.ndarray]:
     lam_geg = (model.d - 1) / 2.0
 
-    def k0(t, _m=model, _lam=lam_geg):
+    def k0(t):
         t = np.clip(np.atleast_1d(np.asarray(t, dtype=float)), -1.0, 1.0)
-        out = gegenbauer_series(_m.beta_coeffs, _lam, t)
-        out *= _m.rho
+        out = gegenbauer_series(model.beta_coeffs, lam_geg, t)
+        out *= model.rho
         return out
 
     return k0
@@ -336,15 +332,15 @@ def _series_k0(model: SphereModel) -> Callable[[np.ndarray], np.ndarray]:
 
 def sphere_kernel(model: SphereModel) -> Kernel:
     """Kernel K(v, w) = K0(v . w) with K0 the Gegenbauer series of a
-    sphere model, cut at its last coefficient.  Its reference p_u is that
+    sphere model, cut at its last coefficient.  Its declared p_u is that
     of the cut kernel, the eigen-series value over K0(1) / rho =
     sum beta_ell, which is less than 1 when the model declares a tail; a
     model with all of its mass in the tail has the zero kernel, and 0."""
     k0 = _series_k0(model)
     total = float(model.beta_coeffs.sum())
     p_u = sphere_p(model).value / total if total > 0.0 else 0.0
-    return Kernel(space=GroundSpace("sphere", model.d), gram=lambda X, Y, _k0=k0: _k0(X @ Y.T),
-                  k0=k0, reference={"p_u": p_u})
+    return Kernel(space=GroundSpace("sphere", model.d), gram=lambda X, Y: k0(X @ Y.T),
+                  k0=k0, p_u=p_u)
 
 
 def multiquadric(delta: float, rho: float) -> tuple[SphereModel, Kernel]:
@@ -352,7 +348,7 @@ def multiquadric(delta: float, rho: float) -> tuple[SphereModel, Kernel]:
 
     K0(t) = rho (1 - delta) / sqrt(1 + delta^2 - 2 delta t), which exists
     for 0 < rho <= 1 / (4 pi (1 - delta)).  The returned kernel carries
-    the closed form, and its reference p_u is the eigen-series' sum 4 pi
+    the closed form, and its declared p_u is the eigen-series' sum 4 pi
     rho (1 - delta)^2 atanh(delta) / delta; the model holds the coefficient
     sequence beta_ell = (1 - delta) delta^ell truncated below 1e-13 mass.
     """
@@ -369,17 +365,17 @@ def multiquadric(delta: float, rho: float) -> tuple[SphereModel, Kernel]:
     tail = delta ** (l_max + 1)  # geometric remainder of the coefficient mass
     model = sphere_model(2, rho, beta, tail_bound=tail)
 
-    def k0(t, _rho=rho, _delta=delta):
+    def k0(t):
         t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
-        return _rho * (1.0 - _delta) / np.sqrt(1.0 + _delta ** 2 - 2.0 * _delta * t)
+        return rho * (1.0 - delta) / np.sqrt(1.0 + delta ** 2 - 2.0 * delta * t)
 
     # a commonly reported closed form for this family drops the 1/(2l+1)
     # multiplicity factor and disagrees with the eigen-series; carried as
-    # a flagged reference value, not adopted
-    reference = {"p_u": 4.0 * math.pi * rho * (1.0 - delta) ** 2 * math.atanh(delta) / delta,
-                 "p_u_reported": 4.0 * math.pi * rho * (1.0 - delta) / (1.0 + delta)}
-    return model, Kernel(space=GroundSpace("sphere", 2), gram=lambda X, Y, _k0=k0: _k0(X @ Y.T),
-                         k0=k0, reference=reference)
+    # p_u_reported, flagged and not adopted
+    return model, Kernel(
+        space=GroundSpace("sphere", 2), gram=lambda X, Y: k0(X @ Y.T), k0=k0,
+        p_u=4.0 * math.pi * rho * (1.0 - delta) ** 2 * math.atanh(delta) / delta,
+        p_u_reported=4.0 * math.pi * rho * (1.0 - delta) / (1.0 + delta))
 
 
 def sphere_p(model: SphereModel) -> SpherePResult:

@@ -29,6 +29,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import linalg, special
 
+from .errors import ValidationError
+
 __all__ = [
     "QuadratureError",
     "QuadratureSpec",
@@ -83,17 +85,19 @@ class QuadratureSpec:
     angle integral; radial quadrature ignores it.  truncation_radius is
     where radial quadrature hands over to the declared tail, at least
     8 s / w out for an oscillating one; left None, integrate_radial takes
-    the tail's Tail.default_radius().
+    the tail's Tail.default_radius().  A value that is not finite and > 0
+    is refused with param-bound.
     """
 
     relative_tolerance: float = 1e-10
     truncation_radius: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.relative_tolerance > 0:
-            raise ValueError("relative_tolerance must be > 0")
-        if self.truncation_radius is not None and not self.truncation_radius > 0:
-            raise ValueError("truncation_radius must be > 0 when given")
+        radius = self.truncation_radius
+        for name, value in (("relative_tolerance", self.relative_tolerance),
+                            ("truncation_radius", 1.0 if radius is None else radius)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError("param-bound", f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)

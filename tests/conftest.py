@@ -81,6 +81,20 @@ def assert_sampler_matches_kernel(dpp, indicators) -> None:
     assert abs(counts.var() - var) <= 4.5 * var_sd + 1e-12
 
 
+def table_items(table):
+    """The table's ((S, T), mass) items, in table order."""
+    return [((s, t), w) for (s, t), w in zip(table.joint.tolist(), table.mass.tolist())]
+
+
+def reference_marginals(table):
+    """Row and column marginals, one addition per pair."""
+    rows, cols = np.zeros(2 ** table.n), np.zeros(2 ** table.n)
+    for (s, t), w in table_items(table):
+        rows[s] += w
+        cols[t] += w
+    return rows, cols
+
+
 def palm_law_of_couple(dpp, u: int) -> np.ndarray:
     """The law of X^u, by bitmask, that couple hands to coupling_feasible."""
     seen = []

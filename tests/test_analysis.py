@@ -152,9 +152,11 @@ class TestMomentQuadrature:
 
     def test_kernel_without_a_declared_norm_is_rejected(self):
         # the displacement law needs the row norm the family declares
-        for kernel in (jinc_kernel(2), thin_rescale(jinc_kernel(2), 1.0, 0.5),
+        undeclared = thin_rescale(replace(jinc_kernel(2), norm_sq=None), 1.0, 0.5)
+        assert undeclared.norm_sq is None and undeclared.p_u == 0.5
+        for kernel in (jinc_kernel(2), thin_rescale(jinc_kernel(2), 1.0, 0.5), undeclared,
                        ginibre_kernel(GinibreParams(1.0, 1.0))):
-            bare = replace(kernel, reference={"p_u": kernel.reference["p_u"]})
+            bare = replace(kernel, norm_sq=None)
             for call in (lambda: moment_quadrature(bare, ORIGIN, 0.5),
                          lambda: radial_profile(bare, ORIGIN, [0.0, 1.0])):
                 with pytest.raises(ValidationError, match="norm") as exc:
@@ -245,7 +247,7 @@ class TestRadialProfile:
         # the declared norm (pi rho)^2 / (pi rho) / pi rounds to 0
         alpha = math.pi * rho
         kernel = ginibre_kernel(GinibreParams(alpha, 1.0 / alpha))
-        assert kernel.reference["norm_sq"] == 0.0
+        assert kernel.norm_sq == 0.0
         with pytest.raises(OverflowError):
             moment_quadrature(kernel, ORIGIN, 1.0)
         with pytest.raises(OverflowError):

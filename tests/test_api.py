@@ -3,6 +3,7 @@ points refuse."""
 from __future__ import annotations
 
 import importlib
+import inspect
 import math
 import pkgutil
 
@@ -14,10 +15,12 @@ from palmdpp import analysis, finite_dpp, model_zoo
 from palmdpp.errors import ValidationError
 from palmdpp.kernel_core import (GroundSpace, Kernel, palm_kernel, profile_coordinates,
                                  repulsiveness_p)
-from palmdpp.numerics import Tail
+from palmdpp.numerics import QuadratureSpec, Tail
 
 MODULES = [f"palmdpp.{info.name}" for info in pkgutil.iter_modules(palmdpp.__path__)
            if info.name != "__main__"]
+# the command line is imported on its own, not through the package
+LIBRARY_MODULES = [name for name in MODULES if name != "palmdpp.cli"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -28,6 +31,21 @@ def test_every_exported_name_resolves(name):
     exported = module.__all__
     assert len(set(exported)) == len(exported)
     assert [attr for attr in exported if not hasattr(module, attr)] == []
+
+
+def test_package_exports_exactly_the_modules_names():
+    # each module's __all__ is the one list of its public names
+    owners = {}
+    for name in LIBRARY_MODULES:
+        module = importlib.import_module(name)
+        for attr in module.__all__:
+            assert attr not in owners, f"{attr} is exported by two modules"
+            owners[attr] = module
+    public = {attr for attr, value in vars(palmdpp).items()
+              if not attr.startswith("_") and not inspect.ismodule(value)}
+    assert public == set(owners)
+    assert [attr for attr, module in owners.items()
+            if getattr(palmdpp, attr) is not getattr(module, attr)] == []
 
 
 def _finite2():
@@ -155,6 +173,22 @@ REFUSED_CALLS = {
         2.5, 0.05, [0.6, 0.4])),
     "ground-space-size-2.5": ("size/dimension must be an integer", lambda: GroundSpace(
         "finite", 2.5)),
+    # bool is an int subclass, but True is not a site or a count
+    "couple-site-true": ("not one of the integers", lambda: finite_dpp.couple(
+        finite_dpp.validate(np.diag([0.3, 0.7])), True)),
+    "indicators-draws-true": ("draws must be an integer", lambda: finite_dpp.sample_indicators(
+        finite_dpp.validate(np.diag([0.3, 0.7])), 0, True)),
+    "grid-resolution-true": ("resolution must be an integer", lambda: analysis.grid_discretize(
+        _ginibre(), SQUARE, True)),
+    "ground-space-size-true": ("size/dimension must be an integer", lambda: GroundSpace(
+        "finite", True)),
+    "quadrature-nan-tolerance": ("relative_tolerance", lambda: QuadratureSpec(
+        relative_tolerance=math.nan)),
+    "quadrature-inf-tolerance": ("relative_tolerance", lambda: QuadratureSpec(math.inf)),
+    "quadrature-nan-radius": ("truncation_radius", lambda: QuadratureSpec(
+        truncation_radius=math.nan)),
+    "quadrature-inf-radius": ("truncation_radius", lambda: repulsiveness_p(
+        model_zoo.jinc_kernel(2), np.zeros(2), QuadratureSpec(truncation_radius=math.inf))),
 }
 
 
@@ -182,3 +216,38 @@ def test_numpy_integer_sites_and_counts_accepted():
     assert profile_coordinates(_ginibre(), np.int16(5)).size == 5
     assert model_zoo.sphere_model(np.int64(2), 0.05, [0.6, 0.4]).d == 2
     assert GroundSpace("sphere", np.int64(2)).size == 2
+
+
+def _plane(d):
+    return np.linspace(0.0, 1.0, 2 * d).reshape(2, d)
+
+
+# each kernel, and the points its gram takes
+KERNELS = {
+    "finite": lambda: (_finite2(), np.array([1, 2])),
+    "ginibre": lambda: (_ginibre(), _plane(2)),
+    "sinc": lambda: (model_zoo.jinc_kernel(1), _plane(1)),
+    "jinc": lambda: (model_zoo.jinc_kernel(2), _plane(2)),
+    "thinned-jinc": lambda: (model_zoo.thin_rescale(model_zoo.jinc_kernel(2), 0.5, 0.8),
+                             _plane(2)),
+    "thinned-ginibre": lambda: (model_zoo.thin_rescale(_ginibre(), 0.5, 0.8), _plane(2)),
+    "sphere-series": lambda: (model_zoo.sphere_kernel(model_zoo.sphere_model(2, 0.05, [0.6, 0.4])),
+                              np.array([NORTH, [1.0, 0.0, 0.0]])),
+    "multiquadric": lambda: (_sphere(), np.array([NORTH, [1.0, 0.0, 0.0]])),
+    "palm": lambda: (palm_kernel(_ginibre(), np.zeros(2)), _plane(2)),
+}
+
+
+@pytest.mark.parametrize("make", KERNELS.values(), ids=KERNELS)
+def test_kernel_callables_take_only_their_arguments(make):
+    # a parameter captured as a default argument would take the extra
+    # argument in its place and answer for another kernel
+    kernel, X = make()
+    r = np.array([0.0, 0.5])
+    calls = {"gram": (X, X), "radial": (r,), "radial_abs_sq": (r,), "k0": (r,),
+             "grid_factor": (_plane(2), 0.1)}
+    for field, args in calls.items():
+        fn = getattr(kernel, field)
+        if fn is not None:
+            with pytest.raises(TypeError, match="argument"):
+                fn(*args, 0.5)

@@ -26,7 +26,8 @@ from palmdpp.finite_dpp import (
 )
 
 from conftest import (assert_sampler_matches_kernel, complement_determinant_law, masks_of,
-                      palm_law_of_couple, random_dpp_matrix, random_unitary)
+                      palm_law_of_couple, random_dpp_matrix, random_unitary, reference_marginals,
+                      table_items)
 
 DIAG = np.diag([0.3, 0.7])
 PROJ1 = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -46,11 +47,6 @@ def real_kernel_with_extreme_eigenvalues(rng, n: int = 12) -> np.ndarray:
     return 0.5 * (k + k.T)
 
 
-def table_items(table):
-    """The table's ((S, T), mass) items, in table order."""
-    return [((s, t), w) for (s, t), w in zip(table.joint.tolist(), table.mass.tolist())]
-
-
 def reference_coupled_draws(table, rng_seed: int, draws: int):
     """Sorted (pair, mass) items and one comprehension entry per draw."""
     rng = np.random.default_rng(rng_seed)
@@ -61,15 +57,6 @@ def reference_coupled_draws(table, rng_seed: int, draws: int):
     s = np.array([pairs[k][0][0] for k in ks], dtype=np.int64)
     t = np.array([pairs[k][0][1] for k in ks], dtype=np.int64)
     return s, t
-
-
-def reference_marginals(table):
-    """Row and column marginals, one addition per pair."""
-    rows, cols = np.zeros(2 ** table.n), np.zeros(2 ** table.n)
-    for (s, t), w in table_items(table):
-        rows[s] += w
-        cols[t] += w
-    return rows, cols
 
 
 def reference_xi_law(table, n):
@@ -372,8 +359,9 @@ class TestCoupling:
             ubit = 1 << (u - 1)
             for s, t in table.joint.tolist():
                 assert t & s == t and bin(s ^ t).count("1") <= 1 and not t & ubit
-            assert np.max(np.abs(table.row_marginal() - law_x.probs)) <= 1e-8
-            assert np.max(np.abs(table.col_marginal() - law_xu.probs)) <= 1e-8
+            rows, cols = reference_marginals(table)
+            assert np.max(np.abs(rows - law_x.probs)) <= 1e-8
+            assert np.max(np.abs(cols - law_xu.probs)) <= 1e-8
 
     def test_xi_law_matches_kernel_formulas(self):
         rng = np.random.default_rng(26)
@@ -411,8 +399,9 @@ class TestCoupling:
         s, t = table.joint.T
         assert np.all(t & s == t) and not np.any(t & ubit)
         assert max(bin(int(d)).count("1") for d in s ^ t) <= 1
-        assert np.max(np.abs(table.row_marginal() - law_x.probs)) <= 1e-12
-        assert np.max(np.abs(table.col_marginal() - law_xu.probs)) <= 1e-12
+        rows, cols = reference_marginals(table)
+        assert np.max(np.abs(rows - law_x.probs)) <= 1e-12
+        assert np.max(np.abs(cols - law_xu.probs)) <= 1e-12
         p, density = xi_law(table, dpp, u)
         row = np.abs(dpp.matrix[u - 1, :]) ** 2
         assert abs(p - row.sum() / dpp.matrix[u - 1, u - 1].real) <= formula_tol
@@ -484,13 +473,6 @@ class TestCoupling:
         assert (table is not None) == feasible
         if feasible:
             assert table.joint.tolist() == [[0, 0]]
-
-    def test_marginals_match_per_pair_sums(self):
-        dpp = validate(spectral_class_kernel(33, 2, 0, n=8))
-        _, table = couple(dpp, 3)
-        rows, cols = reference_marginals(table)
-        assert np.array_equal(table.row_marginal(), rows)
-        assert np.array_equal(table.col_marginal(), cols)
 
     @pytest.mark.parametrize("ones,zeros", [(0, 0), (2, 0), (5, 7)],
                              ids=["below-one", "some-one", "projection"])

@@ -20,8 +20,7 @@ from palmdpp.kernel_core import (
     sphere_surface_measure,
 )
 from palmdpp.model_zoo import (GinibreParams, finite_kernel, ginibre_kernel, jinc_kernel,
-                               multiquadric, sphere_kernel, sphere_model, sphere_multiplicity,
-                               sphere_p, thin_rescale)
+                               multiquadric, sphere_kernel, sphere_model, sphere_p, thin_rescale)
 
 from palmdpp.numerics import QuadratureError, Tail
 
@@ -306,6 +305,6 @@ class TestSphereErrorBudget:
     def test_coefficient_model(self, d, l_max):
         beta = 1.0 / np.arange(1.0, l_max + 2.0) ** 2
         beta /= beta.sum()
-        mult = np.array([sphere_multiplicity(ell, d) for ell in range(l_max + 1)], dtype=float)
+        mult = sphere_model(d, 1e-9, beta).multiplicities
         model = sphere_model(d, float(np.min(mult / (sphere_surface_measure(d) * beta))), beta)
         assert_sphere_p_within_budget(model, sphere_kernel(model))

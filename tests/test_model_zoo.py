@@ -21,7 +21,6 @@ from palmdpp.model_zoo import (
     multiquadric,
     sphere_kernel,
     sphere_model,
-    sphere_multiplicity,
     sphere_p,
     thin_rescale,
 )
@@ -218,7 +217,7 @@ class TestThinRescale:
         # reduces to the planar displacement density, and it integrates to 1
         beta = 0.6
         k = thin_rescale(jinc_kernel(2), 1.0, beta)
-        norm = k.reference["norm_sq"]
+        norm = k.norm_sq
         rfn = k.radial_abs_sq
         for r in (0.3, 1.1, 2.7):
             want = special.j1(2.0 * r / math.sqrt(beta)) ** 2 / (math.pi * r ** 2)
@@ -247,17 +246,20 @@ class TestThinRescale:
 
 class TestSphereModels:
     def test_multiplicities(self):
-        assert [sphere_multiplicity(l, 2) for l in range(5)] == [1, 3, 5, 7, 9]
-        assert [sphere_multiplicity(l, 1) for l in range(4)] == [1, 2, 2, 2]
-        assert sphere_multiplicity(2, 3) == 9
-        # the harmonic polynomials of degree ell in d + 1 variables, exactly
-        # even past 2^53, where a float quotient of factorials rounds
+        def mult(d, degrees):
+            return sphere_model(d, 1e-9, np.full(degrees, 1.0 / degrees)).multiplicities.tolist()
+
+        assert mult(2, 5) == [1, 3, 5, 7, 9]
+        assert mult(1, 4) == [1, 2, 2, 2]
+        assert mult(3, 3)[2] == 9
+        # the harmonic polynomials of degree ell in d + 1 variables, rounded
+        # once, even past 2^53, where a float quotient of factorials rounds
+        # more than once
         for d in range(2, 12):
-            for ell in range(4001):
-                want = math.comb(ell + d, d) - math.comb(ell + d - 2, d)
-                assert sphere_multiplicity(ell, d) == want, (ell, d)
-        assert sphere_multiplicity(584, 8) == 9586135115158875
-        assert sphere_multiplicity(3520, 6) == 9038652108531409
+            want = [float(math.comb(ell + d, d) - math.comb(ell + d - 2, d)) for ell in range(4001)]
+            assert mult(d, 4001) == want, d
+        assert mult(8, 585)[584] == float(9586135115158875)
+        assert mult(6, 3521)[3520] == float(9038652108531409)
 
     def test_multiquadric_eigenvalues(self):
         delta, rho = 0.5, 1.0 / (2.0 * math.pi)
@@ -281,7 +283,7 @@ class TestSphereModels:
         model, kernel = multiquadric(delta, rho)
         closed = 4.0 * math.pi * rho * (1.0 - delta) ** 2 * math.atanh(delta) / delta
         eps = np.finfo(float).eps
-        assert abs(kernel.reference["p_u"] - closed) <= 4.0 * eps * closed
+        assert abs(kernel.p_u - closed) <= 4.0 * eps * closed
         # the truncated series stays within its own remainder bound
         series = sphere_p(model)
         assert abs(series.value - closed) <= series.tail_bound + 8.0 * eps * closed
@@ -317,13 +319,13 @@ class TestSphereModels:
         oracle = 2.0 * math.pi * quad / float(k0(1.0))
         assert abs(result.value - oracle) < 1e-8
         # the reported closed form disagrees; it is carried as a flagged reference
-        reported = kernel.reference["p_u_reported"]
+        reported = kernel.p_u_reported
         assert abs(reported - 2.0 / 3.0) < 1e-12
         assert abs(result.value - reported) > 1e-3
 
     def test_projection_sphere_model_is_most_repulsive(self):
         d, l_cut = 2, 3
-        mult = np.array([sphere_multiplicity(l, d) for l in range(l_cut + 1)], dtype=float)
+        mult = 2.0 * np.arange(l_cut + 1) + 1.0  # 2 ell + 1 on S^2
         sigma = 4.0 * math.pi
         rho = mult.sum() / sigma
         beta = mult / mult.sum()
@@ -363,11 +365,11 @@ class TestSphereModels:
         # K0(1) = rho sum beta, so the cut kernel's p_u divides the series by sum beta
         model = sphere_model(2, 0.05, [0.5, 0.3], tail_bound=0.2)
         kernel = sphere_kernel(model)
-        assert abs(kernel.reference["p_u"] - sphere_p(model).value / 0.8) < 1e-15
-        assert abs(kernel.reference["p_u"] - 0.219911485751) < 1e-12
+        assert abs(kernel.p_u - sphere_p(model).value / 0.8) < 1e-15
+        assert abs(kernel.p_u - 0.219911485751) < 1e-12
         # with all of the mass in the tail the kernel is zero
         kernel = sphere_kernel(sphere_model(2, 0.05, [0.0], tail_bound=1.0))
-        assert kernel.reference["p_u"] == 0.0 and np.all(kernel.k0(np.linspace(-1, 1, 5)) == 0.0)
+        assert kernel.p_u == 0.0 and np.all(kernel.k0(np.linspace(-1, 1, 5)) == 0.0)
 
     def test_zoo_eigenvalues_in_unit_interval(self):
         for delta in (0.1, 0.5, 0.9):
@@ -397,7 +399,7 @@ class TestSphereModels:
         rng = np.random.default_rng(l_max + d)
         beta = rng.uniform(0.0, 1.0, l_max + 1)
         beta /= beta.sum()
-        mult = np.array([sphere_multiplicity(l, d) for l in range(l_max + 1)], dtype=float)
+        mult = sphere_model(d, 1e-9, beta).multiplicities
         rho = 0.9 * float(np.min(mult / (sphere_surface_measure(d) * beta)))
         t = np.concatenate([rng.uniform(-1.0, 1.0, 200), [-1.0, 0.0, 1.0]])
         ell = np.arange(l_max + 1)[:, None]

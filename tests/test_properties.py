@@ -24,11 +24,10 @@ from palmdpp.errors import ValidationError
 from palmdpp.finite_dpp import couple, palm_matrix, subset_law, validate, xi_law
 from palmdpp.kernel_core import palm_kernel, repulsiveness_p, sphere_surface_measure
 from palmdpp.model_zoo import (GinibreParams, finite_kernel, ginibre_kernel, jinc_kernel,
-                               multiquadric, sphere_kernel, sphere_model, sphere_multiplicity,
-                               sphere_p, thin_rescale)
+                               multiquadric, sphere_kernel, sphere_model, sphere_p, thin_rescale)
 
 from conftest import (complement_determinant_law, palm_law_of_couple, random_dpp_matrix,
-                      random_unitary)
+                      random_unitary, reference_marginals)
 
 EPS = float(np.finfo(float).eps)
 betas = st.floats(min_value=0.01, max_value=1.0)
@@ -69,7 +68,7 @@ def sphere_models(draw):
     raw = draw(st.lists(st.integers(0, 20), min_size=1, max_size=8))
     assume(sum(raw) > 0)
     beta = np.asarray(raw) / sum(raw)
-    mult = np.array([sphere_multiplicity(ell, d) for ell in range(beta.size)], dtype=float)
+    mult = sphere_model(d, 1e-9, beta).multiplicities
     nonzero = beta > 0
     rho_max = float(np.min(mult[nonzero] / (sphere_surface_measure(d) * beta[nonzero])))
     rho = draw(st.floats(min_value=0.05, max_value=1.0)) * rho_max
@@ -118,8 +117,9 @@ def test_couple_support_marginals_and_removed_point(dpp, pick):
     s, t = table.joint.T
     assert np.all(t & s == t) and not np.any(t >> (u - 1) & 1)
     assert max(bin(int(d)).count("1") for d in s ^ t) <= 1
-    assert np.max(np.abs(table.row_marginal() - subset_law(dpp).probs)) <= 1e-12
-    assert np.max(np.abs(table.col_marginal() - subset_law(palm_matrix(dpp, u)).probs)) <= 1e-12
+    rows, cols = reference_marginals(table)
+    assert np.max(np.abs(rows - subset_law(dpp).probs)) <= 1e-12
+    assert np.max(np.abs(cols - subset_law(palm_matrix(dpp, u)).probs)) <= 1e-12
     p, density = xi_law(table, dpp, u)
     row = np.abs(dpp.matrix[u - 1, :]) ** 2
     assert abs(p - row.sum() / diag[u - 1]) <= 1e-12
