@@ -321,6 +321,7 @@ def mc_validate_coupling(kernel: Kernel, u, window, resolution: int,
     """
     u = check_point(kernel.space, u)
     samples = check_count("draws", samples, 1)
+    rng_seed = check_count("rng_seed", rng_seed, 0)
     grid = grid_discretize(kernel, window, resolution)
     site = _nearest_site(grid.centers, u)
     flow, table = finite_dpp.couple(grid.dpp, site)

@@ -66,14 +66,15 @@ class ModelBundle:
     dpp: finite_dpp.FiniteDpp | None = None
 
 
-def _fmt(x: Any) -> str:
-    return format(float(x), ".12g")
+# one number in a CSV cell; the same text as format(float(x), ".12g") for
+# ints, bools and numpy scalars too
+_fmt = "{:.12g}".format
 
 
 def _emit_block(out, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
     out.write(",".join(header) + "\n")
     for row in rows:
-        out.write(",".join(_fmt(v) for v in row) + "\n")
+        out.write(",".join(map(_fmt, row)) + "\n")
 
 
 def _emit_text_rows(out, header: Sequence[str], first: np.ndarray, rest: np.ndarray) -> None:
@@ -402,17 +403,18 @@ def cmd_sample(args) -> int:
         grid = analysis.grid_discretize(bundle.kernel, window, args.resolution)
         dpp, centers = grid.dpp, grid.centers
     bits = finite_dpp.sample_indicators(dpp, args.seed, args.samples)
-    draw_text = np.array([_fmt(i) for i in range(len(bits))], dtype=object)
-    count_text = np.array([_fmt(c) for c in range(dpp.n + 1)], dtype=object)
+    # integer labels: str is .12g's text below 10^12 draws or sites
+    draw_text = np.array(list(map(str, range(len(bits)))), dtype=object)
+    count_text = np.array(list(map(str, range(dpp.n + 1))), dtype=object)
     _emit_text_rows(sys.stdout, ["sample", "count"], draw_text, count_text[bits.sum(axis=1)])
     if args.emit_points:
         sys.stdout.write("\n")
         if centers is None:
             header = ["sample", "site"]
-            site_text = [_fmt(v + 1) for v in range(dpp.n)]
+            site_text = list(map(str, range(1, dpp.n + 1)))
         else:
             header = ["sample"] + ["x", "y", "z"][:centers.shape[1]]
-            site_text = [",".join(_fmt(x) for x in c) for c in centers]
+            site_text = [",".join(map(_fmt, c)) for c in centers]
         draw, site = np.nonzero(bits)
         _emit_text_rows(sys.stdout, header, draw_text[draw],
                         np.array(site_text, dtype=object)[site])

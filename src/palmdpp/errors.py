@@ -1,5 +1,5 @@
 """Exception types shared across the library and mapped to CLI exit codes,
-and the input gates of every module: sites, counts, resolutions and
+and the input gates of every module: sites, counts, seeds, resolutions and
 dimensions are integers (Python or numpy; 2.0, "2" and True are refused
 with param-bound), and a Palm anchor needs K(u, u) > 1e-12."""
 from __future__ import annotations

@@ -7,8 +7,8 @@ feasibility on up to 16 sites (the Palm law read off the law of X, the
 pairs that lose the anchor routed before the solve, the rest started
 from a greedy flow), and exact / coupled samplers.
 
-Sites are the integers 1..n in the public API, and draw counts are
-integers too (errors.check_site, errors.check_count); subsets are
+Sites are the integers 1..n in the public API, and draw counts and
+seeds are integers too (errors.check_site, errors.check_count); subsets are
 bitmasks where bit (site - 1) marks membership.
 """
 from __future__ import annotations
@@ -490,7 +490,7 @@ def sample_indicators(dpp: FiniteDpp, rng_seed: int, draws: int) -> np.ndarray:
     k_max the most eigenvectors a draw keeps.
     """
     draws = check_count("draws", draws, 0)
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(check_count("rng_seed", rng_seed, 0))
     lam, V = dpp.eig.eigenvalues, dpp.eig.eigenvectors
     block = max(_SAMPLE_BLOCK, _SAMPLE_ENTRIES // dpp.n ** 2)
     blocks = [_spectral_block(lam, V, min(block, draws - lo), rng)
@@ -502,7 +502,7 @@ def sample_coupled_many(table: CouplingTable, rng_seed: int,
                         draws: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw many (S, T) pairs, at least one; returns (S array, T array) of bitmasks."""
     draws = check_count("draws", draws, 1)
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(check_count("rng_seed", rng_seed, 0))
     order = np.lexsort((table.joint[:, 1], table.joint[:, 0]))  # pairs sorted by (S, T)
     pairs, w = table.joint[order], table.mass[order]
     drawn = pairs[rng.choice(len(pairs), p=w / w.sum(), size=draws)]

@@ -17,11 +17,16 @@ integrated in t: powers in closed form, a Gaussian by the incomplete Gamma
 function, sin/cos terms by Gauss-Laguerre rules on a complex path.  The
 error budget adds the 32- vs 20-node differences, a rounding term, and the
 integral of the declared remainder bound.  Whether the integral converges
-is read off the declared exponent, never fitted.  Everything here is a
-pure function of its inputs and safe to call concurrently.
+is read off the declared exponent, never fitted.  The fixed pieces of a
+radial integral are built once per process: each Gauss-Jacobi rule per
+(nodes, power), and each tail shape's unit-scale truncation radius, in
+bounded memos (_MEMO_ENTRIES each) whose arrays are read-only.  Everything
+here is a pure function of its inputs, and the memos only skip recomputing
+the same values, so calls stay safe to run concurrently.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -70,6 +75,9 @@ _RADIUS_CANDIDATES = 1000
 _LAGUERRE_HI = np.polynomial.laguerre.laggauss(32)
 _LAGUERRE_LO = np.polynomial.laguerre.laggauss(20)
 _PATH_START = 8.0
+# Entries each memo keeps, least recently used dropped first: one per
+# Gauss-Jacobi rule (nodes, power) and one per tail shape.
+_MEMO_ENTRIES = 256
 
 
 class QuadratureError(RuntimeError):
@@ -191,18 +199,31 @@ class Tail:
 
         The first panel edge, at least one panel past the origin cell,
         where the terms decrease and the remainder bound is at most 1e-12
-        of the leading term: 8 s for an exact tail, 26 s for jinc.
+        of the leading term: 8 s for an exact tail, 26 s for jinc.  It is
+        s times the unit-scale radius, which depends only on the tail's
+        shape and is found once per shape (_unit_radius).
         """
-        edges = _ORIGIN_CELL + _GL_PANEL * np.arange(1, _RADIUS_CANDIDATES + 1)
-        if self.kind == "gaussian":
-            return self.scale * float(edges[0])
-        for t in edges.tolist():
-            remainder = float(np.dot(self.bound, t ** -np.arange(len(self.bound), dtype=float)))
-            if (self.asymptotic_at(self.scale * t)
-                    and remainder <= _TAIL_REMAINDER * self._magnitudes(self.scale * t)[0]):
-                return self.scale * t
-        raise QuadratureError("the declared tail never becomes asymptotic within "
-                              f"{_ORIGIN_CELL + _GL_PANEL * _RADIUS_CANDIDATES:g} length scales")
+        terms = (tuple(map(float, c)) for c in (self.smooth, self.sine, self.cosine, self.bound))
+        return self.scale * _unit_radius(self.kind, float(self.order), float(self.frequency),
+                                         *terms)
+
+
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
+def _unit_radius(kind: str, order: float, frequency: float, smooth: tuple[float, ...],
+                 sine: tuple[float, ...], cosine: tuple[float, ...],
+                 bound: tuple[float, ...]) -> float:
+    """Tail.default_radius of the tail of this shape at unit scale and amplitude."""
+    edges = _ORIGIN_CELL + _GL_PANEL * np.arange(1, _RADIUS_CANDIDATES + 1)
+    if kind == "gaussian":
+        return float(edges[0])
+    unit = Tail(kind, 1.0, order=order, frequency=frequency, smooth=smooth, sine=sine,
+                cosine=cosine, bound=bound)
+    for t in edges.tolist():
+        remainder = float(np.dot(bound, t ** -np.arange(len(bound), dtype=float)))
+        if unit.asymptotic_at(t) and remainder <= _TAIL_REMAINDER * unit._magnitudes(t)[0]:
+            return t
+    raise QuadratureError("the declared tail never becomes asymptotic within "
+                          f"{_ORIGIN_CELL + _GL_PANEL * _RADIUS_CANDIDATES:g} length scales")
 
 
 def gegenbauer_series(coeffs, lam: float, t) -> np.ndarray:
@@ -417,8 +438,10 @@ def integrate_polar(g: Callable[[np.ndarray], np.ndarray], relative_tolerance: f
     return value, error
 
 
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
 def _gauss_jacobi(n: int, power: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-1, 1] for the weight (1 + x)^power.
+    """Nodes and weights on [-1, 1] for the weight (1 + x)^power, read-only,
+    as they are shared by every call with the same (n, power).
 
     Golub-Welsch on the Jacobi matrix of the Jacobi polynomials with
     alpha = 0, beta = power.  scipy.special.roots_jacobi loses accuracy
@@ -430,7 +453,10 @@ def _gauss_jacobi(n: int, power: float) -> tuple[np.ndarray, np.ndarray]:
     diag = np.append(power / (power + 2.0), power ** 2 / (s * (s + 2.0)))
     off = np.sqrt(4.0 * k ** 2 * (k + power) ** 2 / (s ** 2 * (s + 1.0) * (s - 1.0)))
     x, V = linalg.eigh_tridiagonal(diag, off)
-    return x, 2.0 ** (power + 1.0) / (power + 1.0) * V[0] ** 2
+    w = 2.0 ** (power + 1.0) / (power + 1.0) * V[0] ** 2
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def _jacobi_cell(g, power: float, width: float) -> tuple[float, float]:
@@ -438,7 +464,7 @@ def _jacobi_cell(g, power: float, width: float) -> tuple[float, float]:
     with the 32- vs 20-node difference and the rounding term as error."""
     total = []
     for n in (32, 20):
-        x, w = _gauss_jacobi(n, power)
+        x, w = _gauss_jacobi(n, float(power))  # a hashable key, also for a 0-d array
         vals = np.asarray(g(0.5 * width * (1.0 + x)), dtype=float)
         total.append((float(w @ vals), float(w @ np.abs(vals))))
     jac = (0.5 * width) ** (power + 1.0)
@@ -504,15 +530,16 @@ def integrate_radial(g: Callable[[np.ndarray], np.ndarray], power: float, tail: 
       once checked at R, hands over at max(R, 8 s / w)), and the integrated
       remainder bound goes to the error.
 
+    Refuses power <= -1 (or nan) with param-bound, before anything else.
     Raises QuadratureError when the declared exponent makes the integral
     diverge, when a power tail is not asymptotic at R (its terms do not
     decrease there, or, with R left None, at any radius default_radius
     tries), and when an oscillating tail would need the growing panels,
     which alias its sin/cos terms; OverflowError when it is not finite.
     """
-    R = float(spec.truncation_radius or tail.default_radius())
     if not power > -1.0:
-        raise ValueError("the weight r^power needs power > -1")
+        raise ValidationError("param-bound", f"the weight r^power needs power > -1, got {power}")
+    R = float(spec.truncation_radius or tail.default_radius())
     if not tail.converges(power):
         raise QuadratureError(
             f"the integrand decays like r^({power - tail.order:g}) by its declared "

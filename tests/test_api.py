@@ -15,7 +15,7 @@ from palmdpp import analysis, finite_dpp, model_zoo
 from palmdpp.errors import ValidationError
 from palmdpp.kernel_core import (GroundSpace, Kernel, palm_kernel, profile_coordinates,
                                  repulsiveness_p)
-from palmdpp.numerics import QuadratureSpec, Tail
+from palmdpp.numerics import QuadratureSpec, Tail, integrate_radial
 
 MODULES = [f"palmdpp.{info.name}" for info in pkgutil.iter_modules(palmdpp.__path__)
            if info.name != "__main__"]
@@ -189,7 +189,28 @@ REFUSED_CALLS = {
         truncation_radius=math.nan)),
     "quadrature-inf-radius": ("truncation_radius", lambda: repulsiveness_p(
         model_zoo.jinc_kernel(2), np.zeros(2), QuadratureSpec(truncation_radius=math.inf))),
+    "radial-power-minus-1": ("power > -1", lambda: integrate_radial(
+        np.exp, -1.0, Tail("gaussian", 1.0), QuadratureSpec())),
+    "radial-power-minus-2": ("power > -1", lambda: integrate_radial(
+        np.exp, -2.0, model_zoo.jinc_kernel(2).tail, QuadratureSpec())),
+    "radial-power-nan": ("power > -1", lambda: integrate_radial(
+        np.exp, math.nan, Tail("gaussian", 1.0), QuadratureSpec())),
+    "mc-validate-seed-true": ("rng_seed must be an integer", lambda: analysis.mc_validate_coupling(
+        _ginibre(), np.zeros(2), SQUARE, 3, samples=10, rng_seed=True)),
 }
+# a seed is an integer >= 0 at each sampler; bool is an int subclass, but not a seed
+SEEDED_SAMPLERS = {
+    "indicators": lambda seed: finite_dpp.sample_indicators(
+        finite_dpp.validate(np.diag([0.3, 0.7])), seed, 2),
+    "coupled": lambda seed: finite_dpp.sample_coupled_many(
+        finite_dpp.couple(finite_dpp.validate(np.diag([0.3, 0.7])), 1)[1], seed, 2),
+    "removals": lambda seed: finite_dpp.sample_removals(
+        finite_dpp.couple(finite_dpp.validate(np.diag([0.3, 0.7])), 1)[1], seed, 2),
+}
+REFUSED_CALLS.update({
+    f"{name}-seed-{seed}": ("rng_seed must be an integer >= 0",
+                            lambda sampler=sampler, seed=seed: sampler(seed))
+    for name, sampler in SEEDED_SAMPLERS.items() for seed in (-1, True, 2.5)})
 
 
 @pytest.mark.parametrize("phrase,call", REFUSED_CALLS.values(), ids=REFUSED_CALLS)
@@ -212,6 +233,8 @@ def test_numpy_integer_sites_and_counts_accepted():
     assert finite_dpp.xi_law(table, dpp, site)[0] == pytest.approx(0.7)
     assert finite_dpp.sample_indicators(dpp, 0, np.int64(3)).shape == (3, 2)
     assert finite_dpp.sample_coupled_many(table, 0, np.uint8(4))[0].shape == (4,)
+    assert np.array_equal(finite_dpp.sample_indicators(dpp, np.uint64(7), 5),
+                          finite_dpp.sample_indicators(dpp, 7, 5))
     assert analysis.grid_discretize(_ginibre(), SQUARE, np.int64(3)).dpp.n == 9
     assert profile_coordinates(_ginibre(), np.int16(5)).size == 5
     assert model_zoo.sphere_model(np.int64(2), 0.05, [0.6, 0.4]).d == 2

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import palmdpp
-from palmdpp import analysis, finite_dpp, numerics
+from palmdpp import analysis, cli, finite_dpp, numerics
 from palmdpp.cli import load_kernel_spec, main
 
 from conftest import random_dpp_matrix
@@ -779,6 +779,15 @@ class TestRepeatedCalls:
 
 
 class TestCsvContract:
+    @pytest.mark.parametrize("value", [
+        0, 7, -3, True, False, 2 ** 60, -(2 ** 60), np.int64(12), np.int32(-5), np.uint8(200),
+        np.float64(1.0 / 3.0), np.float32(0.1), np.bool_(True), np.bool_(False), 0.0, -0.0,
+        math.nan, math.inf, -math.inf, 1e-320])
+    def test_cell_text_is_the_floats_at_12_digits(self, value):
+        # every cell goes through one bound formatter; its text is that of the
+        # number as a float, also for ints, bools and numpy scalars
+        assert cli._fmt(value) == format(float(value), ".12g")
+
     def test_round_trip_at_12_digits(self, tmp_path):
         doc = {"family": "ginibre", "params": {"alpha": 0.5, "beta": 1.5}}
         _, out, _ = run_cli(["repulsiveness", write_spec(tmp_path, "g.json", doc)])

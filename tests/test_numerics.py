@@ -5,15 +5,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import special
 
-from palmdpp.model_zoo import GinibreParams, ginibre_kernel, jinc_kernel
+from palmdpp.kernel_core import repulsiveness_p
+from palmdpp.model_zoo import GinibreParams, ginibre_kernel, jinc_kernel, thin_rescale
 from palmdpp.numerics import (
+    _MEMO_ENTRIES,
     QuadratureError,
     QuadratureSpec,
     Tail,
     _gauss_jacobi,
     _tail_beyond,
+    _unit_radius,
     circulant_eig,
     gegenbauer_series,
     hermitian_eig,
@@ -391,3 +395,107 @@ class TestPathRule:
     def test_tail_terms_need_a_frequency(self):
         with pytest.raises(ValueError, match="frequency"):
             Tail("power", 1.0, order=2.0, smooth=(0.0,), sine=(0.0,), cosine=(1.0,), bound=(0.0,))
+
+
+def scanned_radius(tail: Tail) -> float:
+    """Tail.default_radius by the candidate scan at the tail's own scale,
+    as it was found before the unit-scale radius was memoized."""
+    edges = 2.0 + 6.0 * np.arange(1, 1001)
+    if tail.kind == "gaussian":
+        return tail.scale * float(edges[0])
+    for t in edges.tolist():
+        remainder = float(np.dot(tail.bound, t ** -np.arange(len(tail.bound), dtype=float)))
+        if (tail.asymptotic_at(tail.scale * t)
+                and remainder <= 1e-12 * tail._magnitudes(tail.scale * t)[0]):
+            return tail.scale * t
+    raise AssertionError("no candidate radius")
+
+
+def hex_floats(*values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+class TestRuleMemo:
+    """Each Gauss-Jacobi rule and each tail shape's unit-scale radius is
+    built once per process; a warm call gives the bits of a cold one."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memos(self):
+        _gauss_jacobi.cache_clear()
+        _unit_radius.cache_clear()
+
+    def test_warm_calls_equal_cold_ones_bitwise(self):
+        kernels = [thin_rescale(jinc_kernel(2), 1.0, 0.3), jinc_kernel(1),
+                   ginibre_kernel(GinibreParams(1.0, 0.25))]
+
+        def run():
+            out = []
+            for kernel in kernels:
+                g, tail = kernel.radial_abs_sq, kernel.tail
+                for power in (0.0, 0.5):
+                    out += hex_floats(*integrate_radial(g, power, tail, QuadratureSpec()))
+                if kernel.space.size == 2:
+                    report = repulsiveness_p(kernel, np.array([0.3, -1.0]))
+                    out += hex_floats(report.p_u, report.norm_sq, report.quadrature_error)
+            return out
+
+        cold = run()
+        assert _gauss_jacobi.cache_info().hits > 0 and _unit_radius.cache_info().hits > 0
+        assert run() == cold
+        _gauss_jacobi.cache_clear()
+        _unit_radius.cache_clear()
+        assert run() == cold
+
+    def test_cached_rules_refuse_writes(self):
+        x, w = _gauss_jacobi(20, 1.0)
+        assert _gauss_jacobi(20, 1.0)[0] is x
+        for array in (x, w):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_zero_d_power_and_list_valued_tail(self):
+        # the memo keys are normalized: a 0-d array power and list-valued
+        # terms give the answers of a float power and tuples
+        g = lambda r: (np.sin(r) / (math.pi * r)) ** 2
+        sinc = jinc_kernel(1).tail
+        listed = Tail("power", 1.0, order=2, frequency=2.0, smooth=list(sinc.smooth),
+                      sine=[0], cosine=list(sinc.cosine), bound=[0.0])
+        assert listed.default_radius() == sinc.default_radius() == 8.0
+        res = integrate_radial(g, np.array(0.0), listed, QuadratureSpec())
+        ref = integrate_radial(g, 0.0, sinc, QuadratureSpec())
+        assert hex_floats(*res) == hex_floats(*ref)
+        assert abs(res.value - 0.5 / math.pi) <= res.error
+
+    def test_one_rule_pair_per_planar_sweep(self, monkeypatch):
+        # every planar anchor integrates against r^1: one 32- and one 20-node rule
+        calls = []
+        solve = scipy.linalg.eigh_tridiagonal
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
+                            lambda *args, **kwargs: calls.append(args) or solve(*args, **kwargs))
+        for kernel in (jinc_kernel(2), thin_rescale(jinc_kernel(2), 1.0, 0.5)):
+            for x in np.linspace(-2.0, 2.0, 5):
+                repulsiveness_p(kernel, np.array([x, 0.5]))
+        assert 0 < len(calls) <= 2
+
+    def test_memos_stay_within_their_bound(self):
+        for k in range(10_000):
+            _gauss_jacobi(2, 1.0 + 1e-3 * k)
+            Tail("gaussian", 1.0, order=float(k)).default_radius()
+        assert _gauss_jacobi.cache_info().currsize <= _MEMO_ENTRIES
+        assert _unit_radius.cache_info().currsize <= _MEMO_ENTRIES
+
+    @pytest.mark.parametrize("kernel", [
+        jinc_kernel(1), jinc_kernel(2), ginibre_kernel(GinibreParams(1.0, 0.25)),
+        thin_rescale(jinc_kernel(2), 1.0, 0.01), thin_rescale(jinc_kernel(2), 1.0, 0.3),
+        thin_rescale(jinc_kernel(2), 0.7, 1.0), thin_rescale(jinc_kernel(1), 1.0, 0.3)],
+        ids=["sinc", "jinc", "ginibre", "jinc-0.01", "jinc-0.3", "jinc-1", "sinc-0.3"])
+    def test_default_radius_is_the_scans(self, kernel):
+        assert kernel.tail.default_radius() == scanned_radius(kernel.tail)
+
+    def test_thinned_copies_share_one_radius(self):
+        # amplitude and scale do not enter the unit-scale radius
+        base = jinc_kernel(2)
+        for beta in (0.01, 0.3, 1.0):
+            thin_rescale(base, 0.5, beta).tail.default_radius()
+        base.tail.rescaled(3.0, 0.1).default_radius()
+        assert _unit_radius.cache_info().currsize == 1
