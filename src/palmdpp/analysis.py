@@ -14,7 +14,7 @@ import numpy as np
 from scipy import special
 
 from . import finite_dpp
-from .errors import SizeGuardError, ValidationError, check_count
+from .errors import SizeGuardError, ValidationError, check_count, check_finite
 from .kernel_core import Kernel, check_point, radial_integral
 from .numerics import QuadratureSpec, circulant_eig, factor_eig, reflection_eig
 
@@ -128,18 +128,18 @@ def ginibre_moment(k: float, rho: float) -> float:
 
 
 def _displacement_radial(kernel: Kernel, u):
-    """r -> |K(u, u + r e)|^2 for an isotropic planar kernel, and its
-    declared squared row norm."""
+    """r -> |K(u, u + r e)|^2 for an isotropic planar kernel at the point u,
+    and its declared squared row norm."""
     if kernel.space.kind != "euclidean" or kernel.space.size != 2:
         raise ValidationError("param-bound",
                               "displacement analysis covers isotropic kernels on the plane")
+    check_point(kernel.space, u)
     radial, norm_sq = kernel.radial_abs_sq, kernel.norm_sq
     if radial is None or norm_sq is None:
         raise ValidationError("param-bound", "kernel must declare an isotropic modulus "
                               "and its squared row norm (norm_sq)")
-    if not (norm_sq > 0 and math.isfinite(2.0 * math.pi / norm_sq)):
-        raise OverflowError(f"the kernel's declared squared row norm is {norm_sq!r}, "
-                            "so 2 pi / norm_sq is not finite")
+    check_finite(2.0 * math.pi / norm_sq if norm_sq > 0 else math.inf,
+                 f"2 pi / norm_sq, for the declared squared row norm {norm_sq!r},")
     return radial, norm_sq
 
 
@@ -170,8 +170,7 @@ def radial_profile(kernel: Kernel, u, radii) -> RadialProfile:
         raise ValidationError("param-bound", "radii must be finite and >= 0")
     with np.errstate(over="ignore", invalid="ignore"):
         density = 2.0 * math.pi * radii * radial(radii) / norm_sq
-    return RadialProfile(radii=radii, density=_finite(density, "the displacement density",
-                                                      "shrink the radii"))
+    return RadialProfile(radii=radii, density=check_finite(density, "the displacement density"))
 
 
 def _euclidean_centers(window, resolution: int, d: int):
@@ -207,15 +206,9 @@ def _sphere_centers(resolution: int):
     return centers, measure
 
 
-def _finite(a: np.ndarray, what: str, remedy: str = "shrink the window") -> np.ndarray:
-    if not np.all(np.isfinite(a)):
-        raise OverflowError(f"{what} has entries beyond double precision; {remedy}")
-    return a
-
-
 def _grid_gram(kernel: Kernel, centers: np.ndarray, measure: float) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(kernel.gram(centers, centers) * measure, "the grid's kernel matrix")
+        return check_finite(kernel.gram(centers, centers) * measure, "the grid's kernel matrix")
 
 
 def _sphere_table(k0, centers: np.ndarray, resolution: int, measure: float) -> np.ndarray:
@@ -223,14 +216,14 @@ def _sphere_table(k0, centers: np.ndarray, resolution: int, measure: float) -> n
     longitudes = 2 * resolution
     with np.errstate(over="ignore", invalid="ignore"):
         table = k0(centers[::longitudes] @ centers.T) * measure
-    return _finite(table.reshape(resolution, resolution, longitudes), "the grid's kernel matrix")
+    return check_finite(table, "the grid's kernel matrix").reshape(resolution, resolution, -1)
 
 
 def _euclidean_table(radial, centers: np.ndarray, resolution: int, measure: float) -> np.ndarray:
     # cells are in C order, so cell i_1 ... i_d lies i_k steps from cell 0 along each axis
     with np.errstate(over="ignore", invalid="ignore"):
         table = radial(np.sqrt(np.sum((centers - centers[0]) ** 2, axis=1))) * measure
-    return _finite(table.reshape((resolution,) * centers.shape[1]), "the grid's kernel matrix")
+    return check_finite(table, "the grid's kernel matrix").reshape((resolution,) * centers.shape[1])
 
 
 def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
@@ -287,7 +280,7 @@ def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
     try:
         if factor is not None:
             dpp = finite_dpp.validate_eig(
-                factor_eig(_finite(factor.phi, "the grid's series factor")), slack=1e-3,
+                factor_eig(check_finite(factor.phi, "the grid's series factor")), slack=1e-3,
                 dropped_trace=factor.dropped_trace)
         elif space.kind == "sphere" and kernel.k0 is not None:
             dpp = finite_dpp.validate_eig(

@@ -10,26 +10,27 @@ finite kernels) "matrix".  Families: "finite", "ginibre", "jinc",
 entries are [re, im] pairs, row-major.  Unknown keys anywhere are
 rejected.
 
-Exit codes: 0 success, 2 validation failure (including quadrature that
-cannot converge, non-finite anchor coordinates, values beyond double
-precision, and the model bounds --beta in (0, 1] for profile, moment
-orders --k > -2 and --rho > 0), 3 parse failure, 4 size guard, 5 internal
-theorem-violation dump.  Flag values are checked once, as argparse
-converts them: a value that does not convert, like a usage error (a
-missing spec, an unknown flag), exits 3.  Counts are integers, >= 0 for
---seed and sample --samples (0 draws print the header alone), >= 1 for
-the rest; --beta and --rho are finite numbers, --rel-tol,
---truncation-radius and --profile-max finite and > 0, the radii --r-min
-and --r-max finite and >= 0 (in either order); --k and --window are
-comma lists of finite numbers, --models a comma list of ginibre and
-jinc.  A flag is refused, exit 2 with param-bound naming it, where
-nothing reads it: repulsiveness --rel-tol (the sphere's polar
-quadrature) on a non-sphere spec, --truncation-radius (Euclidean radial
-quadrature) and --profile-max (the end of a radial profile) on a
-non-Euclidean one, and --profile-points on a finite one; sample
---window on a non-Euclidean spec and --resolution on a finite one;
-moments --rho with --model jinc.  All commands are deterministic given
-(input file, flags, seed); numbers render with 12 significant digits.
+Exit codes: 0 success; 2 validation failure, one stderr line
+validation-error[<token>]: with a token of errors.TOKENS: non-hermitian,
+spectrum, existence-bound, param-bound (also non-finite anchors and the
+model bounds --beta in (0, 1] for profile, --k > -2 and --rho > 0), anchor,
+quadrature, and overflow for a value beyond double precision
+(errors.check_finite); 3 parse failure; 4 size guard; 5 internal
+theorem-violation dump.  Flag values are checked once, as argparse converts
+them: a value that does not convert, like a usage error (a missing spec, an
+unknown flag), exits 3.  Counts are integers, >= 0 for --seed and sample
+--samples (0 draws print the header alone), >= 1 for the rest; --beta and
+--rho are finite numbers, --rel-tol, --truncation-radius and --profile-max
+finite and > 0, the radii --r-min and --r-max finite and >= 0 (in either
+order); --k and --window are comma lists of finite numbers, --models a
+comma list of ginibre and jinc.  A flag is refused, exit 2 with param-bound
+naming it, where nothing reads it: repulsiveness --rel-tol (the sphere's
+polar quadrature) on a non-sphere spec, --truncation-radius (Euclidean
+radial quadrature) and --profile-max (the end of a radial profile) on a
+non-Euclidean one, and --profile-points on a finite one; sample --window on
+a non-Euclidean spec and --resolution on a finite one; moments --rho with
+--model jinc.  All commands are deterministic given (input file, flags,
+seed); numbers render with 12 significant digits.
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ import numpy as np
 from . import analysis, finite_dpp, model_zoo
 from .errors import ParseError, SizeGuardError, TheoremViolationError, ValidationError
 from .kernel_core import Kernel, profile_coordinates, repulsiveness_p
-from .numerics import QuadratureError, QuadratureSpec
+from .numerics import QuadratureSpec
 
 __all__ = ["main", "load_kernel_spec"]
 
@@ -511,9 +512,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 5
     except ValidationError as exc:
         print(f"validation-error[{exc.token}]: {exc}", file=sys.stderr)
-        return 2
-    except QuadratureError as exc:
-        print(f"validation-error[quadrature]: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:
         print(f"validation-error[overflow]: a value leaves double precision: {exc}",

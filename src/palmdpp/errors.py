@@ -1,33 +1,49 @@
 """Exception types shared across the library and mapped to CLI exit codes,
 and the input gates of every module: sites, counts, seeds, resolutions and
 dimensions are integers (Python or numpy; 2.0, "2" and True are refused
-with param-bound), and a Palm anchor needs K(u, u) > 1e-12."""
+with param-bound), a Palm anchor needs K(u, u) > 1e-12, and check_finite refuses inf and nan."""
 from __future__ import annotations
 
 import numpy as np
 
 __all__ = [
+    "TOKENS",
+    "QuadratureError",
     "ValidationError",
     "ParseError",
     "SizeGuardError",
     "TheoremViolationError",
     "check_anchor",
     "check_count",
+    "check_finite",
     "check_site",
 ]
+
+# the token of every exit-2 line; overflow marks an OverflowError (check_finite)
+TOKENS = ("non-hermitian", "spectrum", "existence-bound", "param-bound", "anchor",
+          "quadrature", "overflow")
 
 
 class ValidationError(ValueError):
     """A kernel or model violates one of its defining conditions.
 
-    token names the violated condition for diagnostics and is one of
-    "non-hermitian", "spectrum", "existence-bound", "param-bound",
-    or "anchor".
+    token names the violated condition for diagnostics, one of TOKENS;
+    any other is refused.
     """
 
     def __init__(self, token: str, message: str):
+        if token not in TOKENS:
+            raise ValueError(f"unknown validation token {token!r}")
         super().__init__(message)
         self.token = token
+
+
+class QuadratureError(ValidationError):
+    """Radial quadrature cannot give a result: the integral diverges, or
+    the declared tail is not asymptotic at the truncation radius."""
+
+    def __init__(self, message: str):
+        super().__init__("quadrature", message)
 
 
 class ParseError(ValueError):
@@ -76,3 +92,10 @@ def check_anchor(kuu: float, u) -> float:
         raise ValidationError("anchor", f"kernel intensity vanishes at the anchor {u} "
                               f"(K(u,u) = {kuu:.3e})")
     return kuu
+
+
+def check_finite(value, what: str):
+    """value, unless some entry is inf or nan: the library's one OverflowError."""
+    if not np.isfinite(value).all():
+        raise OverflowError(f"{what} is not finite")
+    return value

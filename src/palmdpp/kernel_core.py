@@ -55,9 +55,9 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, check_anchor, check_count, check_site
-from .numerics import (QuadratureError, QuadratureSpec, RadialIntegral, Tail, integrate_polar,
-                       integrate_radial)
+from .errors import (QuadratureError, ValidationError, check_anchor, check_count, check_finite,
+                     check_site)
+from .numerics import QuadratureSpec, RadialIntegral, Tail, integrate_polar, integrate_radial
 
 __all__ = [
     "GridFactor",
@@ -97,18 +97,17 @@ def check_point(space: GroundSpace, point: Any) -> Any:
     """Validate a point against its space and return a canonical form."""
     if space.kind == "finite":
         return check_site(point, space.size)
-    p = np.asarray(point, dtype=float)
+    try:
+        p = np.asarray(point, dtype=float)
+    except (TypeError, ValueError):  # not numbers, or ragged
+        p = np.array(math.nan)
     if not np.all(np.isfinite(p)):
-        raise ValidationError("param-bound", f"point coordinates must be finite, got {p.tolist()}")
-    if space.kind == "euclidean":
-        if p.shape != (space.size,):
-            raise ValidationError("param-bound",
-                                  f"expected a length-{space.size} point, got shape {p.shape}")
-        return p
-    if p.shape != (space.size + 1,):
-        raise ValidationError("param-bound",
-                              f"expected a length-{space.size + 1} sphere point, got shape {p.shape}")
-    if abs(np.linalg.norm(p) - 1.0) > 1e-12:
+        raise ValidationError("param-bound", f"point coordinates must be finite, got {point!r}")
+    length = space.size + (space.kind == "sphere")  # S^d lies in R^(d+1)
+    if p.shape != (length,):
+        raise ValidationError("param-bound", f"expected a length-{length} {space.kind} point, "
+                              f"got shape {p.shape}")
+    if space.kind == "sphere" and abs(np.linalg.norm(p) - 1.0) > 1e-12:
         raise ValidationError("param-bound",
                               f"sphere point must be unit length, |v| = {np.linalg.norm(p)!r}")
     return p
@@ -258,8 +257,7 @@ def repulsiveness_p(kernel: Kernel, u, spec: QuadratureSpec | None = None,
     coords = (np.array([check_point(space, v) for v in coords], dtype=int)
               if space.kind == "finite" else np.asarray(coords, dtype=float))
     dens = abs_sq(coords) / norm_sq if norm_sq > 0 else np.zeros(coords.shape)
-    if not np.all(np.isfinite(dens)):  # jinc's J1(2r) is nan once 2r overflows
-        raise OverflowError("the f_u profile is not finite; end it at a smaller radius")
+    check_finite(dens, "the f_u profile")  # jinc's J1(2r) is nan once 2r overflows
     profile = list(zip(coords.tolist(), dens.tolist()))
 
     p, err = norm_sq / ku, norm_err / ku

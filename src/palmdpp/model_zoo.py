@@ -106,7 +106,8 @@ def _ginibre_grid_factor(alpha: float, beta: float):
 def ginibre_kernel(params: GinibreParams) -> Kernel:
     """Scaled Ginibre kernel on the plane (complex coordinates).
 
-    K(v, w) = (alpha/pi) exp(v conj(w)/beta - (|v|^2 + |w|^2)/(2 beta));
+    K(v, w) = (alpha/pi) exp(v conj(w)/beta - (|v|^2 + |w|^2)/(2 beta))
+    = (alpha/pi) exp((-|v - w|^2/2 + i Im(v conj(w)))/beta);
     alpha = beta = 1 is the standard Ginibre kernel with intensity 1/pi.
     It declares its series as a grid factor (_ginibre_grid_factor).
     """
@@ -117,11 +118,10 @@ def ginibre_kernel(params: GinibreParams) -> Kernel:
         with np.errstate(over="ignore"):  # r^2 past double precision gives exp(-inf) = 0
             return (alpha / math.pi) ** 2 * np.exp(-r ** 2 / beta)
 
-    def gram(X, Y):
-        zx, zy = X[:, 0] + 1j * X[:, 1], Y[:, 0] + 1j * Y[:, 1]
-        zz = zx[:, None] * zy.conj()[None, :]
-        sq = np.abs(zx)[:, None] ** 2 + np.abs(zy)[None, :] ** 2
-        return (alpha / math.pi) * np.exp(zz / beta - sq / (2.0 * beta))
+    def gram(X, Y):  # modulus and phase apart: no cancellation, K(u, u) = alpha/pi exactly
+        gap = np.sum((X[:, None, :] - Y[None, :, :]) ** 2, axis=-1)
+        phase = X[:, None, 1] * Y[None, :, 0] - X[:, None, 0] * Y[None, :, 1]  # Im(v conj(w))
+        return (alpha / math.pi) * np.exp((-0.5 * gap + 1j * phase) / beta)
 
     return Kernel(
         space=GroundSpace("euclidean", 2),

@@ -34,10 +34,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import linalg, special
 
-from .errors import ValidationError
+from .errors import QuadratureError, ValidationError, check_finite
 
 __all__ = [
-    "QuadratureError",
     "QuadratureSpec",
     "HermitianEig",
     "RadialIntegral",
@@ -78,11 +77,6 @@ _PATH_START = 8.0
 # Entries each memo keeps, least recently used dropped first: one per
 # Gauss-Jacobi rule (nodes, power) and one per tail shape.
 _MEMO_ENTRIES = 256
-
-
-class QuadratureError(RuntimeError):
-    """Radial quadrature cannot give a result: the integral diverges, or
-    the declared tail is not asymptotic at the truncation radius."""
 
 
 @dataclass(frozen=True)
@@ -165,15 +159,16 @@ class Tail:
 
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian", "power"):
-            raise ValueError(f"unknown tail kind {self.kind!r}")
+            raise ValidationError("param-bound", f"unknown tail kind {self.kind!r}")
         if not self.scale > 0:
-            raise ValueError("the tail's length scale must be > 0")
+            raise ValidationError("param-bound", "the tail's length scale must be > 0")
         if not len(self.smooth) == len(self.sine) == len(self.cosine) == len(self.bound):
-            raise ValueError("smooth, sine, cosine and bound need one entry per power")
+            raise ValidationError("param-bound",
+                                  "smooth, sine, cosine and bound need one entry per power")
         if any(b < 0 for b in self.bound):
-            raise ValueError("remainder bounds must be >= 0")
+            raise ValidationError("param-bound", "remainder bounds must be >= 0")
         if any(self.sine + self.cosine) and not self.frequency > 0:
-            raise ValueError("sin/cos terms need a frequency > 0")
+            raise ValidationError("param-bound", "sin/cos terms need a frequency > 0")
 
     def rescaled(self, factor: float, dilation: float = 1.0) -> "Tail":
         """The tail of factor * h(r / dilation)."""
@@ -239,7 +234,7 @@ def gegenbauer_series(coeffs, lam: float, t) -> np.ndarray:
     """
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1 or c.size == 0:
-        raise ValueError("coeffs must be a nonempty vector")
+        raise ValidationError("param-bound", "coeffs must be a nonempty vector")
     t = np.asarray(t, dtype=float)
     out = np.full(t.shape, c[0])
     if c.size == 1:
@@ -448,12 +443,15 @@ def _gauss_jacobi(n: int, power: float) -> tuple[np.ndarray, np.ndarray]:
     as power -> -1 (its 32-node moments are off by 1.6e-11 at -0.98);
     these are within about 1e-14 there.
     """
+    # Python's float power (numpy's differs in the last bit); 2^(power + 1) overflows from 1023
+    total = 2.0 ** (power + 1.0) / (power + 1.0) if power < 1023.0 else math.inf
+    check_finite(total, f"the Gauss-Jacobi weight total 2^(a + 1)/(a + 1) at a = {power:g}")
     k = np.arange(1, n, dtype=float)
     s = 2.0 * k + power
     diag = np.append(power / (power + 2.0), power ** 2 / (s * (s + 2.0)))
     off = np.sqrt(4.0 * k ** 2 * (k + power) ** 2 / (s ** 2 * (s + 1.0) * (s - 1.0)))
     x, V = linalg.eigh_tridiagonal(diag, off)
-    w = 2.0 ** (power + 1.0) / (power + 1.0) * V[0] ** 2
+    w = total * V[0] ** 2
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -561,8 +559,8 @@ def integrate_radial(g: Callable[[np.ndarray], np.ndarray], power: float, tail: 
         edges = _panel_edges(cell, R, _GL_PANEL * s)
         core, core_err = _gl_pair(lambda r: r ** power * g(r), edges) if R > cell else (0.0, 0.0)
     beyond, beyond_err = _tail_beyond(tail, power, R)
-    if not math.isfinite(origin + core + beyond + origin_err + core_err + beyond_err):
-        raise OverflowError(f"the radial integral to the truncation radius {R:g} is not finite")
+    check_finite(origin + core + beyond + origin_err + core_err + beyond_err,
+                 f"the radial integral to the truncation radius {R:g}")
     return RadialIntegral(value=origin + core + beyond,
                           error=origin_err + core_err + beyond_err,
                           tail=beyond, tail_error=beyond_err)

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import palmdpp
-from palmdpp import analysis, finite_dpp, model_zoo
-from palmdpp.errors import ValidationError
+from palmdpp import analysis, finite_dpp, model_zoo, numerics
+from palmdpp.errors import QuadratureError, ValidationError, check_finite
 from palmdpp.kernel_core import (GroundSpace, Kernel, palm_kernel, profile_coordinates,
                                  repulsiveness_p)
 from palmdpp.numerics import QuadratureSpec, Tail, integrate_radial
@@ -139,6 +139,15 @@ REFUSED_CALLS = {
         model_zoo.jinc_kernel(2), np.zeros(2), [math.nan])),
     "radial-profile-inf-radius": ("radii", lambda: analysis.radial_profile(
         _ginibre(), np.zeros(2), [0.5, math.inf])),
+    # moment_quadrature and radial_profile never read the anchor's value, but gate it
+    "moment-nan-anchor": ("coordinates must be finite", lambda: analysis.moment_quadrature(
+        _ginibre(), [math.nan, 1.0, 7.0], 1.0)),
+    "moment-anchor-in-r3": ("length-2 euclidean point", lambda: analysis.moment_quadrature(
+        _ginibre(), np.zeros(3), 1.0)),
+    "radial-profile-text-anchor": ("coordinates must be finite", lambda: analysis.radial_profile(
+        _ginibre(), "not a point", [0.5])),
+    "radial-profile-inf-anchor": ("coordinates must be finite", lambda: analysis.radial_profile(
+        model_zoo.jinc_kernel(2), [0.0, math.inf], [0.5])),
     "repulsiveness-site-1.9": ("not one of the integers", lambda: repulsiveness_p(
         _finite2(), 1.9)),
     "palm-kernel-site-2.5": ("not one of the integers", lambda: palm_kernel(_finite2(), 2.5)),
@@ -220,6 +229,24 @@ def test_entry_points_refuse_what_they_cannot_serve(phrase, call):
     with pytest.raises(ValidationError) as exc:
         call()
     assert exc.value.token == "param-bound" and phrase in str(exc.value)
+
+
+def test_errors_declares_every_refusal():
+    # QuadratureError is a ValidationError with its own token; numerics raises
+    # it but does not export it, and no token outside the one list is made
+    exc = QuadratureError("diverges")
+    assert isinstance(exc, ValidationError) and exc.token == "quadrature"
+    assert numerics.QuadratureError is palmdpp.QuadratureError is QuadratureError
+    assert "QuadratureError" not in numerics.__all__
+    with pytest.raises(ValueError, match="unknown validation token 'overflows'"):
+        ValidationError("overflows", "a typo")
+    # check_finite is the one place the library raises OverflowError
+    assert check_finite(1.5, "a number") == 1.5
+    with pytest.raises(OverflowError, match="the sum is not finite"):
+        check_finite(np.array([1.0, math.nan]), "the sum")
+    raisers = [name for name in LIBRARY_MODULES + ["palmdpp.cli"]
+               if "raise OverflowError" in inspect.getsource(importlib.import_module(name))]
+    assert raisers == ["palmdpp.errors"]
 
 
 def test_numpy_integer_sites_and_counts_accepted():

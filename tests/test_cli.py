@@ -613,6 +613,13 @@ class TestMomentsCommand:
         got, out, err = run_cli(["moments"] + argv)
         assert (got, out) == (code, "") and err.startswith(token)
 
+    def test_jacobi_weight_overflow_names_the_quantity(self):
+        # the origin cell's Gauss-Jacobi weights total 2^(a + 1)/(a + 1), which
+        # leaves double precision at a = k + 1 >= 1023
+        got, out, err = run_cli(["moments", "--model", "ginibre", "--k", "1030", "--rho", "1e3"])
+        assert (got, out) == (2, "") and err.startswith("validation-error[overflow]:")
+        assert "Gauss-Jacobi weight total" in err and "a = 1031" in err and "(34," not in err
+
     def test_jinc_table(self):
         code, out, _ = run_cli(["moments", "--model", "jinc", "--k", "0,1"])
         assert code == 0

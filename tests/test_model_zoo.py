@@ -96,6 +96,17 @@ class TestGinibre:
                 assert abs(g[i, j] - want) < 1e-15
                 assert abs(k.evaluate(x, y) - want) < 1e-15
 
+    @pytest.mark.parametrize("beta", [1.0, 1e-3, 1e-6])
+    @pytest.mark.parametrize("anchor", [(0.0, 0.0), (3.0, -2.0), (30.0, 20.0)])
+    def test_p_u_off_the_origin_within_reported_error(self, anchor, beta):
+        # exp(v conj(w)/beta - (|v|^2 + |w|^2)/(2 beta)) cancels two terms of
+        # about |u|^2/beta on the diagonal; the modulus/phase form does not
+        k = ginibre_kernel(GinibreParams(1.0, beta))
+        u = np.array(anchor)
+        assert k.diagonal(u) == 1.0 / math.pi
+        report = repulsiveness_p(k, u)
+        assert abs(report.p_u - beta) <= report.quadrature_error
+
 
 def masked_radial(r, far, small):
     """Radial profile by the branch-per-mask evaluation: far(r) away from

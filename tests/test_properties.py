@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from palmdpp.analysis import ginibre_moment, grid_discretize, jinc_moment_closed, moment_quadrature
 from palmdpp.cli import main
-from palmdpp.errors import ValidationError
+from palmdpp.errors import TOKENS, ValidationError
 from palmdpp.finite_dpp import couple, palm_matrix, subset_law, validate, xi_law
 from palmdpp.kernel_core import palm_kernel, repulsiveness_p, sphere_surface_measure
 from palmdpp.model_zoo import (GinibreParams, finite_kernel, ginibre_kernel, jinc_kernel,
@@ -315,6 +315,16 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def assert_documented_exit(code, err):
+    # exit 2 prints one line, validation-error[<token>]: with a token of the one list
+    assert code in (0, 2, 3, 4, 5)
+    assert (code == 0) == (err == "")
+    if code == 2:
+        line, = err.splitlines()
+        token = line.partition("]:")[0].removeprefix("validation-error[")
+        assert line.startswith(f"validation-error[{token}]: ") and token in TOKENS
+
+
 radii = st.one_of(st.none(), st.sampled_from(["1e-3", "0.5", "3", "30", "-1", "0", "nan", "inf"]))
 
 
@@ -330,8 +340,7 @@ def test_repulsiveness_exits_with_a_documented_code(tmp_path_factory, doc, ancho
     argv += [f"--truncation-radius={radius}"] if radius is not None else []
     argv += [f"--profile-points={points}"] if points is not None else []
     code, out, err = run(argv)
-    assert code in (0, 2, 3, 4, 5)
-    assert (code == 0) == (err == "")
+    assert_documented_exit(code, err)
 
 
 @given(model=st.sampled_from(["jinc", "ginibre"]),
@@ -345,8 +354,7 @@ def test_moments_exits_with_a_documented_code(model, ks, rho, radius):
     argv += [f"--rho={rho}"] if rho is not None else []
     argv += [f"--truncation-radius={radius}"] if radius is not None else []
     code, out, err = run(argv)
-    assert code in (0, 2, 3, 4, 5)
-    assert (code == 0) == (err == "")
+    assert_documented_exit(code, err)
     if model == "jinc" and rho is not None and code != 3:  # nothing reads --rho there
         assert code == 2 and err.startswith("validation-error[param-bound]") and "--rho" in err
 
@@ -411,5 +419,4 @@ def cli_argvs(draw):
 @given(argv=cli_argvs())
 def test_every_command_exits_with_a_documented_code(cli_spec_paths, argv):
     code, out, err = run([cli_spec_paths.get(a, a) for a in argv])
-    assert code in (0, 2, 3, 4, 5)
-    assert (code == 0) == (err == "")
+    assert_documented_exit(code, err)
