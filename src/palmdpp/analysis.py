@@ -14,7 +14,7 @@ import numpy as np
 from scipy import special
 
 from . import finite_dpp
-from .errors import SizeGuardError, ValidationError, check_count, check_finite
+from .errors import SizeGuardError, ValidationError, check_count, check_finite, named_overflow
 from .kernel_core import Kernel, check_point, radial_integral
 from .numerics import QuadratureSpec, circulant_eig, factor_eig, reflection_eig
 
@@ -119,12 +119,14 @@ def ginibre_moment(k: float, rho: float) -> float:
     """Moment E|Z_u - u|^k for the Ginibre displacement at intensity rho.
 
     The squared distance is exponential, so the k-th moment is
-    Gamma(1 + k/2) / (pi rho)^(k/2), finite for every k > -2.
+    Gamma(1 + k/2) / (pi rho)^(k/2), finite for every k > -2; where that
+    quotient or a part of it leaves double precision, OverflowError.
     """
     _check_order(k)
     if not 0 < rho < math.inf:
         raise ValidationError("param-bound", "intensity must be finite and > 0")
-    return math.gamma(1.0 + k / 2.0) / (math.pi * rho) ** (k / 2.0)
+    return named_overflow(lambda: math.gamma(1.0 + k / 2.0) / (math.pi * rho) ** (k / 2.0),
+                          f"the moment Gamma(1 + k/2)/(pi rho)^(k/2) at k = {k:g}, rho = {rho:g}")
 
 
 def _displacement_radial(kernel: Kernel, u):
@@ -206,24 +208,10 @@ def _sphere_centers(resolution: int):
     return centers, measure
 
 
-def _grid_gram(kernel: Kernel, centers: np.ndarray, measure: float) -> np.ndarray:
+def _cell_scaled(entries, measure: float) -> np.ndarray:
+    """entries() times the cell measure: the grid's kernel matrix, or a table of it."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return check_finite(kernel.gram(centers, centers) * measure, "the grid's kernel matrix")
-
-
-def _sphere_table(k0, centers: np.ndarray, resolution: int, measure: float) -> np.ndarray:
-    # cell (i, a) is band i, longitude a, so K(c_ia, c_jb) = K0(c_i0 . c_j(b - a))
-    longitudes = 2 * resolution
-    with np.errstate(over="ignore", invalid="ignore"):
-        table = k0(centers[::longitudes] @ centers.T) * measure
-    return check_finite(table, "the grid's kernel matrix").reshape(resolution, resolution, -1)
-
-
-def _euclidean_table(radial, centers: np.ndarray, resolution: int, measure: float) -> np.ndarray:
-    # cells are in C order, so cell i_1 ... i_d lies i_k steps from cell 0 along each axis
-    with np.errstate(over="ignore", invalid="ignore"):
-        table = radial(np.sqrt(np.sum((centers - centers[0]) ** 2, axis=1))) * measure
-    return check_finite(table, "the grid's kernel matrix").reshape((resolution,) * centers.shape[1])
+        return check_finite(entries() * measure, "the grid's kernel matrix")
 
 
 def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
@@ -283,13 +271,19 @@ def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
                 factor_eig(check_finite(factor.phi, "the grid's series factor")), slack=1e-3,
                 dropped_trace=factor.dropped_trace)
         elif space.kind == "sphere" and kernel.k0 is not None:
+            # cell (i, a) is band i, longitude a, so K(c_ia, c_jb) = K0(c_i0 . c_j(b - a))
+            table = _cell_scaled(lambda: kernel.k0(centers[::2 * resolution] @ centers.T), measure)
             dpp = finite_dpp.validate_eig(
-                circulant_eig(_sphere_table(kernel.k0, centers, resolution, measure)), slack=1e-3)
+                circulant_eig(table.reshape(resolution, resolution, -1)), slack=1e-3)
         elif space.kind == "euclidean" and kernel.radial is not None:
-            dpp = finite_dpp.validate_eig(reflection_eig(
-                _euclidean_table(kernel.radial, centers, resolution, measure)), slack=1e-3)
+            # cells are in C order, so cell i_1 ... i_d lies i_k steps from cell 0 along each axis
+            table = _cell_scaled(lambda: kernel.radial(
+                np.sqrt(np.sum((centers - centers[0]) ** 2, axis=1))), measure)
+            dpp = finite_dpp.validate_eig(
+                reflection_eig(table.reshape((resolution,) * space.size)), slack=1e-3)
         else:  # the Gram matrix goes in unnamed, so validate can free it before eigh
-            dpp = finite_dpp.validate(_grid_gram(kernel, centers, measure), slack=1e-3)
+            dpp = finite_dpp.validate(
+                _cell_scaled(lambda: kernel.gram(centers, centers), measure), slack=1e-3)
     except ValidationError as exc:
         if exc.token == "spectrum":
             raise ValidationError("spectrum", f"{exc} on the grid; the cells are too coarse: "

@@ -6,15 +6,16 @@ sample streams out as CSV on stdout.
 
 Spec file format: a JSON object with keys "family", "params", and (for
 finite kernels) "matrix".  Families: "finite", "ginibre", "jinc",
-"sinc", "sphere-multiquadric", "sphere-coefficients".  Complex matrix
-entries are [re, im] pairs, row-major.  Unknown keys anywhere are
+"sinc", "sphere-multiquadric", "sphere-coefficients"; one table,
+_FAMILIES, gives each one's numeric params and their defaults.  Complex
+matrix entries are [re, im] pairs, row-major.  Unknown keys anywhere are
 rejected.
 
 Exit codes: 0 success; 2 validation failure, one stderr line
 validation-error[<token>]: with a token of errors.TOKENS: non-hermitian,
 spectrum, existence-bound, param-bound (also non-finite anchors and the
 model bounds --beta in (0, 1] for profile, --k > -2 and --rho > 0), anchor,
-quadrature, and overflow for a value beyond double precision
+quadrature, and overflow for a value beyond double precision, named
 (errors.check_finite); 3 parse failure; 4 size guard; 5 internal
 theorem-violation dump.  Flag values are checked once, as argparse converts
 them: a value that does not convert, like a usage error (a missing spec, an
@@ -52,8 +53,16 @@ from .numerics import QuadratureSpec
 
 __all__ = ["main", "load_kernel_spec"]
 
-_FAMILIES = ("finite", "ginibre", "jinc", "sinc",
-             "sphere-multiquadric", "sphere-coefficients")
+# each family's numeric params and their defaults, None where the spec must
+# give one; sphere-coefficients also takes the list beta_coeffs
+_FAMILIES = {
+    "finite": {},
+    "ginibre": {"alpha": None, "beta": None},
+    "jinc": {"alpha": 1.0, "beta": 1.0},
+    "sinc": {"alpha": 1.0, "beta": 1.0},
+    "sphere-multiquadric": {"delta": None, "rho": None},
+    "sphere-coefficients": {"d": None, "rho": None, "tail_bound": 0.0},
+}
 _REFERENCE_TOLERANCE = 1e-6
 
 
@@ -89,21 +98,6 @@ def _is_number(v: Any) -> bool:  # a finite JSON number; true and false are not
     return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
 
 
-def _require_number(params: dict, key: str, family: str) -> float:
-    if key not in params:
-        raise ParseError(f"family {family!r} needs params.{key}")
-    v = params[key]
-    if not _is_number(v):
-        raise ParseError(f"params.{key} must be a finite number, got {v!r}")
-    return float(v)
-
-
-def _check_param_keys(params: dict, allowed: set[str], family: str) -> None:
-    unknown = set(params) - allowed
-    if unknown:
-        raise ParseError(f"unknown params for family {family!r}: {sorted(unknown)}")
-
-
 def _parse_matrix(raw: Any) -> np.ndarray:
     if not isinstance(raw, list) or not raw:
         raise ParseError("matrix must be a nonempty list of rows")
@@ -136,57 +130,50 @@ def load_kernel_spec(path: str | Path) -> ModelBundle:
     if unknown:
         raise ParseError(f"unknown top-level keys: {sorted(unknown)}")
     family = doc.get("family")
-    if family not in _FAMILIES:
-        raise ParseError(f"family must be one of {_FAMILIES}, got {family!r}")
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise ParseError(f"family must be one of {tuple(_FAMILIES)}, got {family!r}")
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ParseError("params must be an object")
     if family != "finite" and "matrix" in doc:
         raise ParseError(f"family {family!r} takes no matrix")
+    lists = {"beta_coeffs"} if family == "sphere-coefficients" else set()
+    unknown = set(params) - set(_FAMILIES[family]) - lists
+    if unknown:
+        raise ParseError(f"unknown params for family {family!r}: {sorted(unknown)}")
+    values = {}
+    for key, default in _FAMILIES[family].items():
+        if key not in params and default is None:
+            raise ParseError(f"family {family!r} needs params.{key}")
+        v = params.get(key, default)
+        if not _is_number(v):
+            raise ParseError(f"params.{key} must be a finite number, got {v!r}")
+        values[key] = float(v)
 
     if family == "finite":
-        _check_param_keys(params, set(), family)
         if "matrix" not in doc:
             raise ParseError("family 'finite' needs a matrix")
         dpp = finite_dpp.validate(_parse_matrix(doc["matrix"]))
         return ModelBundle(family=family, kernel=model_zoo.finite_kernel(dpp),
                            params={"n": dpp.n}, dpp=dpp)
     if family == "ginibre":
-        _check_param_keys(params, {"alpha", "beta"}, family)
-        p = model_zoo.GinibreParams(_require_number(params, "alpha", family),
-                                    _require_number(params, "beta", family))
-        return ModelBundle(family=family, kernel=model_zoo.ginibre_kernel(p),
-                           params={"alpha": p.alpha, "beta": p.beta})
-    if family in ("jinc", "sinc"):
-        _check_param_keys(params, {"alpha", "beta"}, family)
-        alpha = _require_number(params, "alpha", family) if "alpha" in params else 1.0
-        beta = _require_number(params, "beta", family) if "beta" in params else 1.0
+        kernel = model_zoo.ginibre_kernel(model_zoo.GinibreParams(**values))
+    elif family in ("jinc", "sinc"):
         kernel = model_zoo.thin_rescale(model_zoo.jinc_kernel(2 if family == "jinc" else 1),
-                                        alpha, beta)
-        return ModelBundle(family=family, kernel=kernel,
-                           params={"alpha": alpha, "beta": beta})
-    if family == "sphere-multiquadric":
-        _check_param_keys(params, {"delta", "rho"}, family)
-        delta = _require_number(params, "delta", family)
-        rho = _require_number(params, "rho", family)
-        _, kernel = model_zoo.multiquadric(delta, rho)
-        return ModelBundle(family=family, kernel=kernel, params={"delta": delta, "rho": rho})
-    # sphere-coefficients
-    _check_param_keys(params, {"d", "rho", "beta_coeffs", "tail_bound"}, family)
-    d = _require_number(params, "d", family)
-    if not d.is_integer():
-        raise ParseError(f"params.d must be an integer, got {params['d']!r}")
-    rho = _require_number(params, "rho", family)
-    coeffs = params.get("beta_coeffs")
-    if not isinstance(coeffs, list) or not coeffs or not all(map(_is_number, coeffs)):
-        raise ParseError("params.beta_coeffs must be a nonempty list of finite numbers")
-    tail = params.get("tail_bound", 0.0)
-    if not _is_number(tail):
-        raise ParseError("params.tail_bound must be a finite number")
-    model = model_zoo.sphere_model(int(d), rho, [float(c) for c in coeffs],
-                                   tail_bound=float(tail))
-    return ModelBundle(family=family, kernel=model_zoo.sphere_kernel(model),
-                       params={"d": int(d), "rho": rho})
+                                        values["alpha"], values["beta"])
+    elif family == "sphere-multiquadric":
+        _, kernel = model_zoo.multiquadric(values["delta"], values["rho"])
+    else:  # sphere-coefficients; its tail bound is not echoed
+        tail = values.pop("tail_bound")
+        if not values["d"].is_integer():
+            raise ParseError(f"params.d must be an integer, got {params['d']!r}")
+        coeffs = params.get("beta_coeffs")
+        if not isinstance(coeffs, list) or not coeffs or not all(map(_is_number, coeffs)):
+            raise ParseError("params.beta_coeffs must be a nonempty list of finite numbers")
+        values["d"] = int(values["d"])
+        kernel = model_zoo.sphere_kernel(model_zoo.sphere_model(
+            values["d"], values["rho"], [float(c) for c in coeffs], tail_bound=tail))
+    return ModelBundle(family=family, kernel=kernel, params=values)
 
 
 def _parse_anchor(bundle: ModelBundle, text: str | None):

@@ -1,7 +1,8 @@
 """Exception types shared across the library and mapped to CLI exit codes,
 and the input gates of every module: sites, counts, seeds, resolutions and
 dimensions are integers (Python or numpy; 2.0, "2" and True are refused
-with param-bound), a Palm anchor needs K(u, u) > 1e-12, and check_finite refuses inf and nan."""
+with param-bound), a Palm anchor needs K(u, u) > 1e-12, check_finite refuses inf and nan, and
+named_overflow names the quantity where Python's float arithmetic overflows."""
 from __future__ import annotations
 
 import numpy as np
@@ -17,6 +18,7 @@ __all__ = [
     "check_count",
     "check_finite",
     "check_site",
+    "named_overflow",
 ]
 
 # the token of every exit-2 line; overflow marks an OverflowError (check_finite)
@@ -99,3 +101,12 @@ def check_finite(value, what: str):
     if not np.isfinite(value).all():
         raise OverflowError(f"{what} is not finite")
     return value
+
+
+def named_overflow(compute, what: str):
+    """compute(), a value in Python's float arithmetic; where that raises OverflowError
+    or ZeroDivisionError (numpy would give inf or nan), check_finite's naming what."""
+    try:
+        return compute()
+    except (OverflowError, ZeroDivisionError):
+        return check_finite(np.inf, what)

@@ -56,7 +56,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (QuadratureError, ValidationError, check_anchor, check_count, check_finite,
-                     check_site)
+                     named_overflow, check_site)
 from .numerics import QuadratureSpec, RadialIntegral, Tail, integrate_polar, integrate_radial
 
 __all__ = [
@@ -77,7 +77,8 @@ _P_BOUND_SLACK = 1e-6
 
 def sphere_surface_measure(d: int) -> float:
     """Total surface measure of the unit sphere S^d in R^(d+1)."""
-    return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
+    return named_overflow(lambda: 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0),
+                          f"Gamma((d + 1)/2) in the surface measure of S^{d}")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy import special
 
-from .errors import ValidationError, check_count
+from .errors import ValidationError, check_count, named_overflow
 from .finite_dpp import FiniteDpp, validate
 from .kernel_core import GridFactor, GroundSpace, Kernel, sphere_surface_measure
 from .numerics import Tail, gegenbauer_series
@@ -112,11 +112,14 @@ def ginibre_kernel(params: GinibreParams) -> Kernel:
     It declares its series as a grid factor (_ginibre_grid_factor).
     """
     alpha, beta = params.alpha, params.beta
+    amplitude, norm_sq = named_overflow(
+        lambda: ((alpha / math.pi) ** 2, alpha ** 2 * beta / math.pi),
+        f"the tail amplitude (alpha/pi)^2 or the row norm alpha^2 beta/pi at alpha = {alpha:g}")
 
     def radial_abs_sq(r):
         r = np.asarray(r, dtype=float)
         with np.errstate(over="ignore"):  # r^2 past double precision gives exp(-inf) = 0
-            return (alpha / math.pi) ** 2 * np.exp(-r ** 2 / beta)
+            return amplitude * np.exp(-r ** 2 / beta)
 
     def gram(X, Y):  # modulus and phase apart: no cancellation, K(u, u) = alpha/pi exactly
         gap = np.sum((X[:, None, :] - Y[None, :, :]) ** 2, axis=-1)
@@ -127,9 +130,9 @@ def ginibre_kernel(params: GinibreParams) -> Kernel:
         space=GroundSpace("euclidean", 2),
         gram=gram,
         radial_abs_sq=radial_abs_sq,
-        tail=Tail("gaussian", math.sqrt(beta), amplitude=(alpha / math.pi) ** 2),
+        tail=Tail("gaussian", math.sqrt(beta), amplitude=amplitude),
         p_u=alpha * beta,
-        norm_sq=alpha ** 2 * beta / math.pi,
+        norm_sq=norm_sq,
         grid_factor=_ginibre_grid_factor(alpha, beta),
     )
 
@@ -232,18 +235,19 @@ def thin_rescale(kernel: Kernel, alpha: float, beta: float) -> Kernel:
         raise ValidationError("param-bound", "alpha must lie in (0, 1/beta]")
     d = kernel.space.size
     c = beta ** (1.0 / d)
+    square = named_overflow(lambda: alpha ** 2, f"the thinning's alpha^2 at alpha = {alpha:g}")
 
     def gram(X, Y):
         return alpha * kernel.gram(X / c, Y / c)
 
     radial = kernel.radial and (lambda r: alpha * kernel.radial(np.asarray(r, dtype=float) / c))
     radial_abs_sq = kernel.radial_abs_sq and (
-        lambda r: alpha ** 2 * kernel.radial_abs_sq(np.asarray(r, dtype=float) / c))
+        lambda r: square * kernel.radial_abs_sq(np.asarray(r, dtype=float) / c))
     scaled = lambda factor, value: None if value is None else factor * value
     return Kernel(space=kernel.space, gram=gram, radial=radial, radial_abs_sq=radial_abs_sq,
-                  tail=kernel.tail and kernel.tail.rescaled(alpha ** 2, c),
+                  tail=kernel.tail and kernel.tail.rescaled(square, c),
                   p_u=scaled(alpha * beta, kernel.p_u),
-                  norm_sq=scaled(alpha ** 2 * beta, kernel.norm_sq))
+                  norm_sq=scaled(square * beta, kernel.norm_sq))
 
 
 def _multiplicity(ell: int, d: int) -> int:

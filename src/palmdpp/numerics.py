@@ -14,15 +14,18 @@ fixed frequency, with a bound on its remainder.  Near the origin a
 Gauss-Jacobi rule carries the weight r^a; Gauss-Legendre panels in s cover
 the core up to the truncation radius; beyond it the declared terms are
 integrated in t: powers in closed form, a Gaussian by the incomplete Gamma
-function, sin/cos terms by Gauss-Laguerre rules on a complex path.  The
-error budget adds the 32- vs 20-node differences, a rounding term, and the
-integral of the declared remainder bound.  Whether the integral converges
-is read off the declared exponent, never fitted.  The fixed pieces of a
-radial integral are built once per process: each Gauss-Jacobi rule per
-(nodes, power), and each tail shape's unit-scale truncation radius, in
-bounded memos (_MEMO_ENTRIES each) whose arrays are read-only.  Everything
-here is a pure function of its inputs, and the memos only skip recomputing
-the same values, so calls stay safe to run concurrently.
+function, sin/cos terms by Gauss-Laguerre rules on a complex path.  Each
+rule is a 32- and 20-node pair, and one function, _rule_pair, charges the
+panels, the Jacobi cell and the Laguerre path alike: the pair's difference
+plus a rounding term.  The error budget adds the integral of the declared
+remainder bound.  A power beyond double precision raises OverflowError
+naming its quantity.  Whether the integral converges is read off the
+declared exponent, never fitted.  The fixed pieces of a radial integral are
+built once per process: each Gauss-Jacobi rule per (nodes, power), and each
+tail shape's unit-scale truncation radius, in bounded memos (_MEMO_ENTRIES
+each) whose arrays are read-only.  Everything here is a pure function of its
+inputs, and the memos only skip recomputing the same values, so calls stay
+safe to run concurrently.
 """
 from __future__ import annotations
 
@@ -34,7 +37,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import linalg, special
 
-from .errors import QuadratureError, ValidationError, check_finite
+from .errors import QuadratureError, ValidationError, check_finite, named_overflow
 
 __all__ = [
     "QuadratureSpec",
@@ -62,17 +65,18 @@ _GL_MAX_PANELS = 1 << 15
 # Each node value carries a few ulps of rounding, and so does their sum;
 # this multiple of eps * sum |w_i f(x_i)| is charged to every rule.
 _EPS = float(np.finfo(float).eps)
-_GL_ROUNDING = 16.0 * _EPS
-_GL_NODES_HI, _GL_WEIGHTS_HI = np.polynomial.legendre.leggauss(32)
-_GL_NODES_LO, _GL_WEIGHTS_LO = np.polynomial.legendre.leggauss(20)
+_ROUNDING = 16.0 * _EPS
+# Every rule is a pair: its value comes from the first, its error from the
+# difference to the second.
+_RULE_NODES = (32, 20)
+_LEGENDRE = tuple(np.polynomial.legendre.leggauss(n) for n in _RULE_NODES)
 # The default truncation radius is the first panel edge where the declared
 # remainder bound is at most this fraction of the leading term.
 _TAIL_REMAINDER = 1e-12
 _RADIUS_CANDIDATES = 1000
 # Gauss-Laguerre rules for the sin/cos terms on t = T + i tau / w; t^e has its
 # branch point at tau = i w T, so they need w T >= 8 (3e-17 relative at 16).
-_LAGUERRE_HI = np.polynomial.laguerre.laggauss(32)
-_LAGUERRE_LO = np.polynomial.laguerre.laggauss(20)
+_LAGUERRE = tuple(np.polynomial.laguerre.laggauss(n) for n in _RULE_NODES)
 _PATH_START = 8.0
 # Entries each memo keeps, least recently used dropped first: one per
 # Gauss-Jacobi rule (nodes, power) and one per tail shape.
@@ -392,34 +396,35 @@ def reflection_eig(table) -> HermitianEig:
     return HermitianEig(eigenvalues=lam[order], eigenvectors=V)
 
 
-def _gl_on_edges(f, edges: np.ndarray, nodes, weights) -> tuple[float, float]:
-    """The composite rule's value on the panels, and its sum of |w_i f(x_i)|."""
+def _rule_pair(f, rules):
+    """sum_i w_i f(x_i) by the first of two (nodes, weights) rules, and its
+    error: the difference to the second plus _ROUNDING * sum_i |w_i f(x_i)|."""
+    (hi, hi_abs), (lo, _) = [(w @ v, w @ np.abs(v)) for x, w in rules for v in [np.asarray(f(x))]]
+    return hi.item(), float(abs(hi - lo) + _ROUNDING * hi_abs)
+
+
+def _gl_on_edges(edges: np.ndarray, nodes, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes and weights of the composite rule on the panels."""
     los, his = edges[:-1, None], edges[1:, None]
     mid, half = 0.5 * (los + his), 0.5 * (his - los)
-    x = (mid + half * nodes).ravel()
-    vals = np.asarray(f(x), dtype=float)
-    w = (half * weights).ravel()
-    return float(w @ vals), float(w @ np.abs(vals))
+    return (mid + half * nodes).ravel(), (half * weights).ravel()
 
 
 def _panel_edges(a: float, b: float, panel: float) -> np.ndarray:
     """Panels `panel` wide over [a, b], or, where that would take more than
     _GL_MAX_PANELS, that many panels growing geometrically away from a,
     where a decaying mass sits; the 32- vs 20-node error shows the cost."""
-    n = max(1, math.ceil((b - a) / panel))
+    n = (b - a) / panel  # inf when [a, b] spans more than double precision's panels
     if n <= _GL_MAX_PANELS:
-        return np.linspace(a, b, n + 1)
+        return np.linspace(a, b, max(1, math.ceil(n)) + 1)
     edges = a - panel + np.geomspace(panel, b - a + panel, _GL_MAX_PANELS + 1)
     edges[0], edges[-1] = a, b
     return edges
 
 
 def _gl_pair(f, edges: np.ndarray) -> tuple[float, float]:
-    """Integral of f over the panels by the 32-node Gauss-Legendre rule, and its error:
-    the 32- vs 20-node difference and _GL_ROUNDING * sum |w_i f(x_i)|."""
-    hi, hi_abs = _gl_on_edges(f, edges, _GL_NODES_HI, _GL_WEIGHTS_HI)
-    lo, _ = _gl_on_edges(f, edges, _GL_NODES_LO, _GL_WEIGHTS_LO)
-    return hi, abs(hi - lo) + _GL_ROUNDING * hi_abs
+    """Integral of f over the panels by the Gauss-Legendre pair, and its error."""
+    return _rule_pair(f, [_gl_on_edges(edges, *rule) for rule in _LEGENDRE])
 
 
 def integrate_polar(g: Callable[[np.ndarray], np.ndarray], relative_tolerance: float):
@@ -443,9 +448,9 @@ def _gauss_jacobi(n: int, power: float) -> tuple[np.ndarray, np.ndarray]:
     as power -> -1 (its 32-node moments are off by 1.6e-11 at -0.98);
     these are within about 1e-14 there.
     """
-    # Python's float power (numpy's differs in the last bit); 2^(power + 1) overflows from 1023
-    total = 2.0 ** (power + 1.0) / (power + 1.0) if power < 1023.0 else math.inf
-    check_finite(total, f"the Gauss-Jacobi weight total 2^(a + 1)/(a + 1) at a = {power:g}")
+    # Python's float power (numpy's differs in the last bit)
+    total = named_overflow(lambda: 2.0 ** (power + 1.0) / (power + 1.0),
+                           f"the Gauss-Jacobi weight total 2^(a + 1)/(a + 1) at a = {power:g}")
     k = np.arange(1, n, dtype=float)
     s = 2.0 * k + power
     diag = np.append(power / (power + 2.0), power ** 2 / (s * (s + 2.0)))
@@ -458,30 +463,23 @@ def _gauss_jacobi(n: int, power: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _jacobi_cell(g, power: float, width: float) -> tuple[float, float]:
-    """int_0^width r^power g(r) dr by Gauss-Jacobi rules for that weight,
-    with the 32- vs 20-node difference and the rounding term as error."""
-    total = []
-    for n in (32, 20):
-        x, w = _gauss_jacobi(n, float(power))  # a hashable key, also for a 0-d array
-        vals = np.asarray(g(0.5 * width * (1.0 + x)), dtype=float)
-        total.append((float(w @ vals), float(w @ np.abs(vals))))
-    jac = (0.5 * width) ** (power + 1.0)
-    (hi, hi_abs), (lo, _) = total
-    return jac * hi, jac * (abs(hi - lo) + _GL_ROUNDING * hi_abs)
+    """int_0^width r^power g(r) dr by the Gauss-Jacobi pair for that weight, and its error."""
+    rules = (_gauss_jacobi(n, float(power)) for n in _RULE_NODES)  # hashable, also for a 0-d array
+    hi, error = _rule_pair(g, [(0.5 * width * (1.0 + x), w) for x, w in rules])
+    jac = named_overflow(lambda: (0.5 * width) ** (power + 1.0),
+                         f"the Jacobi cell's (w/2)^(a + 1) at w = {width:g}, a = {power:g}")
+    return jac * hi, jac * error
 
 
 def _path_tail(wave, exponents, frequency: float, start: float) -> tuple[float, float]:
     """Re int_T^inf sum_j wave[j] t^e_j e^(i w t) dt, T = start, w = frequency,
     and its error: on t = T + i tau / w it is (i / w) e^(i w T) times
-    int_0^inf sum_j wave[j] (T + i tau / w)^e_j e^-tau dtau, by 32- and
-    20-node Gauss-Laguerre rules, with their difference and rounding as error."""
-    sums = []
-    for nodes, weights in (_LAGUERRE_HI, _LAGUERRE_LO):
-        vals = (start + 1j * nodes[:, None] / frequency) ** exponents @ wave
-        sums.append((weights @ vals, weights @ np.abs(vals)))
-    (hi, hi_abs), (lo, _) = sums
+    int_0^inf sum_j wave[j] (T + i tau / w)^e_j e^-tau dtau, by the
+    Gauss-Laguerre pair."""
+    hi, error = _rule_pair(lambda tau: (start + 1j * tau[:, None] / frequency) ** exponents @ wave,
+                           _LAGUERRE)
     value = (1j / frequency * np.exp(1j * frequency * start) * hi).real
-    return float(value), float(abs(hi - lo) + _GL_ROUNDING * hi_abs) / frequency
+    return float(value), error / frequency
 
 
 def _tail_beyond(tail: Tail, power: float, radius: float) -> tuple[float, float]:
@@ -491,8 +489,10 @@ def _tail_beyond(tail: Tail, power: float, radius: float) -> tuple[float, float]
     if tail.kind == "gaussian":
         # substitute u = t^2: Gamma((a+1)/2, T^2) / 2
         half = 0.5 * (power + 1.0)
-        value = 0.5 * float(special.gamma(half) * special.gammaincc(half, start ** 2))
-        error = _GL_ROUNDING * abs(value)
+        square = named_overflow(lambda: start ** 2,
+                                f"the hand-over radius squared (R/s)^2 at R/s = {start:g}")
+        value = 0.5 * float(special.gamma(half) * special.gammaincc(half, square))
+        error = _ROUNDING * abs(value)
     else:
         exponents = power - tail.order - np.arange(len(tail.smooth), dtype=float)
         beyond = start ** (exponents + 1.0) / -(exponents + 1.0)  # int_T^inf t^e dt
@@ -501,14 +501,15 @@ def _tail_beyond(tail: Tail, power: float, radius: float) -> tuple[float, float]
         # power carries a rounding of eps |power| (it is often k + 1), which
         # d/de log|int_R^inf r^e dr| = log R - 1 / (e + 1) amplifies near divergence
         sensitivity = abs(math.log(radius)) + 1.0 / np.abs(exponents + 1.0)
-        error = (float(np.dot(tail.bound, beyond)) + _GL_ROUNDING * float(np.abs(smooth) @ beyond)
+        error = (float(np.dot(tail.bound, beyond)) + _ROUNDING * float(np.abs(smooth) @ beyond)
                  + _EPS * max(1.0, abs(power)) * float(np.abs(smooth * beyond) @ sensitivity))
         wave = np.asarray(tail.cosine, dtype=float) - 1j * np.asarray(tail.sine, dtype=float)
         if np.any(wave):
             y, e = _path_tail(wave, exponents, tail.frequency, start)
             value, error = value + y, error + e
-    size = tail.amplitude * tail.scale ** (power + 1.0)
-    return size * value, size * error
+    scale = named_overflow(lambda: tail.scale ** (power + 1.0),
+                           f"the tail's scale s^(a + 1) at s = {tail.scale:g}, a = {power:g}")
+    return tail.amplitude * scale * value, tail.amplitude * scale * error
 
 
 def integrate_radial(g: Callable[[np.ndarray], np.ndarray], power: float, tail: Tail,
@@ -550,7 +551,7 @@ def integrate_radial(g: Callable[[np.ndarray], np.ndarray], power: float, tail: 
     if tail.frequency > 0:
         R = max(R, _PATH_START * s / tail.frequency)
     cell = min(_ORIGIN_CELL * s, R)
-    if tail.frequency > 0 and math.ceil((R - cell) / (_GL_PANEL * s)) > _GL_MAX_PANELS:
+    if tail.frequency > 0 and (R - cell) / (_GL_PANEL * s) > _GL_MAX_PANELS:
         raise QuadratureError(
             f"the truncation radius {R:g} needs more than {_GL_MAX_PANELS} panels of "
             f"{_GL_PANEL * s:g}; wider panels cannot resolve the declared oscillation")

@@ -94,6 +94,17 @@ class TestClosedFormMoments:
         with pytest.raises(ValueError):
             ginibre_moment(1.0, 0.0)
 
+    @pytest.mark.parametrize("k,rho", [(300.0, 1e-5), (120.0, 1e5)],
+                             ids=["scale-underflows", "scale-overflows"])
+    def test_ginibre_beyond_double_precision(self, k, rho):
+        # (pi rho)^(k/2) underflows to 0 or overflows; either way the refusal
+        # is an OverflowError naming the moment, not ZeroDivisionError or errno 34
+        with pytest.raises(OverflowError) as exc:
+            ginibre_moment(k, rho)
+        assert exc.type is OverflowError
+        assert str(exc.value).startswith("the moment Gamma(1 + k/2)/(pi rho)^(k/2)")
+        assert str(exc.value).endswith("is not finite")
+
 
 class TestMomentQuadrature:
     def test_jinc_normalization(self):

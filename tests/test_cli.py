@@ -39,9 +39,9 @@ def count_gl_nodes(monkeypatch):
     nodes = [0]
     gl_on_edges = numerics._gl_on_edges
 
-    def counted(f, edges, rule_nodes, weights):
+    def counted(edges, rule_nodes, weights):
         nodes[0] += (len(edges) - 1) * len(rule_nodes)
-        return gl_on_edges(f, edges, rule_nodes, weights)
+        return gl_on_edges(edges, rule_nodes, weights)
 
     monkeypatch.setattr(numerics, "_gl_on_edges", counted)
     return nodes
@@ -224,6 +224,24 @@ def test_flags_only_where_something_reads_them(tmp_path, argv, code, token):
         assert out == "" and argv[-1].split("=")[0] in err
 
 
+@pytest.mark.parametrize("argv,quantity", [
+    (["moments", "--model=ginibre", "--k", "300", "--rho", "1e-5"], "Jacobi cell's (w/2)^(a + 1)"),
+    (["moments", "--model=ginibre", "--k=0", "--truncation-radius=1e308"], "(R/s)^2"),
+    (["moments", "--model=ginibre", "--k=1", "--rho=1e300"], "(alpha/pi)^2"),
+    (["moments", "--model=ginibre", "--k=6", "--rho=1e300"], "(alpha/pi)^2"),
+    # Gamma((d + 1)/2) in the surface measure of S^d leaves double precision from d = 343
+    (["validate", "sphere-d-400"], "Gamma((d + 1)/2) in the surface measure of S^400"),
+], ids=["jacobi-cell-scale", "radius-squared", "ginibre-amplitude-k1", "ginibre-amplitude-k6",
+        "sphere-gamma"])
+def test_overflow_names_the_quantity(tmp_path, argv, quantity):
+    doc = {"family": "sphere-coefficients", "params": {"d": 400, "rho": 0.1, "beta_coeffs": [1.0]}}
+    spec = write_spec(tmp_path, "d.json", doc)
+    code, out, err = run_cli([spec if a == "sphere-d-400" else a for a in argv])
+    assert (code, out) == (2, "") and err.startswith("validation-error[overflow]:")
+    assert quantity in err and err.endswith(" is not finite\n")
+    assert "(34," not in err and "math range error" not in err
+
+
 def test_usage_error_of_the_module_is_a_parse_error():
     env = dict(os.environ, PYTHONPATH=str(Path(palmdpp.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "palmdpp", "sample"], capture_output=True,
@@ -259,6 +277,37 @@ def test_cli_import_leaves_module_unloaded(module):
 
 
 class TestValidateCommand:
+    @pytest.mark.parametrize("doc", [
+        {"family": "finite", "matrix": [[[0.5, 0]]]},
+        {"family": "ginibre", "params": {"alpha": 1.0, "beta": 1.0}},
+        {"family": "jinc"},
+        {"family": "sinc"},
+        {"family": "sphere-multiquadric", "params": {"delta": 0.5, "rho": 0.1}},
+        {"family": "sphere-coefficients",
+         "params": {"d": 2, "rho": 0.1, "beta_coeffs": [0.5, 0.3, 0.2]}},
+    ], ids=lambda doc: doc["family"])
+    def test_family_refuses_unknown_params(self, tmp_path, doc):
+        valid = write_spec(tmp_path, "ok.json", doc)
+        assert run_cli(["validate", valid])[0] == 0
+        doc = {**doc, "params": {**doc.get("params", {}), "gamma": 1.0}}
+        code, out, err = run_cli(["validate", write_spec(tmp_path, "bad.json", doc)])
+        assert (code, out) == (3, "")
+        assert f"unknown params for family {doc['family']!r}: ['gamma']" in err
+
+    @pytest.mark.parametrize("doc,echo", [
+        ({"family": "jinc"}, {"alpha": 1.0, "beta": 1.0}),
+        ({"family": "sinc", "params": {"beta": 0.5}}, {"alpha": 1.0, "beta": 0.5}),
+        ({"family": "ginibre", "params": {"alpha": 2, "beta": 0.25}},
+         {"alpha": 2.0, "beta": 0.25}),
+        ({"family": "sphere-coefficients",
+          "params": {"d": 2, "rho": 0.1, "beta_coeffs": [0.5, 0.3, 0.1], "tail_bound": 0.1}},
+         {"d": 2, "rho": 0.1}),
+    ], ids=["jinc-defaults", "sinc-alpha-default", "ginibre-floats", "sphere-d-and-rho"])
+    def test_validate_echoes_the_table_params(self, tmp_path, doc, echo):
+        code, out, _ = run_cli(["validate", write_spec(tmp_path, "s.json", doc)])
+        assert code == 0
+        assert out == f"ok: family={doc['family']} n=- params={json.dumps(echo, sort_keys=True)}\n"
+
     def test_valid_finite(self, tmp_path):
         code, out, _ = run_cli(["validate", write_spec(tmp_path, "d.json", DIAG_SPEC)])
         assert code == 0 and "ok" in out

@@ -316,13 +316,15 @@ def run(argv):
 
 
 def assert_documented_exit(code, err):
-    # exit 2 prints one line, validation-error[<token>]: with a token of the one list
+    # exit 2 prints one line, validation-error[<token>]: with a token of the one list;
+    # an overflow names the quantity that left double precision
     assert code in (0, 2, 3, 4, 5)
     assert (code == 0) == (err == "")
     if code == 2:
         line, = err.splitlines()
         token = line.partition("]:")[0].removeprefix("validation-error[")
         assert line.startswith(f"validation-error[{token}]: ") and token in TOKENS
+        assert token != "overflow" or line.endswith(" is not finite"), line
 
 
 radii = st.one_of(st.none(), st.sampled_from(["1e-3", "0.5", "3", "30", "-1", "0", "nan", "inf"]))
