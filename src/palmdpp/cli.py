@@ -42,7 +42,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -81,17 +81,18 @@ class ModelBundle:
 _fmt = "{:.12g}".format
 
 
-def _emit_block(out, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(map(_fmt, row)) + "\n")
+def _lines(rows: Iterable[Iterable[Any]]) -> Iterable[str]:
+    """The CSV lines of numeric rows, one _fmt per cell."""
+    return (",".join(map(_fmt, row)) for row in rows)
 
 
-def _emit_text_rows(out, header: Sequence[str], first: np.ndarray, rest: np.ndarray) -> None:
-    """Write a block whose cells are already formatted: rows first[i],rest[i]."""
-    out.write(",".join(header) + "\n")
-    if first.size:
-        out.write("\n".join(map(",".join, zip(first.tolist(), rest.tolist()))) + "\n")
+def _emit(*blocks: tuple[Sequence[str], Iterable[str]]) -> None:
+    """Write CSV blocks of (header, formatted lines) to stdout, a blank line
+    between blocks.  Each block is joined and written on its own, so only one
+    block's text is held at a time."""
+    for i, (header, lines) in enumerate(blocks):
+        head = ("\n" if i else "") + ",".join(header)
+        sys.stdout.write("\n".join([head, *lines, ""]))
 
 
 def _is_number(v: Any) -> bool:  # a finite JSON number; true and false are not
@@ -178,71 +179,56 @@ def load_kernel_spec(path: str | Path) -> ModelBundle:
 
 def _parse_anchor(bundle: ModelBundle, text: str | None):
     space = bundle.kernel.space
-    if text is None:
-        if space.kind == "finite":
-            return 1
-        if space.kind == "euclidean":
-            return np.zeros(space.size)
-        north = np.zeros(space.size + 1)
-        north[-1] = 1.0
-        return north
     if space.kind == "finite":
         try:
-            return int(text)
+            return 1 if text is None else int(text)
         except ValueError as exc:
             raise ParseError(f"finite anchors are site indices, got {text!r}") from exc
+    length = space.size + (space.kind == "sphere")  # S^d lies in R^(d+1)
+    if text is None:  # the origin, or the north pole (0, ..., 0, 1)
+        vals = np.zeros(length)
+        vals[-1] = space.kind == "sphere"
+        return vals
     try:
         vals = np.array([float(tok) for tok in text.split(",")], dtype=float)
     except ValueError as exc:
         raise ParseError(f"cannot parse anchor {text!r}") from exc
+    if vals.size != length:
+        raise ParseError(f"{space.kind} anchor needs {length} coordinates, got {vals.size}")
     if space.kind == "euclidean":
-        if vals.size != space.size:
-            raise ParseError(f"anchor needs {space.size} coordinates, got {vals.size}")
         return vals
-    if vals.size != space.size + 1:
-        raise ParseError(f"sphere anchor needs {space.size + 1} coordinates, got {vals.size}")
     norm = float(np.linalg.norm(vals))
     if norm <= 0:
         raise ParseError("sphere anchor cannot be the zero vector")
     return vals / norm
 
 
-def _int_at_least(minimum: int):
-    """argparse converter for a count flag: an integer >= minimum."""
+def _flag(kind, wanted: str, ok):
+    """argparse converter: the text converted by kind (int or float), refused
+    as not `wanted` unless ok(value)."""
 
-    def convert(text: str) -> int:
+    def convert(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            value = minimum - 1
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
-        return value
-
-    return convert
-
-
-def _float_above(bound: float = -math.inf, *, inclusive: bool = False):
-    """argparse converter for a real flag: a finite float > bound, or >= bound
-    when inclusive."""
-    wanted = "a finite number" + ("" if bound == -math.inf else
-                                  f" {'>=' if inclusive else '>'} {bound:g}")
-
-    def convert(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            value = math.nan
-        if not (math.isfinite(value) and (value >= bound if inclusive else value > bound)):
+            value = math.nan  # ok refuses nan
+        if not ok(value):
             raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
         return value
 
     return convert
 
 
+_count = _flag(int, "an integer >= 1", lambda v: v >= 1)
+_count_from_zero = _flag(int, "an integer >= 0", lambda v: v >= 0)
+_finite = _flag(float, "a finite number", math.isfinite)
+_positive = _flag(float, "a finite number > 0", lambda v: 0 < v < math.inf)
+_nonnegative = _flag(float, "a finite number >= 0", lambda v: 0 <= v < math.inf)
+
+
 def _finite_floats(text: str) -> list[float]:
     """argparse converter for a comma list of finite floats."""
-    return list(map(_float_above(), text.split(",")))
+    return list(map(_finite, text.split(",")))
 
 
 def _profile_models(text: str) -> set[str]:
@@ -295,11 +281,9 @@ def cmd_repulsiveness(args) -> int:
     report = repulsiveness_p(bundle.kernel, anchor, spec=spec, profile_coords=coords)
     reference = _reference_p(bundle, anchor)
     flag = 1 if abs(report.p_u - reference) > _REFERENCE_TOLERANCE else 0
-    _emit_block(sys.stdout,
-                ["p_u", "norm_sq", "quadrature_error", "p_u_reference", "discrepancy"],
-                [[report.p_u, report.norm_sq, report.quadrature_error, reference, flag]])
-    sys.stdout.write("\n")
-    _emit_block(sys.stdout, ["coordinate", "f_u"], report.density_profile)
+    _emit((["p_u", "norm_sq", "quadrature_error", "p_u_reference", "discrepancy"],
+           _lines([[report.p_u, report.norm_sq, report.quadrature_error, reference, flag]])),
+          (["coordinate", "f_u"], _lines(report.density_profile)))
     return 0
 
 
@@ -314,11 +298,9 @@ def cmd_couple(args) -> int:
     p_exact, density = finite_dpp.xi_law(table, dpp, site)
     p_hat, removed = finite_dpp.sample_removals(table, args.seed, args.samples)
     removed_hat = removed / removed.sum() if removed.sum() > 0 else removed
-    _emit_block(sys.stdout, ["max_flow", "p_u_exact", "p_u_empirical"],
-                [[flow, p_exact, p_hat]])
-    sys.stdout.write("\n")
-    _emit_block(sys.stdout, ["site", "f_u_exact", "f_u_empirical"],
-                [[v + 1, density[v], removed_hat[v]] for v in range(dpp.n)])
+    _emit((["max_flow", "p_u_exact", "p_u_empirical"], _lines([[flow, p_exact, p_hat]])),
+          (["site", "f_u_exact", "f_u_empirical"],
+           _lines([v + 1, density[v], removed_hat[v]] for v in range(dpp.n))))
     return 0
 
 
@@ -334,9 +316,8 @@ def cmd_profile(args) -> int:
     if "jinc" in args.models:
         kernel = model_zoo.thin_rescale(model_zoo.jinc_kernel(2), 1.0, args.beta)
         columns["density_jinc"] = analysis.radial_profile(kernel, origin, radii).density
-    header = ["r"] + list(columns)
-    rows = [[r] + [columns[c][i] for c in columns] for i, r in enumerate(radii)]
-    _emit_block(sys.stdout, header, rows)
+    rows = ([r] + [columns[c][i] for c in columns] for i, r in enumerate(radii))
+    _emit((["r", *columns], _lines(rows)))
     return 0
 
 
@@ -361,9 +342,8 @@ def cmd_moments(args) -> int:
         res = analysis.moment_quadrature(kernel, origin, k, spec=spec)
         rows.append([k, closed(k), res.quadrature, res.abs_error,
                      res.tail_estimate, 1 if res.divergent else 0])
-    _emit_block(sys.stdout,
-                ["k", "closed_form", "quadrature", "abs_error", "tail_estimate", "divergent"],
-                rows)
+    _emit((["k", "closed_form", "quadrature", "abs_error", "tail_estimate", "divergent"],
+           _lines(rows)))
     return 0
 
 
@@ -374,29 +354,25 @@ def cmd_sample(args) -> int:
         ("--window", args.window, ("euclidean",), "bounds only a euclidean grid"),
         ("--resolution", args.resolution, ("euclidean", "sphere"),
          "sets only the grid of a continuous kernel")))
-    if bundle.family == "finite":
-        dpp = bundle.dpp
-        centers = None
-    else:
-        if space.kind == "euclidean":
-            if args.window is None or args.resolution is None:
-                raise ParseError("continuous kernels need --window and --resolution")
-            window = args.window
-            if len(window) != 2 * space.size:
-                raise ParseError(f"window needs {2 * space.size} numbers, got {len(window)}")
-        else:
-            if args.resolution is None:
-                raise ParseError("sphere kernels need --resolution")
-            window = None
-        grid = analysis.grid_discretize(bundle.kernel, window, args.resolution)
+    dpp, centers = bundle.dpp, None
+    if dpp is None:  # a continuous kernel, sampled on its grid
+        plane = space.kind == "euclidean"
+        if args.resolution is None or (plane and args.window is None):
+            raise ParseError(f"{space.kind} kernels need --resolution" + " and --window" * plane)
+        if plane and len(args.window) != 2 * space.size:
+            raise ParseError(f"window needs {2 * space.size} numbers, got {len(args.window)}")
+        grid = analysis.grid_discretize(bundle.kernel, args.window, args.resolution)
         dpp, centers = grid.dpp, grid.centers
     bits = finite_dpp.sample_indicators(dpp, args.seed, args.samples)
     # integer labels: str is .12g's text below 10^12 draws or sites
     draw_text = np.array(list(map(str, range(len(bits)))), dtype=object)
     count_text = np.array(list(map(str, range(dpp.n + 1))), dtype=object)
-    _emit_text_rows(sys.stdout, ["sample", "count"], draw_text, count_text[bits.sum(axis=1)])
+
+    def pairs(first, rest):  # lazy: a block's lists are built only as it is written
+        yield from map(",".join, zip(first.tolist(), rest.tolist()))
+
+    blocks = [(["sample", "count"], pairs(draw_text, count_text[bits.sum(axis=1)]))]
     if args.emit_points:
-        sys.stdout.write("\n")
         if centers is None:
             header = ["sample", "site"]
             site_text = list(map(str, range(1, dpp.n + 1)))
@@ -404,8 +380,8 @@ def cmd_sample(args) -> int:
             header = ["sample"] + ["x", "y", "z"][:centers.shape[1]]
             site_text = [",".join(map(_fmt, c)) for c in centers]
         draw, site = np.nonzero(bits)
-        _emit_text_rows(sys.stdout, header, draw_text[draw],
-                        np.array(site_text, dtype=object)[site])
+        blocks.append((header, pairs(draw_text[draw], np.array(site_text, dtype=object)[site])))
+    _emit(*blocks)
     return 0
 
 
@@ -424,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reduced Palm distributions and coupling-based repulsiveness "
                     "measures for determinantal point processes.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
-    positive = _float_above(0.0)
-    radius = _float_above(0.0, inclusive=True)
 
     p = sub.add_parser("validate", help="check a kernel spec file")
     p.add_argument("spec")
@@ -435,48 +409,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--anchor", default=None,
                    help="site index | 'x,y' | 'x,y,z' (normalized)")
-    p.add_argument("--profile-points", type=_int_at_least(1), default=None)
-    p.add_argument("--profile-max", type=positive, default=None,
+    p.add_argument("--profile-points", type=_count, default=None)
+    p.add_argument("--profile-max", type=_positive, default=None,
                    help="end of a euclidean profile (default: 40 length scales of a "
                         "gaussian tail or 400 of a power tail, at most 10)")
-    p.add_argument("--rel-tol", type=positive, default=None,
+    p.add_argument("--rel-tol", type=_positive, default=None,
                    help="relative tolerance of the sphere's polar quadrature")
-    p.add_argument("--truncation-radius", type=positive, default=None,
+    p.add_argument("--truncation-radius", type=_positive, default=None,
                    help="where Euclidean radial quadrature hands over to the declared tail")
     p.set_defaults(func=cmd_repulsiveness)
 
     p = sub.add_parser("couple", help="exact coupling table diagnostics (finite kernels)")
     p.add_argument("spec")
     p.add_argument("--anchor", default=None)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--samples", type=_int_at_least(1), default=10000)
+    p.add_argument("--seed", type=_count_from_zero, default=0)
+    p.add_argument("--samples", type=_count, default=10000)
     p.set_defaults(func=cmd_couple)
 
     p = sub.add_parser("profile", help="radial displacement densities (Figure-1 data)")
     p.add_argument("--models", type=_profile_models, default="ginibre,jinc")
-    p.add_argument("--beta", type=_float_above(), default=1.0)
-    p.add_argument("--r-min", type=radius, default=0.0)
-    p.add_argument("--r-max", type=radius, default=10.0)
-    p.add_argument("--r-points", type=_int_at_least(1), default=201)
+    p.add_argument("--beta", type=_finite, default=1.0)
+    p.add_argument("--r-min", type=_nonnegative, default=0.0)
+    p.add_argument("--r-max", type=_nonnegative, default=10.0)
+    p.add_argument("--r-points", type=_count, default=201)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("moments", help="displacement moments: closed form vs quadrature")
     p.add_argument("--model", choices=("ginibre", "jinc"), required=True)
     p.add_argument("--k", type=_finite_floats, required=True,
                    help="comma-separated moment orders")
-    p.add_argument("--rho", type=_float_above(), default=None,
+    p.add_argument("--rho", type=_finite, default=None,
                    help="intensity for the ginibre model (default 1/pi)")
-    p.add_argument("--truncation-radius", type=positive, default=None,
+    p.add_argument("--truncation-radius", type=_positive, default=None,
                    help="where radial quadrature hands over to the declared tail")
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("sample", help="draw subsets from a kernel (grid-discretized if continuous)")
     p.add_argument("spec")
-    p.add_argument("--samples", type=_int_at_least(0), default=100)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--samples", type=_count_from_zero, default=100)
+    p.add_argument("--seed", type=_count_from_zero, default=0)
     p.add_argument("--window", type=_finite_floats, default=None,
                    help="'xmin,xmax[,ymin,ymax]'")
-    p.add_argument("--resolution", type=_int_at_least(1), default=None)
+    p.add_argument("--resolution", type=_count, default=None)
     p.add_argument("--emit-points", action="store_true")
     p.set_defaults(func=cmd_sample)
     return parser

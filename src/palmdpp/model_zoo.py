@@ -371,7 +371,8 @@ def multiquadric(delta: float, rho: float) -> tuple[SphereModel, Kernel]:
 
     def k0(t):
         t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
-        return rho * (1.0 - delta) / np.sqrt(1.0 + delta ** 2 - 2.0 * delta * t)
+        with np.errstate(divide="ignore"):  # a root that rounds to 0 gives inf for check_finite
+            return rho * (1.0 - delta) / np.sqrt(1.0 + delta ** 2 - 2.0 * delta * t)
 
     # a commonly reported closed form for this family drops the 1/(2l+1)
     # multiplicity factor and disagrees with the eigen-series; carried as

@@ -145,6 +145,11 @@ class TestMomentQuadrature:
         res = moment_quadrature(ginibre_kernel(GinibreParams(1.0, 1.0)), ORIGIN, 1.0)
         assert abs(res.quadrature - math.sqrt(math.pi) / 2.0) < 1e-6
 
+    def test_only_planar_isotropic_kernels(self):
+        with pytest.raises(ValidationError, match="isotropic kernels on the plane") as exc:
+            moment_quadrature(jinc_kernel(1), [0.0], 0.5)
+        assert exc.value.token == "param-bound"
+
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             moment_quadrature(jinc_kernel(2), ORIGIN, -2.5)
@@ -288,6 +293,20 @@ class TestGridDiscretize:
         lam = grid.dpp.eig.eigenvalues
         sigma = math.sqrt(float(np.sum(lam * (1.0 - lam))) / draws)
         assert abs(counts.mean() - grid.expected_count) <= 3.0 * sigma
+
+    def test_window_needs_two_bounds_per_axis(self):
+        with pytest.raises(ValidationError, match="window must give 4 bounds for d=2") as exc:
+            grid_discretize(ginibre_kernel(GinibreParams(1.0, 1.0)), (-1.0, 1.0), 3)
+        assert exc.value.token == "param-bound"
+
+    def test_non_hermitian_grid_is_not_blamed_on_the_cells(self):
+        # a small real antisymmetric part, 1e-6 (x_v - x_w), on the dense route
+        base = ginibre_kernel(GinibreParams(1.0, 1.0))
+        skew = replace(base, grid_factor=None,
+                       gram=lambda X, Y, _g=base.gram: _g(X, Y) + 1e-6 * (X[:, :1] - Y[:, 0]))
+        with pytest.raises(ValidationError) as exc:
+            grid_discretize(skew, (-1.0, 1.0, -1.0, 1.0), 3)
+        assert exc.value.token == "non-hermitian" and "coarse" not in str(exc.value)
 
     def test_coarse_jinc_triggers_spectrum_guidance(self):
         with pytest.raises(ValidationError) as err:

@@ -121,12 +121,13 @@ def rank2_spec():
     (["sample", "G", "--window=1,-1,-1,1", "--resolution", "3"], 2,
      "validation-error[param-bound]"),
     (["sample", "S"], 3, "parse-error"),
+    (["sample", "G", "--resolution", "3"], 3, "parse-error"),
 ], ids=["nan-profile-max", "zero-profile-max", "jinc-profile-past-doubles", "inf-radius", "radius-overflows-density",
         "negative-radius", "beta-above-one", "nan-beta", "unknown-model", "no-models",
         "couple-negative-seed",
         "sample-negative-seed", "missing-spec", "unknown-flag", "missing-command",
         "zero-resolution", "nan-window", "short-window", "decreasing-window",
-        "sphere-without-resolution"])
+        "sphere-without-resolution", "plane-without-window"])
 def test_bad_flag_values_exit_with_a_token(tmp_path, argv, code, token):
     specs = {"G": write_spec(tmp_path, "g.json", GINIBRE_SPEC),
              "J": write_spec(tmp_path, "j.json", {"family": "jinc"}),
@@ -135,6 +136,22 @@ def test_bad_flag_values_exit_with_a_token(tmp_path, argv, code, token):
     got, out, err = run_cli([specs.get(a, a) for a in argv])
     assert (got, out) == (code, "") and err.startswith(token)
     assert "usage:" not in err
+
+
+# each flag converter's refusal, word for word: counts >= 0 and >= 1, radii >= 0,
+# tolerances > 0 and finite numbers
+@pytest.mark.parametrize("argv,message", [
+    (["sample", "D", "--seed=-1"], "argument --seed: expected an integer >= 0, got '-1'"),
+    (["couple", "D", "--samples=0"], "argument --samples: expected an integer >= 1, got '0'"),
+    (["profile", "--r-min=-1"], "argument --r-min: expected a finite number >= 0, got '-1'"),
+    (["repulsiveness", "S", "--rel-tol=0"],
+     "argument --rel-tol: expected a finite number > 0, got '0'"),
+    (["profile", "--beta=nan"], "argument --beta: expected a finite number, got 'nan'"),
+], ids=["count-from-zero", "count", "nonnegative", "positive", "finite"])
+def test_flag_refusals_keep_their_text(tmp_path, argv, message):
+    specs = {"D": write_spec(tmp_path, "d.json", DIAG_SPEC),
+             "S": write_spec(tmp_path, "s.json", QUADRATURE_SPECS["multiquadric"])}
+    assert run_cli([specs.get(a, a) for a in argv]) == (3, "", f"parse-error: {message}\n")
 
 
 QUADRATURE_SPECS = {
@@ -240,6 +257,23 @@ def test_overflow_names_the_quantity(tmp_path, argv, quantity):
     assert (code, out) == (2, "") and err.startswith("validation-error[overflow]:")
     assert quantity in err and err.endswith(" is not finite\n")
     assert "(34," not in err and "math range error" not in err
+
+
+# at delta = 1 - 2^-53, 1 + delta^2 - 2 delta t rounds to 0 at t = 1: the
+# multiquadric's K0 is inf there, and a refusal is one stderr line
+@pytest.mark.parametrize("argv,rho,err", [
+    (["repulsiveness"], 1e-3, "the f_u profile is not finite"),
+    (["sample", "--resolution=4"], 1e-3, "the grid's kernel matrix is not finite"),
+    (["repulsiveness"], 1e-300, None),
+], ids=["repulsiveness", "sample", "repulsiveness-tiny-rho"])
+def test_multiquadric_pole_warns_nothing(tmp_path, argv, rho, err):
+    doc = {"family": "sphere-multiquadric", "params": {"delta": 0.9999999999999999, "rho": rho}}
+    code, out, stderr = run_cli([argv[0], write_spec(tmp_path, "m.json", doc), *argv[1:]])
+    if err is None:
+        assert (code, stderr) == (0, "") and out
+    else:
+        assert (code, out) == (2, "")
+        assert stderr == f"validation-error[overflow]: a value leaves double precision: {err}\n"
 
 
 def test_usage_error_of_the_module_is_a_parse_error():
@@ -377,8 +411,8 @@ class TestRepulsivenessCommand:
     @pytest.mark.parametrize("doc,anchor,phrase", [
         (DIAG_SPEC, "1.5", "site indices"),
         (GINIBRE_SPEC, "0,x", "cannot parse anchor"),
-        (GINIBRE_SPEC, "0,0,1", "needs 2 coordinates"),
-        (QUADRATURE_SPECS["multiquadric"], "0,1", "needs 3 coordinates"),
+        (GINIBRE_SPEC, "0,0,1", "euclidean anchor needs 2 coordinates, got 3"),
+        (QUADRATURE_SPECS["multiquadric"], "0,1", "sphere anchor needs 3 coordinates, got 2"),
         (QUADRATURE_SPECS["multiquadric"], "0,0,0", "zero vector"),
     ], ids=["fractional-site", "unparsable", "euclidean-length", "sphere-length", "sphere-zero"])
     def test_unparsable_anchor_is_a_parse_error(self, tmp_path, doc, anchor, phrase):
@@ -764,6 +798,16 @@ class TestSampleCommand:
         grid = analysis.grid_discretize(load_kernel_spec(spec).kernel, window, 9)
         bits = finite_dpp.sample_indicators(grid.dpp, 2, 40)
         assert code == 0 and out == reference_sample_output(bits, grid.centers)
+
+    @pytest.mark.parametrize("doc,flags,header", [
+        (GINIBRE_SPEC, ["--window=-1,1,-1,1"], "sample,x,y"),
+        ({"family": "sinc"}, ["--window=-1,1"], "sample,x"),
+        (QUADRATURE_SPECS["multiquadric"], [], "sample,x,y,z"),
+    ], ids=["plane", "line", "sphere"])
+    def test_no_draws_on_a_grid_print_the_headers(self, tmp_path, doc, flags, header):
+        spec = write_spec(tmp_path, "g.json", doc)
+        got = run_cli(["sample", spec, "--samples=0", "--emit-points", "--resolution=2", *flags])
+        assert got == (0, f"sample,count\n\n{header}\n", "")
 
     def test_negative_samples_is_a_parse_error(self, tmp_path):
         code, out, err = run_cli(["sample", write_spec(tmp_path, "d.json", DIAG_SPEC),

@@ -245,6 +245,18 @@ class TestSubsetLaw:
         with pytest.raises(SizeGuardError):
             subset_law(validate(np.diag([0.5] * 17)))
 
+    @pytest.mark.parametrize("matrix,phrase", [
+        (np.diag([np.nan, 0.5]), "non-finite value"),
+        (np.diag([1.5, 0.2]), "materially negative value"),
+    ], ids=["nan", "eigenvalue-above-one"])
+    def test_law_guards_a_matrix_validate_would_refuse(self, matrix, phrase):
+        # a hand-built FiniteDpp skips validate; subset_law reads only its matrix
+        dpp = finite_dpp.FiniteDpp(eig=None, n=2, clamp_report=finite_dpp.ClampReport(0, 0.0),
+                                   _matrix=matrix)
+        with pytest.raises(ValidationError, match=phrase) as exc:
+            subset_law(dpp)
+        assert exc.value.token == "spectrum"
+
 
 class TestPalmMatrix:
     def test_projection_empties(self):

@@ -338,6 +338,14 @@ class TestDeclaredTails:
         assert JINC_TAIL.default_radius() == 26.0
         assert JINC_TAIL.rescaled(1.0, 0.1).default_radius() == pytest.approx(2.6)
 
+    def test_never_asymptotic_tail_is_a_quadrature_error(self):
+        # its second term, 1e6 t^-3, outweighs the leading t^-2 up to t = 1e6, far past
+        # the 6,002 length scales searched
+        tail = Tail("power", 1.0, order=2.0, smooth=(1.0, 1e6), sine=(0.0, 0.0),
+                    cosine=(0.0, 0.0), bound=(0.0, 0.0))
+        with pytest.raises(QuadratureError, match="never becomes asymptotic within 6002 length"):
+            tail.default_radius()
+
     def test_not_asymptotic_at_a_small_radius(self):
         assert not JINC_TAIL.asymptotic_at(1.0) and JINC_TAIL.asymptotic_at(5.0)
         with pytest.raises(QuadratureError, match="not asymptotic"):
