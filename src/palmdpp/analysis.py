@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import finite_dpp
 from .errors import SizeGuardError, ValidationError, check_count, check_finite, named_overflow
@@ -332,6 +331,7 @@ def mc_validate_coupling(kernel: Kernel, u, window, resolution: int,
     if observed.size >= 2:
         chi2 = float(np.sum((observed - expected) ** 2 / expected))
         dof = observed.size - 1
+        from scipy import special  # loaded by the first coupling check, not on import
         pvalue = float(special.chdtrc(dof, chi2))
     else:
         chi2, dof, pvalue = 0.0, 0, 1.0

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import maximum_flow
 
 from .errors import (SizeGuardError, TheoremViolationError, ValidationError, check_anchor,
                      check_count, check_site)
@@ -271,6 +269,14 @@ def palm_eigenvector(dpp: FiniteDpp, u: int) -> DilationPair:
     return DilationPair(projection=Q, anchor_vector=psi, reduced=reduced)
 
 
+def maximum_flow(graph, source: int, sink: int):
+    """scipy's max-flow on an integer-capacity CSR graph.  Like csr_array in
+    coupling_feasible, it is imported on first call, so only couplings load
+    scipy.sparse."""
+    from scipy.sparse.csgraph import maximum_flow as solve
+    return solve(graph, source, sink)
+
+
 def coupling_feasible(law_x: SubsetLaw, law_xu: SubsetLaw,
                       u: int) -> tuple[float, CouplingTable | None]:
     """Search for a coupling of X and X^u removing at most one point.
@@ -340,6 +346,7 @@ def coupling_feasible(law_x: SubsetLaw, law_xu: SubsetLaw,
                                 2 + ns + np.arange(nt)])
     edge_to = np.concatenate([2 + np.arange(ns), t_node, s_node, np.ones(nt, dtype=np.int64)])
     n_nodes = 2 + ns + nt
+    from scipy.sparse import csr_array  # loaded by the first coupling, not on import
     # each edge's number, from 1, as its data: after the CSR sort, data - 1 maps slots to edges
     graph = csr_array((np.arange(1, edge_from.size + 1, dtype=np.int32), (edge_from, edge_to)),
                       shape=(n_nodes, n_nodes))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import ValidationError, check_count, named_overflow
 from .finite_dpp import FiniteDpp, validate
@@ -85,6 +84,7 @@ def _ginibre_grid_factor(alpha: float, beta: float):
     """
 
     def grid_factor(centers: np.ndarray, measure: float) -> GridFactor | None:
+        from scipy import special  # loaded by the first Ginibre grid, not on import
         n = centers.shape[0]
         z = centers[:, 0] + 1j * centers[:, 1]
         with np.errstate(over="ignore"):
@@ -187,8 +187,13 @@ def _ball_radial(r: np.ndarray, wave: Callable, curvature: float) -> np.ndarray:
     return out
 
 
+def _jinc_wave(r: np.ndarray) -> np.ndarray:
+    from scipy import special  # loaded by the first jinc evaluation, not on import
+    return special.j1(2.0 * r)
+
+
 _sinc_radial = functools.partial(_ball_radial, wave=np.sin, curvature=6.0)
-_jinc_radial = functools.partial(_ball_radial, wave=lambda r: special.j1(2.0 * r), curvature=2.0)
+_jinc_radial = functools.partial(_ball_radial, wave=_jinc_wave, curvature=2.0)
 
 
 def jinc_kernel(d: int) -> Kernel:

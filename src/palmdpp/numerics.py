@@ -35,7 +35,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import linalg, special
 
 from .errors import QuadratureError, ValidationError, check_finite, named_overflow
 
@@ -455,6 +454,7 @@ def _gauss_jacobi(n: int, power: float) -> tuple[np.ndarray, np.ndarray]:
     s = 2.0 * k + power
     diag = np.append(power / (power + 2.0), power ** 2 / (s * (s + 2.0)))
     off = np.sqrt(4.0 * k ** 2 * (k + power) ** 2 / (s ** 2 * (s + 1.0) * (s - 1.0)))
+    from scipy import linalg  # loaded by the first radial rule, not on import
     x, V = linalg.eigh_tridiagonal(diag, off)
     w = total * V[0] ** 2
     x.setflags(write=False)
@@ -491,6 +491,7 @@ def _tail_beyond(tail: Tail, power: float, radius: float) -> tuple[float, float]
         half = 0.5 * (power + 1.0)
         square = named_overflow(lambda: start ** 2,
                                 f"the hand-over radius squared (R/s)^2 at R/s = {start:g}")
+        from scipy import special  # loaded by the first Gaussian tail, not on import
         value = 0.5 * float(special.gamma(half) * special.gammaincc(half, square))
         error = _ROUNDING * abs(value)
     else:

@@ -1,6 +1,7 @@
 """Command-line surface: spec files, CSV reports, exit codes, determinism."""
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -276,10 +277,13 @@ def test_multiquadric_pole_warns_nothing(tmp_path, argv, rho, err):
         assert stderr == f"validation-error[overflow]: a value leaves double precision: {err}\n"
 
 
+def child_env():
+    return dict(os.environ, PYTHONPATH=str(Path(palmdpp.__file__).parents[1]))
+
+
 def test_usage_error_of_the_module_is_a_parse_error():
-    env = dict(os.environ, PYTHONPATH=str(Path(palmdpp.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "palmdpp", "sample"], capture_output=True,
-                          text=True, env=env, timeout=60)
+                          text=True, env=child_env(), timeout=60)
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.splitlines() == ["parse-error: the following arguments are required: spec"]
 
@@ -290,24 +294,79 @@ def test_usage_error_of_the_module_is_a_parse_error():
     (["palmdpp", "frobnicate", "G"], 3, "stderr", "parse-error: argument command"),
 ], ids=["package", "cli-module", "unknown-command"])
 def test_module_entry_points(tmp_path, argv, code, stream, start):
-    env = dict(os.environ, PYTHONPATH=str(Path(palmdpp.__file__).parents[1]))
     spec = write_spec(tmp_path, "g.json", GINIBRE_SPEC)
     proc = subprocess.run([sys.executable, "-m"] + [spec if a == "G" else a for a in argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=child_env(), timeout=60)
     assert proc.returncode == code and getattr(proc, stream).startswith(start)
     assert (proc.stderr if code == 0 else proc.stdout) == ""
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.integrate"])
-def test_cli_import_leaves_module_unloaded(module):
-    # the coupling check's chi-square tail comes from scipy.special and every
-    # integral from numerics' own rules, so the CLI does not pay for importing
-    # scipy.stats or scipy.integrate
-    env = dict(os.environ, PYTHONPATH=str(Path(palmdpp.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c",
-                           f"import sys, palmdpp.cli; print({module!r} in sys.modules)"],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+@functools.cache
+def modules_after_import(package):
+    """The names in sys.modules of a fresh interpreter after `import package`."""
+    proc = subprocess.run([sys.executable, "-c", f"import sys, {package}; print(*sys.modules)"],
+                          capture_output=True, text=True, env=child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return frozenset(proc.stdout.split())
+
+
+SCIPY_ON_FIRST_USE = ["scipy.stats", "scipy.integrate", "scipy.sparse", "scipy.sparse.csgraph",
+                      "scipy.linalg", "scipy.special", "scipy"]
+
+
+@pytest.mark.parametrize("package,module", [
+    *[pytest.param("palmdpp.cli", module, id=module) for module in SCIPY_ON_FIRST_USE],
+    *[pytest.param("palmdpp", module, id=f"package-{module}") for module in SCIPY_ON_FIRST_USE]])
+def test_cli_import_leaves_module_unloaded(package, module):
+    # each scipy submodule is imported in the code that calls it, and every
+    # integral comes from numerics' own rules, so importing the CLI or the
+    # package (which star-imports every module) loads no scipy
+    assert module not in modules_after_import(package)
+
+
+@pytest.fixture
+def in_spec_dir(tmp_path, monkeypatch):
+    """Work in tmp_path, which holds <name>.json for each of QUADRATURE_SPECS."""
+    for name, doc in QUADRATURE_SPECS.items():
+        write_spec(tmp_path, f"{name}.json", doc)
+    monkeypatch.chdir(tmp_path)
+
+
+# one child process per command, so what the command loaded is all that is in sys.modules
+SCIPY_AFTER_MAIN = """import contextlib, io, sys
+from palmdpp.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    *[["validate", f"{name}.json"] for name in QUADRATURE_SPECS],
+    ["sample", "finite.json", "--samples=20", "--seed=3", "--emit-points"],
+    ["repulsiveness", "multiquadric.json"],
+], ids=lambda argv: "-".join(a.removesuffix(".json") for a in argv[:2]))
+def test_command_loads_no_scipy(in_spec_dir, argv):
+    proc = subprocess.run([sys.executable, "-c", SCIPY_AFTER_MAIN, *argv], capture_output=True,
+                          text=True, env=child_env(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 []\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["couple", "finite.json", "--anchor=2", "--seed=4", "--samples=200"],
+    ["repulsiveness", "jinc.json"],
+    ["sample", "ginibre.json", "--samples=3", "--seed=5", "--window=-1,1,-1,1",
+     "--resolution=4", "--emit-points"],
+    ["profile", "--r-points=5"],
+], ids=lambda argv: "-".join(a.removesuffix(".json") for a in argv[:2]))
+def test_scipy_on_first_use_prints_what_warm_runs_print(in_spec_dir, argv):
+    # a fresh process imports scipy inside the command; the in-process run
+    # after a warm-up call has it loaded already.  Their stdout is the same bytes
+    proc = subprocess.run([sys.executable, "-m", "palmdpp", *argv], capture_output=True,
+                          text=True, env=child_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    run_cli(argv)
+    assert run_cli(argv) == (0, proc.stdout, "")
 
 
 class TestValidateCommand:
