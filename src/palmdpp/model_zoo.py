@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, check_count, named_overflow
+from .errors import ValidationError, check_count, check_finite, named_overflow
 from .finite_dpp import FiniteDpp, validate
 from .kernel_core import GridFactor, GroundSpace, Kernel, sphere_surface_measure
 from .numerics import Tail, gegenbauer_series
@@ -115,6 +115,8 @@ def ginibre_kernel(params: GinibreParams) -> Kernel:
     amplitude, norm_sq = named_overflow(
         lambda: ((alpha / math.pi) ** 2, alpha ** 2 * beta / math.pi),
         f"the tail amplitude (alpha/pi)^2 or the row norm alpha^2 beta/pi at alpha = {alpha:g}")
+    # gram's exponent is divided by beta through 1/beta, which overflows for beta < 5.6e-309
+    check_finite(1.0 / beta, f"the Ginibre exponent's scale 1/beta at beta = {beta:g}")
 
     def radial_abs_sq(r):
         r = np.asarray(r, dtype=float)

@@ -442,10 +442,10 @@ def _gauss_jacobi(n: int, power: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [-1, 1] for the weight (1 + x)^power, read-only,
     as they are shared by every call with the same (n, power).
 
-    Golub-Welsch on the Jacobi matrix of the Jacobi polynomials with
-    alpha = 0, beta = power.  scipy.special.roots_jacobi loses accuracy
-    as power -> -1 (its 32-node moments are off by 1.6e-11 at -0.98);
-    these are within about 1e-14 there.
+    Golub-Welsch: numpy's eigh of the symmetric tridiagonal Jacobi matrix
+    of the Jacobi polynomials with alpha = 0, beta = power.
+    scipy.special.roots_jacobi loses accuracy as power -> -1 (its 32-node
+    moments are off by 1.6e-11 at -0.98); these are within about 1e-14 there.
     """
     # Python's float power (numpy's differs in the last bit)
     total = named_overflow(lambda: 2.0 ** (power + 1.0) / (power + 1.0),
@@ -454,8 +454,7 @@ def _gauss_jacobi(n: int, power: float) -> tuple[np.ndarray, np.ndarray]:
     s = 2.0 * k + power
     diag = np.append(power / (power + 2.0), power ** 2 / (s * (s + 2.0)))
     off = np.sqrt(4.0 * k ** 2 * (k + power) ** 2 / (s ** 2 * (s + 1.0) * (s - 1.0)))
-    from scipy import linalg  # loaded by the first radial rule, not on import
-    x, V = linalg.eigh_tridiagonal(diag, off)
+    x, V = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     w = total * V[0] ** 2
     x.setflags(write=False)
     w.setflags(write=False)

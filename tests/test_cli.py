@@ -1,6 +1,7 @@
 """Command-line surface: spec files, CSV reports, exit codes, determinism."""
 from __future__ import annotations
 
+import ast
 import functools
 import io
 import json
@@ -249,12 +250,16 @@ def test_flags_only_where_something_reads_them(tmp_path, argv, code, token):
     (["moments", "--model=ginibre", "--k=6", "--rho=1e300"], "(alpha/pi)^2"),
     # Gamma((d + 1)/2) in the surface measure of S^d leaves double precision from d = 343
     (["validate", "sphere-d-400"], "Gamma((d + 1)/2) in the surface measure of S^400"),
+    # gram divides by beta through 1/beta, and its 0 * inf made K(u, u) nan
+    (["repulsiveness", "ginibre-beta-1e-310"], "1/beta at beta = 1e-310"),
 ], ids=["jacobi-cell-scale", "radius-squared", "ginibre-amplitude-k1", "ginibre-amplitude-k6",
-        "sphere-gamma"])
+        "sphere-gamma", "ginibre-subnormal-beta"])
 def test_overflow_names_the_quantity(tmp_path, argv, quantity):
-    doc = {"family": "sphere-coefficients", "params": {"d": 400, "rho": 0.1, "beta_coeffs": [1.0]}}
-    spec = write_spec(tmp_path, "d.json", doc)
-    code, out, err = run_cli([spec if a == "sphere-d-400" else a for a in argv])
+    specs = {"sphere-d-400": {"family": "sphere-coefficients",
+                              "params": {"d": 400, "rho": 0.1, "beta_coeffs": [1.0]}},
+             "ginibre-beta-1e-310": {"family": "ginibre", "params": {"alpha": 1, "beta": 1e-310}}}
+    code, out, err = run_cli([write_spec(tmp_path, f"{a}.json", specs[a]) if a in specs else a
+                              for a in argv])
     assert (code, out) == (2, "") and err.startswith("validation-error[overflow]:")
     assert quantity in err and err.endswith(" is not finite\n")
     assert "(34," not in err and "math range error" not in err
@@ -345,11 +350,32 @@ print(code, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
     *[["validate", f"{name}.json"] for name in QUADRATURE_SPECS],
     ["sample", "finite.json", "--samples=20", "--seed=3", "--emit-points"],
     ["repulsiveness", "multiquadric.json"],
+    ["repulsiveness", "sinc.json"],
 ], ids=lambda argv: "-".join(a.removesuffix(".json") for a in argv[:2]))
 def test_command_loads_no_scipy(in_spec_dir, argv):
     proc = subprocess.run([sys.executable, "-c", SCIPY_AFTER_MAIN, *argv], capture_output=True,
                           text=True, env=child_env(), timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 []\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["repulsiveness", "jinc.json"],
+    ["repulsiveness", "ginibre.json"],
+    ["moments", "--model=ginibre", "--k=1,2"],
+    ["moments", "--model=jinc", "--k=0.5"],
+    ["sample", "ginibre.json", "--samples=3", "--seed=5", "--window=-1,1,-1,1",
+     "--resolution=4", "--emit-points"],
+    ["profile", "--r-points=5"],
+], ids=lambda argv: "-".join(a.removesuffix(".json").removeprefix("--model=") for a in argv[:2]))
+def test_command_loads_no_scipy_linalg(in_spec_dir, argv):
+    # these load scipy.special, and every eigendecomposition, the Gauss-Jacobi
+    # rules' included, is numpy's.  couple is left out: scipy's max-flow loads
+    # scipy.sparse.linalg, and through it scipy.linalg
+    proc = subprocess.run([sys.executable, "-c", SCIPY_AFTER_MAIN, *argv], capture_output=True,
+                          text=True, env=child_env(), timeout=60)
+    code, loaded = proc.stdout.split(" ", 1)
+    assert (proc.returncode, code, proc.stderr) == (0, "0", "")
+    assert "scipy.linalg" not in ast.literal_eval(loaded)
 
 
 @pytest.mark.parametrize("argv", [

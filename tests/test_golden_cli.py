@@ -102,6 +102,18 @@ CASES = [
      ["sample", "{spec}", "--samples=6", "--seed=14", "--emit-points"]),
     ("couple-finite-clamped", FINITE_CLAMPED,
      ["couple", "{spec}", "--anchor=2", "--seed=15", "--samples=400"]),
+    # odd resolutions: the reflection blocks are padded, to shapes (2, 7, 7) and (4, 16, 16)
+    ("sample-sinc-odd", SINC,
+     ["sample", "{spec}", "--samples=4", "--seed=9", "--window=-6,6",
+      "--resolution=13", "--emit-points"]),
+    ("sample-thinned-jinc-odd", THINNED_JINC,
+     ["sample", "{spec}", "--samples=3", "--seed=8", "--window=-3,3,-3,3",
+      "--resolution=7", "--emit-points"]),
+    # far from the origin the Ginibre series has no factor, and the grid takes the dense eigh;
+    # the law is sample-ginibre's, shifted (magnetic translations)
+    ("sample-ginibre-offset", GINIBRE,
+     ["sample", "{spec}", "--samples=3", "--seed=7", "--window=18,22,18,22",
+      "--resolution=6", "--emit-points"]),
 ]
 
 

@@ -107,6 +107,13 @@ class TestGinibre:
         report = repulsiveness_p(k, u)
         assert abs(report.p_u - beta) <= report.quadrature_error
 
+    def test_beta_whose_reciprocal_overflows_is_refused_by_name(self):
+        # gram divides its exponent by beta through 1/beta: 0 * inf would make K(u, u) nan
+        with pytest.raises(OverflowError, match=r"1/beta at beta = 1e-310 is not finite$"):
+            ginibre_kernel(GinibreParams(1.0, 1e-310))
+        k = ginibre_kernel(GinibreParams(1.0, 5.6e-309))  # near the least beta with 1/beta finite
+        assert k.diagonal(np.array([3.0, -2.0])) == 1.0 / math.pi
+
 
 def masked_radial(r, far, small):
     """Radial profile by the branch-per-mask evaluation: far(r) away from
