@@ -179,20 +179,17 @@ def _euclidean_centers(window, resolution: int, d: int):
     if w.shape != (2 * d,):
         raise ValidationError("param-bound",
                               f"window must give {2 * d} bounds for d={d}")
-    axes, measure = [], 1.0
-    for i in range(d):
-        lo, hi = w[2 * i], w[2 * i + 1]
-        if not hi > lo:
-            raise ValidationError("param-bound", "window bounds must be increasing")
-        # a window beyond double precision gives non-finite cells, which the
-        # check on the grid's matrix reports as an overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            step = (hi - lo) / resolution
-            axes.append(lo + step * (np.arange(resolution) + 0.5))
-            measure *= step
-    grids = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([g.ravel() for g in grids], axis=-1)
-    return centers, measure
+    lo, hi = w[0::2], w[1::2]
+    if not np.all(hi > lo):
+        raise ValidationError("param-bound", "window bounds must be increasing")
+    # a window beyond double precision gives non-finite cells, which the
+    # check on the grid's matrix reports as an overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = (hi - lo) / resolution
+        axes = lo + step * (np.arange(resolution)[:, None] + 0.5)  # one column per axis
+        measure = float(np.prod(step))
+    grids = np.meshgrid(*axes.T, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1), measure
 
 
 def _sphere_centers(resolution: int):

@@ -16,7 +16,8 @@ validation-error[<token>]: with a token of errors.TOKENS: non-hermitian,
 spectrum, existence-bound, param-bound (also non-finite anchors and the
 model bounds --beta in (0, 1] for profile, --k > -2 and --rho > 0), anchor,
 quadrature, and overflow for a value beyond double precision, named
-(errors.check_finite); 3 parse failure; 4 size guard; 5 internal
+(errors.check_finite); 3 parse failure; 4 size guard, also a count too
+large to allocate (size-guard: Unable to allocate ...); 5 internal
 theorem-violation dump.  Flag values are checked once, as argparse converts
 them: a value that does not convert, like a usage error (a missing spec, an
 unknown flag), exits 3.  Counts are integers, >= 0 for --seed and sample
@@ -195,12 +196,14 @@ def _parse_anchor(bundle: ModelBundle, text: str | None):
         raise ParseError(f"cannot parse anchor {text!r}") from exc
     if vals.size != length:
         raise ParseError(f"{space.kind} anchor needs {length} coordinates, got {vals.size}")
-    if space.kind == "euclidean":
-        return vals
-    norm = float(np.linalg.norm(vals))
-    if norm <= 0:
+    if space.kind == "euclidean" or not np.all(np.isfinite(vals)):
+        return vals  # check_point refuses a non-finite anchor
+    # scaled to its largest entry first, the norm neither overflows nor underflows
+    largest = float(np.max(np.abs(vals)))
+    if largest == 0:
         raise ParseError("sphere anchor cannot be the zero vector")
-    return vals / norm
+    vals = vals / largest
+    return vals / np.linalg.norm(vals)
 
 
 def _flag(kind, wanted: str, ok):
@@ -463,7 +466,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse-error: {exc}", file=sys.stderr)
         return 3
-    except SizeGuardError as exc:
+    except (SizeGuardError, MemoryError) as exc:
         print(f"size-guard: {exc}", file=sys.stderr)
         return 4
     except TheoremViolationError as exc:

@@ -13,7 +13,7 @@ bitmasks where bit (site - 1) marks membership.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -148,19 +148,17 @@ def validate(matrix, slack: float = 1e-6) -> FiniteDpp:
         raise ValidationError("non-hermitian", "kernel matrix is not Hermitian")
     del matrix  # frees the caller's unsymmetrized array before eigh, unless it holds it
     M = 0.5 * (M + M.conj().T)
-    return validate_eig(hermitian_eig(M), slack, matrix=M)
+    dpp = validate_eig(hermitian_eig(M), slack)
+    return dpp if dpp.clamp_report else replace(dpp, _matrix=M)
 
 
-def validate_eig(eig: HermitianEig, slack: float = 1e-6, dropped_trace: float = 0.0,
-                 matrix: np.ndarray | None = None) -> FiniteDpp:
+def validate_eig(eig: HermitianEig, slack: float = 1e-6, dropped_trace: float = 0.0) -> FiniteDpp:
     """The spectrum guard and clamp of validate, for a kernel given by its
     eigenpairs (eigenvalues descending, orthonormal eigenvectors).
 
     validate passes its eigenpairs through it, and grid discretization
     passes those of a thin factor, of Fourier blocks or of reflection blocks.
-    dropped_trace is recorded in clamp_report as given.  matrix, the
-    matrix the eigenpairs decompose, is kept unless an eigenvalue was
-    clamped; without it, FiniteDpp.matrix is the spectral rebuild.
+    dropped_trace is recorded in clamp_report as given.
     """
     lam = eig.eigenvalues
     if not (lam.min() >= -slack and lam.max() <= 1.0 + slack):  # nan is refused too
@@ -171,8 +169,7 @@ def validate_eig(eig: HermitianEig, slack: float = 1e-6, dropped_trace: float = 
     n_clamped = int(np.count_nonzero(excess > 1e-12))
     report = ClampReport(n_clamped, float(excess.max()) if n_clamped else 0.0, dropped_trace)
     return FiniteDpp(eig=HermitianEig(eigenvalues=clamped, eigenvectors=eig.eigenvectors),
-                     n=eig.eigenvectors.shape[0], clamp_report=report,
-                     _matrix=None if n_clamped else matrix)
+                     n=eig.eigenvectors.shape[0], clamp_report=report)
 
 
 def _anchor(dpp: FiniteDpp, u: int) -> tuple[int, float]:
@@ -500,9 +497,10 @@ def sample_indicators(dpp: FiniteDpp, rng_seed: int, draws: int) -> np.ndarray:
     rng = np.random.default_rng(check_count("rng_seed", rng_seed, 0))
     lam, V = dpp.eig.eigenvalues, dpp.eig.eigenvectors
     block = max(_SAMPLE_BLOCK, _SAMPLE_ENTRIES // dpp.n ** 2)
-    blocks = [_spectral_block(lam, V, min(block, draws - lo), rng)
-              for lo in range(0, draws, block)]
-    return np.concatenate(blocks) if blocks else np.zeros((0, dpp.n), dtype=bool)
+    out = np.empty((draws, dpp.n), dtype=bool)
+    for lo in range(0, draws, block):
+        out[lo:lo + block] = _spectral_block(lam, V, min(block, draws - lo), rng)
+    return out
 
 
 def sample_coupled_many(table: CouplingTable, rng_seed: int,

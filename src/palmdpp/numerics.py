@@ -161,6 +161,10 @@ class Tail:
     bound: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("order", "frequency"):  # floats and float tuples: a Tail is hashable
+            object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("smooth", "sine", "cosine", "bound"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         if self.kind not in ("gaussian", "power"):
             raise ValidationError("param-bound", f"unknown tail kind {self.kind!r}")
         if not self.scale > 0:
@@ -189,8 +193,10 @@ class Tail:
         return sizes[sizes > 0]
 
     def asymptotic_at(self, r: float) -> bool:
-        """Whether the declared series decreases from power to power at r."""
-        return self.kind == "gaussian" or bool(np.all(np.diff(self._magnitudes(r)) < 0))
+        """Whether the declared series decreases from power to power at r;
+        a term that overflows there does not."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.kind == "gaussian" or bool(np.all(np.diff(self._magnitudes(r)) < 0))
 
     def default_radius(self) -> float:
         """A truncation radius chosen from the declared terms.
@@ -201,23 +207,17 @@ class Tail:
         s times the unit-scale radius, which depends only on the tail's
         shape and is found once per shape (_unit_radius).
         """
-        terms = (tuple(map(float, c)) for c in (self.smooth, self.sine, self.cosine, self.bound))
-        return self.scale * _unit_radius(self.kind, float(self.order), float(self.frequency),
-                                         *terms)
+        return self.scale * _unit_radius(replace(self, scale=1.0, amplitude=1.0))
 
 
 @functools.lru_cache(maxsize=_MEMO_ENTRIES)
-def _unit_radius(kind: str, order: float, frequency: float, smooth: tuple[float, ...],
-                 sine: tuple[float, ...], cosine: tuple[float, ...],
-                 bound: tuple[float, ...]) -> float:
-    """Tail.default_radius of the tail of this shape at unit scale and amplitude."""
+def _unit_radius(unit: Tail) -> float:
+    """Tail.default_radius of a tail at unit scale and amplitude."""
     edges = _ORIGIN_CELL + _GL_PANEL * np.arange(1, _RADIUS_CANDIDATES + 1)
-    if kind == "gaussian":
+    if unit.kind == "gaussian":
         return float(edges[0])
-    unit = Tail(kind, 1.0, order=order, frequency=frequency, smooth=smooth, sine=sine,
-                cosine=cosine, bound=bound)
     for t in edges.tolist():
-        remainder = float(np.dot(bound, t ** -np.arange(len(bound), dtype=float)))
+        remainder = float(np.dot(unit.bound, t ** -np.arange(len(unit.bound), dtype=float)))
         if unit.asymptotic_at(t) and remainder <= _TAIL_REMAINDER * unit._magnitudes(t)[0]:
             return t
     raise QuadratureError("the declared tail never becomes asymptotic within "

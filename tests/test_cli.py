@@ -265,6 +265,22 @@ def test_overflow_names_the_quantity(tmp_path, argv, quantity):
     assert "(34," not in err and "math range error" not in err
 
 
+# a count whose arrays would take petabytes: numpy's MemoryError is a size guard
+@pytest.mark.parametrize("argv", [
+    ["profile", "--r-points", "1000000000000000"],
+    ["repulsiveness", "J", "--profile-points", "1000000000000000"],
+    ["couple", "D", "--samples", "1000000000000000"],
+    ["sample", "D", "--samples", "1000000000000000"],
+], ids=["profile", "repulsiveness", "couple", "sample"])
+def test_count_too_large_to_allocate_is_a_size_guard(tmp_path, argv):
+    specs = {"J": write_spec(tmp_path, "j.json", {"family": "jinc"}),
+             "D": write_spec(tmp_path, "d.json", DIAG_SPEC)}
+    code, out, err = run_cli([specs.get(a, a) for a in argv])
+    assert (code, out) == (4, "")
+    line, = err.splitlines()
+    assert line.startswith("size-guard: Unable to allocate")
+
+
 # at delta = 1 - 2^-53, 1 + delta^2 - 2 delta t rounds to 0 at t = 1: the
 # multiquadric's K0 is inf there, and a refusal is one stderr line
 @pytest.mark.parametrize("argv,rho,err", [
@@ -504,6 +520,18 @@ class TestRepulsivenessCommand:
         code, out, err = run_cli(["repulsiveness", write_spec(tmp_path, "s.json", doc),
                                   f"--anchor={anchor}"])
         assert (code, out) == (3, "") and err.startswith("parse-error") and phrase in err
+
+    def test_sphere_anchor_is_normalized_at_any_scale(self, tmp_path):
+        # 1e200 squared overflows and 1e-200 squared underflows; both point where 1,1,0 does
+        spec = write_spec(tmp_path, "s.json", QUADRATURE_SPECS["multiquadric"])
+        code, want, err = run_cli(["repulsiveness", spec, "--anchor=1,1,0"])
+        assert (code, err) == (0, "") and want
+        for anchor in ("1e200,1e200,0", "1e-200,1e-200,0"):
+            assert run_cli(["repulsiveness", spec, f"--anchor={anchor}"]) == (0, want, "")
+        code, out, err = run_cli(["repulsiveness", spec, "--anchor=inf,0,1"])
+        assert (code, out) == (2, "")
+        line, = err.splitlines()
+        assert line.startswith("validation-error[param-bound]: point coordinates must be finite")
 
     def test_scaled_ginibre(self, tmp_path):
         doc = {"family": "ginibre", "params": {"alpha": 0.5, "beta": 1.5}}

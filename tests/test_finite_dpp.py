@@ -152,6 +152,11 @@ class TestValidate:
         assert err.value.token == "spectrum"
         assert validate(boundary_kernel(1.0 + 2e-6), slack=1e-3).clamp_report.n_clamped == 1
 
+    def test_keeps_its_symmetrized_matrix_unless_it_clamps(self):
+        M = boundary_kernel(1.0)
+        assert np.array_equal(validate(M)._matrix, 0.5 * (M + M.T))
+        assert validate(boundary_kernel(1.0 + 5e-7))._matrix is None  # rebuilt when read
+
     def test_keeps_real_input_real(self):
         assert validate(DIAG).matrix.dtype == np.float64
         assert validate(DIAG.astype(complex)).matrix.dtype == np.complex128

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import special
 
+from palmdpp.errors import ValidationError
 from palmdpp.kernel_core import repulsiveness_p
 from palmdpp.model_zoo import GinibreParams, ginibre_kernel, jinc_kernel, thin_rescale
 from palmdpp.numerics import (
@@ -352,6 +354,16 @@ class TestDeclaredTails:
                              JINC_TAIL.rescaled(math.pi ** 2),
                              QuadratureSpec(truncation_radius=1.0))
 
+    @pytest.mark.parametrize("radius", [1e-20, 1e-300])
+    def test_overflowing_terms_are_not_asymptotic(self, radius):
+        # t^-j overflows for the higher powers; the tests run with warnings as errors,
+        # so a RuntimeWarning here would not be a QuadratureError
+        assert not JINC_TAIL.asymptotic_at(radius)
+        with pytest.raises(QuadratureError, match="not asymptotic"):
+            integrate_radial(lambda r: special.j1(2.0 * r) ** 2 / r ** 2, 1.0,
+                             JINC_TAIL.rescaled(math.pi ** 2),
+                             QuadratureSpec(truncation_radius=radius))
+
     @pytest.mark.parametrize("power", [-0.999, -0.99, -0.9, -0.5, 0.0, 2.0, 5.0])
     def test_gauss_jacobi_moments(self, power):
         # int_{-1}^{1} (1 + x)^(power + m) dx = 2^(power + m + 1) / (power + m + 1)
@@ -403,6 +415,13 @@ class TestPathRule:
         with pytest.raises(ValueError, match="frequency"):
             Tail("power", 1.0, order=2.0, smooth=(0.0,), sine=(0.0,), cosine=(1.0,), bound=(0.0,))
 
+    def test_array_terms_need_a_frequency(self):
+        # numpy arrays whose sum cancels, sine + cosine = [0], meet the gate too
+        with pytest.raises(ValidationError, match="frequency") as err:
+            Tail("power", 1.0, order=2.0, smooth=np.zeros(1), sine=np.array([1]),
+                 cosine=np.array([-1]), bound=np.zeros(1))
+        assert err.value.token == "param-bound"
+
 
 def scanned_radius(tail: Tail) -> float:
     """Tail.default_radius by the candidate scan at the tail's own scale,
@@ -452,6 +471,18 @@ class TestRuleMemo:
         _gauss_jacobi.cache_clear()
         _unit_radius.cache_clear()
         assert run() == cold
+
+    def test_terms_are_float_tuples_and_a_tail_is_hashable(self):
+        # the unit-scale tail is its own memo key, also with 0-d array or int fields
+        tail = Tail("power", 2.0, amplitude=3.0, order=2, frequency=np.array(2.0),
+                    smooth=np.array([1]), sine=[0], cosine=(np.float64(0.5),), bound=np.zeros(1))
+        assert (tail.smooth, tail.sine, tail.cosine, tail.bound) == ((1.0,), (0.0,), (0.5,), (0.0,))
+        fields = (tail.order, tail.frequency) + tail.smooth + tail.sine + tail.cosine + tail.bound
+        assert all(type(x) is float for x in fields)
+        assert hash(tail) == hash(replace(tail))
+        tail.default_radius()
+        assert _unit_radius.cache_info().currsize == 1
+        assert _unit_radius(replace(tail, scale=1.0, amplitude=1.0)) == tail.default_radius() / 2.0
 
     def test_cached_rules_refuse_writes(self):
         x, w = _gauss_jacobi(20, 1.0)

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from palmdpp.analysis import ginibre_moment, grid_discretize, jinc_moment_closed, moment_quadrature
@@ -25,16 +25,26 @@ from palmdpp.finite_dpp import couple, palm_matrix, subset_law, validate, xi_law
 from palmdpp.kernel_core import palm_kernel, repulsiveness_p, sphere_surface_measure
 from palmdpp.model_zoo import (GinibreParams, finite_kernel, ginibre_kernel, jinc_kernel,
                                multiquadric, sphere_kernel, sphere_model, sphere_p, thin_rescale)
+from palmdpp.numerics import QuadratureSpec
 
 from conftest import (complement_determinant_law, palm_law_of_couple, random_dpp_matrix,
                       random_unitary, reference_marginals)
 
 EPS = float(np.finfo(float).eps)
-betas = st.floats(min_value=0.01, max_value=1.0)
+
+
+def log_uniform(lo: float, hi: float):
+    """Floats spread evenly in their exponent over [lo, hi]; a uniform draw
+    almost never reaches the small end."""
+    return st.floats(min_value=math.log10(lo), max_value=math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
 jinc_orders = st.floats(min_value=-1.99, max_value=0.99)
 
 
-@given(d=st.sampled_from([1, 2]), beta=betas, share=st.floats(min_value=0.05, max_value=1.0))
+@settings(max_examples=100)
+@given(d=st.sampled_from([1, 2]), beta=log_uniform(1e-12, 1.0),
+       share=st.floats(min_value=0.05, max_value=1.0))
 def test_thinned_p_u_within_reported_error(d, beta, share):
     alpha = share / beta  # alpha * beta = share <= 1
     report = repulsiveness_p(thin_rescale(jinc_kernel(d), alpha, beta), np.zeros(d))
@@ -42,7 +52,8 @@ def test_thinned_p_u_within_reported_error(d, beta, share):
     assert report.quadrature_error <= 1e-7
 
 
-@given(k=jinc_orders, beta=betas)
+@settings(max_examples=100)
+@given(k=jinc_orders, beta=log_uniform(1e-10, 1.0))
 def test_thinned_jinc_moment_within_reported_error(k, beta):
     # the displacement scales by sqrt(beta) under thinning
     res = moment_quadrature(thin_rescale(jinc_kernel(2), 1.0, beta), np.zeros(2), k)
@@ -64,7 +75,7 @@ def test_jinc_moment_divergent_exactly_from_order_one(k):
 
 @st.composite
 def sphere_models(draw):
-    d = draw(st.sampled_from([1, 2, 3]))
+    d = draw(st.sampled_from([1, 2, 3, 5, 8, 12, 20, 40]))
     raw = draw(st.lists(st.integers(0, 20), min_size=1, max_size=8))
     assume(sum(raw) > 0)
     beta = np.asarray(raw) / sum(raw)
@@ -75,13 +86,15 @@ def sphere_models(draw):
     return sphere_model(d, rho, beta.tolist())
 
 
+@settings(max_examples=100)
 @given(model=sphere_models())
 def test_sphere_quadrature_agrees_with_series(model):
     north = np.zeros(model.d + 1)
     north[-1] = 1.0
-    report = repulsiveness_p(sphere_kernel(model), north)
+    report = repulsiveness_p(sphere_kernel(model), north,
+                             spec=QuadratureSpec(relative_tolerance=1e-12))
     series = sphere_p(model).value
-    assert abs(report.p_u - series) <= report.quadrature_error + 1e-9 * series
+    assert abs(report.p_u - series) <= report.quadrature_error + 1e-14 * series
 
 
 # ------------------------------------------------------ exact finite laws
@@ -327,11 +340,21 @@ def assert_documented_exit(code, err):
         assert token != "overflow" or line.endswith(" is not finite"), line
 
 
-radii = st.one_of(st.none(), st.sampled_from(["1e-3", "0.5", "3", "30", "-1", "0", "nan", "inf"]))
+radii = st.one_of(st.none(), st.sampled_from(["1e-3", "0.5", "3", "30", "-1", "0", "nan", "inf",
+                                              "1e-300"]))
 
 
+MULTIQUADRIC = {"family": "sphere-multiquadric", "params": {"delta": 0.5, "rho": 0.1}}
+
+
+# the extreme values are also pinned as explicit examples, which run on every pass
+@example(doc={"family": "jinc"}, anchor=None, radius="1e-300", points=None)
+@example(doc=MULTIQUADRIC, anchor="1e200,1e200,0", radius=None, points=None)
+@example(doc=MULTIQUADRIC, anchor="1e-200,1e-200,0", radius=None, points=None)
+@example(doc=MULTIQUADRIC, anchor="inf,0,1", radius=None, points=None)
 @given(doc=spec_documents(), anchor=st.one_of(st.none(), st.sampled_from(
-           ["0,0", "1.5,-2", "0.3", "2", "0,0,1", "0,0,0", "a,b", ""])),
+           ["0,0", "1.5,-2", "0.3", "2", "0,0,1", "0,0,0", "a,b", "", "1e200,1e200,0",
+            "1e-200,1e-200,0", "inf,0,1"])),
        radius=radii, points=st.one_of(st.none(), st.integers(-2, 5)))
 def test_repulsiveness_exits_with_a_documented_code(tmp_path_factory, doc, anchor, radius,
                                                     points):
@@ -345,6 +368,7 @@ def test_repulsiveness_exits_with_a_documented_code(tmp_path_factory, doc, ancho
     assert_documented_exit(code, err)
 
 
+@example(model="jinc", ks=[0.5], rho=None, radius="1e-300")
 @given(model=st.sampled_from(["jinc", "ginibre"]),
        ks=st.lists(st.one_of(st.floats(min_value=-2.5, max_value=6.0),
                              st.sampled_from(["nan", "inf", "-2", "x", "1e300"])),
@@ -376,13 +400,13 @@ CLI_FLAGS = {
     "sample": {"--samples": ["0", "5"], "--seed": ["0", "3"],
                "--window": ["-1,1,-1,1", "-2,2"], "--resolution": ["1", "3", "100"]},
 }
-BAD_VALUES = ["nan", "inf", "0", "-1", "1e308", "x", ""]
+BAD_VALUES = ["nan", "inf", "0", "-1", "1e308", "x", "", "1000000000000000"]
 CLI_SPECS = {
     "finite": {"family": "finite", "matrix": [[[0.3, 0], [0, 0]], [[0, 0], [0.7, 0]]]},
     "ginibre": {"family": "ginibre", "params": {"alpha": 1.0, "beta": 1.0}},
     "jinc": {"family": "jinc"},
     "sinc": {"family": "sinc", "params": {"alpha": 0.8}},
-    "multiquadric": {"family": "sphere-multiquadric", "params": {"delta": 0.5, "rho": 0.1}},
+    "multiquadric": MULTIQUADRIC,
 }
 
 
@@ -418,6 +442,10 @@ def cli_argvs(draw):
 
 
 @settings(max_examples=200)
+@example(argv=["profile", "--r-points=1000000000000000"])
+@example(argv=["repulsiveness", "jinc", "--profile-points=1000000000000000"])
+@example(argv=["couple", "finite", "--samples=1000000000000000"])
+@example(argv=["sample", "finite", "--samples=1000000000000000"])
 @given(argv=cli_argvs())
 def test_every_command_exits_with_a_documented_code(cli_spec_paths, argv):
     code, out, err = run([cli_spec_paths.get(a, a) for a in argv])
