@@ -33,7 +33,7 @@ for mask in range(1 << n):
 flow, table = couple(dpp, u)
 print(f"\ncoupling max-flow: {flow:.12f}  (1 means the coupling exists)")
 
-p, density = xi_law(table, dpp, u)
+p, density = xi_law(table)
 print(f"removal probability p_u: exact {p:.10f}, formula {p_u_finite(dpp, u):.10f}")
 print("density of the removed point vs |K[u,.]|^2 / row mass:")
 row = np.abs(dpp.matrix[u - 1, :]) ** 2

@@ -308,7 +308,7 @@ def mc_validate_coupling(kernel: Kernel, u, window, resolution: int,
     grid = grid_discretize(kernel, window, resolution)
     site = _nearest_site(grid.centers, u)
     flow, table = finite_dpp.couple(grid.dpp, site)
-    p_exact, density = finite_dpp.xi_law(table, grid.dpp, site)
+    p_exact, density = finite_dpp.xi_law(table)
 
     p_hat, observed_all = finite_dpp.sample_removals(table, rng_seed, samples)
     if 0.0 < p_exact < 1.0:

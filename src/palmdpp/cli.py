@@ -298,7 +298,7 @@ def cmd_couple(args) -> int:
     dpp = bundle.dpp
     site = int(_parse_anchor(bundle, args.anchor))
     flow, table = finite_dpp.couple(dpp, site)
-    p_exact, density = finite_dpp.xi_law(table, dpp, site)
+    p_exact, density = finite_dpp.xi_law(table)
     p_hat, removed = finite_dpp.sample_removals(table, args.seed, args.samples)
     removed_hat = removed / removed.sum() if removed.sum() > 0 else removed
     _emit((["max_flow", "p_u_exact", "p_u_empirical"], _lines([[flow, p_exact, p_hat]])),

@@ -32,7 +32,6 @@ __all__ = [
     "subset_law",
     "palm_matrix",
     "p_u_finite",
-    "dilate",
     "palm_eigenvector",
     "coupling_feasible",
     "couple",
@@ -237,33 +236,22 @@ def p_u_finite(dpp: FiniteDpp, u: int) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def dilate(dpp: FiniteDpp) -> np.ndarray:
-    """Dilation of the kernel to a 2n x 2n projection.
-
-    Blocks [[K, L], [L, I - K]] with L the PSD square root of K(I - K);
-    the result squares to itself.
-    """
-    lam, V = dpp.eig.eigenvalues, dpp.eig.eigenvectors
-    K = dpp.matrix
-    prod = np.clip(lam * (1.0 - lam), 0.0, None)
-    L = (V * np.sqrt(prod)) @ V.conj().T
-    L = 0.5 * (L + L.conj().T)
-    eye = np.eye(dpp.n)
-    return np.block([[K, L], [L, eye - K]])
-
-
 def palm_eigenvector(dpp: FiniteDpp, u: int) -> DilationPair:
-    """Anchor eigenvector of the dilation and the reduced projection.
+    """The dilation of the kernel, its anchor eigenvector and the reduced projection.
 
-    The vector stacks (K[:,u], L[:,u]) / sqrt(K[u,u]); subtracting its
-    rank-one projector from the dilation leaves the Palm matrix in the
-    upper-left block.
+    The dilation is the 2n x 2n projection [[K, L], [L, I - K]], L the PSD
+    square root of K(I - K) from the stored eigenpairs.  The vector stacks
+    (K[:,u], L[:,u]) / sqrt(K[u,u]); subtracting its rank-one projector
+    leaves the Palm matrix in the upper-left block.
     """
     i, kuu = _anchor(dpp, u)
-    Q = dilate(dpp)
-    psi = Q[:, i].copy() / np.sqrt(kuu)
-    reduced = Q - np.outer(psi, psi.conj())
-    return DilationPair(projection=Q, anchor_vector=psi, reduced=reduced)
+    lam, V = dpp.eig.eigenvalues, dpp.eig.eigenvectors
+    L = (V * np.sqrt(np.clip(lam * (1.0 - lam), 0.0, None))) @ V.conj().T
+    L = 0.5 * (L + L.conj().T)
+    K = dpp.matrix
+    Q = np.block([[K, L], [L, np.eye(dpp.n) - K]])
+    psi = Q[:, i] / np.sqrt(kuu)
+    return DilationPair(projection=Q, anchor_vector=psi, reduced=Q - np.outer(psi, psi.conj()))
 
 
 def maximum_flow(graph, source: int, sink: int):
@@ -407,27 +395,20 @@ def couple(dpp: FiniteDpp, u: int) -> tuple[float, CouplingTable]:
     return flow, table
 
 
-def xi_law(table: CouplingTable, dpp: FiniteDpp, u: int) -> tuple[float, np.ndarray]:
+def xi_law(table: CouplingTable) -> tuple[float, np.ndarray]:
     """Law of the removed point from a coupling table.
 
     Returns (p, density) where p is the mass of pairs differing in one
     site and density[v-1] is the conditional probability that the
-    removed point sits at site v.  u must be the table's anchor, and dpp
-    must have the table's site count.
+    removed point sits at site v, for v = 1..table.n.
     """
-    if dpp.n != table.n:
-        raise ValidationError("param-bound", "table and kernel live on different site counts")
-    if check_site(u, dpp.n) != table.anchor:
-        raise ValidationError("param-bound",
-                              f"the table couples X with its Palm process at site {table.anchor}, "
-                              f"not at site {u}")
     diff = table.joint[:, 0] ^ table.joint[:, 1]
     moved = diff != 0
     w = table.mass[moved]
     # frexp's exponent is the bit length; bincount and cumsum add in table order
     removed = np.frexp(diff[moved])[1] - 1
     # with no removals bincount returns integer zeros, hence the astype
-    density = np.bincount(removed, weights=w, minlength=dpp.n).astype(float, copy=False)
+    density = np.bincount(removed, weights=w, minlength=table.n).astype(float, copy=False)
     p = float(np.cumsum(w)[-1]) if w.size else 0.0
     if p > 0.0:
         density /= p

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ValidationError, check_count, check_finite, named_overflow
-from .finite_dpp import FiniteDpp, validate
+from .finite_dpp import FiniteDpp
 from .kernel_core import GridFactor, GroundSpace, Kernel, sphere_surface_measure
 from .numerics import Tail, gegenbauer_series
 
@@ -52,10 +52,8 @@ class GinibreParams:
                 f"alpha*beta = {self.alpha * self.beta:.6g} exceeds 1")
 
 
-def finite_kernel(dpp: FiniteDpp | np.ndarray) -> Kernel:
+def finite_kernel(dpp: FiniteDpp) -> Kernel:
     """Wrap a validated kernel matrix as a Kernel on finite sites 1..n."""
-    if not isinstance(dpp, FiniteDpp):
-        dpp = validate(dpp)
     M = dpp.matrix
 
     def gram(X, Y):

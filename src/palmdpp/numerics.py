@@ -172,6 +172,12 @@ class Tail:
         if not len(self.smooth) == len(self.sine) == len(self.cosine) == len(self.bound):
             raise ValidationError("param-bound",
                                   "smooth, sine, cosine and bound need one entry per power")
+        terms = self.smooth + self.sine + self.cosine + self.bound
+        if not all(map(math.isfinite, (self.order, self.frequency, *terms))):
+            raise ValidationError("param-bound",
+                                  "the tail's order, frequency, terms and bounds must be finite")
+        if self.kind == "power" and not any(terms):
+            raise ValidationError("param-bound", "a power tail needs a nonzero term or bound")
         if any(b < 0 for b in self.bound):
             raise ValidationError("param-bound", "remainder bounds must be >= 0")
         if any(self.sine + self.cosine) and not self.frequency > 0:
@@ -207,12 +213,15 @@ class Tail:
         s times the unit-scale radius, which depends only on the tail's
         shape and is found once per shape (_unit_radius).
         """
-        return self.scale * _unit_radius(replace(self, scale=1.0, amplitude=1.0))
+        return self.scale * _unit_radius(self.kind, self.order, self.frequency, self.smooth,
+                                         self.sine, self.cosine, self.bound)
 
 
 @functools.lru_cache(maxsize=_MEMO_ENTRIES)
-def _unit_radius(unit: Tail) -> float:
-    """Tail.default_radius of a tail at unit scale and amplitude."""
+def _unit_radius(kind: str, *shape) -> float:
+    """Tail.default_radius of the tail of this kind and shape (order,
+    frequency, smooth, sine, cosine, bound) at unit scale and amplitude."""
+    unit = Tail(kind, 1.0, 1.0, *shape)
     edges = _ORIGIN_CELL + _GL_PANEL * np.arange(1, _RADIUS_CANDIDATES + 1)
     if unit.kind == "gaussian":
         return float(edges[0])

@@ -49,7 +49,7 @@ def test_criterion_1_theorem_finite_verification():
         flow, table = finite_dpp.coupling_feasible(law_x, law_xu, u)
         assert flow >= 1.0 - 1e-8, f"flow {flow} at trial {trial}"
         worst_flow_gap = max(worst_flow_gap, 1.0 - flow)
-        p, density = finite_dpp.xi_law(table, dpp, u)
+        p, density = finite_dpp.xi_law(table)
         row = np.abs(dpp.matrix[u - 1, :]) ** 2
         p_want = float(row.sum()) / float(dpp.matrix[u - 1, u - 1].real)
         f_want = row / row.sum()

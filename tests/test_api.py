@@ -49,7 +49,7 @@ def test_package_exports_exactly_the_modules_names():
 
 
 def _finite2():
-    return model_zoo.finite_kernel(np.diag([0.3, 0.7]))
+    return model_zoo.finite_kernel(finite_dpp.validate(np.diag([0.3, 0.7])))
 
 
 def _sphere():
@@ -116,9 +116,6 @@ REFUSED_CALLS = {
     "sphere-model-negative-tail": ("tail_bound", lambda: model_zoo.sphere_model(
         2, 0.1, [0.5], tail_bound=-0.1)),
     "thin-sphere": ("Euclidean", lambda: model_zoo.thin_rescale(_sphere(), 1.0, 0.5)),
-    "xi-law-site-counts": ("site counts", lambda: finite_dpp.xi_law(
-        finite_dpp.couple(finite_dpp.validate(np.diag([0.3, 0.7])), 1)[1],
-        finite_dpp.validate(np.diag([0.3, 0.7, 0.5])), 1)),
     "validate-inf-entry": ("finite", lambda: finite_dpp.validate([[math.inf, 0.0], [0.0, 0.5]])),
     "validate-nan-entry": ("finite", lambda: finite_dpp.validate([[math.nan, 0.0], [0.0, 0.5]])),
     "sphere-model-nan-rho": ("intensity", lambda: model_zoo.sphere_model(2, math.nan, [1.0])),
@@ -127,9 +124,6 @@ REFUSED_CALLS = {
     "sphere-model-nan-tail": ("tail_bound", lambda: model_zoo.sphere_model(
         2, 0.01, [1.0], tail_bound=math.nan)),
     "ginibre-moment-nan-intensity": ("intensity", lambda: analysis.ginibre_moment(1.0, math.nan)),
-    "xi-law-fewer-sites": ("site counts", lambda: finite_dpp.xi_law(
-        finite_dpp.couple(finite_dpp.validate(np.diag([0.3, 0.7, 0.5])), 1)[1],
-        finite_dpp.validate(np.diag([0.3, 0.7])), 1)),
     "ginibre-moment-zero-intensity": ("intensity", lambda: analysis.ginibre_moment(1.0, 0.0)),
     "ginibre-moment-inf-intensity": ("intensity", lambda: analysis.ginibre_moment(
         -1.0, math.inf)),
@@ -161,9 +155,6 @@ REFUSED_CALLS = {
         finite_dpp.validate(np.diag([0.3, 0.7])), 0)),
     "couple-site-3": ("not one of the integers", lambda: finite_dpp.couple(
         finite_dpp.validate(np.diag([0.3, 0.7])), 3)),
-    "xi-law-site-1.0": ("not one of the integers", lambda: finite_dpp.xi_law(
-        finite_dpp.couple(finite_dpp.validate(np.diag([0.3, 0.7])), 1)[1],
-        finite_dpp.validate(np.diag([0.3, 0.7])), 1.0)),
     "coupling-site-1.5": ("not one of the integers", lambda: finite_dpp.coupling_feasible(
         _law(2), _law(2), 1.5)),
     "grid-resolution-2.5": ("resolution must be an integer", lambda: analysis.grid_discretize(
@@ -257,7 +248,7 @@ def test_numpy_integer_sites_and_counts_accepted():
     assert repulsiveness_p(model_zoo.finite_kernel(dpp), site).anchor == 2
     assert finite_dpp.p_u_finite(dpp, np.int32(2)) == pytest.approx(0.7)
     table = finite_dpp.couple(dpp, site)[1]
-    assert finite_dpp.xi_law(table, dpp, site)[0] == pytest.approx(0.7)
+    assert finite_dpp.xi_law(table)[0] == pytest.approx(0.7)
     assert finite_dpp.sample_indicators(dpp, 0, np.int64(3)).shape == (3, 2)
     assert finite_dpp.sample_coupled_many(table, 0, np.uint8(4))[0].shape == (4,)
     assert np.array_equal(finite_dpp.sample_indicators(dpp, np.uint64(7), 5),

@@ -13,7 +13,6 @@ from palmdpp.finite_dpp import (
     SubsetLaw,
     couple,
     coupling_feasible,
-    dilate,
     p_u_finite,
     palm_eigenvector,
     palm_matrix,
@@ -301,21 +300,39 @@ class TestPuFinite:
         assert abs(row.sum() / dpp.matrix[0, 0].real - 1.0) < 1e-12
 
 
+def dilation(dpp):
+    """The dilation of the kernel, read at the site of largest K(u, u)."""
+    u = int(np.argmax(np.real(np.diagonal(dpp.matrix)))) + 1
+    return palm_eigenvector(dpp, u).projection
+
+
 class TestDilation:
     def test_half_site(self):
-        q = dilate(validate(np.array([[0.5]])))
+        q = dilation(validate(np.array([[0.5]])))
         assert np.allclose(q, np.array([[0.5, 0.5], [0.5, 0.5]]), atol=1e-12)
 
     def test_projection_dilates_block_diagonally(self):
-        q = dilate(validate(PROJ1))
+        q = dilation(validate(PROJ1))
         assert np.max(np.abs(q[:2, 2:])) < 1e-8  # off-diagonal blocks vanish
 
     def test_projection_property_random(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
             n = int(rng.integers(1, 7))
-            q = dilate(validate(random_dpp_matrix(rng, n, force_one=bool(rng.integers(2)))))
+            q = dilation(validate(random_dpp_matrix(rng, n, force_one=bool(rng.integers(2)))))
             assert np.max(np.abs(q @ q - q)) <= 1e-8
+
+    def test_projection_is_the_same_at_every_anchor(self):
+        # the dilation depends on the kernel alone; site 3, where K(u, u) = 0, is no anchor
+        rng = np.random.default_rng(25)
+        k = np.zeros((5, 5), dtype=complex)
+        k[np.ix_([0, 1, 3, 4], [0, 1, 3, 4])] = random_dpp_matrix(rng, 4)
+        dpp = validate(k)
+        first = palm_eigenvector(dpp, 1).projection
+        for u in (2, 4, 5):
+            assert np.array_equal(palm_eigenvector(dpp, u).projection, first)
+        with pytest.raises(ValidationError):
+            palm_eigenvector(dpp, 3)
 
     def test_anchor_vector_and_compression(self):
         dpp = validate(np.array([[0.5]]))
@@ -356,7 +373,7 @@ class TestCoupling:
         flow, table = couple(dpp, 1)
         assert flow >= 1.0 - 1e-8
         assert sorted(table.joint.tolist()) == [[0b01, 0], [0b10, 0]]
-        p, density = xi_law(table, dpp, 1)
+        p, density = xi_law(table)
         assert abs(p - 1.0) < 1e-8
         assert np.allclose(density, [0.5, 0.5], atol=1e-8)
 
@@ -391,7 +408,7 @@ class TestCoupling:
             u = int(rng.choice(sites))
             flow, table = couple(dpp, u)
             assert flow >= 1.0 - 1e-8
-            p, density = xi_law(table, dpp, u)
+            p, density = xi_law(table)
             assert abs(p - p_u_finite(dpp, u)) <= 1e-8
             row = np.abs(dpp.matrix[u - 1, :]) ** 2
             assert np.max(np.abs(density - row / row.sum())) <= 1e-8
@@ -399,7 +416,7 @@ class TestCoupling:
     def test_diagonal_example(self):
         dpp = validate(DIAG)
         flow, table = couple(dpp, 1)
-        p, density = xi_law(table, dpp, 1)
+        p, density = xi_law(table)
         assert abs(p - 0.3) < 1e-8
         assert np.allclose(density, [1.0, 0.0], atol=1e-8)
 
@@ -419,7 +436,7 @@ class TestCoupling:
         rows, cols = reference_marginals(table)
         assert np.max(np.abs(rows - law_x.probs)) <= 1e-12
         assert np.max(np.abs(cols - law_xu.probs)) <= 1e-12
-        p, density = xi_law(table, dpp, u)
+        p, density = xi_law(table)
         row = np.abs(dpp.matrix[u - 1, :]) ** 2
         assert abs(p - row.sum() / dpp.matrix[u - 1, u - 1].real) <= formula_tol
         assert np.max(np.abs(density - row / row.sum())) <= formula_tol
@@ -497,7 +514,7 @@ class TestCoupling:
         dpp = validate(spectral_class_kernel(35 + ones, ones, zeros))
         u = int(np.argmax(np.real(np.diagonal(dpp.matrix)))) + 1
         _, table = couple(dpp, u)
-        p, density = xi_law(table, dpp, u)
+        p, density = xi_law(table)
         p_ref, density_ref = reference_xi_law(table, dpp.n)
         assert p == p_ref and np.array_equal(density, density_ref)
 
@@ -505,7 +522,7 @@ class TestCoupling:
         dpp = validate(np.diag([0.0, 0.7]))
         law = subset_law(dpp)
         _, table = coupling_feasible(law, law, 1)
-        p, density = xi_law(table, dpp, 1)
+        p, density = xi_law(table)
         assert p == 0.0 and density.dtype == float and not density.any()
 
     def test_palm_mass_at_anchor_rejected(self):
@@ -543,19 +560,12 @@ class TestCoupling:
         flow, table = coupling_feasible(law_x, law_xu, 1)
         assert table is None and abs(flow - 0.5) <= 1e-12
 
-    def test_xi_law_refuses_another_site(self):
-        dpp = validate(DIAG)
-        _, table = couple(dpp, 1)
-        with pytest.raises(ValidationError) as exc:
-            xi_law(table, dpp, 2)
-        assert exc.value.token == "param-bound"
-
     @pytest.mark.parametrize("seed", [1, 2, 3, 7])
     def test_benchmark_pool_matches_kernel_formulas(self, seed):
         for matrix, u in benchmark_pool(seed):
             dpp = validate(matrix)
             _, table = couple(dpp, u)
-            p, density = xi_law(table, dpp, u)
+            p, density = xi_law(table)
             row = np.abs(dpp.matrix[u - 1, :]) ** 2
             assert abs(p - row.sum() / dpp.matrix[u - 1, u - 1].real) <= 1e-14
             assert np.max(np.abs(density - row / row.sum())) <= 1e-14

@@ -37,7 +37,7 @@ def ginibre():
 
 @pytest.fixture(scope="module")
 def diag_kernel():
-    return finite_kernel(np.diag([0.3, 0.7]))
+    return finite_kernel(validate(np.diag([0.3, 0.7])))
 
 
 class TestSpacesAndPoints:
@@ -86,7 +86,7 @@ class TestPalmKernel:
             assert abs(palm.evaluate(w, E1)) < 1e-12
 
     def test_rank_one_projection_empties(self):
-        k = finite_kernel(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        k = finite_kernel(validate(np.array([[0.5, 0.5], [0.5, 0.5]])))
         palm = palm_kernel(k, 1)
         for v in (1, 2):
             for w in (1, 2):
@@ -100,7 +100,7 @@ class TestPalmKernel:
             assert abs(palm.diagonal(v) - want) < 1e-14
 
     def test_zero_intensity_anchor_rejected(self):
-        k = finite_kernel(np.diag([0.0, 1.0]))
+        k = finite_kernel(validate(np.diag([0.0, 1.0])))
         with pytest.raises(ValidationError):
             palm_kernel(k, 1)
 
@@ -198,7 +198,7 @@ class TestRepulsiveness:
         assert profile_coordinates(bare, 3, 2.0).tolist() == [0.0, 1.0, 2.0]
 
     @pytest.mark.parametrize("kernel,args,want", [
-        (finite_kernel(np.diag([0.3, 0.7, 0.1])), (), [1, 2, 3]),
+        (finite_kernel(validate(np.diag([0.3, 0.7, 0.1]))), (), [1, 2, 3]),
         (multiquadric(0.5, 0.1)[1], (), np.linspace(0.0, math.pi, 64)),
         (multiquadric(0.5, 0.1)[1], (3, 2.0), [0.0, math.pi / 2, math.pi]),
         (ginibre_kernel(GinibreParams(1.0, 0.01)), (), np.linspace(0.0, 4.0, 64)),  # 40 s
@@ -223,7 +223,7 @@ class TestRepulsiveness:
 
     def test_finite_profile_sums_to_one(self):
         rng = np.random.default_rng(14)
-        k = finite_kernel(random_dpp_matrix(rng, 5))
+        k = finite_kernel(validate(random_dpp_matrix(rng, 5)))
         report = repulsiveness_p(k, 3)
         assert abs(sum(f for _, f in report.density_profile) - 1.0) < 1e-9
         assert 0.0 <= report.p_u <= 1.0 + 1e-6
@@ -278,7 +278,7 @@ class TestRepulsiveness:
             repulsiveness_p(k, ORIGIN)
 
     def test_zero_intensity_anchor_rejected(self):
-        k = finite_kernel(np.diag([0.0, 0.5]))
+        k = finite_kernel(validate(np.diag([0.0, 0.5])))
         with pytest.raises(ValidationError):
             repulsiveness_p(k, 1)
 

@@ -152,12 +152,19 @@ JINC_TAIL = jinc_kernel(2).tail
 def binomial_tail(p: float, terms: int, c: float = 1.0) -> Tail:
     """c (1 + r)^-p = c r^-p sum_j binom(-p, j) r^-j for r > 0, cut after
     `terms` terms; the Lagrange remainder is at most the first omitted
-    term, since (1 + xi)^(-p - terms) <= 1."""
-    j = np.arange(terms + 1)
-    coefs = c * special.binom(-p, j)
+    term, since (1 + xi)^(-p - terms) <= 1.  The coefficients come from
+    binom(-p, j) = binom(-p, j - 1) (-p - j + 1) / j, finite where
+    scipy's binom(-1.0, j) is nan."""
+    coefs = [c]
+    for j in range(1, terms + 1):
+        coefs.append(coefs[-1] * (-p - j + 1) / j)
     zeros = (0.0,) * (terms + 1)
-    return Tail("power", 1.0, order=p, smooth=tuple(coefs[:-1].tolist()) + (0.0,),
-                sine=zeros, cosine=zeros, bound=zeros[:-1] + (abs(float(coefs[-1])),))
+    return Tail("power", 1.0, order=p, smooth=tuple(coefs[:-1]) + (0.0,),
+                sine=zeros, cosine=zeros, bound=zeros[:-1] + (abs(coefs[-1]),))
+
+
+# a power tail with one leading term
+ONE_TERM = {"kind": "power", "smooth": (1.0,), "sine": (0.0,), "cosine": (0.0,), "bound": (0.0,)}
 
 
 class TestIntegrateRadial:
@@ -260,14 +267,24 @@ class TestIntegrateRadial:
 
     @pytest.mark.parametrize("fields,match", [
         ({"kind": "lorentz"}, "unknown tail kind"),
-        ({"kind": "power", "smooth": (1.0, 0.5), "sine": (0.0,), "cosine": (0.0,),
-          "bound": (0.0,)}, "one entry per power"),
-        ({"kind": "power", "smooth": (1.0,), "sine": (0.0,), "cosine": (0.0,),
-          "bound": (-1e-3,)}, "bounds must be >= 0"),
-    ], ids=["unknown-kind", "ragged-terms", "negative-bound"])
+        ({**ONE_TERM, "smooth": (1.0, 0.5)}, "one entry per power"),
+        ({**ONE_TERM, "bound": (-1e-3,)}, "bounds must be >= 0"),
+        # at order inf, 1 / (1 + r^4) integrated to 1.11007 +- 1.2e-12, not pi / (2 sqrt 2)
+        ({**ONE_TERM, "order": math.inf}, "must be finite"),
+        ({**ONE_TERM, "order": math.nan}, "must be finite"),
+        ({**ONE_TERM, "frequency": math.inf}, "must be finite"),
+        ({**ONE_TERM, "smooth": (math.nan,)}, "must be finite"),
+        ({**ONE_TERM, "sine": (-math.inf,)}, "must be finite"),
+        ({**ONE_TERM, "bound": (math.inf,)}, "must be finite"),
+        # such tails died in default_radius with a bare IndexError
+        ({"kind": "power"}, "nonzero term or bound"),
+        ({**ONE_TERM, "smooth": (0.0,)}, "nonzero term or bound"),
+    ], ids=["unknown-kind", "ragged-terms", "negative-bound", "inf-order", "nan-order",
+            "inf-frequency", "nan-smooth", "inf-sine", "inf-bound", "no-terms", "zero-terms"])
     def test_malformed_tail_is_refused(self, fields, match):
-        with pytest.raises(ValueError, match=match):
-            Tail(scale=1.0, order=2.0, **fields)
+        with pytest.raises(ValidationError, match=match) as err:
+            Tail(**{"scale": 1.0, "order": 2.0, **fields})
+        assert err.value.token == "param-bound"
 
     def test_spec_invariants(self):
         with pytest.raises(ValueError):
@@ -473,7 +490,7 @@ class TestRuleMemo:
         assert run() == cold
 
     def test_terms_are_float_tuples_and_a_tail_is_hashable(self):
-        # the unit-scale tail is its own memo key, also with 0-d array or int fields
+        # the shape fields are the memo key, also when given as 0-d arrays or ints
         tail = Tail("power", 2.0, amplitude=3.0, order=2, frequency=np.array(2.0),
                     smooth=np.array([1]), sine=[0], cosine=(np.float64(0.5),), bound=np.zeros(1))
         assert (tail.smooth, tail.sine, tail.cosine, tail.bound) == ((1.0,), (0.0,), (0.5,), (0.0,))
@@ -482,7 +499,17 @@ class TestRuleMemo:
         assert hash(tail) == hash(replace(tail))
         tail.default_radius()
         assert _unit_radius.cache_info().currsize == 1
-        assert _unit_radius(replace(tail, scale=1.0, amplitude=1.0)) == tail.default_radius() / 2.0
+        assert _unit_radius(tail.kind, tail.order, tail.frequency, tail.smooth, tail.sine,
+                            tail.cosine, tail.bound) == tail.default_radius() / 2.0
+
+    def test_memo_hit_builds_no_tail(self, monkeypatch):
+        tail = jinc_kernel(2).tail
+        radius = tail.default_radius()
+        built = []
+        post_init = Tail.__post_init__
+        monkeypatch.setattr(Tail, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        assert tail.default_radius() == radius and built == []
 
     def test_cached_rules_refuse_writes(self):
         x, w = _gauss_jacobi(20, 1.0)

@@ -133,7 +133,7 @@ def test_couple_support_marginals_and_removed_point(dpp, pick):
     rows, cols = reference_marginals(table)
     assert np.max(np.abs(rows - subset_law(dpp).probs)) <= 1e-12
     assert np.max(np.abs(cols - subset_law(palm_matrix(dpp, u)).probs)) <= 1e-12
-    p, density = xi_law(table, dpp, u)
+    p, density = xi_law(table)
     row = np.abs(dpp.matrix[u - 1, :]) ** 2
     assert abs(p - row.sum() / diag[u - 1]) <= 1e-12
     assert np.max(np.abs(density - row / row.sum())) <= 1e-12
@@ -158,7 +158,7 @@ def random_kernel_and_points(family: str, rng: np.random.Generator):
     """A kernel of the family with drawn parameters, and a point sampler."""
     if family == "finite":
         n = int(rng.integers(2, 7))
-        return (finite_kernel(random_dpp_matrix(rng, n)),
+        return (finite_kernel(validate(random_dpp_matrix(rng, n))),
                 lambda m: rng.integers(1, n + 1, size=m))
     if family in ("ginibre", "sinc", "jinc"):
         beta = rng.uniform(0.1, 1.0)
