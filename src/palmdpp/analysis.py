@@ -19,7 +19,6 @@ from .numerics import QuadratureSpec, circulant_eig, factor_eig, reflection_eig
 
 __all__ = [
     "MomentResult",
-    "RadialProfile",
     "GridModel",
     "CouplingValidation",
     "jinc_moment_closed",
@@ -42,19 +41,10 @@ class MomentResult:
     diverge.
     """
 
-    k: float
     quadrature: float
     abs_error: float
     tail_estimate: float
     divergent: bool
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """Probability density of the displacement distance |Z_u - u| on a grid."""
-
-    radii: np.ndarray
-    density: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -92,7 +82,6 @@ class CouplingValidation:
     observed: np.ndarray
     expected: np.ndarray
     density_exact: np.ndarray
-    samples: int
 
 
 def _check_order(k: float) -> None:
@@ -128,13 +117,12 @@ def ginibre_moment(k: float, rho: float) -> float:
                           f"the moment Gamma(1 + k/2)/(pi rho)^(k/2) at k = {k:g}, rho = {rho:g}")
 
 
-def _displacement_radial(kernel: Kernel, u):
-    """r -> |K(u, u + r e)|^2 for an isotropic planar kernel at the point u,
-    and its declared squared row norm."""
+def _displacement_radial(kernel: Kernel):
+    """r -> |K(u, u + r e)|^2 for an isotropic planar kernel, the same at
+    every anchor u, and its declared squared row norm."""
     if kernel.space.kind != "euclidean" or kernel.space.size != 2:
         raise ValidationError("param-bound",
                               "displacement analysis covers isotropic kernels on the plane")
-    check_point(kernel.space, u)
     radial, norm_sq = kernel.radial_abs_sq, kernel.norm_sq
     if radial is None or norm_sq is None:
         raise ValidationError("param-bound", "kernel must declare an isotropic modulus "
@@ -144,7 +132,7 @@ def _displacement_radial(kernel: Kernel, u):
     return radial, norm_sq
 
 
-def moment_quadrature(kernel: Kernel, u, order: float,
+def moment_quadrature(kernel: Kernel, order: float,
                       spec: QuadratureSpec | None = None) -> MomentResult:
     """Quadrature moment of the displacement distance with its error budget.
 
@@ -154,24 +142,24 @@ def moment_quadrature(kernel: Kernel, u, order: float,
     number.
     """
     _check_order(order)
-    _, norm_sq = _displacement_radial(kernel, u)
+    _, norm_sq = _displacement_radial(kernel)
     if kernel.tail is not None and not kernel.tail.converges(order + 1.0):
-        return MomentResult(k=order, quadrature=math.nan, abs_error=math.nan,
+        return MomentResult(quadrature=math.nan, abs_error=math.nan,
                             tail_estimate=math.nan, divergent=True)
     res = radial_integral(kernel, order + 1.0, 2.0 * math.pi / norm_sq, spec)
-    return MomentResult(k=order, quadrature=res.value, abs_error=res.error,
+    return MomentResult(quadrature=res.value, abs_error=res.error,
                         tail_estimate=res.tail_error, divergent=False)
 
 
-def radial_profile(kernel: Kernel, u, radii) -> RadialProfile:
-    """Density of |Z_u - u| on a radius grid: 2 pi r f_u(r) on the plane."""
-    radial, norm_sq = _displacement_radial(kernel, u)
+def radial_profile(kernel: Kernel, radii) -> np.ndarray:
+    """Density 2 pi r f_u(r) of |Z_u - u| at the radii, the same at every anchor u."""
+    radial, norm_sq = _displacement_radial(kernel)
     radii = np.asarray(radii, dtype=float)
     if not np.all((radii >= 0) & (radii < np.inf)):
         raise ValidationError("param-bound", "radii must be finite and >= 0")
     with np.errstate(over="ignore", invalid="ignore"):
         density = 2.0 * math.pi * radii * radial(radii) / norm_sq
-    return RadialProfile(radii=radii, density=check_finite(density, "the displacement density"))
+    return check_finite(density, "the displacement density")
 
 
 def _euclidean_centers(window, resolution: int, d: int):
@@ -336,4 +324,4 @@ def mc_validate_coupling(kernel: Kernel, u, window, resolution: int,
                               p_hat=p_hat, z_score=z, chi2_stat=chi2,
                               chi2_pvalue=pvalue, chi2_dof=dof,
                               observed=observed, expected=expected,
-                              density_exact=density, samples=samples)
+                              density_exact=density)

@@ -97,7 +97,10 @@ def _emit(*blocks: tuple[Sequence[str], Iterable[str]]) -> None:
 
 
 def _is_number(v: Any) -> bool:  # a finite JSON number; true and false are not
-    return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+    try:
+        return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+    except OverflowError:  # an integer beyond double precision
+        return False
 
 
 def _parse_matrix(raw: Any) -> np.ndarray:
@@ -311,14 +314,13 @@ def cmd_profile(args) -> int:
     if not 0.0 < args.beta <= 1.0:
         raise ValidationError("param-bound", "beta must lie in (0, 1]")
     radii = np.linspace(args.r_min, args.r_max, args.r_points)
-    origin = np.zeros(2)
     columns: dict[str, np.ndarray] = {}
     if "ginibre" in args.models:
         kernel = model_zoo.ginibre_kernel(model_zoo.GinibreParams(1.0, args.beta))
-        columns["density_ginibre"] = analysis.radial_profile(kernel, origin, radii).density
+        columns["density_ginibre"] = analysis.radial_profile(kernel, radii)
     if "jinc" in args.models:
         kernel = model_zoo.thin_rescale(model_zoo.jinc_kernel(2), 1.0, args.beta)
-        columns["density_jinc"] = analysis.radial_profile(kernel, origin, radii).density
+        columns["density_jinc"] = analysis.radial_profile(kernel, radii)
     rows = ([r] + [columns[c][i] for c in columns] for i, r in enumerate(radii))
     _emit((["r", *columns], _lines(rows)))
     return 0
@@ -338,11 +340,10 @@ def cmd_moments(args) -> int:
         alpha = math.pi * rho
         kernel = model_zoo.ginibre_kernel(model_zoo.GinibreParams(alpha, 1.0 / alpha))
         closed = lambda k: analysis.ginibre_moment(k, rho)
-    origin = np.zeros(2)
     spec = QuadratureSpec(truncation_radius=args.truncation_radius)
     rows = []
     for k in args.k:
-        res = analysis.moment_quadrature(kernel, origin, k, spec=spec)
+        res = analysis.moment_quadrature(kernel, k, spec=spec)
         rows.append([k, closed(k), res.quadrature, res.abs_error,
                      res.tail_estimate, 1 if res.divergent else 0])
     _emit((["k", "closed_form", "quadrature", "abs_error", "tail_estimate", "divergent"],

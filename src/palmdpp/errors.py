@@ -89,8 +89,10 @@ def check_site(u, n: int) -> int:
 
 
 def check_anchor(kuu: float, u) -> float:
-    """kuu = K(u, u), unless it vanishes (or is nan): X^u needs K(u, u) > 0."""
+    """kuu = K(u, u), unless it vanishes (X^u needs K(u, u) > 0) or is nan,
+    which is an overflow on the way to it; an infinite K(u, u) passes."""
     if not kuu > 1e-12:
+        check_finite(kuu, f"K(u, u) at the anchor {u}")
         raise ValidationError("anchor", f"kernel intensity vanishes at the anchor {u} "
                               f"(K(u,u) = {kuu:.3e})")
     return kuu

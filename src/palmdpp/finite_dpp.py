@@ -143,10 +143,11 @@ def validate(matrix, slack: float = 1e-6) -> FiniteDpp:
     scale = 1.0 + float(np.max(np.abs(M)))
     if not np.isfinite(scale):  # inf or nan exactly when some entry is
         raise ValidationError("param-bound", "kernel matrix entries must be finite")
-    if float(np.max(np.abs(M - M.conj().T))) > 1e-10 * scale:
-        raise ValidationError("non-hermitian", "kernel matrix is not Hermitian")
+    M = 0.5 * M  # halved before adding, so entries near the double maximum stay finite
     del matrix  # frees the caller's unsymmetrized array before eigh, unless it holds it
-    M = 0.5 * (M + M.conj().T)
+    if float(np.max(np.abs(M - M.conj().T))) > 0.5e-10 * scale:
+        raise ValidationError("non-hermitian", "kernel matrix is not Hermitian")
+    M = M + M.conj().T
     dpp = validate_eig(hermitian_eig(M), slack)
     return dpp if dpp.clamp_report else replace(dpp, _matrix=M)
 

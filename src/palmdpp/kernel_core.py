@@ -142,8 +142,9 @@ class Kernel:
         return complex(self.gram(np.asarray([u]), np.asarray([v]))[0, 0])
 
     def diagonal(self, u) -> float:
-        """Intensity rho(u) = K(u, u); the diagonal is real."""
-        return float(np.real(self.evaluate(u, u)))
+        """Intensity rho(u) = K(u, u); the diagonal is real, and nan where it overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):  # check_anchor refuses the nan
+            return float(np.real(self.evaluate(u, u)))
 
 
 @dataclass(frozen=True)
@@ -155,7 +156,6 @@ class RepulsivenessReport:
     (sphere).
     """
 
-    anchor: Any
     p_u: float
     norm_sq: float
     quadrature_error: float
@@ -257,7 +257,8 @@ def repulsiveness_p(kernel: Kernel, u, spec: QuadratureSpec | None = None,
     coords = profile_coordinates(kernel) if profile_coords is None else profile_coords
     coords = (np.array([check_point(space, v) for v in coords], dtype=int)
               if space.kind == "finite" else np.asarray(coords, dtype=float))
-    dens = abs_sq(coords) / norm_sq if norm_sq > 0 else np.zeros(coords.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dens = abs_sq(coords) / norm_sq if norm_sq > 0 else np.zeros(coords.shape)
     check_finite(dens, "the f_u profile")  # jinc's J1(2r) is nan once 2r overflows
     profile = list(zip(coords.tolist(), dens.tolist()))
 
@@ -266,6 +267,6 @@ def repulsiveness_p(kernel: Kernel, u, spec: QuadratureSpec | None = None,
         raise ValidationError(
             "spectrum",
             f"p_u = {p:.8f} exceeds 1; the kernel violates the repulsiveness bound")
-    return RepulsivenessReport(anchor=u, p_u=min(p, 1.0 + _P_BOUND_SLACK),
+    return RepulsivenessReport(p_u=min(p, 1.0 + _P_BOUND_SLACK),
                                norm_sq=norm_sq, quadrature_error=err,
                                density_profile=profile)

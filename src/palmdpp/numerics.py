@@ -500,7 +500,8 @@ def _tail_beyond(tail: Tail, power: float, radius: float) -> tuple[float, float]
         square = named_overflow(lambda: start ** 2,
                                 f"the hand-over radius squared (R/s)^2 at R/s = {start:g}")
         from scipy import special  # loaded by the first Gaussian tail, not on import
-        value = 0.5 * float(special.gamma(half) * special.gammaincc(half, square))
+        with np.errstate(invalid="ignore"):  # inf Gamma(h) times 0 is nan, named by the final check
+            value = 0.5 * float(special.gamma(half) * special.gammaincc(half, square))
         error = _ROUNDING * abs(value)
     else:
         exponents = power - tail.order - np.arange(len(tail.smooth), dtype=float)

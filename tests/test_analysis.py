@@ -108,19 +108,19 @@ class TestClosedFormMoments:
 
 class TestMomentQuadrature:
     def test_jinc_normalization(self):
-        res = moment_quadrature(jinc_kernel(2), ORIGIN, 0.0)
+        res = moment_quadrature(jinc_kernel(2), 0.0)
         assert abs(res.quadrature - 1.0) < 1e-6
         assert not res.divergent
 
     def test_jinc_matches_gamma_ratio(self):
         for k in (-1.5, -1.0, -0.5, 0.5, 0.9):
-            res = moment_quadrature(jinc_kernel(2), ORIGIN, k)
+            res = moment_quadrature(jinc_kernel(2), k)
             closed = jinc_moment_closed(k)
             assert abs(res.quadrature - closed) <= 1e-3 * abs(closed) + res.tail_estimate
 
     def test_jinc_divergent_orders(self):
         for k in (1.0, 1.5):
-            res = moment_quadrature(jinc_kernel(2), ORIGIN, k)
+            res = moment_quadrature(jinc_kernel(2), k)
             assert res.divergent
             assert math.isnan(res.quadrature)
 
@@ -142,23 +142,23 @@ class TestMomentQuadrature:
         assert np.all(increments > 0.05)  # growing without settling
 
     def test_ginibre_first_moment(self):
-        res = moment_quadrature(ginibre_kernel(GinibreParams(1.0, 1.0)), ORIGIN, 1.0)
+        res = moment_quadrature(ginibre_kernel(GinibreParams(1.0, 1.0)), 1.0)
         assert abs(res.quadrature - math.sqrt(math.pi) / 2.0) < 1e-6
 
     def test_only_planar_isotropic_kernels(self):
         with pytest.raises(ValidationError, match="isotropic kernels on the plane") as exc:
-            moment_quadrature(jinc_kernel(1), [0.0], 0.5)
+            moment_quadrature(jinc_kernel(1), 0.5)
         assert exc.value.token == "param-bound"
 
     def test_invalid_order(self):
         with pytest.raises(ValueError):
-            moment_quadrature(jinc_kernel(2), ORIGIN, -2.5)
+            moment_quadrature(jinc_kernel(2), -2.5)
 
     @pytest.mark.parametrize("moment", [
         jinc_moment_closed,
         lambda k: ginibre_moment(k, 1.0 / math.pi),
-        lambda k: moment_quadrature(jinc_kernel(2), ORIGIN, k),
-        lambda k: moment_quadrature(ginibre_kernel(GinibreParams(1.0, 1.0)), ORIGIN, k),
+        lambda k: moment_quadrature(jinc_kernel(2), k),
+        lambda k: moment_quadrature(ginibre_kernel(GinibreParams(1.0, 1.0)), k),
     ], ids=["jinc-closed", "ginibre-closed", "jinc-quadrature", "ginibre-quadrature"])
     @pytest.mark.parametrize("k", [-2.0, -2.5, -1e300])
     def test_orders_at_or_below_minus_two_are_a_param_bound(self, moment, k):
@@ -173,8 +173,8 @@ class TestMomentQuadrature:
         for kernel in (jinc_kernel(2), thin_rescale(jinc_kernel(2), 1.0, 0.5), undeclared,
                        ginibre_kernel(GinibreParams(1.0, 1.0))):
             bare = replace(kernel, norm_sq=None)
-            for call in (lambda: moment_quadrature(bare, ORIGIN, 0.5),
-                         lambda: radial_profile(bare, ORIGIN, [0.0, 1.0])):
+            for call in (lambda: moment_quadrature(bare, 0.5),
+                         lambda: radial_profile(bare, [0.0, 1.0])):
                 with pytest.raises(ValidationError, match="norm") as exc:
                     call()
                 assert exc.value.token == "param-bound"
@@ -186,13 +186,13 @@ class TestMomentQuadrature:
         kernel = ginibre_kernel(GinibreParams(alpha, 1.0 / alpha))
         # k over (-2, 4], with the orders next to the origin singularity
         for k in np.append(np.arange(-1.75, 4.0 + 1e-9, 0.25), [-1.99, -1.95, -1.9]):
-            res = moment_quadrature(kernel, ORIGIN, float(k))
+            res = moment_quadrature(kernel, float(k))
             assert abs(res.quadrature - ginibre_moment(float(k), rho)) <= res.abs_error
 
     def test_jinc_within_abs_error(self):
         # k over (-2, 1): next to the origin singularity and to the divergence at 1
         for k in np.append(np.linspace(-1.95, 0.9, 20), [-1.99, -1.9, 0.95, 0.99]):
-            res = moment_quadrature(jinc_kernel(2), ORIGIN, float(k))
+            res = moment_quadrature(jinc_kernel(2), float(k))
             assert abs(res.quadrature - jinc_moment_closed(float(k))) <= res.abs_error
 
     @staticmethod
@@ -212,7 +212,7 @@ class TestMomentQuadrature:
     def test_integrand_evaluations_at_default_radius(self, beta):
         # the default radius and the panels are both measured in the length scale
         kernel, calls = self.counted_jinc(beta)
-        res = moment_quadrature(kernel, ORIGIN, 0.5)
+        res = moment_quadrature(kernel, 0.5)
         # |Z_u - u| scales with sqrt(beta) under thinning
         want = beta ** 0.25 * jinc_moment_closed(0.5)
         assert abs(res.quadrature - want) <= res.abs_error
@@ -223,7 +223,7 @@ class TestMomentQuadrature:
         counts = []
         for beta in (1.0, 0.25, 0.04):  # length scales 1, 1/2, 1/5
             kernel, calls = self.counted_jinc(beta)
-            moment_quadrature(kernel, ORIGIN, 0.5, spec=spec)
+            moment_quadrature(kernel, 0.5, spec=spec)
             counts.append(sum(calls))
         assert 1.9 <= counts[1] / counts[0] <= 2.0
         assert 4.7 <= counts[2] / counts[0] <= 5.0
@@ -232,31 +232,31 @@ class TestMomentQuadrature:
 class TestRadialProfile:
     def test_ginibre_is_rayleigh(self):
         radii = np.linspace(0.0, 6.0, 121)
-        prof = radial_profile(ginibre_kernel(GinibreParams(1.0, 1.0)), ORIGIN, radii)
+        density = radial_profile(ginibre_kernel(GinibreParams(1.0, 1.0)), radii)
         want = 2.0 * radii * np.exp(-radii ** 2)
-        assert np.max(np.abs(prof.density - want)) < 1e-12
+        assert np.max(np.abs(density - want)) < 1e-12
 
     def test_jinc_closed_form(self):
         radii = np.linspace(0.0, 10.0, 201)
-        prof = radial_profile(jinc_kernel(2), ORIGIN, radii)
+        density = radial_profile(jinc_kernel(2), radii)
         with np.errstate(invalid="ignore", divide="ignore"):
             want = np.where(radii > 0,
                             2.0 * special.j1(2.0 * radii) ** 2 / np.where(radii > 0, radii, 1.0),
                             0.0)
-        assert np.max(np.abs(prof.density - want)) < 1e-12
+        assert np.max(np.abs(density - want)) < 1e-12
 
     def test_densities_nonnegative_and_normalized(self):
         radii = np.linspace(0.0, 12.0, 400)
         for kernel in (ginibre_kernel(GinibreParams(1.0, 1.0)), jinc_kernel(2)):
-            prof = radial_profile(kernel, ORIGIN, radii)
-            assert np.all(prof.density >= 0.0)
-            assert np.trapezoid(prof.density, radii) <= 1.0 + 1e-3
+            density = radial_profile(kernel, radii)
+            assert np.all(density >= 0.0)
+            assert np.trapezoid(density, radii) <= 1.0 + 1e-3
 
     def test_radii_beyond_double_precision_are_an_overflow(self):
         # 2 pi r overflows before it meets radial(r) = 0
         for kernel in (ginibre_kernel(GinibreParams(1.0, 1.0)), jinc_kernel(2)):
             with pytest.raises(OverflowError):
-                radial_profile(kernel, ORIGIN, [0.0, 5e307, 1e308])
+                radial_profile(kernel, [0.0, 5e307, 1e308])
 
     @pytest.mark.parametrize("rho", [1e-170, 1e-200])
     def test_underflowing_norm_is_an_overflow(self, rho):
@@ -265,9 +265,9 @@ class TestRadialProfile:
         kernel = ginibre_kernel(GinibreParams(alpha, 1.0 / alpha))
         assert kernel.norm_sq == 0.0
         with pytest.raises(OverflowError):
-            moment_quadrature(kernel, ORIGIN, 1.0)
+            moment_quadrature(kernel, 1.0)
         with pytest.raises(OverflowError):
-            radial_profile(kernel, ORIGIN, [0.0, 1.0])
+            radial_profile(kernel, [0.0, 1.0])
 
 
 class TestGridDiscretize:

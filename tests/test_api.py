@@ -12,7 +12,7 @@ import pytest
 
 import palmdpp
 from palmdpp import analysis, finite_dpp, model_zoo, numerics
-from palmdpp.errors import QuadratureError, ValidationError, check_finite
+from palmdpp.errors import QuadratureError, ValidationError, check_anchor, check_finite
 from palmdpp.kernel_core import (GroundSpace, Kernel, palm_kernel, profile_coordinates,
                                  repulsiveness_p)
 from palmdpp.numerics import QuadratureSpec, Tail, integrate_radial
@@ -95,8 +95,7 @@ REFUSED_CALLS = {
     "profile-site-0": ("site 0", lambda: repulsiveness_p(_finite2(), 1,
                                                          profile_coords=[0, 1, 2])),
     "profile-site-3": ("site 3", lambda: repulsiveness_p(_finite2(), 1, profile_coords=[3])),
-    "moment-nan-order": ("finite k", lambda: analysis.moment_quadrature(
-        _ginibre(), np.zeros(2), math.nan)),
+    "moment-nan-order": ("finite k", lambda: analysis.moment_quadrature(_ginibre(), math.nan)),
     "jinc-moment-inf-order": ("finite k", lambda: analysis.jinc_moment_closed(math.inf)),
     "ginibre-moment-nan-order": ("finite k", lambda: analysis.ginibre_moment(math.nan, 1.0)),
     "grid-resolution-0": ("resolution", lambda: analysis.grid_discretize(_ginibre(), SQUARE, 0)),
@@ -128,20 +127,11 @@ REFUSED_CALLS = {
     "ginibre-moment-inf-intensity": ("intensity", lambda: analysis.ginibre_moment(
         -1.0, math.inf)),
     "radial-profile-negative-radius": ("radii", lambda: analysis.radial_profile(
-        _ginibre(), np.zeros(2), [-1.0])),
+        _ginibre(), [-1.0])),
     "radial-profile-nan-radius": ("radii", lambda: analysis.radial_profile(
-        model_zoo.jinc_kernel(2), np.zeros(2), [math.nan])),
+        model_zoo.jinc_kernel(2), [math.nan])),
     "radial-profile-inf-radius": ("radii", lambda: analysis.radial_profile(
-        _ginibre(), np.zeros(2), [0.5, math.inf])),
-    # moment_quadrature and radial_profile never read the anchor's value, but gate it
-    "moment-nan-anchor": ("coordinates must be finite", lambda: analysis.moment_quadrature(
-        _ginibre(), [math.nan, 1.0, 7.0], 1.0)),
-    "moment-anchor-in-r3": ("length-2 euclidean point", lambda: analysis.moment_quadrature(
-        _ginibre(), np.zeros(3), 1.0)),
-    "radial-profile-text-anchor": ("coordinates must be finite", lambda: analysis.radial_profile(
-        _ginibre(), "not a point", [0.5])),
-    "radial-profile-inf-anchor": ("coordinates must be finite", lambda: analysis.radial_profile(
-        model_zoo.jinc_kernel(2), [0.0, math.inf], [0.5])),
+        _ginibre(), [0.5, math.inf])),
     "repulsiveness-site-1.9": ("not one of the integers", lambda: repulsiveness_p(
         _finite2(), 1.9)),
     "palm-kernel-site-2.5": ("not one of the integers", lambda: palm_kernel(_finite2(), 2.5)),
@@ -240,12 +230,25 @@ def test_errors_declares_every_refusal():
     assert raisers == ["palmdpp.errors"]
 
 
+def test_a_nan_intensity_is_an_overflow():
+    # nan is K(u, u) overflowing on the way to it; an infinite K(u, u) passes
+    with pytest.raises(OverflowError, match=r"K\(u, u\) at the anchor 1 is not finite"):
+        check_anchor(math.nan, 1)
+    with pytest.raises(ValidationError, match="vanishes") as exc:
+        check_anchor(0.0, 1)
+    assert exc.value.token == "anchor"
+    assert check_anchor(math.inf, 1) == math.inf
+    # the Ginibre phase product overflows at a far anchor, with no warning
+    with pytest.raises(OverflowError, match=r"K\(u, u\) at the anchor"):
+        repulsiveness_p(_ginibre(), [1e200, 1e200])
+
+
 def test_numpy_integer_sites_and_counts_accepted():
     # the gates take any integer type, so numpy integers from arrays and
     # index arithmetic pass like Python ints
     dpp = finite_dpp.validate(np.diag([0.3, 0.7]))
     site = np.int64(2)
-    assert repulsiveness_p(model_zoo.finite_kernel(dpp), site).anchor == 2
+    assert repulsiveness_p(model_zoo.finite_kernel(dpp), site).p_u == pytest.approx(0.7)
     assert finite_dpp.p_u_finite(dpp, np.int32(2)) == pytest.approx(0.7)
     table = finite_dpp.couple(dpp, site)[1]
     assert finite_dpp.xi_law(table)[0] == pytest.approx(0.7)

@@ -134,6 +134,16 @@ class TestValidate:
             validate(np.array([[0.5, 0.4], [0.1, 0.5]]))
         assert err.value.token == "non-hermitian"
 
+    def test_entries_near_the_double_maximum_stay_finite(self):
+        # the matrix is halved before it is added to its adjoint, so neither
+        # the Hermitian check nor the symmetrized matrix overflows
+        with pytest.raises(ValidationError, match=r"found range \[0, inf\]") as err:
+            validate(np.full((2, 2), 1e308))
+        assert err.value.token == "spectrum"
+        with pytest.raises(ValidationError) as err:
+            validate(np.array([[1e308, -1e308], [1e308, 1e308]]))
+        assert err.value.token == "non-hermitian"
+
     def test_clamps_boundary_noise(self):
         dpp = validate(np.diag([1.0 + 5e-7, -5e-7]))
         lam = dpp.eig.eigenvalues

@@ -192,7 +192,7 @@ class TestRepulsiveness:
         with pytest.raises(QuadratureError, match="declares no tail"):
             repulsiveness_p(bare, np.zeros(2))
         with pytest.raises(QuadratureError, match="declares no tail"):
-            moment_quadrature(bare, np.zeros(2), 0.5)
+            moment_quadrature(bare, 0.5)
         with pytest.raises(QuadratureError, match="declares no tail"):
             profile_coordinates(bare)
         assert profile_coordinates(bare, 3, 2.0).tolist() == [0.0, 1.0, 2.0]

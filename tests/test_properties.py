@@ -56,7 +56,7 @@ def test_thinned_p_u_within_reported_error(d, beta, share):
 @given(k=jinc_orders, beta=log_uniform(1e-10, 1.0))
 def test_thinned_jinc_moment_within_reported_error(k, beta):
     # the displacement scales by sqrt(beta) under thinning
-    res = moment_quadrature(thin_rescale(jinc_kernel(2), 1.0, beta), np.zeros(2), k)
+    res = moment_quadrature(thin_rescale(jinc_kernel(2), 1.0, beta), k)
     assert not res.divergent
     assert abs(res.quadrature - beta ** (k / 2.0) * jinc_moment_closed(k)) <= res.abs_error
 
@@ -64,13 +64,13 @@ def test_thinned_jinc_moment_within_reported_error(k, beta):
 @given(k=st.floats(min_value=-1.99, max_value=4.0), rho=st.floats(min_value=1e-3, max_value=1e3))
 def test_ginibre_moment_within_reported_error(k, rho):
     alpha = math.pi * rho
-    res = moment_quadrature(ginibre_kernel(GinibreParams(alpha, 1.0 / alpha)), np.zeros(2), k)
+    res = moment_quadrature(ginibre_kernel(GinibreParams(alpha, 1.0 / alpha)), k)
     assert abs(res.quadrature - ginibre_moment(k, rho)) <= res.abs_error
 
 
 @given(k=st.floats(min_value=1.0, max_value=10.0))
 def test_jinc_moment_divergent_exactly_from_order_one(k):
-    assert moment_quadrature(jinc_kernel(2), np.zeros(2), k).divergent
+    assert moment_quadrature(jinc_kernel(2), k).divergent
 
 
 @st.composite
@@ -206,7 +206,9 @@ def test_gram_contract(family, palm, seed, m, k):
 
 # ------------------------------------------------------------ CLI contract
 
-numbers = st.one_of(st.floats(min_value=-2.0, max_value=3.0), st.sampled_from([0.0, 1e-9, 50.0]),
+# 10**400 is a JSON integer beyond double precision
+numbers = st.one_of(st.floats(min_value=-2.0, max_value=3.0),
+                    st.sampled_from([0.0, 1e-9, 50.0, 10 ** 400]),
                     st.sampled_from([math.nan, math.inf, -math.inf]),
                     st.text(max_size=3), st.booleans(), st.none())
 params_for = {
@@ -236,8 +238,8 @@ def spec_documents(draw):
     doc = {"family": family, "params": params}
     if family == "finite" or draw(st.integers(0, 9)) == 0:
         n = draw(st.integers(1, 3))
-        doc["matrix"] = [[[draw(st.floats(min_value=-1.0, max_value=1.0)), 0.0]
-                          for _ in range(n)] for _ in range(n)]
+        entries = st.one_of(st.floats(min_value=-1.0, max_value=1.0), st.just(1e308))
+        doc["matrix"] = [[[draw(entries), 0.0] for _ in range(n)] for _ in range(n)]
     return doc
 
 
@@ -345,6 +347,7 @@ radii = st.one_of(st.none(), st.sampled_from(["1e-3", "0.5", "3", "30", "-1", "0
 
 
 MULTIQUADRIC = {"family": "sphere-multiquadric", "params": {"delta": 0.5, "rho": 0.1}}
+GINIBRE = {"family": "ginibre", "params": {"alpha": 1.0, "beta": 1.0}}
 
 
 # the extreme values are also pinned as explicit examples, which run on every pass
@@ -352,9 +355,14 @@ MULTIQUADRIC = {"family": "sphere-multiquadric", "params": {"delta": 0.5, "rho":
 @example(doc=MULTIQUADRIC, anchor="1e200,1e200,0", radius=None, points=None)
 @example(doc=MULTIQUADRIC, anchor="1e-200,1e-200,0", radius=None, points=None)
 @example(doc=MULTIQUADRIC, anchor="inf,0,1", radius=None, points=None)
+@example(doc=GINIBRE, anchor="1e200,1e200", radius=None, points=None)
+@example(doc={"family": "ginibre", "params": {"alpha": 10 ** 400, "beta": 1.0}}, anchor=None,
+         radius=None, points=None)
+@example(doc={"family": "finite", "matrix": [[[1e308, 0.0]] * 2] * 2}, anchor=None, radius=None,
+         points=None)
 @given(doc=spec_documents(), anchor=st.one_of(st.none(), st.sampled_from(
            ["0,0", "1.5,-2", "0.3", "2", "0,0,1", "0,0,0", "a,b", "", "1e200,1e200,0",
-            "1e-200,1e-200,0", "inf,0,1"])),
+            "1e-200,1e-200,0", "inf,0,1", "1e200,1e200"])),
        radius=radii, points=st.one_of(st.none(), st.integers(-2, 5)))
 def test_repulsiveness_exits_with_a_documented_code(tmp_path_factory, doc, anchor, radius,
                                                     points):
@@ -369,6 +377,7 @@ def test_repulsiveness_exits_with_a_documented_code(tmp_path_factory, doc, ancho
 
 
 @example(model="jinc", ks=[0.5], rho=None, radius="1e-300")
+@example(model="ginibre", ks=[345.0], rho=None, radius="100")
 @given(model=st.sampled_from(["jinc", "ginibre"]),
        ks=st.lists(st.one_of(st.floats(min_value=-2.5, max_value=6.0),
                              st.sampled_from(["nan", "inf", "-2", "x", "1e300"])),
@@ -403,9 +412,10 @@ CLI_FLAGS = {
 BAD_VALUES = ["nan", "inf", "0", "-1", "1e308", "x", "", "1000000000000000"]
 CLI_SPECS = {
     "finite": {"family": "finite", "matrix": [[[0.3, 0], [0, 0]], [[0, 0], [0.7, 0]]]},
-    "ginibre": {"family": "ginibre", "params": {"alpha": 1.0, "beta": 1.0}},
+    "ginibre": GINIBRE,
     "jinc": {"family": "jinc"},
     "sinc": {"family": "sinc", "params": {"alpha": 0.8}},
+    "sinc-thin": {"family": "sinc", "params": {"alpha": 1.0, "beta": 1e-300}},
     "multiquadric": MULTIQUADRIC,
 }
 
@@ -446,6 +456,7 @@ def cli_argvs(draw):
 @example(argv=["repulsiveness", "jinc", "--profile-points=1000000000000000"])
 @example(argv=["couple", "finite", "--samples=1000000000000000"])
 @example(argv=["sample", "finite", "--samples=1000000000000000"])
+@example(argv=["repulsiveness", "sinc-thin", "--profile-max=1e308"])
 @given(argv=cli_argvs())
 def test_every_command_exits_with_a_documented_code(cli_spec_paths, argv):
     code, out, err = run([cli_spec_paths.get(a, a) for a in argv])
