@@ -298,6 +298,28 @@ def test_multiquadric_pole_warns_nothing(tmp_path, argv, rho, err):
         assert stderr == f"validation-error[overflow]: a value leaves double precision: {err}\n"
 
 
+# a value that leaves double precision on the way to a refusal prints no warning first
+@pytest.mark.parametrize("argv,err", [
+    (["repulsiveness", "ginibre", "--anchor=1e200,1e200"],
+     "K(u, u) at the anchor [1.e+200 1.e+200] is not finite"),
+    (["repulsiveness", "jinc-thin", "--anchor=1e200,1e200"],
+     "K(u, u) at the anchor [1.e+200 1.e+200] is not finite"),
+    (["repulsiveness", "sinc-thin", "--profile-max=1e300", "--profile-points=2"],
+     "the f_u profile is not finite"),
+    (["moments", "--model=ginibre", "--k=345", "--truncation-radius=100"],
+     "the radial integral to the truncation radius 100 is not finite"),
+], ids=["ginibre-far-anchor", "thinned-jinc-far-anchor", "thinned-sinc-profile",
+        "ginibre-gamma-tail"])
+def test_overflow_is_one_stderr_line(tmp_path, argv, err):
+    specs = {"ginibre": GINIBRE_SPEC,
+             "jinc-thin": {"family": "jinc", "params": {"alpha": 1.0, "beta": 1e-300}},
+             "sinc-thin": {"family": "sinc", "params": {"alpha": 1.0, "beta": 1e-300}}}
+    code, out, stderr = run_cli([write_spec(tmp_path, f"{a}.json", specs[a]) if a in specs else a
+                                 for a in argv])
+    assert (code, out) == (2, "")
+    assert stderr == f"validation-error[overflow]: a value leaves double precision: {err}\n"
+
+
 def child_env():
     return dict(os.environ, PYTHONPATH=str(Path(palmdpp.__file__).parents[1]))
 
@@ -452,6 +474,13 @@ class TestValidateCommand:
         code, _, err = run_cli(["validate", write_spec(tmp_path, "s.json", doc)])
         assert code == 2 and "[spectrum]" in err
 
+    def test_entries_near_the_double_maximum_are_one_spectrum_line(self, tmp_path):
+        doc = {"family": "finite", "matrix": [[[1e308, 0]] * 2] * 2}
+        code, out, err = run_cli(["validate", write_spec(tmp_path, "s.json", doc)])
+        assert (code, out) == (2, "")
+        assert err == ("validation-error[spectrum]: eigenvalues must lie in [0, 1]; "
+                       "found range [0, inf]\n")
+
     def test_non_hermitian_token(self, tmp_path):
         doc = {"family": "finite",
                "matrix": [[[0.5, 0], [0.4, 0]], [[0.1, 0], [0.5, 0]]]}
@@ -483,9 +512,16 @@ class TestValidateCommand:
           "params": {"d": 2, "rho": 0.1, "beta_coeffs": [0.5, "0.5"]}}, "beta_coeffs"),
         ({"family": "sphere-coefficients",
           "params": {"d": 2, "rho": 0.1, "beta_coeffs": [1.0], "tail_bound": "0"}}, "tail_bound"),
+        # a JSON integer beyond double precision reads like 1e400
+        ({"family": "ginibre", "params": {"alpha": 10 ** 400, "beta": 1.0}},
+         "params.alpha must be a finite number"),
+        ({"family": "finite", "matrix": [[[10 ** 400, 0]]]}, "must be a finite [re, im] pair"),
+        ({"family": "sphere-coefficients",
+          "params": {"d": 2, "rho": 0.1, "beta_coeffs": [10 ** 400]}}, "beta_coeffs"),
     ], ids=["not-json", "unknown-key", "real-entry", "unknown-family", "missing-param",
             "matrix-not-a-list", "ragged-row", "top-level-array", "params-not-an-object",
-            "finite-without-matrix", "non-numeric-coefficient", "non-numeric-tail-bound"])
+            "finite-without-matrix", "non-numeric-coefficient", "non-numeric-tail-bound",
+            "huge-integer-param", "huge-integer-entry", "huge-integer-coefficient"])
     def test_parse_failures(self, tmp_path, doc, phrase):
         path = tmp_path / "bad.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
