@@ -210,8 +210,8 @@ def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
       none of them);
     - series factor: when the kernel declares a grid factor and it returns
       one (an (n, m) phi with m < n, the Ginibre series),
-      numerics.factor_eig takes the m eigenpairs from phi,
-      finite_dpp.validate_eig checks them, and
+      numerics.factor_eig takes the m eigenpairs from one eigh of the
+      m x m dual phi* phi, finite_dpp.validate_eig checks them, and
       dpp.clamp_report.dropped_trace is the factor's certified dropped trace;
     - sphere blocks: a sphere kernel that declares k0 is isotropic, so on
       the grid of resolution bands by 2 * resolution longitudes its matrix

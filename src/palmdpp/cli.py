@@ -40,6 +40,7 @@ import argparse
 import functools
 import json
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -113,8 +114,8 @@ def _parse_matrix(raw: Any) -> np.ndarray:
             raise ParseError(f"matrix row {i} must have {n} entries (square matrix)")
         for j, entry in enumerate(row):
             if not isinstance(entry, list) or len(entry) != 2 or not all(map(_is_number, entry)):
-                raise ParseError(
-                    f"matrix entry ({i},{j}) must be a finite [re, im] pair, got {entry!r}")
+                raise ParseError(f"matrix entry ({i},{j}) must be a finite [re, im] pair, "
+                                 f"got {reprlib.repr(entry)}")
             M[i, j] = complex(entry[0], entry[1])
     return M
 
@@ -129,6 +130,8 @@ def load_kernel_spec(path: str | Path) -> ModelBundle:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # past int()'s digit limit or the nesting limit
+        raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("spec file must hold a JSON object")
     unknown = set(doc) - {"family", "params", "matrix"}
@@ -136,7 +139,7 @@ def load_kernel_spec(path: str | Path) -> ModelBundle:
         raise ParseError(f"unknown top-level keys: {sorted(unknown)}")
     family = doc.get("family")
     if not isinstance(family, str) or family not in _FAMILIES:
-        raise ParseError(f"family must be one of {tuple(_FAMILIES)}, got {family!r}")
+        raise ParseError(f"family must be one of {tuple(_FAMILIES)}, got {reprlib.repr(family)}")
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ParseError("params must be an object")
@@ -152,7 +155,7 @@ def load_kernel_spec(path: str | Path) -> ModelBundle:
             raise ParseError(f"family {family!r} needs params.{key}")
         v = params.get(key, default)
         if not _is_number(v):
-            raise ParseError(f"params.{key} must be a finite number, got {v!r}")
+            raise ParseError(f"params.{key} must be a finite number, got {reprlib.repr(v)}")
         values[key] = float(v)
 
     if family == "finite":

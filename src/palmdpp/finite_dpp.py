@@ -158,7 +158,11 @@ def validate_eig(eig: HermitianEig, slack: float = 1e-6, dropped_trace: float = 
 
     validate passes its eigenpairs through it, and grid discretization
     passes those of a thin factor, of Fourier blocks or of reflection blocks.
-    dropped_trace is recorded in clamp_report as given.
+    A thin factor's eigenvectors (numerics.factor_eig) are orthonormal only
+    to about 1e-16 / lambda where lambda is below about 1e-8, and are zero
+    where lambda <= 0; the clamp sets those eigenvalues to 0, so a sampler
+    never keeps those columns.  dropped_trace is recorded in clamp_report
+    as given.
     """
     lam = eig.eigenvalues
     if not (lam.min() >= -slack and lam.max() <= 1.0 + slack):  # nan is refused too

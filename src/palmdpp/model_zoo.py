@@ -73,8 +73,10 @@ def _ginibre_grid_factor(alpha: float, beta: float):
 
     Cut at m terms, phi[i, k] = sqrt(alpha cell/pi) e^(-|z_i|^2/(2 beta))
     (z_i/sqrt(beta))^k / sqrt(k!), so |phi[i, k]|^2 is alpha cell/pi times
-    the Poisson(mu_i) mass at k, mu_i = |z_i|^2/beta; each entry comes from
-    its logarithm, so far cells do not underflow.  Cell i drops (alpha
+    the Poisson(mu_i) mass at k, mu_i = |z_i|^2/beta.  Each modulus comes
+    from its logarithm, so far cells do not underflow, and the phase
+    e^(i k arg z_i) is a running product over k, one complex exponential
+    per cell rather than per entry.  Cell i drops (alpha
     cell/pi) P(Poisson(mu_i) >= m) of its diagonal, and dropped_trace is
     their sum.  m is the least count below n with P(Poisson(max mu) >= m)
     <= 1e-13; without one (a large window, or mu beyond double precision)
@@ -93,8 +95,10 @@ def _ginibre_grid_factor(alpha: float, beta: float):
         m = 1 + int(np.argmax(short))
         k = np.arange(m)
         log_pmf = special.xlogy(k, mu[:, None]) - mu[:, None] - special.gammaln(k + 1.0)
-        phi = math.sqrt(alpha * measure / math.pi) * np.exp(0.5 * log_pmf
-                                                            + 1j * k * np.angle(z)[:, None])
+        phase = np.ones((m, n), dtype=complex)  # row k becomes e^(i k arg z)
+        phase[1:] = np.exp(1j * np.angle(z))
+        phi = (math.sqrt(alpha * measure / math.pi) * np.exp(0.5 * log_pmf)
+               * np.cumprod(phase, axis=0).T)
         dropped = float(alpha * measure / math.pi * np.sum(special.gammainc(m, mu)))
         return GridFactor(phi, dropped)
 

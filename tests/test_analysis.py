@@ -23,7 +23,7 @@ from palmdpp.finite_dpp import sample_indicators
 from palmdpp.kernel_core import GridFactor, GroundSpace, Kernel, palm_kernel
 from palmdpp.model_zoo import (GinibreParams, ginibre_kernel, jinc_kernel, multiquadric,
                                sphere_kernel, sphere_model, thin_rescale)
-from palmdpp.numerics import QuadratureSpec
+from palmdpp.numerics import QuadratureSpec, factor_eig
 
 from conftest import assert_sampler_matches_kernel
 
@@ -53,8 +53,8 @@ def dense_route(kernel: Kernel) -> Kernel:
 
 def count_eig_calls(monkeypatch) -> list:
     """Record every numpy/scipy eigh and eigvalsh call, and every numpy SVD
-    (the decomposition of a grid factor), from here on, as (name, shape of
-    the decomposed array)."""
+    (palmdpp should make none), from here on, as (name, shape of the
+    decomposed array)."""
     calls = []
     for mod, names in ((np.linalg, ("eigh", "eigvalsh", "svd")),
                        (scipy.linalg, ("eigh", "eigvalsh"))):
@@ -332,8 +332,10 @@ class TestGridDiscretize:
         sample_indicators(clean.dpp, 3, 70)
         assert calls == [("eigh", (4, 25, 25))]
         calls.clear()
+        # the 144 x m series factor: one eigh of its m x m dual, and no SVD
         clamped = grid_discretize(leaky_ginibre(), (-3.0, 3.0, -3.0, 3.0), 12)
-        assert clamped.dpp.clamp_report and [name for name, _ in calls] == ["svd"]
+        m = clamped.dpp.eig.eigenvalues.size
+        assert clamped.dpp.clamp_report and m < 144 and calls == [("eigh", (m, m))]
         calls.clear()
         dense = grid_discretize(dense_route(leaky_ginibre()), (-3.0, 3.0, -3.0, 3.0), 12)
         assert dense.dpp.clamp_report and calls == [("eigh", (144, 144))]
@@ -508,6 +510,40 @@ class TestGridFactor:
         M = grid.dpp.matrix
         assert M.shape == (144, 144) and M is grid.dpp.matrix
         assert np.max(np.abs(M - (V * lam) @ V.conj().T)) <= 1e-14
+
+    @pytest.mark.parametrize("half,resolution", [(4.0, 20), (2.0, 7), (8.0, 40), (12.0, 64)],
+                             ids=["20x20", "7x7-centre-cell", "40x40", "64x64"])
+    def test_dual_eigenpairs_match_the_svd(self, half, resolution):
+        centers, measure = analysis._euclidean_centers((-half, half, -half, half), resolution, 2)
+        phi = ginibre_kernel(GinibreParams(1.0, 1.0)).grid_factor(centers, measure).phi
+        eig = factor_eig(phi)
+        lam, V = eig.eigenvalues, eig.eigenvectors
+        U, s, _ = np.linalg.svd(phi, full_matrices=False)
+        assert np.all(np.diff(lam) <= 0) and np.max(np.abs(lam - s ** 2)) <= 1e-13
+        for rows in np.array_split(np.arange(phi.shape[0]), 8):  # at most 512 x 4096 at once
+            rebuilt = (V[rows] * lam) @ V.conj().T
+            assert np.max(np.abs(rebuilt - phi[rows] @ phi.conj().T)) <= 1e-14
+        # what a draw can see: column j is kept with probability lambda_j
+        keep = np.clip(lam, 0.0, 1.0)
+        D = np.abs(V.conj().T @ V - np.eye(lam.size))
+        defect = keep @ np.diag(D) + keep @ (D - np.diag(np.diag(D))) @ keep
+        assert defect <= 1e-10
+
+    @pytest.mark.parametrize("params,half,resolution", [
+        ((1.0, 1.0), 4.0, 20), ((1.0, 1.0), 2.0, 7), ((0.6, 1.6), 12.0, 64)])
+    def test_phase_recurrence_matches_the_exp_form(self, params, half, resolution):
+        alpha, beta = params
+        centers, measure = analysis._euclidean_centers((-half, half, -half, half), resolution, 2)
+        phi = ginibre_kernel(GinibreParams(alpha, beta)).grid_factor(centers, measure).phi
+        k = np.arange(phi.shape[1])
+        z = centers[:, 0] + 1j * centers[:, 1]
+        mu = np.abs(z[:, None]) ** 2 / beta
+        log_pmf = special.xlogy(k, mu) - mu - special.gammaln(k + 1.0)
+        want = math.sqrt(alpha * measure / math.pi) * np.exp(0.5 * log_pmf
+                                                             + 1j * k * np.angle(z)[:, None])
+        live = np.abs(want) > 1e-290
+        assert live.any()
+        assert np.max(np.abs(phi[live] - want[live]) / np.abs(want[live])) <= 1e-12
 
     def test_overflowing_factor_is_an_overflow(self):
         kernel = ginibre_kernel(GinibreParams(1.0, 1.0))

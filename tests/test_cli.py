@@ -518,15 +518,23 @@ class TestValidateCommand:
         ({"family": "finite", "matrix": [[[10 ** 400, 0]]]}, "must be a finite [re, im] pair"),
         ({"family": "sphere-coefficients",
           "params": {"d": 2, "rho": 0.1, "beta_coeffs": [10 ** 400]}}, "beta_coeffs"),
+        # past int()'s 4,300-digit limit, which json.dumps cannot write either
+        ('{"family": "ginibre", "params": {"alpha": 1' + "0" * 5000 + ', "beta": 1}}',
+         "bad.json"),
+        ("[" * 100_000 + "]" * 100_000, "bad.json"),
     ], ids=["not-json", "unknown-key", "real-entry", "unknown-family", "missing-param",
             "matrix-not-a-list", "ragged-row", "top-level-array", "params-not-an-object",
             "finite-without-matrix", "non-numeric-coefficient", "non-numeric-tail-bound",
-            "huge-integer-param", "huge-integer-entry", "huge-integer-coefficient"])
-    def test_parse_failures(self, tmp_path, doc, phrase):
+            "huge-integer-param", "huge-integer-entry", "huge-integer-coefficient",
+            "overlong-integer", "deep-nesting"])
+    def test_parse_failures(self, request, tmp_path, doc, phrase):
         path = tmp_path / "bad.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
         code, out, err = run_cli(["validate", str(path)])
         assert (code, out) == (3, "") and err.startswith("parse-error") and phrase in err
+        assert len(err.splitlines()) == 1
+        if request.node.callspec.id.startswith("huge-integer"):  # the value's echo is cut short
+            assert len(err) < 200
 
     def test_sphere_dimension_must_be_an_integer(self, tmp_path):
         doc = {"family": "sphere-coefficients",
