@@ -214,17 +214,19 @@ def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
       m x m dual phi* phi, finite_dpp.validate_eig checks them, and
       dpp.clamp_report.dropped_trace is the factor's certified dropped trace;
     - sphere blocks: a sphere kernel that declares k0 is isotropic, so on
-      the grid of resolution bands by 2 * resolution longitudes its matrix
-      is block-circulant in the longitude; numerics.circulant_eig
-      decomposes its resolution + 1 Fourier blocks from the
-      resolution x resolution x 2 * resolution table of K0 values, and
-      finite_dpp.validate_eig takes the eigenpairs;
+      the grid of resolution bands uniform in z by 2 * resolution
+      longitudes its matrix is block-circulant in the longitude;
+      numerics.circulant_eig decomposes its resolution + 1 Fourier blocks
+      from the resolution x resolution x 2 * resolution table of K0
+      values, and finite_dpp.validate_eig takes the eigenpairs;
     - reflection blocks: a Euclidean kernel that declares radial is
       stationary, K(v, w) = k(|v - w|), so its matrix on the uniform grid
-      commutes with reversing the cells along each axis;
-      numerics.reflection_eig decomposes its 2^d even/odd blocks from the
-      resolution^d table of k at every index difference, times the cell
-      measure, and finite_dpp.validate_eig takes the eigenpairs.
+      commutes with reversing the cells along each axis, for any window
+      and unequal steps; numerics.reflection_eig decomposes its 2^d
+      even/odd blocks from the resolution^d table of k at every index
+      difference, times the cell measure (resolution^d kernel values
+      against resolution^(2 d) for the Gram matrix), and
+      finite_dpp.validate_eig takes the eigenpairs.
     All share a slack of 1e-3: leakage up to 1e-3 beyond [0, 1] is clamped
     and reported in dpp.clamp_report; worse leakage means the cells are too
     coarse for the kernel (near-projection kernels are the usual culprit).

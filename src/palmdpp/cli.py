@@ -4,35 +4,18 @@ Kernel specification files (JSON) in; validated diagnostics, coupling
 tables, repulsiveness reports, radial profiles, moment tables, and
 sample streams out as CSV on stdout.
 
-Spec file format: a JSON object with keys "family", "params", and (for
-finite kernels) "matrix".  Families: "finite", "ginibre", "jinc",
-"sinc", "sphere-multiquadric", "sphere-coefficients"; one table,
-_FAMILIES, gives each one's numeric params and their defaults.  Complex
-matrix entries are [re, im] pairs, row-major.  Unknown keys anywhere are
-rejected.
+The contract (commands, flags, the spec format, the output format, exit
+codes and tokens) is stated once, in the "Command line" section of the
+README, which a test keeps naming every subcommand, flag, token and exit
+code defined here.  Where each rule is enforced:
 
-Exit codes: 0 success; 2 validation failure, one stderr line
-validation-error[<token>]: with a token of errors.TOKENS: non-hermitian,
-spectrum, existence-bound, param-bound (also non-finite anchors and the
-model bounds --beta in (0, 1] for profile, --k > -2 and --rho > 0), anchor,
-quadrature, and overflow for a value beyond double precision, named
-(errors.check_finite); 3 parse failure; 4 size guard, also a count too
-large to allocate (size-guard: Unable to allocate ...); 5 internal
-theorem-violation dump.  Flag values are checked once, as argparse converts
-them: a value that does not convert, like a usage error (a missing spec, an
-unknown flag), exits 3.  Counts are integers, >= 0 for --seed and sample
---samples (0 draws print the header alone), >= 1 for the rest; --beta and
---rho are finite numbers, --rel-tol, --truncation-radius and --profile-max
-finite and > 0, the radii --r-min and --r-max finite and >= 0 (in either
-order); --k and --window are comma lists of finite numbers, --models a
-comma list of ginibre and jinc.  A flag is refused, exit 2 with param-bound
-naming it, where nothing reads it: repulsiveness --rel-tol (the sphere's
-polar quadrature) on a non-sphere spec, --truncation-radius (Euclidean
-radial quadrature) and --profile-max (the end of a radial profile) on a
-non-Euclidean one, and --profile-points on a finite one; sample --window on
-a non-Euclidean spec and --resolution on a finite one; moments --rho with
---model jinc.  All commands are deterministic given (input file, flags,
-seed); numbers render with 12 significant digits.
+* load_kernel_spec parses a spec file, with one table, _FAMILIES, of each
+  family's numeric params and their defaults;
+* each flag value is checked once, as argparse converts it (_flag and the
+  converters built on it), and a value that does not convert, like any
+  usage error, is a ParseError (_ArgumentParser);
+* a flag given where nothing reads it is refused by _refuse_unread;
+* main maps each exception to its exit code and one stderr line.
 """
 from __future__ import annotations
 
@@ -124,7 +107,7 @@ def load_kernel_spec(path: str | Path) -> ModelBundle:
     """Parse and validate a kernel specification file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -464,6 +447,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run the command line on argv (default sys.argv[1:]) and return its
+    exit code: 0 on success; 2 for a ValidationError
+    (validation-error[<token>]:) or an OverflowError
+    (validation-error[overflow]:); 3 for a ParseError (parse-error:); 4 for
+    a SizeGuardError or a MemoryError (size-guard:); 5 for a
+    TheoremViolationError (theorem-violation:, then its dump)."""
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

@@ -42,7 +42,8 @@ class ValidationError(ValueError):
 
 class QuadratureError(ValidationError):
     """Radial quadrature cannot give a result: the integral diverges, or
-    the declared tail is not asymptotic at the truncation radius."""
+    the declared tail is not asymptotic at the truncation radius.  It is
+    the ValidationError whose token is quadrature."""
 
     def __init__(self, message: str):
         super().__init__("quadrature", message)
@@ -99,15 +100,22 @@ def check_anchor(kuu: float, u) -> float:
 
 
 def check_finite(value, what: str):
-    """value, unless some entry is inf or nan: the library's one OverflowError."""
+    """value, unless some entry is inf or nan: the library's one OverflowError,
+    which the command line prints as validation-error[overflow]."""
     if not np.isfinite(value).all():
         raise OverflowError(f"{what} is not finite")
     return value
 
 
 def named_overflow(compute, what: str):
-    """compute(), a value in Python's float arithmetic; where that raises OverflowError
-    or ZeroDivisionError (numpy would give inf or nan), check_finite's naming what."""
+    """compute(), a value in Python's float arithmetic, bit for bit; where that
+    raises OverflowError or ZeroDivisionError (numpy would give inf or nan),
+    check_finite's naming what.
+
+    Every float power and Gamma value that can leave double precision goes
+    through it: the quadrature's scale factors, the Ginibre and thinning
+    amplitudes, the closed-form Ginibre moment and the sphere's surface
+    measure."""
     try:
         return compute()
     except (OverflowError, ZeroDivisionError):

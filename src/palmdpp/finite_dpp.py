@@ -82,6 +82,8 @@ class FiniteDpp:
 
     @property
     def matrix(self) -> np.ndarray:
+        """The n x n kernel matrix: the validated one, or the spectral
+        rebuild V diag(lam) V*, made Hermitian, on first access."""
         if self._matrix is None:
             V = self.eig.eigenvectors
             M = (V * self.eig.eigenvalues) @ V.conj().T
@@ -97,6 +99,7 @@ class SubsetLaw:
     n: int
 
     def prob(self, mask: int) -> float:
+        """P(X = S) for the subset S whose bit (site - 1) is set in mask."""
         return float(self.probs[mask])
 
 
@@ -120,7 +123,8 @@ class CouplingTable:
     """Joint law of (X, X^u) supported on pairs T subset S, |S \\ T| <= 1.
 
     joint is the (m, 2) int64 array of (S, T) bitmask pairs and mass their
-    probabilities, both in the order the max-flow solver found them.
+    probabilities: the max-flow solver's pairs in its order, then the
+    anchor pairs (S, S less u) routed before the solve.
     """
 
     joint: np.ndarray
@@ -227,7 +231,9 @@ def subset_law(dpp: FiniteDpp) -> SubsetLaw:
 
 
 def palm_matrix(dpp: FiniteDpp, u: int) -> FiniteDpp:
-    """Reduced Palm kernel matrix K - K[:,u] K[u,:] / K[u,u] at site u."""
+    """Reduced Palm kernel matrix K - K[:,u] K[u,:] / K[u,u] at site u.
+
+    couple does not call it: it reads the Palm law off the law of X."""
     i, kuu = _anchor(dpp, u)
     col = dpp.matrix[:, i]
     P = dpp.matrix - np.outer(col, col.conj()) / kuu
@@ -477,7 +483,10 @@ def sample_indicators(dpp: FiniteDpp, rng_seed: int, draws: int) -> np.ndarray:
     batches of up to max(64, 2**16 // n**2) draws.  Below 32 sites that
     keeps each batch's stack of directions near 1 MiB; from 32 sites on
     a batch is 64 draws, and its stack holds 64 * k_max * n entries,
-    k_max the most eigenvectors a draw keeps.
+    k_max the most eigenvectors a draw keeps.  It tosses one coin per site,
+    so a factored kernel's m < n eigenpairs draw the coins its dense
+    decomposition would, and the two give the same draws for a seed when
+    their eigenpairs agree.
     """
     draws = check_count("draws", draws, 0)
     rng = np.random.default_rng(check_count("rng_seed", rng_seed, 0))
@@ -503,7 +512,8 @@ def sample_coupled_many(table: CouplingTable, rng_seed: int,
 def sample_removals(table: CouplingTable, rng_seed: int,
                     draws: int) -> tuple[float, np.ndarray]:
     """Tally sample_coupled_many's draws, at least one: (share of draws that
-    remove a point, float array of the removals at each site 1..n, from 0)."""
+    remove a point, float array of the removals at each site 1..n, from 0).
+    The command line's couple prints it, and mc_validate_coupling tests it."""
     s_masks, t_masks = sample_coupled_many(table, rng_seed, draws)
     diff = s_masks ^ t_masks
     removed = np.frexp(diff[diff > 0])[1] - 1  # single-bit masks

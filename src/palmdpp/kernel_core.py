@@ -10,7 +10,8 @@ ground spaces, sized by an integer n or d (errors.check_count):
 * the unit sphere S^d in R^(d+1) with surface measure (points are unit
   length-(d+1) arrays).
 
-Kernel is a frozen record of ten fields:
+Kernel is a frozen record of ten fields.  Each callable closes over its
+family's parameters and takes only its own arguments.
 
 * space: the GroundSpace.
 * gram(X, Y): the matrix [K(x_i, y_j)] for two point arrays, 1-based
@@ -38,7 +39,12 @@ Kernel is a frozen record of ten fields:
   None: p_u and the squared row norm int |K(u, v)|^2 dnu(v), and a closed
   form carried but not adopted, for profile normalization and
   cross-checks; repulsiveness_p never reads them.  The multiquadric's p_u
-  is 4 pi rho (1 - delta)^2 atanh(delta) / delta.
+  is 4 pi rho (1 - delta)^2 atanh(delta) / delta, and its p_u_reported a
+  commonly reported closed form that disagrees with it, flagged and not
+  adopted.  Every planar family declares norm_sq, and thin_rescale scales
+  it by alpha^2 beta as it scales p_u by alpha beta; the displacement
+  moments and profiles (analysis) read it and refuse a kernel without it
+  with param-bound.
 * grid_factor: (centers, cell_measure) -> GridFactor or None, set by a
   family whose kernel is a series: an (n, m) phi with phi phi* the grid
   matrix [K(c_i, c_j) * cell_measure] but for a PSD remainder of
@@ -178,7 +184,10 @@ def radial_integral(kernel: Kernel, power: float, factor: float,
                     spec: QuadratureSpec | None = None) -> RadialIntegral:
     """int_0^inf r^power * factor * radial_abs_sq(r) dr against the declared
     tail, by integrate_radial under spec.  Raises QuadratureError when the
-    kernel declares no tail."""
+    kernel declares no tail.
+
+    It is the one place that pairs radial_abs_sq with the declared tail:
+    repulsiveness_p and the displacement moments call it."""
     if kernel.tail is None:
         raise QuadratureError("the kernel declares no tail; radial quadrature needs its "
                               "large-r behaviour")

@@ -48,6 +48,37 @@ def test_package_exports_exactly_the_modules_names():
             if getattr(palmdpp, attr) is not getattr(module, attr)] == []
 
 
+def _own_doc(obj) -> str:
+    """obj's own docstring, cleaned: not one inherited from a base class,
+    and not the signature a dataclass or NamedTuple writes for a class
+    that has none."""
+    if isinstance(obj, (staticmethod, classmethod)):
+        obj = obj.__func__
+    if not inspect.isclass(obj):
+        return inspect.cleandoc(obj.__doc__ or "")
+    doc = inspect.cleandoc(vars(obj).get("__doc__") or "")
+    return "" if doc.startswith(obj.__name__ + "(") else doc
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_has_a_docstring(name):
+    # every function and class in __all__, and every public method or
+    # property an exported class defines; data constants such as
+    # errors.TOKENS are exempt
+    module = importlib.import_module(name)
+    documented = {}
+    for attr in module.__all__:
+        value = getattr(module, attr)
+        if inspect.isfunction(value) or inspect.isclass(value):
+            documented[attr] = _own_doc(value)
+        if inspect.isclass(value):
+            for member, raw in vars(value).items():
+                if not member.startswith("_") and (inspect.isfunction(raw) or isinstance(
+                        raw, (property, staticmethod, classmethod))):
+                    documented[f"{attr}.{member}"] = _own_doc(raw)
+    assert [label for label, doc in documented.items() if not doc] == []
+
+
 def _finite2():
     return model_zoo.finite_kernel(finite_dpp.validate(np.diag([0.3, 0.7])))
 

@@ -522,14 +522,18 @@ class TestValidateCommand:
         ('{"family": "ginibre", "params": {"alpha": 1' + "0" * 5000 + ', "beta": 1}}',
          "bad.json"),
         ("[" * 100_000 + "]" * 100_000, "bad.json"),
+        (b'{"family":"ginibre","params":{"alpha":1,"beta":\xff}}', "cannot read"),
     ], ids=["not-json", "unknown-key", "real-entry", "unknown-family", "missing-param",
             "matrix-not-a-list", "ragged-row", "top-level-array", "params-not-an-object",
             "finite-without-matrix", "non-numeric-coefficient", "non-numeric-tail-bound",
             "huge-integer-param", "huge-integer-entry", "huge-integer-coefficient",
-            "overlong-integer", "deep-nesting"])
+            "overlong-integer", "deep-nesting", "not-utf8"])
     def test_parse_failures(self, request, tmp_path, doc, phrase):
         path = tmp_path / "bad.json"
-        path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+        else:
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
         code, out, err = run_cli(["validate", str(path)])
         assert (code, out) == (3, "") and err.startswith("parse-error") and phrase in err
         assert len(err.splitlines()) == 1
