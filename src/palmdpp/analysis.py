@@ -127,8 +127,8 @@ def _displacement_radial(kernel: Kernel):
     if radial is None or norm_sq is None:
         raise ValidationError("param-bound", "kernel must declare an isotropic modulus "
                               "and its squared row norm (norm_sq)")
-    check_finite(2.0 * math.pi / norm_sq if norm_sq > 0 else math.inf,
-                 f"2 pi / norm_sq, for the declared squared row norm {norm_sq!r},")
+    named_overflow(lambda: 2.0 * math.pi / norm_sq if norm_sq > 0 else math.inf,
+                   f"2 pi / norm_sq, for the declared squared row norm {norm_sq!r},")
     return radial, norm_sq
 
 
@@ -157,9 +157,8 @@ def radial_profile(kernel: Kernel, radii) -> np.ndarray:
     radii = np.asarray(radii, dtype=float)
     if not np.all((radii >= 0) & (radii < np.inf)):
         raise ValidationError("param-bound", "radii must be finite and >= 0")
-    with np.errstate(over="ignore", invalid="ignore"):
-        density = 2.0 * math.pi * radii * radial(radii) / norm_sq
-    return check_finite(density, "the displacement density")
+    return named_overflow(lambda: 2.0 * math.pi * radii * radial(radii) / norm_sq,
+                          "the displacement density")
 
 
 def _euclidean_centers(window, resolution: int, d: int):
@@ -190,12 +189,6 @@ def _sphere_centers(resolution: int):
                         zz.ravel()], axis=-1)
     measure = 4.0 * math.pi / centers.shape[0]
     return centers, measure
-
-
-def _cell_scaled(entries, measure: float) -> np.ndarray:
-    """entries() times the cell measure: the grid's kernel matrix, or a table of it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return check_finite(entries() * measure, "the grid's kernel matrix")
 
 
 def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
@@ -251,6 +244,7 @@ def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
                         if space.kind == "euclidean" else _sphere_centers(resolution))
 
     factor = kernel.grid_factor(centers, measure) if kernel.grid_factor else None
+    what = "the grid's kernel matrix"
     try:
         if factor is not None:
             dpp = finite_dpp.validate_eig(
@@ -258,18 +252,19 @@ def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
                 dropped_trace=factor.dropped_trace)
         elif space.kind == "sphere" and kernel.k0 is not None:
             # cell (i, a) is band i, longitude a, so K(c_ia, c_jb) = K0(c_i0 . c_j(b - a))
-            table = _cell_scaled(lambda: kernel.k0(centers[::2 * resolution] @ centers.T), measure)
+            table = named_overflow(
+                lambda: kernel.k0(centers[::2 * resolution] @ centers.T) * measure, what)
             dpp = finite_dpp.validate_eig(
                 circulant_eig(table.reshape(resolution, resolution, -1)), slack=1e-3)
         elif space.kind == "euclidean" and kernel.radial is not None:
             # cells are in C order, so cell i_1 ... i_d lies i_k steps from cell 0 along each axis
-            table = _cell_scaled(lambda: kernel.radial(
-                np.sqrt(np.sum((centers - centers[0]) ** 2, axis=1))), measure)
+            table = named_overflow(lambda: kernel.radial(
+                np.sqrt(np.sum((centers - centers[0]) ** 2, axis=1))) * measure, what)
             dpp = finite_dpp.validate_eig(
                 reflection_eig(table.reshape((resolution,) * space.size)), slack=1e-3)
         else:  # the Gram matrix goes in unnamed, so validate can free it before eigh
             dpp = finite_dpp.validate(
-                _cell_scaled(lambda: kernel.gram(centers, centers), measure), slack=1e-3)
+                named_overflow(lambda: kernel.gram(centers, centers) * measure, what), slack=1e-3)
     except ValidationError as exc:
         if exc.token == "spectrum":
             raise ValidationError("spectrum", f"{exc} on the grid; the cells are too coarse: "

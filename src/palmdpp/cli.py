@@ -32,7 +32,8 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from . import analysis, finite_dpp, model_zoo
-from .errors import ParseError, SizeGuardError, TheoremViolationError, ValidationError
+from .errors import (ParseError, SizeGuardError, TheoremViolationError, ValidationError,
+                     named_overflow)
 from .kernel_core import Kernel, profile_coordinates, repulsiveness_p
 from .numerics import QuadratureSpec
 
@@ -323,8 +324,9 @@ def cmd_moments(args) -> int:
         rho = 1.0 / math.pi if args.rho is None else args.rho
         if rho <= 0:
             raise ValidationError("param-bound", "rho must be > 0")
-        alpha = math.pi * rho
-        kernel = model_zoo.ginibre_kernel(model_zoo.GinibreParams(alpha, 1.0 / alpha))
+        alpha = named_overflow(lambda: math.pi * rho, f"alpha = pi rho at rho = {rho:g}")
+        beta = named_overflow(lambda: 1.0 / alpha, f"beta = 1/(pi rho) at rho = {rho:g}")
+        kernel = model_zoo.ginibre_kernel(model_zoo.GinibreParams(alpha, beta))
         closed = lambda k: analysis.ginibre_moment(k, rho)
     spec = QuadratureSpec(truncation_radius=args.truncation_radius)
     rows = []

@@ -1,8 +1,12 @@
 """Exception types shared across the library and mapped to CLI exit codes,
 and the input gates of every module: sites, counts, seeds, resolutions and
 dimensions are integers (Python or numpy; 2.0, "2" and True are refused
-with param-bound), a Palm anchor needs K(u, u) > 1e-12, check_finite refuses inf and nan, and
-named_overflow names the quantity where Python's float arithmetic overflows."""
+with param-bound), and a Palm anchor needs K(u, u) > 1e-12.
+
+A number that leaves double precision is refused with OverflowError, the
+overflow token, by one gate: a quantity computed on the spot goes through
+named_overflow, which evaluates it and names it, and a value that already
+exists (an anchor intensity, a kernel's grid factor) through check_finite."""
 from __future__ import annotations
 
 import numpy as np
@@ -100,23 +104,28 @@ def check_anchor(kuu: float, u) -> float:
 
 
 def check_finite(value, what: str):
-    """value, unless some entry is inf or nan: the library's one OverflowError,
-    which the command line prints as validation-error[overflow]."""
+    """value, an existing number or array, unless some entry is inf or nan:
+    the library's one OverflowError, which the command line prints as
+    validation-error[overflow].  A quantity computed on the spot goes
+    through named_overflow instead."""
     if not np.isfinite(value).all():
         raise OverflowError(f"{what} is not finite")
     return value
 
 
 def named_overflow(compute, what: str):
-    """compute(), a value in Python's float arithmetic, bit for bit; where that
-    raises OverflowError or ZeroDivisionError (numpy would give inf or nan),
-    check_finite's naming what.
+    """compute(), a quantity in Python or numpy float arithmetic, bit for bit,
+    unless it leaves double precision: then check_finite's OverflowError
+    naming what, with no RuntimeWarning.
 
-    Every float power and Gamma value that can leave double precision goes
-    through it: the quadrature's scale factors, the Ginibre and thinning
-    amplitudes, the closed-form Ginibre moment and the sphere's surface
-    measure."""
-    try:
-        return compute()
-    except (OverflowError, ZeroDivisionError):
-        return check_finite(np.inf, what)
+    It is the one gate for computed quantities: numpy's inf and nan, float
+    products and quotients that overflow silently, and Python's
+    OverflowError and ZeroDivisionError (read as inf) are all refused.
+    Every scale factor, amplitude, Gamma value, moment and kernel table that
+    can leave double precision goes through it."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            value = compute()
+        except (OverflowError, ZeroDivisionError):
+            value = np.inf
+    return check_finite(value, what)

@@ -122,14 +122,14 @@ class DilationPair:
 class CouplingTable:
     """Joint law of (X, X^u) supported on pairs T subset S, |S \\ T| <= 1.
 
-    joint is the (m, 2) int64 array of (S, T) bitmask pairs and mass their
-    probabilities: the max-flow solver's pairs in its order, then the
-    anchor pairs (S, S less u) routed before the solve.
+    joint is the (m, 2) int64 array of (S, T) bitmask pairs over the n
+    sites and mass their probabilities: the max-flow solver's pairs in its
+    order, then the pairs (S, S less u) routed before the solve.  The
+    anchor u is not stored; it is the one the caller passed.
     """
 
     joint: np.ndarray
     mass: np.ndarray
-    anchor: int
     n: int
 
 
@@ -378,7 +378,7 @@ def coupling_feasible(law_x: SubsetLaw, law_xu: SubsetLaw,
         np.stack([s_masks[pair_s[kept]], t_masks[pair_t[kept]]], axis=1),
         np.stack([routed_s[routed_kept], routed_t[routed_kept]], axis=1)])
     return flow, CouplingTable(joint=joint, mass=np.concatenate([f[kept], routed[routed_kept]]),
-                               anchor=u, n=n)
+                               n=n)
 
 
 def couple(dpp: FiniteDpp, u: int) -> tuple[float, CouplingTable]:

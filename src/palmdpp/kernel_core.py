@@ -61,8 +61,8 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (QuadratureError, ValidationError, check_anchor, check_count, check_finite,
-                     named_overflow, check_site)
+from .errors import (QuadratureError, ValidationError, check_anchor, check_count, named_overflow,
+                     check_site)
 from .numerics import QuadratureSpec, RadialIntegral, Tail, integrate_polar, integrate_radial
 
 __all__ = [
@@ -266,9 +266,9 @@ def repulsiveness_p(kernel: Kernel, u, spec: QuadratureSpec | None = None,
     coords = profile_coordinates(kernel) if profile_coords is None else profile_coords
     coords = (np.array([check_point(space, v) for v in coords], dtype=int)
               if space.kind == "finite" else np.asarray(coords, dtype=float))
-    with np.errstate(over="ignore", invalid="ignore"):
-        dens = abs_sq(coords) / norm_sq if norm_sq > 0 else np.zeros(coords.shape)
-    check_finite(dens, "the f_u profile")  # jinc's J1(2r) is nan once 2r overflows
+    dens = named_overflow(  # jinc's J1(2r) is nan once 2r overflows
+        lambda: abs_sq(coords) / norm_sq if norm_sq > 0 else np.zeros(coords.shape),
+        "the f_u profile")
     profile = list(zip(coords.tolist(), dens.tolist()))
 
     p, err = norm_sq / ku, norm_err / ku

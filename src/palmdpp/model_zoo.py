@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, check_count, check_finite, named_overflow
+from .errors import ValidationError, check_count, named_overflow
 from .finite_dpp import FiniteDpp
 from .kernel_core import GridFactor, GroundSpace, Kernel, sphere_surface_measure
 from .numerics import Tail, gegenbauer_series
@@ -119,7 +119,7 @@ def ginibre_kernel(params: GinibreParams) -> Kernel:
         lambda: ((alpha / math.pi) ** 2, alpha ** 2 * beta / math.pi),
         f"the tail amplitude (alpha/pi)^2 or the row norm alpha^2 beta/pi at alpha = {alpha:g}")
     # gram's exponent is divided by beta through 1/beta, which overflows for beta < 5.6e-309
-    check_finite(1.0 / beta, f"the Ginibre exponent's scale 1/beta at beta = {beta:g}")
+    named_overflow(lambda: 1.0 / beta, f"the Ginibre exponent's scale 1/beta at beta = {beta:g}")
 
     def radial_abs_sq(r):
         r = np.asarray(r, dtype=float)
@@ -386,7 +386,7 @@ def multiquadric(delta: float, rho: float) -> tuple[SphereModel, Kernel]:
 
     def k0(t):
         t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
-        with np.errstate(divide="ignore"):  # a root that rounds to 0 gives inf for check_finite
+        with np.errstate(divide="ignore"):  # a root that rounds to 0 gives inf for the gate
             return rho * (1.0 - delta) / np.sqrt(1.0 + delta ** 2 - 2.0 * delta * t)
 
     # the reported closed form drops the 1/(2l+1) multiplicity factor

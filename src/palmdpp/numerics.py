@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import QuadratureError, ValidationError, check_finite, named_overflow
+from .errors import QuadratureError, ValidationError, named_overflow
 
 __all__ = [
     "QuadratureSpec",
@@ -465,7 +465,10 @@ def integrate_polar(g: Callable[[np.ndarray], np.ndarray], relative_tolerance: f
     """int_0^pi g(theta) dtheta for a smooth, vectorized g, and its error, by
     _gl_pair on 2^j equal panels: the first j = 0, 1, ... whose error (the
     32- vs 20-node difference plus 16 eps sum_i |w_i g(x_i)|) is at most
-    relative_tolerance * |value|, or else j = 15 (_GL_MAX_PANELS)."""
+    relative_tolerance * |value|, or else j = 15 (_GL_MAX_PANELS).  A
+    tolerance that is not finite and > 0 is refused as QuadratureSpec
+    refuses it."""
+    QuadratureSpec(relative_tolerance=relative_tolerance)
     for level in range(_GL_MAX_PANELS.bit_length()):
         value, error = _gl_pair(g, np.linspace(0.0, math.pi, (1 << level) + 1))
         if error <= relative_tolerance * abs(value):
@@ -604,8 +607,8 @@ def integrate_radial(g: Callable[[np.ndarray], np.ndarray], power: float, tail: 
         edges = _panel_edges(cell, R, _GL_PANEL * s)
         core, core_err = _gl_pair(lambda r: r ** power * g(r), edges) if R > cell else (0.0, 0.0)
     beyond, beyond_err = _tail_beyond(tail, power, R)
-    check_finite(origin + core + beyond + origin_err + core_err + beyond_err,
-                 f"the radial integral to the truncation radius {R:g}")
+    named_overflow(lambda: origin + core + beyond + origin_err + core_err + beyond_err,
+                   f"the radial integral to the truncation radius {R:g}")
     return RadialIntegral(value=origin + core + beyond,
                           error=origin_err + core_err + beyond_err,
                           tail=beyond, tail_error=beyond_err)

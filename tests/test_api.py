@@ -2,20 +2,23 @@
 points refuse."""
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import math
 import pkgutil
+import warnings
 
 import numpy as np
 import pytest
 
 import palmdpp
 from palmdpp import analysis, finite_dpp, model_zoo, numerics
-from palmdpp.errors import QuadratureError, ValidationError, check_anchor, check_finite
+from palmdpp.errors import (QuadratureError, ValidationError, check_anchor, check_finite,
+                            named_overflow)
 from palmdpp.kernel_core import (GroundSpace, Kernel, palm_kernel, profile_coordinates,
                                  repulsiveness_p)
-from palmdpp.numerics import QuadratureSpec, Tail, integrate_radial
+from palmdpp.numerics import QuadratureSpec, Tail, integrate_polar, integrate_radial
 
 MODULES = [f"palmdpp.{info.name}" for info in pkgutil.iter_modules(palmdpp.__path__)
            if info.name != "__main__"]
@@ -218,6 +221,15 @@ REFUSED_CALLS = {
         np.exp, math.nan, Tail("gaussian", 1.0), QuadratureSpec())),
     "mc-validate-seed-true": ("rng_seed must be an integer", lambda: analysis.mc_validate_coupling(
         _ginibre(), np.zeros(2), SQUARE, 3, samples=10, rng_seed=True)),
+    # integrate_polar takes its tolerance raw; a bad one would run all 2^15 panels
+    "polar-zero-tolerance": ("relative_tolerance", lambda: integrate_polar(np.sin, 0.0)),
+    "polar-negative-tolerance": ("relative_tolerance", lambda: integrate_polar(np.sin, -1.0)),
+    "polar-nan-tolerance": ("relative_tolerance", lambda: integrate_polar(np.sin, math.nan)),
+    # the command line's anchor parser refuses these first, so only the library meets them
+    "point-length-3": ("expected a length-2 euclidean point", lambda: repulsiveness_p(
+        _ginibre(), [0.0, 0.0, 0.0])),
+    "point-not-numbers": ("point coordinates must be finite", lambda: repulsiveness_p(
+        _ginibre(), "ab")),
 }
 # a seed is an integer >= 0 at each sampler; bool is an int subclass, but not a seed
 SEEDED_SAMPLERS = {
@@ -259,6 +271,42 @@ def test_errors_declares_every_refusal():
     raisers = [name for name in LIBRARY_MODULES + ["palmdpp.cli"]
                if "raise OverflowError" in inspect.getsource(importlib.import_module(name))]
     assert raisers == ["palmdpp.errors"]
+
+
+@pytest.mark.parametrize("compute", [
+    lambda: 1.0 / 5e-324,
+    lambda: 1e308 * 10.0,
+    lambda: math.gamma(200.0),
+    lambda: np.array([1e308, 1.0]) * 10.0,
+    lambda: np.log(np.zeros(2)),
+    lambda: np.zeros(2) / 0.0,
+], ids=["python-quotient", "python-product", "python-raises", "numpy-inf", "numpy-minus-inf",
+        "numpy-nan"])
+def test_named_overflow_refuses_every_non_finite_result(compute):
+    # Python's * and / overflow to inf silently, and numpy's warn; the gate
+    # names both, with no RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OverflowError, match=r"^the quantity is not finite$"):
+            named_overflow(compute, "the quantity")
+
+
+def test_named_overflow_returns_a_finite_result_unchanged():
+    values = np.array([1e308, -2.5])
+    assert named_overflow(lambda: values, "the array") is values
+    assert named_overflow(lambda: 0.1 + 0.2, "the sum") == 0.1 + 0.2
+
+
+def test_check_finite_takes_only_existing_values():
+    # a quantity computed on the spot goes through named_overflow, so every
+    # check_finite outside errors is handed a name, attribute or subscript
+    computed = [f"{name}:{node.lineno}"
+                for name in LIBRARY_MODULES + ["palmdpp.cli"] if name != "palmdpp.errors"
+                for node in ast.walk(ast.parse(inspect.getsource(importlib.import_module(name))))
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "check_finite"
+                and not isinstance(node.args[0], (ast.Name, ast.Attribute, ast.Subscript))]
+    assert computed == []
 
 
 def test_a_nan_intensity_is_an_overflow():

@@ -252,8 +252,11 @@ def test_flags_only_where_something_reads_them(tmp_path, argv, code, token):
     (["validate", "sphere-d-400"], "Gamma((d + 1)/2) in the surface measure of S^400"),
     # gram divides by beta through 1/beta, and its 0 * inf made K(u, u) nan
     (["repulsiveness", "ginibre-beta-1e-310"], "1/beta at beta = 1e-310"),
+    # the model's alpha = pi rho and beta = 1/alpha leave double precision silently
+    (["moments", "--model=ginibre", "--k=1", "--rho=1e-320"], "beta = 1/(pi rho)"),
+    (["moments", "--model=ginibre", "--k=1", "--rho=1e308"], "alpha = pi rho at rho = 1e+308"),
 ], ids=["jacobi-cell-scale", "radius-squared", "ginibre-amplitude-k1", "ginibre-amplitude-k6",
-        "sphere-gamma", "ginibre-subnormal-beta"])
+        "sphere-gamma", "ginibre-subnormal-beta", "ginibre-subnormal-rho", "ginibre-huge-rho"])
 def test_overflow_names_the_quantity(tmp_path, argv, quantity):
     specs = {"sphere-d-400": {"family": "sphere-coefficients",
                               "params": {"d": 400, "rho": 0.1, "beta_coeffs": [1.0]}},

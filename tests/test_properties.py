@@ -42,6 +42,19 @@ def log_uniform(lo: float, hi: float):
 jinc_orders = st.floats(min_value=-1.99, max_value=0.99)
 
 
+@settings(max_examples=200)
+@given(k=st.floats(min_value=-2.0, max_value=300.0, exclude_min=True),
+       rho=log_uniform(1e-8, 1e8))
+@example(k=120.0, rho=1e-5)  # Gamma(61) / (pi 1e-5)^60 is a float quotient past double precision
+def test_ginibre_moment_matches_its_log_form_or_is_refused(k, rho):
+    try:
+        value = ginibre_moment(k, rho)
+    except OverflowError:
+        return
+    expected = math.exp(math.lgamma(1.0 + k / 2.0) - k / 2.0 * math.log(math.pi * rho))
+    assert math.isfinite(value) and abs(value - expected) <= 1e-12 * expected
+
+
 @settings(max_examples=100)
 @given(d=st.sampled_from([1, 2]), beta=log_uniform(1e-12, 1.0),
        share=st.floats(min_value=0.05, max_value=1.0))
