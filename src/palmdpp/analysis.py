@@ -204,8 +204,10 @@ def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
     - series factor: when the kernel declares a grid factor and it returns
       one (an (n, m) phi with m < n, the Ginibre series),
       numerics.factor_eig takes the m eigenpairs from one eigh of the
-      m x m dual phi* phi, finite_dpp.validate_eig checks them, and
-      dpp.clamp_report.dropped_trace is the factor's certified dropped trace;
+      m x m dual phi* phi, or, on a centred square grid, from one batched
+      eigh of its four real k mod 4 class duals; finite_dpp.validate_eig
+      checks them, and dpp.clamp_report.dropped_trace is the factor's
+      certified dropped trace;
     - sphere blocks: a sphere kernel that declares k0 is isotropic, so on
       the grid of resolution bands uniform in z by 2 * resolution
       longitudes its matrix is block-circulant in the longitude;
@@ -218,8 +220,13 @@ def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
       and unequal steps; numerics.reflection_eig decomposes its 2^d
       even/odd blocks from the resolution^d table of k at every index
       difference, times the cell measure (resolution^d kernel values
-      against resolution^(2 d) for the Gram matrix), and
+      against resolution^(2 d) for the Gram matrix), splitting them further
+      by the swap of the two axes on a square window, and
       finite_dpp.validate_eig takes the eigenpairs.
+    Every route but the dense one keeps its eigenvectors in the form it
+    decomposed them in: dpp.eig.columns builds the columns a sampler asks
+    for, and the n x n eigenvector array is formed only when
+    dpp.eig.eigenvectors or dpp.matrix is read.
     All share a slack of 1e-3: leakage up to 1e-3 beyond [0, 1] is clamped
     and reported in dpp.clamp_report; worse leakage means the cells are too
     coarse for the kernel (near-projection kernels are the usual culprit).
@@ -248,7 +255,8 @@ def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
     try:
         if factor is not None:
             dpp = finite_dpp.validate_eig(
-                factor_eig(check_finite(factor.phi, "the grid's series factor")), slack=1e-3,
+                factor_eig(check_finite(factor.phi, "the grid's series factor"), factor.classes),
+                slack=1e-3,
                 dropped_trace=factor.dropped_trace)
         elif space.kind == "sphere" and kernel.k0 is not None:
             # cell (i, a) is band i, longitude a, so K(c_ia, c_jb) = K0(c_i0 . c_j(b - a))

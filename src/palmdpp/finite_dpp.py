@@ -68,11 +68,13 @@ class FiniteDpp:
     """A validated n x n Hermitian kernel matrix with spectrum in [0, 1].
 
     eig holds every eigenpair of a dense matrix, or the m < n eigenpairs
-    of a factored one (the rest of its spectrum is 0).  matrix is the
-    validated matrix when validation kept it as given; when it clamped an
-    eigenvalue, or the kernel came as a factor, matrix is the spectral
-    rebuild V diag(lam) V*, built on first access.  clamp_report says how
-    many eigenvalues moved, how far, and what trace a factor dropped.
+    of a factored one (the rest of its spectrum is 0); a grid route builds
+    its eigenvectors column by column, as eig.columns is asked for them.
+    matrix is the validated matrix when validation kept it as given; when
+    it clamped an eigenvalue, or the kernel came as a factor or by blocks,
+    matrix is the spectral rebuild V diag(lam) V*, built on first access.
+    clamp_report says how many eigenvalues moved, how far, and what trace a
+    factor dropped.
     """
 
     eig: HermitianEig
@@ -162,11 +164,12 @@ def validate_eig(eig: HermitianEig, slack: float = 1e-6, dropped_trace: float = 
 
     validate passes its eigenpairs through it, and grid discretization
     passes those of a thin factor, of Fourier blocks or of reflection blocks.
-    A thin factor's eigenvectors (numerics.factor_eig) are orthonormal only
-    to about 1e-16 / lambda where lambda is below about 1e-8, and are zero
-    where lambda <= 0; the clamp sets those eigenvalues to 0, so a sampler
-    never keeps those columns.  dropped_trace is recorded in clamp_report
-    as given.
+    Only the eigenvalues are read: the result keeps eig's columns interface,
+    so no eigenvector is formed here.  A thin factor's eigenvectors
+    (numerics.factor_eig) are orthonormal only to about 1e-16 / lambda where
+    lambda is below about 1e-8, and are zero where lambda <= 0; the clamp
+    sets those eigenvalues to 0, so a sampler never keeps those columns.
+    dropped_trace is recorded in clamp_report as given.
     """
     lam = eig.eigenvalues
     if not (lam.min() >= -slack and lam.max() <= 1.0 + slack):  # nan is refused too
@@ -176,8 +179,7 @@ def validate_eig(eig: HermitianEig, slack: float = 1e-6, dropped_trace: float = 
     excess = np.abs(clamped - lam)
     n_clamped = int(np.count_nonzero(excess > 1e-12))
     report = ClampReport(n_clamped, float(excess.max()) if n_clamped else 0.0, dropped_trace)
-    return FiniteDpp(eig=HermitianEig(eigenvalues=clamped, eigenvectors=eig.eigenvectors),
-                     n=eig.eigenvectors.shape[0], clamp_report=report)
+    return FiniteDpp(eig=replace(eig, eigenvalues=clamped), n=eig.n, clamp_report=report)
 
 
 def _anchor(dpp: FiniteDpp, u: int) -> tuple[int, float]:
@@ -426,8 +428,7 @@ def xi_law(table: CouplingTable) -> tuple[float, np.ndarray]:
     return p, density
 
 
-def _spectral_block(lam: np.ndarray, V: np.ndarray, n_draws: int,
-                    rng: np.random.Generator) -> np.ndarray:
+def _spectral_block(eig: HermitianEig, n_draws: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n_draws subsets at once; returns their site indicators, (n_draws, n).
 
     The spectral algorithm of Hough, Krishnapur, Peres & Virag (2006):
@@ -436,14 +437,15 @@ def _spectral_block(lam: np.ndarray, V: np.ndarray, n_draws: int,
     proportional to the residual diagonal of the projection K_J onto the
     kept eigenvectors, after removing the orthonormal directions E of
     the points already picked; the next direction is the Gram-Schmidt
-    residual of the column K_J[:, x] of the picked site x.
+    residual of the column K_J[:, x] of the picked site x.  The coins come
+    first, and eig builds only the columns some draw keeps.
     """
-    n = V.shape[0]
+    n, lam = eig.n, eig.eigenvalues
     # one coin per site, so a factored kernel's m < n eigenvalues draw the
     # coins a dense decomposition would, its zero eigenvalues never kept
     kept = rng.random((n_draws, n))[:, :lam.size] < lam
-    used = kept.any(axis=0)
-    kept, V = kept[:, used], V[:, used]
+    used = np.flatnonzero(kept.any(axis=0))
+    kept, V = kept[:, used], eig.columns(used)
     k = kept.sum(axis=1)
     # most points first, so the draws still picking are always a leading slice
     order = np.argsort(-k, kind="stable")
@@ -480,21 +482,21 @@ def sample_indicators(dpp: FiniteDpp, rng_seed: int, draws: int) -> np.ndarray:
     indicators, a boolean array of shape (draws, n).
 
     Uses the spectral sampler on the stored eigendecomposition, in
-    batches of up to max(64, 2**16 // n**2) draws.  Below 32 sites that
-    keeps each batch's stack of directions near 1 MiB; from 32 sites on
-    a batch is 64 draws, and its stack holds 64 * k_max * n entries,
-    k_max the most eigenvectors a draw keeps.  It tosses one coin per site,
-    so a factored kernel's m < n eigenpairs draw the coins its dense
-    decomposition would, and the two give the same draws for a seed when
-    their eigenpairs agree.
+    batches of up to max(64, 2**16 // n**2) draws; each batch asks
+    dpp.eig.columns for the eigenvectors some draw of the batch keeps, and
+    no others.  Below 32 sites that batch size keeps each batch's stack of
+    directions near 1 MiB; from 32 sites on a batch is 64 draws, and its
+    stack holds 64 * k_max * n entries, k_max the most eigenvectors a draw
+    keeps.  It tosses one coin per site, so a factored kernel's m < n
+    eigenpairs draw the coins its dense decomposition would, and the two
+    give the same draws for a seed when their eigenpairs agree.
     """
     draws = check_count("draws", draws, 0)
     rng = np.random.default_rng(check_count("rng_seed", rng_seed, 0))
-    lam, V = dpp.eig.eigenvalues, dpp.eig.eigenvectors
     block = max(_SAMPLE_BLOCK, _SAMPLE_ENTRIES // dpp.n ** 2)
     out = np.empty((draws, dpp.n), dtype=bool)
     for lo in range(0, draws, block):
-        out[lo:lo + block] = _spectral_block(lam, V, min(block, draws - lo), rng)
+        out[lo:lo + block] = _spectral_block(dpp.eig, min(block, draws - lo), rng)
     return out
 
 

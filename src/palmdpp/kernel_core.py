@@ -107,7 +107,8 @@ def check_point(space: GroundSpace, point: Any) -> Any:
     try:
         p = np.asarray(point, dtype=float)
     except (TypeError, ValueError):  # not numbers, or ragged
-        p = np.array(math.nan)
+        raise ValidationError("param-bound",
+                              f"point coordinates must be numbers, got {point!r}") from None
     if not np.all(np.isfinite(p)):
         raise ValidationError("param-bound", f"point coordinates must be finite, got {point!r}")
     length = space.size + (space.kind == "sphere")  # S^d lies in R^(d+1)
@@ -121,10 +122,16 @@ def check_point(space: GroundSpace, point: Any) -> Any:
 
 
 class GridFactor(NamedTuple):
-    """A thin factor of a kernel's grid matrix, and the trace it leaves out."""
+    """A thin factor of a kernel's grid matrix, and the trace it leaves out.
+
+    classes, when set, labels phi's columns so that phi* phi has no entry
+    between two labels and is real, both to rounding; numerics.factor_eig
+    then decomposes it one label at a time.
+    """
 
     phi: np.ndarray  # (n, m), m < n
     dropped_trace: float
+    classes: np.ndarray | None = None  # (m,) labels
 
 
 @dataclass(frozen=True)

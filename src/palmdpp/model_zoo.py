@@ -65,6 +65,23 @@ def finite_kernel(dpp: FiniteDpp) -> Kernel:
 # the Ginibre grid factor keeps the series until each cell's dropped share
 # of its diagonal, P(Poisson(|z|^2 / beta) >= m), is at most this
 _SERIES_TAIL = 1e-13
+# a centred square grid's axis is symmetric about 0 to this many ulps of its largest cell
+_SYMMETRY_ULPS = 4.0
+
+
+def _centred_square(centers: np.ndarray) -> bool:
+    """Whether the cells are an axis times itself in C order, the axis
+    symmetric about 0 to rounding: then the quarter turn z -> i z and the
+    conjugation z -> conj(z) map the cells onto themselves."""
+    n = centers.shape[0]
+    r = math.isqrt(n)
+    if r * r != n:
+        return False
+    axis = centers[::r, 0]
+    return bool(np.array_equal(centers[:, 0], np.repeat(axis, r))
+                and np.array_equal(centers[:, 1], np.tile(axis, r))
+                and np.max(np.abs(axis + axis[::-1]))
+                <= _SYMMETRY_ULPS * np.finfo(float).eps * np.max(np.abs(axis)))
 
 
 def _ginibre_grid_factor(alpha: float, beta: float):
@@ -82,6 +99,12 @@ def _ginibre_grid_factor(alpha: float, beta: float):
     <= 1e-13; without one (a large window, or mu beyond double precision)
     there is no factor.  At alpha = beta = 1 a 64 x 64 grid of [-4, 4]^2
     keeps m = 81 with a dropped trace of 1.9e-15.
+
+    On a centred square grid (_centred_square) the factor labels column k
+    by k mod 4.  The quarter turn multiplies column k by i^k and permutes
+    the cells, so phi* phi has no entry between two labels; the conjugation
+    conjugates each column and permutes the cells, so each label's block is
+    real.  Both hold to the rounding of the cell centres.
     """
 
     def grid_factor(centers: np.ndarray, measure: float) -> GridFactor | None:
@@ -101,7 +124,7 @@ def _ginibre_grid_factor(alpha: float, beta: float):
         phi = (math.sqrt(alpha * measure / math.pi) * np.exp(0.5 * log_pmf)
                * np.cumprod(phase, axis=0).T)
         dropped = float(alpha * measure / math.pi * np.sum(special.gammainc(m, mu)))
-        return GridFactor(phi, dropped)
+        return GridFactor(phi, dropped, k % 4 if _centred_square(centers) else None)
 
     return grid_factor
 

@@ -3,7 +3,8 @@
 Series in normalized Gegenbauer polynomials, Hermitian
 eigendecomposition (of a matrix, of phi phi* from a thin factor phi, of
 a real block-circulant matrix by its Fourier blocks, or of a stationary
-grid matrix by its reflection blocks), and quadrature
+grid matrix by its reflection blocks), each serving its eigenvectors
+column by column on demand, and quadrature
 of radial integrals on (0, inf) against a declared tail and of polar
 ones on [0, pi].
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -107,16 +108,28 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class HermitianEig:
-    """Spectral data of a Hermitian matrix.
+    """Spectral data of a Hermitian n x n matrix.
 
-    eigenvalues are real and sorted descending; eigenvectors holds the
-    matching eigenvectors as columns, orthonormal to rounding.  Those of a
-    series factor (factor_eig) are orthonormal only to about 1e-16 / lambda
-    where lambda is below about 1e-8, and are zero where lambda <= 0.
+    eigenvalues are real and sorted descending.  columns(idx) returns the
+    matching eigenvectors, orthonormal to rounding, as the columns of an
+    (n, k) array, for an index array or slice idx that picks k eigenvalues.
+    Every route builds only the columns it is asked for, so a sampler that
+    keeps a few eigenvectors never forms the others.  eigenvectors holds
+    them all, columns(slice(None)), built on first access and kept.  Those
+    of a series factor (factor_eig) are orthonormal only to about
+    1e-16 / lambda where lambda is below about 1e-8, and are zero where
+    lambda <= 0.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    n: int
+    columns: Callable[[np.ndarray | slice], np.ndarray] = field(repr=False)
+
+    @functools.cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """Every eigenvector, as the columns of an (n, eigenvalues.size)
+        array: columns(slice(None)), built on first access."""
+        return self.columns(slice(None))
 
 
 class RadialIntegral(NamedTuple):
@@ -273,10 +286,41 @@ def hermitian_eig(K) -> HermitianEig:
     A real symmetric input stays real, so its eigenvectors are real too.
     """
     w, V = np.linalg.eigh(K)
-    return HermitianEig(eigenvalues=w[::-1].copy(), eigenvectors=V[:, ::-1].copy())
+    V = V[:, ::-1].copy()
+    return HermitianEig(w[::-1].copy(), V.shape[0], lambda idx: V[:, idx])
 
 
-def factor_eig(phi) -> HermitianEig:
+def _drop(stacks, masks) -> None:
+    """Give each index that masks marks in stacks of blocks, (k, h, h) each,
+    the diagonal -2 g, in place, where g is the largest absolute row sum
+    over the stacks (-1 when they vanish).  The caller leaves the rest of
+    the index's row and column 0.  By Gershgorin's theorem -2 g lies below
+    every eigenvalue of the blocks, so a batched eigh returns the index's
+    eigenpair first in its block, to be discarded, yet within twice the
+    blocks' norm, so eigh's rounding stays at their scale."""
+    if not any(mask.any() for mask in masks):
+        return
+    reach = float(np.max([np.abs(B).sum(axis=-1).max() for B in stacks]))
+    floor = -2.0 * reach if reach > 0.0 else -1.0
+    for B, mask in zip(stacks, masks):
+        diag = np.arange(B.shape[-1])
+        B[:, diag, diag] = np.where(mask, floor, B[:, diag, diag])
+
+
+def _descending(spectra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge the spectra of several blocks, each (eigh's ascending
+    eigenvalues, the count of dropped ones that come first), into one
+    descending spectrum: the eigenvalues, and each one's block and its
+    column there.  Exact ties keep block order, then column order (a stable
+    sort)."""
+    block = np.concatenate([np.full(w.size - skip, b) for b, (w, skip) in enumerate(spectra)])
+    col = np.concatenate([np.arange(w.size - 1, skip - 1, -1) for w, skip in spectra])
+    lam = np.concatenate([w[skip:][::-1] for w, skip in spectra])
+    order = np.argsort(-lam, kind="stable")
+    return lam[order], block[order], col[order]
+
+
+def factor_eig(phi, classes=None) -> HermitianEig:
     """Eigendecomposition of phi phi* for an (n, m) factor phi, m < n,
     without forming phi phi*: the m eigenpairs of its range, eigenvalues
     descending; the rest of the spectrum is 0.
@@ -284,18 +328,52 @@ def factor_eig(phi) -> HermitianEig:
     One eigh of the m x m dual phi* phi = W diag(w) W* gives V = phi W /
     sqrt(w) where w > 0, and zero columns where w <= 0 (the dual
     representation: Kulesza and Taskar, Determinantal Point Processes for
-    Machine Learning, 2012, section 3.3).  w matches the squared singular
-    values of phi, and V diag(w) V* matches phi phi*, to rounding, but a
-    column with w below about 1e-8 is orthonormal only to about 1e-16 / w,
-    where an SVD's are orthonormal at every w.  A spectral sampler keeps
-    column j with probability w_j, independently, so what can reach a draw
-    is the keep-weighted defect sum_j w_j |D_jj| + sum_(j != k) w_j w_k
-    |D_jk| of D = V* V - I: 4.6e-12 on a 64 x 64 Ginibre grid of [-12, 12]^2.
+    Machine Learning, 2012, section 3.3); columns(idx) forms only
+    phi W[:, idx] / sqrt(w[idx]).  classes, when given, labels phi's columns
+    so that phi* phi has no entry between two labels and a real block for
+    each, both to rounding, as the Ginibre series on a centred square grid
+    has for k mod 4.  The blocks, real parts taken and the entries between
+    labels left out, are then decomposed by one batched eigh, each padded to
+    the largest with indices whose eigenpairs are dropped (_drop), and
+    columns(idx) multiplies each label's columns of phi by its block's
+    eigenvectors.  w matches the squared
+    singular values of phi, and V diag(w) V* matches phi phi*, to rounding,
+    but a column with w below about 1e-8 is orthonormal only to about
+    1e-16 / w, where an SVD's are orthonormal at every w.  A spectral
+    sampler keeps column j with probability w_j, independently, so what can
+    reach a draw is the keep-weighted defect sum_j w_j |D_jj| +
+    sum_(j != k) w_j w_k |D_jk| of D = V* V - I: on a 64 x 64 Ginibre grid
+    of [-12, 12]^2 (m = 411) it is 2.5e-12 with the four classes that grid
+    declares, and 4.6e-12 with one dual.
     """
-    w, W = np.linalg.eigh(phi.conj().T @ phi)
-    w, W = w[::-1].copy(), W[:, ::-1]
-    V = (phi @ W) / np.sqrt(np.where(w > 0, w, np.inf))  # a zero column where w <= 0
-    return HermitianEig(eigenvalues=w, eigenvectors=V)
+    n = phi.shape[0]
+    if classes is None:
+        w, W = np.linalg.eigh(phi.conj().T @ phi)
+        w, W = w[::-1].copy(), W[:, ::-1]
+        scale = np.sqrt(np.where(w > 0, w, np.inf))  # a zero column where w <= 0
+        return HermitianEig(w, n, lambda idx: (phi @ W[:, idx]) / scale[idx])
+    parts = [phi[:, classes == label] for label in np.unique(classes)]
+    duals = [(part.conj().T @ part).real for part in parts]
+    h = max(dual.shape[0] for dual in duals)
+    G, pad = np.zeros((len(parts), h, h)), np.ones((len(parts), h), dtype=bool)
+    for i, dual in enumerate(duals):
+        G[i, :dual.shape[0], :dual.shape[0]] = dual
+        pad[i, :dual.shape[0]] = False
+    _drop([G], [pad])
+    w, W = np.linalg.eigh(G)
+    lam, label, col = _descending([(w[i], int(pad[i].sum())) for i in range(len(parts))])
+    scale, dtype = np.sqrt(np.where(lam > 0, lam, np.inf)), phi.dtype  # the columns keep no phi
+
+    def columns(idx):
+        of, cl = label[idx], col[idx]
+        V = np.empty((n, of.size), dtype=dtype)
+        for i, part in enumerate(parts):
+            mine = np.flatnonzero(of == i)
+            V[:, mine] = part @ W[i][:part.shape[1], cl[mine]]
+        V /= scale[idx]
+        return V
+
+    return HermitianEig(lam, n, columns)
 
 
 def circulant_eig(table) -> HermitianEig:
@@ -311,10 +389,10 @@ def circulant_eig(table) -> HermitianEig:
     eigenvector x of B_k gives the eigenvectors x (x) cos(2 pi k b / N) and,
     for 0 < k < N / 2, x (x) sin(2 pi k b / N), those of modes k and N - k.
     Eigenvalues come descending, exact ties in a fixed order (a stable
-    sort), and the columns are written straight into one (R N, R N) array
-    in that order.  Modes k and N - k tie exactly, so within such a pair the
-    basis, and with it a seeded sample stream, differs from a dense eigh's,
-    while the law is the same.
+    sort), and the block eigenvectors are kept: columns(idx) writes only
+    the columns asked for, in that order.  Modes k and N - k tie exactly,
+    so within such a pair the basis, and with it a seeded sample stream,
+    differs from a dense eigh's, while the law is the same.
     """
     R, N = table.shape[0], table.shape[2]
     k = np.arange(N // 2 + 1)
@@ -323,24 +401,26 @@ def circulant_eig(table) -> HermitianEig:
     B = np.moveaxis(table @ cos.T, 2, 0)
     w, X = np.linalg.eigh(0.5 * (B + B.transpose(0, 2, 1)))
     single = (k == 0) | (2 * k == N)
-    # one entry per eigenvector: its block, its column there (eigh's are
-    # ascending, so the last comes first), and whether it takes the sine
-    block = np.concatenate([np.repeat(k, R), np.repeat(k[~single], R)])
-    col = np.tile(np.arange(R - 1, -1, -1), block.size // R)
-    sine = np.arange(block.size) >= k.size * R
-    lam = w[block, col]
-    order = np.argsort(-lam, kind="stable")
-    block, col, sine = block[order], col[order], sine[order]
-    modes = np.where(sine[:, None], sin[block], cos[block])
-    modes *= np.where(single[block], math.sqrt(1.0 / N), math.sqrt(2.0 / N))[:, None]
-    V = np.empty((R * N, block.size))
-    np.multiply(X[block, :, col].T[:, None, :], modes.T[None, :, :], out=V.reshape(R, N, -1))
-    return HermitianEig(eigenvalues=lam[order], eigenvectors=V)
+    # one source of eigenvectors per cosine mode, then one per sine mode
+    modes = np.concatenate([k, k[~single]])
+    lam, source, col = _descending([(w[mode], 0) for mode in modes])
+    block, sine = modes[source], source >= k.size
+    norm = np.where(single, math.sqrt(1.0 / N), math.sqrt(2.0 / N))
+
+    def columns(idx):
+        b, cl = block[idx], col[idx]
+        wave = np.where(sine[idx][:, None], sin[b], cos[b])
+        wave *= norm[b][:, None]
+        V = np.empty((R * N, b.size))
+        np.multiply(X[b, :, cl].T[:, None, :], wave.T[None, :, :], out=V.reshape(R, N, -1))
+        return V
+
+    return HermitianEig(lam, R * N, columns)
 
 
 def _reflection_blocks(table) -> tuple[np.ndarray, np.ndarray]:
-    """reflection_eig's (2^d, c^d, c^d) blocks, padded, and the (2^d, c^d)
-    mask of their dropped indices."""
+    """reflection_eig's (2^d, c^d, c^d) blocks, and the (2^d, c^d) mask of
+    their dropped indices, whose rows and columns are 0."""
     d, R = table.ndim, table.shape[0]
     c = (R + 1) // 2
     p = np.arange(c)
@@ -355,16 +435,45 @@ def _reflection_blocks(table) -> tuple[np.ndarray, np.ndarray]:
         trail = (1,) * (t_near.ndim - axis - 2)
         B = np.concatenate([(t_near + t_far) * np.outer(s_even, s_even).reshape(c, c, *trail),
                             (t_near - t_far) * np.outer(s_odd, s_odd).reshape(c, c, *trail)])
-        kept = np.concatenate([np.kron(kept, s_even), np.kron(kept, s_odd)])
+        kept = np.concatenate([(kept[:, :, None] * s).reshape(len(kept), -1)
+                               for s in (s_even, s_odd)])
     m = c ** d
     B = B.transpose(0, *range(1, 2 * d, 2), *range(2, 2 * d + 1, 2)).reshape(2 ** d, m, m)
-    dropped = kept == 0.0
-    if dropped.any():
-        reach = float(np.abs(B).sum(axis=-1).max())
-        diag = np.arange(m)
-        B[:, diag, diag] = np.where(dropped, -2.0 * reach if reach > 0.0 else -1.0,
-                                    B[:, diag, diag])
-    return B, dropped
+    return B, kept == 0.0
+
+
+def _swap_halves(B, dropped, c: int):
+    """Split (k, c^2, c^2) blocks that commute with swapping the indices of
+    two axes, (p, q) -> (q, p), into their swap-even and swap-odd halves.
+
+    Half index i is a pair a_i <= b_i, those with a_i < b_i first: its unit
+    vector is (e_ab + e_ba) / sqrt 2 in both halves, or e_aa in the even
+    half, and (e_ab - e_ba) / sqrt 2 in the odd one, which has only the
+    first c (c - 1) / 2 pairs.  Each half entry sums the four block entries
+    its two vectors meet, in an order that keeps the half symmetric to the
+    bit.  Returns the (2k, h, h) halves, even then odd for each block,
+    padded to the even half's h = c (c + 1) / 2; their (2k, h) mask of
+    dropped or padded indices; the (c^2,) row map, and the even and the odd
+    half's weights, that unfold a half's eigenvector y into the block's,
+    weights * y[rows].
+    """
+    a, b = np.triu_indices(c, 1)
+    h_odd = a.size
+    a, b = np.concatenate([a, np.arange(c)]), np.concatenate([b, np.arange(c)])
+    r, s = a * c + b, b * c + a
+    coef = np.where(a < b, math.sqrt(0.5), 0.5)
+    same = B[:, r[:, None], r] + B[:, s[:, None], s]
+    cross = B[:, r[:, None], s] + B[:, s[:, None], r]
+    halves = np.zeros((2 * B.shape[0], a.size, a.size))
+    halves[0::2] = (same + cross) * np.outer(coef, coef)
+    halves[1::2, :h_odd, :h_odd] = 0.5 * (same - cross)[:, :h_odd, :h_odd]
+    mask = np.repeat(dropped[:, r], 2, axis=0)
+    mask[1::2, h_odd:] = True
+    rows = np.zeros((c, c), dtype=int)
+    rows[a, b] = rows[b, a] = np.arange(a.size)
+    p, q = np.divmod(np.arange(c * c), c)
+    weights = (np.where(p == q, 1.0, math.sqrt(0.5)), np.sign(q - p) * math.sqrt(0.5))
+    return halves, mask, rows.ravel(), weights
 
 
 def reflection_eig(table) -> HermitianEig:
@@ -380,54 +489,84 @@ def reflection_eig(table) -> HermitianEig:
     When R is odd the middle index is its own mirror: its even basis vector
     is the unit vector there (a 1/sqrt 2 on its row and column) and its odd
     one vanishes, so that row and column of the odd block are dropped.  The
-    blocks are padded to c^d and decomposed by one batched eigh.  A dropped
-    index gets the diagonal -2 g, with g the largest absolute row sum of the
-    blocks (-1 when they vanish): below every eigenvalue of its block by
-    Gershgorin's theorem, so its eigenpair comes first there and is
-    discarded, yet within twice the blocks' norm, so eigh's rounding stays
-    at their scale.  Eigenvalues come descending, exact ties in a fixed
-    order (a stable sort), and the block eigenvectors are unfolded into one
-    (R^d, R^d) array in that order.
+    blocks are padded to c^d and decomposed by one batched eigh, a dropped
+    index taking a diagonal below the blocks' spectra (_drop).
 
-    On a square table (d = 2, symmetric in its two axes, as for jinc on a
-    square grid) the block odd along the first axis only and the one odd
-    along the second only are the same matrix with the two axes' indices
-    swapped, but each is decomposed on its own, so their shared
-    eigenvalues tie only to rounding.  The order of such near-ties, and with it a seeded sample
-    stream, can differ from a dense eigh's and between BLAS builds or
-    thread counts, while the law is the same.
+    A square table (d = 2, equal to its transpose, as for jinc on a square
+    grid) also commutes with swapping the two axes.  The block odd along
+    the first axis only and the one odd along the second only are then the
+    same matrix with the axes' indices swapped: the first is decomposed by
+    one eigh, and the second takes its eigenvalues and its eigenvectors with
+    swapped indices.  The blocks even or odd along both axes each split into
+    swap-even and swap-odd halves (_swap_halves), which one batched eigh
+    decomposes, padded to one size by the same dropped indices.
+
+    Eigenvalues come descending, exact ties in a fixed order (a stable
+    sort), and the block eigenvectors are kept: columns(idx) unfolds only
+    the columns asked for, in that order.  The order of near-ties within a
+    block, and with it a seeded sample stream, can differ from a dense
+    eigh's and between BLAS builds or thread counts, while the law is the
+    same.
     """
     d, R = table.ndim, table.shape[0]
     c = (R + 1) // 2
     n, m = R ** d, c ** d
     B, dropped = _reflection_blocks(table)
-    w, X = np.linalg.eigh(B)
-    del B  # freed before V is built: 32 MiB of the peak at 64 x 64 cells
-    # one entry per kept eigenvector: its block and its column there (eigh's
-    # are ascending, so the last comes first)
-    skip = dropped.sum(axis=1)
-    block = np.repeat(np.arange(2 ** d), m - skip)
-    col = np.concatenate([np.arange(m - 1, k - 1, -1) for k in skip])
-    lam = w[block, col]
-    order = np.argsort(-lam, kind="stable")
-    block, col = block[order], col[order]
-    # row i of M takes the block row of its folded index, times one weight
-    # per axis: 1/sqrt 2, negated above the middle of an odd axis; the
-    # middle itself 1 on an even axis and 0 on an odd one
+    whole = np.arange(m)
+    if d == 2 and np.array_equal(table, table.T):
+        halves, mask, rows, weights = _swap_halves(B[[0, 3]], dropped[[0, 3]], c)
+        first = B[1:2].copy()
+        del B  # freed before the eigh calls: 32 MiB at 64 x 64 cells
+        _drop([first, halves], [dropped[1:2], mask])
+        w_first, X_first = np.linalg.eigh(first[0])
+        w, X = np.linalg.eigh(halves)
+        h, skip, skip_first = X.shape[-1], mask.sum(axis=1), int(dropped[1].sum())
+        # six sources of eigenvectors: the even and the odd half of B(0, 0),
+        # the first block, its swap, and the two halves of B(1, 1); each has
+        # its offset in flat, the flat index of each of its rows, its weight
+        # on each row and the reflection block it unfolds as
+        flat = np.concatenate([X.ravel(), X_first.ravel()])
+        spectra = [(w[0], skip[0]), (w[1], skip[1]), (w_first, skip_first),
+                   (w_first, skip_first), (w[2], skip[2]), (w[3], skip[3])]
+        start = np.array([0, 1, 4, 4, 2, 3]) * h * h
+        row = np.stack([rows * h, rows * h, whole * m, whole.reshape(c, c).T.ravel() * m,
+                        rows * h, rows * h])
+        weight = np.stack([*weights, np.ones(m), np.ones(m), *weights])
+        parity = np.array([0, 0, 1, 2, 3, 3])
+    else:
+        _drop([B], [dropped])
+        w, X = np.linalg.eigh(B)
+        del B
+        skip, flat = dropped.sum(axis=1), X.ravel()
+        spectra = [(w[b], skip[b]) for b in range(2 ** d)]
+        start, parity = np.arange(2 ** d) * m * m, np.arange(2 ** d)
+        row, weight = np.tile(whole * m, (2 ** d, 1)), None
+    del X
+    lam, source, col = _descending(spectra)
+    # row i of M takes the block row of its folded index, times the source's
+    # weight there and one weight per axis: 1/sqrt 2, negated above the
+    # middle of an odd axis; the middle itself 1 on an even axis and 0 on an odd one
     i = np.arange(R)
     fold = np.minimum(i, R - 1 - i)
     w_even = np.where(i == R - 1 - i, 1.0, math.sqrt(0.5))
     w_odd = np.where(i == R - 1 - i, 0.0, np.where(i < R - 1 - i, 1.0, -1.0) * math.sqrt(0.5))
-    folded = np.zeros(1, dtype=int)
-    for _ in range(d):
-        folded = (folded[:, None] * c + fold).ravel()
-    V = X[block, folded[:, None], col]  # V[i, j] = X[block[j], folded[i], col[j]], one gather
-    del X
-    grid = V.reshape((R,) * d + (n,))
+    axis_of = np.indices((R,) * d).reshape(d, n)  # each row's index along each axis
+    folded = np.zeros(n, dtype=int)
     for k in range(d):
-        weight = np.where((block >> k & 1)[:, None] == 1, w_odd, w_even).T
-        grid *= weight.reshape((1,) * k + (R,) + (1,) * (d - 1 - k) + (n,))
-    return HermitianEig(eigenvalues=lam[order], eigenvectors=V)
+        folded = folded * c + fold[axis_of[k]]
+    row = row[:, folded]
+    factors = [] if weight is None else [weight[:, folded]]
+    factors += [np.where(parity[:, None] >> k & 1 == 1, w_odd[axis_of[k]], w_even[axis_of[k]])
+                for k in range(d)]
+
+    def columns(idx):
+        src, cl = source[idx], col[idx]
+        V = flat[row[src].T + (start[src] + cl)]  # one gather from the sources' eigenvectors
+        for factor in factors:  # one at a time, so an entry rounds alike for any idx
+            V *= factor[src].T
+        return V
+
+    return HermitianEig(lam, n, columns)
 
 
 def _rule_pair(f, rules):

@@ -41,7 +41,8 @@ def leaky_ginibre() -> Kernel:
 
     def grid_factor(centers, measure, _f=base.grid_factor):
         factor = _f(centers, measure)
-        return factor and GridFactor(math.sqrt(bump) * factor.phi, bump * factor.dropped_trace)
+        return factor and factor._replace(phi=math.sqrt(bump) * factor.phi,
+                                          dropped_trace=bump * factor.dropped_trace)
 
     return replace(base, gram=lambda X, Y, _g=base.gram: bump * _g(X, Y), grid_factor=grid_factor)
 
@@ -324,18 +325,25 @@ class TestGridDiscretize:
         assert np.max(np.abs(rebuilt - grid.dpp.matrix)) < 1e-12
 
     def test_one_eigendecomposition_per_grid_and_none_per_draw(self, monkeypatch):
-        # a 10 x 10 jinc grid: one batched eigh of its four 25 x 25 reflection blocks
+        # a square 10 x 10 jinc grid: one eigh of the 25 x 25 reflection block
+        # odd along the first axis only (the second-axis one is its swap), and
+        # one batched eigh of the swap halves of the other two, padded to 15
+        square = [("eigh", (25, 25)), ("eigh", (4, 15, 15))]
         calls = count_eig_calls(monkeypatch)
         clean = grid_discretize(thin_rescale(jinc_kernel(2), 0.8, 0.8),
                                 (-3.0, 3.0, -3.0, 3.0), 10)
-        assert not clean.dpp.clamp_report and calls == [("eigh", (4, 25, 25))]
+        assert not clean.dpp.clamp_report and calls == square
         sample_indicators(clean.dpp, 3, 70)
-        assert calls == [("eigh", (4, 25, 25))]
+        assert calls == square
         calls.clear()
-        # the 144 x m series factor: one eigh of its m x m dual, and no SVD
+        # the 144 x m series factor on a centred square grid: one batched eigh
+        # of its four k mod 4 class duals, padded to ceil(m / 4), and no SVD
         clamped = grid_discretize(leaky_ginibre(), (-3.0, 3.0, -3.0, 3.0), 12)
         m = clamped.dpp.eig.eigenvalues.size
-        assert clamped.dpp.clamp_report and m < 144 and calls == [("eigh", (m, m))]
+        h = -(-m // 4)
+        assert clamped.dpp.clamp_report and m < 144 and calls == [("eigh", (4, h, h))]
+        sample_indicators(clamped.dpp, 3, 70)
+        assert calls == [("eigh", (4, h, h))]
         calls.clear()
         dense = grid_discretize(dense_route(leaky_ginibre()), (-3.0, 3.0, -3.0, 3.0), 12)
         assert dense.dpp.clamp_report and calls == [("eigh", (144, 144))]
@@ -529,6 +537,38 @@ class TestGridFactor:
         defect = keep @ np.diag(D) + keep @ (D - np.diag(np.diag(D))) @ keep
         assert defect <= 1e-10
 
+    @pytest.mark.parametrize("half,resolution", [(4.0, 20), (2.0, 7), (8.0, 40)],
+                             ids=["20x20", "7x7-centre-cell", "40x40"])
+    def test_centred_square_grid_decomposes_four_class_duals(self, half, resolution):
+        # the quarter turn and the conjugation make phi* phi block diagonal
+        # and real over k mod 4; the classed eigenpairs match the one dual's
+        centers, measure = analysis._euclidean_centers((-half, half, -half, half), resolution, 2)
+        factor = ginibre_kernel(GinibreParams(1.0, 1.0)).grid_factor(centers, measure)
+        phi, m = factor.phi, factor.phi.shape[1]
+        assert np.array_equal(factor.classes, np.arange(m) % 4)
+        eig = factor_eig(phi, factor.classes)
+        lam, V = eig.eigenvalues, eig.eigenvectors
+        assert np.all(np.diff(lam) <= 0)
+        assert np.max(np.abs(lam - factor_eig(phi).eigenvalues)) <= 1e-14
+        for rows in np.array_split(np.arange(phi.shape[0]), 4):  # at most 400 x 1600 at once
+            rebuilt = (V[rows] * lam) @ V.conj().T
+            assert np.max(np.abs(rebuilt - phi[rows] @ phi.conj().T)) <= 1e-14
+        keep = np.clip(lam, 0.0, 1.0)
+        D = np.abs(V.conj().T @ V - np.eye(m))
+        assert keep @ np.diag(D) + keep @ (D - np.diag(np.diag(D))) @ keep <= 1e-10
+
+    @pytest.mark.parametrize("window", [(-1.5, 2.5, -1.5, 2.5), (-2.0, 2.0, -3.0, 3.0),
+                                        (-2.0, 2.0, -2.5, 1.5)],
+                             ids=["off-centre", "rectangular", "unequal-axes"])
+    def test_other_windows_declare_no_classes(self, window):
+        kernel = ginibre_kernel(GinibreParams(1.0, 1.0))
+        grid = grid_discretize(kernel, window, 12)
+        factor = kernel.grid_factor(grid.centers, grid.cell_measure)
+        assert factor is not None and factor.classes is None
+        one_dual = factor_eig(factor.phi)
+        assert np.array_equal(grid.dpp.eig.eigenvalues, np.clip(one_dual.eigenvalues, 0.0, 1.0))
+        assert np.array_equal(grid.dpp.eig.eigenvectors, one_dual.eigenvectors)
+
     @pytest.mark.parametrize("params,half,resolution", [
         ((1.0, 1.0), 4.0, 20), ((1.0, 1.0), 2.0, 7), ((0.6, 1.6), 12.0, 64)])
     def test_phase_recurrence_matches_the_exp_form(self, params, half, resolution):
@@ -582,11 +622,27 @@ class TestReflectionBlocks:
     @pytest.mark.parametrize("d,resolution,block", [(1, 12, 6), (1, 13, 7), (2, 10, 25),
                                                     (2, 11, 36)])
     def test_grid_takes_one_batched_block_eigh(self, monkeypatch, d, resolution, block):
-        # 2^d blocks of ceil(R / 2)^d; an odd R pads the odd blocks to that size
+        # 2^d blocks of c^d, c = ceil(R / 2); an odd R pads the odd blocks to
+        # that size.  A square grid (d = 2) takes one eigh of the block odd
+        # along the first axis only, and one batched eigh of the swap-even
+        # and swap-odd halves of the other two, padded to c (c + 1) / 2
         calls = count_eig_calls(monkeypatch)
         grid = grid_discretize(jinc_kernel(d), (-2.0, 2.0) * d, resolution)
-        assert calls == [("eigh", (2 ** d, block, block))]
+        c = (resolution + 1) // 2
+        half = c * (c + 1) // 2
+        assert calls == ([("eigh", (2, block, block))] if d == 1 else
+                         [("eigh", (block, block)), ("eigh", (4, half, half))])
         assert grid.dpp.eig.eigenvalues.size == grid.dpp.n == resolution ** d
+        sample_indicators(grid.dpp, 3, 70)
+        assert len(calls) == d
+
+    @pytest.mark.parametrize("window", [(-2.0, 2.0, -3.0, 3.0), (-1.1, 2.9, 0.7, 4.7)],
+                             ids=["unequal-steps", "off-centre"])
+    def test_grid_without_the_swap_keeps_one_batched_block_eigh(self, monkeypatch, window):
+        # a table that is not its own transpose keeps the four padded blocks
+        calls = count_eig_calls(monkeypatch)
+        grid_discretize(jinc_kernel(2), window, 11)
+        assert calls == [("eigh", (4, 36, 36))]
 
     def test_blocks_beyond_double_precision_are_refused_like_the_dense_route(self):
         # every entry 1e307: the blocks' row sums overflow, so the odd blocks'

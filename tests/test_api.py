@@ -228,8 +228,10 @@ REFUSED_CALLS = {
     # the command line's anchor parser refuses these first, so only the library meets them
     "point-length-3": ("expected a length-2 euclidean point", lambda: repulsiveness_p(
         _ginibre(), [0.0, 0.0, 0.0])),
-    "point-not-numbers": ("point coordinates must be finite", lambda: repulsiveness_p(
+    "point-not-numbers": ("point coordinates must be numbers, got 'ab'", lambda: repulsiveness_p(
         _ginibre(), "ab")),
+    "point-ragged": ("point coordinates must be numbers", lambda: repulsiveness_p(
+        _ginibre(), [0.0, [1.0, 2.0]])),
 }
 # a seed is an integer >= 0 at each sampler; bool is an int subclass, but not a seed
 SEEDED_SAMPLERS = {

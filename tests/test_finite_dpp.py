@@ -613,7 +613,7 @@ class TestSamplers:
                 return np.zeros(size) if coins else np.ones(size)
 
         eig = validate(np.diag([0.5, 0.5, 0.0])).eig
-        bits = finite_dpp._spectral_block(eig.eigenvalues, eig.eigenvectors, 4, RoundedUp())
+        bits = finite_dpp._spectral_block(eig, 4, RoundedUp())
         assert bits.tolist() == [[True, True, False]] * 4
 
     def test_subset_law_of_projection_with_three_points(self):

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from palmdpp import analysis
 from palmdpp.analysis import ginibre_moment, grid_discretize, jinc_moment_closed, moment_quadrature
 from palmdpp.cli import main
 from palmdpp.errors import TOKENS, ValidationError
@@ -25,7 +26,9 @@ from palmdpp.finite_dpp import couple, palm_matrix, subset_law, validate, xi_law
 from palmdpp.kernel_core import palm_kernel, repulsiveness_p, sphere_surface_measure
 from palmdpp.model_zoo import (GinibreParams, finite_kernel, ginibre_kernel, jinc_kernel,
                                multiquadric, sphere_kernel, sphere_model, sphere_p, thin_rescale)
-from palmdpp.numerics import QuadratureSpec
+from palmdpp import numerics
+from palmdpp.numerics import (QuadratureSpec, circulant_eig, factor_eig, hermitian_eig,
+                               reflection_eig)
 
 from conftest import (complement_determinant_law, palm_law_of_couple, random_dpp_matrix,
                       random_unitary, reference_marginals)
@@ -334,6 +337,116 @@ def test_reflection_route_matches_the_dense_route(d, beta, share, steps, lower, 
     if not grid.dpp.clamp_report:  # within 1e-14 of the matrix's norm, its top eigenvalue
         gram = dense.dpp.matrix
         assert np.max(np.abs((V * lam) @ V.T - gram)) <= 1e-14 * lam[0]
+
+
+def four_block_route(table):
+    """reflection_eig without the swap: one batched eigh of the 2^d padded
+    reflection blocks, unfolded column by column as that route does."""
+    d, R = table.ndim, table.shape[0]
+    c = (R + 1) // 2
+    B, dropped = numerics._reflection_blocks(table)
+    numerics._drop([B], [dropped])
+    w, X = np.linalg.eigh(B)
+    skip = dropped.sum(axis=1)
+    block = np.repeat(np.arange(2 ** d), c ** d - skip)
+    col = np.concatenate([np.arange(c ** d - 1, k - 1, -1) for k in skip])
+    lam = w[block, col]
+    order = np.argsort(-lam, kind="stable")
+    block, col = block[order], col[order]
+    i = np.arange(R)
+    w_even = np.where(i == R - 1 - i, 1.0, math.sqrt(0.5))
+    w_odd = np.where(i == R - 1 - i, 0.0, np.where(i < R - 1 - i, 1.0, -1.0) * math.sqrt(0.5))
+    folded = np.zeros(1, dtype=int)
+    for _ in range(d):
+        folded = (folded[:, None] * c + np.minimum(i, R - 1 - i)).ravel()
+    V = X[block, folded[:, None], col]
+    grid = V.reshape((R,) * d + (-1,))
+    for k in range(d):
+        weight = np.where((block >> k & 1)[:, None] == 1, w_odd, w_even).T
+        grid *= weight.reshape((1,) * k + (R,) + (1,) * (d - 1 - k) + (-1,))
+    return lam[order], V
+
+
+def stationary_matrix(table):
+    """M[i, j] = table[|i_1 - j_1|, ..., |i_d - j_d|], rows in C order."""
+    index = np.indices(table.shape).reshape(table.ndim, -1)
+    return table[tuple(np.abs(index[:, :, None] - index[:, None, :]))]
+
+
+@settings(max_examples=100)
+@given(resolution=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
+def test_square_reflection_split_matches_the_four_blocks(resolution, seed):
+    # a random table equal to its transpose takes the swap split
+    rng = np.random.default_rng(seed)
+    table = rng.normal(size=(resolution, resolution))
+    table += table.T
+    eig = reflection_eig(table)
+    lam, V = eig.eigenvalues, eig.eigenvectors
+    today, _ = four_block_route(table)
+    # each side is an eigh of matrices equal up to rounding, so each misses by
+    # a few eps of the blocks' norm: 15.5 eps at most over 20,000 such tables
+    assert np.max(np.abs(lam - today)) <= 32 * EPS * np.max(np.abs(today))
+    M = stationary_matrix(table)
+    assert np.max(np.abs((V * lam) @ V.T - M)) <= 1e-12
+    assert np.max(np.abs(V.T @ V - np.eye(M.shape[0]))) <= 1e-12
+    # the block odd along one axis only and its swap give one set of eigenvalues, bit for bit
+    grid = V.reshape(resolution, resolution, -1)
+    odd_first = np.sum(grid * grid[::-1], axis=(0, 1)) < 0
+    odd_second = np.sum(grid * grid[:, ::-1], axis=(0, 1)) < 0
+    assert np.array_equal(np.sort(lam[odd_first & ~odd_second]),
+                          np.sort(lam[odd_second & ~odd_first]))
+    idx = np.flatnonzero(rng.random(lam.size) < 0.5)
+    assert np.array_equal(eig.columns(idx), V[:, idx])
+
+
+@settings(max_examples=100)
+@given(d=st.sampled_from([1, 2]), resolution=st.integers(1, 9),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_reflection_without_the_swap_is_the_four_block_route(d, resolution, seed):
+    # d = 1, or a table that is not its own transpose: the eigenpairs of the
+    # four-block route, bit for bit
+    rng = np.random.default_rng(seed)
+    table = rng.normal(size=(resolution,) * d)
+    if d == 2:
+        assume(resolution > 1)
+        table[0, 1] += 1.0  # off its transpose
+    eig = reflection_eig(table)
+    lam, V = four_block_route(table)
+    assert np.array_equal(eig.eigenvalues, lam) and np.array_equal(eig.eigenvectors, V)
+    idx = np.flatnonzero(rng.random(lam.size) < 0.5)
+    assert np.array_equal(eig.columns(idx), V[:, idx])
+
+
+@settings(max_examples=50)
+@given(route=st.sampled_from(["dense", "circulant", "factor", "factor-classed"]),
+       size=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_columns_are_the_eigenvectors_columns(route, size, seed):
+    # bit for bit, but on the factor routes, where the product phi W[:, idx]
+    # over fewer columns may round differently; dividing it by sqrt(lambda)
+    # magnifies that in the columns of tiny eigenvalues, so the products are compared
+    rng = np.random.default_rng(seed)
+    if route == "dense":
+        A = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        eig = hermitian_eig(A + A.conj().T)
+    elif route == "circulant":
+        longitudes = size + 1
+        table = rng.normal(size=(size, size, longitudes))
+        table += table.transpose(1, 0, 2)
+        table += table[:, :, -np.arange(longitudes) % longitudes]
+        eig = circulant_eig(table)
+    else:
+        centers, measure = analysis._euclidean_centers((-2.0, 2.0, -2.0, 2.0), size + 8, 2)
+        factor = ginibre_kernel(GinibreParams(0.9, 1.1)).grid_factor(centers, measure)
+        assert factor is not None and factor.classes is not None
+        eig = factor_eig(factor.phi, factor.classes if route == "factor-classed" else None)
+    V = eig.eigenvectors
+    assert V.shape == (eig.n, eig.eigenvalues.size)
+    for idx in (np.flatnonzero(rng.random(V.shape[1]) < 0.5), np.arange(V.shape[1])[::-1]):
+        if route.startswith("factor"):
+            root = np.sqrt(np.clip(eig.eigenvalues[idx], 0.0, None))
+            assert np.max(np.abs(eig.columns(idx) - V[:, idx]) * root, initial=0.0) <= 1e-15
+        else:
+            assert np.array_equal(eig.columns(idx), V[:, idx])
 
 
 def run(argv):
