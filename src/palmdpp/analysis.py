@@ -204,8 +204,8 @@ def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
     - series factor: when the kernel declares a grid factor and it returns
       one (an (n, m) phi with m < n, the Ginibre series),
       numerics.factor_eig takes the m eigenpairs from one eigh of the
-      m x m dual phi* phi, or, on a centred square grid, from one batched
-      eigh of its four real k mod 4 class duals; finite_dpp.validate_eig
+      m x m dual phi* phi, or, on a centred square grid, from one eigh of
+      each of its four real k mod 4 class duals; finite_dpp.validate_eig
       checks them, and dpp.clamp_report.dropped_trace is the factor's
       certified dropped trace;
     - sphere blocks: a sphere kernel that declares k0 is isotropic, so on
@@ -220,9 +220,9 @@ def grid_discretize(kernel: Kernel, window, resolution: int) -> GridModel:
       and unequal steps; numerics.reflection_eig decomposes its 2^d
       even/odd blocks from the resolution^d table of k at every index
       difference, times the cell measure (resolution^d kernel values
-      against resolution^(2 d) for the Gram matrix), splitting them further
-      by the swap of the two axes on a square window, and
-      finite_dpp.validate_eig takes the eigenpairs.
+      against resolution^(2 d) for the Gram matrix), one eigh per block,
+      splitting them further by the swap of the two axes on a square
+      window, and finite_dpp.validate_eig takes the eigenpairs.
     Every route but the dense one keeps its eigenvectors in the form it
     decomposed them in: dpp.eig.columns builds the columns a sampler asks
     for, and the n x n eigenvector array is formed only when

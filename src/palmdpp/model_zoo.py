@@ -119,10 +119,10 @@ def _ginibre_grid_factor(alpha: float, beta: float):
         m = 1 + int(np.argmax(short))
         k = np.arange(m)
         log_pmf = special.xlogy(k, mu[:, None]) - mu[:, None] - special.gammaln(k + 1.0)
-        phase = np.ones((m, n), dtype=complex)  # row k becomes e^(i k arg z)
-        phase[1:] = np.exp(1j * np.angle(z))
+        phase = np.ones((n, m), dtype=complex)  # column k becomes e^(i k arg z)
+        phase[:, 1:] = np.exp(1j * np.angle(z))[:, None]
         phi = (math.sqrt(alpha * measure / math.pi) * np.exp(0.5 * log_pmf)
-               * np.cumprod(phase, axis=0).T)
+               * np.cumprod(phase, axis=1))
         dropped = float(alpha * measure / math.pi * np.sum(special.gammainc(m, mu)))
         return GridFactor(phi, dropped, k % 4 if _centred_square(centers) else None)
 

@@ -290,32 +290,14 @@ def hermitian_eig(K) -> HermitianEig:
     return HermitianEig(w[::-1].copy(), V.shape[0], lambda idx: V[:, idx])
 
 
-def _drop(stacks, masks) -> None:
-    """Give each index that masks marks in stacks of blocks, (k, h, h) each,
-    the diagonal -2 g, in place, where g is the largest absolute row sum
-    over the stacks (-1 when they vanish).  The caller leaves the rest of
-    the index's row and column 0.  By Gershgorin's theorem -2 g lies below
-    every eigenvalue of the blocks, so a batched eigh returns the index's
-    eigenpair first in its block, to be discarded, yet within twice the
-    blocks' norm, so eigh's rounding stays at their scale."""
-    if not any(mask.any() for mask in masks):
-        return
-    reach = float(np.max([np.abs(B).sum(axis=-1).max() for B in stacks]))
-    floor = -2.0 * reach if reach > 0.0 else -1.0
-    for B, mask in zip(stacks, masks):
-        diag = np.arange(B.shape[-1])
-        B[:, diag, diag] = np.where(mask, floor, B[:, diag, diag])
-
-
 def _descending(spectra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge the spectra of several blocks, each (eigh's ascending
-    eigenvalues, the count of dropped ones that come first), into one
-    descending spectrum: the eigenvalues, and each one's block and its
-    column there.  Exact ties keep block order, then column order (a stable
-    sort)."""
-    block = np.concatenate([np.full(w.size - skip, b) for b, (w, skip) in enumerate(spectra)])
-    col = np.concatenate([np.arange(w.size - 1, skip - 1, -1) for w, skip in spectra])
-    lam = np.concatenate([w[skip:][::-1] for w, skip in spectra])
+    """Merge the spectra of several blocks, each ascending as eigh returns
+    it, into one descending spectrum: the eigenvalues, and each one's block
+    and its column there.  Exact ties keep block order, then column order (a
+    stable sort)."""
+    block = np.concatenate([np.full(w.size, b) for b, w in enumerate(spectra)])
+    col = np.concatenate([np.arange(w.size - 1, -1, -1) for w in spectra])
+    lam = np.concatenate([w[::-1] for w in spectra])
     order = np.argsort(-lam, kind="stable")
     return lam[order], block[order], col[order]
 
@@ -325,51 +307,39 @@ def factor_eig(phi, classes=None) -> HermitianEig:
     without forming phi phi*: the m eigenpairs of its range, eigenvalues
     descending; the rest of the spectrum is 0.
 
-    One eigh of the m x m dual phi* phi = W diag(w) W* gives V = phi W /
-    sqrt(w) where w > 0, and zero columns where w <= 0 (the dual
+    classes, when given, labels phi's columns so that phi* phi has no entry
+    between two labels and a real block for each, both to rounding, as the
+    Ginibre series on a centred square grid has for k mod 4; left None, the
+    one class is phi itself.  Each class's columns P give its dual P* P =
+    W diag(w) W*, decomposed by one eigh at its own size (its real part
+    when classes are given, the entries between labels left out), and V =
+    P W / sqrt(w) where w > 0, zero columns where w <= 0 (the dual
     representation: Kulesza and Taskar, Determinantal Point Processes for
     Machine Learning, 2012, section 3.3); columns(idx) forms only
-    phi W[:, idx] / sqrt(w[idx]).  classes, when given, labels phi's columns
-    so that phi* phi has no entry between two labels and a real block for
-    each, both to rounding, as the Ginibre series on a centred square grid
-    has for k mod 4.  The blocks, real parts taken and the entries between
-    labels left out, are then decomposed by one batched eigh, each padded to
-    the largest with indices whose eigenpairs are dropped (_drop), and
-    columns(idx) multiplies each label's columns of phi by its block's
-    eigenvectors.  w matches the squared
-    singular values of phi, and V diag(w) V* matches phi phi*, to rounding,
-    but a column with w below about 1e-8 is orthonormal only to about
-    1e-16 / w, where an SVD's are orthonormal at every w.  A spectral
-    sampler keeps column j with probability w_j, independently, so what can
-    reach a draw is the keep-weighted defect sum_j w_j |D_jj| +
-    sum_(j != k) w_j w_k |D_jk| of D = V* V - I: on a 64 x 64 Ginibre grid
-    of [-12, 12]^2 (m = 411) it is 2.5e-12 with the four classes that grid
-    declares, and 4.6e-12 with one dual.
+    P W[:, idx] / sqrt(w[idx]) for each class's eigenpairs in idx.  w
+    matches the squared singular values of phi, and V diag(w) V* matches
+    phi phi*, to rounding, but a column with w below about 1e-8 is
+    orthonormal only to about 1e-16 / w, where an SVD's are orthonormal at
+    every w.  A spectral sampler keeps column j with probability w_j,
+    independently, so what can reach a draw is the keep-weighted defect
+    sum_j w_j |D_jj| + sum_(j != k) w_j w_k |D_jk| of D = V* V - I: on a
+    64 x 64 Ginibre grid of [-12, 12]^2 (m = 411) it is 2.5e-12 with the
+    four classes that grid declares, and 4.6e-12 with one class.
     """
-    n = phi.shape[0]
-    if classes is None:
-        w, W = np.linalg.eigh(phi.conj().T @ phi)
-        w, W = w[::-1].copy(), W[:, ::-1]
-        scale = np.sqrt(np.where(w > 0, w, np.inf))  # a zero column where w <= 0
-        return HermitianEig(w, n, lambda idx: (phi @ W[:, idx]) / scale[idx])
-    parts = [phi[:, classes == label] for label in np.unique(classes)]
-    duals = [(part.conj().T @ part).real for part in parts]
-    h = max(dual.shape[0] for dual in duals)
-    G, pad = np.zeros((len(parts), h, h)), np.ones((len(parts), h), dtype=bool)
-    for i, dual in enumerate(duals):
-        G[i, :dual.shape[0], :dual.shape[0]] = dual
-        pad[i, :dual.shape[0]] = False
-    _drop([G], [pad])
-    w, W = np.linalg.eigh(G)
-    lam, label, col = _descending([(w[i], int(pad[i].sum())) for i in range(len(parts))])
-    scale, dtype = np.sqrt(np.where(lam > 0, lam, np.inf)), phi.dtype  # the columns keep no phi
+    n, dtype = phi.shape[0], phi.dtype  # apart, so classed columns keep no phi
+    parts = ([phi] if classes is None else
+             [phi[:, classes == label] for label in np.unique(classes)])
+    duals = [part.conj().T @ part for part in parts]
+    pairs = [np.linalg.eigh(dual if classes is None else dual.real) for dual in duals]
+    lam, label, col = _descending([w for w, _ in pairs])
+    scale = np.sqrt(np.where(lam > 0, lam, np.inf))  # a zero column where lam <= 0
 
     def columns(idx):
         of, cl = label[idx], col[idx]
         V = np.empty((n, of.size), dtype=dtype)
-        for i, part in enumerate(parts):
+        for i, (part, (_, W)) in enumerate(zip(parts, pairs)):
             mine = np.flatnonzero(of == i)
-            V[:, mine] = part @ W[i][:part.shape[1], cl[mine]]
+            V[:, mine] = part @ W[:, cl[mine]]
         V /= scale[idx]
         return V
 
@@ -403,7 +373,7 @@ def circulant_eig(table) -> HermitianEig:
     single = (k == 0) | (2 * k == N)
     # one source of eigenvectors per cosine mode, then one per sine mode
     modes = np.concatenate([k, k[~single]])
-    lam, source, col = _descending([(w[mode], 0) for mode in modes])
+    lam, source, col = _descending([w[mode] for mode in modes])
     block, sine = modes[source], source >= k.size
     norm = np.where(single, math.sqrt(1.0 / N), math.sqrt(2.0 / N))
 
@@ -418,62 +388,55 @@ def circulant_eig(table) -> HermitianEig:
     return HermitianEig(lam, R * N, columns)
 
 
-def _reflection_blocks(table) -> tuple[np.ndarray, np.ndarray]:
-    """reflection_eig's (2^d, c^d, c^d) blocks, and the (2^d, c^d) mask of
-    their dropped indices, whose rows and columns are 0."""
+def _reflection_blocks(table) -> list[np.ndarray]:
+    """reflection_eig's 2^d blocks, block b odd along axis k when bit k of b
+    is set, each with c = ceil(R / 2) indices along an even axis and R // 2
+    along an odd one, in C order."""
     d, R = table.ndim, table.shape[0]
-    c = (R + 1) // 2
+    c, h = (R + 1) // 2, R // 2
     p = np.arange(c)
     near, far = np.abs(p[:, None] - p), np.abs(p[:, None] + p - (R - 1))
-    middle = 2 * p == R - 1
-    s_even, s_odd = np.where(middle, math.sqrt(0.5), 1.0), np.where(middle, 0.0, 1.0)
-    # block b is odd along axis k when bit k of b is set; B is laid out
-    # (block, p_1, q_1, ..., p_d, q_d), and kept[b] is 0 where an index is dropped
-    B, kept = table[None], np.ones((1, 1))
-    for axis in range(1, 2 * d, 2):
-        t_near, t_far = np.take(B, near, axis=axis), np.take(B, far, axis=axis)
-        trail = (1,) * (t_near.ndim - axis - 2)
-        B = np.concatenate([(t_near + t_far) * np.outer(s_even, s_even).reshape(c, c, *trail),
-                            (t_near - t_far) * np.outer(s_odd, s_odd).reshape(c, c, *trail)])
-        kept = np.concatenate([(kept[:, :, None] * s).reshape(len(kept), -1)
-                               for s in (s_even, s_odd)])
-    m = c ** d
-    B = B.transpose(0, *range(1, 2 * d, 2), *range(2, 2 * d + 1, 2)).reshape(2 ** d, m, m)
-    return B, kept == 0.0
+    s_even = np.where(2 * p == R - 1, math.sqrt(0.5), 1.0)
+    # each block is laid out (p_1, q_1, ..., p_k, q_k, the axes still to split)
+    blocks = [table]
+    for axis in range(0, 2 * d, 2):
+        weight = np.outer(s_even, s_even).reshape(c, c, *(1,) * (d - 1 - axis // 2))
+        blocks = ([(np.take(B, near, axis) + np.take(B, far, axis)) * weight for B in blocks]
+                  + [np.take(B, near[:h, :h], axis) - np.take(B, far[:h, :h], axis)
+                     for B in blocks])
+    order = (*range(0, 2 * d, 2), *range(1, 2 * d, 2))
+    # popped, so each block in the split layout is freed once copied
+    return [B.transpose(order).reshape((math.prod(B.shape[::2]),) * 2)
+            for B in (blocks.pop(0) for _ in range(2 ** d))]
 
 
-def _swap_halves(B, dropped, c: int):
-    """Split (k, c^2, c^2) blocks that commute with swapping the indices of
-    two axes, (p, q) -> (q, p), into their swap-even and swap-odd halves.
+def _swap_halves(B, c: int):
+    """Split a (c^2, c^2) block that commutes with swapping the indices of
+    two axes, (p, q) -> (q, p), into its swap-even and swap-odd halves.
 
     Half index i is a pair a_i <= b_i, those with a_i < b_i first: its unit
     vector is (e_ab + e_ba) / sqrt 2 in both halves, or e_aa in the even
     half, and (e_ab - e_ba) / sqrt 2 in the odd one, which has only the
-    first c (c - 1) / 2 pairs.  Each half entry sums the four block entries
-    its two vectors meet, in an order that keeps the half symmetric to the
-    bit.  Returns the (2k, h, h) halves, even then odd for each block,
-    padded to the even half's h = c (c + 1) / 2; their (2k, h) mask of
-    dropped or padded indices; the (c^2,) row map, and the even and the odd
-    half's weights, that unfold a half's eigenvector y into the block's,
-    weights * y[rows].
+    c (c - 1) / 2 pairs a_i < b_i.  Each half entry sums the four block
+    entries its two vectors meet, in an order that keeps the half symmetric
+    to the bit.  Returns the even half, c (c + 1) / 2 square, then the odd
+    one, c (c - 1) / 2 square, each with the (c^2,) row map and weights that
+    unfold its eigenvector y into the block's, weights * y[rows]; an index
+    (p, p), which the odd half lacks, has odd weight 0 and reads its row 0.
     """
     a, b = np.triu_indices(c, 1)
     h_odd = a.size
     a, b = np.concatenate([a, np.arange(c)]), np.concatenate([b, np.arange(c)])
     r, s = a * c + b, b * c + a
     coef = np.where(a < b, math.sqrt(0.5), 0.5)
-    same = B[:, r[:, None], r] + B[:, s[:, None], s]
-    cross = B[:, r[:, None], s] + B[:, s[:, None], r]
-    halves = np.zeros((2 * B.shape[0], a.size, a.size))
-    halves[0::2] = (same + cross) * np.outer(coef, coef)
-    halves[1::2, :h_odd, :h_odd] = 0.5 * (same - cross)[:, :h_odd, :h_odd]
-    mask = np.repeat(dropped[:, r], 2, axis=0)
-    mask[1::2, h_odd:] = True
-    rows = np.zeros((c, c), dtype=int)
-    rows[a, b] = rows[b, a] = np.arange(a.size)
+    same = B[r[:, None], r] + B[s[:, None], s]
+    cross = B[r[:, None], s] + B[s[:, None], r]
+    rows = np.zeros(c * c, dtype=int)
+    rows[r] = rows[s] = np.arange(a.size)
     p, q = np.divmod(np.arange(c * c), c)
-    weights = (np.where(p == q, 1.0, math.sqrt(0.5)), np.sign(q - p) * math.sqrt(0.5))
-    return halves, mask, rows.ravel(), weights
+    return [((same + cross) * np.outer(coef, coef), rows, np.where(p == q, 1.0, math.sqrt(0.5))),
+            (0.5 * (same - cross)[:h_odd, :h_odd], np.where(p == q, 0, rows),
+             np.sign(q - p) * math.sqrt(0.5))]
 
 
 def reflection_eig(table) -> HermitianEig:
@@ -484,22 +447,22 @@ def reflection_eig(table) -> HermitianEig:
 
     M commutes with reversing any axis, i_k -> R - 1 - i_k, so it splits into
     2^d blocks on the vectors even or odd under each reversal (Cantoni &
-    Butler 1976).  Along one axis, for p, q < c = ceil(R / 2), the even block
-    is t(|p - q|) + t(|p + q - R + 1|) and the odd one their difference.
-    When R is odd the middle index is its own mirror: its even basis vector
-    is the unit vector there (a 1/sqrt 2 on its row and column) and its odd
-    one vanishes, so that row and column of the odd block are dropped.  The
-    blocks are padded to c^d and decomposed by one batched eigh, a dropped
-    index taking a diagonal below the blocks' spectra (_drop).
+    Butler 1976).  Along one axis, the even block is t(|p - q|) +
+    t(|p + q - R + 1|) for p, q < c = ceil(R / 2), and the odd one their
+    difference for p, q < R // 2.  When R is odd the middle index is its own
+    mirror: its even basis vector is the unit vector there (a 1/sqrt 2 on
+    its row and column), and it has no odd one.  Each block is decomposed by
+    one eigh at its own size, c along each even axis and R // 2 along each
+    odd one, and freed once decomposed.
 
-    A square table (d = 2, equal to its transpose, as for jinc on a square
-    grid) also commutes with swapping the two axes.  The block odd along
-    the first axis only and the one odd along the second only are then the
-    same matrix with the axes' indices swapped: the first is decomposed by
-    one eigh, and the second takes its eigenvalues and its eigenvectors with
-    swapped indices.  The blocks even or odd along both axes each split into
-    swap-even and swap-odd halves (_swap_halves), which one batched eigh
-    decomposes, padded to one size by the same dropped indices.
+    A square table (d = 2, R > 1, equal to its transpose, as for jinc on a
+    square grid) also commutes with swapping the two axes.  The block odd
+    along the first axis only and the one odd along the second only are
+    then the same matrix with the axes' indices swapped: the first is
+    decomposed by one eigh, and the second takes its eigenvalues and its
+    eigenvectors with swapped indices.  The blocks even or odd along both
+    axes each split into swap-even and swap-odd halves (_swap_halves), and
+    each half is decomposed by one eigh at its own size.
 
     Eigenvalues come descending, exact ties in a fixed order (a stable
     sort), and the block eigenvectors are kept: columns(idx) unfolds only
@@ -509,59 +472,59 @@ def reflection_eig(table) -> HermitianEig:
     same.
     """
     d, R = table.ndim, table.shape[0]
-    c = (R + 1) // 2
-    n, m = R ** d, c ** d
-    B, dropped = _reflection_blocks(table)
-    whole = np.arange(m)
-    if d == 2 and np.array_equal(table, table.T):
-        halves, mask, rows, weights = _swap_halves(B[[0, 3]], dropped[[0, 3]], c)
-        first = B[1:2].copy()
-        del B  # freed before the eigh calls: 32 MiB at 64 x 64 cells
-        _drop([first, halves], [dropped[1:2], mask])
-        w_first, X_first = np.linalg.eigh(first[0])
-        w, X = np.linalg.eigh(halves)
-        h, skip, skip_first = X.shape[-1], mask.sum(axis=1), int(dropped[1].sum())
-        # six sources of eigenvectors: the even and the odd half of B(0, 0),
-        # the first block, its swap, and the two halves of B(1, 1); each has
-        # its offset in flat, the flat index of each of its rows, its weight
-        # on each row and the reflection block it unfolds as
-        flat = np.concatenate([X.ravel(), X_first.ravel()])
-        spectra = [(w[0], skip[0]), (w[1], skip[1]), (w_first, skip_first),
-                   (w_first, skip_first), (w[2], skip[2]), (w[3], skip[3])]
-        start = np.array([0, 1, 4, 4, 2, 3]) * h * h
-        row = np.stack([rows * h, rows * h, whole * m, whole.reshape(c, c).T.ravel() * m,
-                        rows * h, rows * h])
-        weight = np.stack([*weights, np.ones(m), np.ones(m), *weights])
-        parity = np.array([0, 0, 1, 2, 3, 3])
+    c, h = (R + 1) // 2, R // 2
+    n = R ** d
+    blocks = _reflection_blocks(table)
+    # a source of eigenvectors unfolds the eigh of matrices[j] as the
+    # reflection block of its parity, whose index i reads row rows[i] of
+    # the eigenvectors times weight[i] (None: row i, times 1)
+    if d == 2 and R > 1 and np.array_equal(table, table.T):
+        # six sources: B(1, 0); B(0, 1), whose index (p, q) reads B(1, 0)'s
+        # row (q, p); and the even and the odd half of B(0, 0) and of B(1, 1)
+        swap = np.arange(h * c).reshape(h, c).T.ravel()
+        matrices, sources = [blocks[1]], [(0, 1, None, None), (0, 2, swap, None)]
+        for parity, side in ((0, c), (3, h)):
+            for half, rows, weight in _swap_halves(blocks[parity], side):
+                sources.append((len(matrices), parity, rows, weight))
+                matrices.append(half)
     else:
-        _drop([B], [dropped])
-        w, X = np.linalg.eigh(B)
-        del B
-        skip, flat = dropped.sum(axis=1), X.ravel()
-        spectra = [(w[b], skip[b]) for b in range(2 ** d)]
-        start, parity = np.arange(2 ** d) * m * m, np.arange(2 ** d)
-        row, weight = np.tile(whole * m, (2 ** d, 1)), None
-    del X
-    lam, source, col = _descending(spectra)
-    # row i of M takes the block row of its folded index, times the source's
-    # weight there and one weight per axis: 1/sqrt 2, negated above the
-    # middle of an odd axis; the middle itself 1 on an even axis and 0 on an odd one
+        matrices, sources = blocks, [(b, b, None, None) for b in range(2 ** d)]
+    # popped below: each block (8 MiB at 64 x 64 cells) is freed once its
+    # halves or its eigh are formed
+    del blocks
+    sizes = [M.shape[0] for M in matrices]
+    offset = np.cumsum([0] + [size * size for size in sizes])
+    flat, spectra = np.empty(offset[-1]), []
+    for j in range(len(sizes)):  # each eigh's eigenvectors go to flat, and are freed
+        w, X = np.linalg.eigh(matrices.pop(0))
+        flat[offset[j]:offset[j + 1]] = X.ravel()
+        spectra.append(w)
+    lam, source, col = _descending([spectra[j] for j, *_ in sources])
+    # row i of M reads the source's row at its folded index, times the
+    # source's weight there and one weight per axis: 1/sqrt 2, negated above
+    # the middle of an odd axis; the middle itself 1 on an even axis and 0 on
+    # an odd one, whose block lacks it, so it reads any row
     i = np.arange(R)
     fold = np.minimum(i, R - 1 - i)
-    w_even = np.where(i == R - 1 - i, 1.0, math.sqrt(0.5))
-    w_odd = np.where(i == R - 1 - i, 0.0, np.where(i < R - 1 - i, 1.0, -1.0) * math.sqrt(0.5))
+    # along an even axis and along an odd one: the block's side, and each
+    # index's folded index in the block and its weight
+    along = [(c, fold, np.where(2 * i == R - 1, 1.0, math.sqrt(0.5))),
+             (h, np.minimum(fold, h - 1), np.sign(R - 1 - 2 * i) * math.sqrt(0.5))]
     axis_of = np.indices((R,) * d).reshape(d, n)  # each row's index along each axis
-    folded = np.zeros(n, dtype=int)
-    for k in range(d):
-        folded = folded * c + fold[axis_of[k]]
-    row = row[:, folded]
-    factors = [] if weight is None else [weight[:, folded]]
-    factors += [np.where(parity[:, None] >> k & 1 == 1, w_odd[axis_of[k]], w_even[axis_of[k]])
-                for k in range(d)]
+    row, factors = [], []
+    for j, parity, rows, weight in sources:
+        folded, per_axis = np.zeros(n, dtype=int), []
+        for k in range(d):
+            side, index, scale = along[parity >> k & 1]
+            folded = folded * side + index[axis_of[k]]
+            per_axis.append(scale[axis_of[k]])
+        row.append(offset[j] + sizes[j] * (folded if rows is None else rows[folded]))
+        factors.append([np.ones(n) if weight is None else weight[folded], *per_axis])
+    row, factors = np.stack(row), np.stack(factors, axis=1)
 
     def columns(idx):
         src, cl = source[idx], col[idx]
-        V = flat[row[src].T + (start[src] + cl)]  # one gather from the sources' eigenvectors
+        V = flat[row[src].T + cl]  # one gather from the sources' eigenvectors
         for factor in factors:  # one at a time, so an entry rounds alike for any idx
             V *= factor[src].T
         return V

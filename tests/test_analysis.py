@@ -327,8 +327,9 @@ class TestGridDiscretize:
     def test_one_eigendecomposition_per_grid_and_none_per_draw(self, monkeypatch):
         # a square 10 x 10 jinc grid: one eigh of the 25 x 25 reflection block
         # odd along the first axis only (the second-axis one is its swap), and
-        # one batched eigh of the swap halves of the other two, padded to 15
-        square = [("eigh", (25, 25)), ("eigh", (4, 15, 15))]
+        # one of each swap half of the other two, 15 x 15 even and 10 x 10 odd
+        square = [("eigh", (25, 25)), ("eigh", (15, 15)), ("eigh", (10, 10)),
+                  ("eigh", (15, 15)), ("eigh", (10, 10))]
         calls = count_eig_calls(monkeypatch)
         clean = grid_discretize(thin_rescale(jinc_kernel(2), 0.8, 0.8),
                                 (-3.0, 3.0, -3.0, 3.0), 10)
@@ -336,14 +337,14 @@ class TestGridDiscretize:
         sample_indicators(clean.dpp, 3, 70)
         assert calls == square
         calls.clear()
-        # the 144 x m series factor on a centred square grid: one batched eigh
-        # of its four k mod 4 class duals, padded to ceil(m / 4), and no SVD
+        # the 144 x m series factor on a centred square grid: one eigh of each
+        # of its four k mod 4 class duals, class r of size ceil((m - r) / 4), and no SVD
         clamped = grid_discretize(leaky_ginibre(), (-3.0, 3.0, -3.0, 3.0), 12)
         m = clamped.dpp.eig.eigenvalues.size
-        h = -(-m // 4)
-        assert clamped.dpp.clamp_report and m < 144 and calls == [("eigh", (4, h, h))]
+        classes = [("eigh", ((m - r + 3) // 4,) * 2) for r in range(4)]
+        assert clamped.dpp.clamp_report and m < 144 and calls == classes
         sample_indicators(clamped.dpp, 3, 70)
-        assert calls == [("eigh", (4, h, h))]
+        assert calls == classes
         calls.clear()
         dense = grid_discretize(dense_route(leaky_ginibre()), (-3.0, 3.0, -3.0, 3.0), 12)
         assert dense.dpp.clamp_report and calls == [("eigh", (144, 144))]
@@ -364,11 +365,20 @@ class TestGridDiscretize:
                                   (-2.0, 2.0, -2.0, 2.0), 6)
         assert ginibre.dpp.matrix.dtype == np.complex128
 
-    def test_sampler_law_on_grid_wider_than_int64(self):
-        grid = grid_discretize(thin_rescale(jinc_kernel(2), 0.8, 0.8),
-                               (-3.0, 3.0, -3.0, 3.0), 10)
+    @pytest.mark.parametrize("kernel,window,resolution", [
+        (thin_rescale(jinc_kernel(2), 0.8, 0.8), (-3.0, 3.0, -3.0, 3.0), 10),
+        (thin_rescale(jinc_kernel(2), 0.8, 0.8), (-3.3, 3.3, -3.3, 3.3), 11),
+        (thin_rescale(jinc_kernel(2), 0.8, 0.8), (-3.3, 3.3, -4.4, 4.4), 11),
+        (ginibre_kernel(GinibreParams(0.9, 1.1)), (-2.0, 2.0, -2.0, 2.0), 7),
+    ], ids=["square-jinc-10x10", "square-jinc-11x11", "unequal-steps-jinc-11x11",
+            "centred-ginibre-7x7"])
+    def test_sampler_law_on_each_block_route(self, kernel, window, resolution):
+        # the swap halves at even and at odd R (over 64 cells), the four
+        # reflection blocks at odd R, and the k mod 4 class duals of unequal
+        # sizes (m = 31 terms: 8, 8, 8 and 7)
+        grid = grid_discretize(kernel, window, resolution)
         bits = sample_indicators(grid.dpp, 5, 1000)
-        assert grid.dpp.n == 100 and bits.shape == (1000, 100)
+        assert grid.dpp.n == resolution ** 2 and bits.shape == (1000, grid.dpp.n)
         assert_sampler_matches_kernel(grid.dpp, bits)
 
     def test_sphere_full_surface(self):
@@ -575,10 +585,16 @@ class TestGridFactor:
         alpha, beta = params
         centers, measure = analysis._euclidean_centers((-half, half, -half, half), resolution, 2)
         phi = ginibre_kernel(GinibreParams(alpha, beta)).grid_factor(centers, measure).phi
-        k = np.arange(phi.shape[1])
+        (n, m), k = phi.shape, np.arange(phi.shape[1])
         z = centers[:, 0] + 1j * centers[:, 1]
         mu = np.abs(z[:, None]) ** 2 / beta
         log_pmf = special.xlogy(k, mu) - mu - special.gammaln(k + 1.0)
+        # the running product over k rounds alike in (n, m) and in (m, n) order
+        phase = np.ones((m, n), dtype=complex)
+        phase[1:] = np.exp(1j * np.angle(z))
+        assert phi.flags.c_contiguous
+        assert np.array_equal(phi, math.sqrt(alpha * measure / math.pi) * np.exp(0.5 * log_pmf)
+                              * np.cumprod(phase, axis=0).T)
         want = math.sqrt(alpha * measure / math.pi) * np.exp(0.5 * log_pmf
                                                              + 1j * k * np.angle(z)[:, None])
         live = np.abs(want) > 1e-290
@@ -619,35 +635,36 @@ class TestReflectionBlocks:
         assert np.max(np.abs((V * lam) @ V.T - gram)) <= 1e-14 * lam[0]
         assert np.max(np.abs(V.T @ V - np.eye(grid.dpp.n))) <= 1e-13
 
-    @pytest.mark.parametrize("d,resolution,block", [(1, 12, 6), (1, 13, 7), (2, 10, 25),
-                                                    (2, 11, 36)])
-    def test_grid_takes_one_batched_block_eigh(self, monkeypatch, d, resolution, block):
-        # 2^d blocks of c^d, c = ceil(R / 2); an odd R pads the odd blocks to
-        # that size.  A square grid (d = 2) takes one eigh of the block odd
-        # along the first axis only, and one batched eigh of the swap-even
-        # and swap-odd halves of the other two, padded to c (c + 1) / 2
+    @pytest.mark.parametrize("d,resolution,shapes", [
+        (1, 12, [6, 6]), (1, 13, [7, 6]), (2, 10, [25, 15, 10, 15, 10]),
+        (2, 11, [30, 21, 15, 15, 10])])
+    def test_grid_takes_one_eigh_per_block(self, monkeypatch, d, resolution, shapes):
+        # 2^d blocks, c = ceil(R / 2) indices along an even axis and R // 2
+        # along an odd one.  A square grid (d = 2) takes one eigh of the block
+        # odd along the first axis only, and one of each swap-even and
+        # swap-odd half of the other two, c (c + 1) / 2 and c (c - 1) / 2 of
+        # the block's side c
         calls = count_eig_calls(monkeypatch)
         grid = grid_discretize(jinc_kernel(d), (-2.0, 2.0) * d, resolution)
-        c = (resolution + 1) // 2
-        half = c * (c + 1) // 2
-        assert calls == ([("eigh", (2, block, block))] if d == 1 else
-                         [("eigh", (block, block)), ("eigh", (4, half, half))])
+        assert calls == [("eigh", (size, size)) for size in shapes]
         assert grid.dpp.eig.eigenvalues.size == grid.dpp.n == resolution ** d
         sample_indicators(grid.dpp, 3, 70)
-        assert len(calls) == d
+        assert len(calls) == len(shapes)
 
     @pytest.mark.parametrize("window", [(-2.0, 2.0, -3.0, 3.0), (-1.1, 2.9, 0.7, 4.7)],
                              ids=["unequal-steps", "off-centre"])
-    def test_grid_without_the_swap_keeps_one_batched_block_eigh(self, monkeypatch, window):
-        # a table that is not its own transpose keeps the four padded blocks
+    def test_grid_without_the_swap_takes_one_eigh_per_block(self, monkeypatch, window):
+        # a table that is not its own transpose keeps the four reflection blocks
         calls = count_eig_calls(monkeypatch)
-        grid_discretize(jinc_kernel(2), window, 11)
-        assert calls == [("eigh", (4, 36, 36))]
+        grid = grid_discretize(jinc_kernel(2), window, 11)
+        assert calls == [("eigh", (size, size)) for size in (36, 30, 30, 25)]
+        sample_indicators(grid.dpp, 3, 70)
+        assert len(calls) == 4
 
     def test_blocks_beyond_double_precision_are_refused_like_the_dense_route(self):
-        # every entry 1e307: the blocks' row sums overflow, so the odd blocks'
-        # eigenvalues are nan, and the spectrum gate refuses them as it
-        # refuses the dense route's 9e307
+        # every entry 1e307: the block even along both axes has entries up to
+        # 4e307 and the top eigenvalue 9e307, and the spectrum gate refuses it
+        # as it refuses the dense route's 9e307
         flat = Kernel(space=GroundSpace("euclidean", 2),
                       gram=lambda X, Y: np.full((len(X), len(Y)), 1e307),
                       radial=lambda r: np.full(np.shape(r), 1e307))

@@ -102,7 +102,8 @@ CASES = [
      ["sample", "{spec}", "--samples=6", "--seed=14", "--emit-points"]),
     ("couple-finite-clamped", FINITE_CLAMPED,
      ["couple", "{spec}", "--anchor=2", "--seed=15", "--samples=400"]),
-    # odd resolutions: the reflection blocks are padded, to shapes (2, 7, 7) and (4, 16, 16)
+    # odd resolutions: an odd reflection block lacks the middle index, so 13 cells take
+    # blocks of 7 and 6, and 7 x 7 cells one of 12 (3 x 4) and swap halves of 10, 6, 6 and 3
     ("sample-sinc-odd", SINC,
      ["sample", "{spec}", "--samples=4", "--seed=9", "--window=-6,6",
       "--resolution=13", "--emit-points"]),

@@ -340,26 +340,28 @@ def test_reflection_route_matches_the_dense_route(d, beta, share, steps, lower, 
 
 
 def four_block_route(table):
-    """reflection_eig without the swap: one batched eigh of the 2^d padded
-    reflection blocks, unfolded column by column as that route does."""
+    """reflection_eig without the swap: one eigh per reflection block at its
+    own size, unfolded column by column as that route does."""
     d, R = table.ndim, table.shape[0]
-    c = (R + 1) // 2
-    B, dropped = numerics._reflection_blocks(table)
-    numerics._drop([B], [dropped])
-    w, X = np.linalg.eigh(B)
-    skip = dropped.sum(axis=1)
-    block = np.repeat(np.arange(2 ** d), c ** d - skip)
-    col = np.concatenate([np.arange(c ** d - 1, k - 1, -1) for k in skip])
-    lam = w[block, col]
+    c, h = (R + 1) // 2, R // 2
+    pairs = [np.linalg.eigh(B) for B in numerics._reflection_blocks(table)]
+    block = np.concatenate([np.full(w.size, b) for b, (w, _) in enumerate(pairs)])
+    col = np.concatenate([np.arange(w.size - 1, -1, -1) for w, _ in pairs])
+    lam = np.concatenate([w[::-1] for w, _ in pairs])
     order = np.argsort(-lam, kind="stable")
     block, col = block[order], col[order]
     i = np.arange(R)
     w_even = np.where(i == R - 1 - i, 1.0, math.sqrt(0.5))
     w_odd = np.where(i == R - 1 - i, 0.0, np.where(i < R - 1 - i, 1.0, -1.0) * math.sqrt(0.5))
-    folded = np.zeros(1, dtype=int)
-    for _ in range(d):
-        folded = (folded[:, None] * c + np.minimum(i, R - 1 - i)).ravel()
-    V = X[block, folded[:, None], col]
+    fold = np.minimum(i, R - 1 - i)
+    V = np.empty((R ** d, lam.size))
+    for b, (w, X) in enumerate(pairs):
+        if w.size:  # the middle of an odd axis has weight 0 and reads the block's last row
+            folded = np.zeros(1, dtype=int)
+            for k in range(d):
+                side = h if b >> k & 1 else c
+                folded = (folded[:, None] * side + fold.clip(max=side - 1)).ravel()
+            V[:, block == b] = X[folded[:, None], col[block == b]]
     grid = V.reshape((R,) * d + (-1,))
     for k in range(d):
         weight = np.where((block >> k & 1)[:, None] == 1, w_odd, w_even).T
@@ -384,7 +386,7 @@ def test_square_reflection_split_matches_the_four_blocks(resolution, seed):
     lam, V = eig.eigenvalues, eig.eigenvectors
     today, _ = four_block_route(table)
     # each side is an eigh of matrices equal up to rounding, so each misses by
-    # a few eps of the blocks' norm: 15.5 eps at most over 20,000 such tables
+    # a few eps of the blocks' norm: 14.2 eps at most over 20,000 such tables
     assert np.max(np.abs(lam - today)) <= 32 * EPS * np.max(np.abs(today))
     M = stationary_matrix(table)
     assert np.max(np.abs((V * lam) @ V.T - M)) <= 1e-12
@@ -413,21 +415,31 @@ def test_reflection_without_the_swap_is_the_four_block_route(d, resolution, seed
     eig = reflection_eig(table)
     lam, V = four_block_route(table)
     assert np.array_equal(eig.eigenvalues, lam) and np.array_equal(eig.eigenvectors, V)
+    # c = ceil(R / 2) indices along each even axis, R // 2 along each odd one
+    c, h = (resolution + 1) // 2, resolution // 2
+    sizes = [c ** (d - bin(b).count("1")) * h ** bin(b).count("1") for b in range(2 ** d)]
+    blocks = numerics._reflection_blocks(table)
+    assert [B.shape for B in blocks] == [(size, size) for size in sizes]
+    assert sum(sizes) == resolution ** d
     idx = np.flatnonzero(rng.random(lam.size) < 0.5)
     assert np.array_equal(eig.columns(idx), V[:, idx])
 
 
 @settings(max_examples=50)
-@given(route=st.sampled_from(["dense", "circulant", "factor", "factor-classed"]),
+@given(route=st.sampled_from(["dense", "circulant", "reflection", "factor", "factor-classed"]),
        size=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
 def test_columns_are_the_eigenvectors_columns(route, size, seed):
     # bit for bit, but on the factor routes, where the product phi W[:, idx]
     # over fewer columns may round differently; dividing it by sqrt(lambda)
-    # magnifies that in the columns of tiny eigenvalues, so the products are compared
+    # magnifies that in the columns of tiny eigenvalues, so the products are
+    # compared.  An empty idx, a batch that keeps no eigenvector, gives (n, 0)
     rng = np.random.default_rng(seed)
     if route == "dense":
         A = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
         eig = hermitian_eig(A + A.conj().T)
+    elif route == "reflection":  # square (the swap split) or not, as the draw falls
+        table = rng.normal(size=(size, size))
+        eig = reflection_eig(table + table.T if rng.random() < 0.5 else table)
     elif route == "circulant":
         longitudes = size + 1
         table = rng.normal(size=(size, size, longitudes))
@@ -441,7 +453,9 @@ def test_columns_are_the_eigenvectors_columns(route, size, seed):
         eig = factor_eig(factor.phi, factor.classes if route == "factor-classed" else None)
     V = eig.eigenvectors
     assert V.shape == (eig.n, eig.eigenvalues.size)
-    for idx in (np.flatnonzero(rng.random(V.shape[1]) < 0.5), np.arange(V.shape[1])[::-1]):
+    for idx in (np.flatnonzero(rng.random(V.shape[1]) < 0.5), np.arange(V.shape[1])[::-1],
+                np.array([], dtype=int)):
+        assert eig.columns(idx).shape == (eig.n, idx.size)
         if route.startswith("factor"):
             root = np.sqrt(np.clip(eig.eigenvalues[idx], 0.0, None))
             assert np.max(np.abs(eig.columns(idx) - V[:, idx]) * root, initial=0.0) <= 1e-15
